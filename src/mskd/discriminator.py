@@ -59,23 +59,10 @@ class Featurizer:
             else:
                 quality = 0.0
         f[3] = quality
-        if resp.payload is not None and ex.answer_space:
-            try:
-                slot = ex.answer_space.index(resp.payload)
-            except ValueError:
-                slot = -1
-            if 0 <= slot < self.space_size:
-                f[4 + slot] = 1.0
+        slot = ex.slot_of(resp.payload)
+        if slot is not None and slot < self.space_size:
+            f[4 + slot] = 1.0
         return f
-
-
-def featurize(
-    resp: ParsedResponse,
-    ex: SupervisionExample,
-    space_size: int,
-    quality: float | None = None,
-) -> np.ndarray:
-    return Featurizer(space_size).featurize(resp, ex, quality)
 
 
 @dataclass(frozen=True, slots=True, eq=False)

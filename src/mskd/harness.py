@@ -418,20 +418,16 @@ def proxy_overrides(
     targets: dict[str, int] = {}
     for ex in examples:
         pool = pools[ex.id]
-        space = {p: j for j, p in enumerate(ex.answer_space)}
+        slots = [ex.slot_of(resp.payload) for resp in pool.responses]
         vals = np.zeros(pool.k)
-        for i, resp in enumerate(pool.responses):
-            slot = space.get(resp.payload) if resp.payload is not None else None
+        for i, slot in enumerate(slots):
             if slot is not None:
                 vals[i] = proxies[ex.id][slot]
         total = vals.sum()
         if total > 0.0:
             dists[ex.id] = MatchingDistribution(tuple(float(v) for v in vals / total))
-            best = int(np.argmax(vals))
-            if pool.responses[best].payload is not None:
-                slot = space.get(pool.responses[best].payload)
-                if slot is not None:
-                    targets[ex.id] = slot
+            # the argmax carries positive mass, so its payload has a slot
+            targets[ex.id] = slots[int(np.argmax(vals))]
         else:
             dists[ex.id] = MatchingDistribution(tuple([1.0 / pool.k] * pool.k))
     return dists, targets

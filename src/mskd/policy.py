@@ -8,8 +8,6 @@ import numpy as np
 
 from mskd.tasks import SupervisionExample
 
-SHARED_KEY = "__shared__"
-
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - np.max(logits)
@@ -47,17 +45,12 @@ def nucleus(probs: np.ndarray, temperature: float = 1.0, top_p: float = 1.0) -> 
 
 @dataclass
 class StudentPolicy:
-    """Per-example logits over answer spaces; optionally one shared vector.
-
-    In shared mode every example must use an answer space of the same size
-    and the single vector under SHARED_KEY is read (and updated) for all.
-    """
+    """Per-example logits over answer spaces, keyed by example id."""
 
     logits: dict[str, np.ndarray] = field(default_factory=dict)
-    shared: bool = False
 
     def logits_for(self, ex: SupervisionExample) -> np.ndarray:
-        return self.logits[SHARED_KEY if self.shared else ex.id]
+        return self.logits[ex.id]
 
     def probs(self, ex: SupervisionExample) -> np.ndarray:
         return softmax(self.logits_for(ex))
@@ -76,24 +69,17 @@ class StudentPolicy:
         return rng.choice(len(p), size=n, p=p)
 
     def copy(self) -> "StudentPolicy":
-        return StudentPolicy(
-            logits={k: v.copy() for k, v in self.logits.items()}, shared=self.shared
-        )
+        return StudentPolicy(logits={k: v.copy() for k, v in self.logits.items()})
 
 
-def init_student(examples, shared: bool = False) -> StudentPolicy:
+def init_student(examples) -> StudentPolicy:
     """Uniform (zero-logit) policy; requires answer spaces on every example."""
-    sizes = {}
+    logits = {}
     for ex in examples:
         if ex.answer_space is None:
             raise ValueError(f"example {ex.id}: answer_space required for a simulated policy")
-        sizes[ex.id] = len(ex.answer_space)
-    if shared:
-        uniq = set(sizes.values())
-        if len(uniq) != 1:
-            raise ValueError(f"shared policy needs equal answer-space sizes, got {sorted(uniq)}")
-        return StudentPolicy(logits={SHARED_KEY: np.zeros(uniq.pop())}, shared=True)
-    return StudentPolicy(logits={ex.id: np.zeros(sizes[ex.id]) for ex in examples})
+        logits[ex.id] = np.zeros(len(ex.answer_space))
+    return StudentPolicy(logits=logits)
 
 
 def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:

@@ -15,7 +15,7 @@ import enum
 import math
 import re
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 ANSWER_RE = re.compile(r"<answer>(.*?)</answer>", flags=re.S)
 THINK_RE = re.compile(r"<think>(.*?)</think>", flags=re.S)
@@ -112,7 +112,8 @@ class SupervisionExample:
     """One question unit: id, task, and (for closed-ended tasks) the truth.
 
     ``answer_space`` is the optional finite enumeration of candidate payloads
-    used by the simulator; real corpora may omit it.
+    used by the simulator; real corpora may omit it.  Its payloads must be
+    distinct, so that ``slot_of`` names exactly one slot for each.
     """
 
     id: str
@@ -121,6 +122,7 @@ class SupervisionExample:
     ground_truth: AnswerPayload | None = None
     option_count: int | None = None
     answer_space: tuple[AnswerPayload, ...] | None = None
+    _slot_index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.task.is_closed:
@@ -140,11 +142,20 @@ class SupervisionExample:
             letters = option_letters(self.option_count)
             if isinstance(self.ground_truth, OptionLetter) and self.ground_truth.letter not in letters:
                 raise ValueError(f"example {self.id}: ground_truth letter outside option set")
+        slot_index = {}
         if self.answer_space is not None:
             if not isinstance(self.answer_space, tuple):
                 object.__setattr__(self, "answer_space", tuple(self.answer_space))
-            if self.task.is_closed and self.ground_truth not in self.answer_space:
+            slot_index = {p: j for j, p in enumerate(self.answer_space)}
+            if len(slot_index) != len(self.answer_space):
+                raise ValueError(f"example {self.id}: answer_space has duplicate payloads")
+            if self.task.is_closed and self.ground_truth not in slot_index:
                 raise ValueError(f"example {self.id}: answer_space must contain ground_truth")
+        object.__setattr__(self, "_slot_index", slot_index)
+
+    def slot_of(self, payload: AnswerPayload | None) -> int | None:
+        """Position of payload in answer_space; None if absent or no space."""
+        return self._slot_index.get(payload)
 
 
 @dataclass(frozen=True, slots=True)

@@ -28,8 +28,8 @@ from mskd.discriminator import (
     save_params,
     score_batch,
 )
-from mskd.metrics import DEFAULT_METRICS, MetricConfig
-from mskd.policy import StudentPolicy, init_student, kl_gradient_logits, kl_divergence, nucleus, softmax
+from mskd.metrics import DEFAULT_METRICS, MetricConfig, quality_score
+from mskd.policy import StudentPolicy, init_student, kl_gradient_logits, kl_divergence, softmax
 from mskd.pool import (
     DegeneratePoolError,
     MatchingDistribution,
@@ -103,6 +103,10 @@ class TrainConfig:
             raise ValueError(f"baseline must be 'group_mean' or 'none', got {self.baseline!r}")
         if self.hidden_dim < 0:
             raise ValueError(f"hidden_dim must be >= 0, got {self.hidden_dim}")
+        if self.temperature <= 0:
+            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        if not 0.0 < self.top_p <= 1.0:
+            raise ValueError(f"top_p must be in (0,1], got {self.top_p}")
 
 
 @dataclass
@@ -112,7 +116,20 @@ class ExampleCache:
     responses: list[ParsedResponse]
     quality: np.ndarray
     features: np.ndarray
-    index_of: dict
+
+
+def score_answer_space(
+    ex: SupervisionExample,
+    cfg: MetricConfig = DEFAULT_METRICS,
+) -> tuple[list[ParsedResponse], np.ndarray]:
+    """Render and parse every answer-space slot, then score it against the
+    truth; open-ended slots score 0."""
+    responses = [parse_response(render_payload(p), ex.task) for p in ex.answer_space]
+    if ex.task.is_closed:
+        quality = np.array([quality_score(r, ex, cfg) for r in responses])
+    else:
+        quality = np.zeros(len(responses))
+    return responses, quality
 
 
 def build_caches(
@@ -120,23 +137,16 @@ def build_caches(
     featurizer: Featurizer,
     cfg: MetricConfig = DEFAULT_METRICS,
 ) -> dict[str, ExampleCache]:
-    """Render/parse/score/featurize every answer-space slot once."""
-    from mskd.metrics import quality_score
-
+    """Score and featurize every answer-space slot once."""
     caches: dict[str, ExampleCache] = {}
     for ex in examples:
         if ex.answer_space is None:
             raise ValueError(f"example {ex.id}: answer_space required by the simulator")
-        responses = [parse_response(render_payload(p), ex.task) for p in ex.answer_space]
-        if ex.task.is_closed:
-            quality = np.array([quality_score(r, ex, cfg) for r in responses])
-        else:
-            quality = np.zeros(len(responses))
+        responses, quality = score_answer_space(ex, cfg)
         feats = np.stack(
             [featurizer.featurize(r, ex, quality=float(q)) for r, q in zip(responses, quality)]
         )
-        index_of = {p: j for j, p in enumerate(ex.answer_space)}
-        caches[ex.id] = ExampleCache(responses, quality, feats, index_of)
+        caches[ex.id] = ExampleCache(responses, quality, feats)
     return caches
 
 
@@ -149,7 +159,7 @@ def pool_features(
     """(K, dim) feature rows for a pool, reusing slot rows where possible."""
     rows = []
     for i, resp in enumerate(pool.responses):
-        slot = cache.index_of.get(resp.payload) if resp.payload is not None else None
+        slot = ex.slot_of(resp.payload)
         if slot is not None:
             rows.append(cache.features[slot])
         else:
@@ -166,7 +176,6 @@ def kl_penalty(student: StudentPolicy, ref: StudentPolicy, ex: SupervisionExampl
 def select_sft_targets(
     examples: list[SupervisionExample],
     pools: dict[str, TeacherPool],
-    caches: dict[str, ExampleCache],
     seed: int,
 ) -> tuple[dict[str, int], tuple[str, ...]]:
     """Map example id -> answer-space slot of its SFT target.
@@ -182,13 +191,29 @@ def select_sft_targets(
         except NoValidTargetError:
             skipped.append(ex.id)
             continue
-        payload = pool.responses[pool_idx].payload
-        slot = caches[ex.id].index_of.get(payload) if payload is not None else None
+        slot = ex.slot_of(pool.responses[pool_idx].payload)
         if slot is None:
             skipped.append(ex.id)
             continue
         targets[ex.id] = slot
     return targets, tuple(skipped)
+
+
+def _sft_epoch(
+    student: StudentPolicy,
+    examples: list[SupervisionExample],
+    targets: dict[str, int],
+    lr: float,
+) -> None:
+    """One cross-entropy descent pass toward each example's target slot."""
+    for ex in examples:
+        slot = targets.get(ex.id)
+        if slot is None:
+            continue
+        logits = student.logits_for(ex)
+        p = softmax(logits)
+        p[slot] -= 1.0
+        logits -= lr * p  # grad of NLL is (probs - onehot)
 
 
 def sft_stage(
@@ -197,24 +222,22 @@ def sft_stage(
     pools: dict[str, TeacherPool],
     cfg: TrainConfig,
     targets: dict[str, int] | None = None,
-    caches: dict[str, ExampleCache] | None = None,
 ) -> StudentPolicy:
     """Cross-entropy descent toward each example's selected pool response."""
-    if caches is None:
-        featurizer = Featurizer(max(len(ex.answer_space) for ex in examples))
-        caches = build_caches(examples, featurizer, cfg.metric)
     if targets is None:
-        targets, _ = select_sft_targets(examples, pools, caches, cfg.seed)
+        targets, _ = select_sft_targets(examples, pools, cfg.seed)
     for _ in range(cfg.epochs_stage1):
-        for ex in examples:
-            slot = targets.get(ex.id)
-            if slot is None:
-                continue
-            logits = student.logits_for(ex)
-            p = softmax(logits)
-            p[slot] -= 1.0
-            logits -= cfg.lr_student * p  # grad of NLL is (probs - onehot)
+        _sft_epoch(student, examples, targets, cfg.lr_student)
     return student
+
+
+def matching_for(pool: TeacherPool, cfg: TrainConfig) -> MatchingDistribution | None:
+    """The pool's matching distribution under cfg; None when no response
+    can be matched."""
+    try:
+        return matching_distribution(pool, cfg.matching)
+    except DegeneratePoolError:
+        return None
 
 
 def rl_step(
@@ -225,30 +248,20 @@ def rl_step(
     ex: SupervisionExample,
     cfg: TrainConfig,
     seed: int | np.random.SeedSequence,
-    match_dist: MatchingDistribution | None = None,
-    q_match_override: np.ndarray | None = None,
-    cache: ExampleCache | None = None,
-    pool_feats: np.ndarray | None = None,
-    featurizer: Featurizer | None = None,
+    cache: ExampleCache,
+    pool_feats: np.ndarray,
+    match_dist: MatchingDistribution | None,
 ) -> tuple[StudentPolicy, DiscriminatorParams, dict[str, float]]:
     """One adversarial-distillation step on a single example.
 
-    Order per step: rollouts, matching, rewards, student update (policy
-    gradient + KL pull), then discriminator update on the matched pairs.
-    The returned metrics reflect the state the step acted on.
+    cache, pool_feats and match_dist come from build_caches, pool_features
+    and matching_for (or a caller's override); a None match_dist raises
+    SkippedExample.  Order per step: rollouts, matching, rewards, student
+    update (policy gradient + KL pull), then discriminator update on the
+    matched pairs.  The returned metrics reflect the state the step acted on.
     """
-    if featurizer is None:
-        featurizer = Featurizer(len(ex.answer_space))
-    if cache is None:
-        cache = build_caches([ex], featurizer, cfg.metric)[ex.id]
-    if pool_feats is None:
-        pool_feats = pool_features(pool, ex, cache, featurizer)
     if match_dist is None:
-        try:
-            mode = cfg.matching if pool.qualities is not None else "uniform"
-            match_dist = matching_distribution(pool, mode)
-        except DegeneratePoolError as exc:
-            raise SkippedExample(ex.id) from exc
+        raise SkippedExample(ex.id)
 
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
     roll_rng, match_rng = (np.random.default_rng(c) for c in seq.spawn(2))
@@ -274,9 +287,7 @@ def rl_step(
     logits += cfg.lr_student * (pg - cfg.gamma * kl_grad)
 
     matches = sample_matches(match_dist, n, match_rng)
-    if q_match_override is not None:
-        q = np.asarray(q_match_override, dtype=float)[matches]
-    elif cfg.disc_weighting and pool.qualities is not None:
+    if cfg.disc_weighting and pool.qualities is not None:
         q = np.asarray(pool.qualities, dtype=float)[matches]
     else:
         q = np.ones(n)
@@ -349,7 +360,7 @@ class TrainedArtifacts:
         import json
 
         payload = {
-            "shared": self.student.shared,
+            "shared": False,  # layout flag of the format; every policy is per-example
             "logits": {k: v.tolist() for k, v in sorted(self.student.logits.items())},
         }
         (out / "student.json").write_text(
@@ -407,25 +418,19 @@ def run_pipeline(
     featurizer = Featurizer(max(len(ex.answer_space) for ex in examples))
     caches = build_caches(examples, featurizer, cfg.metric)
     pool_feats = {ex.id: pool_features(pools[ex.id], ex, caches[ex.id], featurizer) for ex in examples}
+    match_dists = {ex.id: matching_for(pools[ex.id], cfg) for ex in examples}
+    match_dists.update(match_overrides or {})
 
     student = init_student(examples)
-    auto_targets, skipped_sft = select_sft_targets(examples, pools, caches, cfg.seed)
-    if sft_targets is not None:
-        auto_targets, skipped_sft = dict(sft_targets), tuple(
-            ex.id for ex in examples if ex.id not in sft_targets
-        )
+    if sft_targets is None:
+        sft_targets, skipped_sft = select_sft_targets(examples, pools, cfg.seed)
+    else:
+        skipped_sft = tuple(ex.id for ex in examples if ex.id not in sft_targets)
 
     rows: list[MetricsRow] = []
     step = 0
     for _ in range(cfg.epochs_stage1):
-        for ex in examples:
-            slot = auto_targets.get(ex.id)
-            if slot is None:
-                continue
-            logits = student.logits_for(ex)
-            p = softmax(logits)
-            p[slot] -= 1.0
-            logits -= cfg.lr_student * p
+        _sft_epoch(student, examples, sft_targets, cfg.lr_student)
         step += 1
         rows.append(MetricsRow(step, "sft", None, None, None, eval_accuracy(student, examples, caches)))
 
@@ -437,7 +442,6 @@ def run_pipeline(
         sums = np.zeros(3)
         count = 0
         for i, ex in enumerate(examples):
-            override = match_overrides.get(ex.id) if match_overrides else None
             try:
                 student, disc, m = rl_step(
                     student,
@@ -447,10 +451,9 @@ def run_pipeline(
                     ex,
                     cfg,
                     np.random.SeedSequence([cfg.seed, _S_ROLL, epoch, i]),
-                    match_dist=override,
-                    cache=caches[ex.id],
-                    pool_feats=pool_feats[ex.id],
-                    featurizer=featurizer,
+                    caches[ex.id],
+                    pool_feats[ex.id],
+                    match_dists[ex.id],
                 )
             except SkippedExample:
                 skipped_rl.add(ex.id)
@@ -502,8 +505,6 @@ def pass_at_k_eval(
     sample succeeds when its slot metric reaches the task's threshold
     (1.0 = exact match).
     """
-    from mskd.metrics import quality_score
-
     if not k_values or min(k_values) < 1:
         raise ValueError("k_values must be non-empty positive integers")
     ks = sorted(set(int(k) for k in k_values))
@@ -517,13 +518,9 @@ def pass_at_k_eval(
             if isinstance(success_threshold, dict)
             else success_threshold
         )
-        space_quality = np.array(
-            [quality_score(parse_response(render_payload(pl), ex.task), ex, metric_cfg) for pl in ex.answer_space]
-        )
+        _, space_quality = score_answer_space(ex, metric_cfg)
         ok = space_quality >= thr
-        rng = _stream(seed, _S_PASSK, i)
-        p = nucleus(student.probs(ex), temperature, top_p)
-        draws = rng.choice(len(p), size=max_k, p=p)
+        draws = student.sample(ex, max_k, _stream(seed, _S_PASSK, i), temperature, top_p)
         prefix_hit = np.maximum.accumulate(ok[draws])
         hit_matrix[i] = prefix_hit[np.array(ks) - 1]
     rates = hit_matrix.mean(axis=0)

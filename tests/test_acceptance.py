@@ -47,7 +47,7 @@ from mskd.tasks import (
     parse_response,
     render_payload,
 )
-from mskd.train import TrainConfig, build_caches, rl_step, run_pipeline, pass_at_k_eval
+from mskd.train import TrainConfig, build_caches, pool_features, rl_step, run_pipeline, pass_at_k_eval
 
 SEEDS20 = tuple(range(20))
 
@@ -395,6 +395,8 @@ def test_criterion_06_policy_update_and_kl():
     pool = build_pool(ex, [render_payload(Binary(True)), render_payload(Binary(False))])
     featurizer = Featurizer(2)
     cache = build_caches([ex], featurizer)[ex.id]
+    pool_feats = pool_features(pool, ex, cache, featurizer)
+    match_dist = matching_distribution(pool, cfg.matching)
     disc = init_params(featurizer.dim, 0, seed=0)
     theta = np.array([0.3, -0.2])
     steps = 1_250  # steps * n_rollouts = 10^4 rollouts
@@ -404,7 +406,7 @@ def test_criterion_06_policy_update_and_kl():
         ref = StudentPolicy(logits={ex.id: theta.copy()})
         student, disc, _ = rl_step(
             student, ref, disc, pool, ex, cfg,
-            np.random.SeedSequence([606, i]), cache=cache, featurizer=featurizer,
+            np.random.SeedSequence([606, i]), cache, pool_feats, match_dist,
         )
         total += (student.logits_for(ex)[0] - theta[0]) / cfg.lr_student
     mean_update = total / steps

@@ -137,8 +137,13 @@ def test_train_examples_without_pool_cache_is_config_error(corpus, tmp_path):
     assert code == 2
 
 
-def test_train_bad_hyperparameter_is_config_error(tmp_path):
-    cfg = write_cfg(tmp_path, "t.json", {"tau": 2.0})
+@pytest.mark.parametrize(
+    "block",
+    [{"tau": 2.0}, {"temperature": 0.0}, {"top_p": 0.0}],
+    ids=["tau", "temperature", "top_p"],
+)
+def test_train_bad_hyperparameter_is_config_error(tmp_path, block):
+    cfg = write_cfg(tmp_path, "t.json", block)
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
 
 

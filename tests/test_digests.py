@@ -1,0 +1,98 @@
+"""Stored SHA-256 digests of small end-to-end runs.
+
+Unlike the rerun check in criterion 11, these compare against constants, so
+a change that alters any output byte (a reordered sum, a different draw, a
+new column) fails here even when it is self-consistent.  Re-pin a digest
+only in a change that states the numeric difference on purpose.
+"""
+
+import hashlib
+import json
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from mskd.harness import (
+    make_closed_benchmark,
+    make_open_benchmark,
+    misleading_proxy,
+    proxy_overrides,
+    setting_config,
+)
+from mskd.train import TrainConfig, make_pools, pass_at_k_eval, run_pipeline
+
+ARTIFACTS = ("metrics.csv", "disc.json", "student.json")
+
+CLOSED_LINEAR = {
+    "metrics.csv": "9d9a29329848f8db7f9fcdb1b01bc54d4806e4aec620bd4fc6c1725d9c457bf1",
+    "disc.json": "6bfecad0de5013a7a09d70bcef5c3c7ef4e6abe202aa912b52f764d9fe2951a7",
+    "student.json": "845740c63c986703891b905d97bd4f4bc2cee6470698d52054a1ac00f0b47a48",
+}
+CLOSED_HIDDEN = {
+    "metrics.csv": "892badb6fe4562aca7cee574af671beb9983c2cbb35a1f988d6b489f77effb16",
+    "disc.json": "86ed08d7eaab0a70c471bd0e95ef24db646c660df04511ac6935eab9204b1550",
+    "student.json": "231f448722c92232440feb714331c001a221ccb11e2f94d69ee22d9516c67725",
+}
+OPEN_PROXY = {
+    "overrides": "527e2e8c0d3cc03f118b5206f4b971e778070a795b9d1d5724622f7c9bb99cb2",
+    "metrics.csv": "6bb3fb80515a59f4aabf9ca1c9f922c24205f86f377c801b4e7a8a0328ede7dd",
+    "disc.json": "82cbeff3c39281e5465d16c12c6c335278b5bdd213233d40d860b265eabc7f27",
+    "student.json": "d217c6f9bf6cfd0c685d1ce226218f95d69e704815be51c134930a99164f0ee8",
+}
+PASSK = "d25ed13f62cdf0ea979d50c0053fc12c1319bf914466f37960486a57f6c22a11"
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def artifact_digests(art, out) -> dict[str, str]:
+    art.save(out)
+    return {name: sha((out / name).read_bytes()) for name in ARTIFACTS}
+
+
+@pytest.fixture(scope="module")
+def closed():
+    return make_closed_benchmark(n_mcq=4, n_temporal=4, retention_target=None)
+
+
+def arm_d(hidden_dim: int) -> TrainConfig:
+    return setting_config("D", TrainConfig(seed=3, hidden_dim=hidden_dim))
+
+
+def test_closed_arm_d_linear_digests(closed, tmp_path):
+    art = run_pipeline(closed.examples, arm_d(0), teacher=closed.teacher)
+    assert artifact_digests(art, tmp_path) == CLOSED_LINEAR
+
+
+def test_closed_arm_d_hidden_digests(closed, tmp_path):
+    art = run_pipeline(closed.examples, arm_d(2), teacher=closed.teacher)
+    assert artifact_digests(art, tmp_path) == CLOSED_HIDDEN
+
+
+def test_open_proxy_override_digests(tmp_path):
+    bench = make_open_benchmark(n_examples=4, space_size=6)
+    cfg = TrainConfig(seed=5, k=6, epochs_stage1=6, epochs_stage2=10)
+    pools = make_pools(bench.examples, bench.teacher, cfg)
+    prng = np.random.default_rng(np.random.SeedSequence([5, 23]))
+    proxies = {ex.id: misleading_proxy(bench.slot_scores[ex.id], rng=prng) for ex in bench.examples}
+    dists, targets = proxy_overrides(bench.examples, pools, proxies)
+    overrides = json.dumps(
+        {"dists": {k: list(d.probs) for k, d in dists.items()}, "targets": targets},
+        sort_keys=True,
+    )
+    art = run_pipeline(bench.examples, cfg, pools=pools, sft_targets=targets, match_overrides=dists)
+    got = {"overrides": sha(overrides.encode()), **artifact_digests(art, tmp_path)}
+    assert got == OPEN_PROXY
+
+
+def test_pass_at_k_curve_digest(closed):
+    # a barely trained student keeps mass spread, so the draws decide the curve
+    cfg = replace(arm_d(0), epochs_stage1=1, epochs_stage2=0)
+    student = run_pipeline(closed.examples, cfg, teacher=closed.teacher).student
+    curve = pass_at_k_eval(
+        student, closed.examples, [1, 2, 3, 4, 6], temperature=0.7, top_p=0.9, seed=9,
+        success_threshold=0.5,
+    )
+    assert sha(repr(curve).encode()) == PASSK

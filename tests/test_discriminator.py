@@ -10,7 +10,6 @@ from mskd.discriminator import (
     Featurizer,
     apply_gradient,
     batch_update,
-    featurize,
     init_params,
     load_params,
     loss_gradient,
@@ -78,7 +77,7 @@ def test_featurizer_invalid_response_is_mostly_zero():
 
 def test_featurize_open_ended_has_zero_quality_feature():
     ex = mk_open()
-    vec = featurize(parse_response("<answer>caption 0-1</answer>", ex.task), ex, 4)
+    vec = Featurizer(4).featurize(parse_response("<answer>caption 0-1</answer>", ex.task), ex)
     assert vec[3] == 0.0
     assert vec[4:].sum() == 1.0
 

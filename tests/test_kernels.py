@@ -1,14 +1,13 @@
 """Kernel correctness against independent brute-force oracles.
 
-The compiled and pure-Python backends must agree bit for bit; both must
-match a full-matrix edit-distance DP and exact-rational interval/box IoU.
+The kernels must match a full-matrix edit-distance DP and exact-rational
+interval/box IoU.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
-from mskd import _kernels_py
 from mskd.kernels import BACKEND, box_iou, interval_iou, levenshtein
 
 ALPHABET = "abcde XYZ01é中"
@@ -118,20 +117,5 @@ def test_box_iou_edge_cases():
     assert box_iou(0, 0, 2, 2, 1, 1, 3, 3) == 1.0 / 7.0
 
 
-def test_backends_agree_exactly(rng):
-    # both implementations are shipped regardless of which one is active
-    for _ in range(500):
-        a, b = rand_string(rng), rand_string(rng)
-        assert levenshtein(a, b) == _kernels_py.levenshtein(a, b)
-    for _ in range(500):
-        s1, s2 = rng.uniform(0, 4, 2)
-        e1, e2 = s1 + rng.uniform(0, 3), s2 + rng.uniform(0, 3)
-        assert interval_iou(s1, e1, s2, e2) == _kernels_py.interval_iou(s1, e1, s2, e2)
-        vals = rng.uniform(0, 1, 8)
-        a8 = (vals[0], vals[1], vals[0] + vals[2], vals[1] + vals[3])
-        b8 = (vals[4], vals[5], vals[4] + vals[6], vals[5] + vals[7])
-        assert box_iou(*a8, *b8) == _kernels_py.box_iou(*a8, *b8)
-
-
 def test_backend_flag_is_declared():
-    assert BACKEND in ("compiled", "python")
+    assert BACKEND == "python"

@@ -6,9 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import mk_binary, mk_mcq
+from conftest import mk_mcq
 from mskd.policy import (
-    SHARED_KEY,
     StudentPolicy,
     init_student,
     kl_divergence,
@@ -140,14 +139,6 @@ def test_init_student_uniform():
     no_space = replace(mk_mcq(0), answer_space=None)
     with pytest.raises(ValueError):
         init_student([no_space])
-
-
-def test_shared_student_requires_equal_sizes():
-    pol = init_student([mk_mcq(0), mk_mcq(1)], shared=True)
-    assert pol.shared and SHARED_KEY in pol.logits
-    assert np.array_equal(pol.logits_for(mk_mcq(0)), pol.logits_for(mk_mcq(1)))
-    with pytest.raises(ValueError):
-        init_student([mk_mcq(0), mk_binary(1)], shared=True)
 
 
 def test_sample_determinism_and_support():

@@ -224,3 +224,11 @@ def test_example_validation():
             ground_truth=Binary(True),
             answer_space=(Binary(False),),
         )
+    with pytest.raises(ValueError):  # a payload may fill only one slot
+        SupervisionExample(
+            id="x",
+            task=T.BINARY_QA,
+            question="q",
+            ground_truth=Binary(True),
+            answer_space=(Binary(True), Binary(False), Binary(True)),
+        )

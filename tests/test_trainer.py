@@ -16,6 +16,7 @@ from mskd.train import (
     eval_accuracy,
     kl_penalty,
     make_pools,
+    matching_for,
     metrics_to_csv,
     pass_at_k_eval,
     pool_features,
@@ -47,6 +48,13 @@ def small_cfg(**kw):
     return TrainConfig(**base)
 
 
+def rl_inputs(pool, ex, cfg):
+    """The per-example inputs run_pipeline builds once and hands to rl_step."""
+    featurizer = Featurizer(len(ex.answer_space))
+    cache = build_caches([ex], featurizer, cfg.metric)[ex.id]
+    return cache, pool_features(pool, ex, cache, featurizer), matching_for(pool, cfg)
+
+
 def test_kl_penalty_is_policy_kl():
     ex = mk_mcq(0)
     student = StudentPolicy(logits={ex.id: np.array([1.0, 0.0, 0.0, 0.0])})
@@ -76,8 +84,7 @@ def test_select_sft_targets_skips_degenerate_pools():
         ok.id: build_pool(ok, ["<answer>B</answer>", "<answer>A</answer>"]),
         bad.id: build_pool(bad, ["garbage", "also garbage"]),
     }
-    caches = build_caches([ok, bad], Featurizer(4))
-    targets, skipped = select_sft_targets([ok, bad], pools, caches, seed=0)
+    targets, skipped = select_sft_targets([ok, bad], pools, seed=0)
     assert targets == {ok.id: 1}
     assert skipped == (bad.id,)
 
@@ -89,7 +96,7 @@ def test_rl_step_raises_skipped_on_degenerate_pool():
     student = init_student([ex])
     disc = init_params(Featurizer(4).dim, 0, seed=0)
     with pytest.raises(SkippedExample) as exc_info:
-        rl_step(student, student.copy(), disc, pool, ex, cfg, seed=0)
+        rl_step(student, student.copy(), disc, pool, ex, cfg, 0, *rl_inputs(pool, ex, cfg))
     assert exc_info.value.example_id == ex.id
 
 
@@ -99,7 +106,7 @@ def test_rl_step_metric_keys_are_python_floats():
     cfg = small_cfg()
     student = init_student([ex])
     disc = init_params(Featurizer(4).dim, 0, seed=0)
-    _, _, m = rl_step(student, student.copy(), disc, pool, ex, cfg, seed=0)
+    _, _, m = rl_step(student, student.copy(), disc, pool, ex, cfg, 0, *rl_inputs(pool, ex, cfg))
     assert set(m) == {"mean_reward", "disc_loss", "kl"}
     assert all(type(v) is float for v in m.values())
 
