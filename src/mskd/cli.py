@@ -129,6 +129,16 @@ def _load_config(path: str | None, allowed: frozenset, where: str = "config") ->
     return cfg
 
 
+def _metric_config(block) -> MetricConfig:
+    if not isinstance(block, dict):
+        raise ConfigError("metric must be an object")
+    _check_keys(block, _METRIC_KEYS, "metric config")
+    try:
+        return MetricConfig(**block)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid metric config: {exc}") from exc
+
+
 def _train_config(block: dict, seed_override: int | None) -> TrainConfig:
     _check_keys(block, _TRAIN_KEYS, "train config")
     kwargs = dict(block)
@@ -138,11 +148,7 @@ def _train_config(block: dict, seed_override: int | None) -> TrainConfig:
             raise ConfigError("weights must be a 4-element list")
         kwargs["weights"] = RewardWeights(*[float(v) for v in w])
     if "metric" in kwargs:
-        m = kwargs["metric"]
-        if not isinstance(m, dict):
-            raise ConfigError("metric must be an object")
-        _check_keys(m, _METRIC_KEYS, "metric config")
-        kwargs["metric"] = MetricConfig(**m)
+        kwargs["metric"] = _metric_config(kwargs["metric"])
     if seed_override is not None:
         kwargs["seed"] = seed_override
     try:
@@ -151,14 +157,22 @@ def _train_config(block: dict, seed_override: int | None) -> TrainConfig:
         raise ConfigError(f"invalid train config: {exc}") from exc
 
 
+def _build_benchmark(make, block: dict, allowed: frozenset, where: str):
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be an object")
+    _check_keys(block, allowed, where)
+    try:
+        return make(**block)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {where}: {exc}") from exc
+
+
 def _benchmark(block: dict):
-    _check_keys(block, _BENCH_KEYS, "benchmark config")
-    return make_closed_benchmark(**block)
+    return _build_benchmark(make_closed_benchmark, block, _BENCH_KEYS, "benchmark config")
 
 
 def _open_benchmark(block: dict):
-    _check_keys(block, _OPEN_BENCH_KEYS, "open_benchmark config")
-    return make_open_benchmark(**block)
+    return _build_benchmark(make_open_benchmark, block, _OPEN_BENCH_KEYS, "open_benchmark config")
 
 
 def _format_for(args) -> str:
@@ -183,7 +197,7 @@ def _seeds_from(cfg: dict, base_seed: int, default_n: int = 8) -> tuple[int, ...
 
 def cmd_analyze(args) -> int:
     cfg = _load_config(args.config, frozenset({"metric"}))
-    metric = MetricConfig(**cfg["metric"]) if "metric" in cfg else MetricConfig()
+    metric = _metric_config(cfg["metric"]) if "metric" in cfg else MetricConfig()
     examples = read_examples(args.examples)
     rows = read_responses(args.responses)
     if not examples or not any(r.source == "teacher" for r in rows):

@@ -69,6 +69,52 @@ def _temporal_space(points: int = 10) -> tuple[TemporalSegment, ...]:
     )
 
 
+def _check_benchmark_args(sizes: dict[str, int], temperature: float, top_p: float) -> None:
+    """Reject negative example counts, an empty benchmark and a teacher
+    sampling setting that nucleus would refuse."""
+    for name, value in sizes.items():
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+    if sum(sizes.values()) == 0:
+        raise ValueError(f"benchmark is empty: {sizes}")
+    if temperature <= 0:
+        raise ValueError(f"temperature must be positive, got {temperature}")
+    if not 0.0 < top_p <= 1.0:
+        raise ValueError(f"top_p must be in (0,1], got {top_p}")
+
+
+def _calibrate(
+    examples: list[SupervisionExample],
+    slot_scores: dict[str, np.ndarray],
+    targets: np.ndarray,
+    temperature: float,
+    top_p: float,
+) -> tuple[dict[str, float], dict[str, np.ndarray], dict[str, float]]:
+    """Target means, sampling distributions and concentrations by example id.
+
+    ``targets`` holds one mean quality per example, in example order.
+    Examples are grouped by answer-space size and each group is bisected
+    in one batch.
+    """
+    groups: dict[int, list[int]] = {}
+    for j, ex in enumerate(examples):
+        groups.setdefault(len(slot_scores[ex.id]), []).append(j)
+    concs: dict[int, float] = {}
+    probs: dict[int, np.ndarray] = {}
+    for rows in groups.values():
+        scores = np.stack([slot_scores[examples[j].id] for j in rows])
+        c = calibrate_concentration(scores, targets[rows], temperature, top_p)
+        p = sampling_probs(scores, c, temperature, top_p)
+        for j, cj, pj in zip(rows, c.tolist(), p):
+            concs[j], probs[j] = cj, pj
+    ids = [ex.id for ex in examples]
+    return (
+        dict(zip(ids, targets.tolist())),
+        {ex_id: probs[j] for j, ex_id in enumerate(ids)},
+        {ex_id: concs[j] for j, ex_id in enumerate(ids)},
+    )
+
+
 def make_closed_benchmark(
     n_mcq: int = 20,
     n_temporal: int = 40,
@@ -90,6 +136,7 @@ def make_closed_benchmark(
     a teacher sample clears retention_tau equals the target, otherwise
     mu_center is used directly.
     """
+    _check_benchmark_args({"n_mcq": n_mcq, "n_temporal": n_temporal}, temperature, top_p)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 11]))
     letters = option_letters(option_count)
     t_space = _temporal_space()
@@ -127,14 +174,8 @@ def make_closed_benchmark(
     z = rng.standard_normal(len(examples))
 
     def build_at(mu0: float):
-        mus, probs, concs = {}, {}, {}
-        for j, ex in enumerate(examples):
-            mu = float(np.clip(mu0 + spread * z[j], 0.05, 0.98))
-            c = calibrate_concentration(slot_scores[ex.id], mu, temperature, top_p)
-            mus[ex.id] = mu
-            concs[ex.id] = c
-            probs[ex.id] = sampling_probs(slot_scores[ex.id], c, temperature, top_p)
-        return mus, probs, concs
+        mus = np.clip(mu0 + spread * z, 0.05, 0.98)
+        return _calibrate(examples, slot_scores, mus, temperature, top_p)
 
     def retention_at(probs: dict[str, np.ndarray]) -> float:
         vals = [
@@ -186,8 +227,11 @@ def make_open_benchmark(
 ) -> Benchmark:
     """Open-ended benchmark: each answer slot carries a latent rating that
     no surface scorer can see; the teacher favors well-rated slots."""
+    _check_benchmark_args({"n_examples": n_examples}, temperature, top_p)
+    if space_size < 1:
+        raise ValueError(f"space_size must be >= 1, got {space_size}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 13]))
-    examples, slot_scores, violations, probs, concs, mus = [], {}, {}, {}, {}, {}
+    examples, slot_scores, violations, mu_list = [], {}, {}, []
     for i in range(n_examples):
         space = tuple(Text(f"desc {i:02d}-{j:02d}") for j in range(space_size))
         ex = SupervisionExample(
@@ -196,15 +240,11 @@ def make_open_benchmark(
             question=f"describe scene {i}",
             answer_space=space,
         )
-        latent = rng.uniform(0.05, 0.95, space_size)
-        mu = float(np.clip(mu_center + spread * rng.standard_normal(), 0.15, 0.9))
-        c = calibrate_concentration(latent, mu, temperature, top_p)
         examples.append(ex)
-        slot_scores[ex.id] = latent
+        slot_scores[ex.id] = rng.uniform(0.05, 0.95, space_size)
         violations[ex.id] = violation
-        probs[ex.id] = sampling_probs(latent, c, temperature, top_p)
-        concs[ex.id] = c
-        mus[ex.id] = mu
+        mu_list.append(np.clip(mu_center + spread * rng.standard_normal(), 0.15, 0.9))
+    mus, probs, concs = _calibrate(examples, slot_scores, np.array(mu_list), temperature, top_p)
     teacher = SyntheticTeacher(probs, violations, temperature, top_p, concs)
     meta = {"seed": seed, "spread": spread, "space_size": space_size}
     return Benchmark(examples, teacher, slot_scores, mus, meta)

@@ -10,14 +10,16 @@ from mskd.tasks import SupervisionExample
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - np.max(logits)
+    """Softmax over the last axis; each row of a 2-D input on its own."""
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def nucleus(probs: np.ndarray, temperature: float = 1.0, top_p: float = 1.0) -> np.ndarray:
     """Temperature then top-p truncation of a categorical distribution.
 
+    Works over the last axis, so a 2-D input is a stack of distributions.
     Tied probabilities at the nucleus boundary are kept in stable index
     order, so the result is deterministic for a given input.
     """
@@ -27,20 +29,20 @@ def nucleus(probs: np.ndarray, temperature: float = 1.0, top_p: float = 1.0) -> 
         raise ValueError(f"top_p must be in (0,1], got {top_p}")
     p = np.asarray(probs, dtype=float)
     if temperature != 1.0:
-        logp = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), -np.inf)
-        p = softmax(logp / temperature) if np.any(np.isfinite(logp)) else p
+        support = p > 0.0
+        logp = np.where(support, np.log(np.where(support, p, 1.0)), -np.inf)
         # renormalize over the original support only
-        p = np.where(np.asarray(probs) > 0.0, p, 0.0)
-        p = p / p.sum()
+        p = np.where(support, softmax(logp / temperature), 0.0)
+        p = p / p.sum(axis=-1, keepdims=True)
     if top_p == 1.0:
         return p
-    order = np.argsort(-p, kind="stable")
-    csum = np.cumsum(p[order])
-    cut = int(np.searchsorted(csum, top_p)) + 1  # smallest prefix with mass >= top_p
-    keep = order[:cut]
+    order = np.argsort(-p, axis=-1, kind="stable")
+    ranked = np.take_along_axis(p, order, axis=-1)
+    # smallest prefix with mass >= top_p
+    cut = (np.cumsum(ranked, axis=-1) < top_p).sum(axis=-1, keepdims=True) + 1
     out = np.zeros_like(p)
-    out[keep] = p[keep]
-    return out / out.sum()
+    np.put_along_axis(out, order, np.where(np.arange(p.shape[-1]) < cut, ranked, 0.0), axis=-1)
+    return out / out.sum(axis=-1, keepdims=True)
 
 
 @dataclass

@@ -15,12 +15,17 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from mskd.corpus import CorpusError
 from mskd.metrics import DEFAULT_METRICS, MetricConfig, quality_score
 from mskd.tasks import ParsedResponse, SupervisionExample, TaskType, parse_response
 
 
 class InvalidPoolError(ValueError):
     """Pool construction was handed unusable inputs."""
+
+
+class PoolCacheError(CorpusError):
+    """A pool-cache line is not a pool record; names the file and line."""
 
 
 class DegeneratePoolError(ValueError):
@@ -186,18 +191,20 @@ def read_pool_cache(path: str | Path) -> list[TeacherPool]:
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
-            task = TaskType(obj["task"])
-            responses = tuple(parse_response(r["text"], task) for r in obj["responses"])
-            qs = [r["q"] for r in obj["responses"]]
-            qualities = None if any(q is None for q in qs) else tuple(float(q) for q in qs)
-            pools.append(
-                TeacherPool(
+            try:
+                obj = json.loads(line)
+                task = TaskType(obj["task"])
+                responses = tuple(parse_response(r["text"], task) for r in obj["responses"])
+                qs = [r["q"] for r in obj["responses"]]
+                qualities = None if any(q is None for q in qs) else tuple(float(q) for q in qs)
+                pool = TeacherPool(
                     example_id=str(obj["example_id"]),
                     task=task,
                     responses=responses,
                     qualities=qualities,
                     tau_applied=obj.get("tau_applied"),
                 )
-            )
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise PoolCacheError(f"{path}:{lineno}: bad pool record ({exc!r})") from exc
+            pools.append(pool)
     return pools

@@ -32,47 +32,69 @@ class SyntheticTeacher:
 
 
 def sampling_probs(
-    scores: np.ndarray, concentration: float, temperature: float = 1.0, top_p: float = 0.9
+    scores: np.ndarray,
+    concentration: float | np.ndarray,
+    temperature: float = 1.0,
+    top_p: float = 0.9,
 ) -> np.ndarray:
-    """Distribution actually sampled from, given candidate scores."""
-    base = softmax(concentration * np.asarray(scores, dtype=float))
+    """Distribution actually sampled from, given candidate scores.
+
+    ``scores`` may be an (n, m) matrix with one concentration per row.
+    """
+    c = np.asarray(concentration, dtype=float)[..., None]
+    base = softmax(c * np.asarray(scores, dtype=float))
     return nucleus(base, temperature, top_p)
 
 
-def expected_quality(scores: np.ndarray, probs: np.ndarray) -> float:
-    return float(np.asarray(scores, dtype=float) @ np.asarray(probs, dtype=float))
+def expected_quality(scores: np.ndarray, probs: np.ndarray) -> float | np.ndarray:
+    """Expected score under probs; one value per row of (n, m) inputs."""
+    q = np.asarray(scores, dtype=float)[..., None, :] @ np.asarray(probs, dtype=float)[..., :, None]
+    return q[..., 0, 0][()]  # [()] makes the 0-d result of 1-D inputs a scalar
 
 
 def calibrate_concentration(
     scores: np.ndarray,
-    target_mean: float,
+    target_mean: float | np.ndarray,
     temperature: float = 1.0,
     top_p: float = 0.9,
     lo: float = -400.0,
     hi: float = 400.0,
     iters: int = 100,
-) -> float:
+) -> float | np.ndarray:
     """Bisect concentration so expected score under sampling hits target.
 
     Expected score is monotone non-decreasing in concentration; targets
-    outside the achievable range clip to the nearest endpoint.
+    outside the achievable range clip to the nearest endpoint.  An (n, m)
+    score matrix with n targets is bisected row by row in one batch and
+    gives an array of n concentrations; a 1-D call is the one-row case.
+    A row leaves the batch once its bracket stops moving, since every
+    later step would repeat the same midpoint.
     """
-    scores = np.asarray(scores, dtype=float)
+    one = np.ndim(scores) == 1
+    scores = np.atleast_2d(np.asarray(scores, dtype=float))
+    targets = np.atleast_1d(np.asarray(target_mean, dtype=float))
 
-    def mean_at(c: float) -> float:
-        return expected_quality(scores, sampling_probs(scores, c, temperature, top_p))
+    def mean_at(rows: np.ndarray, c: np.ndarray) -> np.ndarray:
+        s = scores[rows]
+        return expected_quality(s, sampling_probs(s, c, temperature, top_p))
 
-    if target_mean <= mean_at(lo):
-        return lo
-    if target_mean >= mean_at(hi):
-        return hi
+    everything = np.arange(len(scores))
+    low = np.full(len(scores), float(lo))
+    high = np.full(len(scores), float(hi))
+    clip_lo = targets <= mean_at(everything, low)
+    clip_hi = ~clip_lo & (targets >= mean_at(everything, high))
+    rows = np.flatnonzero(~(clip_lo | clip_hi))
     for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if mean_at(mid) < target_mean:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        if rows.size == 0:
+            break
+        a, b = low[rows], high[rows]
+        mid = 0.5 * (a + b)
+        below = mean_at(rows, mid) < targets[rows]
+        low[rows] = np.where(below, mid, a)
+        high[rows] = np.where(below, b, mid)
+        rows = rows[(low[rows] != a) | (high[rows] != b)]
+    out = np.where(clip_lo, lo, np.where(clip_hi, hi, 0.5 * (low + high)))
+    return float(out[0]) if one else out
 
 
 def retention_probability(

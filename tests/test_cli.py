@@ -147,6 +147,73 @@ def test_train_bad_hyperparameter_is_config_error(tmp_path, block):
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
 
 
+@pytest.mark.parametrize(
+    "bench",
+    [
+        {"option_count": 40},
+        {"n_mcq": -1},
+        {"n_mcq": 0, "n_temporal": 0},
+        {"temperature": 0.0},
+        {"top_p": 1.5},
+        {"n_mcq": "two"},
+    ],
+    ids=["option_count", "negative_size", "empty", "temperature", "top_p", "size_type"],
+)
+def test_train_bad_benchmark_is_config_error(tmp_path, capsys, bench):
+    cfg = write_cfg(tmp_path, "t.json", dict(TINY_TRAIN, benchmark=dict(TINY_BENCH, **bench)))
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: invalid benchmark config")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "open_bench",
+    [{"n_examples": -1}, {"n_examples": 0}, {"space_size": 0}, {"top_p": 0.0}],
+    ids=["negative_size", "empty", "space_size", "top_p"],
+)
+def test_adaptive_bad_open_benchmark_is_config_error(tmp_path, capsys, open_bench):
+    cfg = write_cfg(
+        tmp_path, "ad.json",
+        {"train": TINY_TRAIN, "seeds": [0, 1], "benchmark": TINY_BENCH,
+         "open_benchmark": dict({"n_examples": 2, "space_size": 4}, **open_bench)},
+    )
+    assert main(["adaptive", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err.startswith("config error: invalid open_benchmark config")
+
+
+@pytest.mark.parametrize(
+    "metric", [{"eps": 0.1}, {"eps_rel": -1.0}, "edit"], ids=["unknown_key", "bad_value", "type"]
+)
+def test_analyze_bad_metric_config_is_config_error(corpus, tmp_path, capsys, metric):
+    ex_path, resp_path = corpus
+    cfg = write_cfg(tmp_path, "m.json", {"metric": metric})
+    code = main(
+        ["analyze", "--config", cfg, "--examples", str(ex_path),
+         "--responses", str(resp_path), "--out", str(tmp_path / "r.csv")]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_train_truncated_pool_cache_is_input_error(corpus, tmp_path, capsys):
+    ex_path, resp_path = corpus
+    cache = tmp_path / "pools.jsonl"
+    assert main(
+        ["pool", "build", "--examples", str(ex_path), "--responses", str(resp_path),
+         "--k", "3", "--tau", "0.3", "--out", str(cache)]
+    ) == 0
+    lines = cache.read_text(encoding="utf-8").splitlines()
+    cache.write_text("\n".join(lines[:-1] + [lines[-1][: len(lines[-1]) // 2]]), encoding="utf-8")
+    code = main(
+        ["train", "--examples", str(ex_path), "--pool-cache", str(cache),
+         "--out", str(tmp_path / "run")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"pools.jsonl:{len(lines)}: bad pool record" in err and "Traceback" not in err
+
+
 def test_ablate_tiny(tmp_path):
     cfg = write_cfg(
         tmp_path, "a.json",

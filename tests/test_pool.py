@@ -10,6 +10,7 @@ from mskd.pool import (
     InvalidPoolError,
     MatchingDistribution,
     NoValidTargetError,
+    PoolCacheError,
     apply_filter,
     build_pool,
     matching_distribution,
@@ -174,3 +175,23 @@ def test_pool_cache_round_trip(tmp_path):
     assert got.tau_applied == 0.3
     assert [r.payload for r in got.responses] == [r.payload for r in pool_closed.responses]
     assert loaded["open-0"].qualities is None
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    [
+        '{"example_id": "mcq-0", "task": "multiple_choice", "respo',
+        '{"example_id": "mcq-0"}',
+        "[1, 2]",
+        '{"example_id": "mcq-0", "task": "multiple_choice", "responses": [{"text": 5, "q": 1.0}]}',
+    ],
+    ids=["truncated", "missing_keys", "not_an_object", "text_not_a_string"],
+)
+def test_pool_cache_malformed_line_names_file_and_line(tmp_path, bad_line):
+    ex = mk_mcq(gt="B")
+    path = tmp_path / "pools.jsonl"
+    write_pool_cache([build_pool(ex, [GOOD, WRONG])], path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(bad_line + "\n")
+    with pytest.raises(PoolCacheError, match="pools.jsonl:2: bad pool record"):
+        read_pool_cache(path)

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import mk_mcq
 from mskd.metrics import DEFAULT_METRICS, quality_score
+from mskd.policy import nucleus
 from mskd.synthetic import (
     SyntheticTeacher,
     calibrate_concentration,
@@ -147,3 +151,116 @@ def test_sampled_quality_mean_tracks_calibration():
         quality_score(parse_response(r, ex.task), ex, DEFAULT_METRICS) for r in raws
     ]
     assert np.mean(quals) == pytest.approx(0.7, abs=0.01)
+
+
+# --- batched calibration against the per-example oracle ----------------------
+#
+# Verbatim copies of the one-example softmax, nucleus, sampling_probs and
+# calibrate_concentration that the batched versions replaced.  They are the
+# oracle only: every row of a batched call must equal them bit for bit.
+
+
+def _oracle_softmax(logits):
+    z = logits - np.max(logits)
+    e = np.exp(z)
+    return e / e.sum()
+
+
+def _oracle_nucleus(probs, temperature=1.0, top_p=1.0):
+    p = np.asarray(probs, dtype=float)
+    if temperature != 1.0:
+        logp = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)), -np.inf)
+        p = _oracle_softmax(logp / temperature) if np.any(np.isfinite(logp)) else p
+        p = np.where(np.asarray(probs) > 0.0, p, 0.0)
+        p = p / p.sum()
+    if top_p == 1.0:
+        return p
+    order = np.argsort(-p, kind="stable")
+    csum = np.cumsum(p[order])
+    cut = int(np.searchsorted(csum, top_p)) + 1
+    keep = order[:cut]
+    out = np.zeros_like(p)
+    out[keep] = p[keep]
+    return out / out.sum()
+
+
+def _oracle_sampling_probs(scores, concentration, temperature=1.0, top_p=0.9):
+    base = _oracle_softmax(concentration * np.asarray(scores, dtype=float))
+    return _oracle_nucleus(base, temperature, top_p)
+
+
+def _oracle_calibrate(scores, target_mean, temperature=1.0, top_p=0.9, lo=-400.0, hi=400.0, iters=100):
+    scores = np.asarray(scores, dtype=float)
+
+    def mean_at(c):
+        return float(scores @ _oracle_sampling_probs(scores, c, temperature, top_p))
+
+    if target_mean <= mean_at(lo):
+        return lo
+    if target_mean >= mean_at(hi):
+        return hi
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if mean_at(mid) < target_mean:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+_SCORE = st.one_of(
+    st.floats(0.0, 1.0, allow_nan=False),
+    st.sampled_from([0.0, 0.25, 0.5, 1.0]),  # ties at the nucleus boundary
+)
+_TEMPERATURE = st.one_of(st.just(1.0), st.floats(0.25, 4.0))
+_TOP_P = st.one_of(st.just(1.0), st.just(0.9), st.floats(0.05, 1.0, exclude_min=True))
+
+
+@st.composite
+def _calibration_batch(draw):
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 60))
+    scores = draw(hnp.arrays(np.float64, (n, m), elements=_SCORE))
+    # targets outside [0, 1] are unreachable and clip to -400 / +400
+    targets = draw(hnp.arrays(np.float64, n, elements=st.floats(-0.5, 1.5)))
+    return scores, targets
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_calibration_batch(), _TEMPERATURE, _TOP_P)
+@example((np.array([[0.0, 1.0, 0.0, 0.0], [0.2, 0.5, 0.9, 0.9]]), np.array([-1.0, 2.0])), 1.0, 0.9)
+@example((np.array([[0.0, 1.0, 0.0, 0.0], [0.2, 0.5, 0.9, 0.1]]), np.array([0.6, 0.4])), 0.7, 1.0)
+def test_batched_calibration_matches_per_example_oracle(batch, temperature, top_p):
+    scores, targets = batch
+    conc = calibrate_concentration(scores, targets, temperature, top_p)
+    probs = sampling_probs(scores, conc, temperature, top_p)
+    assert conc.shape == targets.shape and probs.shape == scores.shape
+    for i in range(len(scores)):
+        want_c = _oracle_calibrate(scores[i], float(targets[i]), temperature, top_p)
+        want_p = _oracle_sampling_probs(scores[i], want_c, temperature, top_p)
+        assert np.float64(conc[i]).tobytes() == np.float64(want_c).tobytes()
+        assert probs[i].tobytes() == want_p.tobytes()
+        one = calibrate_concentration(scores[i], float(targets[i]), temperature, top_p)
+        assert type(one) is float and one == want_c
+        assert sampling_probs(scores[i], one, temperature, top_p).tobytes() == want_p.tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 6), st.integers(1, 40)),
+        elements=st.one_of(st.just(0.0), st.floats(1e-6, 1.0)),
+    ),
+    _TEMPERATURE,
+    _TOP_P,
+)
+@example(np.array([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25]]), 1.0, 0.5)  # prefix mass == top_p
+def test_row_wise_nucleus_matches_per_row_oracle(raw, temperature, top_p):
+    raw[raw.sum(axis=1) == 0.0, 0] = 1.0  # every row keeps some support
+    probs = raw / raw.sum(axis=1, keepdims=True)
+    out = nucleus(probs, temperature, top_p)
+    for row, got in zip(probs, out):
+        want = _oracle_nucleus(row, temperature, top_p)
+        assert got.tobytes() == want.tobytes()
+        assert nucleus(row, temperature, top_p).tobytes() == want.tobytes()
