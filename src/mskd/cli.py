@@ -42,8 +42,8 @@ from mskd.pool import (
     DegeneratePoolError,
     InvalidPoolError,
     NoValidTargetError,
-    apply_filter,
     build_pool,
+    filter_closed,
     read_pool_cache,
     write_pool_cache,
 )
@@ -139,6 +139,12 @@ def _metric_config(block) -> MetricConfig:
         raise ConfigError(f"invalid metric config: {exc}") from exc
 
 
+def _metric_only_config(path: str | None) -> MetricConfig:
+    """The metric of a config file whose only key is ``metric``."""
+    cfg = _load_config(path, frozenset({"metric"}))
+    return _metric_config(cfg["metric"]) if "metric" in cfg else MetricConfig()
+
+
 def _train_config(block: dict, seed_override: int | None) -> TrainConfig:
     _check_keys(block, _TRAIN_KEYS, "train config")
     kwargs = dict(block)
@@ -196,8 +202,7 @@ def _seeds_from(cfg: dict, base_seed: int, default_n: int = 8) -> tuple[int, ...
 
 
 def cmd_analyze(args) -> int:
-    cfg = _load_config(args.config, frozenset({"metric"}))
-    metric = _metric_config(cfg["metric"]) if "metric" in cfg else MetricConfig()
+    metric = _metric_only_config(args.config)
     examples = read_examples(args.examples)
     rows = read_responses(args.responses)
     if not examples or not any(r.source == "teacher" for r in rows):
@@ -212,6 +217,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_pool_build(args) -> int:
+    metric = _metric_only_config(args.config)
     examples = read_examples(args.examples)
     rows = read_responses(args.responses)
     if args.k < 1:
@@ -229,10 +235,7 @@ def cmd_pool_build(args) -> int:
             continue
         if len(raws) < args.k:
             raise ConfigError(f"example {ex.id}: {len(raws)} teacher responses, --k is {args.k}")
-        pool = build_pool(ex, raws[: args.k])
-        if pool.qualities is not None:
-            pool = apply_filter(pool, args.tau)
-        pools.append(pool)
+        pools.append(filter_closed(build_pool(ex, raws[: args.k], metric), args.tau))
     if not pools:
         raise DegenerateDataError("no example has teacher responses")
     write_pool_cache(pools, args.out)
@@ -417,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--k", type=int, required=True)
     pb.add_argument("--tau", type=float, required=True)
     pb.add_argument("--out", required=True)
-    pb.add_argument("--config", default=None)
+    pb.add_argument("--config", default=None, help="JSON config file (key: metric)")
     pb.add_argument("--seed", type=int, default=0)
     pb.set_defaults(func=cmd_pool_build)
 

@@ -97,6 +97,8 @@ def example_to_json(ex: SupervisionExample) -> dict:
 
 
 def example_from_json(obj: dict) -> SupervisionExample:
+    if not isinstance(obj, dict):
+        raise CorpusError(f"example record must be a JSON object, got {obj!r}")
     try:
         task = TaskType(obj["task"])
     except (KeyError, ValueError) as exc:
@@ -106,13 +108,20 @@ def example_from_json(obj: dict) -> SupervisionExample:
             raise CorpusError(f"example record missing {key!r}: {obj!r}")
     gt = obj.get("ground_truth")
     space = obj.get("answer_space")
+    option_count = obj.get("option_count")
+    if option_count is not None and (
+        not isinstance(option_count, int) or isinstance(option_count, bool)
+    ):
+        raise CorpusError(f"option_count must be an integer, got {option_count!r}")
+    if space is not None and not isinstance(space, list):
+        raise CorpusError(f"answer_space must be a list, got {space!r}")
     try:
         return SupervisionExample(
             id=str(obj["id"]),
             task=task,
             question=str(obj["question"]),
             ground_truth=None if gt is None else payload_from_json(gt, task),
-            option_count=obj.get("option_count"),
+            option_count=option_count,
             answer_space=None
             if space is None
             else tuple(payload_from_json(v, task) for v in space),
@@ -138,7 +147,10 @@ def read_examples(path: str | Path) -> list[SupervisionExample]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"{path}:{lineno}: invalid JSON") from exc
-            out.append(example_from_json(obj))
+            try:
+                out.append(example_from_json(obj))
+            except CorpusError as exc:
+                raise CorpusError(f"{path}:{lineno}: {exc}") from exc
     return out
 
 
@@ -171,17 +183,15 @@ def read_responses(path: str | Path) -> list[ResponseRow]:
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"{path}:{lineno}: invalid JSON") from exc
             try:
-                out.append(
-                    ResponseRow(
-                        example_id=str(obj["example_id"]),
-                        source=str(obj["source"]),
-                        sample_index=int(obj["sample_index"]),
-                        text=str(obj["text"]),
-                    )
+                row = ResponseRow(
+                    example_id=str(obj["example_id"]),
+                    source=str(obj["source"]),
+                    sample_index=int(obj["sample_index"]),
+                    text=str(obj["text"]),
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise CorpusError(f"{path}:{lineno}: bad response record") from exc
-    for row in out:
-        if row.source not in ("teacher", "student"):
-            raise CorpusError(f"bad source {row.source!r} for example {row.example_id}")
+            if row.source not in ("teacher", "student"):
+                raise CorpusError(f"{path}:{lineno}: bad source {row.source!r} (teacher or student)")
+            out.append(row)
     return out

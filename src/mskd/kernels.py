@@ -1,7 +1,10 @@
 """Hot metric kernels: edit distance and interval/box IoU.
 
 Plain Python over scalars; ``BACKEND`` names the implementation so runs
-and benchmarks can report it.
+and benchmarks can report it.  Edit distance is Myers' bit-vector algorithm
+(Myers 1999, J. ACM 46(3)) in Hyyrö's edit-distance form (Hyyrö 2001): one
+column of the DP matrix is held as vertical +1/-1 delta bit masks over the
+pattern, and Python's unbounded ints hold patterns of any length in one word.
 """
 
 from __future__ import annotations
@@ -10,27 +13,53 @@ BACKEND = "python"
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Edit distance between two unicode strings (two-row DP)."""
+    """Edit distance between two unicode strings, exact at any length.
+
+    The common prefix and suffix are stripped (they never change the
+    distance); the shorter remainder is the bit-vector pattern and the
+    longer one is scanned a code point at a time.
+    """
+    if a == b:
+        return 0
+    if len(a) > len(b):
+        a, b = b, a
+    start = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        start += 1
     la, lb = len(a), len(b)
-    if la == 0:
-        return lb
-    if lb == 0:
-        return la
-    prev = list(range(lb + 1))
-    curr = [0] * (lb + 1)
-    for i in range(1, la + 1):
-        curr[0] = i
-        ca = a[i - 1]
-        for j in range(1, lb + 1):
-            cost = 0 if ca == b[j - 1] else 1
-            best = prev[j - 1] + cost
-            if prev[j] + 1 < best:
-                best = prev[j] + 1
-            if curr[j - 1] + 1 < best:
-                best = curr[j - 1] + 1
-            curr[j] = best
-        prev, curr = curr, prev
-    return prev[lb]
+    while la > start and a[la - 1] == b[lb - 1]:
+        la -= 1
+        lb -= 1
+    m = la - start
+    if m == 0:
+        return lb - start
+    peq: dict[str, int] = {}
+    bit = 1
+    for c in a[start:la]:
+        peq[c] = peq.get(c, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    last = bit >> 1
+    # Bit i of pv/mv: D[i+1][j] - D[i][j] is +1/-1 in the current column j;
+    # dist tracks D[m][j].  Bits at or above m never reach the lower ones
+    # (carries and shifts only move up), so masking pv just keeps ints small.
+    pv, mv, dist = mask, 0, m
+    for c in b[start:lb]:
+        eq = peq.get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            dist += 1
+        elif mh & last:
+            dist -= 1
+        ph = (ph << 1) | 1  # row 0 is D[0][j] = j: +1 across every column
+        pv = ((mh << 1) | ~(xv | ph)) & mask
+        mv = ph & xv
+    return dist
 
 
 def interval_iou(a0: float, a1: float, b0: float, b1: float) -> float:

@@ -99,6 +99,11 @@ def apply_filter(pool: TeacherPool, tau: float) -> TeacherPool:
     return replace(pool, qualities=effective, tau_applied=tau)
 
 
+def filter_closed(pool: TeacherPool, tau: float) -> TeacherPool:
+    """apply_filter for a closed-ended pool; an open-ended pool passes through."""
+    return pool if pool.qualities is None else apply_filter(pool, tau)
+
+
 def matching_distribution(pool: TeacherPool, mode: str = "quality") -> MatchingDistribution:
     """Derive pairing probabilities over pool indices.
 

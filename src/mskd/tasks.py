@@ -174,21 +174,26 @@ class ParsedResponse:
     clamped: bool = False
 
 
+def _outer_match(raw: str) -> re.Match | None:
+    """The answer-span match of a well-formed envelope; None if malformed."""
+    if raw.count("<answer>") != 1 or raw.count("</answer>") != 1:
+        return None
+    ans = ANSWER_RE.search(raw)
+    if ans is None:
+        return None
+    n_open, n_close = raw.count("<think>"), raw.count("</think>")
+    if n_open == 0 and n_close == 0:
+        return ans
+    if n_open != 1 or n_close != 1:
+        return None
+    think = THINK_RE.search(raw)
+    return ans if think is not None and think.end() <= ans.start() else None
+
+
 def validate_outer(raw: str) -> bool:
     """True iff raw carries exactly one well-formed answer span, optionally
     preceded by exactly one well-formed thinking span."""
-    if raw.count("<answer>") != 1 or raw.count("</answer>") != 1:
-        return False
-    ans = ANSWER_RE.search(raw)
-    if ans is None:
-        return False
-    n_open, n_close = raw.count("<think>"), raw.count("</think>")
-    if n_open == 0 and n_close == 0:
-        return True
-    if n_open != 1 or n_close != 1:
-        return False
-    think = THINK_RE.search(raw)
-    return think is not None and think.end() <= ans.start()
+    return _outer_match(raw) is not None
 
 
 def _parse_payload(content: str, task: TaskType) -> tuple[AnswerPayload | None, bool]:
@@ -255,18 +260,16 @@ def _parse_payload(content: str, task: TaskType) -> tuple[AnswerPayload | None, 
 
 def validate_task_format(raw: str, task: TaskType) -> bool:
     """True iff the answer-span content matches the task grammar."""
-    if not validate_outer(raw):
-        return False
-    content = ANSWER_RE.search(raw).group(1)  # type: ignore[union-attr]
-    return _parse_payload(content, task)[0] is not None
+    ans = _outer_match(raw)
+    return ans is not None and _parse_payload(ans.group(1), task)[0] is not None
 
 
 def parse_response(raw: str, task: TaskType) -> ParsedResponse:
     """Parse raw text into validity flags plus an extracted payload."""
-    if not validate_outer(raw):
+    ans = _outer_match(raw)
+    if ans is None:
         return ParsedResponse(raw, False, False, None)
-    content = ANSWER_RE.search(raw).group(1)  # type: ignore[union-attr]
-    payload, clamped = _parse_payload(content, task)
+    payload, clamped = _parse_payload(ans.group(1), task)
     if payload is None:
         return ParsedResponse(raw, True, False, None)
     return ParsedResponse(raw, True, True, payload, clamped)

@@ -35,8 +35,8 @@ from mskd.pool import (
     MatchingDistribution,
     NoValidTargetError,
     TeacherPool,
-    apply_filter,
     build_pool,
+    filter_closed,
     matching_distribution,
     sample_matches,
     select_sft_target,
@@ -377,10 +377,7 @@ def make_pools(
     pools: dict[str, TeacherPool] = {}
     for i, ex in enumerate(examples):
         raws = sample_teacher_pool(teacher, ex, cfg.k, _stream(cfg.seed, _S_POOL, i))
-        pool = build_pool(ex, raws, cfg.metric)
-        if pool.qualities is not None:
-            pool = apply_filter(pool, cfg.tau)
-        pools[ex.id] = pool
+        pools[ex.id] = filter_closed(build_pool(ex, raws, cfg.metric), cfg.tau)
     return pools
 
 
@@ -408,12 +405,7 @@ def run_pipeline(
             raise ValueError("need either a teacher or prebuilt pools")
         pools = make_pools(examples, teacher, cfg)
     else:
-        pools = {
-            ex.id: apply_filter(pools[ex.id], cfg.tau)
-            if pools[ex.id].qualities is not None
-            else pools[ex.id]
-            for ex in examples
-        }
+        pools = {ex.id: filter_closed(pools[ex.id], cfg.tau) for ex in examples}
 
     featurizer = Featurizer(max(len(ex.answer_space) for ex in examples))
     caches = build_caches(examples, featurizer, cfg.metric)

@@ -1,13 +1,15 @@
 """Command-line interface: exit codes, artifacts, determinism (in-process)."""
 
+import hashlib
 import json
 
 import pytest
 
-from conftest import mk_mcq
+from conftest import mk_mcq, mk_open
 from mskd.cli import main
 from mskd.corpus import ResponseRow, write_examples, write_responses
 from mskd.pool import read_pool_cache
+from mskd.tasks import SupervisionExample, TaskType, Text
 
 TINY_TRAIN = {"k": 2, "n_rollouts": 4, "epochs_stage1": 2, "epochs_stage2": 2}
 TINY_BENCH = {"n_mcq": 2, "n_temporal": 2, "retention_target": None}
@@ -25,6 +27,45 @@ def corpus(tmp_path):
     write_examples(examples, ex_path)
     write_responses(rows, resp_path)
     return ex_path, resp_path
+
+
+# teacher answer-span contents per example; None stands for a broken envelope
+OCR_CORPUS_ANSWERS = {
+    "ocr-0": ("stop sign", "stop sigh", "STOP SIGN ", None),
+    "ocr-1": ("exit12", "exit 12", "exot 1", "e"),
+    "mcq-0": ("B", "C", "b", None),
+    "open-0": ("a scene", "two people", None, "a dog"),
+}
+# SHA-256 of the `pool build --k 4 --tau 0.5` cache of that corpus with no
+# --config, captured before `pool build` read its config file
+OCR_CACHE_SHA256 = "e604151909d3a6908ea35f33770e5b80044f11a43cf85b32362e612f67b19039"
+
+
+@pytest.fixture()
+def ocr_corpus(tmp_path):
+    examples = [
+        SupervisionExample("ocr-0", TaskType.OCR, "sign?", ground_truth=Text("stop sign")),
+        SupervisionExample("ocr-1", TaskType.OCR, "door?", ground_truth=Text("exit 12")),
+        mk_mcq(0),
+        mk_open(0),
+    ]
+    rows = [
+        ResponseRow(ex_id, "teacher", si, "<answer>broken" if a is None else f"<answer>{a}</answer>")
+        for ex_id, answers in OCR_CORPUS_ANSWERS.items()
+        for si, a in enumerate(answers)
+    ]
+    ex_path, resp_path = tmp_path / "ocr_ex.jsonl", tmp_path / "ocr_resp.jsonl"
+    write_examples(examples, ex_path)
+    write_responses(rows, resp_path)
+    return ex_path, resp_path
+
+
+def pool_build(paths, out, *extra):
+    ex_path, resp_path = paths
+    return main(
+        ["pool", "build", "--examples", str(ex_path), "--responses", str(resp_path),
+         "--k", "4", "--tau", "0.5", "--out", str(out), *extra]
+    )
 
 
 def write_cfg(tmp_path, name, payload):
@@ -110,6 +151,69 @@ def test_pool_build_bad_tau_is_config_error(corpus, tmp_path):
          "--k", "2", "--tau", "1.5", "--out", str(tmp_path / "c.jsonl")]
     )
     assert code == 2
+
+
+def test_pool_build_config_metric_sets_ocr_qualities(ocr_corpus, tmp_path):
+    edit, exact = tmp_path / "edit.jsonl", tmp_path / "exact.jsonl"
+    assert pool_build(ocr_corpus, edit) == 0
+    cfg = write_cfg(tmp_path, "m.json", {"metric": {"ocr_mode": "exact"}})
+    assert pool_build(ocr_corpus, exact, "--config", cfg) == 0
+    q_edit = {p.example_id: p.qualities for p in read_pool_cache(edit)}
+    q_exact = {p.example_id: p.qualities for p in read_pool_cache(exact)}
+    assert q_edit["ocr-0"] == (1.0, 1.0 - 1 / 9, 1.0, 0.0)
+    assert q_exact["ocr-0"] == (1.0, 0.0, 1.0, 0.0)
+    assert q_edit["ocr-1"] == (1.0 - 1 / 7, 1.0, 1.0 - 2 / 7, 0.0)  # "e" is below tau
+    assert q_exact["ocr-1"] == (0.0, 1.0, 0.0, 0.0)
+    assert q_edit["mcq-0"] == q_exact["mcq-0"] == (1.0, 0.0, 1.0, 0.0)
+    assert q_edit["open-0"] is None and q_exact["open-0"] is None
+
+
+def test_pool_build_without_config_is_unchanged(ocr_corpus, tmp_path):
+    out = tmp_path / "pools.jsonl"
+    assert pool_build(ocr_corpus, out) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == OCR_CACHE_SHA256
+    for i, payload in enumerate([{}, {"metric": {"ocr_mode": "edit", "eps_rel": 0.05}}]):
+        cfg = write_cfg(tmp_path, f"c{i}.json", payload)
+        again = tmp_path / f"pools{i}.jsonl"
+        assert pool_build(ocr_corpus, again, "--config", cfg) == 0
+        assert again.read_bytes() == out.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [None, {"k": 4}, {"metric": {"eps": 0.1}}, {"metric": {"ocr_mode": "fuzzy"}}],
+    ids=["missing_file", "unknown_key", "unknown_metric_key", "bad_metric_value"],
+)
+def test_pool_build_bad_config_is_config_error(ocr_corpus, tmp_path, capsys, payload):
+    cfg = str(tmp_path / "absent.json") if payload is None else write_cfg(tmp_path, "c.json", payload)
+    out = tmp_path / "pools.jsonl"
+    assert pool_build(ocr_corpus, out, "--config", cfg) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "[1, 2]",
+        '{"id": "m", "task": "multiple_choice", "question": "q", "ground_truth": "A",'
+        ' "option_count": "x"}',
+        '{"id": "o", "task": "ocr", "question": "q", "ground_truth": "x", "answer_space": 5}',
+    ],
+    ids=["not_an_object", "option_count", "answer_space"],
+)
+def test_analyze_malformed_example_line_is_input_error(corpus, tmp_path, capsys, line):
+    ex_path, resp_path = corpus
+    lines = ex_path.read_text(encoding="utf-8").splitlines()
+    ex_path.write_text("\n".join([lines[0], line, *lines[1:]]) + "\n", encoding="utf-8")
+    code = main(
+        ["analyze", "--examples", str(ex_path), "--responses", str(resp_path),
+         "--out", str(tmp_path / "r.csv")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {ex_path}:2: ")
+    assert "Traceback" not in err
 
 
 def test_train_synthetic_benchmark(tmp_path):

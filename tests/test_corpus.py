@@ -1,5 +1,7 @@
 """JSONL round-trips for examples, responses, and payload encoding."""
 
+import re
+
 import pytest
 
 from conftest import mk_binary, mk_mcq, mk_open, mk_temporal
@@ -67,6 +69,43 @@ def test_example_from_json_errors():
         example_from_json({"task": "binary_qa", "id": "x", "question": "q"})
 
 
+MCQ_RECORD = {"id": "m", "task": "multiple_choice", "question": "q", "ground_truth": "A"}
+OCR_RECORD = {"id": "o", "task": "ocr", "question": "q", "ground_truth": "x"}
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [1, 2],
+        "mcq",
+        dict(MCQ_RECORD, option_count="x"),
+        dict(MCQ_RECORD, option_count=4.0),
+        dict(MCQ_RECORD, option_count=True),
+        dict(OCR_RECORD, answer_space=5),
+        dict(OCR_RECORD, answer_space="x"),
+    ],
+    ids=["list", "string", "option_count_str", "option_count_float", "option_count_bool",
+         "answer_space_int", "answer_space_str"],
+)
+def test_example_from_json_rejects_malformed_shapes(obj):
+    with pytest.raises(CorpusError):
+        example_from_json(obj)
+
+
+def test_read_examples_errors_name_file_and_line(tmp_path):
+    path = tmp_path / "examples.jsonl"
+    write_examples([mk_mcq(0)], path)
+    good = path.read_text(encoding="utf-8")
+    where = re.escape(str(path))
+    no_truth = '{"id": "x", "task": "binary_qa", "question": "q"}'
+    path.write_text(good + "\n" + no_truth + "\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match=f"^{where}:3: example x: closed-ended task needs"):
+        read_examples(path)
+    path.write_text(good + "[1, 2]\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match=f"^{where}:2: example record must be a JSON object"):
+        read_examples(path)
+
+
 def test_examples_file_round_trip(tmp_path):
     examples = [mk_mcq(0), mk_temporal(1), mk_binary(2), mk_open(3)]
     path = tmp_path / "examples.jsonl"
@@ -96,6 +135,18 @@ def test_read_responses_rejects_bad_source(tmp_path):
         encoding="utf-8",
     )
     with pytest.raises(CorpusError):
+        read_responses(path)
+
+
+def test_read_responses_bad_source_names_file_and_line(tmp_path):
+    path = tmp_path / "responses.jsonl"
+    write_responses([ResponseRow("x", "teacher", 0, "t")], path)
+    path.write_text(
+        path.read_text(encoding="utf-8")
+        + '{"example_id": "x", "source": "bot", "sample_index": 1, "text": "t"}\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}:2: bad source 'bot'"):
         read_responses(path)
 
 

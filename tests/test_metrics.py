@@ -89,6 +89,18 @@ def test_ocr_similarity_hand_values():
     assert ocr_similarity(Text("CaFÉ"), Text("café")) == 1.0
 
 
+def test_ocr_similarity_pinned_pairs():
+    # distances counted by hand; expected values use the metric's own arithmetic
+    assert ocr_similarity(Text("stop sigh"), Text("stop sign")) == 1.0 - 1 / 9
+    assert ocr_similarity(Text("  exit12 "), Text("EXIT 12")) == 1.0 - 1 / 7
+    assert ocr_similarity(Text("exot 1"), Text("exit 12")) == 1.0 - 2 / 7
+    assert ocr_similarity(Text("abc"), Text("abcdef")) == 0.5
+    assert ocr_similarity(Text("Straße"), Text("STRASSE")) == 1.0  # casefold: ß -> ss
+    assert ocr_similarity(Text("\u00e9"), Text("e\u0301")) == 0.0  # no normalization
+    assert ocr_similarity(Text("a" * 64 + "b"), Text("a" * 65)) == 1.0 - 1 / 65
+    assert ocr_similarity(Text("x"), Text("")) == 0.0
+
+
 def test_ocr_similarity_fuzz_properties(rng):
     chars = "abcdef 123"
     for _ in range(500):

@@ -1,6 +1,8 @@
 """Teacher pools: quality scoring, filtering, matching distributions,
 supervised-target selection, and the cache file format."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from mskd.pool import (
     PoolCacheError,
     apply_filter,
     build_pool,
+    filter_closed,
     matching_distribution,
     read_pool_cache,
     sample_matches,
@@ -70,6 +73,16 @@ def test_apply_filter_open_ended_warns_noop():
     with pytest.warns(UserWarning):
         out = apply_filter(pool, 0.3)
     assert out is pool
+
+
+def test_filter_closed_filters_closed_and_passes_open_through():
+    closed = build_pool(mk_mcq(gt="B"), [GOOD, WRONG, BROKEN])
+    assert filter_closed(closed, 0.5) == apply_filter(closed, 0.5)
+    assert filter_closed(closed, 0.5).tau_applied == 0.5
+    open_pool = build_pool(mk_open(), ["<answer>x</answer>"] * 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no "filtering an open-ended pool" warning
+        assert filter_closed(open_pool, 0.5) is open_pool
 
 
 def test_apply_filter_rejects_bad_tau():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import mk_binary, mk_mcq, mk_open, mk_temporal
+from mskd import tasks
 from mskd.tasks import (
     Binary,
     Number,
@@ -232,3 +233,27 @@ def test_example_validation():
             ground_truth=Binary(True),
             answer_space=(Binary(True), Binary(False), Binary(True)),
         )
+
+
+class _CountingPattern:
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.calls = 0
+
+    def search(self, *args):
+        self.calls += 1
+        return self.pattern.search(*args)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    ["<answer>B</answer>", "<think>x</think><answer>B</answer>", "<answer>Z9</answer>",
+     "<answer>B", "<answer>B</answer><think>late</think>"],
+    ids=["valid", "think", "task_invalid", "unclosed", "late_think"],
+)
+def test_parse_response_searches_answer_span_at_most_once(monkeypatch, raw):
+    counting = _CountingPattern(tasks.ANSWER_RE)
+    want = parse_response(raw, T.MULTIPLE_CHOICE)
+    monkeypatch.setattr(tasks, "ANSWER_RE", counting)
+    assert parse_response(raw, T.MULTIPLE_CHOICE) == want
+    assert counting.calls <= 1
