@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Subcommands: analyze, ablate, sweep, adaptive, passk, train, pool build.
-Every subcommand takes --config/--seed/--out; --seed overrides any seed in
-the config file.  Config files are JSON objects validated against the keys
-each command understands — unknown keys are rejected rather than ignored.
+Every subcommand takes --config and --out.  Those that draw at random
+(ablate, sweep, adaptive, passk, train) take --seed, which overrides any
+seed in the config file; those that write a report (analyze and the four
+harnesses) take --format.  Config files are JSON objects validated against
+the keys each command understands — unknown keys are rejected rather than
+ignored.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 degenerate data
 (empty corpus, nothing survives filtering, empty report).
@@ -182,7 +185,7 @@ def _open_benchmark(block: dict):
 
 
 def _format_for(args) -> str:
-    if getattr(args, "format", None):
+    if args.format:
         return args.format
     return "json" if str(args.out).endswith(".json") else "csv"
 
@@ -224,18 +227,26 @@ def cmd_pool_build(args) -> int:
         raise ConfigError(f"--k must be >= 1, got {args.k}")
     if not 0.0 <= args.tau <= 1.0:
         raise ConfigError(f"--tau must be in [0,1], got {args.tau}")
-    by_example: dict[str, list[str]] = {}
+    by_example: dict[str, dict[int, str]] = {}
     for row in rows:
-        if row.source == "teacher":
-            by_example.setdefault(row.example_id, []).append(row.text)
+        if row.source != "teacher":
+            continue
+        samples = by_example.setdefault(row.example_id, {})
+        if row.sample_index in samples:
+            raise ConfigError(
+                f"{args.responses}: example {row.example_id} has two teacher rows "
+                f"with sample_index {row.sample_index}"
+            )
+        samples[row.sample_index] = row.text
     pools = []
     for ex in examples:
-        raws = by_example.get(ex.id, [])
-        if not raws:
+        samples = by_example.get(ex.id, {})
+        if not samples:
             continue
-        if len(raws) < args.k:
-            raise ConfigError(f"example {ex.id}: {len(raws)} teacher responses, --k is {args.k}")
-        pools.append(filter_closed(build_pool(ex, raws[: args.k], metric), args.tau))
+        if len(samples) < args.k:
+            raise ConfigError(f"example {ex.id}: {len(samples)} teacher responses, --k is {args.k}")
+        raws = [samples[i] for i in sorted(samples)[: args.k]]
+        pools.append(filter_closed(build_pool(ex, raws, metric), args.tau))
     if not pools:
         raise DegenerateDataError("no example has teacher responses")
     write_pool_cache(pools, args.out)
@@ -260,6 +271,15 @@ def cmd_train(args) -> int:
         missing = [ex.id for ex in examples if ex.id not in pools]
         if missing:
             raise ConfigError(f"pool cache missing examples: {missing[:5]}")
+        for ex in examples:
+            pool = pools[ex.id]
+            if pool.k != tc.k:
+                raise ConfigError(f"pool cache example {ex.id}: {pool.k} responses, train config k is {tc.k}")
+            if pool.tau_applied is not None and pool.tau_applied > tc.tau:
+                raise ConfigError(
+                    f"pool cache example {ex.id}: filtered at tau {pool.tau_applied}, above the "
+                    f"train config tau {tc.tau}; qualities it zeroed cannot be restored"
+                )
         artifacts = run_pipeline(examples, tc, pools=pools)
     else:
         bench = _benchmark(bench_block or {})
@@ -371,11 +391,15 @@ def cmd_passk(args) -> int:
 # --- parser -----------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, out_help: str) -> None:
+def _add_common(
+    p: argparse.ArgumentParser, out_help: str, seeded: bool = True, report: bool = True
+) -> None:
     p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--seed", type=int, default=0, help="base seed (overrides config)")
+    if seeded:
+        p.add_argument("--seed", type=int, default=0, help="base seed (overrides config)")
     p.add_argument("--out", required=True, help=out_help)
-    p.add_argument("--format", choices=("csv", "json"), default=None, help="report format")
+    if report:
+        p.add_argument("--format", choices=("csv", "json"), default=None, help="report format")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -385,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="teacher-variance report from a response corpus")
-    _add_common(p, "report path")
+    _add_common(p, "report path", seeded=False)
     p.add_argument("--examples", required=True)
     p.add_argument("--responses", required=True)
     p.set_defaults(func=cmd_analyze)
@@ -407,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_passk)
 
     p = sub.add_parser("train", help="two-stage pipeline; writes metrics + checkpoints")
-    _add_common(p, "output directory")
+    _add_common(p, "output directory", report=False)
     p.add_argument("--examples", default=None, help="examples JSONL (else synthetic benchmark)")
     p.add_argument("--pool-cache", default=None, help="pool cache JSONL from `pool build`")
     p.set_defaults(func=cmd_train)
@@ -415,13 +439,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pool", help="pool utilities")
     pool_sub = p.add_subparsers(dest="pool_command", required=True)
     pb = pool_sub.add_parser("build", help="assemble pools from a response corpus")
+    _add_common(pb, "pool cache path", seeded=False, report=False)
     pb.add_argument("--examples", required=True)
     pb.add_argument("--responses", required=True)
     pb.add_argument("--k", type=int, required=True)
     pb.add_argument("--tau", type=float, required=True)
-    pb.add_argument("--out", required=True)
-    pb.add_argument("--config", default=None, help="JSON config file (key: metric)")
-    pb.add_argument("--seed", type=int, default=0)
     pb.set_defaults(func=cmd_pool_build)
 
     return parser

@@ -147,28 +147,34 @@ def _batch_loss_and_grad(
     student_feats: np.ndarray,
     q_match: np.ndarray,
 ) -> tuple[float, DiscriminatorParams]:
-    """Mean weighted pairwise loss and its gradient over a pair batch."""
+    """Mean weighted pairwise loss and its gradient over a pair batch.
+
+    Means are written as sum / n, which is exactly how numpy's mean computes
+    them, so the bits are the same.
+    """
     ft = np.atleast_2d(np.asarray(teacher_feats, dtype=float))
     fs = np.atleast_2d(np.asarray(student_feats, dtype=float))
     q = np.asarray(q_match, dtype=float).reshape(-1)
     n = ft.shape[0]
     if params.is_linear:
-        z = (fs - ft) @ params.weights
-        loss = float(np.mean(q * np.logaddexp(0.0, z)))
+        d = fs - ft
+        z = d @ params.weights
+        loss = float((q * np.logaddexp(0.0, z)).sum() / n)
         g = q * _sigmoid(z)
-        grad_w = (g[:, None] * (fs - ft)).mean(axis=0)
+        grad_w = (g[:, None] * d).sum(axis=0) / n
         return loss, DiscriminatorParams(weights=grad_w, bias=0.0)
     ht = np.tanh(ft @ params.hidden_w.T + params.hidden_b)
     hs = np.tanh(fs @ params.hidden_w.T + params.hidden_b)
-    z = (hs - ht) @ params.weights
-    loss = float(np.mean(q * np.logaddexp(0.0, z)))
+    dh = hs - ht
+    z = dh @ params.weights
+    loss = float((q * np.logaddexp(0.0, z)).sum() / n)
     g = q * _sigmoid(z)
-    grad_w = (g[:, None] * (hs - ht)).mean(axis=0)
+    grad_w = (g[:, None] * dh).sum(axis=0) / n
     # backprop through tanh: d score / d hidden_w[j,:] = w_j (1-h_j^2) f
     bs = g[:, None] * (1.0 - hs * hs) * params.weights
     bt = g[:, None] * (1.0 - ht * ht) * params.weights
     grad_hw = (bs.T @ fs - bt.T @ ft) / n
-    grad_hb = (bs - bt).mean(axis=0)
+    grad_hb = (bs - bt).sum(axis=0) / n
     return loss, DiscriminatorParams(weights=grad_w, bias=0.0, hidden_w=grad_hw, hidden_b=grad_hb)
 
 

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from mskd.tasks import SupervisionExample
+
+# Generator.choice's tolerance on the total of a float64 probability vector.
+_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -45,6 +50,30 @@ def nucleus(probs: np.ndarray, temperature: float = 1.0, top_p: float = 1.0) -> 
     return out / out.sum(axis=-1, keepdims=True)
 
 
+def categorical_draw(
+    p: np.ndarray | Sequence[float], n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """n indices drawn with replacement from the categorical distribution p.
+
+    Exactly ``rng.choice(len(p), size=n, p=p)`` for a float64 vector p: the
+    same checks, one ``rng.random(n)`` call and the same inverse-CDF lookup,
+    so the indices and the generator's state afterwards are identical.
+    """
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 1:
+        raise ValueError("p must be 1-dimensional")
+    total = p.sum()
+    if math.isnan(total):
+        raise ValueError("probabilities contain NaN")
+    if (p < 0.0).any():
+        raise ValueError("probabilities are not non-negative")
+    if abs(total - 1.0) > _SUM_ATOL:
+        raise ValueError(f"probabilities do not sum to 1 (sum {float(total)!r})")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(n), side="right")
+
+
 @dataclass
 class StudentPolicy:
     """Per-example logits over answer spaces, keyed by example id."""
@@ -68,7 +97,7 @@ class StudentPolicy:
         p = self.probs(ex)
         if temperature != 1.0 or top_p != 1.0:
             p = nucleus(p, temperature, top_p)
-        return rng.choice(len(p), size=n, p=p)
+        return categorical_draw(p, n, rng)
 
     def copy(self) -> "StudentPolicy":
         return StudentPolicy(logits={k: v.copy() for k, v in self.logits.items()})
@@ -98,7 +127,10 @@ def kl_gradient_logits(p: np.ndarray, q: np.ndarray) -> tuple[float, np.ndarray]
     """KL(p || q) and its exact gradient w.r.t. the logits behind p.
 
     With p = softmax(theta): d KL / d theta_j = p_j ((log p_j - log q_j) - KL).
+    Each log is taken once; KL is the same masked sum kl_divergence makes,
+    so the two agree bit for bit.
     """
-    kl = kl_divergence(p, q)
-    diff = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)) - np.log(q), 0.0)
+    pos = p > 0.0
+    diff = np.where(pos, np.log(np.where(pos, p, 1.0)) - np.log(q), 0.0)
+    kl = math.inf if (q[pos] <= 0.0).any() else float((p[pos] * diff[pos]).sum())
     return kl, p * (diff - kl)

@@ -17,6 +17,7 @@ import numpy as np
 
 from mskd.corpus import CorpusError
 from mskd.metrics import DEFAULT_METRICS, MetricConfig, quality_score
+from mskd.policy import categorical_draw
 from mskd.tasks import ParsedResponse, SupervisionExample, TaskType, parse_response
 
 
@@ -140,7 +141,7 @@ def sample_matches(
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
-    return rng.choice(len(dist.probs), size=n, p=np.asarray(dist.probs))
+    return categorical_draw(dist.probs, n, rng)
 
 
 def select_sft_target(
@@ -189,7 +190,11 @@ def write_pool_cache(pools: Iterable[TeacherPool], path: str | Path) -> None:
 
 
 def read_pool_cache(path: str | Path) -> list[TeacherPool]:
-    """Load pools written by write_pool_cache; payloads are re-extracted."""
+    """Load pools written by write_pool_cache; payloads are re-extracted.
+
+    Each response's stored outer_valid/task_valid flags must match the
+    re-parse of its text, or the line is rejected.
+    """
     pools = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -200,6 +205,7 @@ def read_pool_cache(path: str | Path) -> list[TeacherPool]:
                 obj = json.loads(line)
                 task = TaskType(obj["task"])
                 responses = tuple(parse_response(r["text"], task) for r in obj["responses"])
+                stored = [(r["outer_valid"], r["task_valid"]) for r in obj["responses"]]
                 qs = [r["q"] for r in obj["responses"]]
                 qualities = None if any(q is None for q in qs) else tuple(float(q) for q in qs)
                 pool = TeacherPool(
@@ -211,5 +217,11 @@ def read_pool_cache(path: str | Path) -> list[TeacherPool]:
                 )
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise PoolCacheError(f"{path}:{lineno}: bad pool record ({exc!r})") from exc
+            for j, (flags, parsed) in enumerate(zip(stored, responses)):
+                if flags != (parsed.outer_valid, parsed.task_valid):
+                    raise PoolCacheError(
+                        f"{path}:{lineno}: response {j} stores (outer_valid, task_valid) = "
+                        f"{flags} but its text re-parses to {(parsed.outer_valid, parsed.task_valid)}"
+                    )
             pools.append(pool)
     return pools

@@ -75,6 +75,12 @@ def sigmoid(x: float) -> float:
     return z / (1.0 + z)
 
 
+def weighted_reward(w: RewardWeights, disc, outer, task, content):
+    """alpha * disc + beta * outer + eta * task + delta * content, summed left
+    to right; scalars or equal-length arrays, one value per rollout."""
+    return w.alpha * disc + w.beta * outer + w.eta * task + w.delta * content
+
+
 def composite_reward(
     disc_score: float,
     resp: ParsedResponse,
@@ -92,5 +98,5 @@ def composite_reward(
     outer = outer_reward(resp)
     task = task_reward(resp)
     content = content_reward(resp, ex, cfg)
-    composite = w.alpha * disc_score + w.beta * outer + w.eta * task + w.delta * content
+    composite = weighted_reward(w, disc_score, outer, task, content)
     return RewardBreakdown(disc=disc_score, outer=outer, task=task, content=content, composite=composite)

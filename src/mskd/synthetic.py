@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mskd.policy import nucleus, softmax
+from mskd.policy import categorical_draw, nucleus, softmax
 from mskd.tasks import SupervisionExample, render_payload
 
 
@@ -129,7 +129,7 @@ def sample_teacher_pool(
         raise ValueError(f"example {ex.id}: answer_space required for synthetic sampling")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     p = teacher.probs[ex.id]
-    idx = rng.choice(len(p), size=k, p=p)
+    idx = categorical_draw(p, k, rng)
     corrupt = rng.random(k) < teacher.violation_rate[ex.id]
     raws = []
     for j, bad in zip(idx, corrupt):

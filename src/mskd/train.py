@@ -29,7 +29,14 @@ from mskd.discriminator import (
     score_batch,
 )
 from mskd.metrics import DEFAULT_METRICS, MetricConfig, quality_score
-from mskd.policy import StudentPolicy, init_student, kl_gradient_logits, kl_divergence, softmax
+from mskd.policy import (
+    StudentPolicy,
+    categorical_draw,
+    init_student,
+    kl_divergence,
+    kl_gradient_logits,
+    softmax,
+)
 from mskd.pool import (
     DegeneratePoolError,
     MatchingDistribution,
@@ -41,7 +48,14 @@ from mskd.pool import (
     sample_matches,
     select_sft_target,
 )
-from mskd.rewards import DEFAULT_WEIGHTS, RewardWeights, composite_reward
+from mskd.rewards import (
+    DEFAULT_WEIGHTS,
+    InvalidWeightsError,
+    RewardWeights,
+    outer_reward,
+    task_reward,
+    weighted_reward,
+)
 from mskd.synthetic import SyntheticTeacher, sample_teacher_pool
 from mskd.tasks import ParsedResponse, SupervisionExample, TaskType, parse_response, render_payload
 
@@ -85,6 +99,8 @@ class TrainConfig:
     metric: MetricConfig = DEFAULT_METRICS
 
     def __post_init__(self) -> None:
+        if not isinstance(self.weights, RewardWeights):
+            raise InvalidWeightsError(f"expected RewardWeights, got {type(self.weights).__name__}")
         if self.k < 1 or self.n_rollouts < 1:
             raise ValueError("k and n_rollouts must be >= 1")
         if not 0.0 <= self.tau <= 1.0:
@@ -111,11 +127,17 @@ class TrainConfig:
 
 @dataclass
 class ExampleCache:
-    """Precomputed per-slot artifacts for one example's answer space."""
+    """Precomputed per-slot artifacts for one example's answer space.
+
+    outer and task hold each slot's format rewards (0.0 or 1.0) and quality
+    its content reward, so a step's rewards are one gather per term.
+    """
 
     responses: list[ParsedResponse]
     quality: np.ndarray
     features: np.ndarray
+    outer: np.ndarray
+    task: np.ndarray
 
 
 def score_answer_space(
@@ -146,7 +168,9 @@ def build_caches(
         feats = np.stack(
             [featurizer.featurize(r, ex, quality=float(q)) for r, q in zip(responses, quality)]
         )
-        caches[ex.id] = ExampleCache(responses, quality, feats)
+        outer = np.array([outer_reward(r) for r in responses], dtype=float)
+        task = np.array([task_reward(r) for r in responses], dtype=float)
+        caches[ex.id] = ExampleCache(responses, quality, feats, outer, task)
     return caches
 
 
@@ -240,6 +264,16 @@ def matching_for(pool: TeacherPool, cfg: TrainConfig) -> MatchingDistribution | 
         return None
 
 
+def step_streams(seed: int, epoch: int, i: int) -> tuple[np.random.SeedSequence, np.random.SeedSequence]:
+    """The (rollout, matching) streams of RL step (epoch, example i).
+
+    They are the two children SeedSequence([seed, _S_ROLL, epoch, i]).spawn(2)
+    would give, built directly without the parent.
+    """
+    key = [seed, _S_ROLL, epoch, i]
+    return np.random.SeedSequence(key, spawn_key=(0,)), np.random.SeedSequence(key, spawn_key=(1,))
+
+
 def rl_step(
     student: StudentPolicy,
     ref: StudentPolicy,
@@ -247,46 +281,50 @@ def rl_step(
     pool: TeacherPool,
     ex: SupervisionExample,
     cfg: TrainConfig,
-    seed: int | np.random.SeedSequence,
+    seed: int | np.random.SeedSequence | tuple[np.random.SeedSequence, np.random.SeedSequence],
     cache: ExampleCache,
     pool_feats: np.ndarray,
     match_dist: MatchingDistribution | None,
 ) -> tuple[StudentPolicy, DiscriminatorParams, dict[str, float]]:
     """One adversarial-distillation step on a single example.
 
-    cache, pool_feats and match_dist come from build_caches, pool_features
-    and matching_for (or a caller's override); a None match_dist raises
-    SkippedExample.  Order per step: rollouts, matching, rewards, student
-    update (policy gradient + KL pull), then discriminator update on the
-    matched pairs.  The returned metrics reflect the state the step acted on.
+    cache (built with cfg.metric), pool_feats and match_dist come from
+    build_caches, pool_features and matching_for (or a caller's override);
+    a None match_dist raises SkippedExample.  seed is an int or a
+    SeedSequence whose first two spawned children seed the rollout and
+    matching draws, or those two children already built (step_streams).
+    Order per step: rollouts, matching, rewards, student update (policy
+    gradient + KL pull), then discriminator update on the matched pairs.
+    The returned metrics reflect the state the step acted on.
     """
     if match_dist is None:
         raise SkippedExample(ex.id)
 
-    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
-    roll_rng, match_rng = (np.random.default_rng(c) for c in seq.spawn(2))
+    if isinstance(seed, tuple):
+        roll_seq, match_seq = seed
+    else:
+        seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
+        roll_seq, match_seq = seq.spawn(2)
 
     logits = student.logits_for(ex)
     p = softmax(logits)
     n = cfg.n_rollouts
-    rollouts = roll_rng.choice(len(p), size=n, p=p)
+    rollouts = categorical_draw(p, n, np.random.default_rng(roll_seq))
 
     student_feats = cache.features[rollouts]
     raw_scores = score_batch(disc, student_feats)
     mapped = 0.5 * (1.0 + np.tanh(0.5 * raw_scores))  # sigmoid into [0,1]
-    rewards = np.array(
-        [
-            composite_reward(float(mapped[i]), cache.responses[rollouts[i]], ex, cfg.weights, cfg.metric).composite
-            for i in range(n)
-        ]
+    rewards = weighted_reward(
+        cfg.weights, mapped, cache.outer[rollouts], cache.task[rollouts], cache.quality[rollouts]
     )
 
-    adv = rewards - rewards.mean() if cfg.baseline == "group_mean" else rewards.copy()
+    mean_reward = rewards.sum() / n
+    adv = rewards - mean_reward if cfg.baseline == "group_mean" else rewards
     pg = np.bincount(rollouts, weights=adv, minlength=len(p)) / n - p * (adv.sum() / n)
     kl, kl_grad = kl_gradient_logits(p, ref.probs(ex))
     logits += cfg.lr_student * (pg - cfg.gamma * kl_grad)
 
-    matches = sample_matches(match_dist, n, match_rng)
+    matches = sample_matches(match_dist, n, np.random.default_rng(match_seq))
     if cfg.disc_weighting and pool.qualities is not None:
         q = np.asarray(pool.qualities, dtype=float)[matches]
     else:
@@ -294,7 +332,7 @@ def rl_step(
     disc, disc_loss = batch_update(disc, pool_feats[matches], student_feats, q, cfg.lr_disc)
 
     return student, disc, {
-        "mean_reward": float(rewards.mean()),
+        "mean_reward": float(mean_reward),
         "disc_loss": float(disc_loss),
         "kl": float(kl),
     }
@@ -442,7 +480,7 @@ def run_pipeline(
                     pools[ex.id],
                     ex,
                     cfg,
-                    np.random.SeedSequence([cfg.seed, _S_ROLL, epoch, i]),
+                    step_streams(cfg.seed, epoch, i),
                     caches[ex.id],
                     pool_feats[ex.id],
                     match_dists[ex.id],

@@ -3,6 +3,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from conftest import mk_mcq, mk_open
@@ -125,7 +126,7 @@ def test_pool_build_then_train(corpus, tmp_path):
     assert len(pools) == 3
     assert all(p.tau_applied == 0.3 for p in pools)
 
-    cfg = write_cfg(tmp_path, "train.json", TINY_TRAIN)
+    cfg = write_cfg(tmp_path, "train.json", dict(TINY_TRAIN, k=3))
     out_a, out_b = tmp_path / "run_a", tmp_path / "run_b"
     argv = ["train", "--config", cfg, "--examples", str(ex_path),
             "--pool-cache", str(cache), "--out", str(out_a)]
@@ -316,6 +317,54 @@ def test_train_truncated_pool_cache_is_input_error(corpus, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert f"pools.jsonl:{len(lines)}: bad pool record" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "build, train, message",
+    [
+        (("--k", "3", "--tau", "0.3"), {"k": 2}, "3 responses, train config k is 2"),
+        (("--k", "3", "--tau", "0.9"), {"k": 3, "tau": 0.0}, "filtered at tau 0.9"),
+    ],
+    ids=["k_mismatch", "tau_above_train_tau"],
+)
+def test_train_pool_cache_mismatch_is_config_error(corpus, tmp_path, capsys, build, train, message):
+    ex_path, resp_path = corpus
+    cache = tmp_path / "pools.jsonl"
+    assert main(
+        ["pool", "build", "--examples", str(ex_path), "--responses", str(resp_path),
+         *build, "--out", str(cache)]
+    ) == 0
+    cfg = write_cfg(tmp_path, "t.json", dict(TINY_TRAIN, **train))
+    code = main(
+        ["train", "--config", cfg, "--examples", str(ex_path), "--pool-cache", str(cache),
+         "--out", str(tmp_path / "run")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: pool cache example mcq-0: ") and message in err
+
+
+def test_pool_build_orders_responses_by_sample_index(ocr_corpus, tmp_path):
+    ex_path, resp_path = ocr_corpus
+    lines = resp_path.read_text(encoding="utf-8").splitlines()
+    shuffled = tmp_path / "shuffled.jsonl"
+    order = np.random.default_rng(3).permutation(len(lines))
+    assert list(order) != sorted(order)
+    shuffled.write_text("\n".join(lines[i] for i in order) + "\n", encoding="utf-8")
+    out = tmp_path / "pools.jsonl"
+    assert pool_build((ex_path, shuffled), out) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == OCR_CACHE_SHA256
+
+
+def test_pool_build_duplicate_sample_index_is_config_error(ocr_corpus, tmp_path, capsys):
+    ex_path, resp_path = ocr_corpus
+    with open(resp_path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(
+            {"example_id": "ocr-1", "source": "teacher", "sample_index": 2, "text": "<answer>x</answer>"}
+        ) + "\n")
+    assert pool_build(ocr_corpus, tmp_path / "pools.jsonl") == 2
+    err = capsys.readouterr().err
+    assert "example ocr-1" in err and "sample_index 2" in err and "Traceback" not in err
 
 
 def test_ablate_tiny(tmp_path):

@@ -5,10 +5,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import mk_mcq
 from mskd.policy import (
     StudentPolicy,
+    categorical_draw,
     init_student,
     kl_divergence,
     kl_gradient_logits,
@@ -157,3 +160,48 @@ def test_copy_is_deep():
     dup = pol.copy()
     dup.logits[ex.id][0] = 5.0
     assert pol.logits[ex.id][0] == 0.0
+
+
+# --- categorical draws ---------------------------------------------------------
+
+
+@st.composite
+def _categorical(draw):
+    """A probability vector with zeros and ties: small integer weights, normalised."""
+    w = np.array(draw(st.lists(st.integers(0, 4), min_size=1, max_size=12)), dtype=float)
+    if w.sum() == 0.0:
+        w[draw(st.integers(0, len(w) - 1))] = 1.0
+    return w / w.sum()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_categorical(), st.integers(1, 40), st.integers(0, 2**32 - 1))
+@example(np.array([1.0]), 1, 0)  # length 1
+@example(np.array([0.0, 1.0, 0.0]), 5, 3)  # all mass on one slot
+@example(np.array([0.25, 0.25, 0.25, 0.25]), 1, 7)  # ties, n = 1
+@example(np.array([0.1, 0.2, 0.3, 0.4 + 1e-9]), 9, 11)  # total off 1 within tolerance
+def test_categorical_draw_is_generator_choice(p, n, seed):
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = categorical_draw(p, n, ours)
+    want = theirs.choice(len(p), size=n, p=p)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        np.array([0.5, np.nan, 0.5]),
+        np.array([0.6, -0.1, 0.5]),
+        np.array([0.5, 0.6]),
+        np.array([0.5, 0.5 + 1e-7]),
+        np.array([]),
+    ],
+    ids=["nan", "negative", "sum_above_one", "sum_just_outside_tolerance", "empty"],
+)
+def test_categorical_draw_rejects_what_choice_rejects(p):
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).choice(len(p), size=3, p=p)
+    with pytest.raises(ValueError):
+        categorical_draw(p, 3, np.random.default_rng(0))

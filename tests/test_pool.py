@@ -1,6 +1,7 @@
 """Teacher pools: quality scoring, filtering, matching distributions,
 supervised-target selection, and the cache file format."""
 
+import json
 import warnings
 
 import numpy as np
@@ -207,4 +208,21 @@ def test_pool_cache_malformed_line_names_file_and_line(tmp_path, bad_line):
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(bad_line + "\n")
     with pytest.raises(PoolCacheError, match="pools.jsonl:2: bad pool record"):
+        read_pool_cache(path)
+
+
+@pytest.mark.parametrize(
+    "flag, stored",
+    [("outer_valid", False), ("task_valid", False), ("outer_valid", "yes")],
+    ids=["outer_valid", "task_valid", "not_a_bool"],
+)
+def test_pool_cache_stored_flags_must_match_reparse(tmp_path, flag, stored):
+    ex = mk_mcq(gt="B")
+    path = tmp_path / "pools.jsonl"
+    write_pool_cache([build_pool(ex, [GOOD, WRONG])], path)
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    obj["responses"][1][flag] = stored
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(obj) + "\n")
+    with pytest.raises(PoolCacheError, match=r"pools.jsonl:2: response 1 stores \(outer_valid, task_valid\)"):
         read_pool_cache(path)

@@ -1,0 +1,268 @@
+"""rl_step against a verbatim copy of its per-rollout form.
+
+The oracle below is the step as it was written before the reward, KL,
+discriminator and draw paths were vectorised: one composite_reward call per
+rollout (its scalar formula copied too, since composite_reward now shares
+the trainer's vectorised one), Generator.choice for both draws, the KL
+gradient with its logs taken twice and the discriminator loss through
+np.mean.  It is kept here as the oracle only; the trainer must match it bit
+for bit.
+"""
+
+from dataclasses import replace
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from conftest import mk_temporal
+from mskd.discriminator import (
+    DiscriminatorParams,
+    Featurizer,
+    _sigmoid,
+    apply_gradient,
+    init_params,
+    score_batch,
+)
+from mskd.harness import make_closed_benchmark, make_open_benchmark, setting_config
+from mskd.policy import init_student, kl_divergence, softmax
+from mskd.rewards import RewardBreakdown, RewardWeights, content_reward, outer_reward, task_reward
+from mskd.synthetic import SyntheticTeacher
+from mskd.tasks import TemporalSegment
+from mskd.train import (
+    _S_ROLL,
+    SkippedExample,
+    TrainConfig,
+    build_caches,
+    make_pools,
+    matching_for,
+    pool_features,
+    rl_step,
+    step_streams,
+)
+
+
+# --- oracle: the pre-vectorisation step and the helpers it called -------------
+
+
+def _oracle_composite_reward(disc_score, resp, ex, w, cfg):
+    outer = outer_reward(resp)
+    task = task_reward(resp)
+    content = content_reward(resp, ex, cfg)
+    composite = w.alpha * disc_score + w.beta * outer + w.eta * task + w.delta * content
+    return RewardBreakdown(disc=disc_score, outer=outer, task=task, content=content, composite=composite)
+
+
+def _oracle_kl_gradient_logits(p, q):
+    kl = kl_divergence(p, q)
+    diff = np.where(p > 0.0, np.log(np.where(p > 0.0, p, 1.0)) - np.log(q), 0.0)
+    return kl, p * (diff - kl)
+
+
+def _oracle_batch_loss_and_grad(params, teacher_feats, student_feats, q_match):
+    ft = np.atleast_2d(np.asarray(teacher_feats, dtype=float))
+    fs = np.atleast_2d(np.asarray(student_feats, dtype=float))
+    q = np.asarray(q_match, dtype=float).reshape(-1)
+    n = ft.shape[0]
+    if params.is_linear:
+        z = (fs - ft) @ params.weights
+        loss = float(np.mean(q * np.logaddexp(0.0, z)))
+        g = q * _sigmoid(z)
+        grad_w = (g[:, None] * (fs - ft)).mean(axis=0)
+        return loss, DiscriminatorParams(weights=grad_w, bias=0.0)
+    ht = np.tanh(ft @ params.hidden_w.T + params.hidden_b)
+    hs = np.tanh(fs @ params.hidden_w.T + params.hidden_b)
+    z = (hs - ht) @ params.weights
+    loss = float(np.mean(q * np.logaddexp(0.0, z)))
+    g = q * _sigmoid(z)
+    grad_w = (g[:, None] * (hs - ht)).mean(axis=0)
+    bs = g[:, None] * (1.0 - hs * hs) * params.weights
+    bt = g[:, None] * (1.0 - ht * ht) * params.weights
+    grad_hw = (bs.T @ fs - bt.T @ ft) / n
+    grad_hb = (bs - bt).mean(axis=0)
+    return loss, DiscriminatorParams(weights=grad_w, bias=0.0, hidden_w=grad_hw, hidden_b=grad_hb)
+
+
+def _oracle_batch_update(params, teacher_feats, student_feats, q_match, lr):
+    loss, grad = _oracle_batch_loss_and_grad(params, teacher_feats, student_feats, q_match)
+    return apply_gradient(params, grad, lr), loss
+
+
+def _oracle_sample_matches(dist, n, rng):
+    return rng.choice(len(dist.probs), size=n, p=np.asarray(dist.probs))
+
+
+def oracle_rl_step(student, ref, disc, pool, ex, cfg, seed, cache, pool_feats, match_dist):
+    if match_dist is None:
+        raise SkippedExample(ex.id)
+
+    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
+    roll_rng, match_rng = (np.random.default_rng(c) for c in seq.spawn(2))
+
+    logits = student.logits_for(ex)
+    p = softmax(logits)
+    n = cfg.n_rollouts
+    rollouts = roll_rng.choice(len(p), size=n, p=p)
+
+    student_feats = cache.features[rollouts]
+    raw_scores = score_batch(disc, student_feats)
+    mapped = 0.5 * (1.0 + np.tanh(0.5 * raw_scores))  # sigmoid into [0,1]
+    rewards = np.array(
+        [
+            _oracle_composite_reward(float(mapped[i]), cache.responses[rollouts[i]], ex, cfg.weights, cfg.metric).composite
+            for i in range(n)
+        ]
+    )
+
+    adv = rewards - rewards.mean() if cfg.baseline == "group_mean" else rewards.copy()
+    pg = np.bincount(rollouts, weights=adv, minlength=len(p)) / n - p * (adv.sum() / n)
+    kl, kl_grad = _oracle_kl_gradient_logits(p, ref.probs(ex))
+    logits += cfg.lr_student * (pg - cfg.gamma * kl_grad)
+
+    matches = _oracle_sample_matches(match_dist, n, match_rng)
+    if cfg.disc_weighting and pool.qualities is not None:
+        q = np.asarray(pool.qualities, dtype=float)[matches]
+    else:
+        q = np.ones(n)
+    disc, disc_loss = _oracle_batch_update(disc, pool_feats[matches], student_feats, q, cfg.lr_disc)
+
+    return student, disc, {
+        "mean_reward": float(rewards.mean()),
+        "disc_loss": float(disc_loss),
+        "kl": float(kl),
+    }
+
+
+# --- fixtures -----------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def closed():
+    return make_closed_benchmark(n_mcq=4, n_temporal=4, retention_target=None)
+
+
+@pytest.fixture(scope="module")
+def open_ended():
+    return make_open_benchmark(n_examples=3, space_size=5)
+
+
+def disc_bytes(disc):
+    parts = [disc.weights, np.array([disc.bias])]
+    if not disc.is_linear:
+        parts += [disc.hidden_w, disc.hidden_b]
+    return b"".join(a.tobytes() for a in parts)
+
+
+def start_state(examples, cfg, featurizer):
+    """A non-uniform student and reference; some slots' mass underflows to 0."""
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 31]))
+    student, ref = init_student(examples), init_student(examples)
+    for ex in examples:
+        student.logits[ex.id] += rng.normal(0.0, 1.5, len(ex.answer_space))
+        ref.logits[ex.id] += rng.normal(0.0, 1.5, len(ex.answer_space))
+    # exact zeros in p, one of them mid-vector in the widest space, so the
+    # masked KL sum is not the plain one
+    widest = max(examples, key=lambda ex: len(ex.answer_space))
+    student.logits[widest.id][1] = -1000.0
+    student.logits[examples[0].id][-1] = -1000.0
+    disc = init_params(featurizer.dim, cfg.hidden_dim, seed=np.random.SeedSequence([cfg.seed, 3]))
+    return student, ref, disc
+
+
+def run_both(bench, cfg, epochs=2):
+    """Step the trainer and the oracle side by side; compare after each step."""
+    examples = bench.examples
+    pools = make_pools(examples, bench.teacher, cfg)
+    featurizer = Featurizer(max(len(ex.answer_space) for ex in examples))
+    caches = build_caches(examples, featurizer, cfg.metric)
+    feats = {ex.id: pool_features(pools[ex.id], ex, caches[ex.id], featurizer) for ex in examples}
+    dists = {ex.id: matching_for(pools[ex.id], cfg) for ex in examples}
+    student, ref, disc = start_state(examples, cfg, featurizer)
+    o_student, o_disc = student.copy(), disc
+    applied = 0
+    for epoch in range(epochs):
+        for i, ex in enumerate(examples):
+            inputs = (pools[ex.id], ex, cfg)
+            cached = (caches[ex.id], feats[ex.id], dists[ex.id])
+            if dists[ex.id] is None:
+                with pytest.raises(SkippedExample):
+                    rl_step(student, ref, disc, *inputs, step_streams(cfg.seed, epoch, i), *cached)
+                continue
+            student, disc, m = rl_step(
+                student, ref, disc, *inputs, step_streams(cfg.seed, epoch, i), *cached
+            )
+            o_student, o_disc, o_m = oracle_rl_step(
+                o_student, ref, o_disc, *inputs,
+                np.random.SeedSequence([cfg.seed, _S_ROLL, epoch, i]), *cached,
+            )
+            assert student.logits[ex.id].tobytes() == o_student.logits[ex.id].tobytes()
+            assert disc_bytes(disc) == disc_bytes(o_disc)
+            assert {k: repr(v) for k, v in m.items()} == {k: repr(v) for k, v in o_m.items()}
+            assert all(type(v) is float for v in m.values())
+            applied += 1
+    assert applied > 0
+
+
+# --- tests --------------------------------------------------------------------
+
+
+# weights that are not round numbers, so regrouping the reward sum shows
+ODD_WEIGHTS = RewardWeights(alpha=0.31, beta=0.17, eta=0.13, delta=0.39)
+
+
+@pytest.mark.parametrize("arm", ["A", "B", "C", "D"])
+def test_rl_step_matches_oracle_per_arm(closed, arm):
+    run_both(closed, setting_config(arm, TrainConfig(seed=2)))
+    run_both(closed, setting_config(arm, TrainConfig(seed=3, weights=ODD_WEIGHTS)))
+
+
+def test_rl_step_matches_oracle_hidden_layer(closed):
+    run_both(closed, setting_config("D", TrainConfig(seed=5, hidden_dim=2)))
+    # n not a power of two, so sum / n and a reciprocal multiply differ
+    run_both(closed, setting_config("D", TrainConfig(seed=5, hidden_dim=2, n_rollouts=5)))
+
+
+def test_rl_step_matches_oracle_without_baseline(closed):
+    run_both(closed, setting_config("D", TrainConfig(seed=7, baseline="none")))
+    run_both(closed, setting_config("D", TrainConfig(seed=7, baseline="none", n_rollouts=5)))
+
+
+def test_rl_step_matches_oracle_open_ended(open_ended):
+    cfg = TrainConfig(seed=1, k=6)
+    assert all(not ex.task.is_closed for ex in open_ended.examples)
+    run_both(open_ended, cfg)
+    run_both(open_ended, replace(cfg, hidden_dim=2))
+
+
+def test_rl_step_matches_oracle_with_invalid_slots():
+    # reversed segments parse with task_valid False, so the format terms vary
+    bad, good = TemporalSegment(0.6, 0.2), TemporalSegment(0.2, 0.6)
+    examples = [
+        mk_temporal(i, space=(bad, good, TemporalSegment(0.4, 0.8), TemporalSegment(0.9, 0.1)))
+        for i in range(4)
+    ]
+    teacher = SyntheticTeacher(
+        probs={ex.id: np.full(4, 0.25) for ex in examples},
+        violation_rate={ex.id: 0.2 for ex in examples},
+    )
+    bench = SimpleNamespace(examples=examples, teacher=teacher)
+    cfg = TrainConfig(seed=6, tau=0.0, weights=ODD_WEIGHTS)
+    assert build_caches(examples, Featurizer(4))[examples[0].id].task.tolist() == [0.0, 1.0, 1.0, 0.0]
+    run_both(bench, cfg)
+    run_both(bench, replace(cfg, matching="uniform", disc_weighting=False))
+
+
+def test_rl_step_int_seed_equals_seed_sequence(closed):
+    cfg = setting_config("D", TrainConfig(seed=4))
+    ex = closed.examples[0]
+    pools = make_pools([ex], closed.teacher, cfg)
+    featurizer = Featurizer(len(ex.answer_space))
+    cache = build_caches([ex], featurizer, cfg.metric)[ex.id]
+    cached = (cache, pool_features(pools[ex.id], ex, cache, featurizer), matching_for(pools[ex.id], cfg))
+    outs = []
+    for step in (rl_step, oracle_rl_step):
+        for seed in (11, np.random.SeedSequence(11)):
+            student, ref, disc = start_state([ex], cfg, featurizer)
+            student, disc, m = step(student, ref, disc, pools[ex.id], ex, cfg, seed, *cached)
+            outs.append((student.logits[ex.id].tobytes(), disc_bytes(disc), repr(m)))
+    assert outs[0] == outs[1] == outs[2] == outs[3]

@@ -6,6 +6,7 @@ import pytest
 from conftest import mk_binary, mk_mcq, mk_open, mk_temporal
 from mskd.discriminator import Featurizer, init_params
 from mskd.pool import NoValidTargetError, build_pool, matching_distribution
+from mskd.rewards import InvalidWeightsError
 from mskd.synthetic import SyntheticTeacher
 from mskd.tasks import TaskType
 from mskd.train import (
@@ -285,6 +286,8 @@ def test_train_config_validation():
         TrainConfig(baseline="median")
     with pytest.raises(ValueError):
         TrainConfig(epochs_stage1=-1)
+    with pytest.raises(InvalidWeightsError):
+        TrainConfig(weights=(0.4, 0.1, 0.1, 0.4))  # a tuple, not RewardWeights
 
 
 def test_match_override_changes_pairs_only():
