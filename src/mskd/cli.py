@@ -6,7 +6,8 @@ Every subcommand takes --config and --out.  Those that draw at random
 seed in the config file; those that write a report (analyze and the four
 harnesses) take --format.  Config files are JSON objects validated against
 the keys each command understands — unknown keys are rejected rather than
-ignored.
+ignored — and each field's type and range are checked before any work
+starts.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 degenerate data
 (empty corpus, nothing survives filtering, empty report).
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -88,6 +90,9 @@ _TRAIN_KEYS = frozenset(
         "metric",
     }
 )
+# TrainConfig fields by JSON type; true and false count as neither
+_TRAIN_INTS = frozenset({"k", "n_rollouts", "epochs_stage1", "epochs_stage2", "seed", "hidden_dim"})
+_TRAIN_NUMBERS = frozenset({"tau", "gamma", "lr_student", "lr_disc", "temperature", "top_p"})
 _METRIC_KEYS = frozenset({"eps_rel", "ocr_mode"})
 _BENCH_KEYS = frozenset(
     {
@@ -132,6 +137,34 @@ def _load_config(path: str | None, allowed: frozenset, where: str = "config") ->
     return cfg
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _is_count(value) -> bool:
+    return _is_int(value) and value >= 1
+
+
+def _list_field(cfg: dict, key: str, default, ok, what: str) -> tuple:
+    """cfg[key], or default, as a tuple: a non-empty JSON list whose every
+    entry passes ok."""
+    value = cfg.get(key, default)
+    if not isinstance(value, (list, tuple)) or not value or not all(ok(v) for v in value):
+        raise ConfigError(f"{key} must be a non-empty list of {what}, got {value!r}")
+    return tuple(value)
+
+
+def _number_field(cfg: dict, key: str, default: float) -> float:
+    value = cfg.get(key, default)
+    if not _is_number(value):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _metric_config(block) -> MetricConfig:
     if not isinstance(block, dict):
         raise ConfigError("metric must be an object")
@@ -150,17 +183,25 @@ def _metric_only_config(path: str | None) -> MetricConfig:
 
 def _train_config(block: dict, seed_override: int | None) -> TrainConfig:
     _check_keys(block, _TRAIN_KEYS, "train config")
+    for key, value in block.items():
+        if (
+            (key in _TRAIN_INTS and not _is_int(value))
+            or (key in _TRAIN_NUMBERS and not _is_number(value))
+            or (key == "disc_weighting" and not isinstance(value, bool))
+        ):
+            raise ConfigError(f"train config: {key} has the wrong type: {value!r}")
     kwargs = dict(block)
     if "weights" in kwargs:
         w = kwargs["weights"]
-        if not isinstance(w, (list, tuple)) or len(w) != 4:
-            raise ConfigError("weights must be a 4-element list")
-        kwargs["weights"] = RewardWeights(*[float(v) for v in w])
+        if not isinstance(w, (list, tuple)) or len(w) != 4 or not all(_is_number(v) for v in w):
+            raise ConfigError(f"weights must be a list of 4 numbers, got {w!r}")
     if "metric" in kwargs:
         kwargs["metric"] = _metric_config(kwargs["metric"])
     if seed_override is not None:
         kwargs["seed"] = seed_override
     try:
+        if "weights" in kwargs:
+            kwargs["weights"] = RewardWeights(*[float(v) for v in kwargs["weights"]])
         return TrainConfig(**kwargs)
     except (TypeError, ValueError, InvalidWeightsError) as exc:
         raise ConfigError(f"invalid train config: {exc}") from exc
@@ -192,13 +233,29 @@ def _format_for(args) -> str:
 
 def _seeds_from(cfg: dict, base_seed: int, default_n: int = 8) -> tuple[int, ...]:
     if "seeds" in cfg:
-        seeds = cfg["seeds"]
-        if not isinstance(seeds, list) or not all(isinstance(s, int) for s in seeds):
-            raise ConfigError("seeds must be a list of integers")
+        seeds = _list_field(cfg, "seeds", None, lambda s: _is_int(s) and s >= 0, "integers >= 0")
         if len(seeds) < 2:
             raise ConfigError("need at least 2 seeds")
-        return tuple(seeds)
+        return seeds
+    if base_seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {base_seed}")
     return tuple(base_seed + i for i in range(default_n))
+
+
+def _success_threshold(cfg: dict) -> float | dict[TaskType, float]:
+    """One threshold, or an object of thresholds keyed by task name."""
+    thr = cfg.get("success_threshold", 1.0)
+    values = thr.values() if isinstance(thr, dict) else (thr,)
+    if not all(_is_number(v) for v in values):
+        raise ConfigError(
+            f"success_threshold must be a number or an object of numbers per task, got {thr!r}"
+        )
+    if not isinstance(thr, dict):
+        return float(thr)
+    try:
+        return {TaskType(name): float(v) for name, v in thr.items()}
+    except ValueError as exc:
+        raise ConfigError(f"bad success_threshold task name: {exc}") from exc
 
 
 # --- subcommands ------------------------------------------------------------
@@ -296,7 +353,7 @@ def cmd_ablate(args) -> int:
     cfg = _load_config(args.config, frozenset({"train", "seeds", "settings", "benchmark"}))
     tc = _train_config(cfg.get("train", {}), None)
     seeds = _seeds_from(cfg, args.seed)
-    settings = tuple(cfg.get("settings", ABLATION_LABELS))
+    settings = _list_field(cfg, "settings", ABLATION_LABELS, lambda s: isinstance(s, str), "labels")
     for label in settings:
         try:
             setting_config(label, tc)
@@ -316,10 +373,11 @@ def cmd_sweep(args) -> int:
     cfg = _load_config(args.config, frozenset({"train", "seeds", "k_grid", "tau_grid", "benchmark"}))
     tc = _train_config(cfg.get("train", {}), None)
     seeds = _seeds_from(cfg, args.seed)
-    k_grid = tuple(int(k) for k in cfg.get("k_grid", (2, 4, 8)))
-    tau_grid = tuple(float(t) for t in cfg.get("tau_grid", (0.0, 0.2, 0.3, 0.5)))
-    if not k_grid or not tau_grid:
-        raise ConfigError("k_grid and tau_grid must be non-empty")
+    k_grid = _list_field(cfg, "k_grid", (2, 4, 8), _is_count, "integers >= 1")
+    taus = _list_field(
+        cfg, "tau_grid", (0.0, 0.2, 0.3, 0.5), lambda t: _is_number(t) and 0 <= t <= 1, "numbers in [0, 1]"
+    )
+    tau_grid = tuple(float(t) for t in taus)
     bench = _benchmark(cfg.get("benchmark", {}))
     result = run_sensitivity(tc, k_grid, tau_grid, seeds, bench)
     emit_report(list(sensitivity_tables(result)), _format_for(args), args.out)
@@ -335,6 +393,8 @@ def cmd_adaptive(args) -> int:
     )
     tc = _train_config(cfg.get("train", {}), None)
     seeds = _seeds_from(cfg, args.seed)
+    mislead = _number_field(cfg, "mislead", 0.85)
+    proxy_noise = _number_field(cfg, "proxy_noise", 0.05)
     bench = _benchmark(cfg.get("benchmark", {}))
     open_bench = _open_benchmark(cfg.get("open_benchmark", {}))
     result = run_task_adaptive_check(
@@ -342,8 +402,8 @@ def cmd_adaptive(args) -> int:
         seeds,
         closed_benchmark=bench,
         open_benchmark=open_bench,
-        mislead=float(cfg.get("mislead", 0.85)),
-        proxy_noise=float(cfg.get("proxy_noise", 0.05)),
+        mislead=mislead,
+        proxy_noise=proxy_noise,
     )
     emit_report(adaptive_table(result), _format_for(args), args.out)
     print(f"closed: gt={result.closed_gt[0]:.4f} uniform={result.closed_uniform[0]:.4f}")
@@ -359,13 +419,8 @@ def cmd_passk(args) -> int:
     )
     tc = _train_config(cfg.get("train", {}), args.seed)
     label = cfg.get("setting", "D")
-    k_values = [int(k) for k in cfg.get("k_values", (1, 2, 4, 8, 16, 32, 64, 128))]
-    thr = cfg.get("success_threshold", 1.0)
-    if isinstance(thr, dict):
-        try:
-            thr = {TaskType(name): float(v) for name, v in thr.items()}
-        except ValueError as exc:
-            raise ConfigError(f"bad success_threshold task name: {exc}") from exc
+    k_values = _list_field(cfg, "k_values", (1, 2, 4, 8, 16, 32, 64, 128), _is_count, "integers >= 1")
+    thr = _success_threshold(cfg)
     bench = _benchmark(cfg.get("benchmark", {}))
     try:
         cfg_setting = setting_config(label, tc)

@@ -113,22 +113,12 @@ def init_student(examples) -> StudentPolicy:
     return StudentPolicy(logits=logits)
 
 
-def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    """KL(p || q) over a finite space; exact summation, 0 log 0 = 0."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    mask = p > 0.0
-    if np.any(q[mask] <= 0.0):
-        return float("inf")
-    return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
-
-
 def kl_gradient_logits(p: np.ndarray, q: np.ndarray) -> tuple[float, np.ndarray]:
     """KL(p || q) and its exact gradient w.r.t. the logits behind p.
 
     With p = softmax(theta): d KL / d theta_j = p_j ((log p_j - log q_j) - KL).
-    Each log is taken once; KL is the same masked sum kl_divergence makes,
-    so the two agree bit for bit.
+    KL is summed over the support of p only (0 log 0 = 0) and is inf when q
+    is 0 somewhere on that support; each log is taken once.
     """
     pos = p > 0.0
     diff = np.where(pos, np.log(np.where(pos, p, 1.0)) - np.log(q), 0.0)

@@ -135,32 +135,23 @@ def matching_distribution(pool: TeacherPool, mode: str = "quality") -> MatchingD
 def sample_matches(
     dist: MatchingDistribution,
     n: int,
-    rng_seed: int | np.random.SeedSequence | np.random.Generator,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Draw n pool indices with replacement from the matching distribution."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
     return categorical_draw(dist.probs, n, rng)
 
 
-def select_sft_target(
-    pool: TeacherPool,
-    rng_seed: int | np.random.SeedSequence | np.random.Generator = 0,
-) -> int:
+def select_sft_target(pool: TeacherPool, rng: np.random.Generator) -> int:
     """Pick the supervised-fit target index for this pool.
 
     Closed-ended: argmax quality, lowest index on ties; all-zero pools have
-    no usable target and raise.  Open-ended: a seeded uniform draw.
+    no usable target and raise.  Open-ended: a uniform draw from rng.
     """
     if pool.k == 0:
         raise InvalidPoolError(f"pool {pool.example_id}: empty")
     if pool.qualities is None:
-        rng = (
-            rng_seed
-            if isinstance(rng_seed, np.random.Generator)
-            else np.random.default_rng(rng_seed)
-        )
         return int(rng.integers(pool.k))
     best = max(pool.qualities)
     if best <= 0.0:

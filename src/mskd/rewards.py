@@ -67,14 +67,6 @@ def content_reward(
     return quality_score(resp, ex, cfg)
 
 
-def sigmoid(x: float) -> float:
-    """Numerically stable logistic; maps raw scorer output into [0,1]."""
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    z = math.exp(x)
-    return z / (1.0 + z)
-
-
 def weighted_reward(w: RewardWeights, disc, outer, task, content):
     """alpha * disc + beta * outer + eta * task + delta * content, summed left
     to right; scalars or equal-length arrays, one value per rollout."""

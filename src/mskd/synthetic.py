@@ -120,14 +120,13 @@ def sample_teacher_pool(
     teacher: SyntheticTeacher,
     ex: SupervisionExample,
     k: int,
-    seed: int | np.random.SeedSequence | np.random.Generator,
+    rng: np.random.Generator,
 ) -> list[str]:
     """Draw k responses: render the sampled payload, sometimes corrupted."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if ex.answer_space is None:
         raise ValueError(f"example {ex.id}: answer_space required for synthetic sampling")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     p = teacher.probs[ex.id]
     idx = categorical_draw(p, k, rng)
     corrupt = rng.random(k) < teacher.violation_rate[ex.id]

@@ -23,6 +23,7 @@ import numpy as np
 from mskd.discriminator import (
     DiscriminatorParams,
     Featurizer,
+    _sigmoid,
     batch_update,
     init_params,
     save_params,
@@ -33,7 +34,6 @@ from mskd.policy import (
     StudentPolicy,
     categorical_draw,
     init_student,
-    kl_divergence,
     kl_gradient_logits,
     softmax,
 )
@@ -192,11 +192,6 @@ def pool_features(
     return np.stack(rows)
 
 
-def kl_penalty(student: StudentPolicy, ref: StudentPolicy, ex: SupervisionExample) -> float:
-    """Exact KL(student || ref) over the example's finite answer space."""
-    return kl_divergence(student.probs(ex), ref.probs(ex))
-
-
 def select_sft_targets(
     examples: list[SupervisionExample],
     pools: dict[str, TeacherPool],
@@ -240,21 +235,6 @@ def _sft_epoch(
         logits -= lr * p  # grad of NLL is (probs - onehot)
 
 
-def sft_stage(
-    student: StudentPolicy,
-    examples: list[SupervisionExample],
-    pools: dict[str, TeacherPool],
-    cfg: TrainConfig,
-    targets: dict[str, int] | None = None,
-) -> StudentPolicy:
-    """Cross-entropy descent toward each example's selected pool response."""
-    if targets is None:
-        targets, _ = select_sft_targets(examples, pools, cfg.seed)
-    for _ in range(cfg.epochs_stage1):
-        _sft_epoch(student, examples, targets, cfg.lr_student)
-    return student
-
-
 def matching_for(pool: TeacherPool, cfg: TrainConfig) -> MatchingDistribution | None:
     """The pool's matching distribution under cfg; None when no response
     can be matched."""
@@ -281,7 +261,7 @@ def rl_step(
     pool: TeacherPool,
     ex: SupervisionExample,
     cfg: TrainConfig,
-    seed: int | np.random.SeedSequence | tuple[np.random.SeedSequence, np.random.SeedSequence],
+    streams: tuple[np.random.SeedSequence, np.random.SeedSequence],
     cache: ExampleCache,
     pool_feats: np.ndarray,
     match_dist: MatchingDistribution | None,
@@ -290,9 +270,8 @@ def rl_step(
 
     cache (built with cfg.metric), pool_feats and match_dist come from
     build_caches, pool_features and matching_for (or a caller's override);
-    a None match_dist raises SkippedExample.  seed is an int or a
-    SeedSequence whose first two spawned children seed the rollout and
-    matching draws, or those two children already built (step_streams).
+    a None match_dist raises SkippedExample.  streams seed the rollout and
+    the matching draws, in that order (step_streams).
     Order per step: rollouts, matching, rewards, student update (policy
     gradient + KL pull), then discriminator update on the matched pairs.
     The returned metrics reflect the state the step acted on.
@@ -300,12 +279,7 @@ def rl_step(
     if match_dist is None:
         raise SkippedExample(ex.id)
 
-    if isinstance(seed, tuple):
-        roll_seq, match_seq = seed
-    else:
-        seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
-        roll_seq, match_seq = seq.spawn(2)
-
+    roll_seq, match_seq = streams
     logits = student.logits_for(ex)
     p = softmax(logits)
     n = cfg.n_rollouts
@@ -313,7 +287,7 @@ def rl_step(
 
     student_feats = cache.features[rollouts]
     raw_scores = score_batch(disc, student_feats)
-    mapped = 0.5 * (1.0 + np.tanh(0.5 * raw_scores))  # sigmoid into [0,1]
+    mapped = _sigmoid(raw_scores)
     rewards = weighted_reward(
         cfg.weights, mapped, cache.outer[rollouts], cache.task[rollouts], cache.quality[rollouts]
     )

@@ -13,14 +13,14 @@ import numpy as np
 import pytest
 
 from conftest import mk_binary, mk_mcq, mk_temporal
+from oracles import kl_divergence, pairwise_loss
 from mskd.analysis import analyze_variance, make_variance_corpus
 from mskd.discriminator import (
     DiscriminatorParams,
     Featurizer,
+    _batch_loss_and_grad,
     batch_update,
     init_params,
-    loss_gradient,
-    pairwise_loss,
 )
 from mskd.harness import make_closed_benchmark, run_ablation, run_sensitivity
 from mskd.metrics import (
@@ -322,7 +322,7 @@ def test_criterion_04_composite_reward_exactness():
 
 
 def _flatten(p: DiscriminatorParams) -> np.ndarray:
-    parts = [np.atleast_1d(p.weights), np.atleast_1d(p.bias)]
+    parts = [np.atleast_1d(p.weights)]
     if not p.is_linear:
         parts += [p.hidden_w.ravel(), p.hidden_b]
     return np.concatenate([np.asarray(x, dtype=float) for x in parts])
@@ -330,11 +330,16 @@ def _flatten(p: DiscriminatorParams) -> np.ndarray:
 
 def _unflatten(vec: np.ndarray, like: DiscriminatorParams) -> DiscriminatorParams:
     d = like.weights.shape[0]
-    w, bias = vec[:d], float(vec[d])
+    w = vec[:d]
     if like.is_linear:
-        return DiscriminatorParams(weights=w, bias=bias)
-    hw = vec[d + 1 : d + 1 + like.hidden_w.size].reshape(like.hidden_w.shape)
-    return DiscriminatorParams(weights=w, bias=bias, hidden_w=hw, hidden_b=vec[d + 1 + like.hidden_w.size :])
+        return DiscriminatorParams(weights=w)
+    hw = vec[d : d + like.hidden_w.size].reshape(like.hidden_w.shape)
+    return DiscriminatorParams(weights=w, hidden_w=hw, hidden_b=vec[d + like.hidden_w.size :])
+
+
+def _pair_gradient(p, ft, fs, q) -> DiscriminatorParams:
+    """The trainer's analytic gradient for a batch of one pair."""
+    return _batch_loss_and_grad(p, ft[None, :], fs[None, :], np.array([q]))[1]
 
 
 def test_criterion_05_gradient_check():
@@ -345,16 +350,16 @@ def test_criterion_05_gradient_check():
         for _ in range(1_000):
             d = int(rng.integers(2, 7))
             if arch == "linear":
-                p = DiscriminatorParams(weights=rng.normal(0, 1, d), bias=float(rng.normal()))
+                p = DiscriminatorParams(weights=rng.normal(0, 1, d))
             else:
                 h = int(rng.integers(2, 4))
                 p = DiscriminatorParams(
-                    weights=rng.normal(0, 1, h), bias=float(rng.normal()),
+                    weights=rng.normal(0, 1, h),
                     hidden_w=rng.normal(0, 1, (h, d)), hidden_b=rng.normal(0, 1, h),
                 )
             ft, fs = rng.normal(0, 1, d), rng.normal(0, 1, d)
             q = float(rng.uniform(0.1, 1.0))
-            got = _flatten(loss_gradient(p, ft, fs, q))
+            got = _flatten(_pair_gradient(p, ft, fs, q))
             base = _flatten(p)
             fd = np.zeros_like(base)
             for j in range(base.size):
@@ -372,7 +377,7 @@ def test_criterion_05_gradient_check():
     for hidden in (0, 3):
         p = init_params(5, hidden, seed=1)
         ft, fs = rng.normal(0, 1, 5), rng.normal(0, 1, 5)
-        zero_ok &= bool(np.all(_flatten(loss_gradient(p, ft, fs, 0.0)) == 0.0))
+        zero_ok &= bool(np.all(_flatten(_pair_gradient(p, ft, fs, 0.0)) == 0.0))
         updated, _ = batch_update(p, ft[None, :], fs[None, :], np.array([0.0]), lr=0.7)
         zero_ok &= bool(np.array_equal(_flatten(updated), _flatten(p)))
 
@@ -406,7 +411,7 @@ def test_criterion_06_policy_update_and_kl():
         ref = StudentPolicy(logits={ex.id: theta.copy()})
         student, disc, _ = rl_step(
             student, ref, disc, pool, ex, cfg,
-            np.random.SeedSequence([606, i]), cache, pool_feats, match_dist,
+            np.random.SeedSequence([606, i]).spawn(2), cache, pool_feats, match_dist,
         )
         total += (student.logits_for(ex)[0] - theta[0]) / cfg.lr_student
     mean_update = total / steps
@@ -420,7 +425,6 @@ def test_criterion_06_policy_update_and_kl():
     # weakly decreasing in the penalty coefficient
     exs = [mk_binary(i, gt=bool(i % 2)) for i in range(6)]
     from mskd.synthetic import SyntheticTeacher
-    from mskd.train import kl_penalty
 
     probs = {
         e.id: (np.array([0.8, 0.2]) if e.ground_truth.value else np.array([0.2, 0.8]))
@@ -437,7 +441,7 @@ def test_criterion_06_policy_update_and_kl():
                 epochs_stage1=6, epochs_stage2=20, seed=s,
             )
             art = run_pipeline(exs, cfg_g, teacher=teacher)
-            vals.append(np.mean([kl_penalty(art.student, art.ref, e) for e in exs]))
+            vals.append(np.mean([kl_divergence(art.student.probs(e), art.ref.probs(e)) for e in exs]))
         kl_means.append(float(np.mean(vals)))
     monotone = all(b <= a + 1e-12 for a, b in zip(kl_means, kl_means[1:]))
     elapsed = time.perf_counter() - t0

@@ -451,3 +451,37 @@ def test_format_flag_overrides_suffix(corpus, tmp_path):
          "--out", str(out), "--format", "json"]
     ) == 0
     json.loads(out.read_text())  # parses as JSON despite the .txt suffix
+
+
+# (subcommand, config fields over a tiny valid config) that must exit 2
+BAD_HARNESS_FIELDS = {
+    "sweep_k_grid_string": ("sweep", {"k_grid": ["x"]}),
+    "sweep_k_grid_zero": ("sweep", {"k_grid": [0]}),
+    "sweep_k_grid_not_a_list": ("sweep", {"k_grid": 4}),
+    "sweep_tau_grid_above_one": ("sweep", {"tau_grid": [2.0]}),
+    "passk_k_values_zero": ("passk", {"k_values": [0]}),
+    "passk_k_values_string": ("passk", {"k_values": ["a"]}),
+    "passk_success_threshold_string": ("passk", {"success_threshold": "x"}),
+    "ablate_weights_string": ("ablate", {"train": dict(TINY_TRAIN, weights=[0.4, "a", 0.1, 0.4])}),
+    "ablate_weights_bad_sum": ("ablate", {"train": dict(TINY_TRAIN, weights=[0.5, 0.5, 0.5, 0.5])}),
+    "ablate_train_k_boolean": ("ablate", {"train": dict(TINY_TRAIN, k=True)}),
+    "ablate_train_n_rollouts_float": ("ablate", {"train": dict(TINY_TRAIN, n_rollouts=2.5)}),
+    "ablate_train_disc_weighting_string": ("ablate", {"train": dict(TINY_TRAIN, disc_weighting="no")}),
+    "ablate_seeds_negative": ("ablate", {"seeds": [-1, 0]}),
+    "ablate_seeds_booleans": ("ablate", {"seeds": [True, False]}),
+    "ablate_settings_string": ("ablate", {"settings": "AD"}),
+    "adaptive_mislead_string": ("adaptive", {"mislead": "x"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_HARNESS_FIELDS))
+def test_harness_bad_config_field_is_config_error(tmp_path, capsys, case):
+    command, fields = BAD_HARNESS_FIELDS[case]
+    base = {"train": TINY_TRAIN, "benchmark": TINY_BENCH}
+    if command != "passk":
+        base["seeds"] = [0, 1]
+    cfg = write_cfg(tmp_path, "c.json", dict(base, **fields))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err

@@ -1,29 +1,31 @@
 """Pairwise scorer: loss values, analytic gradients vs central differences,
 weighted-update semantics, and checkpoint round-trips."""
 
+import json
+
 import numpy as np
 import pytest
 
 from conftest import mk_mcq, mk_open
+from oracles import pairwise_loss, score
 from mskd.discriminator import (
     DiscriminatorParams,
     Featurizer,
+    _batch_loss_and_grad,
     apply_gradient,
     batch_update,
     init_params,
     load_params,
-    loss_gradient,
-    pairwise_loss,
     save_params,
-    score,
     score_batch,
-    update_step,
 )
+from mskd.metrics import quality_score
 from mskd.tasks import OptionLetter, parse_response
+from mskd.train import build_caches
 
 
 def _flatten(p: DiscriminatorParams) -> np.ndarray:
-    parts = [np.atleast_1d(p.weights), np.atleast_1d(p.bias)]
+    parts = [np.atleast_1d(p.weights)]
     if not p.is_linear:
         parts += [p.hidden_w.ravel(), p.hidden_b]
     return np.concatenate([np.asarray(x, dtype=float) for x in parts])
@@ -31,13 +33,18 @@ def _flatten(p: DiscriminatorParams) -> np.ndarray:
 
 def _unflatten(vec: np.ndarray, like: DiscriminatorParams) -> DiscriminatorParams:
     d = like.weights.shape[0]
-    w, bias = vec[:d], float(vec[d])
+    w = vec[:d]
     if like.is_linear:
-        return DiscriminatorParams(weights=w, bias=bias)
+        return DiscriminatorParams(weights=w)
     hw_size = like.hidden_w.size
-    hw = vec[d + 1 : d + 1 + hw_size].reshape(like.hidden_w.shape)
-    hb = vec[d + 1 + hw_size :]
-    return DiscriminatorParams(weights=w, bias=bias, hidden_w=hw, hidden_b=hb)
+    hw = vec[d : d + hw_size].reshape(like.hidden_w.shape)
+    hb = vec[d + hw_size :]
+    return DiscriminatorParams(weights=w, hidden_w=hw, hidden_b=hb)
+
+
+def loss_gradient(params, ft, fs, q):
+    """The trainer's analytic gradient for a batch of one pair."""
+    return _batch_loss_and_grad(params, ft[None, :], fs[None, :], np.array([q]))[1]
 
 
 def fd_gradient(params, ft, fs, q, eps=1e-6):
@@ -58,7 +65,7 @@ def test_featurizer_layout():
     ex = mk_mcq(gt="B")
     f = Featurizer(4)
     r = parse_response("<answer>B</answer>", ex.task)
-    vec = f.featurize(r, ex)
+    vec = f.featurize(r, ex, quality_score(r, ex))
     assert vec.shape == (f.dim,)
     assert vec[0] == 1.0 and vec[1] == 1.0  # validity flags
     assert 0.0 < vec[2] <= 1.0  # length feature
@@ -70,21 +77,22 @@ def test_featurizer_layout():
 def test_featurizer_invalid_response_is_mostly_zero():
     ex = mk_mcq(gt="B")
     f = Featurizer(4)
-    vec = f.featurize(parse_response("broken", ex.task), ex)
+    r = parse_response("broken", ex.task)
+    vec = f.featurize(r, ex, quality_score(r, ex))
     assert vec[0] == 0.0 and vec[1] == 0.0 and vec[3] == 0.0
     assert vec[4:].sum() == 0.0
 
 
 def test_featurize_open_ended_has_zero_quality_feature():
     ex = mk_open()
-    vec = Featurizer(4).featurize(parse_response("<answer>caption 0-1</answer>", ex.task), ex)
-    assert vec[3] == 0.0
-    assert vec[4:].sum() == 1.0
+    feats = build_caches([ex], Featurizer(4))[ex.id].features
+    assert np.all(feats[:, 3] == 0.0)
+    assert np.array_equal(feats[:, 4:], np.eye(4))
 
 
 def test_pairwise_loss_hand_value():
     # equal scores -> softplus(0) = ln 2
-    p = DiscriminatorParams(weights=np.zeros(3), bias=0.0)
+    p = DiscriminatorParams(weights=np.zeros(3))
     f = np.ones(3)
     assert pairwise_loss(p, f, f, 1.0) == pytest.approx(0.6931471805599453, abs=1e-15)
     assert pairwise_loss(p, f, f, 0.5) == pytest.approx(0.5 * 0.6931471805599453, abs=1e-15)
@@ -92,9 +100,19 @@ def test_pairwise_loss_hand_value():
         pairwise_loss(p, f, f, 1.5)
 
 
+@pytest.mark.parametrize("hidden", [0, 3])
+def test_batch_loss_is_mean_of_pair_losses(rng, hidden):
+    p = init_params(5, hidden, seed=4)
+    ft, fs = rng.normal(0, 1, (7, 5)), rng.normal(0, 1, (7, 5))
+    q = rng.uniform(0.0, 1.0, 7)
+    loss, _ = _batch_loss_and_grad(p, ft, fs, q)
+    want = np.mean([pairwise_loss(p, a, b, float(c)) for a, b, c in zip(ft, fs, q)])
+    assert loss == pytest.approx(want, rel=1e-12)
+
+
 def test_loss_decreases_in_teacher_margin():
     w = np.array([1.0, 0.0])
-    p = DiscriminatorParams(weights=w, bias=0.0)
+    p = DiscriminatorParams(weights=w)
     fs = np.array([0.0, 0.0])
     losses = [pairwise_loss(p, np.array([m, 0.0]), fs, 1.0) for m in (-1.0, 0.0, 1.0, 2.0)]
     assert losses == sorted(losses, reverse=True)
@@ -103,7 +121,7 @@ def test_loss_decreases_in_teacher_margin():
 def test_gradient_matches_finite_differences_linear(rng):
     for _ in range(300):
         d = int(rng.integers(2, 8))
-        p = DiscriminatorParams(weights=rng.normal(0, 1, d), bias=float(rng.normal()))
+        p = DiscriminatorParams(weights=rng.normal(0, 1, d))
         ft, fs = rng.normal(0, 1, d), rng.normal(0, 1, d)
         q = float(rng.uniform(0.1, 1.0))
         got = _flatten(loss_gradient(p, ft, fs, q))
@@ -117,7 +135,6 @@ def test_gradient_matches_finite_differences_hidden(rng):
         d, h = int(rng.integers(2, 6)), int(rng.integers(2, 5))
         p = DiscriminatorParams(
             weights=rng.normal(0, 1, h),
-            bias=float(rng.normal()),
             hidden_w=rng.normal(0, 1, (h, d)),
             hidden_b=rng.normal(0, 1, h),
         )
@@ -158,21 +175,6 @@ def test_update_step_descends_loss(rng):
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
-def test_update_step_wrapper_matches_batch_update(rng):
-    p = init_params(4, 2, seed=9)
-    batch = [(rng.normal(0, 1, 4), rng.normal(0, 1, 4), 0.8) for _ in range(5)]
-    via_wrapper = update_step(p, batch, lr=0.1)
-    via_batch, _ = batch_update(
-        p,
-        np.stack([b[0] for b in batch]),
-        np.stack([b[1] for b in batch]),
-        np.array([b[2] for b in batch]),
-        lr=0.1,
-    )
-    assert np.array_equal(via_wrapper.weights, via_batch.weights)
-    assert np.array_equal(via_wrapper.hidden_w, via_batch.hidden_w)
-
-
 def test_score_batch_matches_scalar_score(rng):
     for hidden in (0, 4):
         p = init_params(5, hidden, seed=11)
@@ -183,9 +185,10 @@ def test_score_batch_matches_scalar_score(rng):
 
 
 def test_score_shape_mismatch_raises():
-    p = init_params(4, 0, seed=0)
-    with pytest.raises(ValueError):
-        score(p, np.zeros(5))
+    for hidden in (0, 3):
+        p = init_params(4, hidden, seed=0)
+        with pytest.raises(ValueError):
+            score_batch(p, np.zeros((2, 5)))
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -195,7 +198,7 @@ def test_checkpoint_round_trip(tmp_path):
         save_params(p, path)
         q = load_params(path)
         assert np.array_equal(p.weights, q.weights)
-        assert p.bias == q.bias
+        assert json.loads(path.read_text())["bias"] == 0.0
         if hidden:
             assert np.array_equal(p.hidden_w, q.hidden_w)
             assert np.array_equal(p.hidden_b, q.hidden_b)
@@ -205,9 +208,61 @@ def test_checkpoint_round_trip(tmp_path):
         assert path.read_bytes() == first
 
 
+def _mutated(obj: dict, change: dict, drop: tuple = ()) -> dict:
+    out = {**obj, **change}
+    for key in drop:
+        del out[key]
+    return out
+
+
+LINEAR = {"layout": {"feature_dim": 2, "hidden_dim": 0}, "weights": [0.5, -1.0], "bias": 0.0}
+HIDDEN = {
+    "layout": {"feature_dim": 2, "hidden_dim": 1},
+    "weights": [0.5],
+    "bias": 0.0,
+    "hidden_w": [[1.0, 2.0]],
+    "hidden_b": [0.0],
+}
+
+BAD_CHECKPOINTS = {
+    "not_json": '{"layout": ',
+    "not_an_object": "[1, 2]",
+    "layout_not_an_object": _mutated(LINEAR, {"layout": 5}),
+    "missing_layout": _mutated(LINEAR, {}, drop=("layout",)),
+    "missing_hidden_dim": _mutated(LINEAR, {"layout": {"feature_dim": 2}}),
+    "missing_bias": _mutated(LINEAR, {}, drop=("bias",)),
+    "missing_weights": _mutated(LINEAR, {}, drop=("weights",)),
+    "missing_hidden_w": _mutated(HIDDEN, {}, drop=("hidden_w",)),
+    "scalar_weights": _mutated(LINEAR, {"weights": 5, "layout": {"feature_dim": 1, "hidden_dim": 0}}),
+    "string_weights": _mutated(LINEAR, {"weights": ["a", "b"]}),
+    "ragged_hidden_w": _mutated(HIDDEN, {"hidden_w": [[1.0], [1.0, 2.0]]}),
+    "layout_mismatch": _mutated(LINEAR, {"layout": {"feature_dim": 3, "hidden_dim": 0}}),
+    "hidden_b_shape": _mutated(HIDDEN, {"hidden_b": [0.0, 0.0]}),
+    "nonzero_bias": _mutated(LINEAR, {"bias": 0.5}),
+    "bias_not_a_number": _mutated(LINEAR, {"bias": "0"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CHECKPOINTS))
+def test_load_params_malformed_checkpoint_is_value_error(tmp_path, case):
+    body = BAD_CHECKPOINTS[case]
+    path = tmp_path / "disc.json"
+    path.write_text(body if isinstance(body, str) else json.dumps(body), encoding="utf-8")
+    with pytest.raises(ValueError, match="disc.json"):
+        load_params(path)
+
+
+def test_load_params_reads_the_fixtures_that_the_bad_cases_mutate(tmp_path):
+    for obj in (LINEAR, HIDDEN):
+        path = tmp_path / "disc.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        p = load_params(path)
+        assert p.weights.tolist() == obj["weights"]
+        assert p.hidden_dim == obj["layout"]["hidden_dim"]
+
+
 def test_apply_gradient_moves_against_gradient():
-    p = DiscriminatorParams(weights=np.array([1.0, 2.0]), bias=0.5)
-    g = DiscriminatorParams(weights=np.array([0.5, -1.0]), bias=1.0)
+    p = DiscriminatorParams(weights=np.array([1.0, 2.0]))
+    g = DiscriminatorParams(weights=np.array([0.5, -1.0]))
     out = apply_gradient(p, g, lr=0.1)
     np.testing.assert_allclose(out.weights, [0.95, 2.1])
-    assert out.bias == pytest.approx(0.4)

@@ -150,30 +150,32 @@ def test_sample_matches_frequencies(rng):
 
 def test_sample_matches_deterministic_per_seed():
     dist = MatchingDistribution((0.7, 0.3))
-    a = sample_matches(dist, 1000, 42)
-    b = sample_matches(dist, 1000, 42)
+    a = sample_matches(dist, 1000, np.random.default_rng(42))
+    b = sample_matches(dist, 1000, np.random.default_rng(42))
     assert np.array_equal(a, b)
 
 
 def test_select_sft_target_argmax_lowest_index_ties():
     ex = mk_mcq(gt="B")
     pool = build_pool(ex, [WRONG, GOOD, GOOD])
-    assert select_sft_target(pool) == 1
+    assert select_sft_target(pool, np.random.default_rng(0)) == 1
 
 
 def test_select_sft_target_no_valid():
     ex = mk_mcq(gt="B")
     pool = build_pool(ex, [WRONG, BROKEN])
     with pytest.raises(NoValidTargetError):
-        select_sft_target(pool)
+        select_sft_target(pool, np.random.default_rng(0))
 
 
 def test_select_sft_target_open_seeded():
     pool = build_pool(mk_open(), ["<answer>x</answer>"] * 4)
-    picks = {select_sft_target(pool, seed) for seed in range(40)}
+    picks = {select_sft_target(pool, np.random.default_rng(seed)) for seed in range(40)}
     assert picks <= {0, 1, 2, 3}
     assert len(picks) > 1  # actually random across seeds
-    assert select_sft_target(pool, 7) == select_sft_target(pool, 7)
+    assert select_sft_target(pool, np.random.default_rng(7)) == select_sft_target(
+        pool, np.random.default_rng(7)
+    )
 
 
 def test_pool_cache_round_trip(tmp_path):

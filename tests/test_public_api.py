@@ -1,0 +1,120 @@
+"""The public surface of mskd, pinned name by name.
+
+Each concept has one public path; a name added to or dropped from
+mskd.__all__ has to be added to or dropped from this list as well.
+"""
+
+import mskd
+import mskd.discriminator
+import mskd.policy
+import mskd.rewards
+import mskd.train
+
+PUBLIC = (
+    "BACKEND",
+    "AblationResult",
+    "AblationSummary",
+    "AdaptiveCheckResult",
+    "AnswerPayload",
+    "Benchmark",
+    "Binary",
+    "CorpusError",
+    "DEFAULT_METRICS",
+    "DEFAULT_WEIGHTS",
+    "DegeneratePoolError",
+    "DiscriminatorParams",
+    "EmptyReportError",
+    "Featurizer",
+    "InjectedStats",
+    "InvalidPoolError",
+    "InvalidWeightsError",
+    "MatchingDistribution",
+    "MetricConfig",
+    "NoValidTargetError",
+    "Number",
+    "OptionLetter",
+    "ParsedResponse",
+    "PoolCacheError",
+    "ReportTable",
+    "ResponseRow",
+    "RewardBreakdown",
+    "RewardWeights",
+    "SensitivityResult",
+    "SkippedExample",
+    "SpatialBox",
+    "StudentPolicy",
+    "SupervisionExample",
+    "SyntheticTeacher",
+    "TaskFamily",
+    "TaskType",
+    "TaskVariance",
+    "TeacherPool",
+    "TemporalSegment",
+    "Text",
+    "TrainConfig",
+    "TrainedArtifacts",
+    "VarianceReport",
+    "analyze_variance",
+    "apply_filter",
+    "batch_update",
+    "build_pool",
+    "calibrate_concentration",
+    "composite_reward",
+    "emit_report",
+    "epsilon_accuracy",
+    "exact_match",
+    "filter_closed",
+    "init_params",
+    "init_student",
+    "load_params",
+    "make_closed_benchmark",
+    "make_open_benchmark",
+    "make_pools",
+    "make_variance_corpus",
+    "matching_distribution",
+    "ocr_similarity",
+    "paired_permutation_pvalue",
+    "parse_response",
+    "pass_at_k_eval",
+    "quality_score",
+    "read_examples",
+    "read_pool_cache",
+    "read_responses",
+    "render_payload",
+    "rl_step",
+    "run_ablation",
+    "run_pipeline",
+    "run_sensitivity",
+    "run_task_adaptive_check",
+    "sample_matches",
+    "sample_teacher_pool",
+    "save_params",
+    "select_sft_target",
+    "select_sft_targets",
+    "spatial_iou",
+    "temporal_iou",
+    "validate_outer",
+    "validate_task_format",
+    "write_examples",
+    "write_pool_cache",
+    "write_responses",
+)
+
+
+def test_all_is_pinned():
+    assert len(PUBLIC) == 87
+    assert list(mskd.__all__) == list(PUBLIC)
+    assert all(hasattr(mskd, name) for name in PUBLIC)
+
+
+def test_scalar_twins_stay_out_of_the_package():
+    # the batched path of each is score_batch, _batch_loss_and_grad,
+    # batch_update, discriminator._sigmoid, kl_gradient_logits and run_pipeline
+    gone = {
+        mskd.discriminator: ("score", "pairwise_loss", "loss_gradient", "update_step"),
+        mskd.rewards: ("sigmoid",),
+        mskd.policy: ("kl_divergence",),
+        mskd.train: ("kl_penalty", "sft_stage"),
+    }
+    for module, names in gone.items():
+        assert [n for n in names if hasattr(module, n)] == [], module.__name__

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import mk_mcq, mk_open
+from mskd.discriminator import _sigmoid as sigmoid
 from mskd.rewards import (
     DEFAULT_WEIGHTS,
     InvalidWeightsError,
@@ -11,7 +12,6 @@ from mskd.rewards import (
     composite_reward,
     content_reward,
     outer_reward,
-    sigmoid,
     task_reward,
 )
 from mskd.tasks import OptionLetter, ParsedResponse, parse_response

@@ -107,10 +107,10 @@ def _teacher_for(ex, probs, violation):
 def test_sample_teacher_pool_deterministic():
     ex = mk_mcq(gt="B")
     teacher = _teacher_for(ex, [0.1, 0.6, 0.2, 0.1], 0.2)
-    a = sample_teacher_pool(teacher, ex, 12, seed=5)
-    b = sample_teacher_pool(teacher, ex, 12, seed=5)
+    a = sample_teacher_pool(teacher, ex, 12, rng=np.random.default_rng(5))
+    b = sample_teacher_pool(teacher, ex, 12, rng=np.random.default_rng(5))
     assert a == b
-    c = sample_teacher_pool(teacher, ex, 12, seed=6)
+    c = sample_teacher_pool(teacher, ex, 12, rng=np.random.default_rng(6))
     assert a != c
 
 
@@ -118,24 +118,24 @@ def test_sample_teacher_pool_validation():
     ex = mk_mcq(gt="B")
     teacher = _teacher_for(ex, [0.25] * 4, 0.0)
     with pytest.raises(ValueError):
-        sample_teacher_pool(teacher, ex, 0, seed=0)
+        sample_teacher_pool(teacher, ex, 0, rng=np.random.default_rng(0))
     from dataclasses import replace
 
     with pytest.raises(ValueError):
-        sample_teacher_pool(teacher, replace(ex, answer_space=None), 2, seed=0)
+        sample_teacher_pool(teacher, replace(ex, answer_space=None), 2, rng=np.random.default_rng(0))
 
 
 def test_point_mass_teacher_emits_identical_payloads():
     ex = mk_mcq(gt="C")
     teacher = _teacher_for(ex, [0.0, 0.0, 1.0, 0.0], 0.0)
-    raws = sample_teacher_pool(teacher, ex, 8, seed=3)
+    raws = sample_teacher_pool(teacher, ex, 8, rng=np.random.default_rng(3))
     assert set(raws) == {"<answer>C</answer>"}
 
 
 def test_violation_frequency_matches_rate():
     ex = mk_mcq(gt="B")
     teacher = _teacher_for(ex, [0.25] * 4, 0.1)
-    raws = sample_teacher_pool(teacher, ex, 10_000, seed=11)
+    raws = sample_teacher_pool(teacher, ex, 10_000, rng=np.random.default_rng(11))
     bad = sum(1 for r in raws if not parse_response(r, ex.task).outer_valid)
     assert abs(bad / 10_000 - 0.1) < 0.01
 
@@ -146,7 +146,7 @@ def test_sampled_quality_mean_tracks_calibration():
     c = calibrate_concentration(scores, 0.7, top_p=1.0)
     probs = sampling_probs(scores, c, top_p=1.0)
     teacher = SyntheticTeacher(probs={ex.id: probs}, violation_rate={ex.id: 0.0}, top_p=1.0)
-    raws = sample_teacher_pool(teacher, ex, 20_000, seed=2)
+    raws = sample_teacher_pool(teacher, ex, 20_000, rng=np.random.default_rng(2))
     quals = [
         quality_score(parse_response(r, ex.task), ex, DEFAULT_METRICS) for r in raws
     ]

@@ -14,8 +14,8 @@ from mskd.train import (
     SkippedExample,
     TrainConfig,
     build_caches,
+    _sft_epoch,
     eval_accuracy,
-    kl_penalty,
     make_pools,
     matching_for,
     metrics_to_csv,
@@ -24,9 +24,8 @@ from mskd.train import (
     rl_step,
     run_pipeline,
     select_sft_targets,
-    sft_stage,
 )
-from mskd.policy import StudentPolicy, init_student
+from mskd.policy import StudentPolicy, init_student, kl_gradient_logits
 
 
 def point_mass_teacher(examples, slot=None, violation=0.0):
@@ -49,6 +48,10 @@ def small_cfg(**kw):
     return TrainConfig(**base)
 
 
+# the (rollout, matching) streams of a step seeded with 0
+STREAMS = tuple(np.random.SeedSequence(0).spawn(2))
+
+
 def rl_inputs(pool, ex, cfg):
     """The per-example inputs run_pipeline builds once and hands to rl_step."""
     featurizer = Featurizer(len(ex.answer_space))
@@ -60,8 +63,8 @@ def test_kl_penalty_is_policy_kl():
     ex = mk_mcq(0)
     student = StudentPolicy(logits={ex.id: np.array([1.0, 0.0, 0.0, 0.0])})
     ref = StudentPolicy(logits={ex.id: np.zeros(4)})
-    assert kl_penalty(student, student.copy(), ex) == 0.0
-    assert kl_penalty(student, ref, ex) > 0.0
+    assert kl_gradient_logits(student.probs(ex), student.copy().probs(ex))[0] == 0.0
+    assert kl_gradient_logits(student.probs(ex), ref.probs(ex))[0] > 0.0
 
 
 def test_sft_stage_descends_to_target():
@@ -70,9 +73,10 @@ def test_sft_stage_descends_to_target():
     cfg = small_cfg(epochs_stage1=1)
     pools = make_pools(exs, teacher, cfg)
     student = init_student(exs)
+    targets, _ = select_sft_targets(exs, pools, cfg.seed)
     probs_at_target = [student.probs(exs[0])[2]]
     for _ in range(100):
-        student = sft_stage(student, exs, pools, cfg)
+        _sft_epoch(student, exs, targets, cfg.lr_student)
         probs_at_target.append(student.probs(exs[0])[2])
     diffs = np.diff(probs_at_target)
     assert np.all(diffs > 0)  # strictly converging toward the taught slot
@@ -97,7 +101,7 @@ def test_rl_step_raises_skipped_on_degenerate_pool():
     student = init_student([ex])
     disc = init_params(Featurizer(4).dim, 0, seed=0)
     with pytest.raises(SkippedExample) as exc_info:
-        rl_step(student, student.copy(), disc, pool, ex, cfg, 0, *rl_inputs(pool, ex, cfg))
+        rl_step(student, student.copy(), disc, pool, ex, cfg, STREAMS, *rl_inputs(pool, ex, cfg))
     assert exc_info.value.example_id == ex.id
 
 
@@ -107,7 +111,7 @@ def test_rl_step_metric_keys_are_python_floats():
     cfg = small_cfg()
     student = init_student([ex])
     disc = init_params(Featurizer(4).dim, 0, seed=0)
-    _, _, m = rl_step(student, student.copy(), disc, pool, ex, cfg, 0, *rl_inputs(pool, ex, cfg))
+    _, _, m = rl_step(student, student.copy(), disc, pool, ex, cfg, STREAMS, *rl_inputs(pool, ex, cfg))
     assert set(m) == {"mean_reward", "disc_loss", "kl"}
     assert all(type(v) is float for v in m.values())
 
