@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from mskd.analysis import VarianceReport
-from mskd.metrics import DEFAULT_METRICS, MetricConfig, temporal_iou
+from mskd.metrics import temporal_iou
 from mskd.policy import StudentPolicy
 from mskd.pool import MatchingDistribution, TeacherPool
 from mskd.synthetic import (
@@ -44,7 +44,7 @@ from mskd.tasks import (
     Text,
     option_letters,
 )
-from mskd.train import TrainConfig, TrainedArtifacts, make_pools, run_pipeline
+from mskd.train import TrainConfig, TrainedArtifacts, expected_scores, make_pools, run_pipeline
 
 
 class EmptyReportError(ValueError):
@@ -255,8 +255,8 @@ def open_accuracy(
 ) -> float:
     """Mean latent rating under the policy; the hidden-truth analogue of
     the closed-ended expected metric."""
-    vals = [float(student.probs(ex) @ slot_scores[ex.id]) for ex in examples]
-    return float(np.mean(vals))
+    scores = [slot_scores[ex.id] for ex in examples]
+    return float(np.mean(expected_scores(student, examples, scores)))
 
 
 # --- ablation ---------------------------------------------------------------

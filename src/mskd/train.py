@@ -10,7 +10,13 @@ pairwise loss on the matched pairs.
 
 Every random draw comes from a stream derived as
 SeedSequence([seed, stream_tag, epoch, example_index]), so runs are
-bit-reproducible and ablation arms that should coincide do so exactly.
+bit-reproducible and ablation arms that should coincide do so exactly.  The
+RL steps' streams are the two spawned children of that sequence; a run
+derives all of them at once with stream_table, one vectorised pass of
+SeedSequence's hash, and seeds each step's generators from its table row.
+The reference policy is frozen after Stage 1, so its distribution is taken
+once per example, and evaluation computes each expected metric with one
+softmax and one stacked dot product per answer-space size.
 """
 
 from __future__ import annotations
@@ -76,6 +82,109 @@ def _stream(seed: int, *tags: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *[int(t) for t in tags]]))
 
 
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx, after
+# M.E. O'Neill's seed_seq_fe), its pool size and its shift.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE, _XSHIFT = 4, 16
+
+
+def _seed_words(seed: int) -> list[int]:
+    """seed as SeedSequence reads an integer: 32-bit words, least
+    significant first; 0 is one word."""
+    words = []
+    while True:
+        words.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            return words
+
+
+def stream_table(seed: int, epochs: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """The seed states of RL step (epoch, i)'s (rollout, matching) streams.
+
+    Row [..., j, :] is
+    SeedSequence([seed, _S_ROLL, epoch, i], spawn_key=(j,)).generate_state(4, np.uint64),
+    the state of the j-th child that .spawn(2) would give, computed for every
+    (epoch, i) of the broadcast of epochs and indices (each below 2**32) in
+    one uint32 pass of SeedSequence's mix_entropy and generate_state.  The
+    shape is broadcast(epochs, indices) + (2, 4); rows are C-contiguous.
+    """
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    shape = np.broadcast_shapes(np.shape(epochs), np.shape(indices)) + (2,)
+    entropy = [np.full(shape, w, dtype=np.uint32) for w in (*_seed_words(seed), _S_ROLL)]
+    entropy += [
+        np.broadcast_to(np.asarray(epochs, dtype=np.uint32)[..., None], shape),
+        np.broadcast_to(np.asarray(indices, dtype=np.uint32)[..., None], shape),
+        np.broadcast_to(np.arange(2, dtype=np.uint32), shape),  # the spawn key
+    ]
+    # The hash constants do not depend on the data, so their chain stays in
+    # Python ints; every product of arrays wraps modulo 2**32 as in C.
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ (result >> _XSHIFT)
+
+    # The entropy is at least _POOL_SIZE words (seed, tag, epoch, index), so
+    # SeedSequence's zero padding never applies.
+    pool = [hashmix(w) for w in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    # 8 uint32 words, paired little-endian (lo | hi << 32) into 4 uint64
+    # words, as SeedSequence views them
+    hash_const = _INIT_B
+    state = np.empty(shape + (4,), dtype=np.uint64)
+    for k in range(8):
+        value = pool[k % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        value ^= value >> _XSHIFT
+        if k % 2:
+            state[..., k // 2] |= value.astype(np.uint64) << 32
+        else:
+            state[..., k // 2] = value
+    np.random.bit_generator.ISeedSequence.register(_StreamState)
+    return state
+
+
+class _StreamState:
+    """One stream_table row, handed to PCG64 as its seed state.
+
+    stream_table registers it as a numpy ISeedSequence, so that importing
+    the trainer does not load numpy.random; PCG64 rejects it before that.
+    """
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words: int, dtype=np.uint64) -> np.ndarray:
+        return self.state
+
+
+def stream_generator(state: np.ndarray) -> np.random.Generator:
+    """The generator default_rng(SeedSequence) gives, from that sequence's
+    generate_state(4, np.uint64) (a stream_table row)."""
+    return np.random.Generator(np.random.PCG64(_StreamState(state)))
+
+
 @dataclass(frozen=True, slots=True)
 class TrainConfig:
     """All trainer knobs.  k teacher samples, n_rollouts per input."""
@@ -99,6 +208,10 @@ class TrainConfig:
     metric: MetricConfig = DEFAULT_METRICS
 
     def __post_init__(self) -> None:
+        for name in ("seed", "k", "n_rollouts", "epochs_stage1", "epochs_stage2", "hidden_dim"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not isinstance(self.weights, RewardWeights):
             raise InvalidWeightsError(f"expected RewardWeights, got {type(self.weights).__name__}")
         if self.k < 1 or self.n_rollouts < 1:
@@ -244,24 +357,14 @@ def matching_for(pool: TeacherPool, cfg: TrainConfig) -> MatchingDistribution | 
         return None
 
 
-def step_streams(seed: int, epoch: int, i: int) -> tuple[np.random.SeedSequence, np.random.SeedSequence]:
-    """The (rollout, matching) streams of RL step (epoch, example i).
-
-    They are the two children SeedSequence([seed, _S_ROLL, epoch, i]).spawn(2)
-    would give, built directly without the parent.
-    """
-    key = [seed, _S_ROLL, epoch, i]
-    return np.random.SeedSequence(key, spawn_key=(0,)), np.random.SeedSequence(key, spawn_key=(1,))
-
-
 def rl_step(
     student: StudentPolicy,
-    ref: StudentPolicy,
+    ref_p: np.ndarray,
     disc: DiscriminatorParams,
     pool: TeacherPool,
     ex: SupervisionExample,
     cfg: TrainConfig,
-    streams: tuple[np.random.SeedSequence, np.random.SeedSequence],
+    streams: tuple[np.random.Generator, np.random.Generator],
     cache: ExampleCache,
     pool_feats: np.ndarray,
     match_dist: MatchingDistribution | None,
@@ -270,8 +373,10 @@ def rl_step(
 
     cache (built with cfg.metric), pool_feats and match_dist come from
     build_caches, pool_features and matching_for (or a caller's override);
-    a None match_dist raises SkippedExample.  streams seed the rollout and
-    the matching draws, in that order (step_streams).
+    a None match_dist raises SkippedExample.  ref_p is the frozen reference
+    policy's distribution over ex's answer space.  streams are the rollout
+    and the matching generators, in that order (run_pipeline seeds them
+    from stream_table).
     Order per step: rollouts, matching, rewards, student update (policy
     gradient + KL pull), then discriminator update on the matched pairs.
     The returned metrics reflect the state the step acted on.
@@ -279,11 +384,11 @@ def rl_step(
     if match_dist is None:
         raise SkippedExample(ex.id)
 
-    roll_seq, match_seq = streams
+    roll_rng, match_rng = streams
     logits = student.logits_for(ex)
     p = softmax(logits)
     n = cfg.n_rollouts
-    rollouts = categorical_draw(p, n, np.random.default_rng(roll_seq))
+    rollouts = categorical_draw(p, n, roll_rng)
 
     student_feats = cache.features[rollouts]
     raw_scores = score_batch(disc, student_feats)
@@ -295,10 +400,10 @@ def rl_step(
     mean_reward = rewards.sum() / n
     adv = rewards - mean_reward if cfg.baseline == "group_mean" else rewards
     pg = np.bincount(rollouts, weights=adv, minlength=len(p)) / n - p * (adv.sum() / n)
-    kl, kl_grad = kl_gradient_logits(p, ref.probs(ex))
+    kl, kl_grad = kl_gradient_logits(p, ref_p)
     logits += cfg.lr_student * (pg - cfg.gamma * kl_grad)
 
-    matches = sample_matches(match_dist, n, np.random.default_rng(match_seq))
+    matches = sample_matches(match_dist, n, match_rng)
     if cfg.disc_weighting and pool.qualities is not None:
         q = np.asarray(pool.qualities, dtype=float)[matches]
     else:
@@ -336,18 +441,40 @@ def metrics_to_csv(rows: list[MetricsRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def expected_scores(
+    student: StudentPolicy,
+    examples: list[SupervisionExample],
+    scores: list[np.ndarray],
+) -> np.ndarray:
+    """student.probs(ex) @ score for each example and its slot scores, in
+    order.
+
+    Examples are grouped by answer-space size; each group takes one
+    row-wise softmax and one stacked (1, m) @ (m, 1) product, which give
+    the per-example values bit for bit.
+    """
+    groups: dict[int, list[int]] = {}
+    for j, score in enumerate(scores):
+        groups.setdefault(len(score), []).append(j)
+    out = np.empty(len(examples))
+    for rows in groups.values():
+        p = softmax(np.stack([student.logits_for(examples[j]) for j in rows]))
+        q = np.stack([scores[j] for j in rows])
+        out[rows] = (p[:, None, :] @ q[:, :, None])[:, 0, 0]
+    return out
+
+
 def eval_accuracy(
     student: StudentPolicy,
     examples: list[SupervisionExample],
     caches: dict[str, ExampleCache],
 ) -> float | None:
     """Mean expected task metric under the policy, closed-ended examples."""
-    vals = [
-        float(student.probs(ex) @ caches[ex.id].quality) for ex in examples if ex.task.is_closed
-    ]
-    if not vals:
+    closed = [ex for ex in examples if ex.task.is_closed]
+    if not closed:
         return None
-    return float(np.mean(vals))
+    scores = [caches[ex.id].quality for ex in closed]
+    return float(np.mean(expected_scores(student, closed, scores)))
 
 
 @dataclass
@@ -439,6 +566,8 @@ def run_pipeline(
         rows.append(MetricsRow(step, "sft", None, None, None, eval_accuracy(student, examples, caches)))
 
     ref = student.copy()
+    ref_probs = {ex.id: ref.probs(ex) for ex in examples}
+    table = stream_table(cfg.seed, np.arange(cfg.epochs_stage2)[:, None], np.arange(len(examples)))
     disc = init_params(featurizer.dim, cfg.hidden_dim, seed=np.random.SeedSequence([cfg.seed, _S_DISC]))
 
     skipped_rl: set[str] = set()
@@ -449,12 +578,12 @@ def run_pipeline(
             try:
                 student, disc, m = rl_step(
                     student,
-                    ref,
+                    ref_probs[ex.id],
                     disc,
                     pools[ex.id],
                     ex,
                     cfg,
-                    step_streams(cfg.seed, epoch, i),
+                    (stream_generator(table[epoch, i, 0]), stream_generator(table[epoch, i, 1])),
                     caches[ex.id],
                     pool_feats[ex.id],
                     match_dists[ex.id],

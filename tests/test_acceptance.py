@@ -410,8 +410,9 @@ def test_criterion_06_policy_update_and_kl():
         student = StudentPolicy(logits={ex.id: theta.copy()})
         ref = StudentPolicy(logits={ex.id: theta.copy()})
         student, disc, _ = rl_step(
-            student, ref, disc, pool, ex, cfg,
-            np.random.SeedSequence([606, i]).spawn(2), cache, pool_feats, match_dist,
+            student, ref.probs(ex), disc, pool, ex, cfg,
+            [np.random.default_rng(c) for c in np.random.SeedSequence([606, i]).spawn(2)],
+            cache, pool_feats, match_dist,
         )
         total += (student.logits_for(ex)[0] - theta[0]) / cfg.lr_student
     mean_update = total / steps

@@ -34,6 +34,13 @@ CLOSED_HIDDEN = {
     "disc.json": "86ed08d7eaab0a70c471bd0e95ef24db646c660df04511ac6935eab9204b1550",
     "student.json": "231f448722c92232440feb714331c001a221ccb11e2f94d69ee22d9516c67725",
 }
+# seed 2**33 is the two 32-bit words (0, 2), so every stream key is one word
+# longer than with a seed below 2**32
+MULTI_WORD_SEED = {
+    "metrics.csv": "4e05c11a1e073049a779f24c189482912f4268d70897fe750b1dfd9d01c4f5fa",
+    "disc.json": "a249f45ac1006c24533e25f5b14910b9d1ede9cd55e890b645816797926a2dd2",
+    "student.json": "03b15dd755f0bee7f290a0a3818cd16d66e07588db0ccdd899a257ae2316e5cc",
+}
 OPEN_PROXY = {
     "overrides": "527e2e8c0d3cc03f118b5206f4b971e778070a795b9d1d5724622f7c9bb99cb2",
     "metrics.csv": "6bb3fb80515a59f4aabf9ca1c9f922c24205f86f377c801b4e7a8a0328ede7dd",
@@ -69,6 +76,12 @@ def test_closed_arm_d_linear_digests(closed, tmp_path):
 def test_closed_arm_d_hidden_digests(closed, tmp_path):
     art = run_pipeline(closed.examples, arm_d(2), teacher=closed.teacher)
     assert artifact_digests(art, tmp_path) == CLOSED_HIDDEN
+
+
+def test_closed_arm_d_multi_word_seed_digests(closed, tmp_path):
+    cfg = setting_config("D", TrainConfig(seed=2**33))
+    art = run_pipeline(closed.examples, cfg, teacher=closed.teacher)
+    assert artifact_digests(art, tmp_path) == MULTI_WORD_SEED
 
 
 def test_open_proxy_override_digests(tmp_path):

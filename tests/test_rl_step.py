@@ -39,7 +39,8 @@ from mskd.train import (
     matching_for,
     pool_features,
     rl_step,
-    step_streams,
+    stream_generator,
+    stream_table,
 )
 
 
@@ -180,18 +181,18 @@ def run_both(bench, cfg, epochs=2):
     dists = {ex.id: matching_for(pools[ex.id], cfg) for ex in examples}
     student, ref, disc = start_state(examples, cfg, featurizer)
     o_student, o_disc = student.copy(), disc
+    table = stream_table(cfg.seed, np.arange(epochs)[:, None], np.arange(len(examples)))
     applied = 0
     for epoch in range(epochs):
         for i, ex in enumerate(examples):
             inputs = (pools[ex.id], ex, cfg)
             cached = (caches[ex.id], feats[ex.id], dists[ex.id])
+            streams = tuple(stream_generator(row) for row in table[epoch, i])
             if dists[ex.id] is None:
                 with pytest.raises(SkippedExample):
-                    rl_step(student, ref, disc, *inputs, step_streams(cfg.seed, epoch, i), *cached)
+                    rl_step(student, ref.probs(ex), disc, *inputs, streams, *cached)
                 continue
-            student, disc, m = rl_step(
-                student, ref, disc, *inputs, step_streams(cfg.seed, epoch, i), *cached
-            )
+            student, disc, m = rl_step(student, ref.probs(ex), disc, *inputs, streams, *cached)
             o_student, o_disc, o_m = oracle_rl_step(
                 o_student, ref, o_disc, *inputs,
                 np.random.SeedSequence([cfg.seed, _S_ROLL, epoch, i]), *cached,

@@ -1,14 +1,17 @@
 """Two-stage trainer: SFT descent, RL step plumbing, determinism, pass@k."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import mk_binary, mk_mcq, mk_open, mk_temporal
 from mskd.discriminator import Featurizer, init_params
+from mskd.harness import open_accuracy
 from mskd.pool import NoValidTargetError, build_pool, matching_distribution
 from mskd.rewards import InvalidWeightsError
 from mskd.synthetic import SyntheticTeacher
-from mskd.tasks import TaskType
+from mskd.tasks import TaskType, TemporalSegment
 from mskd.train import (
     MetricsRow,
     SkippedExample,
@@ -48,8 +51,9 @@ def small_cfg(**kw):
     return TrainConfig(**base)
 
 
-# the (rollout, matching) streams of a step seeded with 0
-STREAMS = tuple(np.random.SeedSequence(0).spawn(2))
+def streams():
+    """Fresh (rollout, matching) generators of a step seeded with 0."""
+    return tuple(np.random.default_rng(s) for s in np.random.SeedSequence(0).spawn(2))
 
 
 def rl_inputs(pool, ex, cfg):
@@ -101,7 +105,7 @@ def test_rl_step_raises_skipped_on_degenerate_pool():
     student = init_student([ex])
     disc = init_params(Featurizer(4).dim, 0, seed=0)
     with pytest.raises(SkippedExample) as exc_info:
-        rl_step(student, student.copy(), disc, pool, ex, cfg, STREAMS, *rl_inputs(pool, ex, cfg))
+        rl_step(student, student.probs(ex), disc, pool, ex, cfg, streams(), *rl_inputs(pool, ex, cfg))
     assert exc_info.value.example_id == ex.id
 
 
@@ -111,7 +115,7 @@ def test_rl_step_metric_keys_are_python_floats():
     cfg = small_cfg()
     student = init_student([ex])
     disc = init_params(Featurizer(4).dim, 0, seed=0)
-    _, _, m = rl_step(student, student.copy(), disc, pool, ex, cfg, STREAMS, *rl_inputs(pool, ex, cfg))
+    _, _, m = rl_step(student, student.probs(ex), disc, pool, ex, cfg, streams(), *rl_inputs(pool, ex, cfg))
     assert set(m) == {"mean_reward", "disc_loss", "kl"}
     assert all(type(v) is float for v in m.values())
 
@@ -189,9 +193,10 @@ def test_tau_zero_equals_no_filter_exactly():
 
 
 def test_eval_accuracy_none_for_open_only():
-    exs = [mk_open(0)]
-    caches = build_caches(exs, Featurizer(4))
+    exs = [mk_open(0, n_slots=2), mk_open(1, n_slots=7), mk_open(2)]
+    caches = build_caches(exs, Featurizer(7))
     assert eval_accuracy(init_student(exs), exs, caches) is None
+    assert _oracle_eval_accuracy(init_student(exs), exs, caches) is None
 
 
 def test_eval_accuracy_expected_metric():
@@ -200,6 +205,59 @@ def test_eval_accuracy_expected_metric():
     student = StudentPolicy(logits={ex.id: np.array([0.0, 50.0, 0.0, 0.0])})
     assert eval_accuracy(student, [ex], caches) == pytest.approx(1.0, abs=1e-12)
     assert eval_accuracy(init_student([ex]), [ex], caches) == pytest.approx(0.25)
+
+
+# The per-example loops eval_accuracy and open_accuracy ran before they were
+# batched by answer-space size, kept verbatim as the oracles of the batched
+# path.
+def _oracle_eval_accuracy(student, examples, caches):
+    vals = [
+        float(student.probs(ex) @ caches[ex.id].quality) for ex in examples if ex.task.is_closed
+    ]
+    if not vals:
+        return None
+    return float(np.mean(vals))
+
+
+def _oracle_open_accuracy(student, examples, slot_scores):
+    vals = [float(student.probs(ex) @ slot_scores[ex.id]) for ex in examples]
+    return float(np.mean(vals))
+
+
+def _mixed_examples():
+    """Closed and open examples of answer-space sizes 2, 4 and 7, interleaved."""
+    seven = tuple(TemporalSegment(j / 10, (j + 3) / 10) for j in range(7))
+    return [
+        mk_mcq(0, gt="C"),
+        mk_open(1, n_slots=7),
+        mk_binary(2),
+        mk_temporal(3, gt=(0.2, 0.5), space=seven),
+        mk_open(4, n_slots=2),
+        mk_mcq(5, gt="A"),
+        mk_temporal(6, gt=(0.3, 0.6), space=seven),
+        mk_open(7, n_slots=4),
+        mk_binary(8, gt=False),
+        mk_mcq(9, gt="D", n_options=7),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batched_expected_scores_match_per_example_loops(seed):
+    rng = np.random.default_rng(seed)
+    exs = _mixed_examples()
+    student = init_student(exs)
+    for ex in exs:
+        student.logits[ex.id] += rng.normal(0.0, 2.0, len(ex.answer_space))
+    student.logits[exs[3].id][2] = -1000.0  # a slot whose mass underflows to 0
+    caches = build_caches(exs, Featurizer(7))
+    assert eval_accuracy(student, exs, caches) == _oracle_eval_accuracy(student, exs, caches)
+    # graded scores on every slot, so each term of every product counts
+    graded = {k: replace(c, quality=rng.uniform(0.0, 1.0, len(c.quality))) for k, c in caches.items()}
+    assert eval_accuracy(student, exs, graded) == _oracle_eval_accuracy(student, exs, graded)
+    scores = {ex.id: rng.uniform(0.0, 1.0, len(ex.answer_space)) for ex in exs}
+    for subset in (exs, [ex for ex in exs if not ex.task.is_closed], exs[::-1]):
+        got = open_accuracy(student, subset, scores)
+        assert repr(got) == repr(_oracle_open_accuracy(student, subset, scores))
 
 
 def test_metrics_csv_layout():
@@ -292,6 +350,36 @@ def test_train_config_validation():
         TrainConfig(epochs_stage1=-1)
     with pytest.raises(InvalidWeightsError):
         TrainConfig(weights=(0.4, 0.1, 0.1, 0.4))  # a tuple, not RewardWeights
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("seed", 1.5),
+        ("seed", 1.0),
+        ("seed", True),
+        ("seed", "3"),
+        ("seed", None),
+        ("seed", np.float64(2.0)),
+        ("seed", np.bool_(True)),
+        ("k", 2.5),
+        ("k", True),
+        ("n_rollouts", 4.0),
+        ("n_rollouts", False),
+        ("epochs_stage1", 1.5),
+        ("epochs_stage2", "30"),
+        ("hidden_dim", 2.0),
+        ("hidden_dim", True),
+    ],
+)
+def test_train_config_rejects_non_integer_counts(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_accepts_numpy_integers():
+    cfg = TrainConfig(seed=np.uint64(2**33), k=np.int64(3), epochs_stage2=np.int32(2))
+    assert (cfg.seed, cfg.k, cfg.epochs_stage2) == (2**33, 3, 2)
 
 
 def test_match_override_changes_pairs_only():
