@@ -21,6 +21,7 @@ bit for bit.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from mskd.metrics import temporal_iou
 from mskd.policy import StudentPolicy
 from mskd.pool import MatchingDistribution, TeacherPool
 from mskd.synthetic import (
+    BisectionPaths,
     SyntheticTeacher,
     calibrate_concentration,
     retention_probability,
@@ -69,23 +71,68 @@ def _temporal_space(points: int = 10) -> tuple[TemporalSegment, ...]:
     )
 
 
-def _check_benchmark_args(sizes: dict[str, int], temperature: float, top_p: float) -> None:
-    """Reject negative example counts, an empty benchmark and a teacher
-    sampling setting that nucleus would refuse."""
-    for name, value in sizes.items():
+def _is_finite(value) -> bool:
+    """A finite int or float (numpy scalars included); a bool is not one."""
+    return (
+        isinstance(value, (int, float, np.integer, np.floating))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def _check_benchmark_args(
+    counts: dict[str, int],
+    temperature: float,
+    top_p: float,
+    *,
+    ints: dict[str, int],
+    finite: dict[str, float],
+    rates: dict[str, float],
+) -> None:
+    """Reject inputs that cannot give a meaningful benchmark.
+
+    ``counts`` (example counts) and ``ints`` must be integers >= 0, and the
+    counts not all zero; ``finite`` must be finite numbers and ``rates``
+    finite numbers in [0, 1].  numpy integers pass, bools do not.  The
+    teacher's temperature and top_p must be settings nucleus accepts.
+    """
+    for name, value in {**counts, **ints}.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
         if value < 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
-    if sum(sizes.values()) == 0:
-        raise ValueError(f"benchmark is empty: {sizes}")
-    if temperature <= 0:
+    if sum(counts.values()) == 0:
+        raise ValueError(f"benchmark is empty: {counts}")
+    for name, value in {**finite, **rates}.items():
+        if not _is_finite(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
+    for name, value in rates.items():
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must be in [0,1], got {value}")
+    if not temperature > 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     if not 0.0 < top_p <= 1.0:
         raise ValueError(f"top_p must be in (0,1], got {top_p}")
 
 
-def _calibrate(
+def _calibration_paths(
     examples: list[SupervisionExample],
     slot_scores: dict[str, np.ndarray],
+    temperature: float,
+    top_p: float,
+) -> list[tuple[list[int], BisectionPaths]]:
+    """One bisection record per answer-space size, with the indices of the
+    examples it covers in example order."""
+    groups: dict[int, list[int]] = {}
+    for j, ex in enumerate(examples):
+        groups.setdefault(len(slot_scores[ex.id]), []).append(j)
+    stacks = [(rows, np.stack([slot_scores[examples[j].id] for j in rows])) for rows in groups.values()]
+    return [(rows, BisectionPaths(scores, temperature, top_p)) for rows, scores in stacks]
+
+
+def _calibrate(
+    examples: list[SupervisionExample],
+    groups: list[tuple[list[int], BisectionPaths]],
     targets: np.ndarray,
     temperature: float,
     top_p: float,
@@ -93,18 +140,14 @@ def _calibrate(
     """Target means, sampling distributions and concentrations by example id.
 
     ``targets`` holds one mean quality per example, in example order.
-    Examples are grouped by answer-space size and each group is bisected
-    in one batch.
+    Each answer-space group is bisected in one batch that resumes from the
+    paths its record holds from the previous call.
     """
-    groups: dict[int, list[int]] = {}
-    for j, ex in enumerate(examples):
-        groups.setdefault(len(slot_scores[ex.id]), []).append(j)
     concs: dict[int, float] = {}
     probs: dict[int, np.ndarray] = {}
-    for rows in groups.values():
-        scores = np.stack([slot_scores[examples[j].id] for j in rows])
-        c = calibrate_concentration(scores, targets[rows], temperature, top_p)
-        p = sampling_probs(scores, c, temperature, top_p)
+    for rows, paths in groups:
+        c = calibrate_concentration(paths.scores, targets[rows], temperature, top_p, paths=paths)
+        p = sampling_probs(paths.scores, c, temperature, top_p)
         for j, cj, pj in zip(rows, c.tolist(), p):
             concs[j], probs[j] = cj, pj
     ids = [ex.id for ex in examples]
@@ -136,7 +179,22 @@ def make_closed_benchmark(
     a teacher sample clears retention_tau equals the target, otherwise
     mu_center is used directly.
     """
-    _check_benchmark_args({"n_mcq": n_mcq, "n_temporal": n_temporal}, temperature, top_p)
+    _check_benchmark_args(
+        {"n_mcq": n_mcq, "n_temporal": n_temporal},
+        temperature,
+        top_p,
+        ints={"seed": seed, "option_count": option_count},
+        finite={"spread": spread, "mu_center": mu_center},
+        rates={
+            "retention_tau": retention_tau,
+            "violation_mcq": violation_mcq,
+            "violation_temporal": violation_temporal,
+        },
+    )
+    if retention_target is not None and not (
+        _is_finite(retention_target) and 0.0 < retention_target < 1.0
+    ):
+        raise ValueError(f"retention_target must be None or in (0,1), got {retention_target!r}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 11]))
     letters = option_letters(option_count)
     t_space = _temporal_space()
@@ -172,10 +230,11 @@ def make_closed_benchmark(
         slot_scores[ex.id] = np.array([temporal_iou(s, gt) for s in t_space])
         violations[ex.id] = violation_temporal
     z = rng.standard_normal(len(examples))
+    groups = _calibration_paths(examples, slot_scores, temperature, top_p)
 
     def build_at(mu0: float):
         mus = np.clip(mu0 + spread * z, 0.05, 0.98)
-        return _calibrate(examples, slot_scores, mus, temperature, top_p)
+        return _calibrate(examples, groups, mus, temperature, top_p)
 
     def retention_at(probs: dict[str, np.ndarray]) -> float:
         vals = [
@@ -227,7 +286,14 @@ def make_open_benchmark(
 ) -> Benchmark:
     """Open-ended benchmark: each answer slot carries a latent rating that
     no surface scorer can see; the teacher favors well-rated slots."""
-    _check_benchmark_args({"n_examples": n_examples}, temperature, top_p)
+    _check_benchmark_args(
+        {"n_examples": n_examples},
+        temperature,
+        top_p,
+        ints={"seed": seed, "space_size": space_size},
+        finite={"mu_center": mu_center, "spread": spread},
+        rates={"violation": violation},
+    )
     if space_size < 1:
         raise ValueError(f"space_size must be >= 1, got {space_size}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 13]))
@@ -244,7 +310,8 @@ def make_open_benchmark(
         slot_scores[ex.id] = rng.uniform(0.05, 0.95, space_size)
         violations[ex.id] = violation
         mu_list.append(np.clip(mu_center + spread * rng.standard_normal(), 0.15, 0.9))
-    mus, probs, concs = _calibrate(examples, slot_scores, np.array(mu_list), temperature, top_p)
+    groups = _calibration_paths(examples, slot_scores, temperature, top_p)
+    mus, probs, concs = _calibrate(examples, groups, np.array(mu_list), temperature, top_p)
     teacher = SyntheticTeacher(probs, violations, temperature, top_p, concs)
     meta = {"seed": seed, "spread": spread, "space_size": space_size}
     return Benchmark(examples, teacher, slot_scores, mus, meta)

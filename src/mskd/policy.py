@@ -41,12 +41,13 @@ def nucleus(probs: np.ndarray, temperature: float = 1.0, top_p: float = 1.0) -> 
         p = p / p.sum(axis=-1, keepdims=True)
     if top_p == 1.0:
         return p
-    order = np.argsort(-p, axis=-1, kind="stable")
-    ranked = np.take_along_axis(p, order, axis=-1)
+    # (order,) for 1-D input, (rows, order) for 2-D: each row's slots by descending mass
+    idx = (*np.indices(p.shape, sparse=True)[:-1], np.argsort(-p, axis=-1, kind="stable"))
+    ranked = p[idx]
     # smallest prefix with mass >= top_p
     cut = (np.cumsum(ranked, axis=-1) < top_p).sum(axis=-1, keepdims=True) + 1
     out = np.zeros_like(p)
-    np.put_along_axis(out, order, np.where(np.arange(p.shape[-1]) < cut, ranked, 0.0), axis=-1)
+    out[idx] = np.where(np.arange(p.shape[-1]) < cut, ranked, 0.0)
     return out / out.sum(axis=-1, keepdims=True)
 
 

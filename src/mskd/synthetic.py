@@ -52,6 +52,71 @@ def expected_quality(scores: np.ndarray, probs: np.ndarray) -> float | np.ndarra
     return q[..., 0, 0][()]  # [()] makes the 0-d result of 1-D inputs a scalar
 
 
+class BisectionPaths:
+    """Each row's last bisection path for one score matrix and one setting.
+
+    Row i's bisection walks a fixed dyadic tree from ``[lo, hi]``: the
+    node after a decision depends only on the decisions before it, and the
+    expected score at a node depends only on the row's scores, the node,
+    ``temperature`` and ``top_p``, never on the target.  So the stored
+    nodes, their expected scores and the decisions taken there let a later
+    target resume at the first node where it decides differently.
+
+    ``nodes``, ``values`` and ``below`` hold one path per row, ``length``
+    how much of it is valid; ``mean_lo`` and ``mean_hi`` are the expected
+    scores at ``lo`` and ``hi``, computed once.
+    """
+
+    def __init__(
+        self,
+        scores: np.ndarray,
+        temperature: float = 1.0,
+        top_p: float = 0.9,
+        lo: float = -400.0,
+        hi: float = 400.0,
+        iters: int = 100,
+    ) -> None:
+        self.scores = np.atleast_2d(np.array(scores, dtype=float))
+        self.settings = (temperature, top_p, float(lo), float(hi), iters)
+        n = len(self.scores)
+        self.mean_lo, self.mean_hi = (
+            expected_quality(self.scores, sampling_probs(self.scores, c, temperature, top_p))
+            for c in (np.full(n, float(lo)), np.full(n, float(hi)))
+        )
+        self.nodes = np.empty((n, 0))
+        self.values = np.empty((n, 0))
+        self.below = np.empty((n, 0), dtype=bool)
+        self.length = np.zeros(n, dtype=np.intp)
+
+    def check(self, scores: np.ndarray, settings: tuple) -> None:
+        """Raise ValueError unless this record was built for these inputs."""
+        scores = np.atleast_2d(np.asarray(scores, dtype=float))
+        if scores.shape != self.scores.shape or scores.tobytes() != self.scores.tobytes():
+            raise ValueError("paths were recorded for another score matrix")
+        if settings != self.settings:
+            raise ValueError(
+                f"paths were recorded for (temperature, top_p, lo, hi, iters) = {self.settings}, "
+                f"not {settings}"
+            )
+
+    def record(
+        self, rows: np.ndarray, mid: np.ndarray, values: np.ndarray, below: np.ndarray
+    ) -> None:
+        """Append one node to each of rows' paths, widening the store if full."""
+        depth = self.length[rows]
+        width = self.nodes.shape[1]
+        if depth.max(initial=-1) >= width:
+            grow = min(max(width, 64), self.settings[-1] - width)
+            self.nodes, self.values, self.below = (
+                np.concatenate([a, np.zeros((len(a), grow), dtype=a.dtype)], axis=1)
+                for a in (self.nodes, self.values, self.below)
+            )
+        self.nodes[rows, depth] = mid
+        self.values[rows, depth] = values
+        self.below[rows, depth] = below
+        self.length[rows] = depth + 1
+
+
 def calibrate_concentration(
     scores: np.ndarray,
     target_mean: float | np.ndarray,
@@ -60,6 +125,8 @@ def calibrate_concentration(
     lo: float = -400.0,
     hi: float = 400.0,
     iters: int = 100,
+    *,
+    paths: BisectionPaths | None = None,
 ) -> float | np.ndarray:
     """Bisect concentration so expected score under sampling hits target.
 
@@ -68,31 +135,68 @@ def calibrate_concentration(
     score matrix with n targets is bisected row by row in one batch and
     gives an array of n concentrations; a 1-D call is the one-row case.
     A row leaves the batch once its bracket stops moving, since every
-    later step would repeat the same midpoint.
+    later step would repeat the same midpoint, or after ``iters`` steps.
+
+    ``paths`` is the record of each row's previous bisection of these
+    scores with these settings (a fresh one if None; any other scores or
+    settings raise ValueError).  Each unclipped row compares its new target
+    with the stored expected score at every stored node.  Up to the first
+    node where the decision flips, a fresh walk from the root would visit
+    the same nodes and decide the same way, so the row rebuilds its bracket
+    there from the stored nodes, takes the flipped decision and bisects on;
+    a row without a flip keeps its old end state.  The result is therefore
+    the fresh bisection's, bit for bit, and the record is updated to the
+    new paths.
     """
     one = np.ndim(scores) == 1
-    scores = np.atleast_2d(np.asarray(scores, dtype=float))
+    settings = (temperature, top_p, float(lo), float(hi), iters)
+    if paths is None:
+        paths = BisectionPaths(scores, *settings)
+    else:
+        paths.check(scores, settings)
+    scores = paths.scores
     targets = np.atleast_1d(np.asarray(target_mean, dtype=float))
 
-    def mean_at(rows: np.ndarray, c: np.ndarray) -> np.ndarray:
-        s = scores[rows]
-        return expected_quality(s, sampling_probs(s, c, temperature, top_p))
-
-    everything = np.arange(len(scores))
+    clip_lo = targets <= paths.mean_lo
+    clip_hi = ~clip_lo & (targets >= paths.mean_hi)
+    live = np.flatnonzero(~(clip_lo | clip_hi))
+    # where each live row's stored path first decides differently (its length if nowhere)
+    length = paths.length[live]
+    step = np.arange(paths.nodes.shape[1])
+    nodes, below = paths.nodes[live], paths.below[live]
+    flips = (step < length[:, None]) & ((paths.values[live] < targets[live, None]) != below)
+    first = np.where(flips, step, length[:, None]).min(axis=1, initial=step.size)
+    # the bracket at that node: the largest earlier node that moved the lower
+    # end and the smallest that moved the upper end
+    before = step < first[:, None]
     low = np.full(len(scores), float(lo))
     high = np.full(len(scores), float(hi))
-    clip_lo = targets <= mean_at(everything, low)
-    clip_hi = ~clip_lo & (targets >= mean_at(everything, high))
-    rows = np.flatnonzero(~(clip_lo | clip_hi))
-    for _ in range(iters):
-        if rows.size == 0:
-            break
+    low[live] = np.where(before & below, nodes, -np.inf).max(axis=1, initial=float(lo))
+    high[live] = np.where(before & ~below, nodes, np.inf).min(axis=1, initial=float(hi))
+
+    def step_to(rows: np.ndarray, mid: np.ndarray, go_low: np.ndarray) -> np.ndarray:
+        """Move rows' brackets to mid; the rows whose walk goes on."""
         a, b = low[rows], high[rows]
-        mid = 0.5 * (a + b)
-        below = mean_at(rows, mid) < targets[rows]
-        low[rows] = np.where(below, mid, a)
-        high[rows] = np.where(below, b, mid)
-        rows = rows[(low[rows] != a) | (high[rows] != b)]
+        low[rows] = np.where(go_low, mid, a)
+        high[rows] = np.where(go_low, b, mid)
+        return rows[((low[rows] != a) | (high[rows] != b)) & (paths.length[rows] < iters)]
+
+    # a flipped row cuts its path back to the flip node and takes the other
+    # decision there, from the stored expected score; a row without a path
+    # starts at the root
+    flipped = first < length
+    rows, at = live[flipped], first[flipped]
+    mid, go_low = nodes[flipped, at], ~below[flipped, at]
+    paths.length[rows] = at
+    paths.record(rows, mid, paths.values[rows, at], go_low)
+    rows = np.concatenate([step_to(rows, mid, go_low), live[(length == 0) & (iters > 0)]])
+    while rows.size:
+        mid = 0.5 * (low[rows] + high[rows])
+        s = scores[rows]
+        values = expected_quality(s, sampling_probs(s, mid, temperature, top_p))
+        go_low = values < targets[rows]
+        paths.record(rows, mid, values, go_low)
+        rows = step_to(rows, mid, go_low)
     out = np.where(clip_lo, lo, np.where(clip_hi, hi, 0.5 * (low + high)))
     return float(out[0]) if one else out
 

@@ -103,7 +103,7 @@ PAYLOAD_TYPES: dict[TaskType, type] = {
 def option_letters(n: int) -> tuple[str, ...]:
     """First n uppercase option letters (n <= 26)."""
     if not 1 <= n <= 26:
-        raise ValueError(f"option count must be in 1..26, got {n}")
+        raise ValueError(f"option_count must be in 1..26, got {n}")
     return tuple(string.ascii_uppercase[:n])
 
 

@@ -261,21 +261,44 @@ def test_train_bad_hyperparameter_is_config_error(tmp_path, block):
         {"temperature": 0.0},
         {"top_p": 1.5},
         {"n_mcq": "two"},
+        {"retention_target": 1.5},
+        {"retention_target": float("nan")},
+        {"spread": float("nan")},
+        {"retention_tau": float("nan")},
+        {"violation_mcq": 1.5},
+        {"violation_temporal": -0.1},
+        {"seed": True},
+        {"temperature": float("nan")},
     ],
-    ids=["option_count", "negative_size", "empty", "temperature", "top_p", "size_type"],
+    ids=[
+        "option_count", "negative_size", "empty", "temperature", "top_p", "size_type",
+        "retention_target", "retention_target_nan", "spread_nan", "retention_tau_nan",
+        "violation_mcq", "violation_temporal", "seed_bool", "temperature_nan",
+    ],
 )
 def test_train_bad_benchmark_is_config_error(tmp_path, capsys, bench):
     cfg = write_cfg(tmp_path, "t.json", dict(TINY_TRAIN, benchmark=dict(TINY_BENCH, **bench)))
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: invalid benchmark config")
+    assert all(key in err for key in bench)  # the message names the argument
     assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
     "open_bench",
-    [{"n_examples": -1}, {"n_examples": 0}, {"space_size": 0}, {"top_p": 0.0}],
-    ids=["negative_size", "empty", "space_size", "top_p"],
+    [
+        {"n_examples": -1},
+        {"n_examples": 0},
+        {"space_size": 0},
+        {"top_p": 0.0},
+        {"violation": 2.0},
+        {"mu_center": float("inf")},
+        {"spread": float("nan")},
+        {"seed": True},
+    ],
+    ids=["negative_size", "empty", "space_size", "top_p", "violation", "mu_center_inf",
+         "spread_nan", "seed_bool"],
 )
 def test_adaptive_bad_open_benchmark_is_config_error(tmp_path, capsys, open_bench):
     cfg = write_cfg(
@@ -284,7 +307,9 @@ def test_adaptive_bad_open_benchmark_is_config_error(tmp_path, capsys, open_benc
          "open_benchmark": dict({"n_examples": 2, "space_size": 4}, **open_bench)},
     )
     assert main(["adaptive", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
-    assert capsys.readouterr().err.startswith("config error: invalid open_benchmark config")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: invalid open_benchmark config")
+    assert all(key in err for key in open_bench)  # the message names the argument
 
 
 @pytest.mark.parametrize(

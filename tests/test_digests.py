@@ -48,6 +48,18 @@ OPEN_PROXY = {
     "student.json": "d217c6f9bf6cfd0c685d1ce226218f95d69e704815be51c134930a99164f0ee8",
 }
 PASSK = "d25ed13f62cdf0ea979d50c0053fc12c1319bf914466f37960486a57f6c22a11"
+# calibrations no perfbench workload runs: a teacher temperature below 1
+# with a tighter nucleus and a retention target, and the open benchmark
+CLOSED_TEMPERED_CALIBRATION = {
+    "probs": "523745f527199384504982486f7ebdcdc3f4d0741660fca667978dc7af8ff033",
+    "concentration": "1af7e1ebeb9edf089e3e1eed691f60b4fe6cd7213accf675727edc45c5484f92",
+    "meta": "259406932d2777ab43a9b52475f331d46d3d88005b732045b054a45b8847fabb",
+}
+OPEN_CALIBRATION = {
+    "probs": "b99123d8899eb742afb231b22bf89f24ddb7181af74657ea86b719972bf274c8",
+    "concentration": "4b520c616be2fcf82a570678a1afff2edb77a42da9d4715e1dba3ee4a706f903",
+    "meta": "520eba1ff4fc570dcb8b3c2bf68bebbc23030c4936b826c31c1d07cec43ad58b",
+}
 
 
 def sha(data: bytes) -> str:
@@ -57,6 +69,22 @@ def sha(data: bytes) -> str:
 def artifact_digests(art, out) -> dict[str, str]:
     art.save(out)
     return {name: sha((out / name).read_bytes()) for name in ARTIFACTS}
+
+
+def calibration_digests(bench) -> dict[str, str]:
+    """The teacher's probability bytes by example id, its concentrations and
+    the benchmark meta, hashed as perfbench's calibrate workload does."""
+    teacher = bench.teacher
+    h = hashlib.sha256()
+    for ex_id in sorted(teacher.probs):
+        h.update(ex_id.encode())
+        h.update(np.ascontiguousarray(teacher.probs[ex_id], dtype=np.float64).tobytes())
+    concs = {k: float(v) for k, v in teacher.concentration.items()}
+    return {
+        "probs": h.hexdigest(),
+        "concentration": sha(json.dumps(concs, sort_keys=True).encode()),
+        "meta": sha(json.dumps(bench.meta, sort_keys=True).encode()),
+    }
 
 
 @pytest.fixture(scope="module")
@@ -109,3 +137,15 @@ def test_pass_at_k_curve_digest(closed):
         success_threshold=0.5,
     )
     assert sha(repr(curve).encode()) == PASSK
+
+
+def test_closed_tempered_calibration_digests():
+    bench = make_closed_benchmark(
+        n_mcq=6, n_temporal=9, option_count=5, temperature=0.7, top_p=0.8,
+        retention_target=0.6, seed=3,
+    )
+    assert calibration_digests(bench) == CLOSED_TEMPERED_CALIBRATION
+
+
+def test_open_calibration_digests():
+    assert calibration_digests(make_open_benchmark(seed=2)) == OPEN_CALIBRATION

@@ -10,6 +10,7 @@ from conftest import mk_mcq
 from mskd.metrics import DEFAULT_METRICS, quality_score
 from mskd.policy import nucleus
 from mskd.synthetic import (
+    BisectionPaths,
     SyntheticTeacher,
     calibrate_concentration,
     corrupt_envelope,
@@ -256,6 +257,8 @@ def test_batched_calibration_matches_per_example_oracle(batch, temperature, top_
     _TOP_P,
 )
 @example(np.array([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25]]), 1.0, 0.5)  # prefix mass == top_p
+@example(np.array([[1.0], [0.3]]), 0.7, 0.9)  # one-slot rows
+@example(np.array([[0.2, 0.5, 0.0, 0.3]]), 1.6, 0.6)  # a (1, m) stack
 def test_row_wise_nucleus_matches_per_row_oracle(raw, temperature, top_p):
     raw[raw.sum(axis=1) == 0.0, 0] = 1.0  # every row keeps some support
     probs = raw / raw.sum(axis=1, keepdims=True)
@@ -264,3 +267,77 @@ def test_row_wise_nucleus_matches_per_row_oracle(raw, temperature, top_p):
         want = _oracle_nucleus(row, temperature, top_p)
         assert got.tobytes() == want.tobytes()
         assert nucleus(row, temperature, top_p).tobytes() == want.tobytes()
+
+
+# --- resumed calibration against a fresh walk ---------------------------------
+
+
+@st.composite
+def _target_sequence(draw, n):
+    """At least 8 target vectors for n rows: an outer-bisection-like walk
+    that converges, or independent jumps (both reach outside [0, 1])."""
+    steps = draw(st.integers(8, 12))
+    if draw(st.booleans()):
+        z = draw(hnp.arrays(np.float64, n, elements=st.floats(-3.0, 3.0)))
+        spread = draw(st.sampled_from([0.0, 0.2, 0.8]))
+        lo, hi, seq = -0.2, 1.2, []
+        for up in draw(st.lists(st.booleans(), min_size=steps, max_size=steps)):
+            mid = 0.5 * (lo + hi)
+            seq.append(mid + spread * z)
+            lo, hi = (mid, hi) if up else (lo, mid)
+        return seq
+    elements = st.one_of(st.floats(-0.5, 1.5), st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    return draw(st.lists(hnp.arrays(np.float64, n, elements=elements), min_size=steps, max_size=steps))
+
+
+@st.composite
+def _resume_case(draw):
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 30))
+    scores = draw(hnp.arrays(np.float64, (n, m), elements=_SCORE))
+    if n > 1 and draw(st.booleans()):
+        scores[-1] = scores[0]  # a duplicate row
+    return scores, draw(_target_sequence(n))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_resume_case(), _TEMPERATURE, _TOP_P, st.sampled_from([100, 3, 4, 5, 6, 7]))
+@example(
+    (np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.2, 0.5, 0.9, 0.9]]),
+     [np.array(t) for t in ([0.5] * 3, [0.7, 0.3, 0.6], [-1.0, 2.0, 0.5], [0.5] * 3,
+                            [0.9, 0.1, 0.4], [0.6, 0.6, 2.0], [0.61, 0.59, 0.41], [0.5] * 3)]),
+    1.0, 0.9, 100,
+)
+def test_resumed_calibration_matches_fresh_oracle(case, temperature, top_p, iters):
+    scores, targets_seq = case
+    paths = BisectionPaths(scores, temperature, top_p, iters=iters)
+    for targets in targets_seq:
+        conc = calibrate_concentration(scores, targets, temperature, top_p, iters=iters, paths=paths)
+        probs = sampling_probs(scores, conc, temperature, top_p)
+        for i in range(len(scores)):
+            want_c = _oracle_calibrate(scores[i], float(targets[i]), temperature, top_p, iters=iters)
+            want_p = _oracle_sampling_probs(scores[i], want_c, temperature, top_p)
+            assert np.float64(conc[i]).tobytes() == np.float64(want_c).tobytes()
+            assert probs[i].tobytes() == want_p.tobytes()
+
+
+def test_bisection_paths_reject_other_inputs():
+    scores = np.array([[0.0, 1.0, 0.5], [0.2, 0.4, 0.9]])
+    paths = BisectionPaths(scores)
+    calibrate_concentration(scores, np.array([0.5, 0.6]), paths=paths)
+    others = [
+        (scores[:1], {}),  # another shape
+        (scores.T.copy(), {}),
+        (scores + 0.01, {}),  # other scores
+        (scores, {"temperature": 0.5}),
+        (scores, {"top_p": 1.0}),
+        (scores, {"lo": -100.0}),
+        (scores, {"hi": 100.0}),
+        (scores, {"iters": 50}),
+    ]
+    for other, kw in others:
+        with pytest.raises(ValueError):
+            calibrate_concentration(other, np.array([0.5, 0.6])[: len(other)], paths=paths, **kw)
+    # the record still serves its own inputs
+    got = calibrate_concentration(scores, np.array([0.3, 0.7]), paths=paths)
+    np.testing.assert_array_equal(got, calibrate_concentration(scores, np.array([0.3, 0.7])))
