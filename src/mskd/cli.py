@@ -4,10 +4,12 @@ Subcommands: analyze, ablate, sweep, adaptive, passk, train, pool build.
 Every subcommand takes --config and --out.  Those that draw at random
 (ablate, sweep, adaptive, passk, train) take --seed, which overrides any
 seed in the config file; those that write a report (analyze and the four
-harnesses) take --format.  Config files are JSON objects validated against
-the keys each command understands — unknown keys are rejected rather than
-ignored — and each field's type and range are checked before any work
-starts.
+harnesses) take --format.  Config files are JSON objects whose top-level
+keys are checked against the ones each command understands.  Each block
+is handed to the type it configures (TrainConfig, MetricConfig,
+RewardWeights, make_closed_benchmark, make_open_benchmark), which rejects
+unknown keys, wrong types and out-of-range values; the CLI only turns
+those errors into exit code 2.  Unreadable input files exit 2 as well.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 degenerate data
 (empty corpus, nothing survives filtering, empty report).
@@ -17,8 +19,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from mskd.analysis import analyze_variance
@@ -42,7 +44,7 @@ from mskd.harness import (
     sensitivity_tables,
     setting_config,
 )
-from mskd.metrics import MetricConfig
+from mskd.metrics import MetricConfig, _is_finite, _is_int
 from mskd.pool import (
     DegeneratePoolError,
     InvalidPoolError,
@@ -52,7 +54,7 @@ from mskd.pool import (
     read_pool_cache,
     write_pool_cache,
 )
-from mskd.rewards import InvalidWeightsError, RewardWeights
+from mskd.rewards import RewardWeights
 from mskd.tasks import TaskType
 from mskd.train import TrainConfig, pass_at_k_eval, run_pipeline
 
@@ -69,59 +71,10 @@ class DegenerateDataError(ValueError):
     """Inputs are structurally fine but empty or unusable."""
 
 
-_TRAIN_KEYS = frozenset(
-    {
-        "k",
-        "n_rollouts",
-        "tau",
-        "weights",
-        "gamma",
-        "lr_student",
-        "lr_disc",
-        "epochs_stage1",
-        "epochs_stage2",
-        "seed",
-        "matching",
-        "disc_weighting",
-        "baseline",
-        "hidden_dim",
-        "temperature",
-        "top_p",
-        "metric",
-    }
-)
-# TrainConfig fields by JSON type; true and false count as neither
-_TRAIN_INTS = frozenset({"k", "n_rollouts", "epochs_stage1", "epochs_stage2", "seed", "hidden_dim"})
-_TRAIN_NUMBERS = frozenset({"tau", "gamma", "lr_student", "lr_disc", "temperature", "top_p"})
-_METRIC_KEYS = frozenset({"eps_rel", "ocr_mode"})
-_BENCH_KEYS = frozenset(
-    {
-        "n_mcq",
-        "n_temporal",
-        "seed",
-        "spread",
-        "retention_target",
-        "retention_tau",
-        "mu_center",
-        "violation_mcq",
-        "violation_temporal",
-        "temperature",
-        "top_p",
-        "option_count",
-    }
-)
-_OPEN_BENCH_KEYS = frozenset(
-    {"n_examples", "space_size", "seed", "mu_center", "spread", "violation", "temperature", "top_p"}
-)
+_TRAIN_KEYS = frozenset(f.name for f in fields(TrainConfig))
 
 
-def _check_keys(cfg: dict, allowed: frozenset, where: str) -> None:
-    unknown = sorted(set(cfg) - allowed)
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {unknown}")
-
-
-def _load_config(path: str | None, allowed: frozenset, where: str = "config") -> dict:
+def _load_config(path: str | None, allowed: frozenset) -> dict:
     if path is None:
         return {}
     p = Path(path)
@@ -129,20 +82,14 @@ def _load_config(path: str | None, allowed: frozenset, where: str = "config") ->
         raise ConfigError(f"config file not found: {path}")
     try:
         cfg = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    _check_keys(cfg, allowed, where)
+    unknown = sorted(set(cfg) - allowed)
+    if unknown:
+        raise ConfigError(f"config: unknown keys {unknown}")
     return cfg
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _is_count(value) -> bool:
@@ -160,69 +107,46 @@ def _list_field(cfg: dict, key: str, default, ok, what: str) -> tuple:
 
 def _number_field(cfg: dict, key: str, default: float) -> float:
     value = cfg.get(key, default)
-    if not _is_number(value):
+    if not _is_finite(value):
         raise ConfigError(f"{key} must be a finite number, got {value!r}")
     return float(value)
 
 
-def _metric_config(block) -> MetricConfig:
-    if not isinstance(block, dict):
-        raise ConfigError("metric must be an object")
-    _check_keys(block, _METRIC_KEYS, "metric config")
-    try:
-        return MetricConfig(**block)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid metric config: {exc}") from exc
-
-
-def _metric_only_config(path: str | None) -> MetricConfig:
-    """The metric of a config file whose only key is ``metric``."""
-    cfg = _load_config(path, frozenset({"metric"}))
-    return _metric_config(cfg["metric"]) if "metric" in cfg else MetricConfig()
-
-
-def _train_config(block: dict, seed_override: int | None) -> TrainConfig:
-    _check_keys(block, _TRAIN_KEYS, "train config")
-    for key, value in block.items():
-        if (
-            (key in _TRAIN_INTS and not _is_int(value))
-            or (key in _TRAIN_NUMBERS and not _is_number(value))
-            or (key == "disc_weighting" and not isinstance(value, bool))
-        ):
-            raise ConfigError(f"train config: {key} has the wrong type: {value!r}")
-    kwargs = dict(block)
-    if "weights" in kwargs:
-        w = kwargs["weights"]
-        if not isinstance(w, (list, tuple)) or len(w) != 4 or not all(_is_number(v) for v in w):
-            raise ConfigError(f"weights must be a list of 4 numbers, got {w!r}")
-    if "metric" in kwargs:
-        kwargs["metric"] = _metric_config(kwargs["metric"])
-    if seed_override is not None:
-        kwargs["seed"] = seed_override
-    try:
-        if "weights" in kwargs:
-            kwargs["weights"] = RewardWeights(*[float(v) for v in kwargs["weights"]])
-        return TrainConfig(**kwargs)
-    except (TypeError, ValueError, InvalidWeightsError) as exc:
-        raise ConfigError(f"invalid train config: {exc}") from exc
-
-
-def _build_benchmark(make, block: dict, allowed: frozenset, where: str):
+def _build(make, block, where: str):
+    """make(**block) for a JSON object block.  make checks the keys, types
+    and ranges; its TypeError (an unknown key among them) or ValueError
+    becomes a ConfigError that names where."""
     if not isinstance(block, dict):
         raise ConfigError(f"{where} must be an object")
-    _check_keys(block, allowed, where)
     try:
         return make(**block)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
-def _benchmark(block: dict):
-    return _build_benchmark(make_closed_benchmark, block, _BENCH_KEYS, "benchmark config")
+def _metric_only_config(path: str | None) -> MetricConfig:
+    """The metric of a config file whose only key is ``metric``."""
+    cfg = _load_config(path, frozenset({"metric"}))
+    return _build(MetricConfig, cfg.get("metric", {}), "metric config")
 
 
-def _open_benchmark(block: dict):
-    return _build_benchmark(make_open_benchmark, block, _OPEN_BENCH_KEYS, "open_benchmark config")
+def _train_config(block, seed_override: int | None) -> TrainConfig:
+    """A train block's TrainConfig; weights are a JSON list of 4 and metric
+    an object."""
+    if not isinstance(block, dict):
+        raise ConfigError("train config must be an object")
+    kwargs = dict(block)
+    if "weights" in kwargs:
+        w = kwargs["weights"]
+        if not isinstance(w, list) or len(w) != 4:
+            raise ConfigError(f"weights must be a list of 4 numbers, got {w!r}")
+        names = (f.name for f in fields(RewardWeights))
+        kwargs["weights"] = _build(RewardWeights, dict(zip(names, w)), "weights")
+    if "metric" in kwargs:
+        kwargs["metric"] = _build(MetricConfig, kwargs["metric"], "metric config")
+    if seed_override is not None:
+        kwargs["seed"] = seed_override
+    return _build(TrainConfig, kwargs, "train config")
 
 
 def _format_for(args) -> str:
@@ -246,7 +170,7 @@ def _success_threshold(cfg: dict) -> float | dict[TaskType, float]:
     """One threshold, or an object of thresholds keyed by task name."""
     thr = cfg.get("success_threshold", 1.0)
     values = thr.values() if isinstance(thr, dict) else (thr,)
-    if not all(_is_number(v) for v in values):
+    if not all(_is_finite(v) for v in values):
         raise ConfigError(
             f"success_threshold must be a number or an object of numbers per task, got {thr!r}"
         )
@@ -313,7 +237,7 @@ def cmd_pool_build(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args.config, _TRAIN_KEYS | {"benchmark"})
-    bench_block = cfg.pop("benchmark", None)
+    bench_block = cfg.pop("benchmark", {})
     tc = _train_config(cfg, args.seed)
     if args.examples is not None:
         examples = read_examples(args.examples)
@@ -339,7 +263,7 @@ def cmd_train(args) -> int:
                 )
         artifacts = run_pipeline(examples, tc, pools=pools)
     else:
-        bench = _benchmark(bench_block or {})
+        bench = _build(make_closed_benchmark, bench_block, "benchmark config")
         artifacts = run_pipeline(bench.examples, tc, teacher=bench.teacher)
     artifacts.save(args.out)
     acc = artifacts.final_accuracy
@@ -359,7 +283,7 @@ def cmd_ablate(args) -> int:
             setting_config(label, tc)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    bench = _benchmark(cfg.get("benchmark", {}))
+    bench = _build(make_closed_benchmark, cfg.get("benchmark", {}), "benchmark config")
     summary, _ = run_ablation(tc, settings, seeds, bench)
     emit_report(ablation_table(summary), _format_for(args), args.out)
     for r in summary.results:
@@ -375,10 +299,10 @@ def cmd_sweep(args) -> int:
     seeds = _seeds_from(cfg, args.seed)
     k_grid = _list_field(cfg, "k_grid", (2, 4, 8), _is_count, "integers >= 1")
     taus = _list_field(
-        cfg, "tau_grid", (0.0, 0.2, 0.3, 0.5), lambda t: _is_number(t) and 0 <= t <= 1, "numbers in [0, 1]"
+        cfg, "tau_grid", (0.0, 0.2, 0.3, 0.5), lambda t: _is_finite(t) and 0 <= t <= 1, "numbers in [0, 1]"
     )
     tau_grid = tuple(float(t) for t in taus)
-    bench = _benchmark(cfg.get("benchmark", {}))
+    bench = _build(make_closed_benchmark, cfg.get("benchmark", {}), "benchmark config")
     result = run_sensitivity(tc, k_grid, tau_grid, seeds, bench)
     emit_report(list(sensitivity_tables(result)), _format_for(args), args.out)
     for cell in result.tau_table:
@@ -395,8 +319,8 @@ def cmd_adaptive(args) -> int:
     seeds = _seeds_from(cfg, args.seed)
     mislead = _number_field(cfg, "mislead", 0.85)
     proxy_noise = _number_field(cfg, "proxy_noise", 0.05)
-    bench = _benchmark(cfg.get("benchmark", {}))
-    open_bench = _open_benchmark(cfg.get("open_benchmark", {}))
+    bench = _build(make_closed_benchmark, cfg.get("benchmark", {}), "benchmark config")
+    open_bench = _build(make_open_benchmark, cfg.get("open_benchmark", {}), "open_benchmark config")
     result = run_task_adaptive_check(
         tc,
         seeds,
@@ -421,7 +345,7 @@ def cmd_passk(args) -> int:
     label = cfg.get("setting", "D")
     k_values = _list_field(cfg, "k_values", (1, 2, 4, 8, 16, 32, 64, 128), _is_count, "integers >= 1")
     thr = _success_threshold(cfg)
-    bench = _benchmark(cfg.get("benchmark", {}))
+    bench = _build(make_closed_benchmark, cfg.get("benchmark", {}), "benchmark config")
     try:
         cfg_setting = setting_config(label, tc)
     except ValueError as exc:
@@ -512,7 +436,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (CorpusError, FileNotFoundError) as exc:
+    except (CorpusError, OSError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (

@@ -21,14 +21,13 @@ bit for bit.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from mskd.analysis import VarianceReport
-from mskd.metrics import temporal_iou
+from mskd.metrics import _is_finite, _is_int, temporal_iou
 from mskd.policy import StudentPolicy
 from mskd.pool import MatchingDistribution, TeacherPool
 from mskd.synthetic import (
@@ -71,15 +70,6 @@ def _temporal_space(points: int = 10) -> tuple[TemporalSegment, ...]:
     )
 
 
-def _is_finite(value) -> bool:
-    """A finite int or float (numpy scalars included); a bool is not one."""
-    return (
-        isinstance(value, (int, float, np.integer, np.floating))
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
-
-
 def _check_benchmark_args(
     counts: dict[str, int],
     temperature: float,
@@ -93,17 +83,17 @@ def _check_benchmark_args(
 
     ``counts`` (example counts) and ``ints`` must be integers >= 0, and the
     counts not all zero; ``finite`` must be finite numbers and ``rates``
-    finite numbers in [0, 1].  numpy integers pass, bools do not.  The
+    finite numbers in [0, 1].  numpy scalars pass, bools do not.  The
     teacher's temperature and top_p must be settings nucleus accepts.
     """
     for name, value in {**counts, **ints}.items():
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        if not _is_int(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
         if value < 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
     if sum(counts.values()) == 0:
         raise ValueError(f"benchmark is empty: {counts}")
-    for name, value in {**finite, **rates}.items():
+    for name, value in {**finite, **rates, "temperature": temperature, "top_p": top_p}.items():
         if not _is_finite(value):
             raise ValueError(f"{name} must be a finite number, got {value!r}")
     for name, value in rates.items():

@@ -7,7 +7,10 @@ flag is false, and otherwise dispatches to the task's metric.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from mskd.kernels import box_iou, interval_iou, levenshtein
 from mskd.tasks import (
@@ -23,6 +26,20 @@ from mskd.tasks import (
 )
 
 
+def _is_int(value) -> bool:
+    """An int (numpy integers included); a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """A finite int or float (numpy scalars included); a bool is not one."""
+    return (
+        isinstance(value, (int, float, np.integer, np.floating))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
 @dataclass(frozen=True, slots=True)
 class MetricConfig:
     """Knobs for the graded metrics.
@@ -36,8 +53,8 @@ class MetricConfig:
     ocr_mode: str = "edit"
 
     def __post_init__(self) -> None:
-        if self.eps_rel <= 0:
-            raise ValueError(f"eps_rel must be positive, got {self.eps_rel}")
+        if not (_is_finite(self.eps_rel) and self.eps_rel > 0):
+            raise ValueError(f"eps_rel must be a finite positive number, got {self.eps_rel!r}")
         if self.ocr_mode not in ("edit", "exact"):
             raise ValueError(f"ocr_mode must be 'edit' or 'exact', got {self.ocr_mode!r}")
 

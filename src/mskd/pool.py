@@ -15,8 +15,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from mskd.corpus import CorpusError
-from mskd.metrics import DEFAULT_METRICS, MetricConfig, quality_score
+from mskd.corpus import CorpusError, _json_lines
+from mskd.metrics import DEFAULT_METRICS, MetricConfig, _is_finite, quality_score
 from mskd.policy import categorical_draw
 from mskd.tasks import ParsedResponse, SupervisionExample, TaskType, parse_response
 
@@ -187,32 +187,33 @@ def read_pool_cache(path: str | Path) -> list[TeacherPool]:
     re-parse of its text, or the line is rejected.
     """
     pools = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                task = TaskType(obj["task"])
-                responses = tuple(parse_response(r["text"], task) for r in obj["responses"])
-                stored = [(r["outer_valid"], r["task_valid"]) for r in obj["responses"]]
-                qs = [r["q"] for r in obj["responses"]]
-                qualities = None if any(q is None for q in qs) else tuple(float(q) for q in qs)
-                pool = TeacherPool(
-                    example_id=str(obj["example_id"]),
-                    task=task,
-                    responses=responses,
-                    qualities=qualities,
-                    tau_applied=obj.get("tau_applied"),
+    for lineno, obj in _json_lines(path, PoolCacheError, "bad pool record"):
+        try:
+            if not isinstance(obj["example_id"], str):
+                raise ValueError(f"example_id must be a string, got {obj['example_id']!r}")
+            task = TaskType(obj["task"])
+            responses = tuple(parse_response(r["text"], task) for r in obj["responses"])
+            stored = [(r["outer_valid"], r["task_valid"]) for r in obj["responses"]]
+            qs = [r["q"] for r in obj["responses"]]
+            if not all(q is None or _is_finite(q) for q in qs):
+                raise ValueError(f"each q must be null or a finite number, got {qs!r}")
+            tau = obj.get("tau_applied")
+            if tau is not None and not (_is_finite(tau) and 0.0 <= tau <= 1.0):
+                raise ValueError(f"tau_applied must be null or a number in [0,1], got {tau!r}")
+            pool = TeacherPool(
+                example_id=obj["example_id"],
+                task=task,
+                responses=responses,
+                qualities=None if any(q is None for q in qs) else tuple(float(q) for q in qs),
+                tau_applied=tau,
+            )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise PoolCacheError(f"{path}:{lineno}: bad pool record ({exc!r})") from exc
+        for j, (flags, parsed) in enumerate(zip(stored, responses)):
+            if flags != (parsed.outer_valid, parsed.task_valid):
+                raise PoolCacheError(
+                    f"{path}:{lineno}: response {j} stores (outer_valid, task_valid) = "
+                    f"{flags} but its text re-parses to {(parsed.outer_valid, parsed.task_valid)}"
                 )
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                raise PoolCacheError(f"{path}:{lineno}: bad pool record ({exc!r})") from exc
-            for j, (flags, parsed) in enumerate(zip(stored, responses)):
-                if flags != (parsed.outer_valid, parsed.task_valid):
-                    raise PoolCacheError(
-                        f"{path}:{lineno}: response {j} stores (outer_valid, task_valid) = "
-                        f"{flags} but its text re-parses to {(parsed.outer_valid, parsed.task_valid)}"
-                    )
-            pools.append(pool)
+        pools.append(pool)
     return pools

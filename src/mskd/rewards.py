@@ -8,15 +8,15 @@ the published operating point, so malformed weights fail hard.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from mskd.metrics import DEFAULT_METRICS, MetricConfig, quality_score
+from mskd.metrics import DEFAULT_METRICS, MetricConfig, _is_finite, quality_score
 from mskd.tasks import ParsedResponse, SupervisionExample
 
 
 class InvalidWeightsError(ValueError):
-    """Reward weights were negative or failed to sum to one."""
+    """Reward weights were not finite numbers, were negative, or failed to
+    sum to one."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -28,8 +28,9 @@ class RewardWeights:
 
     def __post_init__(self) -> None:
         vals = (self.alpha, self.beta, self.eta, self.delta)
-        if any(not math.isfinite(v) or v < 0 for v in vals):
-            raise InvalidWeightsError(f"weights must be finite and non-negative: {vals}")
+        for name, v in zip(("alpha", "beta", "eta", "delta"), vals):
+            if not (_is_finite(v) and v >= 0):
+                raise InvalidWeightsError(f"weight {name} must be a finite number >= 0, got {v!r}")
         if abs(sum(vals) - 1.0) > 1e-12:
             raise InvalidWeightsError(f"weights must sum to 1, got {sum(vals)!r}")
 

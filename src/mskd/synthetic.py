@@ -132,8 +132,10 @@ def calibrate_concentration(
 
     Expected score is monotone non-decreasing in concentration; targets
     outside the achievable range clip to the nearest endpoint.  An (n, m)
-    score matrix with n targets is bisected row by row in one batch and
-    gives an array of n concentrations; a 1-D call is the one-row case.
+    score matrix with n targets, or one scalar target for every row, is
+    bisected row by row in one batch and gives an array of n
+    concentrations; a 1-D call is the one-row case.  Any other target
+    shape raises ValueError.
     A row leaves the batch once its bracket stops moving, since every
     later step would repeat the same midpoint, or after ``iters`` steps.
 
@@ -155,7 +157,14 @@ def calibrate_concentration(
     else:
         paths.check(scores, settings)
     scores = paths.scores
-    targets = np.atleast_1d(np.asarray(target_mean, dtype=float))
+    targets = np.asarray(target_mean, dtype=float)
+    if targets.ndim == 0:
+        targets = np.full(len(scores), float(targets))
+    elif targets.shape != (len(scores),):
+        raise ValueError(
+            f"target_mean must be a scalar or one target per row ({len(scores)}), "
+            f"got shape {targets.shape}"
+        )
 
     clip_lo = targets <= paths.mean_lo
     clip_hi = ~clip_lo & (targets >= paths.mean_hi)

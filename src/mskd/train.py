@@ -35,7 +35,7 @@ from mskd.discriminator import (
     save_params,
     score_batch,
 )
-from mskd.metrics import DEFAULT_METRICS, MetricConfig, quality_score
+from mskd.metrics import DEFAULT_METRICS, MetricConfig, _is_finite, _is_int, quality_score
 from mskd.policy import (
     StudentPolicy,
     categorical_draw,
@@ -210,32 +210,33 @@ class TrainConfig:
     def __post_init__(self) -> None:
         for name in ("seed", "k", "n_rollouts", "epochs_stage1", "epochs_stage2", "hidden_dim"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not _is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("tau", "gamma", "lr_student", "lr_disc", "temperature", "top_p"):
+            value = getattr(self, name)
+            if not _is_finite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        if not isinstance(self.disc_weighting, bool):
+            raise ValueError(f"disc_weighting must be a bool, got {self.disc_weighting!r}")
         if not isinstance(self.weights, RewardWeights):
-            raise InvalidWeightsError(f"expected RewardWeights, got {type(self.weights).__name__}")
-        if self.k < 1 or self.n_rollouts < 1:
-            raise ValueError("k and n_rollouts must be >= 1")
+            raise InvalidWeightsError(f"weights must be RewardWeights, got {type(self.weights).__name__}")
+        if not isinstance(self.metric, MetricConfig):
+            raise ValueError(f"metric must be a MetricConfig, got {type(self.metric).__name__}")
+        for name, least in (("k", 1), ("n_rollouts", 1), ("epochs_stage1", 0), ("epochs_stage2", 0),
+                            ("seed", 0), ("hidden_dim", 0), ("gamma", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        for name in ("lr_student", "lr_disc", "temperature"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError(f"tau must be in [0,1], got {self.tau}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if self.lr_student <= 0 or self.lr_disc <= 0:
-            raise ValueError("learning rates must be positive")
-        if self.epochs_stage1 < 0 or self.epochs_stage2 < 0:
-            raise ValueError("epoch counts must be >= 0")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not 0.0 < self.top_p <= 1.0:
+            raise ValueError(f"top_p must be in (0,1], got {self.top_p}")
         if self.matching not in ("quality", "uniform"):
             raise ValueError(f"matching must be 'quality' or 'uniform', got {self.matching!r}")
         if self.baseline not in ("group_mean", "none"):
             raise ValueError(f"baseline must be 'group_mean' or 'none', got {self.baseline!r}")
-        if self.hidden_dim < 0:
-            raise ValueError(f"hidden_dim must be >= 0, got {self.hidden_dim}")
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
-        if not 0.0 < self.top_p <= 1.0:
-            raise ValueError(f"top_p must be in (0,1], got {self.top_p}")
 
 
 @dataclass

@@ -2,15 +2,19 @@
 
 import hashlib
 import json
+from dataclasses import asdict, astuple, fields
 
 import numpy as np
 import pytest
 
 from conftest import mk_mcq, mk_open
-from mskd.cli import main
+from mskd.cli import _train_config, main
 from mskd.corpus import ResponseRow, write_examples, write_responses
 from mskd.pool import read_pool_cache
+from mskd.metrics import DEFAULT_METRICS
+from mskd.rewards import DEFAULT_WEIGHTS
 from mskd.tasks import SupervisionExample, TaskType, Text
+from mskd.train import TrainConfig
 
 TINY_TRAIN = {"k": 2, "n_rollouts": 4, "epochs_stage1": 2, "epochs_stage2": 2}
 TINY_BENCH = {"n_mcq": 2, "n_temporal": 2, "retention_target": None}
@@ -182,8 +186,9 @@ def test_pool_build_without_config_is_unchanged(ocr_corpus, tmp_path):
 
 @pytest.mark.parametrize(
     "payload",
-    [None, {"k": 4}, {"metric": {"eps": 0.1}}, {"metric": {"ocr_mode": "fuzzy"}}],
-    ids=["missing_file", "unknown_key", "unknown_metric_key", "bad_metric_value"],
+    [None, {"k": 4}, {"metric": {"eps": 0.1}}, {"metric": {"ocr_mode": "fuzzy"}},
+     {"metric": {"eps_rel": float("nan")}}],
+    ids=["missing_file", "unknown_key", "unknown_metric_key", "bad_metric_value", "eps_rel_nan"],
 )
 def test_pool_build_bad_config_is_config_error(ocr_corpus, tmp_path, capsys, payload):
     cfg = str(tmp_path / "absent.json") if payload is None else write_cfg(tmp_path, "c.json", payload)
@@ -200,8 +205,10 @@ def test_pool_build_bad_config_is_config_error(ocr_corpus, tmp_path, capsys, pay
         '{"id": "m", "task": "multiple_choice", "question": "q", "ground_truth": "A",'
         ' "option_count": "x"}',
         '{"id": "o", "task": "ocr", "question": "q", "ground_truth": "x", "answer_space": 5}',
+        '{"id": "o", "task": "ocr", "question": null, "ground_truth": "x"}',
+        '{"id": 5, "task": "ocr", "question": "q", "ground_truth": "x"}',
     ],
-    ids=["not_an_object", "option_count", "answer_space"],
+    ids=["not_an_object", "option_count", "answer_space", "question_null", "id_int"],
 )
 def test_analyze_malformed_example_line_is_input_error(corpus, tmp_path, capsys, line):
     ex_path, resp_path = corpus
@@ -313,7 +320,9 @@ def test_adaptive_bad_open_benchmark_is_config_error(tmp_path, capsys, open_benc
 
 
 @pytest.mark.parametrize(
-    "metric", [{"eps": 0.1}, {"eps_rel": -1.0}, "edit"], ids=["unknown_key", "bad_value", "type"]
+    "metric",
+    [{"eps": 0.1}, {"eps_rel": -1.0}, "edit", {"eps_rel": float("nan")}, {"eps_rel": True}],
+    ids=["unknown_key", "bad_value", "type", "eps_rel_nan", "eps_rel_bool"],
 )
 def test_analyze_bad_metric_config_is_config_error(corpus, tmp_path, capsys, metric):
     ex_path, resp_path = corpus
@@ -492,6 +501,7 @@ BAD_HARNESS_FIELDS = {
     "ablate_train_k_boolean": ("ablate", {"train": dict(TINY_TRAIN, k=True)}),
     "ablate_train_n_rollouts_float": ("ablate", {"train": dict(TINY_TRAIN, n_rollouts=2.5)}),
     "ablate_train_disc_weighting_string": ("ablate", {"train": dict(TINY_TRAIN, disc_weighting="no")}),
+    "ablate_train_gamma_nan": ("ablate", {"train": dict(TINY_TRAIN, gamma=float("nan"))}),
     "ablate_seeds_negative": ("ablate", {"seeds": [-1, 0]}),
     "ablate_seeds_booleans": ("ablate", {"seeds": [True, False]}),
     "ablate_settings_string": ("ablate", {"settings": "AD"}),
@@ -509,4 +519,98 @@ def test_harness_bad_config_field_is_config_error(tmp_path, capsys, case):
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
+# train config fields that each type rejects, with the name the error must carry
+BAD_TRAIN_FIELDS = {
+    "gamma_nan": ({"gamma": float("nan")}, "gamma"),
+    "lr_student_inf": ({"lr_student": float("inf")}, "lr_student"),
+    "lr_disc_minus_inf": ({"lr_disc": float("-inf")}, "lr_disc"),
+    "temperature_nan": ({"temperature": float("nan")}, "temperature"),
+    "top_p_bool": ({"top_p": True}, "top_p"),
+    "tau_bool": ({"tau": True}, "tau"),
+    "disc_weighting_string": ({"disc_weighting": "no"}, "disc_weighting"),
+    "metric_eps_rel_nan": ({"metric": {"eps_rel": float("nan")}}, "eps_rel"),
+    "metric_not_an_object": ({"metric": "edit"}, "metric"),
+    "weights_bool": ({"weights": [True, 0, 0, 0]}, "alpha"),
+    "weights_short": ({"weights": [0.5, 0.5]}, "weights"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TRAIN_FIELDS))
+def test_train_bad_field_names_it(tmp_path, capsys, case):
+    block, field = BAD_TRAIN_FIELDS[case]
+    cfg = write_cfg(tmp_path, "t.json", dict(TINY_TRAIN, benchmark=TINY_BENCH, **block))
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and field in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_config_naming_every_field_at_its_default_is_accepted(tmp_path):
+    block = {f.name: f.default for f in fields(TrainConfig)}
+    block.update(weights=list(astuple(DEFAULT_WEIGHTS)), metric=asdict(DEFAULT_METRICS))
+    assert _train_config(json.loads(json.dumps(block)), None) == TrainConfig()
+    tiny = dict(block, **TINY_TRAIN, benchmark=TINY_BENCH)
+    cfg = write_cfg(tmp_path, "t.json", tiny)
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+
+
+def test_train_pool_cache_with_string_tau_is_input_error(corpus, tmp_path, capsys):
+    ex_path, resp_path = corpus
+    cache = tmp_path / "pools.jsonl"
+    assert main(
+        ["pool", "build", "--examples", str(ex_path), "--responses", str(resp_path),
+         "--k", "2", "--tau", "0.3", "--out", str(cache)]
+    ) == 0
+    lines = cache.read_text(encoding="utf-8").splitlines()
+    obj = json.loads(lines[0])
+    obj["tau_applied"] = "0.3"
+    cache.write_text("\n".join([json.dumps(obj), *lines[1:]]) + "\n", encoding="utf-8")
+    code = main(
+        ["train", "--config", write_cfg(tmp_path, "t.json", TINY_TRAIN), "--examples", str(ex_path),
+         "--pool-cache", str(cache), "--out", str(tmp_path / "run")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {cache}:1: bad pool record") and "tau_applied" in err
+    assert "Traceback" not in err
+
+
+def _unreadable_input(case, tmp_path, corpus):
+    """(argv, path the error must name) for one unreadable-input case."""
+    ex_path, resp_path = corpus
+    out = tmp_path / "r.csv"
+    analyze = ["analyze", "--examples", str(ex_path), "--responses", str(resp_path), "--out", str(out)]
+    if case == "examples_directory":
+        return analyze[:2] + [str(tmp_path)] + analyze[3:], tmp_path
+    if case == "config_directory":
+        return analyze + ["--config", str(tmp_path)], tmp_path
+    if case == "examples_not_utf8":
+        ex_path.write_bytes(b'{"id": "\xff", "task": "ocr", "question": "q", "ground_truth": "x"}\n')
+        return analyze, ex_path
+    if case == "config_not_utf8":
+        path = tmp_path / "c.json"
+        path.write_bytes(b'{"metric": {"ocr_mode": "\xff"}}')
+        return analyze + ["--config", str(path)], path
+    if case == "train_out_is_a_file":
+        out = tmp_path / "run"
+        out.write_text("not a directory", encoding="utf-8")
+        cfg = write_cfg(tmp_path, "t.json", dict(TINY_TRAIN, benchmark=TINY_BENCH))
+        return ["train", "--config", cfg, "--out", str(out)], out
+    raise AssertionError(case)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["examples_directory", "config_directory", "examples_not_utf8", "config_not_utf8",
+     "train_out_is_a_file"],
+)
+def test_unreadable_input_exits_two(corpus, tmp_path, capsys, case):
+    argv, named = _unreadable_input(case, tmp_path, corpus)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(("input error: ", "config error: ")) and str(named) in err
     assert "Traceback" not in err

@@ -1,5 +1,6 @@
 """JSONL round-trips for examples, responses, and payload encoding."""
 
+import json
 import re
 
 import pytest
@@ -53,6 +54,25 @@ def test_payload_from_json_rejects_malformed():
         payload_from_json([0.1, 0.2, 0.3], T.SPATIAL_GROUNDING)
     with pytest.raises(CorpusError):
         payload_from_json("ABC", T.MULTIPLE_CHOICE)
+
+
+@pytest.mark.parametrize(
+    "value, task",
+    [
+        ([False, 0.5], T.TEMPORAL_GROUNDING),
+        (["0.1", 0.5], T.TEMPORAL_GROUNDING),
+        ([0.1, 0.2, float("inf"), 0.4], T.SPATIAL_GROUNDING),
+        (True, T.NUMERICAL),
+        ("12", T.NUMERICAL),
+        ("nan", T.NUMERICAL),
+        (float("nan"), T.NUMERICAL),
+    ],
+    ids=["segment_bool", "segment_string", "box_inf", "number_bool", "number_string",
+         "number_nan_string", "number_nan"],
+)
+def test_payload_from_json_wants_finite_json_numbers(value, task):
+    with pytest.raises(CorpusError, match="bad payload value"):
+        payload_from_json(value, task)
 
 
 def test_example_json_round_trip():
@@ -155,3 +175,40 @@ def test_read_examples_rejects_bad_json(tmp_path):
     path.write_text("{not json}\n", encoding="utf-8")
     with pytest.raises(CorpusError):
         read_examples(path)
+
+
+RESPONSE_RECORD = {"example_id": "x", "source": "teacher", "sample_index": 1, "text": "t"}
+
+
+@pytest.mark.parametrize(
+    "obj, key",
+    [
+        ([1, 2], "JSON object"),
+        (dict(RESPONSE_RECORD, text=None), "text"),
+        (dict(RESPONSE_RECORD, text=5), "text"),
+        (dict(RESPONSE_RECORD, example_id=5), "example_id"),
+        (dict(RESPONSE_RECORD, source=None), "source"),
+        (dict(RESPONSE_RECORD, sample_index=1.7), "sample_index"),
+        (dict(RESPONSE_RECORD, sample_index=1.0), "sample_index"),
+        (dict(RESPONSE_RECORD, sample_index=True), "sample_index"),
+        (dict(RESPONSE_RECORD, sample_index="1"), "sample_index"),
+        ({k: v for k, v in RESPONSE_RECORD.items() if k != "text"}, "text"),
+    ],
+    ids=["not_an_object", "text_null", "text_int", "example_id_int", "source_null",
+         "sample_index_float", "sample_index_integral_float", "sample_index_bool",
+         "sample_index_string", "text_missing"],
+)
+def test_read_responses_rejects_wrong_field_types(tmp_path, obj, key):
+    path = tmp_path / "responses.jsonl"
+    write_responses([ResponseRow("x", "teacher", 0, "t")], path)
+    path.write_text(path.read_text(encoding="utf-8") + json.dumps(obj) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}:2: .*{key}"):
+        read_responses(path)
+
+
+@pytest.mark.parametrize("reader", [read_examples, read_responses])
+def test_readers_name_a_file_that_is_not_utf8(tmp_path, reader):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b'{"id": "\xff"}\n')
+    with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+        reader(path)

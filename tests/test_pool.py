@@ -193,6 +193,26 @@ def test_pool_cache_round_trip(tmp_path):
     assert loaded["open-0"].qualities is None
 
 
+def _cache_line(q=1.0, **fields):
+    """One well-formed cache line for an MCQ pool of GOOD, with fields and
+    the first response's q replaced."""
+    obj = {
+        "example_id": "mcq-1",
+        "task": "multiple_choice",
+        "responses": [{"text": GOOD, "outer_valid": True, "task_valid": True, "q": q}],
+        "tau_applied": None,
+    }
+    return json.dumps(dict(obj, **fields))
+
+
+def test_pool_cache_line_helper_reads_back(tmp_path):
+    path = tmp_path / "pools.jsonl"
+    path.write_text(_cache_line() + "\n" + _cache_line(tau_applied=0, q=None) + "\n", encoding="utf-8")
+    first, second = read_pool_cache(path)
+    assert (first.example_id, first.qualities, first.tau_applied) == ("mcq-1", (1.0,), None)
+    assert (second.qualities, second.tau_applied) == (None, 0)
+
+
 @pytest.mark.parametrize(
     "bad_line",
     [
@@ -200,8 +220,17 @@ def test_pool_cache_round_trip(tmp_path):
         '{"example_id": "mcq-0"}',
         "[1, 2]",
         '{"example_id": "mcq-0", "task": "multiple_choice", "responses": [{"text": 5, "q": 1.0}]}',
+        _cache_line(tau_applied="0.3"),
+        _cache_line(tau_applied=1.5),
+        _cache_line(tau_applied=float("nan")),
+        _cache_line(tau_applied=True),
+        _cache_line(q="1.0"),
+        _cache_line(q=True),
+        _cache_line(q=float("inf")),
+        _cache_line(example_id=5),
     ],
-    ids=["truncated", "missing_keys", "not_an_object", "text_not_a_string"],
+    ids=["truncated", "missing_keys", "not_an_object", "text_not_a_string", "tau_string",
+         "tau_above_one", "tau_nan", "tau_bool", "q_string", "q_bool", "q_inf", "example_id_int"],
 )
 def test_pool_cache_malformed_line_names_file_and_line(tmp_path, bad_line):
     ex = mk_mcq(gt="B")

@@ -341,3 +341,29 @@ def test_bisection_paths_reject_other_inputs():
     # the record still serves its own inputs
     got = calibrate_concentration(scores, np.array([0.3, 0.7]), paths=paths)
     np.testing.assert_array_equal(got, calibrate_concentration(scores, np.array([0.3, 0.7])))
+
+
+def test_scalar_target_applies_to_every_row():
+    scores = np.array([[0.0, 1.0, 0.5], [0.2, 0.4, 0.9], [0.3, 0.3, 0.6]])
+    for target in (0.55, -1.0, 2.0):  # reachable and clipped at both ends
+        want = calibrate_concentration(scores, np.full(len(scores), target))
+        got = calibrate_concentration(scores, target)
+        assert got.tobytes() == want.tobytes()
+        # a reused record gives the same bytes as a fresh one
+        paths = BisectionPaths(scores)
+        calibrate_concentration(scores, np.array([0.3, 0.7, 0.5]), paths=paths)
+        assert calibrate_concentration(scores, target, paths=paths).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("target", [np.array([0.5, 0.6]), np.array([0.5] * 4), np.full((3, 1), 0.5)])
+def test_target_of_wrong_length_names_target_mean(target):
+    scores = np.array([[0.0, 1.0, 0.5], [0.2, 0.4, 0.9], [0.3, 0.3, 0.6]])
+    with pytest.raises(ValueError, match="target_mean"):
+        calibrate_concentration(scores, target)
+    paths = BisectionPaths(scores)
+    before = calibrate_concentration(scores, np.array([0.3, 0.7, 0.5]), paths=paths)
+    with pytest.raises(ValueError, match="target_mean"):
+        calibrate_concentration(scores, target, paths=paths)
+    # the record still serves its own inputs
+    again = calibrate_concentration(scores, np.array([0.3, 0.7, 0.5]), paths=paths)
+    assert again.tobytes() == before.tobytes()

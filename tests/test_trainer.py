@@ -9,7 +9,8 @@ from conftest import mk_binary, mk_mcq, mk_open, mk_temporal
 from mskd.discriminator import Featurizer, init_params
 from mskd.harness import open_accuracy
 from mskd.pool import NoValidTargetError, build_pool, matching_distribution
-from mskd.rewards import InvalidWeightsError
+from mskd.metrics import MetricConfig
+from mskd.rewards import InvalidWeightsError, RewardWeights
 from mskd.synthetic import SyntheticTeacher
 from mskd.tasks import TaskType, TemporalSegment
 from mskd.train import (
@@ -375,6 +376,41 @@ def test_train_config_validation():
 def test_train_config_rejects_non_integer_counts(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be an integer"):
         TrainConfig(**{field: value})
+
+
+# (type, keyword arguments, the field its error must name)
+BAD_CONFIG_FIELDS = [
+    *[
+        (TrainConfig, {f: v}, f)
+        for f in ("tau", "gamma", "lr_student", "lr_disc", "temperature", "top_p")
+        for v in (np.nan, np.inf, True)
+    ],
+    (TrainConfig, {"tau": "0.3"}, "tau"),
+    (TrainConfig, {"disc_weighting": "no"}, "disc_weighting"),
+    (TrainConfig, {"disc_weighting": 1}, "disc_weighting"),
+    (TrainConfig, {"metric": {"eps_rel": 0.05}}, "metric"),
+    (MetricConfig, {"eps_rel": np.nan}, "eps_rel"),
+    (MetricConfig, {"eps_rel": np.inf}, "eps_rel"),
+    (MetricConfig, {"eps_rel": True}, "eps_rel"),
+    (MetricConfig, {"eps_rel": "0.05"}, "eps_rel"),
+    (RewardWeights, {"alpha": True, "beta": 0, "eta": 0, "delta": 0}, "alpha"),
+    (RewardWeights, {"alpha": 0.4, "beta": 0.1, "eta": 0.1, "delta": "0.4"}, "delta"),
+]
+
+
+@pytest.mark.parametrize(
+    "make,kwargs,field",
+    BAD_CONFIG_FIELDS,
+    ids=[f"{make.__name__}-{field}-{kw[field]!r}" for make, kw, field in BAD_CONFIG_FIELDS],
+)
+def test_config_types_reject_non_finite_bool_and_wrong_types(make, kwargs, field):
+    with pytest.raises(ValueError, match=field):
+        make(**kwargs)
+
+
+def test_train_config_accepts_numpy_floats():
+    cfg = TrainConfig(tau=np.float32(0.25), gamma=np.float64(0.0), metric=MetricConfig(np.float64(0.1)))
+    assert (cfg.tau, cfg.gamma, cfg.metric.eps_rel) == (0.25, 0.0, 0.1)
 
 
 def test_train_config_accepts_numpy_integers():
