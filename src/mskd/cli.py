@@ -239,6 +239,10 @@ def cmd_train(args) -> int:
     cfg = _load_config(args.config, _TRAIN_KEYS | {"benchmark"})
     bench_block = cfg.pop("benchmark", {})
     tc = _train_config(cfg, args.seed)
+    out = Path(args.out)
+    blocker = next(p for p in (out, *out.parents) if p.exists())
+    if not blocker.is_dir():
+        raise ConfigError(f"--out {out}: {blocker} exists and is not a directory")
     if args.examples is not None:
         examples = read_examples(args.examples)
         if not examples:
@@ -357,7 +361,6 @@ def cmd_passk(args) -> int:
         k_values,
         temperature=tc.temperature,
         top_p=tc.top_p,
-        seed=tc.seed,
         success_threshold=thr,
         metric_cfg=tc.metric,
     )

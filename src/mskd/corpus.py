@@ -5,7 +5,7 @@ Responses: {"example_id", "source": "teacher"|"student", "sample_index", "text"}
 
 Ids, questions, sources and texts are JSON strings; option_count and
 sample_index are JSON integers and payload numbers finite JSON numbers
-(true and false are neither).
+(true and false are neither).  No two example records share an id.
 
 Ground-truth / answer-space values are written in the natural shape of the
 task (a two-list for segments, four-list for boxes, a letter, "yes"/"no",
@@ -165,11 +165,16 @@ def _json_lines(
 
 def read_examples(path: str | Path) -> list[SupervisionExample]:
     out = []
+    first_line: dict[str, int] = {}
     for lineno, obj in _json_lines(path):
         try:
-            out.append(example_from_json(obj))
+            ex = example_from_json(obj)
         except CorpusError as exc:
             raise CorpusError(f"{path}:{lineno}: {exc}") from exc
+        first = first_line.setdefault(ex.id, lineno)
+        if first != lineno:
+            raise CorpusError(f"{path}:{lineno}: duplicate example id {ex.id!r} (first on line {first})")
+        out.append(ex)
     return out
 
 

@@ -87,19 +87,6 @@ class StudentPolicy:
     def probs(self, ex: SupervisionExample) -> np.ndarray:
         return softmax(self.logits_for(ex))
 
-    def sample(
-        self,
-        ex: SupervisionExample,
-        n: int,
-        rng: np.random.Generator,
-        temperature: float = 1.0,
-        top_p: float = 1.0,
-    ) -> np.ndarray:
-        p = self.probs(ex)
-        if temperature != 1.0 or top_p != 1.0:
-            p = nucleus(p, temperature, top_p)
-        return categorical_draw(p, n, rng)
-
     def copy(self) -> "StudentPolicy":
         return StudentPolicy(logits={k: v.copy() for k, v in self.logits.items()})
 

@@ -183,10 +183,11 @@ def write_pool_cache(pools: Iterable[TeacherPool], path: str | Path) -> None:
 def read_pool_cache(path: str | Path) -> list[TeacherPool]:
     """Load pools written by write_pool_cache; payloads are re-extracted.
 
-    Each response's stored outer_valid/task_valid flags must match the
-    re-parse of its text, or the line is rejected.
+    A line whose stored outer_valid/task_valid flags differ from the
+    re-parse of its texts, or whose example_id repeats, is rejected.
     """
     pools = []
+    first_line: dict[str, int] = {}
     for lineno, obj in _json_lines(path, PoolCacheError, "bad pool record"):
         try:
             if not isinstance(obj["example_id"], str):
@@ -215,5 +216,10 @@ def read_pool_cache(path: str | Path) -> list[TeacherPool]:
                     f"{path}:{lineno}: response {j} stores (outer_valid, task_valid) = "
                     f"{flags} but its text re-parses to {(parsed.outer_valid, parsed.task_valid)}"
                 )
+        first = first_line.setdefault(pool.example_id, lineno)
+        if first != lineno:
+            raise PoolCacheError(
+                f"{path}:{lineno}: duplicate example_id {pool.example_id!r} (first on line {first})"
+            )
         pools.append(pool)
     return pools

@@ -15,8 +15,8 @@ RL steps' streams are the two spawned children of that sequence; a run
 derives all of them at once with stream_table, one vectorised pass of
 SeedSequence's hash, and seeds each step's generators from its table row.
 The reference policy is frozen after Stage 1, so its distribution is taken
-once per example, and evaluation computes each expected metric with one
-softmax and one stacked dot product per answer-space size.
+once per example, and evaluation, pass@k included, computes each expected
+metric with one softmax, nucleus and stacked dot product per answer-space size.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from mskd.policy import (
     categorical_draw,
     init_student,
     kl_gradient_logits,
+    nucleus,
     softmax,
 )
 from mskd.pool import (
@@ -67,7 +68,7 @@ from mskd.tasks import ParsedResponse, SupervisionExample, TaskType, parse_respo
 
 # Stream tags: one per independent purpose so that config knobs that should
 # not perturb unrelated draws (tau, matching mode, weighting) never do.
-_S_POOL, _S_SFT, _S_DISC, _S_ROLL, _S_PASSK = 1, 2, 3, 4, 5
+_S_POOL, _S_SFT, _S_DISC, _S_ROLL = 1, 2, 3, 4
 
 
 class SkippedExample(Exception):
@@ -446,13 +447,16 @@ def expected_scores(
     student: StudentPolicy,
     examples: list[SupervisionExample],
     scores: list[np.ndarray],
+    temperature: float = 1.0,
+    top_p: float = 1.0,
 ) -> np.ndarray:
-    """student.probs(ex) @ score for each example and its slot scores, in
-    order.
+    """nucleus(student.probs(ex), temperature, top_p) @ score for each
+    example and its slot scores, in order.
 
     Examples are grouped by answer-space size; each group takes one
-    row-wise softmax and one stacked (1, m) @ (m, 1) product, which give
-    the per-example values bit for bit.
+    row-wise softmax and nucleus and one stacked (1, m) @ (m, 1) product,
+    which give the per-example values bit for bit.  At the default
+    temperature and top_p the nucleus is the softmax itself.
     """
     groups: dict[int, list[int]] = {}
     for j, score in enumerate(scores):
@@ -460,6 +464,7 @@ def expected_scores(
     out = np.empty(len(examples))
     for rows in groups.values():
         p = softmax(np.stack([student.logits_for(examples[j]) for j in rows]))
+        p = nucleus(p, temperature, top_p)
         q = np.stack([scores[j] for j in rows])
         out[rows] = (p[:, None, :] @ q[:, :, None])[:, 0, 0]
     return out
@@ -628,34 +633,27 @@ def pass_at_k_eval(
     k_values: list[int],
     temperature: float = 1.0,
     top_p: float = 0.9,
-    seed: int = 0,
     success_threshold: float | dict[TaskType, float] = 1.0,
     metric_cfg: MetricConfig = DEFAULT_METRICS,
 ) -> list[tuple[int, float]]:
-    """Fraction of examples solved by at least one of k samples.
+    """Expected fraction of examples solved by at least one of k samples.
 
-    Samples per example are drawn once at max(k) and evaluated by prefix,
-    so the resulting curve is non-decreasing in k by construction.  A
-    sample succeeds when its slot metric reaches the task's threshold
-    (1.0 = exact match).
+    A sample succeeds when its slot metric reaches the task's threshold
+    (1.0 = exact match).  With f the nucleus mass on an example's failing
+    slots, k independent samples all fail with probability f**k, so each
+    rate is the exact mean(1 - f**k), non-decreasing in k.
     """
     if not k_values or min(k_values) < 1:
         raise ValueError("k_values must be non-empty positive integers")
     ks = sorted(set(int(k) for k in k_values))
-    max_k = ks[-1]
-    hit_matrix = np.zeros((len(examples), len(ks)))
-    for i, ex in enumerate(examples):
+    misses = []
+    for ex in examples:
         if not ex.task.is_closed:
             raise ValueError(f"example {ex.id}: pass@k needs a closed-ended success check")
-        thr = (
-            success_threshold.get(ex.task, 1.0)
-            if isinstance(success_threshold, dict)
-            else success_threshold
-        )
-        _, space_quality = score_answer_space(ex, metric_cfg)
-        ok = space_quality >= thr
-        draws = student.sample(ex, max_k, _stream(seed, _S_PASSK, i), temperature, top_p)
-        prefix_hit = np.maximum.accumulate(ok[draws])
-        hit_matrix[i] = prefix_hit[np.array(ks) - 1]
-    rates = hit_matrix.mean(axis=0)
-    return [(k, float(r)) for k, r in zip(ks, rates)]
+        thr = success_threshold
+        if isinstance(thr, dict):
+            thr = thr.get(ex.task, 1.0)
+        misses.append((score_answer_space(ex, metric_cfg)[1] < thr).astype(float))
+    # at most 1, so an example with no successful slot scores exactly 0
+    f = np.minimum(expected_scores(student, examples, misses, temperature, top_p), 1.0)
+    return [(k, float(np.mean(1.0 - f**k))) for k in ks]

@@ -378,6 +378,36 @@ def test_train_pool_cache_mismatch_is_config_error(corpus, tmp_path, capsys, bui
     assert err.startswith("config error: pool cache example mcq-0: ") and message in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "pool_build", "train_pool_cache"])
+def test_duplicate_example_id_is_input_error(corpus, tmp_path, capsys, command):
+    ex_path, resp_path = corpus
+    cache = tmp_path / "pools.jsonl"
+    build = ["pool", "build", "--examples", str(ex_path), "--responses", str(resp_path),
+             "--k", "3", "--tau", "0.3", "--out", str(cache)]
+    argv = {
+        "analyze": ["analyze", "--examples", str(ex_path), "--responses", str(resp_path),
+                    "--out", str(tmp_path / "r.csv")],
+        "pool_build": build,
+        "train_pool_cache": ["train", "--config", write_cfg(tmp_path, "t.json", dict(TINY_TRAIN, k=3)),
+                             "--examples", str(ex_path), "--pool-cache", str(cache),
+                             "--out", str(tmp_path / "run")],
+    }[command]
+    if command == "train_pool_cache":
+        assert main(build) == 0
+        duplicated, field = cache, "example_id"
+    else:
+        duplicated, field = ex_path, "example id"
+    # the first record again, as the last line of the same file
+    lines = duplicated.read_text(encoding="utf-8").splitlines()
+    duplicated.write_text("\n".join([*lines, lines[0]]) + "\n", encoding="utf-8")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"input error: {duplicated}:{len(lines) + 1}: duplicate {field} 'mcq-0' (first on line 1)"
+    )
+    assert "Traceback" not in err
+
+
 def test_pool_build_orders_responses_by_sample_index(ocr_corpus, tmp_path):
     ex_path, resp_path = ocr_corpus
     lines = resp_path.read_text(encoding="utf-8").splitlines()
@@ -595,9 +625,11 @@ def _unreadable_input(case, tmp_path, corpus):
         path = tmp_path / "c.json"
         path.write_bytes(b'{"metric": {"ocr_mode": "\xff"}}')
         return analyze + ["--config", str(path)], path
-    if case == "train_out_is_a_file":
+    if case in ("train_out_is_a_file", "train_out_under_a_file"):
         out = tmp_path / "run"
         out.write_text("not a directory", encoding="utf-8")
+        if case == "train_out_under_a_file":
+            out = out / "sub"
         cfg = write_cfg(tmp_path, "t.json", dict(TINY_TRAIN, benchmark=TINY_BENCH))
         return ["train", "--config", cfg, "--out", str(out)], out
     raise AssertionError(case)
@@ -606,10 +638,15 @@ def _unreadable_input(case, tmp_path, corpus):
 @pytest.mark.parametrize(
     "case",
     ["examples_directory", "config_directory", "examples_not_utf8", "config_not_utf8",
-     "train_out_is_a_file"],
+     "train_out_is_a_file", "train_out_under_a_file"],
 )
-def test_unreadable_input_exits_two(corpus, tmp_path, capsys, case):
+def test_unreadable_input_exits_two(corpus, tmp_path, capsys, monkeypatch, case):
     argv, named = _unreadable_input(case, tmp_path, corpus)
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before checking --out")
+
+    monkeypatch.setattr("mskd.cli.run_pipeline", no_training)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(("input error: ", "config error: ")) and str(named) in err

@@ -124,6 +124,9 @@ def test_read_examples_errors_name_file_and_line(tmp_path):
     path.write_text(good + "[1, 2]\n", encoding="utf-8")
     with pytest.raises(CorpusError, match=f"^{where}:2: example record must be a JSON object"):
         read_examples(path)
+    write_examples([mk_mcq(0), mk_temporal(1), mk_mcq(0, gt="C")], path)
+    with pytest.raises(CorpusError, match=f"^{where}:3: duplicate example id 'mcq-0' \\(first on line 1\\)"):
+        read_examples(path)
 
 
 def test_examples_file_round_trip(tmp_path):

@@ -47,7 +47,7 @@ OPEN_PROXY = {
     "disc.json": "82cbeff3c39281e5465d16c12c6c335278b5bdd213233d40d860b265eabc7f27",
     "student.json": "d217c6f9bf6cfd0c685d1ce226218f95d69e704815be51c134930a99164f0ee8",
 }
-PASSK = "d25ed13f62cdf0ea979d50c0053fc12c1319bf914466f37960486a57f6c22a11"
+PASSK = "45e657e036483008b4f5ad5ac3fb6c25b2f9934c2e4a99ec8b1a36d0051457f5"
 # calibrations no perfbench workload runs: a teacher temperature below 1
 # with a tighter nucleus and a retention target, and the open benchmark
 CLOSED_TEMPERED_CALIBRATION = {
@@ -129,11 +129,12 @@ def test_open_proxy_override_digests(tmp_path):
 
 
 def test_pass_at_k_curve_digest(closed):
-    # a barely trained student keeps mass spread, so the draws decide the curve
+    # a barely trained student keeps mass spread, so every slot's nucleus mass
+    # moves the curve
     cfg = replace(arm_d(0), epochs_stage1=1, epochs_stage2=0)
     student = run_pipeline(closed.examples, cfg, teacher=closed.teacher).student
     curve = pass_at_k_eval(
-        student, closed.examples, [1, 2, 3, 4, 6], temperature=0.7, top_p=0.9, seed=9,
+        student, closed.examples, [1, 2, 3, 4, 6], temperature=0.7, top_p=0.9,
         success_threshold=0.5,
     )
     assert sha(repr(curve).encode()) == PASSK

@@ -207,10 +207,19 @@ def _cache_line(q=1.0, **fields):
 
 def test_pool_cache_line_helper_reads_back(tmp_path):
     path = tmp_path / "pools.jsonl"
-    path.write_text(_cache_line() + "\n" + _cache_line(tau_applied=0, q=None) + "\n", encoding="utf-8")
+    second_line = _cache_line(tau_applied=0, q=None, example_id="mcq-2")
+    path.write_text(_cache_line() + "\n" + second_line + "\n", encoding="utf-8")
     first, second = read_pool_cache(path)
     assert (first.example_id, first.qualities, first.tau_applied) == ("mcq-1", (1.0,), None)
-    assert (second.qualities, second.tau_applied) == (None, 0)
+    assert (second.example_id, second.qualities, second.tau_applied) == ("mcq-2", None, 0)
+
+
+def test_pool_cache_duplicate_example_id_names_both_lines(tmp_path):
+    path = tmp_path / "pools.jsonl"
+    lines = [_cache_line(), _cache_line(example_id="mcq-2"), _cache_line(q=0.0)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(PoolCacheError, match=r"pools.jsonl:3: duplicate example_id 'mcq-1' \(first on line 1\)"):
+        read_pool_cache(path)
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import mk_binary, mk_mcq, mk_open, mk_temporal
+from oracles import sampled_pass_at_k
 from mskd.discriminator import Featurizer, init_params
 from mskd.harness import open_accuracy
 from mskd.pool import NoValidTargetError, build_pool, matching_distribution
@@ -29,7 +30,7 @@ from mskd.train import (
     run_pipeline,
     select_sft_targets,
 )
-from mskd.policy import StudentPolicy, init_student, kl_gradient_logits
+from mskd.policy import StudentPolicy, init_student, kl_gradient_logits, nucleus
 
 
 def point_mass_teacher(examples, slot=None, violation=0.0):
@@ -288,22 +289,30 @@ def test_pool_features_shape_and_reuse():
 def test_pass_at_k_monotone_and_bounded():
     exs = [mk_mcq(i, gt="ABCD"[i % 4]) for i in range(8)]
     student = init_student(exs)
-    curve = pass_at_k_eval(student, exs, [1, 2, 4, 8, 16], seed=0)
+    curve = pass_at_k_eval(student, exs, [1, 2, 4, 8, 16])
     ks = [k for k, _ in curve]
     rates = [r for _, r in curve]
     assert ks == [1, 2, 4, 8, 16]
     assert all(0.0 <= r <= 1.0 for r in rates)
     assert all(b >= a for a, b in zip(rates, rates[1:]))
+    # uniform over 4 options with one right: 0.25 at k=1, 1 - 0.75**k in general
+    assert rates == [1.0 - 0.75**k for k in ks]
 
 
 def test_pass_at_k_threshold_dict_and_validation():
     exs = [mk_temporal(0, gt=(0.2, 0.6))]
     student = init_student(exs)
-    strict = pass_at_k_eval(student, exs, [4], success_threshold=1.0, seed=1)
-    loose = pass_at_k_eval(
-        student, exs, [4], success_threshold={TaskType.TEMPORAL_GROUNDING: 0.1}, seed=1
-    )
-    assert loose[0][1] >= strict[0][1]
+    strict = pass_at_k_eval(student, exs, [4], success_threshold=1.0)
+    loose = pass_at_k_eval(student, exs, [4], success_threshold={TaskType.TEMPORAL_GROUNDING: 0.1})
+    assert strict == [(4, 1.0 - 0.75**4)]  # only the exact segment succeeds
+    assert loose == [(4, 1.0 - 0.25**4)]  # every slot but the disjoint one succeeds
+    # the only successful slot lies outside the nucleus: no sample can hit it
+    # (the kept mass of these logits sums to 1 + 2**-52 in the dot product)
+    ex = mk_mcq(0, gt="D")
+    sharp = StudentPolicy(logits={ex.id: np.array([-1.0, -1.5, -1.5, -30.0])})
+    assert nucleus(sharp.probs(ex), 0.8, 0.9)[3] == 0.0
+    curve = pass_at_k_eval(sharp, [ex], [1, 2, 64, 1000], temperature=0.8, top_p=0.9)
+    assert curve == [(1, 0.0), (2, 0.0), (64, 0.0), (1000, 0.0)]
     with pytest.raises(ValueError):
         pass_at_k_eval(student, [mk_open(0)], [2])
     with pytest.raises(ValueError):
@@ -315,8 +324,44 @@ def test_pass_at_k_threshold_dict_and_validation():
 def test_pass_at_k_dedupes_and_sorts_k():
     exs = [mk_mcq(0)]
     student = init_student(exs)
-    curve = pass_at_k_eval(student, exs, [8, 1, 8, 2], seed=0)
+    curve = pass_at_k_eval(student, exs, [8, 1, 8, 2])
     assert [k for k, _ in curve] == [1, 2, 8]
+
+
+# Hand-built logits per example template: spread mass, mass on a success,
+# and a success at the edge of the nucleus.
+_SEVEN = tuple(TemporalSegment(j / 10, (j + 3) / 10) for j in range(7))
+_PASSK_TEMPLATES = (
+    (lambda i: mk_mcq(i, gt="B"),
+     ([0.0, 0.0, 0.0, 0.0], [0.5, 2.0, 0.0, -1.0], [2.0, 0.5, 0.0, -1.0])),
+    (lambda i: mk_mcq(i, gt="D", n_options=7),
+     ([0.3, -0.2, 0.1, 0.0, 0.4, -0.5, 0.2], [0.0, 0.0, 0.0, 3.0, 0.0, 0.0, 0.0],
+      [1.5, 1.0, 0.5, -1.5, 0.0, -3.0, -3.0])),
+    (lambda i: mk_temporal(i, gt=(0.2, 0.6)),
+     ([0.0, 0.0, 0.0, 0.0], [-1.0, 1.0, 0.5, 2.0], [0.0, -2.0, 3.0, 1.0])),
+    (lambda i: mk_temporal(i, gt=(0.3, 0.6), space=_SEVEN),
+     ([0.1, 0.2, -0.3, 0.0, 0.5, -0.1, 0.0], [-2.0, 0.0, 1.0, 2.0, 1.0, 0.0, -2.0],
+      [3.0, 2.0, -1.0, -2.0, -3.0, 2.5, 2.0])),
+)
+
+
+@pytest.mark.parametrize("student_index", range(3))
+def test_pass_at_k_matches_sampled_oracle(student_index):
+    copies = 1000
+    exs, logits = [], {}
+    for t, (make, students) in enumerate(_PASSK_TEMPLATES):
+        for c in range(copies):
+            ex = make(t * copies + c)
+            exs.append(ex)
+            logits[ex.id] = np.array(students[student_index])
+    student = StudentPolicy(logits=logits)
+    ks = [1, 2, 3, 5, 8]
+    setting = dict(temperature=0.7, top_p=0.9, success_threshold={TaskType.TEMPORAL_GROUNDING: 0.5})
+    exact = pass_at_k_eval(student, exs, ks, **setting)
+    sampled = sampled_pass_at_k(student, exs, ks, seed=11, **setting)
+    assert [k for k, _ in exact] == [k for k, _ in sampled] == ks
+    for (_, r), (_, r_hat) in zip(exact, sampled):
+        assert abs(r_hat - r) <= 4.0 * np.sqrt(r * (1.0 - r) / len(exs))
 
 
 def test_make_pools_applies_filter():
