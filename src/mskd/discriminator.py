@@ -44,14 +44,20 @@ class Featurizer:
         return 4 + self.space_size
 
     def featurize(self, resp: ParsedResponse, ex: SupervisionExample, quality: float) -> np.ndarray:
-        f = np.zeros(self.dim)
-        f[0] = float(resp.outer_valid)
-        f[1] = float(resp.task_valid)
-        f[2] = min(len(resp.raw), _LEN_SCALE) / _LEN_SCALE
-        f[3] = quality
-        slot = ex.slot_of(resp.payload)
-        if slot is not None and slot < self.space_size:
-            f[4 + slot] = 1.0
+        return self.featurize_all((resp,), ex, quality)[0]
+
+    def featurize_all(self, responses, ex: SupervisionExample, quality: float) -> np.ndarray:
+        """featurize of each of a sequence of ParsedResponses, as one
+        (len(responses), dim) matrix."""
+        f = np.zeros((len(responses), self.dim))
+        f[:, 0] = [r.outer_valid for r in responses]
+        f[:, 1] = [r.task_valid for r in responses]
+        f[:, 2] = np.minimum([len(r.raw) for r in responses], _LEN_SCALE) / _LEN_SCALE
+        f[:, 3] = quality
+        for row, resp in enumerate(responses):
+            slot = ex.slot_of(resp.payload)
+            if slot is not None and slot < self.space_size:
+                f[row, 4 + slot] = 1.0
         return f
 
 

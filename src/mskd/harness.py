@@ -45,7 +45,7 @@ from mskd.tasks import (
     Text,
     option_letters,
 )
-from mskd.train import TrainConfig, TrainedArtifacts, expected_scores, make_pools, run_pipeline
+from mskd.train import TrainConfig, TrainedArtifacts, expected_scores, make_pools, run_pipeline, score_groups
 
 
 class EmptyReportError(ValueError):
@@ -113,11 +113,8 @@ def _calibration_paths(
 ) -> list[tuple[list[int], BisectionPaths]]:
     """One bisection record per answer-space size, with the indices of the
     examples it covers in example order."""
-    groups: dict[int, list[int]] = {}
-    for j, ex in enumerate(examples):
-        groups.setdefault(len(slot_scores[ex.id]), []).append(j)
-    stacks = [(rows, np.stack([slot_scores[examples[j].id] for j in rows])) for rows in groups.values()]
-    return [(rows, BisectionPaths(scores, temperature, top_p)) for rows, scores in stacks]
+    groups = score_groups(examples, [slot_scores[ex.id] for ex in examples])
+    return [(rows, BisectionPaths(scores, temperature, top_p)) for _, rows, scores in groups]
 
 
 def _calibrate(
@@ -313,7 +310,7 @@ def open_accuracy(
     """Mean latent rating under the policy; the hidden-truth analogue of
     the closed-ended expected metric."""
     scores = [slot_scores[ex.id] for ex in examples]
-    return float(np.mean(expected_scores(student, examples, scores)))
+    return float(np.mean(expected_scores(student, score_groups(examples, scores))))
 
 
 # --- ablation ---------------------------------------------------------------

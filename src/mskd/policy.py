@@ -51,15 +51,10 @@ def nucleus(probs: np.ndarray, temperature: float = 1.0, top_p: float = 1.0) -> 
     return out / out.sum(axis=-1, keepdims=True)
 
 
-def categorical_draw(
-    p: np.ndarray | Sequence[float], n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """n indices drawn with replacement from the categorical distribution p.
-
-    Exactly ``rng.choice(len(p), size=n, p=p)`` for a float64 vector p: the
-    same checks, one ``rng.random(n)`` call and the same inverse-CDF lookup,
-    so the indices and the generator's state afterwards are identical.
-    """
+def checked_cdf(p: np.ndarray | Sequence[float]) -> np.ndarray:
+    """The normalised CDF that ``Generator.choice`` draws a float64 vector p
+    from, after the same checks; ``cdf.searchsorted(u, side="right")`` maps
+    uniforms u to the indices choice would give for them."""
     p = np.asarray(p, dtype=float)
     if p.ndim != 1:
         raise ValueError("p must be 1-dimensional")
@@ -72,7 +67,14 @@ def categorical_draw(
         raise ValueError(f"probabilities do not sum to 1 (sum {float(total)!r})")
     cdf = p.cumsum()
     cdf /= cdf[-1]
-    return cdf.searchsorted(rng.random(n), side="right")
+    return cdf
+
+
+def categorical_draw(p: np.ndarray | Sequence[float], n: int, rng: np.random.Generator) -> np.ndarray:
+    """n indices drawn with replacement from the categorical distribution p:
+    exactly ``rng.choice(len(p), size=n, p=p)`` for a float64 vector p, and
+    the generator's state afterwards is the same too."""
+    return checked_cdf(p).searchsorted(rng.random(n), side="right")
 
 
 @dataclass

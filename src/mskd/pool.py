@@ -8,6 +8,7 @@ Filtering only zeroes qualities; it never drops responses.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -63,6 +64,8 @@ class MatchingDistribution:
     probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(p) for p in self.probs):
+            raise ValueError(f"matching probabilities must be finite, got {self.probs!r}")
         if any(p < 0 for p in self.probs):
             raise ValueError("matching probabilities must be non-negative")
         total = sum(self.probs)

@@ -11,12 +11,12 @@ pairwise loss on the matched pairs.
 Every random draw comes from a stream derived as
 SeedSequence([seed, stream_tag, epoch, example_index]), so runs are
 bit-reproducible and ablation arms that should coincide do so exactly.  The
-RL steps' streams are the two spawned children of that sequence; a run
-derives all of them at once with stream_table, one vectorised pass of
-SeedSequence's hash, and seeds each step's generators from its table row.
-The reference policy is frozen after Stage 1, so its distribution is taken
-once per example, and evaluation, pass@k included, computes each expected
-metric with one softmax, nucleus and stacked dot product per answer-space size.
+RL steps' streams are the two spawned children of that sequence; a step
+reads the first n_rollouts doubles of each, which uniform_table computes for
+a whole run at once, bit for bit, from stream_table's seed states.  All else
+a step reads is fixed for the run and taken once: the reference policy, each
+pool's matching CDF and pair weights, each distinct (task, answer_space)'s
+slot parses, and the answer-space-size groups evaluation batches over.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from mskd.discriminator import (
 from mskd.metrics import DEFAULT_METRICS, MetricConfig, _is_finite, _is_int, quality_score
 from mskd.policy import (
     StudentPolicy,
-    categorical_draw,
+    checked_cdf,
     init_student,
     kl_gradient_logits,
     nucleus,
@@ -52,7 +52,6 @@ from mskd.pool import (
     build_pool,
     filter_closed,
     matching_distribution,
-    sample_matches,
     select_sft_target,
 )
 from mskd.rewards import (
@@ -162,28 +161,40 @@ def stream_table(seed: int, epochs: np.ndarray, indices: np.ndarray) -> np.ndarr
             state[..., k // 2] |= value.astype(np.uint64) << 32
         else:
             state[..., k // 2] = value
-    np.random.bit_generator.ISeedSequence.register(_StreamState)
     return state
 
 
-class _StreamState:
-    """One stream_table row, handed to PCG64 as its seed state.
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h), high and
+# low 64-bit words
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 
-    stream_table registers it as a numpy ISeedSequence, so that importing
-    the trainer does not load numpy.random; PCG64 rejects it before that.
+
+def uniform_table(table: np.ndarray, n: int) -> np.ndarray:
+    """default_rng(seq).random(n), bit for bit, for the seq of each
+    stream_table row (its generate_state(4, np.uint64)); shape
+    table.shape[:-1] + (n,).  numpy seeds PCG64 from the words s0..s3 as
+    state = 0, inc = (s2:s3 << 1) | 1, one LCG step, state += s0:s1, one
+    step; each double takes one step and is (xsl_rr(state) >> 11) * 2**-53
+    (O'Neill 2014, PCG).  Only the high word of a uint64 product needs limbs.
     """
-
-    def __init__(self, state: np.ndarray):
-        self.state = state
-
-    def generate_state(self, n_words: int, dtype=np.uint64) -> np.ndarray:
-        return self.state
-
-
-def stream_generator(state: np.ndarray) -> np.random.Generator:
-    """The generator default_rng(SeedSequence) gives, from that sequence's
-    generate_state(4, np.uint64) (a stream_table row)."""
-    return np.random.Generator(np.random.PCG64(_StreamState(state)))
+    rows = np.asarray(table, dtype=np.uint64).reshape(-1, 4)
+    s0, s1, s2, s3 = rows.T
+    inc_hi, inc_lo = (s2 << 1) | (s3 >> 63), (s3 << 1) | 1
+    lo = inc_lo + s1  # the first step from state 0 leaves state = inc
+    hi = inc_hi + s0 + (lo < s1)
+    b1, b0 = _PCG_MULT_LO >> 32, _PCG_MULT_LO & _MASK32
+    out = np.empty((len(rows), n))
+    for j in range(-1, n):  # seeding's second step, then one step per double
+        a1, a0 = lo >> 32, lo & _MASK32
+        a0b0, a1b0, a0b1 = a0 * b0, a1 * b0, a0 * b1
+        mid = (a0b0 >> 32) + (a1b0 & _MASK32) + (a0b1 & _MASK32)
+        mul_hi = a1 * b1 + (a1b0 >> 32) + (a0b1 >> 32) + (mid >> 32)
+        hi, lo = mul_hi + hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + inc_hi, lo * _PCG_MULT_LO + inc_lo
+        hi += lo < inc_lo  # the carry of the low word's add
+        if j >= 0:
+            x, rot = hi ^ lo, hi >> 58
+            out[:, j] = (((x >> rot) | (x << ((64 - rot) & 63))) >> 11) * 2.0**-53
+    return out.reshape(np.shape(table)[:-1] + (n,))
 
 
 @dataclass(frozen=True, slots=True)
@@ -245,7 +256,8 @@ class ExampleCache:
     """Precomputed per-slot artifacts for one example's answer space.
 
     outer and task hold each slot's format rewards (0.0 or 1.0) and quality
-    its content reward, so a step's rewards are one gather per term.
+    its content reward, so a step's rewards are one gather per term; outer
+    and task are read-only, shared by the examples that share slot_parses.
     """
 
     responses: list[ParsedResponse]
@@ -255,18 +267,25 @@ class ExampleCache:
     task: np.ndarray
 
 
-def score_answer_space(
-    ex: SupervisionExample,
-    cfg: MetricConfig = DEFAULT_METRICS,
-) -> tuple[list[ParsedResponse], np.ndarray]:
-    """Render and parse every answer-space slot, then score it against the
-    truth; open-ended slots score 0."""
-    responses = [parse_response(render_payload(p), ex.task) for p in ex.answer_space]
-    if ex.task.is_closed:
-        quality = np.array([quality_score(r, ex, cfg) for r in responses])
-    else:
-        quality = np.zeros(len(responses))
-    return responses, quality
+def slot_parses(examples: list[SupervisionExample]) -> list[tuple[ParsedResponse, ...]]:
+    """Each example's answer-space slots, rendered and parsed, once per
+    distinct (task, answer_space); equal payloads render alike but for signed
+    zeros, so the rendering is part of the key."""
+    renders: dict[int, tuple[str, ...]] = {}
+    parsed: dict[tuple, tuple[ParsedResponse, ...]] = {}
+    out = []
+    for ex in examples:
+        if ex.answer_space is None:
+            raise ValueError(f"example {ex.id}: answer_space required by the simulator")
+        raws = renders.get(id(ex.answer_space))
+        if raws is None:
+            raws = renders[id(ex.answer_space)] = tuple(render_payload(p) for p in ex.answer_space)
+        key = (ex.task, ex.answer_space, raws)
+        responses = parsed.get(key)
+        if responses is None:
+            responses = parsed[key] = tuple(parse_response(raw, ex.task) for raw in raws)
+        out.append(responses)
+    return out
 
 
 def build_caches(
@@ -274,18 +293,24 @@ def build_caches(
     featurizer: Featurizer,
     cfg: MetricConfig = DEFAULT_METRICS,
 ) -> dict[str, ExampleCache]:
-    """Score and featurize every answer-space slot once."""
+    """Score and featurize every answer-space slot once; examples that share
+    slot_parses share all but quality, and open-ended slots score 0."""
+    shared: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     caches: dict[str, ExampleCache] = {}
-    for ex in examples:
-        if ex.answer_space is None:
-            raise ValueError(f"example {ex.id}: answer_space required by the simulator")
-        responses, quality = score_answer_space(ex, cfg)
-        feats = np.stack(
-            [featurizer.featurize(r, ex, quality=float(q)) for r, q in zip(responses, quality)]
-        )
-        outer = np.array([outer_reward(r) for r in responses], dtype=float)
-        task = np.array([task_reward(r) for r in responses], dtype=float)
-        caches[ex.id] = ExampleCache(responses, quality, feats, outer, task)
+    for ex, responses in zip(examples, slot_parses(examples)):
+        if id(responses) not in shared:
+            outer = np.array([outer_reward(r) for r in responses], dtype=float)
+            task = np.array([task_reward(r) for r in responses], dtype=float)
+            outer.flags.writeable = task.flags.writeable = False
+            shared[id(responses)] = featurizer.featurize_all(responses, ex, 0.0), outer, task
+        base, outer, task = shared[id(responses)]
+        if ex.task.is_closed:
+            quality = np.array([quality_score(r, ex, cfg) for r in responses])
+        else:
+            quality = np.zeros(len(responses))
+        features = base.copy()
+        features[:, 3] = quality  # the quality column of Featurizer's layout
+        caches[ex.id] = ExampleCache(list(responses), quality, features, outer, task)
     return caches
 
 
@@ -359,38 +384,45 @@ def matching_for(pool: TeacherPool, cfg: TrainConfig) -> MatchingDistribution | 
         return None
 
 
+def pair_weights(pool: TeacherPool, cfg: TrainConfig) -> np.ndarray:
+    """Each pool response's weight in the discriminator's pair loss: its
+    (filtered) quality under cfg.disc_weighting on a closed pool, else 1."""
+    if cfg.disc_weighting and pool.qualities is not None:
+        return np.asarray(pool.qualities, dtype=float)
+    return np.ones(pool.k)
+
+
 def rl_step(
     student: StudentPolicy,
     ref_p: np.ndarray,
     disc: DiscriminatorParams,
-    pool: TeacherPool,
     ex: SupervisionExample,
     cfg: TrainConfig,
-    streams: tuple[np.random.Generator, np.random.Generator],
+    uniforms: np.ndarray,
     cache: ExampleCache,
     pool_feats: np.ndarray,
-    match_dist: MatchingDistribution | None,
+    match_cdf: np.ndarray | None,
+    pair_q: np.ndarray,
 ) -> tuple[StudentPolicy, DiscriminatorParams, dict[str, float]]:
     """One adversarial-distillation step on a single example.
 
-    cache (built with cfg.metric), pool_feats and match_dist come from
-    build_caches, pool_features and matching_for (or a caller's override);
-    a None match_dist raises SkippedExample.  ref_p is the frozen reference
-    policy's distribution over ex's answer space.  streams are the rollout
-    and the matching generators, in that order (run_pipeline seeds them
-    from stream_table).
+    cache (built with cfg.metric), pool_feats and pair_q come from
+    build_caches, pool_features and pair_weights, and match_cdf is the
+    checked_cdf of matching_for's (or a caller's) distribution; None raises
+    SkippedExample.  ref_p is the frozen reference policy's distribution.
+    uniforms is the step's (2, n_rollouts) uniform_table row, which the
+    rollouts and then the matches invert as Generator.choice would.
     Order per step: rollouts, matching, rewards, student update (policy
     gradient + KL pull), then discriminator update on the matched pairs.
     The returned metrics reflect the state the step acted on.
     """
-    if match_dist is None:
+    if match_cdf is None:
         raise SkippedExample(ex.id)
 
-    roll_rng, match_rng = streams
     logits = student.logits_for(ex)
     p = softmax(logits)
     n = cfg.n_rollouts
-    rollouts = categorical_draw(p, n, roll_rng)
+    rollouts = checked_cdf(p).searchsorted(uniforms[0], side="right")
 
     student_feats = cache.features[rollouts]
     raw_scores = score_batch(disc, student_feats)
@@ -405,12 +437,8 @@ def rl_step(
     kl, kl_grad = kl_gradient_logits(p, ref_p)
     logits += cfg.lr_student * (pg - cfg.gamma * kl_grad)
 
-    matches = sample_matches(match_dist, n, match_rng)
-    if cfg.disc_weighting and pool.qualities is not None:
-        q = np.asarray(pool.qualities, dtype=float)[matches]
-    else:
-        q = np.ones(n)
-    disc, disc_loss = batch_update(disc, pool_feats[matches], student_feats, q, cfg.lr_disc)
+    matches = match_cdf.searchsorted(uniforms[1], side="right")
+    disc, disc_loss = batch_update(disc, pool_feats[matches], student_feats, pair_q[matches], cfg.lr_disc)
 
     return student, disc, {
         "mean_reward": float(mean_reward),
@@ -443,44 +471,39 @@ def metrics_to_csv(rows: list[MetricsRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def expected_scores(
-    student: StudentPolicy,
-    examples: list[SupervisionExample],
-    scores: list[np.ndarray],
-    temperature: float = 1.0,
-    top_p: float = 1.0,
-) -> np.ndarray:
-    """nucleus(student.probs(ex), temperature, top_p) @ score for each
-    example and its slot scores, in order.
-
-    Examples are grouped by answer-space size; each group takes one
-    row-wise softmax and nucleus and one stacked (1, m) @ (m, 1) product,
-    which give the per-example values bit for bit.  At the default
-    temperature and top_p the nucleus is the softmax itself.
-    """
+def score_groups(examples: list[SupervisionExample], scores: list[np.ndarray]) -> list[tuple]:
+    """Examples and their slot scores grouped by answer-space size: each
+    group's example ids, their positions and their scores stacked once."""
     groups: dict[int, list[int]] = {}
     for j, score in enumerate(scores):
         groups.setdefault(len(score), []).append(j)
-    out = np.empty(len(examples))
-    for rows in groups.values():
-        p = softmax(np.stack([student.logits_for(examples[j]) for j in rows]))
-        p = nucleus(p, temperature, top_p)
-        q = np.stack([scores[j] for j in rows])
+    return [
+        ([examples[j].id for j in rows], rows, np.stack([scores[j] for j in rows])) for rows in groups.values()
+    ]
+
+
+def expected_scores(
+    student: StudentPolicy, groups: list[tuple], temperature: float = 1.0, top_p: float = 1.0
+) -> np.ndarray:
+    """nucleus(student's distribution, temperature, top_p) @ score for each
+    example of score_groups, in the order of its examples.
+
+    Each group takes one row-wise softmax and nucleus and one stacked
+    (1, m) @ (m, 1) product, which give the per-example values bit for
+    bit.  At the default temperature and top_p the nucleus is the softmax.
+    """
+    out = np.empty(sum(len(rows) for _, rows, _ in groups))
+    for ids, rows, q in groups:
+        p = nucleus(softmax(np.stack([student.logits[i] for i in ids])), temperature, top_p)
         out[rows] = (p[:, None, :] @ q[:, :, None])[:, 0, 0]
     return out
 
 
-def eval_accuracy(
-    student: StudentPolicy,
-    examples: list[SupervisionExample],
-    caches: dict[str, ExampleCache],
-) -> float | None:
-    """Mean expected task metric under the policy, closed-ended examples."""
-    closed = [ex for ex in examples if ex.task.is_closed]
-    if not closed:
-        return None
-    scores = [caches[ex.id].quality for ex in closed]
-    return float(np.mean(expected_scores(student, closed, scores)))
+def eval_accuracy(student: StudentPolicy, groups: list[tuple]) -> float | None:
+    """Mean expected task metric under the policy: groups are the
+    score_groups of the closed-ended examples' slot qualities, and None
+    when there are none."""
+    return float(np.mean(expected_scores(student, groups))) if groups else None
 
 
 @dataclass
@@ -557,6 +580,11 @@ def run_pipeline(
     pool_feats = {ex.id: pool_features(pools[ex.id], ex, caches[ex.id], featurizer) for ex in examples}
     match_dists = {ex.id: matching_for(pools[ex.id], cfg) for ex in examples}
     match_dists.update(match_overrides or {})
+    # MatchingDistribution is frozen, so each CDF is checked and built once
+    match_cdfs = {k: None if d is None else checked_cdf(d.probs) for k, d in match_dists.items()}
+    pair_q = {ex.id: pair_weights(pools[ex.id], cfg) for ex in examples}
+    closed = [ex for ex in examples if ex.task.is_closed]
+    acc_groups = score_groups(closed, [caches[ex.id].quality for ex in closed])
 
     student = init_student(examples)
     if sft_targets is None:
@@ -569,11 +597,12 @@ def run_pipeline(
     for _ in range(cfg.epochs_stage1):
         _sft_epoch(student, examples, sft_targets, cfg.lr_student)
         step += 1
-        rows.append(MetricsRow(step, "sft", None, None, None, eval_accuracy(student, examples, caches)))
+        rows.append(MetricsRow(step, "sft", None, None, None, eval_accuracy(student, acc_groups)))
 
     ref = student.copy()
     ref_probs = {ex.id: ref.probs(ex) for ex in examples}
     table = stream_table(cfg.seed, np.arange(cfg.epochs_stage2)[:, None], np.arange(len(examples)))
+    uniforms = uniform_table(table, cfg.n_rollouts)
     disc = init_params(featurizer.dim, cfg.hidden_dim, seed=np.random.SeedSequence([cfg.seed, _S_DISC]))
 
     skipped_rl: set[str] = set()
@@ -586,13 +615,13 @@ def run_pipeline(
                     student,
                     ref_probs[ex.id],
                     disc,
-                    pools[ex.id],
                     ex,
                     cfg,
-                    (stream_generator(table[epoch, i, 0]), stream_generator(table[epoch, i, 1])),
+                    uniforms[epoch, i],
                     caches[ex.id],
                     pool_feats[ex.id],
-                    match_dists[ex.id],
+                    match_cdfs[ex.id],
+                    pair_q[ex.id],
                 )
             except SkippedExample:
                 skipped_rl.add(ex.id)
@@ -600,7 +629,7 @@ def run_pipeline(
             sums += (m["mean_reward"], m["disc_loss"], m["kl"])
             count += 1
         step += 1
-        acc = eval_accuracy(student, examples, caches)
+        acc = eval_accuracy(student, acc_groups)
         if count:
             rows.append(
                 MetricsRow(
@@ -620,7 +649,7 @@ def run_pipeline(
         ref=ref,
         disc=disc,
         rows=rows,
-        final_accuracy=eval_accuracy(student, examples, caches),
+        final_accuracy=eval_accuracy(student, acc_groups),
         skipped_sft=skipped_sft,
         skipped_rl=tuple(sorted(skipped_rl)),
         pools=pools,
@@ -645,15 +674,15 @@ def pass_at_k_eval(
     """
     if not k_values or min(k_values) < 1:
         raise ValueError("k_values must be non-empty positive integers")
+    if not examples:
+        raise ValueError("pass@k needs at least one example")
     ks = sorted(set(int(k) for k in k_values))
     misses = []
-    for ex in examples:
+    for ex, responses in zip(examples, slot_parses(examples)):
         if not ex.task.is_closed:
             raise ValueError(f"example {ex.id}: pass@k needs a closed-ended success check")
-        thr = success_threshold
-        if isinstance(thr, dict):
-            thr = thr.get(ex.task, 1.0)
-        misses.append((score_answer_space(ex, metric_cfg)[1] < thr).astype(float))
+        thr = success_threshold.get(ex.task, 1.0) if isinstance(success_threshold, dict) else success_threshold
+        misses.append(np.array([quality_score(r, ex, metric_cfg) < thr for r in responses], dtype=float))
     # at most 1, so an example with no successful slot scores exactly 0
-    f = np.minimum(expected_scores(student, examples, misses, temperature, top_p), 1.0)
+    f = np.minimum(expected_scores(student, score_groups(examples, misses), temperature, top_p), 1.0)
     return [(k, float(np.mean(1.0 - f**k))) for k in ks]

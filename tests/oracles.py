@@ -7,15 +7,19 @@ are what those paths are checked against: the finite-difference gradient
 checks differentiate pairwise_loss, and the rl_step oracle takes its KL
 from kl_divergence.  train.pass_at_k_eval computes pass@k in closed form;
 sampled_pass_at_k is the Monte-Carlo estimate it is checked against.
+train.build_caches parses each distinct answer space once and featurizes it
+with array writes; build_caches below is the per-example, per-slot form it
+was written in, with score_answer_space and featurize copied verbatim.
 """
 
 import numpy as np
 
-from mskd.discriminator import DiscriminatorParams
-from mskd.metrics import DEFAULT_METRICS, MetricConfig
+from mskd.discriminator import _LEN_SCALE, DiscriminatorParams, Featurizer
+from mskd.metrics import DEFAULT_METRICS, MetricConfig, quality_score
 from mskd.policy import StudentPolicy, categorical_draw, nucleus
-from mskd.tasks import SupervisionExample, TaskType
-from mskd.train import _stream, score_answer_space
+from mskd.rewards import outer_reward, task_reward
+from mskd.tasks import ParsedResponse, SupervisionExample, TaskType, parse_response, render_payload
+from mskd.train import ExampleCache, _stream
 
 # the stream tag the sampled estimator drew its samples from
 _S_PASSK = 5
@@ -53,6 +57,54 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     if np.any(q[mask] <= 0.0):
         return float("inf")
     return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
+
+
+def score_answer_space(
+    ex: SupervisionExample,
+    cfg: MetricConfig = DEFAULT_METRICS,
+) -> tuple[list[ParsedResponse], np.ndarray]:
+    """Render and parse every answer-space slot, then score it against the
+    truth; open-ended slots score 0."""
+    responses = [parse_response(render_payload(p), ex.task) for p in ex.answer_space]
+    if ex.task.is_closed:
+        quality = np.array([quality_score(r, ex, cfg) for r in responses])
+    else:
+        quality = np.zeros(len(responses))
+    return responses, quality
+
+
+def featurize(
+    featurizer: Featurizer, resp: ParsedResponse, ex: SupervisionExample, quality: float
+) -> np.ndarray:
+    f = np.zeros(featurizer.dim)
+    f[0] = float(resp.outer_valid)
+    f[1] = float(resp.task_valid)
+    f[2] = min(len(resp.raw), _LEN_SCALE) / _LEN_SCALE
+    f[3] = quality
+    slot = ex.slot_of(resp.payload)
+    if slot is not None and slot < featurizer.space_size:
+        f[4 + slot] = 1.0
+    return f
+
+
+def build_caches(
+    examples: list[SupervisionExample],
+    featurizer: Featurizer,
+    cfg: MetricConfig = DEFAULT_METRICS,
+) -> dict[str, ExampleCache]:
+    """Score and featurize every answer-space slot once."""
+    caches: dict[str, ExampleCache] = {}
+    for ex in examples:
+        if ex.answer_space is None:
+            raise ValueError(f"example {ex.id}: answer_space required by the simulator")
+        responses, quality = score_answer_space(ex, cfg)
+        feats = np.stack(
+            [featurize(featurizer, r, ex, quality=float(q)) for r, q in zip(responses, quality)]
+        )
+        outer = np.array([outer_reward(r) for r in responses], dtype=float)
+        task = np.array([task_reward(r) for r in responses], dtype=float)
+        caches[ex.id] = ExampleCache(responses, quality, feats, outer, task)
+    return caches
 
 
 def sample(

@@ -32,7 +32,7 @@ from mskd.metrics import (
     spatial_iou,
 )
 from mskd.pool import apply_filter, build_pool, matching_distribution, sample_matches
-from mskd.policy import StudentPolicy, init_student
+from mskd.policy import StudentPolicy, checked_cdf, init_student
 from mskd.rewards import InvalidWeightsError, RewardWeights, composite_reward
 from mskd.tasks import (
     Binary,
@@ -47,7 +47,9 @@ from mskd.tasks import (
     parse_response,
     render_payload,
 )
-from mskd.train import TrainConfig, build_caches, pool_features, rl_step, run_pipeline, pass_at_k_eval
+from mskd.train import (
+    TrainConfig, build_caches, pair_weights, pool_features, rl_step, run_pipeline, pass_at_k_eval,
+)
 
 SEEDS20 = tuple(range(20))
 
@@ -401,7 +403,7 @@ def test_criterion_06_policy_update_and_kl():
     featurizer = Featurizer(2)
     cache = build_caches([ex], featurizer)[ex.id]
     pool_feats = pool_features(pool, ex, cache, featurizer)
-    match_dist = matching_distribution(pool, cfg.matching)
+    match_cdf = checked_cdf(matching_distribution(pool, cfg.matching).probs)
     disc = init_params(featurizer.dim, 0, seed=0)
     theta = np.array([0.3, -0.2])
     steps = 1_250  # steps * n_rollouts = 10^4 rollouts
@@ -409,10 +411,11 @@ def test_criterion_06_policy_update_and_kl():
     for i in range(steps):
         student = StudentPolicy(logits={ex.id: theta.copy()})
         ref = StudentPolicy(logits={ex.id: theta.copy()})
+        children = np.random.SeedSequence([606, i]).spawn(2)
+        uniforms = np.stack([np.random.default_rng(c).random(cfg.n_rollouts) for c in children])
         student, disc, _ = rl_step(
-            student, ref.probs(ex), disc, pool, ex, cfg,
-            [np.random.default_rng(c) for c in np.random.SeedSequence([606, i]).spawn(2)],
-            cache, pool_feats, match_dist,
+            student, ref.probs(ex), disc, ex, cfg, uniforms,
+            cache, pool_feats, match_cdf, pair_weights(pool, cfg),
         )
         total += (student.logits_for(ex)[0] - theta[0]) / cfg.lr_student
     mean_update = total / steps

@@ -138,6 +138,10 @@ def test_matching_distribution_validates_probs():
         MatchingDistribution((0.5, 0.6))
     with pytest.raises(ValueError):
         MatchingDistribution((-0.1, 1.1))
+    with pytest.raises(ValueError, match="finite"):
+        MatchingDistribution((float("nan"), 1.0))
+    with pytest.raises(ValueError, match="finite"):
+        MatchingDistribution((float("inf"), 0.0))
 
 
 def test_sample_matches_frequencies(rng):

@@ -6,7 +6,8 @@ rollout (its scalar formula copied too, since composite_reward now shares
 the trainer's vectorised one), Generator.choice for both draws, the KL
 gradient with its logs taken twice and the discriminator loss through
 np.mean.  It is kept here as the oracle only; the trainer must match it bit
-for bit.
+for bit.  The oracle seeds each step's two Generators from its
+SeedSequence; the trainer reads the same draws from uniform_table.
 """
 
 from dataclasses import replace
@@ -26,7 +27,7 @@ from mskd.discriminator import (
     score_batch,
 )
 from mskd.harness import make_closed_benchmark, make_open_benchmark, setting_config
-from mskd.policy import init_student, softmax
+from mskd.policy import checked_cdf, init_student, softmax
 from mskd.rewards import RewardBreakdown, RewardWeights, content_reward, outer_reward, task_reward
 from mskd.synthetic import SyntheticTeacher
 from mskd.tasks import TemporalSegment
@@ -37,10 +38,11 @@ from mskd.train import (
     build_caches,
     make_pools,
     matching_for,
+    pair_weights,
     pool_features,
     rl_step,
-    stream_generator,
     stream_table,
+    uniform_table,
 )
 
 
@@ -179,23 +181,27 @@ def run_both(bench, cfg, epochs=2):
     caches = build_caches(examples, featurizer, cfg.metric)
     feats = {ex.id: pool_features(pools[ex.id], ex, caches[ex.id], featurizer) for ex in examples}
     dists = {ex.id: matching_for(pools[ex.id], cfg) for ex in examples}
+    cdfs = {k: None if d is None else checked_cdf(d.probs) for k, d in dists.items()}
     student, ref, disc = start_state(examples, cfg, featurizer)
     o_student, o_disc = student.copy(), disc
     table = stream_table(cfg.seed, np.arange(epochs)[:, None], np.arange(len(examples)))
+    uniforms = uniform_table(table, cfg.n_rollouts)
     applied = 0
     for epoch in range(epochs):
         for i, ex in enumerate(examples):
-            inputs = (pools[ex.id], ex, cfg)
-            cached = (caches[ex.id], feats[ex.id], dists[ex.id])
-            streams = tuple(stream_generator(row) for row in table[epoch, i])
+            step = (
+                ex, cfg, uniforms[epoch, i], caches[ex.id], feats[ex.id], cdfs[ex.id],
+                pair_weights(pools[ex.id], cfg),
+            )
             if dists[ex.id] is None:
                 with pytest.raises(SkippedExample):
-                    rl_step(student, ref.probs(ex), disc, *inputs, streams, *cached)
+                    rl_step(student, ref.probs(ex), disc, *step)
                 continue
-            student, disc, m = rl_step(student, ref.probs(ex), disc, *inputs, streams, *cached)
+            student, disc, m = rl_step(student, ref.probs(ex), disc, *step)
             o_student, o_disc, o_m = oracle_rl_step(
-                o_student, ref, o_disc, *inputs,
-                np.random.SeedSequence([cfg.seed, _S_ROLL, epoch, i]), *cached,
+                o_student, ref, o_disc, pools[ex.id], ex, cfg,
+                np.random.SeedSequence([cfg.seed, _S_ROLL, epoch, i]),
+                caches[ex.id], feats[ex.id], dists[ex.id],
             )
             assert student.logits[ex.id].tobytes() == o_student.logits[ex.id].tobytes()
             assert disc_bytes(disc) == disc_bytes(o_disc)

@@ -1,15 +1,19 @@
-"""The trainer's RL stream table against numpy's own SeedSequence.
+"""The trainer's RL stream and uniform tables against numpy's own
+SeedSequence and PCG64.
 
 stream_table re-implements SeedSequence's hash over whole arrays, so every
-row must equal the state numpy derives for the same key, and the generator
-built from a row must be the one default_rng builds from the sequence.
+row must equal the state numpy derives for the same key.  uniform_table
+re-implements PCG64's seeding and draws over uint64 arrays, so each of its
+rows must be the doubles default_rng(seq).random(n) gives, and no uint64
+wrap-around may warn.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mskd.train import _S_ROLL, stream_generator, stream_table
+from mskd.train import _S_ROLL, stream_table, uniform_table
 
 _SEEDS = st.one_of(
     st.integers(0, 2**32 - 1),
@@ -33,9 +37,22 @@ def test_row_matches_seed_sequence(seed, epoch, i):
     for j, row in enumerate(rows):
         seq = np.random.SeedSequence([seed, _S_ROLL, epoch, i], spawn_key=(j,))
         assert row.tobytes() == seq.generate_state(4, np.uint64).tobytes()
-        got, want = stream_generator(row), np.random.default_rng(seq)
-        assert got.bit_generator.state == want.bit_generator.state
-        assert got.random(8).tobytes() == want.random(8).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_SEEDS, _COUNTS, _COUNTS, st.integers(1, 64))
+@example(0, 0, 0, 1)
+@example(5, 29, 59, 8)
+@example(2**32 - 1, 0, 0, 64)
+@example(2**33 + 7, 3, 4, 8)
+@example(2**64, 10**6, 10**6, 1)
+def test_uniform_rows_are_the_generators_draws(seed, epoch, i, n):
+    uniforms = uniform_table(stream_table(seed, np.array(epoch), np.array(i)), n)
+    assert uniforms.shape == (2, n) and uniforms.dtype == np.float64
+    for j, row in enumerate(uniforms):
+        seq = np.random.SeedSequence([seed, _S_ROLL, epoch, i], spawn_key=(j,))
+        assert row.tobytes() == np.random.default_rng(seq).random(n).tobytes()
 
 
 def test_rows_are_the_children_of_spawn():
@@ -46,3 +63,15 @@ def test_rows_are_the_children_of_spawn():
             children = np.random.SeedSequence([7, _S_ROLL, epoch, i]).spawn(2)
             want = np.stack([c.generate_state(4, np.uint64) for c in children])
             assert table[epoch, i].tobytes() == want.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_uniform_table_covers_a_whole_run():
+    table = stream_table(2**40 + 1, np.arange(4)[:, None], np.arange(6))
+    uniforms = uniform_table(table, 5)
+    assert uniforms.shape == (4, 6, 2, 5)
+    for epoch in range(4):
+        for i in range(6):
+            children = np.random.SeedSequence([2**40 + 1, _S_ROLL, epoch, i]).spawn(2)
+            want = np.stack([np.random.default_rng(c).random(5) for c in children])
+            assert uniforms[epoch, i].tobytes() == want.tobytes()

@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from conftest import mk_binary, mk_mcq, mk_open, mk_temporal
+import oracles
 from oracles import sampled_pass_at_k
 from mskd.discriminator import Featurizer, init_params
 from mskd.harness import open_accuracy
-from mskd.pool import NoValidTargetError, build_pool, matching_distribution
+from mskd.pool import MatchingDistribution, NoValidTargetError, build_pool, matching_distribution
 from mskd.metrics import MetricConfig
 from mskd.rewards import InvalidWeightsError, RewardWeights
 from mskd.synthetic import SyntheticTeacher
-from mskd.tasks import TaskType, TemporalSegment
+from mskd.tasks import Number, SpatialBox, SupervisionExample, TaskType, TemporalSegment, Text
 from mskd.train import (
     MetricsRow,
     SkippedExample,
@@ -24,13 +25,16 @@ from mskd.train import (
     make_pools,
     matching_for,
     metrics_to_csv,
+    pair_weights,
     pass_at_k_eval,
     pool_features,
     rl_step,
     run_pipeline,
+    score_groups,
     select_sft_targets,
+    slot_parses,
 )
-from mskd.policy import StudentPolicy, init_student, kl_gradient_logits, nucleus
+from mskd.policy import StudentPolicy, checked_cdf, init_student, kl_gradient_logits, nucleus
 
 
 def point_mass_teacher(examples, slot=None, violation=0.0):
@@ -53,16 +57,19 @@ def small_cfg(**kw):
     return TrainConfig(**base)
 
 
-def streams():
-    """Fresh (rollout, matching) generators of a step seeded with 0."""
-    return tuple(np.random.default_rng(s) for s in np.random.SeedSequence(0).spawn(2))
+def uniforms(cfg):
+    """A step's (rollout, matching) uniforms, from generators seeded with 0."""
+    children = np.random.SeedSequence(0).spawn(2)
+    return np.stack([np.random.default_rng(c).random(cfg.n_rollouts) for c in children])
 
 
 def rl_inputs(pool, ex, cfg):
     """The per-example inputs run_pipeline builds once and hands to rl_step."""
     featurizer = Featurizer(len(ex.answer_space))
     cache = build_caches([ex], featurizer, cfg.metric)[ex.id]
-    return cache, pool_features(pool, ex, cache, featurizer), matching_for(pool, cfg)
+    dist = matching_for(pool, cfg)
+    cdf = None if dist is None else checked_cdf(dist.probs)
+    return cache, pool_features(pool, ex, cache, featurizer), cdf, pair_weights(pool, cfg)
 
 
 def test_kl_penalty_is_policy_kl():
@@ -107,7 +114,7 @@ def test_rl_step_raises_skipped_on_degenerate_pool():
     student = init_student([ex])
     disc = init_params(Featurizer(4).dim, 0, seed=0)
     with pytest.raises(SkippedExample) as exc_info:
-        rl_step(student, student.probs(ex), disc, pool, ex, cfg, streams(), *rl_inputs(pool, ex, cfg))
+        rl_step(student, student.probs(ex), disc, ex, cfg, uniforms(cfg), *rl_inputs(pool, ex, cfg))
     assert exc_info.value.example_id == ex.id
 
 
@@ -117,7 +124,7 @@ def test_rl_step_metric_keys_are_python_floats():
     cfg = small_cfg()
     student = init_student([ex])
     disc = init_params(Featurizer(4).dim, 0, seed=0)
-    _, _, m = rl_step(student, student.probs(ex), disc, pool, ex, cfg, streams(), *rl_inputs(pool, ex, cfg))
+    _, _, m = rl_step(student, student.probs(ex), disc, ex, cfg, uniforms(cfg), *rl_inputs(pool, ex, cfg))
     assert set(m) == {"mean_reward", "disc_loss", "kl"}
     assert all(type(v) is float for v in m.values())
 
@@ -194,10 +201,16 @@ def test_tau_zero_equals_no_filter_exactly():
     assert metrics_to_csv(a.rows) == metrics_to_csv(b.rows)
 
 
+def closed_groups(examples, caches):
+    """The groups run_pipeline hands eval_accuracy."""
+    closed = [ex for ex in examples if ex.task.is_closed]
+    return score_groups(closed, [caches[ex.id].quality for ex in closed])
+
+
 def test_eval_accuracy_none_for_open_only():
     exs = [mk_open(0, n_slots=2), mk_open(1, n_slots=7), mk_open(2)]
     caches = build_caches(exs, Featurizer(7))
-    assert eval_accuracy(init_student(exs), exs, caches) is None
+    assert eval_accuracy(init_student(exs), closed_groups(exs, caches)) is None
     assert _oracle_eval_accuracy(init_student(exs), exs, caches) is None
 
 
@@ -205,8 +218,9 @@ def test_eval_accuracy_expected_metric():
     ex = mk_mcq(0, gt="B")
     caches = build_caches([ex], Featurizer(4))
     student = StudentPolicy(logits={ex.id: np.array([0.0, 50.0, 0.0, 0.0])})
-    assert eval_accuracy(student, [ex], caches) == pytest.approx(1.0, abs=1e-12)
-    assert eval_accuracy(init_student([ex]), [ex], caches) == pytest.approx(0.25)
+    groups = closed_groups([ex], caches)
+    assert eval_accuracy(student, groups) == pytest.approx(1.0, abs=1e-12)
+    assert eval_accuracy(init_student([ex]), groups) == pytest.approx(0.25)
 
 
 # The per-example loops eval_accuracy and open_accuracy ran before they were
@@ -252,10 +266,10 @@ def test_batched_expected_scores_match_per_example_loops(seed):
         student.logits[ex.id] += rng.normal(0.0, 2.0, len(ex.answer_space))
     student.logits[exs[3].id][2] = -1000.0  # a slot whose mass underflows to 0
     caches = build_caches(exs, Featurizer(7))
-    assert eval_accuracy(student, exs, caches) == _oracle_eval_accuracy(student, exs, caches)
+    assert eval_accuracy(student, closed_groups(exs, caches)) == _oracle_eval_accuracy(student, exs, caches)
     # graded scores on every slot, so each term of every product counts
     graded = {k: replace(c, quality=rng.uniform(0.0, 1.0, len(c.quality))) for k, c in caches.items()}
-    assert eval_accuracy(student, exs, graded) == _oracle_eval_accuracy(student, exs, graded)
+    assert eval_accuracy(student, closed_groups(exs, graded)) == _oracle_eval_accuracy(student, exs, graded)
     scores = {ex.id: rng.uniform(0.0, 1.0, len(ex.answer_space)) for ex in exs}
     for subset in (exs, [ex for ex in exs if not ex.task.is_closed], exs[::-1]):
         got = open_accuracy(student, subset, scores)
@@ -319,6 +333,8 @@ def test_pass_at_k_threshold_dict_and_validation():
         pass_at_k_eval(student, exs, [])
     with pytest.raises(ValueError):
         pass_at_k_eval(student, exs, [0])
+    with pytest.raises(ValueError, match="at least one example"):
+        pass_at_k_eval(student, [], [1, 2])
 
 
 def test_pass_at_k_dedupes_and_sorts_k():
@@ -475,3 +491,81 @@ def test_match_override_changes_pairs_only():
     # rollout stream is shared, so rewards and KL agree even if pairs differ
     assert a.rows[-1].mean_reward == b.rows[-1].mean_reward
     assert a.rows[-1].kl == b.rows[-1].kl
+
+
+def test_bad_match_override_is_rejected():
+    """An override whose probabilities slipped past MatchingDistribution's
+    own checks is still rejected when its CDF is taken, before training."""
+    ex = mk_mcq(0, gt="B")
+    pool = build_pool(ex, ["<answer>B</answer>", "<answer>A</answer>", "<answer>C</answer>"])
+    cfg = small_cfg(epochs_stage1=0, epochs_stage2=1)
+    bad_probs = (((0.7, 0.7, 0.0), "sum to 1"), ((np.nan, 1.0, 0.0), "NaN"), ((1.5, -0.5, 0.0), "negative"))
+    for probs, message in bad_probs:
+        bad = object.__new__(MatchingDistribution)
+        object.__setattr__(bad, "probs", probs)
+        with pytest.raises(ValueError, match=message):
+            run_pipeline([ex], cfg, pools={ex.id: pool}, match_overrides={ex.id: bad})
+
+
+def _slot_table_examples():
+    """Closed, open, invalid-slot, spatial and OCR spaces; some shared by
+    object, some only equal, and two equal spaces that render differently."""
+    seven = tuple(TemporalSegment(j / 10, (j + 3) / 10) for j in range(7))
+    reversed_space = (TemporalSegment(0.6, 0.2), TemporalSegment(0.2, 0.6), TemporalSegment(0.4, 0.8))
+    boxes = (
+        SpatialBox(-0.2, 0.0, 0.5, 0.5),  # clamps onto the next slot
+        SpatialBox(0.0, 0.0, 0.5, 0.5),
+        SpatialBox(0.6, 0.1, 0.2, 0.5),  # x1 > x2: task-invalid
+        SpatialBox(0.25, 0.25, 0.75, 1.5),  # clamps onto no slot
+    )
+    texts = (Text(" ab "), Text("ab"), Text(""), Text("x</answer>y"), Text("abc"))
+
+    def make(i, task, gt, space):
+        return SupervisionExample(id=f"ex-{i}", task=task, question="q", ground_truth=gt, answer_space=space)
+
+    return [
+        mk_mcq(0, gt="A"),
+        mk_mcq(1, gt="C"),  # equal to ex 0's space, another tuple
+        mk_mcq(2, gt="D", n_options=7),
+        mk_binary(3),
+        mk_temporal(4, gt=(0.3, 0.6), space=seven),
+        mk_temporal(5, gt=(0.0, 0.3), space=seven),  # the same space object
+        mk_temporal(6, gt=(0.2, 0.6), space=reversed_space),
+        mk_open(7, n_slots=3),
+        make(8, TaskType.SPATIAL_GROUNDING, boxes[1], boxes),
+        make(9, TaskType.SPATIAL_GROUNDING, boxes[0], boxes),
+        make(10, TaskType.OCR, Text("ab"), texts),
+        make(11, TaskType.OCR, Text("abc"), texts),
+        make(12, TaskType.NUMERICAL, Number(0.0), (Number(-0.0), Number(1.0))),
+        make(13, TaskType.NUMERICAL, Number(0.0), (Number(0.0), Number(1.0))),  # equal, renders apart
+        make(14, TaskType.NUMERICAL, Number(1.0), (Number(0.0), Number(1.0))),
+    ]
+
+
+@pytest.mark.parametrize("space_size", [5, 7])
+def test_slot_table_matches_per_example_oracle(space_size):
+    exs = _slot_table_examples()
+    parses = slot_parses(exs)
+    assert len({id(p) for p in parses}) == 10  # one parse per distinct (task, space, rendering)
+    assert parses[0] is parses[1] and parses[4] is parses[5] and parses[13] is parses[14]
+    assert parses[12] is not parses[13]
+    featurizer = Featurizer(space_size)
+    metric = MetricConfig(ocr_mode="edit")
+    got, want = build_caches(exs, featurizer, metric), oracles.build_caches(exs, featurizer, metric)
+    assert list(got) == list(want)
+    for ex in exs:
+        g, w = got[ex.id], want[ex.id]
+        assert [repr(r) for r in g.responses] == [repr(r) for r in w.responses]
+        for name in ("quality", "features", "outer", "task"):
+            a, b = getattr(g, name), getattr(w, name)
+            assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), (ex.id, name)
+    # the spaces exercise what they are meant to
+    assert got["ex-8"].features[0, 4:].tolist() == [0.0, 1.0, 0.0, 0.0] + [0.0] * (space_size - 4)
+    assert got["ex-8"].task.tolist() == [1.0, 1.0, 0.0, 1.0]
+    assert got["ex-10"].outer.tolist() == [1.0, 1.0, 1.0, 0.0, 1.0]
+    assert got["ex-10"].features[0, 5] == 1.0 and 0.0 < got["ex-11"].quality[0] < 1.0
+    assert got["ex-12"].features[0, 2] != got["ex-13"].features[0, 2]
+    for ex in exs:
+        assert featurizer.featurize(got[ex.id].responses[0], ex, 0.5).tobytes() == (
+            oracles.featurize(featurizer, got[ex.id].responses[0], ex, 0.5).tobytes()
+        )
