@@ -95,15 +95,15 @@ def analyze_variance(
     per_task: dict[TaskType, TaskVariance] = {}
     total_bad = 0
     for task, task_rows in per_task_rows.items():
+        closed = task.is_closed
         qual_by_q: dict[str, list[float]] = {}
         n_bad = 0
         for row in task_rows:
-            ex = by_id[row.example_id]
             resp = parse_response(row.text, task)
             if not (resp.outer_valid and resp.task_valid):
                 n_bad += 1
-                continue
-            if task.is_closed:
+            elif closed:
+                ex = by_id[row.example_id]
                 qual_by_q.setdefault(ex.id, []).append(quality_score(resp, ex, cfg))
         total_bad += n_bad
         base = dict(
@@ -112,18 +112,26 @@ def analyze_variance(
             n_responses=len(task_rows),
             violation_rate=n_bad / len(task_rows),
         )
-        if not task.is_closed or not qual_by_q:
+        if not closed or not qual_by_q:
             per_task[task] = TaskVariance(**base)
             continue
-        q_means = np.array([np.mean(v) for v in qual_by_q.values()])
-        sds = [np.std(v) for v in qual_by_q.values() if len(v) >= 2]
-        flat = np.concatenate([np.asarray(v) for v in qual_by_q.values()])
+        quals = list(qual_by_q.values())
+        # per-question mean and std from one stacked array per sample count;
+        # a row-wise reduction over the last axis equals the 1-D one bit for bit
+        q_means, q_stds = np.empty(len(quals)), np.empty(len(quals))
+        by_count: dict[int, list[int]] = {}
+        for i, v in enumerate(quals):
+            by_count.setdefault(len(v), []).append(i)
+        for idx in by_count.values():
+            block = np.array([quals[i] for i in idx])
+            q_means[idx], q_stds[idx] = block.mean(axis=1), block.std(axis=1)
+        sds = q_stds[[len(v) >= 2 for v in quals]]
         per_task[task] = TaskVariance(
             **base,
             mean_quality=float(q_means.mean()),
             cross_question_std=float(q_means.std()),
-            sampling_std=float(np.mean(sds)) if sds else None,
-            quantiles=tuple(float(x) for x in np.quantile(flat, QUANTILES)),
+            sampling_std=float(sds.mean()) if sds.size else None,
+            quantiles=tuple(float(x) for x in np.quantile([q for v in quals for q in v], QUANTILES)),
         )
     return VarianceReport(
         per_task=per_task,

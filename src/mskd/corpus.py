@@ -145,20 +145,34 @@ def write_examples(examples: Iterable[SupervisionExample], path: str | Path) -> 
             fh.write(json.dumps(example_to_json(ex), sort_keys=True) + "\n")
 
 
+_scan = json.JSONDecoder().scan_once
+
+
 def _json_lines(
     path: str | Path, error: type[CorpusError] = CorpusError, what: str = "invalid JSON"
 ) -> Iterator[tuple[int, object]]:
     """(line number, value) for each non-blank line of a JSON-lines file; a
-    line that is not JSON, or a file that is not UTF-8, raises ``error``."""
+    line that is not JSON, or a file that is not UTF-8, raises ``error``.
+
+    A line that is one JSON value from its first character to its newline is
+    decoded by the scanner alone; any other line goes through ``json.loads``,
+    which gives the same value, or the same error text, as always."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
-                if line.strip():
+                try:
+                    obj, end = _scan(line, 0)
+                    scanned = line[end:] in ("\n", "")
+                except (StopIteration, json.JSONDecodeError):
+                    scanned = False
+                if not scanned:
+                    if not line.strip():
+                        continue
                     try:
                         obj = json.loads(line)
                     except json.JSONDecodeError as exc:
                         raise error(f"{path}:{lineno}: {what} ({exc})") from exc
-                    yield lineno, obj
+                yield lineno, obj
         except UnicodeDecodeError as exc:
             raise error(f"{path}: not UTF-8 text ({exc})") from exc
 
@@ -198,6 +212,18 @@ def write_responses(rows: Iterable[ResponseRow], path: str | Path) -> None:
 def read_responses(path: str | Path) -> list[ResponseRow]:
     out = []
     for lineno, obj in _json_lines(path):
+        if type(obj) is dict:  # exact type tests suffice: JSON values are never subclasses
+            row = ResponseRow(
+                obj.get("example_id"), obj.get("source"), obj.get("sample_index"), obj.get("text")
+            )
+            if (
+                type(row.example_id) is type(row.text) is str
+                and type(row.sample_index) is int
+                and row.source in ("teacher", "student")
+            ):
+                out.append(row)
+                continue
+        # the record is bad: name the first fault
         if not isinstance(obj, dict):
             raise CorpusError(f"{path}:{lineno}: response record must be a JSON object")
         for key in ("example_id", "source", "text"):
@@ -210,8 +236,5 @@ def read_responses(path: str | Path) -> list[ResponseRow]:
                 f"{path}:{lineno}: response record needs an integer 'sample_index', "
                 f"got {obj.get('sample_index')!r}"
             )
-        row = ResponseRow(obj["example_id"], obj["source"], obj["sample_index"], obj["text"])
-        if row.source not in ("teacher", "student"):
-            raise CorpusError(f"{path}:{lineno}: bad source {row.source!r} (teacher or student)")
-        out.append(row)
+        raise CorpusError(f"{path}:{lineno}: bad source {obj['source']!r} (teacher or student)")
     return out

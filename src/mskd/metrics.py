@@ -123,13 +123,13 @@ def quality_score(
     the task metric of the extracted payload vs ground truth, in [0,1].
     Open-ended tasks have no quality notion here and raise.
     """
-    if not ex.task.is_closed:
+    task = ex.task
+    if task is TaskType.OPEN_ENDED:
         raise ValueError(f"quality is undefined for open-ended task (example {ex.id})")
     if not (resp.outer_valid and resp.task_valid):
         return 0.0
     pred = resp.payload
     gt = ex.ground_truth
-    task = ex.task
     if task is TaskType.TEMPORAL_GROUNDING:
         return temporal_iou(pred, gt)
     if task is TaskType.SPATIAL_GROUNDING:

@@ -81,12 +81,10 @@ def build_pool(
     """Parse K raw responses and score them against the example's truth."""
     if len(raws) == 0:
         raise InvalidPoolError(f"example {ex.id}: empty response list")
-    responses = tuple(parse_response(raw, ex.task) for raw in raws)
-    if ex.task.is_closed:
-        qualities = tuple(quality_score(r, ex, cfg) for r in responses)
-    else:
-        qualities = None
-    return TeacherPool(ex.id, ex.task, responses, qualities)
+    task = ex.task
+    responses = tuple(parse_response(raw, task) for raw in raws)
+    qualities = tuple(quality_score(r, ex, cfg) for r in responses) if task.is_closed else None
+    return TeacherPool(ex.id, task, responses, qualities)
 
 
 def apply_filter(pool: TeacherPool, tau: float) -> TeacherPool:
@@ -164,30 +162,28 @@ def select_sft_target(pool: TeacherPool, rng: np.random.Generator) -> int:
 
 def write_pool_cache(pools: Iterable[TeacherPool], path: str | Path) -> None:
     """Persist pools as JSON lines, one pool per line."""
+    encode = json.JSONEncoder(sort_keys=True).encode
     with open(path, "w", encoding="utf-8") as fh:
         for pool in pools:
+            qs = (None,) * pool.k if pool.qualities is None else pool.qualities
             obj = {
                 "example_id": pool.example_id,
                 "task": pool.task.value,
                 "responses": [
-                    {
-                        "text": r.raw,
-                        "outer_valid": r.outer_valid,
-                        "task_valid": r.task_valid,
-                        "q": None if pool.qualities is None else pool.qualities[i],
-                    }
-                    for i, r in enumerate(pool.responses)
+                    {"text": r.raw, "outer_valid": r.outer_valid, "task_valid": r.task_valid, "q": q}
+                    for r, q in zip(pool.responses, qs)
                 ],
                 "tau_applied": pool.tau_applied,
             }
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+            fh.write(encode(obj) + "\n")
 
 
 def read_pool_cache(path: str | Path) -> list[TeacherPool]:
     """Load pools written by write_pool_cache; payloads are re-extracted.
 
-    A line whose stored outer_valid/task_valid flags differ from the
-    re-parse of its texts, or whose example_id repeats, is rejected.
+    A line is rejected when its stored outer_valid/task_valid flags differ
+    from the re-parse of its texts, when its example_id repeats, or unless
+    every q is a number in [0,1] (closed-ended task) or null (open-ended).
     """
     pools = []
     first_line: dict[str, int] = {}
@@ -196,11 +192,15 @@ def read_pool_cache(path: str | Path) -> list[TeacherPool]:
             if not isinstance(obj["example_id"], str):
                 raise ValueError(f"example_id must be a string, got {obj['example_id']!r}")
             task = TaskType(obj["task"])
-            responses = tuple(parse_response(r["text"], task) for r in obj["responses"])
-            stored = [(r["outer_valid"], r["task_valid"]) for r in obj["responses"]]
-            qs = [r["q"] for r in obj["responses"]]
-            if not all(q is None or _is_finite(q) for q in qs):
-                raise ValueError(f"each q must be null or a finite number, got {qs!r}")
+            records = obj["responses"]
+            responses = tuple(parse_response(r["text"], task) for r in records)
+            stored = [(r["outer_valid"], r["task_valid"]) for r in records]
+            qs = [r["q"] for r in records]
+            if not task.is_closed:
+                if qs.count(None) != len(qs):
+                    raise ValueError(f"each q of an open-ended pool must be null, got {qs!r}")
+            elif not all((type(q) is float or _is_finite(q)) and 0.0 <= q <= 1.0 for q in qs):
+                raise ValueError(f"each q of a closed-ended pool must be a number in [0,1], got {qs!r}")
             tau = obj.get("tau_applied")
             if tau is not None and not (_is_finite(tau) and 0.0 <= tau <= 1.0):
                 raise ValueError(f"tau_applied must be null or a number in [0,1], got {tau!r}")
@@ -208,7 +208,7 @@ def read_pool_cache(path: str | Path) -> list[TeacherPool]:
                 example_id=obj["example_id"],
                 task=task,
                 responses=responses,
-                qualities=None if any(q is None for q in qs) else tuple(float(q) for q in qs),
+                qualities=tuple(map(float, qs)) if task.is_closed else None,
                 tau_applied=tau,
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:

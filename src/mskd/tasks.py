@@ -5,6 +5,18 @@ by exactly one ``<answer>...</answer>`` span.  The answer content must match
 the grammar of the task at hand; both validity levels are exposed separately
 because downstream reward terms pay for each independently.
 
+The envelope is well formed exactly when:
+
+- the text holds ``<answer>`` once and ``</answer>`` once, the closing tag
+  after the opening one; the answer content is the text between them;
+- it holds neither ``<think>`` nor ``</think>``, or each exactly once, with
+  ``</think>`` after ``<think>`` and ending at or before ``<answer>``
+  begins.
+
+Text before, between and after the spans is free; tags are case-sensitive.
+``ANSWER_RE`` and ``THINK_RE`` state the two spans as regular expressions;
+``parse_response`` applies the rules with ``str.count``/``str.find`` alone.
+
 All parsing here is pure and total: malformed input never raises, it just
 yields a response whose validity flags are false.
 """
@@ -44,7 +56,7 @@ class TaskType(enum.Enum):
 
     @property
     def is_closed(self) -> bool:
-        return self.family() is TaskFamily.CLOSED_ENDED
+        return self is not TaskType.OPEN_ENDED
 
 
 @dataclass(frozen=True, slots=True)
@@ -174,26 +186,10 @@ class ParsedResponse:
     clamped: bool = False
 
 
-def _outer_match(raw: str) -> re.Match | None:
-    """The answer-span match of a well-formed envelope; None if malformed."""
-    if raw.count("<answer>") != 1 or raw.count("</answer>") != 1:
-        return None
-    ans = ANSWER_RE.search(raw)
-    if ans is None:
-        return None
-    n_open, n_close = raw.count("<think>"), raw.count("</think>")
-    if n_open == 0 and n_close == 0:
-        return ans
-    if n_open != 1 or n_close != 1:
-        return None
-    think = THINK_RE.search(raw)
-    return ans if think is not None and think.end() <= ans.start() else None
-
-
 def validate_outer(raw: str) -> bool:
     """True iff raw carries exactly one well-formed answer span, optionally
     preceded by exactly one well-formed thinking span."""
-    return _outer_match(raw) is not None
+    return parse_response(raw, TaskType.OPEN_ENDED).outer_valid
 
 
 def _parse_payload(content: str, task: TaskType) -> tuple[AnswerPayload | None, bool]:
@@ -206,7 +202,7 @@ def _parse_payload(content: str, task: TaskType) -> tuple[AnswerPayload | None, 
         if len(stamps) != 2:
             return None, False
         try:
-            start, end = (float(s.strip()) for s in stamps)
+            start, end = map(float, map(str.strip, stamps))
         except ValueError:
             return None, False
         if not (math.isfinite(start) and math.isfinite(end)):
@@ -220,14 +216,12 @@ def _parse_payload(content: str, task: TaskType) -> tuple[AnswerPayload | None, 
         tokens = FLOAT_RE.findall(content)
         if len(tokens) != 4:
             return None, False
-        x1, y1, x2, y2 = (float(t) for t in tokens)
-        if not all(math.isfinite(v) for v in (x1, y1, x2, y2)):
+        box = list(map(float, tokens))
+        x1, y1, x2, y2 = box
+        if not all(map(math.isfinite, box)) or x1 > x2 or y1 > y2:
             return None, False
-        if x1 > x2 or y1 > y2:
-            return None, False
-        clamped = [min(max(v, 0.0), 1.0) for v in (x1, y1, x2, y2)]
-        changed = clamped != [x1, y1, x2, y2]
-        return SpatialBox(*clamped), changed
+        clamped = [min(max(v, 0.0), 1.0) for v in box]
+        return SpatialBox(*clamped), clamped != box
 
     if task is TaskType.MULTIPLE_CHOICE:
         s = content.strip()
@@ -260,16 +254,27 @@ def _parse_payload(content: str, task: TaskType) -> tuple[AnswerPayload | None, 
 
 def validate_task_format(raw: str, task: TaskType) -> bool:
     """True iff the answer-span content matches the task grammar."""
-    ans = _outer_match(raw)
-    return ans is not None and _parse_payload(ans.group(1), task)[0] is not None
+    return parse_response(raw, task).task_valid
 
 
 def parse_response(raw: str, task: TaskType) -> ParsedResponse:
     """Parse raw text into validity flags plus an extracted payload."""
-    ans = _outer_match(raw)
-    if ans is None:
+    # One count of "answer>" (or "think>") equal to 2 proves each tag of the
+    # pair occurs once; only a text with more falls back to counting each tag.
+    start = raw.find("<answer>")
+    end = raw.find("</answer>", start)
+    if start < 0 or end < 0 or (
+        raw.count("answer>") != 2 and not raw.count("<answer>") == 1 == raw.count("</answer>")
+    ):
         return ParsedResponse(raw, False, False, None)
-    payload, clamped = _parse_payload(ans.group(1), task)
+    if "think>" in raw:
+        think, unthink = raw.find("<think>"), raw.find("</think>")
+        if (think >= 0 or unthink >= 0) and not (
+            think < unthink <= start - 8
+            and (raw.count("think>") == 2 or raw.count("<think>") == 1 == raw.count("</think>"))
+        ):
+            return ParsedResponse(raw, False, False, None)
+    payload, clamped = _parse_payload(raw[start + 8 : end], task)
     if payload is None:
         return ParsedResponse(raw, True, False, None)
     return ParsedResponse(raw, True, True, payload, clamped)

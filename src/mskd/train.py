@@ -320,16 +320,15 @@ def pool_features(
     cache: ExampleCache,
     featurizer: Featurizer,
 ) -> np.ndarray:
-    """(K, dim) feature rows for a pool, reusing slot rows where possible."""
+    """(K, dim) feature rows for a pool, reusing slot rows where possible;
+    every row's quality column holds the pool's (filtered) quality."""
     rows = []
-    for i, resp in enumerate(pool.responses):
+    for resp in pool.responses:
         slot = ex.slot_of(resp.payload)
-        if slot is not None:
-            rows.append(cache.features[slot])
-        else:
-            q = 0.0 if pool.qualities is None else pool.qualities[i]
-            rows.append(featurizer.featurize(resp, ex, quality=q))
-    return np.stack(rows)
+        rows.append(featurizer.featurize(resp, ex, 0.0) if slot is None else cache.features[slot])
+    feats = np.stack(rows)
+    feats[:, 3] = 0.0 if pool.qualities is None else pool.qualities
+    return feats
 
 
 def select_sft_targets(

@@ -10,15 +10,41 @@ sampled_pass_at_k is the Monte-Carlo estimate it is checked against.
 train.build_caches parses each distinct answer space once and featurizes it
 with array writes; build_caches below is the per-example, per-slot form it
 was written in, with score_answer_space and featurize copied verbatim.
+tasks.parse_response checks the envelope with str.count/str.find alone and
+analysis.analyze_variance reduces one stacked array per sample count;
+parse_response and analyze_variance below are the regex and per-question
+forms they replaced, with _outer_match and _parse_payload copied verbatim.
 """
+
+import math
+import re
+import string
 
 import numpy as np
 
+from mskd.analysis import QUANTILES, TaskVariance, VarianceReport
+from mskd.corpus import ResponseRow
 from mskd.discriminator import _LEN_SCALE, DiscriminatorParams, Featurizer
 from mskd.metrics import DEFAULT_METRICS, MetricConfig, quality_score
 from mskd.policy import StudentPolicy, categorical_draw, nucleus
 from mskd.rewards import outer_reward, task_reward
-from mskd.tasks import ParsedResponse, SupervisionExample, TaskType, parse_response, render_payload
+from mskd.tasks import (
+    ANSWER_RE,
+    FLOAT_RE,
+    THINK_RE,
+    TIMESTAMP_RE,
+    AnswerPayload,
+    Binary,
+    Number,
+    OptionLetter,
+    ParsedResponse,
+    SpatialBox,
+    SupervisionExample,
+    TaskType,
+    TemporalSegment,
+    Text,
+    render_payload,
+)
 from mskd.train import ExampleCache, _stream
 
 # the stream tag the sampled estimator drew its samples from
@@ -159,3 +185,155 @@ def sampled_pass_at_k(
         hit_matrix[i] = prefix_hit[np.array(ks) - 1]
     rates = hit_matrix.mean(axis=0)
     return [(k, float(r)) for k, r in zip(ks, rates)]
+
+
+def _outer_match(raw: str) -> re.Match | None:
+    """The answer-span match of a well-formed envelope; None if malformed."""
+    if raw.count("<answer>") != 1 or raw.count("</answer>") != 1:
+        return None
+    ans = ANSWER_RE.search(raw)
+    if ans is None:
+        return None
+    n_open, n_close = raw.count("<think>"), raw.count("</think>")
+    if n_open == 0 and n_close == 0:
+        return ans
+    if n_open != 1 or n_close != 1:
+        return None
+    think = THINK_RE.search(raw)
+    return ans if think is not None and think.end() <= ans.start() else None
+
+
+def _parse_payload(content: str, task: TaskType) -> tuple[AnswerPayload | None, bool]:
+    """Extract a payload from answer-span content; (None, False) on mismatch.
+
+    Second element flags coordinate clamping for spatial boxes.
+    """
+    if task is TaskType.TEMPORAL_GROUNDING:
+        stamps = TIMESTAMP_RE.findall(content)
+        if len(stamps) != 2:
+            return None, False
+        try:
+            start, end = (float(s.strip()) for s in stamps)
+        except ValueError:
+            return None, False
+        if not (math.isfinite(start) and math.isfinite(end)):
+            return None, False
+        # Reversed or negative spans are format violations, never repaired.
+        if start < 0.0 or start > end:
+            return None, False
+        return TemporalSegment(start, end), False
+
+    if task is TaskType.SPATIAL_GROUNDING:
+        tokens = FLOAT_RE.findall(content)
+        if len(tokens) != 4:
+            return None, False
+        x1, y1, x2, y2 = (float(t) for t in tokens)
+        if not all(math.isfinite(v) for v in (x1, y1, x2, y2)):
+            return None, False
+        if x1 > x2 or y1 > y2:
+            return None, False
+        clamped = [min(max(v, 0.0), 1.0) for v in (x1, y1, x2, y2)]
+        changed = clamped != [x1, y1, x2, y2]
+        return SpatialBox(*clamped), changed
+
+    if task is TaskType.MULTIPLE_CHOICE:
+        s = content.strip()
+        if len(s) == 1 and s.upper() in string.ascii_uppercase:
+            return OptionLetter(s.upper()), False
+        return None, False
+
+    if task is TaskType.BINARY_QA:
+        s = content.strip().lower()
+        if s in ("yes", "no"):
+            return Binary(s == "yes"), False
+        return None, False
+
+    if task is TaskType.NUMERICAL:
+        s = content.strip()
+        try:
+            value = float(s)
+        except ValueError:
+            return None, False
+        if not math.isfinite(value):
+            return None, False
+        return Number(value), False
+
+    # OCR and open-ended: any non-empty text.
+    s = content.strip()
+    if not s:
+        return None, False
+    return Text(s), False
+
+
+def parse_response(raw: str, task: TaskType) -> ParsedResponse:
+    """Parse raw text into validity flags plus an extracted payload."""
+    ans = _outer_match(raw)
+    if ans is None:
+        return ParsedResponse(raw, False, False, None)
+    payload, clamped = _parse_payload(ans.group(1), task)
+    if payload is None:
+        return ParsedResponse(raw, True, False, None)
+    return ParsedResponse(raw, True, True, payload, clamped)
+
+
+def analyze_variance(
+    examples: list[SupervisionExample],
+    corpus: list[ResponseRow],
+    cfg: MetricConfig = DEFAULT_METRICS,
+) -> VarianceReport:
+    """Recompute quality per response and aggregate the three statistics.
+
+    Only teacher rows participate.  Within-question spread needs at least
+    two valid samples for a question; questions below that do not
+    contribute, and the statistic is None when no question qualifies.
+    """
+    by_id = {ex.id: ex for ex in examples}
+    rows = [r for r in corpus if r.source == "teacher"]
+    if not rows:
+        raise ValueError("corpus has no teacher responses")
+
+    per_task_rows: dict[TaskType, list[ResponseRow]] = {}
+    for row in rows:
+        ex = by_id.get(row.example_id)
+        if ex is None:
+            raise ValueError(f"response references unknown example {row.example_id}")
+        per_task_rows.setdefault(ex.task, []).append(row)
+
+    per_task: dict[TaskType, TaskVariance] = {}
+    total_bad = 0
+    for task, task_rows in per_task_rows.items():
+        qual_by_q: dict[str, list[float]] = {}
+        n_bad = 0
+        for row in task_rows:
+            ex = by_id[row.example_id]
+            resp = parse_response(row.text, task)
+            if not (resp.outer_valid and resp.task_valid):
+                n_bad += 1
+                continue
+            if task.is_closed:
+                qual_by_q.setdefault(ex.id, []).append(quality_score(resp, ex, cfg))
+        total_bad += n_bad
+        base = dict(
+            task=task,
+            n_questions=len({r.example_id for r in task_rows}),
+            n_responses=len(task_rows),
+            violation_rate=n_bad / len(task_rows),
+        )
+        if not task.is_closed or not qual_by_q:
+            per_task[task] = TaskVariance(**base)
+            continue
+        q_means = np.array([np.mean(v) for v in qual_by_q.values()])
+        sds = [np.std(v) for v in qual_by_q.values() if len(v) >= 2]
+        flat = np.concatenate([np.asarray(v) for v in qual_by_q.values()])
+        per_task[task] = TaskVariance(
+            **base,
+            mean_quality=float(q_means.mean()),
+            cross_question_std=float(q_means.std()),
+            sampling_std=float(np.mean(sds)) if sds else None,
+            quantiles=tuple(float(x) for x in np.quantile(flat, QUANTILES)),
+        )
+    return VarianceReport(
+        per_task=per_task,
+        overall_violation_rate=total_bad / len(rows),
+        n_responses=len(rows),
+    )

@@ -4,11 +4,12 @@ statistics injected into a constructed corpus."""
 import numpy as np
 import pytest
 
-from conftest import mk_mcq, mk_open
+import oracles
+from conftest import mk_binary, mk_mcq, mk_open
 from mskd.analysis import analyze_variance, make_variance_corpus
 from mskd.corpus import ResponseRow
 from mskd.metrics import DEFAULT_METRICS, quality_score
-from mskd.tasks import TaskType, parse_response
+from mskd.tasks import SupervisionExample, TaskType, TemporalSegment, parse_response
 
 
 def test_identical_correct_responses_have_zero_spread():
@@ -145,3 +146,32 @@ def test_report_json_layout():
     assert slice_["n_questions"] == 1
     assert slice_["mean_quality"] == 1.0
     assert slice_["sampling_std"] is None  # single sample
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_grouped_statistics_match_per_question_oracle(seed):
+    """Temporal questions with 0 to 8 valid samples, five per count (numpy's
+    pairwise sum changes method at 8 elements), in shuffled row order, next
+    to a binary task with no valid response and an open-ended task."""
+    rng = np.random.default_rng(seed)
+    exs, rows = [], []
+    for i in range(45):
+        a = float(rng.uniform(0.0, 30.0))
+        ex = SupervisionExample(
+            f"tg-{i}", TaskType.TEMPORAL_GROUNDING, "q", ground_truth=TemporalSegment(a, a + 10.0)
+        )
+        exs.append(ex)
+        texts = []
+        for _ in range(i % 9):
+            start = abs(a + float(rng.normal(0.0, 5.0)))
+            texts.append(f"<answer><t>{start!r}</t> <t>{start + float(rng.uniform(0, 20))!r}</t></answer>")
+        texts += ["<answer><t>1.0</t>"] * int(rng.integers(1 if i % 9 == 0 else 0, 3))
+        rows += [ResponseRow(ex.id, "teacher", si, t) for si, t in enumerate(texts)]
+    for i in range(3):
+        exs += [mk_binary(i), mk_open(i)]
+        rows += [ResponseRow(f"bin-{i}", "teacher", si, "<answer>yes") for si in range(2)]
+        rows += [ResponseRow(f"open-{i}", "teacher", 0, "<answer>a caption</answer>")]
+    rows = [rows[j] for j in rng.permutation(len(rows))]
+    got = analyze_variance(exs, rows).to_json()
+    assert got == oracles.analyze_variance(exs, rows).to_json()
+    assert got["tasks"]["binary_qa"]["mean_quality"] is None

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import sys
+from collections import Counter
 from dataclasses import asdict, astuple, fields
 
 import numpy as np
@@ -13,7 +15,7 @@ from mskd.corpus import ResponseRow, write_examples, write_responses
 from mskd.pool import read_pool_cache
 from mskd.metrics import DEFAULT_METRICS
 from mskd.rewards import DEFAULT_WEIGHTS
-from mskd.tasks import SupervisionExample, TaskType, Text
+from mskd.tasks import SupervisionExample, TaskType, Text, parse_response
 from mskd.train import TrainConfig
 
 TINY_TRAIN = {"k": 2, "n_rollouts": 4, "epochs_stage1": 2, "epochs_stage2": 2}
@@ -418,6 +420,41 @@ def test_pool_build_orders_responses_by_sample_index(ocr_corpus, tmp_path):
     out = tmp_path / "pools.jsonl"
     assert pool_build((ex_path, shuffled), out) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == OCR_CACHE_SHA256
+
+
+def test_each_command_parses_each_row_it_uses_once(ocr_corpus, tmp_path, monkeypatch):
+    ex_path, resp_path = ocr_corpus
+    extra = [
+        ResponseRow("ocr-0", "teacher", 4, "<answer>stop</answer>"),  # beyond --k 4
+        ResponseRow("ocr-1", "student", 0, "<answer>exit 12</answer>"),
+    ]
+    write_responses(extra, tmp_path / "extra.jsonl")
+    with open(resp_path, "a", encoding="utf-8") as fh:
+        fh.write((tmp_path / "extra.jsonl").read_text(encoding="utf-8"))
+    teacher = [
+        ("<answer>broken" if a is None else f"<answer>{a}</answer>")
+        for answers in OCR_CORPUS_ANSWERS.values()
+        for a in answers
+    ]
+    parsed: list[str] = []
+
+    def counting(raw, task):
+        parsed.append(raw)
+        return parse_response(raw, task)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("mskd")]:
+        if getattr(module, "parse_response", None) is parse_response:
+            monkeypatch.setattr(module, "parse_response", counting)
+
+    out = tmp_path / "report.json"
+    assert main(["analyze", "--examples", str(ex_path), "--responses", str(resp_path), "--out", str(out)]) == 0
+    assert Counter(parsed) == Counter(teacher + ["<answer>stop</answer>"])
+    parsed.clear()
+    assert pool_build((ex_path, resp_path), tmp_path / "pools.jsonl") == 0
+    assert Counter(parsed) == Counter(teacher)
+    parsed.clear()
+    assert len(read_pool_cache(tmp_path / "pools.jsonl")) == len(OCR_CORPUS_ANSWERS)
+    assert Counter(parsed) == Counter(teacher)
 
 
 def test_pool_build_duplicate_sample_index_is_config_error(ocr_corpus, tmp_path, capsys):

@@ -9,6 +9,7 @@ from conftest import mk_binary, mk_mcq, mk_open, mk_temporal
 from mskd.corpus import (
     CorpusError,
     ResponseRow,
+    _json_lines,
     example_from_json,
     example_to_json,
     payload_from_json,
@@ -215,3 +216,59 @@ def test_readers_name_a_file_that_is_not_utf8(tmp_path, reader):
     path.write_bytes(b'{"id": "\xff"}\n')
     with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
         reader(path)
+
+
+def _loads_each_line(path):
+    """(line number, value) pairs and the error text of a reader that sends
+    every non-blank line through json.loads."""
+    out = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    out.append((lineno, json.loads(line)))
+                except json.JSONDecodeError as exc:
+                    return out, f"{path}:{lineno}: invalid JSON ({exc})"
+    return out, None
+
+
+def _scanned(path):
+    out = []
+    try:
+        for item in _json_lines(path):
+            out.append(item)
+    except CorpusError as exc:
+        return out, str(exc)
+    return out, None
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        '  {"a": 1}\n',
+        '\ufeff{"a": 1}\n',
+        "NaN\n",
+        "-Infinity\n",
+        "1 2\n",
+        "1,2\n",
+        '{"a": [1, {"b": null}]}\r\n',
+        '{"a": 1}   \n',
+        '{"a": 1}\t\r\n',
+        '{"a": 1}\u00a0\n',
+        "\n",
+        " \t \n",
+        "\u00a0\n",
+        '"unterminated\n',
+        '{"a": "tab\there"}\n',
+        "[1, 2",
+        '{"a": 1}',
+    ],
+    ids=["leading_space", "bom", "nan", "minus_infinity", "two_values", "comma", "crlf",
+         "trailing_spaces", "trailing_tab_crlf", "trailing_nbsp", "blank", "whitespace_only",
+         "nbsp_only", "unterminated", "control_char", "truncated_at_eof", "no_final_newline"],
+)
+def test_json_lines_matches_json_loads_per_line(tmp_path, line):
+    path = tmp_path / "lines.jsonl"
+    path.write_bytes(('{"first": 1}\n' + line).encode())
+    got, want = _scanned(path), _loads_each_line(path)
+    assert repr(got) == repr(want)

@@ -211,11 +211,11 @@ def _cache_line(q=1.0, **fields):
 
 def test_pool_cache_line_helper_reads_back(tmp_path):
     path = tmp_path / "pools.jsonl"
-    second_line = _cache_line(tau_applied=0, q=None, example_id="mcq-2")
+    second_line = _cache_line(tau_applied=0, q=0, example_id="mcq-2")
     path.write_text(_cache_line() + "\n" + second_line + "\n", encoding="utf-8")
     first, second = read_pool_cache(path)
     assert (first.example_id, first.qualities, first.tau_applied) == ("mcq-1", (1.0,), None)
-    assert (second.example_id, second.qualities, second.tau_applied) == ("mcq-2", None, 0)
+    assert (second.example_id, second.qualities, second.tau_applied) == ("mcq-2", (0.0,), 0)
 
 
 def test_pool_cache_duplicate_example_id_names_both_lines(tmp_path):
@@ -241,9 +241,16 @@ def test_pool_cache_duplicate_example_id_names_both_lines(tmp_path):
         _cache_line(q=True),
         _cache_line(q=float("inf")),
         _cache_line(example_id=5),
+        _cache_line(q=None),
+        _cache_line(q=7.5),
+        _cache_line(q=-0.25),
+        _cache_line(q=float("nan")),
+        _cache_line(task="open_ended", q=0.5),
+        _cache_line(task="open_ended", q=0),
     ],
     ids=["truncated", "missing_keys", "not_an_object", "text_not_a_string", "tau_string",
-         "tau_above_one", "tau_nan", "tau_bool", "q_string", "q_bool", "q_inf", "example_id_int"],
+         "tau_above_one", "tau_nan", "tau_bool", "q_string", "q_bool", "q_inf", "example_id_int",
+         "closed_q_null", "q_above_one", "q_negative", "q_nan", "open_q_number", "open_q_zero"],
 )
 def test_pool_cache_malformed_line_names_file_and_line(tmp_path, bad_line):
     ex = mk_mcq(gt="B")

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from conftest import mk_binary, mk_mcq, mk_open, mk_temporal
 from mskd import tasks
 from mskd.tasks import (
@@ -257,3 +260,33 @@ def test_parse_response_searches_answer_span_at_most_once(monkeypatch, raw):
     monkeypatch.setattr(tasks, "ANSWER_RE", counting)
     assert parse_response(raw, T.MULTIPLE_CHOICE) == want
     assert counting.calls <= 1
+
+
+# Tags, tag fragments that the scanner's "answer>"/"think>" counts also see,
+# and filler that some task grammars accept.
+_ENVELOPE_PIECES = (
+    "<answer>", "</answer>", "<think>", "</think>", "think>", "answer>", "<", "/", ">",
+    " ", "\n", "x", "B", "yes", "7.5", "inf", "<t>1</t> <t>2</t>", "[0.1, 0.2, 0.9, 1.5]",
+)
+_ENVELOPE_TEXTS = st.one_of(
+    st.lists(st.sampled_from(_ENVELOPE_PIECES), max_size=14).map("".join),
+    st.text(alphabet="<>/answerthink B", max_size=40),
+)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(_ENVELOPE_TEXTS)
+@example("<answer>B</answer>")
+@example("<think>x</think><answer>B</answer>")
+@example("<think>x</think>answer><answer>B</answer>")
+@example("think><answer>B</answer>")
+@example("<answer>B</answer>think></think>")
+@example("</think><think><answer>B</answer>")
+@example("<think></think><answer>B</answer><think>")
+@example("<think>a</think><answer>B</answer></answer>answer>")
+@example("</answer><answer>B")
+@example("<answer>B</answer>answer>")
+def test_parse_response_matches_regex_oracle(raw):
+    for task in TaskType:
+        assert parse_response(raw, task) == oracles.parse_response(raw, task)
+        assert validate_outer(raw) == (oracles._outer_match(raw) is not None)

@@ -10,7 +10,13 @@ import oracles
 from oracles import sampled_pass_at_k
 from mskd.discriminator import Featurizer, init_params
 from mskd.harness import open_accuracy
-from mskd.pool import MatchingDistribution, NoValidTargetError, build_pool, matching_distribution
+from mskd.pool import (
+    MatchingDistribution,
+    NoValidTargetError,
+    apply_filter,
+    build_pool,
+    matching_distribution,
+)
 from mskd.metrics import MetricConfig
 from mskd.rewards import InvalidWeightsError, RewardWeights
 from mskd.synthetic import SyntheticTeacher
@@ -298,6 +304,20 @@ def test_pool_features_shape_and_reuse():
     assert feats.shape == (3, featurizer.dim)
     np.testing.assert_array_equal(feats[0], cache.features[1])  # slot B reused
     assert feats[2][0] == 0.0  # invalid row featurized fresh
+
+
+def test_pool_features_carry_the_filtered_pool_quality():
+    ex = mk_temporal(gt=(0.2, 0.6))
+    raws = ["<answer><t>0.0</t> <t>0.4</t></answer>", "<answer><t>0.2</t> <t>0.5</t></answer>"]
+    pool = apply_filter(build_pool(ex, raws), 0.5)
+    assert pool.qualities[0] == 0.0 and ex.slot_of(pool.responses[0].payload) == 0
+    featurizer = Featurizer(len(ex.answer_space))
+    cache = build_caches([ex], featurizer)[ex.id]
+    assert cache.quality[0] > 0.0  # the unfiltered slot quality
+    feats = pool_features(pool, ex, cache, featurizer)
+    np.testing.assert_array_equal(feats[:, 3], pool.qualities)
+    np.testing.assert_array_equal(feats[0, [0, 1, 2, 4, 5]], cache.features[0, [0, 1, 2, 4, 5]])
+    assert cache.features[0, 3] == cache.quality[0]  # the cached row is left as it was
 
 
 def test_pass_at_k_monotone_and_bounded():
