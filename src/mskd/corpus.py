@@ -212,29 +212,28 @@ def write_responses(rows: Iterable[ResponseRow], path: str | Path) -> None:
 def read_responses(path: str | Path) -> list[ResponseRow]:
     out = []
     for lineno, obj in _json_lines(path):
-        if type(obj) is dict:  # exact type tests suffice: JSON values are never subclasses
-            row = ResponseRow(
-                obj.get("example_id"), obj.get("source"), obj.get("sample_index"), obj.get("text")
-            )
-            if (
-                type(row.example_id) is type(row.text) is str
-                and type(row.sample_index) is int
-                and row.source in ("teacher", "student")
-            ):
-                out.append(row)
-                continue
-        # the record is bad: name the first fault
-        if not isinstance(obj, dict):
+        # exact type tests suffice: JSON values are never subclasses
+        if type(obj) is not dict:
             raise CorpusError(f"{path}:{lineno}: response record must be a JSON object")
-        for key in ("example_id", "source", "text"):
-            if not isinstance(obj.get(key), str):
-                raise CorpusError(
-                    f"{path}:{lineno}: response record needs a string {key!r}, got {obj.get(key)!r}"
-                )
-        if not _is_int(obj.get("sample_index")):
+        row = ResponseRow(
+            obj.get("example_id"), obj.get("source"), obj.get("sample_index"), obj.get("text")
+        )
+        key = (
+            "example_id" if type(row.example_id) is not str
+            else "source" if type(row.source) is not str
+            else "text" if type(row.text) is not str
+            else None
+        )
+        if key is not None:
+            raise CorpusError(
+                f"{path}:{lineno}: response record needs a string {key!r}, got {obj.get(key)!r}"
+            )
+        if type(row.sample_index) is not int:
             raise CorpusError(
                 f"{path}:{lineno}: response record needs an integer 'sample_index', "
-                f"got {obj.get('sample_index')!r}"
+                f"got {row.sample_index!r}"
             )
-        raise CorpusError(f"{path}:{lineno}: bad source {obj['source']!r} (teacher or student)")
+        if row.source not in ("teacher", "student"):
+            raise CorpusError(f"{path}:{lineno}: bad source {row.source!r} (teacher or student)")
+        out.append(row)
     return out

@@ -124,7 +124,7 @@ def quality_score(
     Open-ended tasks have no quality notion here and raise.
     """
     task = ex.task
-    if task is TaskType.OPEN_ENDED:
+    if not task.is_closed:
         raise ValueError(f"quality is undefined for open-ended task (example {ex.id})")
     if not (resp.outer_valid and resp.task_valid):
         return 0.0

@@ -50,9 +50,7 @@ class TaskType(enum.Enum):
     OPEN_ENDED = "open_ended"
 
     def family(self) -> TaskFamily:
-        if self is TaskType.OPEN_ENDED:
-            return TaskFamily.OPEN_ENDED
-        return TaskFamily.CLOSED_ENDED
+        return TaskFamily.CLOSED_ENDED if self.is_closed else TaskFamily.OPEN_ENDED
 
     @property
     def is_closed(self) -> bool:
@@ -259,21 +257,17 @@ def validate_task_format(raw: str, task: TaskType) -> bool:
 
 def parse_response(raw: str, task: TaskType) -> ParsedResponse:
     """Parse raw text into validity flags plus an extracted payload."""
-    # One count of "answer>" (or "think>") equal to 2 proves each tag of the
-    # pair occurs once; only a text with more falls back to counting each tag.
     start = raw.find("<answer>")
     end = raw.find("</answer>", start)
-    if start < 0 or end < 0 or (
-        raw.count("answer>") != 2 and not raw.count("<answer>") == 1 == raw.count("</answer>")
+    if start < 0 or end < 0 or raw.count("<answer>") != 1 or raw.count("</answer>") != 1:
+        return ParsedResponse(raw, False, False, None)
+    think, unthink = raw.find("<think>"), raw.find("</think>")
+    if (think >= 0 or unthink >= 0) and not (
+        0 <= think < unthink <= start - 8
+        and raw.count("<think>") == 1
+        and raw.count("</think>") == 1
     ):
         return ParsedResponse(raw, False, False, None)
-    if "think>" in raw:
-        think, unthink = raw.find("<think>"), raw.find("</think>")
-        if (think >= 0 or unthink >= 0) and not (
-            think < unthink <= start - 8
-            and (raw.count("think>") == 2 or raw.count("<think>") == 1 == raw.count("</think>"))
-        ):
-            return ParsedResponse(raw, False, False, None)
     payload, clamped = _parse_payload(raw[start + 8 : end], task)
     if payload is None:
         return ParsedResponse(raw, True, False, None)

@@ -262,8 +262,7 @@ def test_parse_response_searches_answer_span_at_most_once(monkeypatch, raw):
     assert counting.calls <= 1
 
 
-# Tags, tag fragments that the scanner's "answer>"/"think>" counts also see,
-# and filler that some task grammars accept.
+# Tags, bare tag fragments that must not count as tags, and filler that some task grammars accept.
 _ENVELOPE_PIECES = (
     "<answer>", "</answer>", "<think>", "</think>", "think>", "answer>", "<", "/", ">",
     " ", "\n", "x", "B", "yes", "7.5", "inf", "<t>1</t> <t>2</t>", "[0.1, 0.2, 0.9, 1.5]",
@@ -286,6 +285,8 @@ _ENVELOPE_TEXTS = st.one_of(
 @example("<think>a</think><answer>B</answer></answer>answer>")
 @example("</answer><answer>B")
 @example("<answer>B</answer>answer>")
+@example("</think><answer>B</answer>think>")
+@example("think></think><answer>B</answer>")
 def test_parse_response_matches_regex_oracle(raw):
     for task in TaskType:
         assert parse_response(raw, task) == oracles.parse_response(raw, task)
