@@ -18,6 +18,7 @@ import numpy as np
 
 from mskd.corpus import ResponseRow
 from mskd.metrics import DEFAULT_METRICS, MetricConfig, quality_score
+from mskd.synthetic import corrupt_envelope
 from mskd.tasks import (
     SupervisionExample,
     TaskType,
@@ -209,9 +210,7 @@ def make_variance_corpus(
     hit = rng.choice(n_total, size=n_corrupt, replace=False)
     for idx in hit:
         row = rows[idx]
-        rows[idx] = ResponseRow(
-            row.example_id, row.source, row.sample_index, row.text.replace("</answer>", "")
-        )
+        rows[idx] = ResponseRow(row.example_id, row.source, row.sample_index, corrupt_envelope(row.text))
     injected = InjectedStats(
         mu_per_question=tuple(mus),
         sampling_std=sampling_std,

@@ -49,8 +49,8 @@ from mskd.pool import (
     DegeneratePoolError,
     InvalidPoolError,
     NoValidTargetError,
+    apply_filter,
     build_pool,
-    filter_closed,
     read_pool_cache,
     write_pool_cache,
 )
@@ -227,7 +227,7 @@ def cmd_pool_build(args) -> int:
         if len(samples) < args.k:
             raise ConfigError(f"example {ex.id}: {len(samples)} teacher responses, --k is {args.k}")
         raws = [samples[i] for i in sorted(samples)[: args.k]]
-        pools.append(filter_closed(build_pool(ex, raws, metric), args.tau))
+        pools.append(apply_filter(build_pool(ex, raws, metric), args.tau))
     if not pools:
         raise DegenerateDataError("no example has teacher responses")
     write_pool_cache(pools, args.out)

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from mskd.analysis import VarianceReport
-from mskd.metrics import _is_finite, _is_int, temporal_iou
+from mskd.metrics import _check_numbers, _is_finite, temporal_iou
 from mskd.policy import StudentPolicy
 from mskd.pool import MatchingDistribution, TeacherPool
 from mskd.synthetic import (
@@ -59,7 +59,6 @@ class Benchmark:
     examples: list[SupervisionExample]
     teacher: SyntheticTeacher
     slot_scores: dict[str, np.ndarray]
-    mu_targets: dict[str, float]
     meta: dict
 
 
@@ -83,26 +82,19 @@ def _check_benchmark_args(
 
     ``counts`` (example counts) and ``ints`` must be integers >= 0, and the
     counts not all zero; ``finite`` must be finite numbers and ``rates``
-    finite numbers in [0, 1].  numpy scalars pass, bools do not.  The
-    teacher's temperature and top_p must be settings nucleus accepts.
+    finite numbers in [0, 1].  The teacher's temperature and top_p must be
+    settings nucleus accepts.
     """
-    for name, value in {**counts, **ints}.items():
-        if not _is_int(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
+    whole = (*counts, *ints)
+    _check_numbers(
+        {**counts, **ints, **finite, **rates, "temperature": temperature, "top_p": top_p},
+        ints=whole,
+        least=dict.fromkeys(whole, 0),
+        positive=("temperature",),
+        rates=tuple(rates),
+    )
     if sum(counts.values()) == 0:
         raise ValueError(f"benchmark is empty: {counts}")
-    for name, value in {**finite, **rates, "temperature": temperature, "top_p": top_p}.items():
-        if not _is_finite(value):
-            raise ValueError(f"{name} must be a finite number, got {value!r}")
-    for name, value in rates.items():
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must be in [0,1], got {value}")
-    if not temperature > 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    if not 0.0 < top_p <= 1.0:
-        raise ValueError(f"top_p must be in (0,1], got {top_p}")
 
 
 def _calibration_paths(
@@ -123,8 +115,8 @@ def _calibrate(
     targets: np.ndarray,
     temperature: float,
     top_p: float,
-) -> tuple[dict[str, float], dict[str, np.ndarray], dict[str, float]]:
-    """Target means, sampling distributions and concentrations by example id.
+) -> tuple[dict[str, np.ndarray], dict[str, float]]:
+    """Sampling distributions and concentrations by example id.
 
     ``targets`` holds one mean quality per example, in example order.
     Each answer-space group is bisected in one batch that resumes from the
@@ -137,11 +129,9 @@ def _calibrate(
         p = sampling_probs(paths.scores, c, temperature, top_p)
         for j, cj, pj in zip(rows, c.tolist(), p):
             concs[j], probs[j] = cj, pj
-    ids = [ex.id for ex in examples]
     return (
-        dict(zip(ids, targets.tolist())),
-        {ex_id: probs[j] for j, ex_id in enumerate(ids)},
-        {ex_id: concs[j] for j, ex_id in enumerate(ids)},
+        {ex.id: probs[j] for j, ex in enumerate(examples)},
+        {ex.id: concs[j] for j, ex in enumerate(examples)},
     )
 
 
@@ -221,7 +211,7 @@ def make_closed_benchmark(
 
     def build_at(mu0: float):
         mus = np.clip(mu0 + spread * z, 0.05, 0.98)
-        return _calibrate(examples, groups, mus, temperature, top_p)
+        return mus, *_calibrate(examples, groups, mus, temperature, top_p)
 
     def retention_at(probs: dict[str, np.ndarray]) -> float:
         vals = [
@@ -243,22 +233,16 @@ def make_closed_benchmark(
                 hi = mid
         mus, probs, concs = build_at(0.5 * (lo + hi))
 
-    teacher = SyntheticTeacher(
-        probs=probs,
-        violation_rate=violations,
-        temperature=temperature,
-        top_p=top_p,
-        concentration=concs,
-    )
+    teacher = SyntheticTeacher(probs=probs, violation_rate=violations, concentration=concs)
     meta = {
         "seed": seed,
         "spread": spread,
         "retention_target": retention_target,
         "retention_tau": retention_tau,
         "exact_retention": retention_at(probs),
-        "realized_mu_std": float(np.std(np.array(list(mus.values())))),
+        "realized_mu_std": float(np.std(mus)),
     }
-    return Benchmark(examples, teacher, slot_scores, mus, meta)
+    return Benchmark(examples, teacher, slot_scores, meta)
 
 
 def make_open_benchmark(
@@ -298,10 +282,10 @@ def make_open_benchmark(
         violations[ex.id] = violation
         mu_list.append(np.clip(mu_center + spread * rng.standard_normal(), 0.15, 0.9))
     groups = _calibration_paths(examples, slot_scores, temperature, top_p)
-    mus, probs, concs = _calibrate(examples, groups, np.array(mu_list), temperature, top_p)
-    teacher = SyntheticTeacher(probs, violations, temperature, top_p, concs)
+    probs, concs = _calibrate(examples, groups, np.array(mu_list), temperature, top_p)
+    teacher = SyntheticTeacher(probs, violations, concs)
     meta = {"seed": seed, "spread": spread, "space_size": space_size}
-    return Benchmark(examples, teacher, slot_scores, mus, meta)
+    return Benchmark(examples, teacher, slot_scores, meta)
 
 
 def open_accuracy(
@@ -373,12 +357,11 @@ def run_ablation(
     settings: tuple[str, ...] = ABLATION_LABELS,
     seeds: tuple[int, ...] = tuple(range(20)),
     benchmark: Benchmark | None = None,
-    keep_students: bool = False,
 ) -> tuple[AblationSummary, dict[str, list[TrainedArtifacts]]]:
     """Train every (setting, seed) cell and summarize final accuracies.
 
-    Returns the summary plus (optionally) the trained artifacts per
-    setting, reused by downstream sampling-based evaluation.
+    Returns the summary plus the trained artifacts per setting, in seed
+    order, reused by downstream sampling-based evaluation.
     """
     if len(seeds) < 2:
         raise ValueError("need at least 2 seeds for significance reporting")
@@ -388,15 +371,12 @@ def run_ablation(
     by_label: dict[str, tuple[float, ...]] = {}
     for label in settings:
         cfg_setting = setting_config(label, cfg_base)
-        accs = []
-        kept = []
-        for s in seeds:
-            art = run_pipeline(bench.examples, replace(cfg_setting, seed=int(s)), teacher=bench.teacher)
-            accs.append(art.final_accuracy)
-            if keep_students:
-                kept.append(art)
+        artifacts[label] = [
+            run_pipeline(bench.examples, replace(cfg_setting, seed=int(s)), teacher=bench.teacher)
+            for s in seeds
+        ]
+        accs = [art.final_accuracy for art in artifacts[label]]
         by_label[label] = tuple(accs)
-        artifacts[label] = kept
         results.append(
             AblationResult(
                 setting=label,
@@ -439,6 +419,8 @@ def run_sensitivity(
 ) -> SensitivityResult:
     """Accuracy over a K grid and a tau grid; tau cells reuse one pool draw
     per seed, so measured retention is exactly non-increasing in tau."""
+    if not seeds:
+        raise ValueError("seeds must not be empty")
     bench = benchmark if benchmark is not None else make_closed_benchmark()
     k_cells = []
     for k in k_grid:
@@ -536,6 +518,8 @@ def run_task_adaptive_check(
     proxy_noise: float = 0.05,
 ) -> AdaptiveCheckResult:
     """2x2 comparison: {closed, open} x {score-guided, uniform} matching."""
+    if not seeds:
+        raise ValueError("seeds must not be empty")
     closed = closed_benchmark if closed_benchmark is not None else make_closed_benchmark()
     open_b = open_benchmark if open_benchmark is not None else make_open_benchmark()
     closed_gt, closed_uni, open_prox, open_uni = [], [], [], []

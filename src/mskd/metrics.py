@@ -40,6 +40,40 @@ def _is_finite(value) -> bool:
     )
 
 
+def _check_numbers(
+    values: dict,
+    *,
+    ints: tuple[str, ...] = (),
+    least: dict[str, float] | None = None,
+    positive: tuple[str, ...] = (),
+    rates: tuple[str, ...] = (),
+) -> None:
+    """Raise ValueError naming the first of values that breaks a rule.
+
+    The names in ints must be integers and every other value a finite
+    number (numpy scalars pass, bools do not); a name in least must be at
+    least its bound, those in positive > 0, those in rates in [0, 1], and a
+    top_p in (0, 1], the settings nucleus accepts.
+    """
+    for name in ints:
+        if not _is_int(values[name]):
+            raise ValueError(f"{name} must be an integer, got {values[name]!r}")
+    for name, value in values.items():
+        if name not in ints and not _is_finite(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
+    for name, bound in (least or {}).items():
+        if values[name] < bound:
+            raise ValueError(f"{name} must be >= {bound}, got {values[name]}")
+    for name in positive:
+        if not values[name] > 0:
+            raise ValueError(f"{name} must be positive, got {values[name]}")
+    for name in rates:
+        if not 0.0 <= values[name] <= 1.0:
+            raise ValueError(f"{name} must be in [0,1], got {values[name]}")
+    if "top_p" in values and not 0.0 < values["top_p"] <= 1.0:
+        raise ValueError(f"top_p must be in (0,1], got {values['top_p']}")
+
+
 @dataclass(frozen=True, slots=True)
 class MetricConfig:
     """Knobs for the graded metrics.

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -88,22 +87,14 @@ def build_pool(
 
 
 def apply_filter(pool: TeacherPool, tau: float) -> TeacherPool:
-    """Zero the quality of every response below tau; responses stay put."""
+    """Zero the quality of every response below tau; responses stay put.
+    An open-ended pool has no qualities and passes through unchanged."""
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must be in [0,1], got {tau}")
     if pool.qualities is None:
-        warnings.warn(
-            f"pool {pool.example_id}: filtering an open-ended pool is a no-op",
-            stacklevel=2,
-        )
         return pool
     effective = tuple(q if q >= tau else 0.0 for q in pool.qualities)
     return replace(pool, qualities=effective, tau_applied=tau)
-
-
-def filter_closed(pool: TeacherPool, tau: float) -> TeacherPool:
-    """apply_filter for a closed-ended pool; an open-ended pool passes through."""
-    return pool if pool.qualities is None else apply_filter(pool, tau)
 
 
 def matching_distribution(pool: TeacherPool, mode: str = "quality") -> MatchingDistribution:
@@ -181,9 +172,11 @@ def write_pool_cache(pools: Iterable[TeacherPool], path: str | Path) -> None:
 def read_pool_cache(path: str | Path) -> list[TeacherPool]:
     """Load pools written by write_pool_cache; payloads are re-extracted.
 
-    A line is rejected when its stored outer_valid/task_valid flags differ
-    from the re-parse of its texts, when its example_id repeats, or unless
-    every q is a number in [0,1] (closed-ended task) or null (open-ended).
+    A line is rejected when it holds no response, when its stored
+    outer_valid/task_valid flags differ from the re-parse of its texts, when
+    its example_id repeats, or unless every q is null and so is tau_applied
+    (open-ended task), or every q is a number in [0,1] that the filter at
+    tau_applied would keep: 0 or at least tau_applied (closed-ended).
     """
     pools = []
     first_line: dict[str, int] = {}
@@ -193,17 +186,29 @@ def read_pool_cache(path: str | Path) -> list[TeacherPool]:
                 raise ValueError(f"example_id must be a string, got {obj['example_id']!r}")
             task = TaskType(obj["task"])
             records = obj["responses"]
+            if not records:
+                raise ValueError("responses must not be empty")
             responses = tuple(parse_response(r["text"], task) for r in records)
             stored = [(r["outer_valid"], r["task_valid"]) for r in records]
             qs = [r["q"] for r in records]
-            if not task.is_closed:
-                if qs.count(None) != len(qs):
-                    raise ValueError(f"each q of an open-ended pool must be null, got {qs!r}")
-            elif not all((type(q) is float or _is_finite(q)) and 0.0 <= q <= 1.0 for q in qs):
-                raise ValueError(f"each q of a closed-ended pool must be a number in [0,1], got {qs!r}")
             tau = obj.get("tau_applied")
             if tau is not None and not (_is_finite(tau) and 0.0 <= tau <= 1.0):
                 raise ValueError(f"tau_applied must be null or a number in [0,1], got {tau!r}")
+            if not task.is_closed:
+                if qs.count(None) != len(qs):
+                    raise ValueError(f"each q of an open-ended pool must be null, got {qs!r}")
+                if tau is not None:
+                    raise ValueError(f"tau_applied of an open-ended pool must be null, got {tau!r}")
+            else:
+                # the filter zeroes every q below tau, so none is left strictly between
+                floor = 0.0 if tau is None else tau
+                if not all(
+                    (type(q) is float or _is_finite(q)) and (q == 0.0 or floor <= q <= 1.0) for q in qs
+                ):
+                    raise ValueError(
+                        f"each q of a closed-ended pool must be 0 or a number in [tau_applied, 1] "
+                        f"([0,1] unfiltered), got {qs!r} at tau_applied {tau!r}"
+                    )
             pool = TeacherPool(
                 example_id=obj["example_id"],
                 task=task,

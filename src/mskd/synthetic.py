@@ -22,12 +22,11 @@ from mskd.tasks import SupervisionExample, render_payload
 
 @dataclass
 class SyntheticTeacher:
-    """Per-example sampling distributions plus corruption behavior."""
+    """Per-example sampling distributions plus corruption behavior;
+    probs already carry the temperature and top_p they were calibrated at."""
 
     probs: dict[str, np.ndarray]
     violation_rate: dict[str, float]
-    temperature: float = 1.0
-    top_p: float = 0.9
     concentration: dict[str, float] | None = None
 
 

@@ -35,11 +35,6 @@ TIMESTAMP_RE = re.compile(r"<t>(.*?)</t>", flags=re.S)
 FLOAT_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
-class TaskFamily(enum.Enum):
-    CLOSED_ENDED = "closed_ended"
-    OPEN_ENDED = "open_ended"
-
-
 class TaskType(enum.Enum):
     TEMPORAL_GROUNDING = "temporal_grounding"
     SPATIAL_GROUNDING = "spatial_grounding"
@@ -48,9 +43,6 @@ class TaskType(enum.Enum):
     NUMERICAL = "numerical"
     OCR = "ocr"
     OPEN_ENDED = "open_ended"
-
-    def family(self) -> TaskFamily:
-        return TaskFamily.CLOSED_ENDED if self.is_closed else TaskFamily.OPEN_ENDED
 
     @property
     def is_closed(self) -> bool:
@@ -184,12 +176,6 @@ class ParsedResponse:
     clamped: bool = False
 
 
-def validate_outer(raw: str) -> bool:
-    """True iff raw carries exactly one well-formed answer span, optionally
-    preceded by exactly one well-formed thinking span."""
-    return parse_response(raw, TaskType.OPEN_ENDED).outer_valid
-
-
 def _parse_payload(content: str, task: TaskType) -> tuple[AnswerPayload | None, bool]:
     """Extract a payload from answer-span content; (None, False) on mismatch.
 
@@ -248,11 +234,6 @@ def _parse_payload(content: str, task: TaskType) -> tuple[AnswerPayload | None, 
     if not s:
         return None, False
     return Text(s), False
-
-
-def validate_task_format(raw: str, task: TaskType) -> bool:
-    """True iff the answer-span content matches the task grammar."""
-    return parse_response(raw, task).task_valid
 
 
 def parse_response(raw: str, task: TaskType) -> ParsedResponse:

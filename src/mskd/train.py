@@ -21,7 +21,7 @@ slot parses, and the answer-space-size groups evaluation batches over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,7 @@ from mskd.discriminator import (
     save_params,
     score_batch,
 )
-from mskd.metrics import DEFAULT_METRICS, MetricConfig, _is_finite, _is_int, quality_score
+from mskd.metrics import DEFAULT_METRICS, MetricConfig, _check_numbers, _is_finite, quality_score
 from mskd.policy import (
     StudentPolicy,
     checked_cdf,
@@ -49,8 +49,8 @@ from mskd.pool import (
     MatchingDistribution,
     NoValidTargetError,
     TeacherPool,
+    apply_filter,
     build_pool,
-    filter_closed,
     matching_distribution,
     select_sft_target,
 )
@@ -213,42 +213,30 @@ class TrainConfig:
     seed: int = 0
     matching: str = "quality"
     disc_weighting: bool = True
-    baseline: str = "group_mean"
     hidden_dim: int = 0
     temperature: float = 1.0
     top_p: float = 0.9
     metric: MetricConfig = DEFAULT_METRICS
 
     def __post_init__(self) -> None:
-        for name in ("seed", "k", "n_rollouts", "epochs_stage1", "epochs_stage2", "hidden_dim"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("tau", "gamma", "lr_student", "lr_disc", "temperature", "top_p"):
-            value = getattr(self, name)
-            if not _is_finite(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        ints = ("seed", "k", "n_rollouts", "epochs_stage1", "epochs_stage2", "hidden_dim")
+        reals = ("tau", "gamma", "lr_student", "lr_disc", "temperature", "top_p")
+        _check_numbers(
+            {name: getattr(self, name) for name in ints + reals},
+            ints=ints,
+            least={"k": 1, "n_rollouts": 1, "epochs_stage1": 0, "epochs_stage2": 0, "seed": 0,
+                   "hidden_dim": 0, "gamma": 0},
+            positive=("lr_student", "lr_disc", "temperature"),
+            rates=("tau",),
+        )
         if not isinstance(self.disc_weighting, bool):
             raise ValueError(f"disc_weighting must be a bool, got {self.disc_weighting!r}")
         if not isinstance(self.weights, RewardWeights):
             raise InvalidWeightsError(f"weights must be RewardWeights, got {type(self.weights).__name__}")
         if not isinstance(self.metric, MetricConfig):
             raise ValueError(f"metric must be a MetricConfig, got {type(self.metric).__name__}")
-        for name, least in (("k", 1), ("n_rollouts", 1), ("epochs_stage1", 0), ("epochs_stage2", 0),
-                            ("seed", 0), ("hidden_dim", 0), ("gamma", 0)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
-        for name in ("lr_student", "lr_disc", "temperature"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if not 0.0 <= self.tau <= 1.0:
-            raise ValueError(f"tau must be in [0,1], got {self.tau}")
-        if not 0.0 < self.top_p <= 1.0:
-            raise ValueError(f"top_p must be in (0,1], got {self.top_p}")
         if self.matching not in ("quality", "uniform"):
             raise ValueError(f"matching must be 'quality' or 'uniform', got {self.matching!r}")
-        if self.baseline not in ("group_mean", "none"):
-            raise ValueError(f"baseline must be 'group_mean' or 'none', got {self.baseline!r}")
 
 
 @dataclass
@@ -260,7 +248,6 @@ class ExampleCache:
     and task are read-only, shared by the examples that share slot_parses.
     """
 
-    responses: list[ParsedResponse]
     quality: np.ndarray
     features: np.ndarray
     outer: np.ndarray
@@ -310,7 +297,7 @@ def build_caches(
             quality = np.zeros(len(responses))
         features = base.copy()
         features[:, 3] = quality  # the quality column of Featurizer's layout
-        caches[ex.id] = ExampleCache(list(responses), quality, features, outer, task)
+        caches[ex.id] = ExampleCache(quality, features, outer, task)
     return caches
 
 
@@ -431,7 +418,7 @@ def rl_step(
     )
 
     mean_reward = rewards.sum() / n
-    adv = rewards - mean_reward if cfg.baseline == "group_mean" else rewards
+    adv = rewards - mean_reward
     pg = np.bincount(rollouts, weights=adv, minlength=len(p)) / n - p * (adv.sum() / n)
     kl, kl_grad = kl_gradient_logits(p, ref_p)
     logits += cfg.lr_student * (pg - cfg.gamma * kl_grad)
@@ -514,15 +501,11 @@ class TrainedArtifacts:
     final_accuracy: float | None
     skipped_sft: tuple[str, ...]
     skipped_rl: tuple[str, ...]
-    pools: dict[str, TeacherPool] = field(default_factory=dict)
-
-    def write_metrics(self, path: str | Path) -> None:
-        Path(path).write_text(metrics_to_csv(self.rows), encoding="utf-8")
 
     def save(self, out_dir: str | Path) -> None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        self.write_metrics(out / "metrics.csv")
+        (out / "metrics.csv").write_text(metrics_to_csv(self.rows), encoding="utf-8")
         save_params(self.disc, out / "disc.json")
         import json
 
@@ -544,7 +527,7 @@ def make_pools(
     pools: dict[str, TeacherPool] = {}
     for i, ex in enumerate(examples):
         raws = sample_teacher_pool(teacher, ex, cfg.k, _stream(cfg.seed, _S_POOL, i))
-        pools[ex.id] = filter_closed(build_pool(ex, raws, cfg.metric), cfg.tau)
+        pools[ex.id] = apply_filter(build_pool(ex, raws, cfg.metric), cfg.tau)
     return pools
 
 
@@ -572,7 +555,7 @@ def run_pipeline(
             raise ValueError("need either a teacher or prebuilt pools")
         pools = make_pools(examples, teacher, cfg)
     else:
-        pools = {ex.id: filter_closed(pools[ex.id], cfg.tau) for ex in examples}
+        pools = {ex.id: apply_filter(pools[ex.id], cfg.tau) for ex in examples}
 
     featurizer = Featurizer(max(len(ex.answer_space) for ex in examples))
     caches = build_caches(examples, featurizer, cfg.metric)
@@ -651,7 +634,6 @@ def run_pipeline(
         final_accuracy=eval_accuracy(student, acc_groups),
         skipped_sft=skipped_sft,
         skipped_rl=tuple(sorted(skipped_rl)),
-        pools=pools,
     )
 
 
@@ -675,12 +657,15 @@ def pass_at_k_eval(
         raise ValueError("k_values must be non-empty positive integers")
     if not examples:
         raise ValueError("pass@k needs at least one example")
+    per_task = isinstance(success_threshold, dict)
+    if not all(map(_is_finite, success_threshold.values() if per_task else (success_threshold,))):
+        raise ValueError(f"success_threshold must be finite, got {success_threshold!r}")
     ks = sorted(set(int(k) for k in k_values))
     misses = []
     for ex, responses in zip(examples, slot_parses(examples)):
         if not ex.task.is_closed:
             raise ValueError(f"example {ex.id}: pass@k needs a closed-ended success check")
-        thr = success_threshold.get(ex.task, 1.0) if isinstance(success_threshold, dict) else success_threshold
+        thr = success_threshold.get(ex.task, 1.0) if per_task else success_threshold
         misses.append(np.array([quality_score(r, ex, metric_cfg) < thr for r in responses], dtype=float))
     # at most 1, so an example with no successful slot scores exactly 0
     f = np.minimum(expected_scores(student, score_groups(examples, misses), temperature, top_p), 1.0)

@@ -129,7 +129,7 @@ def build_caches(
         )
         outer = np.array([outer_reward(r) for r in responses], dtype=float)
         task = np.array([task_reward(r) for r in responses], dtype=float)
-        caches[ex.id] = ExampleCache(responses, quality, feats, outer, task)
+        caches[ex.id] = ExampleCache(quality, feats, outer, task)
     return caches
 
 

@@ -68,7 +68,7 @@ def bench():
 def ablation(bench):
     t0 = time.perf_counter()
     summary, artifacts = run_ablation(
-        TrainConfig(), seeds=SEEDS20, benchmark=bench, keep_students=True
+        TrainConfig(), seeds=SEEDS20, benchmark=bench
     )
     return summary, artifacts, time.perf_counter() - t0
 

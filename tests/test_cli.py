@@ -239,6 +239,13 @@ def test_train_rejects_unknown_config_key(tmp_path):
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
 
 
+def test_train_rejects_the_removed_baseline_key(tmp_path, capsys):
+    # the policy gradient always subtracts the group mean
+    cfg = write_cfg(tmp_path, "t.json", dict(TINY_TRAIN, baseline="group_mean"))
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    assert "unknown keys ['baseline']" in capsys.readouterr().err
+
+
 def test_train_rejects_malformed_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json", encoding="utf-8")

@@ -26,6 +26,7 @@ from mskd.harness import (
     proxy_overrides,
     run_ablation,
     run_sensitivity,
+    run_task_adaptive_check,
     sensitivity_tables,
     setting_config,
 )
@@ -139,7 +140,6 @@ def test_run_ablation_summary_and_artifacts():
     bench = tiny_bench()
     summary, artifacts = run_ablation(
         tiny_cfg(), settings=ABLATION_LABELS, seeds=(0, 1, 2), benchmark=bench,
-        keep_students=True,
     )
     assert tuple(r.setting for r in summary.results) == ABLATION_LABELS
     by = {r.setting: r for r in summary.results}
@@ -187,6 +187,17 @@ def test_misleading_proxy_inverts_latent():
     prox = misleading_proxy(latent, mislead=0.85, noise=0.0)
     assert np.corrcoef(latent, prox)[0, 1] < -0.99
     assert np.all((prox >= 0.0) & (prox <= 1.0))
+
+
+@pytest.mark.parametrize("run", [run_sensitivity, run_task_adaptive_check])
+def test_sweeps_reject_empty_seeds_before_training(run, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained or built a benchmark before checking seeds")
+
+    for name in ("run_pipeline", "make_pools", "make_closed_benchmark", "make_open_benchmark"):
+        monkeypatch.setattr(f"mskd.harness.{name}", no_training)
+    with pytest.raises(ValueError, match="seeds"):
+        run(tiny_cfg(), seeds=())
 
 
 def test_run_sensitivity_smoke():

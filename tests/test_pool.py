@@ -16,7 +16,6 @@ from mskd.pool import (
     PoolCacheError,
     apply_filter,
     build_pool,
-    filter_closed,
     matching_distribution,
     read_pool_cache,
     sample_matches,
@@ -69,21 +68,13 @@ def test_apply_filter_boundary_keeps_exact_tau():
     assert filtered.qualities == (1.0, 0.0)
 
 
-def test_apply_filter_open_ended_warns_noop():
+def test_apply_filter_passes_open_ended_through():
     pool = build_pool(mk_open(), ["<answer>x</answer>"] * 2)
-    with pytest.warns(UserWarning):
-        out = apply_filter(pool, 0.3)
-    assert out is pool
-
-
-def test_filter_closed_filters_closed_and_passes_open_through():
-    closed = build_pool(mk_mcq(gt="B"), [GOOD, WRONG, BROKEN])
-    assert filter_closed(closed, 0.5) == apply_filter(closed, 0.5)
-    assert filter_closed(closed, 0.5).tau_applied == 0.5
-    open_pool = build_pool(mk_open(), ["<answer>x</answer>"] * 2)
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # no "filtering an open-ended pool" warning
-        assert filter_closed(open_pool, 0.5) is open_pool
+        warnings.simplefilter("error")
+        assert apply_filter(pool, 0.5) is pool
+    closed = apply_filter(build_pool(mk_mcq(gt="B"), [GOOD, WRONG, BROKEN]), 0.5)
+    assert (closed.qualities, closed.tau_applied) == ((1.0, 0.0, 0.0), 0.5)
 
 
 def test_apply_filter_rejects_bad_tau():
@@ -210,12 +201,24 @@ def _cache_line(q=1.0, **fields):
 
 
 def test_pool_cache_line_helper_reads_back(tmp_path):
+    # the filter keeps q >= tau and zeroes the rest, so q == tau and q == 0 load
     path = tmp_path / "pools.jsonl"
-    second_line = _cache_line(tau_applied=0, q=0, example_id="mcq-2")
-    path.write_text(_cache_line() + "\n" + second_line + "\n", encoding="utf-8")
-    first, second = read_pool_cache(path)
-    assert (first.example_id, first.qualities, first.tau_applied) == ("mcq-1", (1.0,), None)
-    assert (second.example_id, second.qualities, second.tau_applied) == ("mcq-2", (0.0,), 0)
+    lines = [
+        _cache_line(),
+        _cache_line(tau_applied=0, q=0, example_id="mcq-2"),
+        _cache_line(tau_applied=0.5, q=0.5, example_id="mcq-3"),
+        _cache_line(tau_applied=0.5, q=0.0, example_id="mcq-4"),
+        _cache_line(task="open_ended", q=None, example_id="open-1"),
+    ]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    got = [(p.example_id, p.qualities, p.tau_applied) for p in read_pool_cache(path)]
+    assert got == [
+        ("mcq-1", (1.0,), None),
+        ("mcq-2", (0.0,), 0),
+        ("mcq-3", (0.5,), 0.5),
+        ("mcq-4", (0.0,), 0.5),
+        ("open-1", None, None),
+    ]
 
 
 def test_pool_cache_duplicate_example_id_names_both_lines(tmp_path):
@@ -247,10 +250,14 @@ def test_pool_cache_duplicate_example_id_names_both_lines(tmp_path):
         _cache_line(q=float("nan")),
         _cache_line(task="open_ended", q=0.5),
         _cache_line(task="open_ended", q=0),
+        _cache_line(responses=[]),
+        _cache_line(q=0.3, tau_applied=0.5),
+        _cache_line(task="open_ended", q=None, tau_applied=0.5),
     ],
     ids=["truncated", "missing_keys", "not_an_object", "text_not_a_string", "tau_string",
          "tau_above_one", "tau_nan", "tau_bool", "q_string", "q_bool", "q_inf", "example_id_int",
-         "closed_q_null", "q_above_one", "q_negative", "q_nan", "open_q_number", "open_q_zero"],
+         "closed_q_null", "q_above_one", "q_negative", "q_nan", "open_q_number", "open_q_zero",
+         "no_responses", "q_below_tau", "open_tau_set"],
 )
 def test_pool_cache_malformed_line_names_file_and_line(tmp_path, bad_line):
     ex = mk_mcq(gt="B")

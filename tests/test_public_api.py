@@ -4,10 +4,17 @@ Each concept has one public path; a name added to or dropped from
 mskd.__all__ has to be added to or dropped from this list as well.
 """
 
+import dataclasses
+import inspect
+
 import mskd
 import mskd.discriminator
+import mskd.harness
 import mskd.policy
+import mskd.pool
 import mskd.rewards
+import mskd.synthetic
+import mskd.tasks
 import mskd.train
 
 PUBLIC = (
@@ -45,7 +52,6 @@ PUBLIC = (
     "StudentPolicy",
     "SupervisionExample",
     "SyntheticTeacher",
-    "TaskFamily",
     "TaskType",
     "TaskVariance",
     "TeacherPool",
@@ -63,7 +69,6 @@ PUBLIC = (
     "emit_report",
     "epsilon_accuracy",
     "exact_match",
-    "filter_closed",
     "init_params",
     "init_student",
     "load_params",
@@ -93,8 +98,6 @@ PUBLIC = (
     "select_sft_targets",
     "spatial_iou",
     "temporal_iou",
-    "validate_outer",
-    "validate_task_format",
     "write_examples",
     "write_pool_cache",
     "write_responses",
@@ -102,7 +105,7 @@ PUBLIC = (
 
 
 def test_all_is_pinned():
-    assert len(PUBLIC) == 87
+    assert len(PUBLIC) == 83
     assert list(mskd.__all__) == list(PUBLIC)
     assert all(hasattr(mskd, name) for name in PUBLIC)
 
@@ -118,3 +121,29 @@ def test_scalar_twins_stay_out_of_the_package():
     }
     for module, names in gone.items():
         assert [n for n in names if hasattr(module, n)] == [], module.__name__
+
+
+def test_single_path_removals_stay_out_of_the_package():
+    # each concept has one path: apply_filter passes open-ended pools
+    # through, parse_response carries both validity flags, and TaskType.is_closed
+    # is the task family
+    gone = {
+        mskd.pool: ("filter_closed",),
+        mskd.tasks: ("TaskFamily", "validate_outer", "validate_task_format"),
+        mskd.tasks.TaskType: ("family",),
+        mskd.train.TrainedArtifacts: ("write_metrics",),
+    }
+    for owner, names in gone.items():
+        assert [n for n in names if hasattr(owner, n)] == [], owner.__name__
+    # fields no caller read, and knobs with one value in use
+    dead_fields = {
+        mskd.train.TrainConfig: ("baseline",),
+        mskd.train.TrainedArtifacts: ("pools",),
+        mskd.train.ExampleCache: ("responses",),
+        mskd.harness.Benchmark: ("mu_targets",),
+        mskd.synthetic.SyntheticTeacher: ("temperature", "top_p"),
+    }
+    for cls, names in dead_fields.items():
+        have = {f.name for f in dataclasses.fields(cls)}
+        assert [n for n in names if n in have] == [], cls.__name__
+    assert "keep_students" not in inspect.signature(mskd.run_ablation).parameters

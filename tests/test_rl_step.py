@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import mk_temporal
-from oracles import kl_divergence
+from oracles import kl_divergence, score_answer_space
 from mskd.discriminator import (
     DiscriminatorParams,
     Featurizer,
@@ -111,14 +111,15 @@ def oracle_rl_step(student, ref, disc, pool, ex, cfg, seed, cache, pool_feats, m
     student_feats = cache.features[rollouts]
     raw_scores = score_batch(disc, student_feats)
     mapped = 0.5 * (1.0 + np.tanh(0.5 * raw_scores))  # sigmoid into [0,1]
+    slots, _ = score_answer_space(ex, cfg.metric)
     rewards = np.array(
         [
-            _oracle_composite_reward(float(mapped[i]), cache.responses[rollouts[i]], ex, cfg.weights, cfg.metric).composite
+            _oracle_composite_reward(float(mapped[i]), slots[rollouts[i]], ex, cfg.weights, cfg.metric).composite
             for i in range(n)
         ]
     )
 
-    adv = rewards - rewards.mean() if cfg.baseline == "group_mean" else rewards.copy()
+    adv = rewards - rewards.mean()
     pg = np.bincount(rollouts, weights=adv, minlength=len(p)) / n - p * (adv.sum() / n)
     kl, kl_grad = _oracle_kl_gradient_logits(p, ref.probs(ex))
     logits += cfg.lr_student * (pg - cfg.gamma * kl_grad)
@@ -228,11 +229,6 @@ def test_rl_step_matches_oracle_hidden_layer(closed):
     run_both(closed, setting_config("D", TrainConfig(seed=5, hidden_dim=2)))
     # n not a power of two, so sum / n and a reciprocal multiply differ
     run_both(closed, setting_config("D", TrainConfig(seed=5, hidden_dim=2, n_rollouts=5)))
-
-
-def test_rl_step_matches_oracle_without_baseline(closed):
-    run_both(closed, setting_config("D", TrainConfig(seed=7, baseline="none")))
-    run_both(closed, setting_config("D", TrainConfig(seed=7, baseline="none", n_rollouts=5)))
 
 
 def test_rl_step_matches_oracle_open_ended(open_ended):

@@ -146,7 +146,7 @@ def test_sampled_quality_mean_tracks_calibration():
     scores = np.array([0.0, 1.0, 0.0, 0.0])
     c = calibrate_concentration(scores, 0.7, top_p=1.0)
     probs = sampling_probs(scores, c, top_p=1.0)
-    teacher = SyntheticTeacher(probs={ex.id: probs}, violation_rate={ex.id: 0.0}, top_p=1.0)
+    teacher = SyntheticTeacher(probs={ex.id: probs}, violation_rate={ex.id: 0.0})
     raws = sample_teacher_pool(teacher, ex, 20_000, rng=np.random.default_rng(2))
     quals = [
         quality_score(parse_response(r, ex.task), ex, DEFAULT_METRICS) for r in raws

@@ -20,37 +20,39 @@ from mskd.tasks import (
     option_letters,
     parse_response,
     render_payload,
-    validate_outer,
-    validate_task_format,
 )
 
 T = TaskType
 
 
+def outer_valid(raw):
+    return parse_response(raw, T.OPEN_ENDED).outer_valid
+
+
 def test_outer_envelope_accepts():
-    assert validate_outer("<answer>B</answer>")
-    assert validate_outer("<think>step by step</think>\n<answer>B</answer>")
-    assert validate_outer("<think>multi\nline</think> <answer>x</answer>")
-    assert validate_outer("prefix text <answer>B</answer> suffix")
+    assert outer_valid("<answer>B</answer>")
+    assert outer_valid("<think>step by step</think>\n<answer>B</answer>")
+    assert outer_valid("<think>multi\nline</think> <answer>x</answer>")
+    assert outer_valid("prefix text <answer>B</answer> suffix")
 
 
 def test_outer_envelope_rejects():
-    assert not validate_outer("")
-    assert not validate_outer("B")
-    assert not validate_outer("<answer>B")
-    assert not validate_outer("B</answer>")
-    assert not validate_outer("<answer>B</answer><answer>C</answer>")
-    assert not validate_outer("<ANSWER>B</ANSWER>")  # tags are lowercase
-    assert not validate_outer("<think>a<think>b</think></think><answer>B</answer>")
-    assert not validate_outer("<answer>B</answer><think>late</think>")
-    assert not validate_outer("<think>open only <answer>B</answer>")
-    assert not validate_outer("<think></think><think></think><answer>B</answer>")
+    assert not outer_valid("")
+    assert not outer_valid("B")
+    assert not outer_valid("<answer>B")
+    assert not outer_valid("B</answer>")
+    assert not outer_valid("<answer>B</answer><answer>C</answer>")
+    assert not outer_valid("<ANSWER>B</ANSWER>")  # tags are lowercase
+    assert not outer_valid("<think>a<think>b</think></think><answer>B</answer>")
+    assert not outer_valid("<answer>B</answer><think>late</think>")
+    assert not outer_valid("<think>open only <answer>B</answer>")
+    assert not outer_valid("<think></think><think></think><answer>B</answer>")
 
 
 def test_think_must_fully_precede_answer():
     # think span overlapping or following the answer span is malformed
-    assert not validate_outer("<answer><think>x</think>B</answer>")
-    assert validate_outer("<think>x</think><answer>B</answer>")
+    assert not outer_valid("<answer><think>x</think>B</answer>")
+    assert outer_valid("<think>x</think><answer>B</answer>")
 
 
 def test_temporal_parse():
@@ -151,8 +153,7 @@ def test_flag_implications_fuzz(rng):
             assert r.task_valid
         else:
             assert not r.task_valid
-        assert r.task_valid == validate_task_format(raw, task)
-        assert r.outer_valid == validate_outer(raw)
+        assert r.outer_valid == outer_valid(raw)  # the envelope check ignores the task
 
 
 def _rand_payload(rng, task):
@@ -290,4 +291,4 @@ _ENVELOPE_TEXTS = st.one_of(
 def test_parse_response_matches_regex_oracle(raw):
     for task in TaskType:
         assert parse_response(raw, task) == oracles.parse_response(raw, task)
-        assert validate_outer(raw) == (oracles._outer_match(raw) is not None)
+        assert parse_response(raw, task).outer_valid == (oracles._outer_match(raw) is not None)
