@@ -7,9 +7,11 @@ seed in the config file; those that write a report (analyze and the four
 harnesses) take --format.  Config files are JSON objects whose top-level
 keys are checked against the ones each command understands.  Each block
 is handed to the type it configures (TrainConfig, MetricConfig,
-RewardWeights, make_closed_benchmark, make_open_benchmark), which rejects
-unknown keys, wrong types and out-of-range values; the CLI only turns
-those errors into exit code 2.  Unreadable input files exit 2 as well.
+RewardWeights, make_closed_benchmark, make_open_benchmark), and passk's
+top-level k_values, temperature, top_p and success_threshold to the check
+pass_at_k_eval runs; these reject unknown keys, wrong types and
+out-of-range values, and the CLI only turns those errors into exit code 2.
+Unreadable input files exit 2 as well.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 degenerate data
 (empty corpus, nothing survives filtering, empty report).
@@ -55,8 +57,7 @@ from mskd.pool import (
     write_pool_cache,
 )
 from mskd.rewards import RewardWeights
-from mskd.tasks import TaskType
-from mskd.train import TrainConfig, pass_at_k_eval, run_pipeline
+from mskd.train import TrainConfig, _passk_settings, pass_at_k_eval, run_pipeline
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -90,10 +91,6 @@ def _load_config(path: str | None, allowed: frozenset) -> dict:
     if unknown:
         raise ConfigError(f"config: unknown keys {unknown}")
     return cfg
-
-
-def _is_count(value) -> bool:
-    return _is_int(value) and value >= 1
 
 
 def _list_field(cfg: dict, key: str, default, ok, what: str) -> tuple:
@@ -164,22 +161,6 @@ def _seeds_from(cfg: dict, base_seed: int, default_n: int = 8) -> tuple[int, ...
     if base_seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {base_seed}")
     return tuple(base_seed + i for i in range(default_n))
-
-
-def _success_threshold(cfg: dict) -> float | dict[TaskType, float]:
-    """One threshold, or an object of thresholds keyed by task name."""
-    thr = cfg.get("success_threshold", 1.0)
-    values = thr.values() if isinstance(thr, dict) else (thr,)
-    if not all(_is_finite(v) for v in values):
-        raise ConfigError(
-            f"success_threshold must be a number or an object of numbers per task, got {thr!r}"
-        )
-    if not isinstance(thr, dict):
-        return float(thr)
-    try:
-        return {TaskType(name): float(v) for name, v in thr.items()}
-    except ValueError as exc:
-        raise ConfigError(f"bad success_threshold task name: {exc}") from exc
 
 
 # --- subcommands ------------------------------------------------------------
@@ -301,7 +282,7 @@ def cmd_sweep(args) -> int:
     cfg = _load_config(args.config, frozenset({"train", "seeds", "k_grid", "tau_grid", "benchmark"}))
     tc = _train_config(cfg.get("train", {}), None)
     seeds = _seeds_from(cfg, args.seed)
-    k_grid = _list_field(cfg, "k_grid", (2, 4, 8), _is_count, "integers >= 1")
+    k_grid = _list_field(cfg, "k_grid", (2, 4, 8), lambda k: _is_int(k) and k >= 1, "integers >= 1")
     taus = _list_field(
         cfg, "tau_grid", (0.0, 0.2, 0.3, 0.5), lambda t: _is_finite(t) and 0 <= t <= 1, "numbers in [0, 1]"
     )
@@ -341,29 +322,19 @@ def cmd_adaptive(args) -> int:
 
 
 def cmd_passk(args) -> int:
-    cfg = _load_config(
-        args.config,
-        frozenset({"train", "setting", "k_values", "success_threshold", "benchmark"}),
-    )
+    # pass@k's settings, at their defaults until the config names them
+    passk = dict(k_values=(1, 2, 4, 8, 16, 32, 64, 128), temperature=1.0, top_p=0.9, success_threshold=1.0)
+    cfg = _load_config(args.config, frozenset({"train", "setting", "benchmark", *passk}))
     tc = _train_config(cfg.get("train", {}), args.seed)
-    label = cfg.get("setting", "D")
-    k_values = _list_field(cfg, "k_values", (1, 2, 4, 8, 16, 32, 64, 128), _is_count, "integers >= 1")
-    thr = _success_threshold(cfg)
-    bench = _build(make_closed_benchmark, cfg.get("benchmark", {}), "benchmark config")
+    passk.update((key, cfg[key]) for key in passk if key in cfg)
+    _build(_passk_settings, passk, "passk config")
     try:
-        cfg_setting = setting_config(label, tc)
+        cfg_setting = setting_config(cfg.get("setting", "D"), tc)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    bench = _build(make_closed_benchmark, cfg.get("benchmark", {}), "benchmark config")
     artifacts = run_pipeline(bench.examples, cfg_setting, teacher=bench.teacher)
-    curve = pass_at_k_eval(
-        artifacts.student,
-        bench.examples,
-        k_values,
-        temperature=tc.temperature,
-        top_p=tc.top_p,
-        success_threshold=thr,
-        metric_cfg=tc.metric,
-    )
+    curve = pass_at_k_eval(artifacts.student, bench.examples, metric_cfg=tc.metric, **passk)
     emit_report(passk_table(curve), _format_for(args), args.out)
     for k, rate in curve:
         print(f"pass@{k}: {rate:.4f}")

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from mskd.tasks import ParsedResponse, SupervisionExample
+from mskd.tasks import SupervisionExample
 
 _LEN_SCALE = 512.0
 
@@ -43,12 +43,9 @@ class Featurizer:
     def dim(self) -> int:
         return 4 + self.space_size
 
-    def featurize(self, resp: ParsedResponse, ex: SupervisionExample, quality: float) -> np.ndarray:
-        return self.featurize_all((resp,), ex, quality)[0]
-
-    def featurize_all(self, responses, ex: SupervisionExample, quality: float) -> np.ndarray:
-        """featurize of each of a sequence of ParsedResponses, as one
-        (len(responses), dim) matrix."""
+    def featurize_all(self, responses, ex: SupervisionExample, quality) -> np.ndarray:
+        """The (len(responses), dim) feature rows of a sequence of
+        ParsedResponses; quality is one value for every row or one per row."""
         f = np.zeros((len(responses), self.dim))
         f[:, 0] = [r.outer_valid for r in responses]
         f[:, 1] = [r.task_valid for r in responses]

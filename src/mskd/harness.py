@@ -365,12 +365,12 @@ def run_ablation(
     """
     if len(seeds) < 2:
         raise ValueError("need at least 2 seeds for significance reporting")
+    configs = [(label, setting_config(label, cfg_base)) for label in settings]
     bench = benchmark if benchmark is not None else make_closed_benchmark()
     results = []
     artifacts: dict[str, list[TrainedArtifacts]] = {}
     by_label: dict[str, tuple[float, ...]] = {}
-    for label in settings:
-        cfg_setting = setting_config(label, cfg_base)
+    for label, cfg_setting in configs:
         artifacts[label] = [
             run_pipeline(bench.examples, replace(cfg_setting, seed=int(s)), teacher=bench.teacher)
             for s in seeds
@@ -421,15 +421,13 @@ def run_sensitivity(
     per seed, so measured retention is exactly non-increasing in tau."""
     if not seeds:
         raise ValueError("seeds must not be empty")
+    # every cell's config first, so a bad grid value fails before any training
+    k_cfgs = [[replace(cfg_base, k=k, seed=int(s)) for s in seeds] for k in k_grid]
+    tau_cfgs = [[replace(cfg_base, tau=tau, seed=int(s)) for s in seeds] for tau in tau_grid]
     bench = benchmark if benchmark is not None else make_closed_benchmark()
     k_cells = []
-    for k in k_grid:
-        accs = [
-            run_pipeline(
-                bench.examples, replace(cfg_base, k=int(k), seed=int(s)), teacher=bench.teacher
-            ).final_accuracy
-            for s in seeds
-        ]
+    for k, cfgs in zip(k_grid, k_cfgs):
+        accs = [run_pipeline(bench.examples, cfg, teacher=bench.teacher).final_accuracy for cfg in cfgs]
         k_cells.append(SweepCell(float(k), float(np.mean(accs)), float(np.std(accs))))
 
     tau_cells = []
@@ -442,15 +440,11 @@ def run_sensitivity(
             [np.asarray(p.qualities) for p in pools.values() if p.qualities is not None]
         )
         qualities_per_seed[int(s)] = qs
-    for tau in tau_grid:
+    for tau, cfgs in zip(tau_grid, tau_cfgs):
         accs = []
         rets = []
-        for s in seeds:
-            art = run_pipeline(
-                bench.examples,
-                replace(cfg_base, tau=float(tau), seed=int(s)),
-                pools=pools_per_seed[int(s)],
-            )
+        for s, cfg in zip(seeds, cfgs):
+            art = run_pipeline(bench.examples, cfg, pools=pools_per_seed[int(s)])
             accs.append(art.final_accuracy)
             rets.append(float((qualities_per_seed[int(s)] >= tau).mean()))
         tau_cells.append(
@@ -520,6 +514,8 @@ def run_task_adaptive_check(
     """2x2 comparison: {closed, open} x {score-guided, uniform} matching."""
     if not seeds:
         raise ValueError("seeds must not be empty")
+    # a NaN proxy sums to no positive mass, so every pool would match uniformly
+    _check_numbers({"mislead": mislead, "proxy_noise": proxy_noise})
     closed = closed_benchmark if closed_benchmark is not None else make_closed_benchmark()
     open_b = open_benchmark if open_benchmark is not None else make_open_benchmark()
     closed_gt, closed_uni, open_prox, open_uni = [], [], [], []

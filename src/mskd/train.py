@@ -35,7 +35,7 @@ from mskd.discriminator import (
     save_params,
     score_batch,
 )
-from mskd.metrics import DEFAULT_METRICS, MetricConfig, _check_numbers, _is_finite, quality_score
+from mskd.metrics import DEFAULT_METRICS, MetricConfig, _check_numbers, _is_finite, _is_int, quality_score
 from mskd.policy import (
     StudentPolicy,
     checked_cdf,
@@ -214,19 +214,17 @@ class TrainConfig:
     matching: str = "quality"
     disc_weighting: bool = True
     hidden_dim: int = 0
-    temperature: float = 1.0
-    top_p: float = 0.9
     metric: MetricConfig = DEFAULT_METRICS
 
     def __post_init__(self) -> None:
         ints = ("seed", "k", "n_rollouts", "epochs_stage1", "epochs_stage2", "hidden_dim")
-        reals = ("tau", "gamma", "lr_student", "lr_disc", "temperature", "top_p")
+        reals = ("tau", "gamma", "lr_student", "lr_disc")
         _check_numbers(
             {name: getattr(self, name) for name in ints + reals},
             ints=ints,
             least={"k": 1, "n_rollouts": 1, "epochs_stage1": 0, "epochs_stage2": 0, "seed": 0,
                    "hidden_dim": 0, "gamma": 0},
-            positive=("lr_student", "lr_disc", "temperature"),
+            positive=("lr_student", "lr_disc"),
             rates=("tau",),
         )
         if not isinstance(self.disc_weighting, bool):
@@ -301,21 +299,10 @@ def build_caches(
     return caches
 
 
-def pool_features(
-    pool: TeacherPool,
-    ex: SupervisionExample,
-    cache: ExampleCache,
-    featurizer: Featurizer,
-) -> np.ndarray:
-    """(K, dim) feature rows for a pool, reusing slot rows where possible;
-    every row's quality column holds the pool's (filtered) quality."""
-    rows = []
-    for resp in pool.responses:
-        slot = ex.slot_of(resp.payload)
-        rows.append(featurizer.featurize(resp, ex, 0.0) if slot is None else cache.features[slot])
-    feats = np.stack(rows)
-    feats[:, 3] = 0.0 if pool.qualities is None else pool.qualities
-    return feats
+def pool_features(pool: TeacherPool, ex: SupervisionExample, featurizer: Featurizer) -> np.ndarray:
+    """(K, dim) feature rows for a pool; every row's quality column holds
+    the pool's (filtered) quality, 0 for an open-ended pool."""
+    return featurizer.featurize_all(pool.responses, ex, 0.0 if pool.qualities is None else pool.qualities)
 
 
 def select_sft_targets(
@@ -559,7 +546,7 @@ def run_pipeline(
 
     featurizer = Featurizer(max(len(ex.answer_space) for ex in examples))
     caches = build_caches(examples, featurizer, cfg.metric)
-    pool_feats = {ex.id: pool_features(pools[ex.id], ex, caches[ex.id], featurizer) for ex in examples}
+    pool_feats = {ex.id: pool_features(pools[ex.id], ex, featurizer) for ex in examples}
     match_dists = {ex.id: matching_for(pools[ex.id], cfg) for ex in examples}
     match_dists.update(match_overrides or {})
     # MatchingDistribution is frozen, so each CDF is checked and built once
@@ -637,13 +624,38 @@ def run_pipeline(
     )
 
 
+def _passk_settings(
+    k_values, temperature: float, top_p: float, success_threshold
+) -> tuple[list[int], float | dict[TaskType, float]]:
+    """pass@k's sorted distinct k values and its threshold, one float or
+    floats keyed by TaskType (a task name is accepted as a key); a bad
+    setting raises ValueError naming it."""
+    if not (
+        isinstance(k_values, (list, tuple)) and k_values and all(_is_int(k) and k >= 1 for k in k_values)
+    ):
+        raise ValueError(f"k_values must be a non-empty list of integers >= 1, got {k_values!r}")
+    _check_numbers({"temperature": temperature, "top_p": top_p}, positive=("temperature",))
+    per_task = isinstance(success_threshold, dict)
+    if not all(map(_is_finite, success_threshold.values() if per_task else (success_threshold,))):
+        raise ValueError(
+            f"success_threshold must be a finite number or one per task, got {success_threshold!r}"
+        )
+    ks = sorted(set(int(k) for k in k_values))
+    if not per_task:
+        return ks, float(success_threshold)
+    try:
+        return ks, {TaskType(t): float(v) for t, v in success_threshold.items()}
+    except ValueError as exc:
+        raise ValueError(f"success_threshold: {exc}") from exc
+
+
 def pass_at_k_eval(
     student: StudentPolicy,
     examples: list[SupervisionExample],
     k_values: list[int],
     temperature: float = 1.0,
     top_p: float = 0.9,
-    success_threshold: float | dict[TaskType, float] = 1.0,
+    success_threshold: float | dict[TaskType | str, float] = 1.0,
     metric_cfg: MetricConfig = DEFAULT_METRICS,
 ) -> list[tuple[int, float]]:
     """Expected fraction of examples solved by at least one of k samples.
@@ -653,20 +665,15 @@ def pass_at_k_eval(
     slots, k independent samples all fail with probability f**k, so each
     rate is the exact mean(1 - f**k), non-decreasing in k.
     """
-    if not k_values or min(k_values) < 1:
-        raise ValueError("k_values must be non-empty positive integers")
+    ks, thr = _passk_settings(k_values, temperature, top_p, success_threshold)
     if not examples:
         raise ValueError("pass@k needs at least one example")
-    per_task = isinstance(success_threshold, dict)
-    if not all(map(_is_finite, success_threshold.values() if per_task else (success_threshold,))):
-        raise ValueError(f"success_threshold must be finite, got {success_threshold!r}")
-    ks = sorted(set(int(k) for k in k_values))
     misses = []
     for ex, responses in zip(examples, slot_parses(examples)):
         if not ex.task.is_closed:
             raise ValueError(f"example {ex.id}: pass@k needs a closed-ended success check")
-        thr = success_threshold.get(ex.task, 1.0) if per_task else success_threshold
-        misses.append(np.array([quality_score(r, ex, metric_cfg) < thr for r in responses], dtype=float))
+        t = thr.get(ex.task, 1.0) if isinstance(thr, dict) else thr
+        misses.append(np.array([quality_score(r, ex, metric_cfg) < t for r in responses], dtype=float))
     # at most 1, so an example with no successful slot scores exactly 0
     f = np.minimum(expected_scores(student, score_groups(examples, misses), temperature, top_p), 1.0)
     return [(k, float(np.mean(1.0 - f**k))) for k in ks]

@@ -10,6 +10,8 @@ sampled_pass_at_k is the Monte-Carlo estimate it is checked against.
 train.build_caches parses each distinct answer space once and featurizes it
 with array writes; build_caches below is the per-example, per-slot form it
 was written in, with score_answer_space and featurize copied verbatim.
+train.pool_features featurizes a pool's own responses in one call;
+pool_features below is the slot-row reuse it replaced, copied verbatim.
 tasks.parse_response checks the envelope with str.count/str.find alone and
 analysis.analyze_variance reduces one stacked array per sample count;
 parse_response and analyze_variance below are the regex and per-question
@@ -27,6 +29,7 @@ from mskd.corpus import ResponseRow
 from mskd.discriminator import _LEN_SCALE, DiscriminatorParams, Featurizer
 from mskd.metrics import DEFAULT_METRICS, MetricConfig, quality_score
 from mskd.policy import StudentPolicy, categorical_draw, nucleus
+from mskd.pool import TeacherPool
 from mskd.rewards import outer_reward, task_reward
 from mskd.tasks import (
     ANSWER_RE,
@@ -111,6 +114,23 @@ def featurize(
     if slot is not None and slot < featurizer.space_size:
         f[4 + slot] = 1.0
     return f
+
+
+def pool_features(
+    pool: TeacherPool,
+    ex: SupervisionExample,
+    cache: ExampleCache,
+    featurizer: Featurizer,
+) -> np.ndarray:
+    """(K, dim) feature rows for a pool, reusing slot rows where possible;
+    every row's quality column holds the pool's (filtered) quality."""
+    rows = []
+    for resp in pool.responses:
+        slot = ex.slot_of(resp.payload)
+        rows.append(featurize(featurizer, resp, ex, 0.0) if slot is None else cache.features[slot])
+    feats = np.stack(rows)
+    feats[:, 3] = 0.0 if pool.qualities is None else pool.qualities
+    return feats
 
 
 def build_caches(

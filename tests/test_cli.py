@@ -258,6 +258,8 @@ def test_train_examples_without_pool_cache_is_config_error(corpus, tmp_path):
     assert code == 2
 
 
+# temperature and top_p are pass@k settings, so a train block rejects them
+# as unknown keys (test_sampling_settings_in_a_train_block_are_unknown_keys)
 @pytest.mark.parametrize(
     "block",
     [{"tau": 2.0}, {"temperature": 0.0}, {"top_p": 0.0}],
@@ -545,6 +547,65 @@ def test_passk_bad_threshold_task_name_is_config_error(tmp_path):
     assert main(["passk", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
 
 
+def no_training(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("built a benchmark or trained before checking the config")
+
+    for name in ("run_pipeline", "make_closed_benchmark", "make_open_benchmark"):
+        monkeypatch.setattr(f"mskd.cli.{name}", fail)
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {"temperature": 0},
+        {"temperature": float("nan")},
+        {"top_p": 0},
+        {"top_p": 1.5},
+        {"top_p": True},
+        {"k_values": [2.0]},
+        {"k_values": []},
+        {"success_threshold": float("nan")},
+        {"success_threshold": {"ocr": "x"}},
+    ],
+    ids=["temperature_zero", "temperature_nan", "top_p_zero", "top_p_above_one", "top_p_bool",
+         "k_values_float", "k_values_empty", "success_threshold_nan", "success_threshold_string"],
+)
+def test_passk_bad_setting_exits_two_before_training(tmp_path, capsys, monkeypatch, settings):
+    no_training(monkeypatch)
+    cfg = write_cfg(tmp_path, "p.json", dict({"train": TINY_TRAIN, "benchmark": TINY_BENCH}, **settings))
+    assert main(["passk", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: invalid passk config") and next(iter(settings)) in err
+    assert "Traceback" not in err
+
+
+def test_passk_sampling_settings_are_top_level_keys(tmp_path):
+    # the explicit defaults give the same report as a config that omits them
+    base = {"train": TINY_TRAIN, "k_values": [1, 4], "benchmark": TINY_BENCH}
+    reports = []
+    for extra in ({}, {"temperature": 1.0, "top_p": 0.9, "success_threshold": 1.0}, {"top_p": 0.3}):
+        cfg, out = write_cfg(tmp_path, "p.json", dict(base, **extra)), tmp_path / f"p{len(reports)}.csv"
+        assert main(["passk", "--config", cfg, "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1] != reports[2]
+
+
+@pytest.mark.parametrize("command", ["train", "ablate", "sweep", "adaptive", "passk"])
+@pytest.mark.parametrize("key", ["temperature", "top_p"])
+def test_sampling_settings_in_a_train_block_are_unknown_keys(tmp_path, capsys, monkeypatch, command, key):
+    no_training(monkeypatch)
+    train = dict(TINY_TRAIN, **{key: 0.9})
+    if command == "train":
+        payload, out = dict(train, benchmark=TINY_BENCH), tmp_path / "run"
+    else:
+        payload, out = {"train": train, "benchmark": TINY_BENCH}, tmp_path / "o.csv"
+    assert main([command, "--config", write_cfg(tmp_path, "c.json", payload), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+    assert "Traceback" not in err
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc_info:
         main(["frobnicate"])
@@ -601,6 +662,7 @@ BAD_TRAIN_FIELDS = {
     "gamma_nan": ({"gamma": float("nan")}, "gamma"),
     "lr_student_inf": ({"lr_student": float("inf")}, "lr_student"),
     "lr_disc_minus_inf": ({"lr_disc": float("-inf")}, "lr_disc"),
+    # pass@k settings, not train fields: the error names them as unknown keys
     "temperature_nan": ({"temperature": float("nan")}, "temperature"),
     "top_p_bool": ({"top_p": True}, "top_p"),
     "tau_bool": ({"tau": True}, "tau"),

@@ -65,7 +65,7 @@ def test_featurizer_layout():
     ex = mk_mcq(gt="B")
     f = Featurizer(4)
     r = parse_response("<answer>B</answer>", ex.task)
-    vec = f.featurize(r, ex, quality_score(r, ex))
+    vec = f.featurize_all((r,), ex, quality_score(r, ex))[0]
     assert vec.shape == (f.dim,)
     assert vec[0] == 1.0 and vec[1] == 1.0  # validity flags
     assert 0.0 < vec[2] <= 1.0  # length feature
@@ -78,7 +78,7 @@ def test_featurizer_invalid_response_is_mostly_zero():
     ex = mk_mcq(gt="B")
     f = Featurizer(4)
     r = parse_response("broken", ex.task)
-    vec = f.featurize(r, ex, quality_score(r, ex))
+    vec = f.featurize_all((r,), ex, quality_score(r, ex))[0]
     assert vec[0] == 0.0 and vec[1] == 0.0 and vec[3] == 0.0
     assert vec[4:].sum() == 0.0
 

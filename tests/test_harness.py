@@ -200,6 +200,52 @@ def test_sweeps_reject_empty_seeds_before_training(run, monkeypatch):
         run(tiny_cfg(), seeds=())
 
 
+def no_training(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("trained before checking every setting")
+
+    for name in ("run_pipeline", "make_pools"):
+        monkeypatch.setattr(f"mskd.harness.{name}", fail)
+
+
+@pytest.mark.parametrize(
+    "grids,field",
+    [
+        ({"k_grid": (2.7,)}, "k"),  # int(2.7) would train K=2 and report 2.7
+        ({"k_grid": (2, True)}, "k"),
+        ({"k_grid": (4, 0)}, "k"),
+        ({"tau_grid": (0.0, float("nan"))}, "tau"),
+        ({"tau_grid": (0.3, True)}, "tau"),  # float(True) would train tau=1.0
+        ({"tau_grid": (1.5,)}, "tau"),
+    ],
+    ids=["k_float", "k_bool", "k_zero", "tau_nan", "tau_bool", "tau_above_one"],
+)
+def test_run_sensitivity_checks_every_cell_before_training(monkeypatch, grids, field):
+    no_training(monkeypatch)
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        run_sensitivity(tiny_cfg(), seeds=(0, 1), benchmark=object(), **grids)
+
+
+@pytest.mark.parametrize(
+    "knobs",
+    [{"mislead": float("nan")}, {"proxy_noise": float("inf")}, {"mislead": True}],
+    ids=["mislead_nan", "proxy_noise_inf", "mislead_bool"],
+)
+def test_adaptive_check_rejects_a_non_finite_proxy_before_training(monkeypatch, knobs):
+    # a NaN proxy has no positive mass, so every open pool would silently
+    # fall back to uniform matching with no SFT target
+    no_training(monkeypatch)
+    with pytest.raises(ValueError, match=f"^{next(iter(knobs))} must be a finite number"):
+        run_task_adaptive_check(tiny_cfg(), seeds=(0, 1), closed_benchmark=object(),
+                                open_benchmark=object(), **knobs)
+
+
+def test_run_ablation_checks_every_label_before_training(monkeypatch):
+    no_training(monkeypatch)
+    with pytest.raises(ValueError, match="unknown ablation setting 'Z'"):
+        run_ablation(tiny_cfg(), settings=("A", "B", "Z"), seeds=(0, 1), benchmark=object())
+
+
 def test_run_sensitivity_smoke():
     bench = tiny_bench()
     res = run_sensitivity(

@@ -8,6 +8,7 @@ import dataclasses
 import inspect
 
 import mskd
+import mskd.cli
 import mskd.discriminator
 import mskd.harness
 import mskd.policy
@@ -132,12 +133,17 @@ def test_single_path_removals_stay_out_of_the_package():
         mskd.tasks: ("TaskFamily", "validate_outer", "validate_task_format"),
         mskd.tasks.TaskType: ("family",),
         mskd.train.TrainedArtifacts: ("write_metrics",),
+        # pool_features featurizes a whole pool with featurize_all, and
+        # pass_at_k_eval's settings check serves mskd passk too
+        mskd.discriminator.Featurizer: ("featurize",),
+        mskd.cli: ("_success_threshold", "TaskType"),
     }
     for owner, names in gone.items():
         assert [n for n in names if hasattr(owner, n)] == [], owner.__name__
     # fields no caller read, and knobs with one value in use
     dead_fields = {
-        mskd.train.TrainConfig: ("baseline",),
+        # temperature and top_p are pass@k settings, which training never read
+        mskd.train.TrainConfig: ("baseline", "temperature", "top_p"),
         mskd.train.TrainedArtifacts: ("pools",),
         mskd.train.ExampleCache: ("responses",),
         mskd.harness.Benchmark: ("mu_targets",),

@@ -9,7 +9,7 @@ from conftest import mk_binary, mk_mcq, mk_open, mk_temporal
 import oracles
 from oracles import sampled_pass_at_k
 from mskd.discriminator import Featurizer, init_params
-from mskd.harness import open_accuracy
+from mskd.harness import make_closed_benchmark, make_open_benchmark, open_accuracy
 from mskd.pool import (
     MatchingDistribution,
     NoValidTargetError,
@@ -25,6 +25,7 @@ from mskd.train import (
     MetricsRow,
     SkippedExample,
     TrainConfig,
+    _passk_settings,
     build_caches,
     _sft_epoch,
     eval_accuracy,
@@ -75,7 +76,7 @@ def rl_inputs(pool, ex, cfg):
     cache = build_caches([ex], featurizer, cfg.metric)[ex.id]
     dist = matching_for(pool, cfg)
     cdf = None if dist is None else checked_cdf(dist.probs)
-    return cache, pool_features(pool, ex, cache, featurizer), cdf, pair_weights(pool, cfg)
+    return cache, pool_features(pool, ex, featurizer), cdf, pair_weights(pool, cfg)
 
 
 def test_kl_penalty_is_policy_kl():
@@ -300,10 +301,38 @@ def test_pool_features_shape_and_reuse():
     pool = build_pool(ex, ["<answer>B</answer>", "<answer>A</answer>", "junk"])
     featurizer = Featurizer(4)
     cache = build_caches([ex], featurizer)[ex.id]
-    feats = pool_features(pool, ex, cache, featurizer)
+    feats = pool_features(pool, ex, featurizer)
     assert feats.shape == (3, featurizer.dim)
-    np.testing.assert_array_equal(feats[0], cache.features[1])  # slot B reused
-    assert feats[2][0] == 0.0  # invalid row featurized fresh
+    np.testing.assert_array_equal(feats[0], cache.features[1])  # the same row as slot B's
+    assert feats[2][0] == 0.0 and not feats[2, 4:].any()  # invalid: no flag, no slot
+
+
+def test_pool_features_match_the_slot_row_oracle_on_synthetic_pools():
+    # a synthetic response is its slot's rendering or a broken envelope, so
+    # featurizing it gives the slot's cached row bit for bit
+    closed = make_closed_benchmark(n_mcq=4, n_temporal=6, retention_target=None, violation_temporal=0.3)
+    open_b = make_open_benchmark(n_examples=4, space_size=5, violation=0.3)
+    invalid = 0
+    for bench in (closed, open_b):
+        pools = make_pools(bench.examples, bench.teacher, TrainConfig(k=8, tau=0.5))
+        featurizer = Featurizer(max(len(ex.answer_space) for ex in bench.examples))
+        caches = build_caches(bench.examples, featurizer)
+        for ex in bench.examples:
+            pool = pools[ex.id]
+            got = pool_features(pool, ex, featurizer)
+            want = oracles.pool_features(pool, ex, caches[ex.id], featurizer)
+            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes()), ex.id
+            invalid += sum(ex.slot_of(r.payload) is None for r in pool.responses)
+    assert invalid > 0  # the fresh-row branch of the oracle is exercised
+
+
+def test_pool_features_length_reads_the_response_text():
+    # a corpus response may wrap an in-space payload in more text than the
+    # slot's rendering; its length column measures its own text
+    ex = mk_mcq(0, gt="B")
+    raw = "<think>" + "x" * 100 + "</think><answer>B</answer>"
+    feats = pool_features(build_pool(ex, [raw]), ex, Featurizer(4))
+    assert feats[0, 2] == len(raw) / 512 and feats[0, 4:].tolist() == [0.0, 1.0, 0.0, 0.0]
 
 
 def test_pool_features_carry_the_filtered_pool_quality():
@@ -314,7 +343,7 @@ def test_pool_features_carry_the_filtered_pool_quality():
     featurizer = Featurizer(len(ex.answer_space))
     cache = build_caches([ex], featurizer)[ex.id]
     assert cache.quality[0] > 0.0  # the unfiltered slot quality
-    feats = pool_features(pool, ex, cache, featurizer)
+    feats = pool_features(pool, ex, featurizer)
     np.testing.assert_array_equal(feats[:, 3], pool.qualities)
     np.testing.assert_array_equal(feats[0, [0, 1, 2, 4, 5]], cache.features[0, [0, 1, 2, 4, 5]])
     assert cache.features[0, 3] == cache.quality[0]  # the cached row is left as it was
@@ -340,6 +369,7 @@ def test_pass_at_k_threshold_dict_and_validation():
     loose = pass_at_k_eval(student, exs, [4], success_threshold={TaskType.TEMPORAL_GROUNDING: 0.1})
     assert strict == [(4, 1.0 - 0.75**4)]  # only the exact segment succeeds
     assert loose == [(4, 1.0 - 0.25**4)]  # every slot but the disjoint one succeeds
+    assert pass_at_k_eval(student, exs, [4], success_threshold={"temporal_grounding": 0.1}) == loose
     # the only successful slot lies outside the nucleus: no sample can hit it
     # (the kept mass of these logits sums to 1 + 2**-52 in the dot product)
     ex = mk_mcq(0, gt="D")
@@ -353,6 +383,8 @@ def test_pass_at_k_threshold_dict_and_validation():
         pass_at_k_eval(student, exs, [])
     with pytest.raises(ValueError):
         pass_at_k_eval(student, exs, [0])
+    with pytest.raises(ValueError, match="k_values"):
+        pass_at_k_eval(student, exs, [2.0])  # integers only, as in mskd passk
     with pytest.raises(ValueError, match="at least one example"):
         pass_at_k_eval(student, [], [1, 2])
     # a NaN threshold compares False against every quality, which read as pass@k = 1
@@ -366,6 +398,9 @@ def test_pass_at_k_dedupes_and_sorts_k():
     student = init_student(exs)
     curve = pass_at_k_eval(student, exs, [8, 1, 8, 2])
     assert [k for k, _ in curve] == [1, 2, 8]
+    settings = _passk_settings((8, np.int64(1), 8, 2), 0.7, 1.0, {"ocr": 1, TaskType.BINARY_QA: 0.5})
+    assert settings == ([1, 2, 8], {TaskType.OCR: 1.0, TaskType.BINARY_QA: 0.5})
+    assert _passk_settings([3], 1.0, 0.9, 1) == ([3], 1.0)
 
 
 # Hand-built logits per example template: spread mass, mass on a success,
@@ -461,11 +496,16 @@ def test_train_config_rejects_non_integer_counts(field, value):
         TrainConfig(**{field: value})
 
 
+def passk_settings(**kw):
+    """_passk_settings at valid settings but for kw."""
+    return _passk_settings(**{"k_values": [1], "temperature": 1.0, "top_p": 0.9, "success_threshold": 1.0, **kw})
+
+
 # (type, keyword arguments, the field its error must name)
 BAD_CONFIG_FIELDS = [
     *[
         (TrainConfig, {f: v}, f)
-        for f in ("tau", "gamma", "lr_student", "lr_disc", "temperature", "top_p")
+        for f in ("tau", "gamma", "lr_student", "lr_disc")
         for v in (np.nan, np.inf, True)
     ],
     (TrainConfig, {"tau": "0.3"}, "tau"),
@@ -478,6 +518,14 @@ BAD_CONFIG_FIELDS = [
     (MetricConfig, {"eps_rel": "0.05"}, "eps_rel"),
     (RewardWeights, {"alpha": True, "beta": 0, "eta": 0, "delta": 0}, "alpha"),
     (RewardWeights, {"alpha": 0.4, "beta": 0.1, "eta": 0.1, "delta": "0.4"}, "delta"),
+    # pass@k's sampling settings, checked by pass_at_k_eval and mskd passk alike
+    *[(passk_settings, {"temperature": v}, "temperature") for v in (np.nan, np.inf, True, 0.0, -1.0)],
+    *[(passk_settings, {"top_p": v}, "top_p") for v in (np.nan, np.inf, True, 0.0, 1.5)],
+    *[(passk_settings, {"k_values": v}, "k_values") for v in ([], [2.0], [0], [True], 4, "12")],
+    *[
+        (passk_settings, {"success_threshold": v}, "success_threshold")
+        for v in (np.nan, True, "x", {"ocr": np.inf}, {"no_such_task": 0.5})
+    ],
 ]
 
 
@@ -588,6 +636,6 @@ def test_slot_table_matches_per_example_oracle(space_size):
     assert got["ex-10"].features[0, 5] == 1.0 and 0.0 < got["ex-11"].quality[0] < 1.0
     assert got["ex-12"].features[0, 2] != got["ex-13"].features[0, 2]
     for ex, parsed in zip(exs, parses):
-        assert featurizer.featurize(parsed[0], ex, 0.5).tobytes() == (
-            oracles.featurize(featurizer, parsed[0], ex, 0.5).tobytes()
+        assert featurizer.featurize_all(parsed, ex, 0.5).tobytes() == (
+            np.stack([oracles.featurize(featurizer, r, ex, 0.5) for r in parsed]).tobytes()
         )
