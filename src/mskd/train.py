@@ -299,10 +299,22 @@ def build_caches(
     return caches
 
 
-def pool_features(pool: TeacherPool, ex: SupervisionExample, featurizer: Featurizer) -> np.ndarray:
-    """(K, dim) feature rows for a pool; every row's quality column holds
-    the pool's (filtered) quality, 0 for an open-ended pool."""
-    return featurizer.featurize_all(pool.responses, ex, 0.0 if pool.qualities is None else pool.qualities)
+def pool_features(
+    pool: TeacherPool,
+    ex: SupervisionExample,
+    cache: ExampleCache,
+    featurizer: Featurizer,
+) -> np.ndarray:
+    """(K, dim) feature rows for a pool, featurized in one call.  A response
+    whose payload is an answer-space slot takes that slot's cached row, the
+    row a student rollout of the slot gets, whatever else its text holds;
+    every row's quality column holds the pool's (filtered) quality."""
+    feats = featurizer.featurize_all(pool.responses, ex, 0.0)
+    slots = [ex.slot_of(resp.payload) for resp in pool.responses]
+    in_space = [row for row, slot in enumerate(slots) if slot is not None]
+    feats[in_space] = cache.features[[slots[row] for row in in_space]]
+    feats[:, 3] = 0.0 if pool.qualities is None else pool.qualities
+    return feats
 
 
 def select_sft_targets(
@@ -546,7 +558,7 @@ def run_pipeline(
 
     featurizer = Featurizer(max(len(ex.answer_space) for ex in examples))
     caches = build_caches(examples, featurizer, cfg.metric)
-    pool_feats = {ex.id: pool_features(pools[ex.id], ex, featurizer) for ex in examples}
+    pool_feats = {ex.id: pool_features(pools[ex.id], ex, caches[ex.id], featurizer) for ex in examples}
     match_dists = {ex.id: matching_for(pools[ex.id], cfg) for ex in examples}
     match_dists.update(match_overrides or {})
     # MatchingDistribution is frozen, so each CDF is checked and built once

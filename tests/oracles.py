@@ -10,8 +10,9 @@ sampled_pass_at_k is the Monte-Carlo estimate it is checked against.
 train.build_caches parses each distinct answer space once and featurizes it
 with array writes; build_caches below is the per-example, per-slot form it
 was written in, with score_answer_space and featurize copied verbatim.
-train.pool_features featurizes a pool's own responses in one call;
-pool_features below is the slot-row reuse it replaced, copied verbatim.
+train.pool_features featurizes a whole pool in one call and then takes
+the cached slot rows; pool_features below is the per-row form it replaced,
+copied verbatim.
 tasks.parse_response checks the envelope with str.count/str.find alone and
 analysis.analyze_variance reduces one stacked array per sample count;
 parse_response and analyze_variance below are the regex and per-question

@@ -402,7 +402,7 @@ def test_criterion_06_policy_update_and_kl():
     pool = build_pool(ex, [render_payload(Binary(True)), render_payload(Binary(False))])
     featurizer = Featurizer(2)
     cache = build_caches([ex], featurizer)[ex.id]
-    pool_feats = pool_features(pool, ex, featurizer)
+    pool_feats = pool_features(pool, ex, cache, featurizer)
     match_cdf = checked_cdf(matching_distribution(pool, cfg.matching).probs)
     disc = init_params(featurizer.dim, 0, seed=0)
     theta = np.array([0.3, -0.2])

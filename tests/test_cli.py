@@ -258,8 +258,9 @@ def test_train_examples_without_pool_cache_is_config_error(corpus, tmp_path):
     assert code == 2
 
 
-# temperature and top_p are pass@k settings, so a train block rejects them
-# as unknown keys (test_sampling_settings_in_a_train_block_are_unknown_keys)
+# temperature and top_p are pass@k settings, so mskd train rejects them as
+# unknown keys; test_sampling_settings_in_a_train_block_are_unknown_keys
+# checks the commands that nest a train block
 @pytest.mark.parametrize(
     "block",
     [{"tau": 2.0}, {"temperature": 0.0}, {"top_p": 0.0}],
@@ -591,15 +592,14 @@ def test_passk_sampling_settings_are_top_level_keys(tmp_path):
     assert reports[0] == reports[1] != reports[2]
 
 
-@pytest.mark.parametrize("command", ["train", "ablate", "sweep", "adaptive", "passk"])
+# mskd train's own config is checked by test_train_bad_hyperparameter_is_config_error
+# and BAD_TRAIN_FIELDS; these are the commands that nest a train block
+@pytest.mark.parametrize("command", ["ablate", "sweep", "adaptive", "passk"])
 @pytest.mark.parametrize("key", ["temperature", "top_p"])
 def test_sampling_settings_in_a_train_block_are_unknown_keys(tmp_path, capsys, monkeypatch, command, key):
     no_training(monkeypatch)
-    train = dict(TINY_TRAIN, **{key: 0.9})
-    if command == "train":
-        payload, out = dict(train, benchmark=TINY_BENCH), tmp_path / "run"
-    else:
-        payload, out = {"train": train, "benchmark": TINY_BENCH}, tmp_path / "o.csv"
+    payload = {"train": dict(TINY_TRAIN, **{key: 0.9}), "benchmark": TINY_BENCH}
+    out = tmp_path / "o.csv"
     assert main([command, "--config", write_cfg(tmp_path, "c.json", payload), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and key in err

@@ -133,7 +133,7 @@ def test_single_path_removals_stay_out_of_the_package():
         mskd.tasks: ("TaskFamily", "validate_outer", "validate_task_format"),
         mskd.tasks.TaskType: ("family",),
         mskd.train.TrainedArtifacts: ("write_metrics",),
-        # pool_features featurizes a whole pool with featurize_all, and
+        # pool_features featurizes a whole pool in one featurize_all call, and
         # pass_at_k_eval's settings check serves mskd passk too
         mskd.discriminator.Featurizer: ("featurize",),
         mskd.cli: ("_success_threshold", "TaskType"),

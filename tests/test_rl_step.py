@@ -180,7 +180,7 @@ def run_both(bench, cfg, epochs=2):
     pools = make_pools(examples, bench.teacher, cfg)
     featurizer = Featurizer(max(len(ex.answer_space) for ex in examples))
     caches = build_caches(examples, featurizer, cfg.metric)
-    feats = {ex.id: pool_features(pools[ex.id], ex, featurizer) for ex in examples}
+    feats = {ex.id: pool_features(pools[ex.id], ex, caches[ex.id], featurizer) for ex in examples}
     dists = {ex.id: matching_for(pools[ex.id], cfg) for ex in examples}
     cdfs = {k: None if d is None else checked_cdf(d.probs) for k, d in dists.items()}
     student, ref, disc = start_state(examples, cfg, featurizer)

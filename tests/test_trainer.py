@@ -20,7 +20,7 @@ from mskd.pool import (
 from mskd.metrics import MetricConfig
 from mskd.rewards import InvalidWeightsError, RewardWeights
 from mskd.synthetic import SyntheticTeacher
-from mskd.tasks import Number, SpatialBox, SupervisionExample, TaskType, TemporalSegment, Text
+from mskd.tasks import Number, SpatialBox, SupervisionExample, TaskType, TemporalSegment, Text, render_payload
 from mskd.train import (
     MetricsRow,
     SkippedExample,
@@ -76,7 +76,7 @@ def rl_inputs(pool, ex, cfg):
     cache = build_caches([ex], featurizer, cfg.metric)[ex.id]
     dist = matching_for(pool, cfg)
     cdf = None if dist is None else checked_cdf(dist.probs)
-    return cache, pool_features(pool, ex, featurizer), cdf, pair_weights(pool, cfg)
+    return cache, pool_features(pool, ex, cache, featurizer), cdf, pair_weights(pool, cfg)
 
 
 def test_kl_penalty_is_policy_kl():
@@ -301,15 +301,15 @@ def test_pool_features_shape_and_reuse():
     pool = build_pool(ex, ["<answer>B</answer>", "<answer>A</answer>", "junk"])
     featurizer = Featurizer(4)
     cache = build_caches([ex], featurizer)[ex.id]
-    feats = pool_features(pool, ex, featurizer)
+    feats = pool_features(pool, ex, cache, featurizer)
     assert feats.shape == (3, featurizer.dim)
     np.testing.assert_array_equal(feats[0], cache.features[1])  # the same row as slot B's
     assert feats[2][0] == 0.0 and not feats[2, 4:].any()  # invalid: no flag, no slot
 
 
 def test_pool_features_match_the_slot_row_oracle_on_synthetic_pools():
-    # a synthetic response is its slot's rendering or a broken envelope, so
-    # featurizing it gives the slot's cached row bit for bit
+    # the synthetic benchmarks' pools, broken envelopes included, give the
+    # per-row form's rows bit for bit
     closed = make_closed_benchmark(n_mcq=4, n_temporal=6, retention_target=None, violation_temporal=0.3)
     open_b = make_open_benchmark(n_examples=4, space_size=5, violation=0.3)
     invalid = 0
@@ -319,20 +319,44 @@ def test_pool_features_match_the_slot_row_oracle_on_synthetic_pools():
         caches = build_caches(bench.examples, featurizer)
         for ex in bench.examples:
             pool = pools[ex.id]
-            got = pool_features(pool, ex, featurizer)
+            got = pool_features(pool, ex, caches[ex.id], featurizer)
             want = oracles.pool_features(pool, ex, caches[ex.id], featurizer)
             assert (got.shape, got.tobytes()) == (want.shape, want.tobytes()), ex.id
             invalid += sum(ex.slot_of(r.payload) is None for r in pool.responses)
     assert invalid > 0  # the fresh-row branch of the oracle is exercised
 
 
-def test_pool_features_length_reads_the_response_text():
-    # a corpus response may wrap an in-space payload in more text than the
-    # slot's rendering; its length column measures its own text
-    ex = mk_mcq(0, gt="B")
-    raw = "<think>" + "x" * 100 + "</think><answer>B</answer>"
-    feats = pool_features(build_pool(ex, [raw]), ex, Featurizer(4))
-    assert feats[0, 2] == len(raw) / 512 and feats[0, 4:].tolist() == [0.0, 1.0, 0.0, 0.0]
+def test_pool_features_match_the_slot_row_oracle_on_corpus_texts():
+    # a corpus response may wrap an in-space payload in a think block or
+    # format it unlike the slot's rendering; it still gets the slot's row,
+    # so a teacher row differs from a student rollout of its slot only in
+    # the quality column
+    think = "<think>" + "x" * 100 + "</think>"
+    cases = [
+        (mk_mcq(0, gt="B"), [
+            think + "<answer>B</answer>", "<answer> C </answer>", "<answer>B", "<answer>E</answer>",
+        ]),
+        (mk_temporal(gt=(0.2, 0.6)), [
+            "<answer><t>0.20</t> <t>0.600</t></answer>",
+            think + "<answer><t>0.4</t> <t>0.8</t></answer>",
+            "<answer><t>0.3</t> <t>0.7</t></answer>",
+        ]),
+    ]
+    for ex, raws in cases:
+        pool = apply_filter(build_pool(ex, raws), 0.5)
+        featurizer = Featurizer(len(ex.answer_space))
+        cache = build_caches([ex], featurizer)[ex.id]
+        got = pool_features(pool, ex, cache, featurizer)
+        want = oracles.pool_features(pool, ex, cache, featurizer)
+        assert (got.shape, got.tobytes()) == (want.shape, want.tobytes()), ex.id
+        slots = [ex.slot_of(r.payload) for r in pool.responses]
+        reworded = [
+            row for row, slot in enumerate(slots)
+            if slot is not None and pool.responses[row].raw != render_payload(ex.answer_space[slot])
+        ]
+        assert len(reworded) >= 2 and None in slots, ex.id
+        for row in reworded:
+            np.testing.assert_array_equal(np.delete(got[row], 3), np.delete(cache.features[slots[row]], 3))
 
 
 def test_pool_features_carry_the_filtered_pool_quality():
@@ -343,7 +367,7 @@ def test_pool_features_carry_the_filtered_pool_quality():
     featurizer = Featurizer(len(ex.answer_space))
     cache = build_caches([ex], featurizer)[ex.id]
     assert cache.quality[0] > 0.0  # the unfiltered slot quality
-    feats = pool_features(pool, ex, featurizer)
+    feats = pool_features(pool, ex, cache, featurizer)
     np.testing.assert_array_equal(feats[:, 3], pool.qualities)
     np.testing.assert_array_equal(feats[0, [0, 1, 2, 4, 5]], cache.features[0, [0, 1, 2, 4, 5]])
     assert cache.features[0, 3] == cache.quality[0]  # the cached row is left as it was
