@@ -365,16 +365,15 @@ def run_ablation(
     """
     if len(seeds) < 2:
         raise ValueError("need at least 2 seeds for significance reporting")
+    # every cell's config first, so a bad label or seed fails before any training
     configs = [(label, setting_config(label, cfg_base)) for label in settings]
+    cells = {label: [replace(cfg_setting, seed=s) for s in seeds] for label, cfg_setting in configs}
     bench = benchmark if benchmark is not None else make_closed_benchmark()
     results = []
     artifacts: dict[str, list[TrainedArtifacts]] = {}
     by_label: dict[str, tuple[float, ...]] = {}
     for label, cfg_setting in configs:
-        artifacts[label] = [
-            run_pipeline(bench.examples, replace(cfg_setting, seed=int(s)), teacher=bench.teacher)
-            for s in seeds
-        ]
+        artifacts[label] = [run_pipeline(bench.examples, cfg, teacher=bench.teacher) for cfg in cells[label]]
         accs = [art.final_accuracy for art in artifacts[label]]
         by_label[label] = tuple(accs)
         results.append(
@@ -422,8 +421,9 @@ def run_sensitivity(
     if not seeds:
         raise ValueError("seeds must not be empty")
     # every cell's config first, so a bad grid value fails before any training
-    k_cfgs = [[replace(cfg_base, k=k, seed=int(s)) for s in seeds] for k in k_grid]
-    tau_cfgs = [[replace(cfg_base, tau=tau, seed=int(s)) for s in seeds] for tau in tau_grid]
+    k_cfgs = [[replace(cfg_base, k=k, seed=s) for s in seeds] for k in k_grid]
+    tau_cfgs = [[replace(cfg_base, tau=tau, seed=s) for s in seeds] for tau in tau_grid]
+    pool_cfgs = [replace(cfg_base, tau=0.0, seed=s) for s in seeds]  # one unfiltered draw per seed
     bench = benchmark if benchmark is not None else make_closed_benchmark()
     k_cells = []
     for k, cfgs in zip(k_grid, k_cfgs):
@@ -431,22 +431,18 @@ def run_sensitivity(
         k_cells.append(SweepCell(float(k), float(np.mean(accs)), float(np.std(accs))))
 
     tau_cells = []
-    pools_per_seed: dict[int, dict[str, TeacherPool]] = {}
-    qualities_per_seed: dict[int, np.ndarray] = {}
-    for s in seeds:
-        pools = make_pools(bench.examples, bench.teacher, replace(cfg_base, tau=0.0, seed=int(s)))
-        pools_per_seed[int(s)] = pools
-        qs = np.concatenate(
-            [np.asarray(p.qualities) for p in pools.values() if p.qualities is not None]
-        )
-        qualities_per_seed[int(s)] = qs
+    pools_per_seed = [make_pools(bench.examples, bench.teacher, cfg) for cfg in pool_cfgs]
+    qualities_per_seed = [
+        np.concatenate([np.asarray(p.qualities) for p in pools.values() if p.qualities is not None])
+        for pools in pools_per_seed
+    ]
     for tau, cfgs in zip(tau_grid, tau_cfgs):
         accs = []
         rets = []
-        for s, cfg in zip(seeds, cfgs):
-            art = run_pipeline(bench.examples, cfg, pools=pools_per_seed[int(s)])
+        for pools, qs, cfg in zip(pools_per_seed, qualities_per_seed, cfgs):
+            art = run_pipeline(bench.examples, cfg, pools=pools)
             accs.append(art.final_accuracy)
-            rets.append(float((qualities_per_seed[int(s)] >= tau).mean()))
+            rets.append(float((qs >= tau).mean()))
         tau_cells.append(
             SweepCell(float(tau), float(np.mean(accs)), float(np.std(accs)), float(np.mean(rets)))
         )
@@ -516,12 +512,13 @@ def run_task_adaptive_check(
         raise ValueError("seeds must not be empty")
     # a NaN proxy sums to no positive mass, so every pool would match uniformly
     _check_numbers({"mislead": mislead, "proxy_noise": proxy_noise})
+    # every cell's config first, so a bad seed fails before any training
+    arms = (setting_config("D", cfg_base), setting_config("C", cfg_base), cfg_base)
+    cells = [tuple(replace(cfg, seed=s) for cfg in arms) for s in seeds]
     closed = closed_benchmark if closed_benchmark is not None else make_closed_benchmark()
     open_b = open_benchmark if open_benchmark is not None else make_open_benchmark()
     closed_gt, closed_uni, open_prox, open_uni = [], [], [], []
-    for s in seeds:
-        cfg_d = replace(setting_config("D", cfg_base), seed=int(s))
-        cfg_c = replace(setting_config("C", cfg_base), seed=int(s))
+    for cfg_d, cfg_c, cfg_open in cells:
         closed_gt.append(
             run_pipeline(closed.examples, cfg_d, teacher=closed.teacher).final_accuracy
         )
@@ -529,12 +526,11 @@ def run_task_adaptive_check(
             run_pipeline(closed.examples, cfg_c, teacher=closed.teacher).final_accuracy
         )
 
-        cfg_open = replace(cfg_base, seed=int(s))
         pools = make_pools(open_b.examples, open_b.teacher, cfg_open)
         art_uni = run_pipeline(open_b.examples, cfg_open, pools=pools)
         open_uni.append(open_accuracy(art_uni.student, open_b.examples, open_b.slot_scores))
 
-        prng = np.random.default_rng(np.random.SeedSequence([int(s), 23]))
+        prng = np.random.default_rng(np.random.SeedSequence([int(cfg_open.seed), 23]))
         proxies = {
             ex.id: misleading_proxy(open_b.slot_scores[ex.id], mislead, proxy_noise, prng)
             for ex in open_b.examples

@@ -54,20 +54,32 @@ def nucleus(probs: np.ndarray, temperature: float = 1.0, top_p: float = 1.0) -> 
 def checked_cdf(p: np.ndarray | Sequence[float]) -> np.ndarray:
     """The normalised CDF that ``Generator.choice`` draws a float64 vector p
     from, after the same checks; ``cdf.searchsorted(u, side="right")`` maps
-    uniforms u to the indices choice would give for them."""
+    uniforms u to the indices choice would give for them.  Works over the
+    last axis: each row of a 2-D input is checked and normalised on its own,
+    and the first bad row raises."""
     p = np.asarray(p, dtype=float)
-    if p.ndim != 1:
-        raise ValueError("p must be 1-dimensional")
-    total = p.sum()
-    if math.isnan(total):
-        raise ValueError("probabilities contain NaN")
-    if (p < 0.0).any():
-        raise ValueError("probabilities are not non-negative")
-    if abs(total - 1.0) > _SUM_ATOL:
-        raise ValueError(f"probabilities do not sum to 1 (sum {float(total)!r})")
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
+    if p.ndim == 0:
+        raise ValueError("p must be at least 1-dimensional")
+    total = p.sum(axis=-1)
+    # NaN fails both tests, so a clean input skips the per-row loop
+    if not ((p >= 0.0).all(axis=-1) & (abs(total - 1.0) <= _SUM_ATOL)).all():
+        for row, row_total in zip(p.reshape(-1, p.shape[-1]), total.reshape(-1)):
+            if math.isnan(row_total):
+                raise ValueError("probabilities contain NaN")
+            if (row < 0.0).any():
+                raise ValueError("probabilities are not non-negative")
+            if abs(row_total - 1.0) > _SUM_ATOL:
+                raise ValueError(f"probabilities do not sum to 1 (sum {float(row_total)!r})")
+    cdf = p.cumsum(axis=-1)
+    cdf /= cdf[..., -1:]
     return cdf
+
+
+def _invert_rows(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """cdf[r].searchsorted(u[r], side="right") for every row r of a 2-D
+    checked_cdf and a (rows, n) array of uniforms, as one comparison count:
+    a CDF is non-decreasing, so the index is the number of entries <= u."""
+    return (cdf[:, None, :] <= u[:, :, None]).sum(-1)
 
 
 def categorical_draw(p: np.ndarray | Sequence[float], n: int, rng: np.random.Generator) -> np.ndarray:
@@ -103,8 +115,9 @@ def init_student(examples) -> StudentPolicy:
     return StudentPolicy(logits=logits)
 
 
-def kl_gradient_logits(p: np.ndarray, q: np.ndarray) -> tuple[float, np.ndarray]:
-    """KL(p || q) and its exact gradient w.r.t. the logits behind p.
+def kl_gradient_logits(p: np.ndarray, q: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
+    """KL(p || q) and its exact gradient w.r.t. the logits behind p, over the
+    last axis: a 2-D input gives one KL per row, a 1-D input one scalar.
 
     With p = softmax(theta): d KL / d theta_j = p_j ((log p_j - log q_j) - KL).
     KL is summed over the support of p only (0 log 0 = 0) and is inf when q
@@ -112,5 +125,11 @@ def kl_gradient_logits(p: np.ndarray, q: np.ndarray) -> tuple[float, np.ndarray]
     """
     pos = p > 0.0
     diff = np.where(pos, np.log(np.where(pos, p, 1.0)) - np.log(q), 0.0)
-    kl = math.inf if (q[pos] <= 0.0).any() else float((p[pos] * diff[pos]).sum())
-    return kl, p * (diff - kl)
+    terms = p * diff
+    kl = terms.sum(axis=-1, keepdims=True)
+    # a row with an exact zero in p sums over its support alone: the zeros
+    # would move numpy's pairwise grouping of the sum, and with it the bits
+    for row in map(tuple, np.argwhere(~pos.all(axis=-1))):
+        kl[row] = terms[row][pos[row]].sum()
+    kl[(pos & (q <= 0.0)).any(axis=-1)] = math.inf
+    return kl[..., 0][()], p * (diff - kl)

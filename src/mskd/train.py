@@ -1,12 +1,14 @@
 """Two-stage trainer: supervised warm start, then adversarial RL.
 
 Stage 1 fits the categorical student to the best pool response per example
-by cross-entropy.  Stage 2 alternates, per example and step: sample N
+by cross-entropy.  Stage 2 takes, per example and epoch, one step: sample N
 rollouts, pair each with a teacher response drawn from the matching
 distribution, reward the rollouts (discriminator + format + content), apply
 a policy-gradient update with a group-mean advantage baseline and an exact
 KL pull toward the frozen Stage-1 policy, then descend the discriminator's
-pairwise loss on the matched pairs.
+pairwise loss on the matched pairs.  rl_step runs a whole epoch of these
+steps: only the discriminator moves from step to step, so the student half
+of every step is batched across the epoch's examples.
 
 Every random draw comes from a stream derived as
 SeedSequence([seed, stream_tag, epoch, example_index]), so runs are
@@ -15,8 +17,9 @@ RL steps' streams are the two spawned children of that sequence; a step
 reads the first n_rollouts doubles of each, which uniform_table computes for
 a whole run at once, bit for bit, from stream_table's seed states.  All else
 a step reads is fixed for the run and taken once: the reference policy, each
-pool's matching CDF and pair weights, each distinct (task, answer_space)'s
-slot parses, and the answer-space-size groups evaluation batches over.
+pool's matched rows for every epoch and its pair weights, each distinct
+(task, answer_space)'s slot parses, and the answer-space-size groups
+evaluation batches over.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from mskd.discriminator import (
 from mskd.metrics import DEFAULT_METRICS, MetricConfig, _check_numbers, _is_finite, _is_int, quality_score
 from mskd.policy import (
     StudentPolicy,
+    _invert_rows,
     checked_cdf,
     init_student,
     kl_gradient_logits,
@@ -70,12 +74,13 @@ from mskd.tasks import ParsedResponse, SupervisionExample, TaskType, parse_respo
 _S_POOL, _S_SFT, _S_DISC, _S_ROLL = 1, 2, 3, 4
 
 
-class SkippedExample(Exception):
-    """Raised by rl_step when a pool has no matchable responses."""
-
-    def __init__(self, example_id: str):
-        super().__init__(f"example {example_id} skipped: degenerate pool")
-        self.example_id = example_id
+def _check_distinct_ids(examples: list[SupervisionExample]) -> None:
+    """Every example id once: pools, caches and logits are keyed by id."""
+    seen: set[str] = set()
+    for ex in examples:
+        if ex.id in seen:
+            raise ValueError(f"duplicate example id {ex.id!r}")
+        seen.add(ex.id)
 
 
 def _stream(seed: int, *tags: int) -> np.random.Generator:
@@ -379,57 +384,80 @@ def pair_weights(pool: TeacherPool, cfg: TrainConfig) -> np.ndarray:
 
 def rl_step(
     student: StudentPolicy,
-    ref_p: np.ndarray,
+    ref_probs: dict[str, np.ndarray],
     disc: DiscriminatorParams,
-    ex: SupervisionExample,
+    examples: list[SupervisionExample],
     cfg: TrainConfig,
     uniforms: np.ndarray,
-    cache: ExampleCache,
-    pool_feats: np.ndarray,
-    match_cdf: np.ndarray | None,
-    pair_q: np.ndarray,
-) -> tuple[StudentPolicy, DiscriminatorParams, dict[str, float]]:
-    """One adversarial-distillation step on a single example.
+    matches: list[np.ndarray | None],
+    caches: dict[str, ExampleCache],
+    pool_feats: dict[str, np.ndarray],
+    pair_q: dict[str, np.ndarray],
+) -> tuple[DiscriminatorParams, dict[str, dict[str, float]], tuple[str, ...]]:
+    """One epoch of adversarial distillation over examples (distinct ids).
 
-    cache (built with cfg.metric), pool_feats and pair_q come from
-    build_caches, pool_features and pair_weights, and match_cdf is the
-    checked_cdf of matching_for's (or a caller's) distribution; None raises
-    SkippedExample.  ref_p is the frozen reference policy's distribution.
-    uniforms is the step's (2, n_rollouts) uniform_table row, which the
-    rollouts and then the matches invert as Generator.choice would.
-    Order per step: rollouts, matching, rewards, student update (policy
-    gradient + KL pull), then discriminator update on the matched pairs.
-    The returned metrics reflect the state the step acted on.
+    caches (built with cfg.metric), pool_feats and pair_q hold each example's
+    build_caches, pool_features and pair_weights, and ref_probs the frozen
+    reference policy's distributions.  uniforms[i] is example i's
+    n_rollouts rollout uniforms, which it inverts as Generator.choice would,
+    and matches[i] the pool rows its rollouts are paired with; None skips
+    the example, and the skipped ids are returned.
+
+    Order: every rollout is drawn from the epoch-start policy; then, one
+    example after another, the discriminator scores that example's rollouts
+    and descends its pair loss on the matched pairs; the student updates
+    (policy gradient with a group-mean baseline + KL pull) land at the end,
+    in place.  Example i's logits are read and written by its step alone,
+    and the discriminator reads only rollout feature rows, so this is a
+    per-example sequence of steps bit for bit; each answer-space-size
+    group's student half is one row-wise pass.  The metrics, keyed by the
+    id of each example stepped, in order, reflect the state it acted on.
     """
-    if match_cdf is None:
-        raise SkippedExample(ex.id)
-
-    logits = student.logits_for(ex)
-    p = softmax(logits)
+    _check_distinct_ids(examples)
+    active = [i for i, m in enumerate(matches) if m is not None]
+    ids = [examples[i].id for i in active]
     n = cfg.n_rollouts
-    rollouts = checked_cdf(p).searchsorted(uniforms[0], side="right")
+    u = uniforms[active]
+    rollouts = np.empty((len(active), n), dtype=np.intp)
+    mean_reward, kl = np.empty(len(active)), np.empty(len(active))
+    groups = []
+    for gids, rows, ref in score_groups([examples[i] for i in active], [ref_probs[k] for k in ids]):
+        logits = np.array([student.logits[k] for k in gids])
+        p = softmax(logits)
+        rollouts[rows] = _invert_rows(checked_cdf(p), u[rows])
+        kl[rows], kl_grad = kl_gradient_logits(p, ref)
+        groups.append((gids, rows, logits, p, kl_grad))
 
-    student_feats = cache.features[rollouts]
-    raw_scores = score_batch(disc, student_feats)
-    mapped = _sigmoid(raw_scores)
-    rewards = weighted_reward(
-        cfg.weights, mapped, cache.outer[rollouts], cache.task[rollouts], cache.quality[rollouts]
-    )
+    raw_scores = np.empty((len(active), n))
+    disc_loss = np.empty(len(active))
+    # take(), not fancy indexing: the same rows at a fraction of the call cost
+    for pos, (k, roll, pair) in enumerate(zip(ids, rollouts, [matches[i] for i in active])):
+        student_feats = caches[k].features.take(roll, 0)
+        raw_scores[pos] = score_batch(disc, student_feats)
+        disc, disc_loss[pos] = batch_update(
+            disc, pool_feats[k].take(pair, 0), student_feats, pair_q[k].take(pair), cfg.lr_disc
+        )
 
-    mean_reward = rewards.sum() / n
-    adv = rewards - mean_reward
-    pg = np.bincount(rollouts, weights=adv, minlength=len(p)) / n - p * (adv.sum() / n)
-    kl, kl_grad = kl_gradient_logits(p, ref_p)
-    logits += cfg.lr_student * (pg - cfg.gamma * kl_grad)
+    for gids, rows, logits, p, kl_grad in groups:
+        size, m = p.shape
+        row, roll = np.arange(size)[:, None], rollouts[rows]
+        slot_values = zip(*((caches[k].outer, caches[k].task, caches[k].quality) for k in gids))
+        outer, task, quality = (np.array(values)[row, roll] for values in slot_values)
+        rewards = weighted_reward(cfg.weights, _sigmoid(raw_scores[rows]), outer, task, quality)
+        mean = rewards.sum(axis=1) / n
+        adv = rewards - mean[:, None]
+        counts = np.bincount((row * m + roll).ravel(), weights=adv.ravel(), minlength=size * m)
+        pg = counts.reshape(size, m) / n - p * (adv.sum(axis=1, keepdims=True) / n)
+        logits += cfg.lr_student * (pg - cfg.gamma * kl_grad)
+        for k, updated in zip(gids, logits):
+            student.logits[k][...] = updated
+        mean_reward[rows] = mean
 
-    matches = match_cdf.searchsorted(uniforms[1], side="right")
-    disc, disc_loss = batch_update(disc, pool_feats[matches], student_feats, pair_q[matches], cfg.lr_disc)
-
-    return student, disc, {
-        "mean_reward": float(mean_reward),
-        "disc_loss": float(disc_loss),
-        "kl": float(kl),
+    metrics = {
+        k: {"mean_reward": r, "disc_loss": d, "kl": c}
+        for k, r, d, c in zip(ids, mean_reward.tolist(), disc_loss.tolist(), kl.tolist())
     }
+    return disc, metrics, tuple(ex.id for ex, m in zip(examples, matches) if m is None)
 
 
 @dataclass(frozen=True, slots=True)
@@ -463,7 +491,7 @@ def score_groups(examples: list[SupervisionExample], scores: list[np.ndarray]) -
     for j, score in enumerate(scores):
         groups.setdefault(len(score), []).append(j)
     return [
-        ([examples[j].id for j in rows], rows, np.stack([scores[j] for j in rows])) for rows in groups.values()
+        ([examples[j].id for j in rows], rows, np.array([scores[j] for j in rows])) for rows in groups.values()
     ]
 
 
@@ -479,7 +507,7 @@ def expected_scores(
     """
     out = np.empty(sum(len(rows) for _, rows, _ in groups))
     for ids, rows, q in groups:
-        p = nucleus(softmax(np.stack([student.logits[i] for i in ids])), temperature, top_p)
+        p = nucleus(softmax(np.array([student.logits[i] for i in ids])), temperature, top_p)
         out[rows] = (p[:, None, :] @ q[:, :, None])[:, 0, 0]
     return out
 
@@ -546,6 +574,7 @@ def run_pipeline(
     """
     if not examples:
         raise ValueError("no examples to train on")
+    _check_distinct_ids(examples)
     for ex in examples:
         if ex.answer_space is None:
             raise ValueError(f"example {ex.id}: training needs an enumerated answer_space")
@@ -560,9 +589,18 @@ def run_pipeline(
     caches = build_caches(examples, featurizer, cfg.metric)
     pool_feats = {ex.id: pool_features(pools[ex.id], ex, caches[ex.id], featurizer) for ex in examples}
     match_dists = {ex.id: matching_for(pools[ex.id], cfg) for ex in examples}
+    unknown = sorted(set(match_overrides or {}) - set(match_dists))
+    if unknown:
+        raise ValueError(f"match_overrides name no example: {unknown}")
     match_dists.update(match_overrides or {})
-    # MatchingDistribution is frozen, so each CDF is checked and built once
-    match_cdfs = {k: None if d is None else checked_cdf(d.probs) for k, d in match_dists.items()}
+    table = stream_table(cfg.seed, np.arange(cfg.epochs_stage2)[:, None], np.arange(len(examples)))
+    uniforms = uniform_table(table, cfg.n_rollouts)
+    # every epoch's matched pool rows, drawn once per pool (whose CDF is
+    # checked before training); each step gathers its teacher rows itself
+    cdfs = [None if (d := match_dists[ex.id]) is None else checked_cdf(d.probs) for ex in examples]
+    matches = [
+        None if cdf is None else cdf.searchsorted(uniforms[:, i, 1], side="right") for i, cdf in enumerate(cdfs)
+    ]
     pair_q = {ex.id: pair_weights(pools[ex.id], cfg) for ex in examples}
     closed = [ex for ex in examples if ex.task.is_closed]
     acc_groups = score_groups(closed, [caches[ex.id].quality for ex in closed])
@@ -582,46 +620,23 @@ def run_pipeline(
 
     ref = student.copy()
     ref_probs = {ex.id: ref.probs(ex) for ex in examples}
-    table = stream_table(cfg.seed, np.arange(cfg.epochs_stage2)[:, None], np.arange(len(examples)))
-    uniforms = uniform_table(table, cfg.n_rollouts)
     disc = init_params(featurizer.dim, cfg.hidden_dim, seed=np.random.SeedSequence([cfg.seed, _S_DISC]))
 
     skipped_rl: set[str] = set()
     for epoch in range(cfg.epochs_stage2):
+        disc, metrics, skipped = rl_step(
+            student, ref_probs, disc, examples, cfg, uniforms[epoch, :, 0],
+            [None if m is None else m[epoch] for m in matches], caches, pool_feats, pair_q,
+        )
+        skipped_rl.update(skipped)
         sums = np.zeros(3)
-        count = 0
-        for i, ex in enumerate(examples):
-            try:
-                student, disc, m = rl_step(
-                    student,
-                    ref_probs[ex.id],
-                    disc,
-                    ex,
-                    cfg,
-                    uniforms[epoch, i],
-                    caches[ex.id],
-                    pool_feats[ex.id],
-                    match_cdfs[ex.id],
-                    pair_q[ex.id],
-                )
-            except SkippedExample:
-                skipped_rl.add(ex.id)
-                continue
+        for m in metrics.values():
             sums += (m["mean_reward"], m["disc_loss"], m["kl"])
-            count += 1
         step += 1
         acc = eval_accuracy(student, acc_groups)
-        if count:
-            rows.append(
-                MetricsRow(
-                    step,
-                    "rl",
-                    float(sums[0] / count),
-                    float(sums[1] / count),
-                    float(sums[2] / count),
-                    acc,
-                )
-            )
+        if metrics:
+            sums /= len(metrics)
+            rows.append(MetricsRow(step, "rl", *sums.tolist(), acc))
         else:
             rows.append(MetricsRow(step, "rl", None, None, None, acc))
 

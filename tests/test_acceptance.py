@@ -413,9 +413,11 @@ def test_criterion_06_policy_update_and_kl():
         ref = StudentPolicy(logits={ex.id: theta.copy()})
         children = np.random.SeedSequence([606, i]).spawn(2)
         uniforms = np.stack([np.random.default_rng(c).random(cfg.n_rollouts) for c in children])
-        student, disc, _ = rl_step(
-            student, ref.probs(ex), disc, ex, cfg, uniforms,
-            cache, pool_feats, match_cdf, pair_weights(pool, cfg),
+        # a one-example epoch: the step's rollout and match rows
+        matches = match_cdf.searchsorted(uniforms[1], side="right")
+        disc, _, _ = rl_step(
+            student, {ex.id: ref.probs(ex)}, disc, [ex], cfg, uniforms[None, 0], [matches],
+            {ex.id: cache}, {ex.id: pool_feats}, {ex.id: pair_weights(pool, cfg)},
         )
         total += (student.logits_for(ex)[0] - theta[0]) / cfg.lr_student
     mean_update = total / steps

@@ -246,6 +246,23 @@ def test_run_ablation_checks_every_label_before_training(monkeypatch):
         run_ablation(tiny_cfg(), settings=("A", "B", "Z"), seeds=(0, 1), benchmark=object())
 
 
+@pytest.mark.parametrize("seeds", [(0, 1.5), (0, True)], ids=["float", "bool"])
+@pytest.mark.parametrize(
+    "run,benchmarks",
+    [
+        (run_ablation, {"benchmark": object()}),
+        (run_sensitivity, {"benchmark": object()}),
+        (run_task_adaptive_check, {"closed_benchmark": object(), "open_benchmark": object()}),
+    ],
+    ids=["ablation", "sensitivity", "adaptive"],
+)
+def test_harnesses_reject_a_non_integer_seed_before_training(monkeypatch, run, benchmarks, seeds):
+    # int(1.5) and int(True) would train seed 1 and report it as such
+    no_training(monkeypatch)
+    with pytest.raises(ValueError, match="^seed must be an integer"):
+        run(tiny_cfg(), seeds=seeds, **benchmarks)
+
+
 def test_run_sensitivity_smoke():
     bench = tiny_bench()
     res = run_sensitivity(

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from conftest import mk_mcq
 from oracles import kl_divergence
 from mskd.policy import (
+    _invert_rows,
     categorical_draw,
+    checked_cdf,
     init_student,
     kl_gradient_logits,
     nucleus,
@@ -201,3 +203,97 @@ def test_categorical_draw_rejects_what_choice_rejects(p):
         np.random.default_rng(0).choice(len(p), size=3, p=p)
     with pytest.raises(ValueError):
         categorical_draw(p, 3, np.random.default_rng(0))
+
+
+# --- row-wise forms against the one-row form ------------------------------------
+
+
+@st.composite
+def _stacked_rows(draw):
+    """(p, q): 1-6 softmax rows of 4 or 55 slots; logits of -1000 put exact
+    zeros in p (some mid-row) and zeros in q that may fall on p's support."""
+    rows, m = draw(st.integers(1, 6)), draw(st.sampled_from((4, 55)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    logits = rng.normal(0.0, 2.0, (2, rows, m))
+    cells = st.tuples(st.integers(0, 1), st.integers(0, rows - 1), st.integers(0, m - 1))
+    for which, row, slot in draw(st.lists(cells, max_size=8)):
+        logits[which, row, slot] = -1000.0
+    return softmax(logits[0]), softmax(logits[1])
+
+
+def _zero_rows():
+    """A zero mid-row in the 55-slot p, and a zero of q on p's support."""
+    lp, lq = np.zeros((3, 55)), np.linspace(-1.0, 1.0, 165).reshape(3, 55)
+    lp[0, 27] = lp[2, 0] = lq[1, 5] = -1000.0
+    return softmax(lp), softmax(lq)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_stacked_rows())
+@example(_zero_rows())
+def test_rowwise_kl_gradient_is_the_one_row_form(pq):
+    p, q = pq
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 0, inf - inf
+        kl, grad = kl_gradient_logits(p, q)
+        for r in range(len(p)):
+            one_kl, one_grad = kl_gradient_logits(p[r], q[r])
+            # the masked, exactly summed KL of the scalar oracle
+            assert repr(float(kl[r])) == repr(float(one_kl)) == repr(kl_divergence(p[r], q[r]))
+            assert grad[r].tobytes() == one_grad.tobytes()
+    assert kl.shape == (len(p),) and grad.shape == p.shape
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_stacked_rows())
+@example(_zero_rows())
+def test_rowwise_checked_cdf_is_the_one_row_form(pq):
+    p, _ = pq
+    cdf = checked_cdf(p)
+    for r in range(len(p)):
+        assert cdf[r].tobytes() == checked_cdf(p[r]).tobytes()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [[0.5, np.nan, 0.5, 0.0], [0.6, -0.1, 0.5, 0.0], [0.5, 0.6, 0.0, 0.0], [np.inf, -np.inf, 0.5, 0.5]],
+    ids=["nan", "negative", "sum_above_one", "inf_minus_inf"],
+)
+def test_rowwise_checked_cdf_raises_the_one_row_error(bad):
+    good = [0.25, 0.25, 0.25, 0.25]
+    with np.errstate(invalid="ignore"):  # inf - inf in the row sum
+        with pytest.raises(ValueError) as one_row:
+            checked_cdf(np.array(bad))
+        # the first bad row raises, whatever follows it
+        for stack in ([good, bad, good], [bad, [0.5, 0.6, 0.0, 0.0]]):
+            with pytest.raises(ValueError) as rows:
+                checked_cdf(np.array(stack))
+            assert str(rows.value) == str(one_row.value)
+
+
+@st.composite
+def _cdf_and_uniforms(draw):
+    """Row CDFs of small integer weights (zero-mass slots repeat a CDF
+    value) and uniforms that often equal a CDF value exactly."""
+    m = draw(st.integers(1, 12))
+    weights = st.lists(st.integers(0, 4), min_size=m, max_size=m).filter(any)
+    p = np.array(draw(st.lists(weights, min_size=1, max_size=5)), dtype=float)
+    cdf = checked_cdf(p / p.sum(axis=1, keepdims=True))
+    n = draw(st.integers(1, 9))
+    u = np.empty((len(p), n))
+    for r in range(len(p)):
+        for j in range(n):
+            if draw(st.booleans()):
+                u[r, j] = cdf[r, draw(st.integers(0, m - 1))]
+            else:
+                u[r, j] = draw(st.floats(0.0, 1.0, exclude_max=True))
+    return cdf, u
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_cdf_and_uniforms())
+@example((checked_cdf(np.array([[0.0, 0.5, 0.0, 0.0, 0.5]])), np.array([[0.0, 0.5, 0.5, 0.999, 0.25]])))
+def test_rowwise_inversion_is_searchsorted_right(cdf_u):
+    cdf, u = cdf_u
+    got = _invert_rows(cdf, u)
+    for r in range(len(cdf)):
+        assert got[r].tolist() == cdf[r].searchsorted(u[r], side="right").tolist()

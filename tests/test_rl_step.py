@@ -1,13 +1,15 @@
-"""rl_step against a verbatim copy of its per-rollout form.
+"""rl_step against a verbatim copy of its per-rollout, per-example form.
 
 The oracle below is the step as it was written before the reward, KL,
-discriminator and draw paths were vectorised: one composite_reward call per
-rollout (its scalar formula copied too, since composite_reward now shares
-the trainer's vectorised one), Generator.choice for both draws, the KL
-gradient with its logs taken twice and the discriminator loss through
-np.mean.  It is kept here as the oracle only; the trainer must match it bit
-for bit.  The oracle seeds each step's two Generators from its
-SeedSequence; the trainer reads the same draws from uniform_table.
+discriminator and draw paths were vectorised and before a call took a whole
+epoch: one example per call, one composite_reward call per rollout (its
+scalar formula copied too, since composite_reward now shares the trainer's
+vectorised one), Generator.choice for both draws, the KL gradient with its
+logs taken twice and the discriminator loss through np.mean.  It is kept
+here as the oracle only; one rl_step epoch must match the oracle stepped
+through every example of the epoch in order, bit for bit.  The oracle seeds
+each step's two Generators from its SeedSequence; the trainer reads the same
+draws from uniform_table.
 """
 
 from dataclasses import replace
@@ -16,7 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import mk_temporal
+from conftest import mk_mcq, mk_temporal
 from oracles import kl_divergence, score_answer_space
 from mskd.discriminator import (
     DiscriminatorParams,
@@ -33,7 +35,6 @@ from mskd.synthetic import SyntheticTeacher
 from mskd.tasks import TemporalSegment
 from mskd.train import (
     _S_ROLL,
-    SkippedExample,
     TrainConfig,
     build_caches,
     make_pools,
@@ -47,6 +48,11 @@ from mskd.train import (
 
 
 # --- oracle: the pre-vectorisation step and the helpers it called -------------
+
+
+class SkippedExample(Exception):
+    """What the per-example step raised for a pool with no matchable
+    responses; rl_step now returns the skipped ids instead."""
 
 
 def _oracle_composite_reward(disc_score, resp, ex, w, cfg):
@@ -175,7 +181,8 @@ def start_state(examples, cfg, featurizer):
 
 
 def run_both(bench, cfg, epochs=2):
-    """Step the trainer and the oracle side by side; compare after each step."""
+    """Step the oracle through each epoch, example by example, and take the
+    epoch in one rl_step call; compare after each epoch."""
     examples = bench.examples
     pools = make_pools(examples, bench.teacher, cfg)
     featurizer = Featurizer(max(len(ex.answer_space) for ex in examples))
@@ -183,33 +190,42 @@ def run_both(bench, cfg, epochs=2):
     feats = {ex.id: pool_features(pools[ex.id], ex, caches[ex.id], featurizer) for ex in examples}
     dists = {ex.id: matching_for(pools[ex.id], cfg) for ex in examples}
     cdfs = {k: None if d is None else checked_cdf(d.probs) for k, d in dists.items()}
+    pair_q = {ex.id: pair_weights(pools[ex.id], cfg) for ex in examples}
     student, ref, disc = start_state(examples, cfg, featurizer)
+    ref_probs = {ex.id: ref.probs(ex) for ex in examples}
     o_student, o_disc = student.copy(), disc
     table = stream_table(cfg.seed, np.arange(epochs)[:, None], np.arange(len(examples)))
     uniforms = uniform_table(table, cfg.n_rollouts)
-    applied = 0
+    skipped = tuple(ex.id for ex in examples if dists[ex.id] is None)
     for epoch in range(epochs):
+        o_metrics = {}
         for i, ex in enumerate(examples):
             step = (
-                ex, cfg, uniforms[epoch, i], caches[ex.id], feats[ex.id], cdfs[ex.id],
-                pair_weights(pools[ex.id], cfg),
+                ex, cfg, np.random.SeedSequence([cfg.seed, _S_ROLL, epoch, i]),
+                caches[ex.id], feats[ex.id], dists[ex.id],
             )
             if dists[ex.id] is None:
                 with pytest.raises(SkippedExample):
-                    rl_step(student, ref.probs(ex), disc, *step)
+                    oracle_rl_step(o_student, ref, o_disc, pools[ex.id], *step)
                 continue
-            student, disc, m = rl_step(student, ref.probs(ex), disc, *step)
-            o_student, o_disc, o_m = oracle_rl_step(
-                o_student, ref, o_disc, pools[ex.id], ex, cfg,
-                np.random.SeedSequence([cfg.seed, _S_ROLL, epoch, i]),
-                caches[ex.id], feats[ex.id], dists[ex.id],
-            )
-            assert student.logits[ex.id].tobytes() == o_student.logits[ex.id].tobytes()
-            assert disc_bytes(disc) == disc_bytes(o_disc)
-            assert {k: repr(v) for k, v in m.items()} == {k: repr(v) for k, v in o_m.items()}
+            o_student, o_disc, o_metrics[ex.id] = oracle_rl_step(o_student, ref, o_disc, pools[ex.id], *step)
+        matches = [
+            None if cdfs[ex.id] is None else cdfs[ex.id].searchsorted(uniforms[epoch, i, 1], side="right")
+            for i, ex in enumerate(examples)
+        ]
+        disc, metrics, got_skipped = rl_step(
+            student, ref_probs, disc, examples, cfg, uniforms[epoch, :, 0], matches, caches, feats, pair_q
+        )
+        assert got_skipped == skipped
+        for ex in examples:
+            assert student.logits[ex.id].tobytes() == o_student.logits[ex.id].tobytes(), ex.id
+        assert disc_bytes(disc) == disc_bytes(o_disc)
+        assert list(metrics) == list(o_metrics)  # stepped examples, in order
+        for k, m in metrics.items():
+            assert {n: repr(v) for n, v in m.items()} == {n: repr(v) for n, v in o_metrics[k].items()}, k
             assert all(type(v) is float for v in m.values())
-            applied += 1
-    assert applied > 0
+    assert len(skipped) < len(examples)
+    return skipped
 
 
 # --- tests --------------------------------------------------------------------
@@ -254,3 +270,24 @@ def test_rl_step_matches_oracle_with_invalid_slots():
     assert build_caches(examples, Featurizer(4))[examples[0].id].task.tolist() == [0.0, 1.0, 1.0, 0.0]
     run_both(bench, cfg)
     run_both(bench, replace(cfg, matching="uniform", disc_weighting=False))
+
+
+def test_rl_step_epoch_mixes_space_sizes_and_a_skipped_example():
+    # 4- and 7-slot spaces alternate, and every response of the middle
+    # example is malformed, so its pool has nothing to match
+    seven = tuple(TemporalSegment(j / 10, (j + 3) / 10) for j in range(7))
+    examples = [
+        mk_mcq(0, gt="A"),
+        mk_temporal(0, gt=(0.1, 0.4), space=seven),
+        mk_mcq(1, gt="C"),
+        mk_temporal(1, gt=(0.3, 0.6), space=seven),
+        mk_mcq(2, gt="D"),
+    ]
+    teacher = SyntheticTeacher(
+        probs={ex.id: np.full(len(ex.answer_space), 1.0 / len(ex.answer_space)) for ex in examples},
+        violation_rate={ex.id: 1.0 if ex.id == "mcq-1" else 0.1 for ex in examples},
+    )
+    bench = SimpleNamespace(examples=examples, teacher=teacher)
+    cfg = TrainConfig(seed=7, weights=ODD_WEIGHTS)
+    assert run_both(bench, cfg, epochs=3) == ("mcq-1",)
+    assert run_both(bench, replace(cfg, matching="uniform", disc_weighting=False, hidden_dim=2)) == ("mcq-1",)

@@ -23,7 +23,6 @@ from mskd.synthetic import SyntheticTeacher
 from mskd.tasks import Number, SpatialBox, SupervisionExample, TaskType, TemporalSegment, Text, render_payload
 from mskd.train import (
     MetricsRow,
-    SkippedExample,
     TrainConfig,
     _passk_settings,
     build_caches,
@@ -70,13 +69,18 @@ def uniforms(cfg):
     return np.stack([np.random.default_rng(c).random(cfg.n_rollouts) for c in children])
 
 
-def rl_inputs(pool, ex, cfg):
-    """The per-example inputs run_pipeline builds once and hands to rl_step."""
+def rl_epoch(student, disc, ex, pool, cfg):
+    """One rl_step epoch over ex alone, with the inputs run_pipeline builds
+    once and the uniforms above; the reference policy is the student's."""
+    u = uniforms(cfg)
     featurizer = Featurizer(len(ex.answer_space))
     cache = build_caches([ex], featurizer, cfg.metric)[ex.id]
     dist = matching_for(pool, cfg)
-    cdf = None if dist is None else checked_cdf(dist.probs)
-    return cache, pool_features(pool, ex, cache, featurizer), cdf, pair_weights(pool, cfg)
+    match = None if dist is None else checked_cdf(dist.probs).searchsorted(u[1], side="right")
+    return rl_step(
+        student, {ex.id: student.probs(ex)}, disc, [ex], cfg, u[None, 0], [match],
+        {ex.id: cache}, {ex.id: pool_features(pool, ex, cache, featurizer)}, {ex.id: pair_weights(pool, cfg)},
+    )
 
 
 def test_kl_penalty_is_policy_kl():
@@ -114,15 +118,17 @@ def test_select_sft_targets_skips_degenerate_pools():
     assert skipped == (bad.id,)
 
 
-def test_rl_step_raises_skipped_on_degenerate_pool():
+def test_rl_step_returns_skipped_id_on_degenerate_pool():
     ex = mk_mcq(0, gt="B")
     pool = build_pool(ex, ["nonsense", "more nonsense"])
     cfg = small_cfg()
     student = init_student([ex])
     disc = init_params(Featurizer(4).dim, 0, seed=0)
-    with pytest.raises(SkippedExample) as exc_info:
-        rl_step(student, student.probs(ex), disc, ex, cfg, uniforms(cfg), *rl_inputs(pool, ex, cfg))
-    assert exc_info.value.example_id == ex.id
+    new_disc, metrics, skipped = rl_epoch(student, disc, ex, pool, cfg)
+    assert skipped == (ex.id,)
+    assert metrics == {}
+    assert new_disc is disc
+    assert np.array_equal(student.logits[ex.id], np.zeros(4))
 
 
 def test_rl_step_metric_keys_are_python_floats():
@@ -131,9 +137,19 @@ def test_rl_step_metric_keys_are_python_floats():
     cfg = small_cfg()
     student = init_student([ex])
     disc = init_params(Featurizer(4).dim, 0, seed=0)
-    _, _, m = rl_step(student, student.probs(ex), disc, ex, cfg, uniforms(cfg), *rl_inputs(pool, ex, cfg))
+    _, metrics, skipped = rl_epoch(student, disc, ex, pool, cfg)
+    assert skipped == ()
+    (m,) = metrics.values()
     assert set(m) == {"mean_reward", "disc_loss", "kl"}
     assert all(type(v) is float for v in m.values())
+
+
+def test_run_pipeline_rejects_duplicate_example_ids():
+    # pools, caches and logits are keyed by id, so a second "mcq-1" would
+    # silently take over the first one's
+    exs = [mk_mcq(0), mk_mcq(1, gt="C"), mk_temporal(0), mk_mcq(1, gt="D")]
+    with pytest.raises(ValueError, match="duplicate example id 'mcq-1'"):
+        run_pipeline(exs, small_cfg(), teacher=point_mass_teacher(exs[:3]))
 
 
 def test_pipeline_improves_accuracy_over_uniform():
@@ -599,6 +615,10 @@ def test_bad_match_override_is_rejected():
         object.__setattr__(bad, "probs", probs)
         with pytest.raises(ValueError, match=message):
             run_pipeline([ex], cfg, pools={ex.id: pool}, match_overrides={ex.id: bad})
+    # an override keyed by an id that names no example would be dropped unseen
+    good = matching_distribution(pool, "uniform")
+    with pytest.raises(ValueError, match=r"match_overrides name no example: \['mcq-9'\]"):
+        run_pipeline([ex], cfg, pools={ex.id: pool}, match_overrides={ex.id: good, "mcq-9": good})
 
 
 def _slot_table_examples():
