@@ -34,6 +34,7 @@ from mskd.corpus import (
 from mskd.harness import (
     ABLATION_LABELS,
     EmptyReportError,
+    ablation_cells,
     ablation_table,
     adaptive_table,
     emit_report,
@@ -263,11 +264,10 @@ def cmd_ablate(args) -> int:
     tc = _train_config(cfg.get("train", {}), None)
     seeds = _seeds_from(cfg, args.seed)
     settings = _list_field(cfg, "settings", ABLATION_LABELS, lambda s: isinstance(s, str), "labels")
-    for label in settings:
-        try:
-            setting_config(label, tc)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    try:
+        ablation_cells(settings, seeds, tc)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     bench = _build(make_closed_benchmark, cfg.get("benchmark", {}), "benchmark config")
     summary, _ = run_ablation(tc, settings, seeds, bench)
     emit_report(ablation_table(summary), _format_for(args), args.out)

@@ -338,18 +338,61 @@ def setting_config(label: str, cfg_base: TrainConfig) -> TrainConfig:
     raise ValueError(f"unknown ablation setting {label!r}")
 
 
-def paired_permutation_pvalue(
-    x: np.ndarray, y: np.ndarray, n_perm: int = 10_000, seed: int = 0
-) -> float:
-    """Two-sided sign-flip permutation test on paired differences."""
+# The largest number of pairs the exact test enumerates: 2**20 signed sums
+# per half.
+MAX_PERMUTATION_PAIRS = 40
+
+
+def _signed_sums(d: np.ndarray) -> np.ndarray:
+    """All 2**len(d) sums of +d[i] or -d[i]."""
+    sums = np.zeros(1)
+    for v in d:
+        sums = np.concatenate((sums + v, sums - v))
+    return sums
+
+
+def paired_permutation_pvalue(x: np.ndarray, y: np.ndarray) -> float:
+    """Exact two-sided sign-flip permutation test on paired differences d.
+
+    The p-value is the share of the 2**n sign patterns s whose |sum(s * d)|
+    reaches |sum(d)|.  The 2**(n/2) signed sums of each half of d are
+    enumerated, one half sorted, and the qualifying pairs counted with
+    searchsorted.
+    Sums that equal in exact arithmetic (a pattern and its mirror, tied or
+    zero differences) may round apart, so a sum counts when it reaches the
+    observed one less 2n ulps of sum(|d|), a bound on the rounding error of
+    either sum.  At most MAX_PERMUTATION_PAIRS pairs.
+    """
     d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
     if d.size < 2:
         raise ValueError("need at least 2 pairs")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 17]))
-    obs = abs(d.mean())
-    signs = rng.choice((-1.0, 1.0), size=(n_perm, d.size))
-    perm = np.abs((signs * d).mean(axis=1))
-    return float((1 + int((perm >= obs).sum())) / (n_perm + 1))
+    if d.size > MAX_PERMUTATION_PAIRS:
+        raise ValueError(f"the exact test takes at most {MAX_PERMUTATION_PAIRS} pairs, got {d.size}")
+    obs = abs(d.sum()) - 2 * d.size * np.spacing(np.abs(d).sum())
+    if obs <= 0.0:
+        return 1.0
+    half = d.size // 2
+    a, b = _signed_sums(d[:half]), np.sort(_signed_sums(d[half:]))
+    # |a + b| >= obs: b >= obs - a or b <= -obs - a, disjoint as obs > 0
+    count = len(a) * len(b) - b.searchsorted(obs - a).sum() + b.searchsorted(-obs - a, side="right").sum()
+    return float(count / 2.0**d.size)
+
+
+def ablation_cells(
+    settings: tuple[str, ...], seeds: tuple[int, ...], cfg_base: TrainConfig
+) -> dict[str, list[TrainConfig]]:
+    """Every (setting, seed) cell's config, by label in settings order and
+    then by seed.  Raises ValueError for an unknown or repeated label (one
+    label names one report row), for fewer than 2 seeds, or for more seeds
+    than the A-vs-D test takes when both arms run."""
+    if len(seeds) < 2:
+        raise ValueError("need at least 2 seeds for significance reporting")
+    if "A" in settings and "D" in settings and len(seeds) > MAX_PERMUTATION_PAIRS:
+        raise ValueError(f"the A-vs-D test takes at most {MAX_PERMUTATION_PAIRS} seeds, got {len(seeds)}")
+    repeated = sorted({label for label in settings if settings.count(label) > 1})
+    if repeated:
+        raise ValueError(f"duplicate ablation settings {repeated}")
+    return {label: [replace(setting_config(label, cfg_base), seed=s) for s in seeds] for label in settings}
 
 
 def run_ablation(
@@ -363,25 +406,22 @@ def run_ablation(
     Returns the summary plus the trained artifacts per setting, in seed
     order, reused by downstream sampling-based evaluation.
     """
-    if len(seeds) < 2:
-        raise ValueError("need at least 2 seeds for significance reporting")
     # every cell's config first, so a bad label or seed fails before any training
-    configs = [(label, setting_config(label, cfg_base)) for label in settings]
-    cells = {label: [replace(cfg_setting, seed=s) for s in seeds] for label, cfg_setting in configs}
+    cells = ablation_cells(settings, seeds, cfg_base)
     bench = benchmark if benchmark is not None else make_closed_benchmark()
     results = []
     artifacts: dict[str, list[TrainedArtifacts]] = {}
     by_label: dict[str, tuple[float, ...]] = {}
-    for label, cfg_setting in configs:
-        artifacts[label] = [run_pipeline(bench.examples, cfg, teacher=bench.teacher) for cfg in cells[label]]
+    for label, cfgs in cells.items():
+        artifacts[label] = [run_pipeline(bench.examples, cfg, teacher=bench.teacher) for cfg in cfgs]
         accs = [art.final_accuracy for art in artifacts[label]]
         by_label[label] = tuple(accs)
         results.append(
             AblationResult(
                 setting=label,
-                k=cfg_setting.k,
-                filter_on=cfg_setting.tau > 0.0,
-                weight_on=cfg_setting.matching == "quality",
+                k=cfgs[0].k,
+                filter_on=cfgs[0].tau > 0.0,
+                weight_on=cfgs[0].matching == "quality",
                 accuracies=tuple(accs),
                 seeds=tuple(int(s) for s in seeds),
             )

@@ -17,7 +17,7 @@ import numpy as np
 
 from mskd.corpus import CorpusError, _json_lines
 from mskd.metrics import DEFAULT_METRICS, MetricConfig, _is_finite, quality_score
-from mskd.policy import categorical_draw
+from mskd.policy import checked_cdf
 from mskd.tasks import ParsedResponse, SupervisionExample, TaskType, parse_response
 
 
@@ -124,15 +124,11 @@ def matching_distribution(pool: TeacherPool, mode: str = "quality") -> MatchingD
     return MatchingDistribution(tuple(q / total for q in pool.qualities))
 
 
-def sample_matches(
-    dist: MatchingDistribution,
-    n: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Draw n pool indices with replacement from the matching distribution."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return categorical_draw(dist.probs, n, rng)
+def sample_matches(dist: MatchingDistribution, u: np.ndarray) -> np.ndarray:
+    """The pool indices that uniforms u in [0, 1), of any shape, draw from
+    the matching distribution; for u = rng.random(n) these are
+    rng.choice(k, size=n, p=dist.probs), bit for bit."""
+    return checked_cdf(dist.probs).searchsorted(u, side="right")
 
 
 def select_sft_target(pool: TeacherPool, rng: np.random.Generator) -> int:

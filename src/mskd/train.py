@@ -24,6 +24,7 @@ evaluation batches over.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,15 +57,16 @@ from mskd.pool import (
     apply_filter,
     build_pool,
     matching_distribution,
+    sample_matches,
     select_sft_target,
 )
 from mskd.rewards import (
     DEFAULT_WEIGHTS,
     InvalidWeightsError,
     RewardWeights,
+    composite_reward,
     outer_reward,
     task_reward,
-    weighted_reward,
 )
 from mskd.synthetic import SyntheticTeacher, sample_teacher_pool
 from mskd.tasks import ParsedResponse, SupervisionExample, TaskType, parse_response, render_payload
@@ -443,7 +445,7 @@ def rl_step(
         row, roll = np.arange(size)[:, None], rollouts[rows]
         slot_values = zip(*((caches[k].outer, caches[k].task, caches[k].quality) for k in gids))
         outer, task, quality = (np.array(values)[row, roll] for values in slot_values)
-        rewards = weighted_reward(cfg.weights, _sigmoid(raw_scores[rows]), outer, task, quality)
+        rewards = composite_reward(cfg.weights, _sigmoid(raw_scores[rows]), outer, task, quality)
         mean = rewards.sum(axis=1) / n
         adv = rewards - mean[:, None]
         counts = np.bincount((row * m + roll).ravel(), weights=adv.ravel(), minlength=size * m)
@@ -534,8 +536,6 @@ class TrainedArtifacts:
         out.mkdir(parents=True, exist_ok=True)
         (out / "metrics.csv").write_text(metrics_to_csv(self.rows), encoding="utf-8")
         save_params(self.disc, out / "disc.json")
-        import json
-
         payload = {
             "shared": False,  # layout flag of the format; every policy is per-example
             "logits": {k: v.tolist() for k, v in sorted(self.student.logits.items())},
@@ -595,11 +595,11 @@ def run_pipeline(
     match_dists.update(match_overrides or {})
     table = stream_table(cfg.seed, np.arange(cfg.epochs_stage2)[:, None], np.arange(len(examples)))
     uniforms = uniform_table(table, cfg.n_rollouts)
-    # every epoch's matched pool rows, drawn once per pool (whose CDF is
-    # checked before training); each step gathers its teacher rows itself
-    cdfs = [None if (d := match_dists[ex.id]) is None else checked_cdf(d.probs) for ex in examples]
+    # every epoch's matched pool rows, drawn once per pool before training;
+    # each step gathers its teacher rows itself
     matches = [
-        None if cdf is None else cdf.searchsorted(uniforms[:, i, 1], side="right") for i, cdf in enumerate(cdfs)
+        None if (d := match_dists[ex.id]) is None else sample_matches(d, uniforms[:, i, 1])
+        for i, ex in enumerate(examples)
     ]
     pair_q = {ex.id: pair_weights(pools[ex.id], cfg) for ex in examples}
     closed = [ex for ex in examples if ex.task.is_closed]

@@ -17,11 +17,18 @@ tasks.parse_response checks the envelope with str.count/str.find alone and
 analysis.analyze_variance reduces one stacked array per sample count;
 parse_response and analyze_variance below are the regex and per-question
 forms they replaced, with _outer_match and _parse_payload copied verbatim.
+rewards.composite_reward sums the trainer's per-slot gathers in one
+batched call; composite_reward below is the per-response statement of the
+sum that it is checked against.  harness.paired_permutation_pvalue counts
+sign patterns by meet-in-the-middle in floats; permutation_pvalue below
+walks every pattern in exact rational arithmetic.
 """
 
+import itertools
 import math
 import re
 import string
+from fractions import Fraction
 
 import numpy as np
 
@@ -31,7 +38,7 @@ from mskd.discriminator import _LEN_SCALE, DiscriminatorParams, Featurizer
 from mskd.metrics import DEFAULT_METRICS, MetricConfig, quality_score
 from mskd.policy import StudentPolicy, categorical_draw, nucleus
 from mskd.pool import TeacherPool
-from mskd.rewards import outer_reward, task_reward
+from mskd.rewards import RewardWeights, outer_reward, task_reward
 from mskd.tasks import (
     ANSWER_RE,
     FLOAT_RE,
@@ -87,6 +94,37 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     if np.any(q[mask] <= 0.0):
         return float("inf")
     return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
+
+
+def composite_reward(
+    disc_score: float,
+    resp: ParsedResponse,
+    ex: SupervisionExample,
+    w: RewardWeights,
+    cfg: MetricConfig = DEFAULT_METRICS,
+) -> float:
+    """One rollout's reward: alpha * disc + beta * outer + eta * task +
+    delta * content, summed left to right, where outer and task are the
+    response's validity flags and content its gated quality on a
+    closed-ended task and 0 on an open-ended one."""
+    content = quality_score(resp, ex, cfg) if ex.task.is_closed else 0.0
+    return w.alpha * disc_score + w.beta * int(resp.outer_valid) + w.eta * int(resp.task_valid) + w.delta * content
+
+
+def permutation_pvalue(x: np.ndarray, y: np.ndarray) -> float:
+    """The sign-flip p-value by brute force: the share of all 2**n sign
+    patterns s whose |sum(s * d)| reaches |sum(d)| less the library's
+    tolerance of 2n ulps of sum(|d|), every sum exact in rationals, with
+    d the float differences x - y."""
+    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    tol = Fraction(float(2 * d.size * np.spacing(np.abs(d).sum())))
+    exact = [Fraction(float(v)) for v in d]
+    threshold = abs(sum(exact)) - tol
+    hits = sum(
+        abs(sum(s * v for s, v in zip(signs, exact))) >= threshold
+        for signs in itertools.product((1, -1), repeat=len(exact))
+    )
+    return hits / 2**d.size
 
 
 def score_answer_space(

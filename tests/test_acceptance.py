@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import mk_binary, mk_mcq, mk_temporal
-from oracles import kl_divergence, pairwise_loss
+from oracles import composite_reward as oracle_reward, kl_divergence, pairwise_loss
 from mskd.analysis import analyze_variance, make_variance_corpus
 from mskd.discriminator import (
     DiscriminatorParams,
@@ -32,8 +32,8 @@ from mskd.metrics import (
     spatial_iou,
 )
 from mskd.pool import apply_filter, build_pool, matching_distribution, sample_matches
-from mskd.policy import StudentPolicy, checked_cdf, init_student
-from mskd.rewards import InvalidWeightsError, RewardWeights, composite_reward
+from mskd.policy import StudentPolicy, init_student
+from mskd.rewards import InvalidWeightsError, RewardWeights, composite_reward, outer_reward, task_reward
 from mskd.tasks import (
     Binary,
     Number,
@@ -49,6 +49,7 @@ from mskd.tasks import (
 )
 from mskd.train import (
     TrainConfig, build_caches, pair_weights, pool_features, rl_step, run_pipeline, pass_at_k_eval,
+    stream_table, uniform_table,
 )
 
 SEEDS20 = tuple(range(20))
@@ -250,7 +251,7 @@ def test_criterion_03_matching_fidelity():
     rng = np.random.default_rng(303)
     max_dev = 0.0
     zero_prob_draws = 0
-    n_draws = 100_000
+    n_draws, n_rollouts = 100_000, 8
     for pool_i in range(100):
         k = int(rng.integers(2, 9))
         ex = mk_mcq(pool_i, gt="B")
@@ -274,7 +275,10 @@ def test_criterion_03_matching_fidelity():
             expected = np.full(k, 1.0 / k)
         np.testing.assert_allclose(dist.probs, expected, atol=1e-12)
 
-        draws = sample_matches(dist, n_draws, np.random.default_rng(1000 + pool_i))
+        # the trainer's matching uniforms: epoch e's n_rollouts draws of
+        # example pool_i's matching stream
+        table = stream_table(1000, np.arange(n_draws // n_rollouts), pool_i)
+        draws = sample_matches(dist, uniform_table(table, n_rollouts)[:, 1]).ravel()
         freq = np.bincount(draws, minlength=k) / n_draws
         max_dev = max(max_dev, float(np.abs(freq - expected).max()))
         zero_prob_draws += int(np.bincount(draws, minlength=k)[expected == 0.0].sum())
@@ -289,35 +293,78 @@ def test_criterion_03_matching_fidelity():
 # --- criterion 4 --------------------------------------------------------------
 
 
+def _invalid_payload(task, rng):
+    """A payload that renders in a well-formed envelope but fails the task's
+    grammar."""
+    a, b = sorted(rng.uniform(0, 1, 2))
+    if task is TaskType.TEMPORAL_GROUNDING:
+        return TemporalSegment(float(b), float(a))  # reversed
+    if task is TaskType.SPATIAL_GROUNDING:
+        return SpatialBox(float(b), 0.1, float(a), 0.9)  # x1 > x2
+    if task is TaskType.MULTIPLE_CHOICE:
+        return OptionLetter("AB"[int(rng.integers(2))] * 2)  # two letters
+    if task is TaskType.BINARY_QA:
+        return Text("maybe")  # every Binary renders valid
+    if task is TaskType.NUMERICAL:
+        return Number(float("nan"))
+    return Text(" " * int(rng.integers(1, 4)))  # blank
+
+
 def test_criterion_04_composite_reward_exactness():
+    # The trainer's rewards: composite_reward over build_caches' per-slot
+    # format flags and qualities, against the per-response oracle sum, on
+    # answer spaces of fuzzed payloads with task-invalid ones among them.
+    # A slot always renders a well-formed envelope, so the trainer cannot
+    # reach an outer-invalid response; those fuzz cases are checked on the
+    # oracle and outer_reward alone.
     rng = np.random.default_rng(404)
-    examples = [mk_mcq(0, gt="B"), mk_binary(1), mk_temporal(2)]
+    bases = [
+        mk_mcq(0, gt="B"), mk_binary(1), mk_temporal(2),
+        SupervisionExample(
+            id="sg-3", task=TaskType.SPATIAL_GROUNDING, question="where",
+            ground_truth=SpatialBox(0.1, 0.1, 0.6, 0.8),
+        ),
+        SupervisionExample(id="num-4", task=TaskType.NUMERICAL, question="how many", ground_truth=Number(42.0)),
+        SupervisionExample(id="ocr-5", task=TaskType.OCR, question="read it", ground_truth=Text("stop sign")),
+        SupervisionExample(id="open-6", task=TaskType.OPEN_ENDED, question="describe"),
+    ]
+    examples = []
+    for j in range(140):
+        base = bases[j % len(bases)]
+        space = dict.fromkeys([] if base.ground_truth is None else [base.ground_truth])
+        for _ in range(int(rng.integers(2, 12))):
+            invalid = rng.random() < 0.3
+            space[_invalid_payload(base.task, rng) if invalid else _fuzz_payload(base.task, rng)] = None
+        examples.append(replace(base, id=f"{base.id}-{j}", answer_space=tuple(space)))
+    caches = build_caches(examples, Featurizer(max(len(ex.answer_space) for ex in examples)), MetricConfig())
     worst = 0.0
-    for i in range(1_000):
-        ex = examples[i % len(examples)]
-        payload = _fuzz_payload(ex.task, rng)
-        raw = render_payload(payload)
-        if rng.random() < 0.3:
-            raw = raw.replace("</answer>", "")
-        parsed = parse_response(raw, ex.task)
-        wv = rng.dirichlet(np.ones(4))
-        w = RewardWeights(*(float(v) for v in wv))
-        d = float(rng.uniform())
-        rb = composite_reward(d, parsed, ex, w, MetricConfig())
-        assert rb.outer == int(parsed.outer_valid)
-        assert rb.task == int(parsed.task_valid)
-        if not (parsed.outer_valid and parsed.task_valid):
-            assert rb.content == 0.0
-        hand = w.alpha * d + w.beta * rb.outer + w.eta * rb.task + w.delta * rb.content
-        worst = max(worst, abs(rb.composite - hand))
+    slots = task_invalid = 0
+    for ex in examples:
+        cache = caches[ex.id]
+        w = RewardWeights(*(float(v) for v in rng.dirichlet(np.ones(4))))
+        d = rng.uniform(size=len(ex.answer_space))
+        got = composite_reward(w, d, cache.outer, cache.task, cache.quality)
+        for j, payload in enumerate(ex.answer_space):
+            parsed = parse_response(render_payload(payload), ex.task)
+            worst = max(worst, abs(got[j] - oracle_reward(float(d[j]), parsed, ex, w, MetricConfig())))
+            slots += 1
+            task_invalid += not parsed.task_valid
+            broken = parse_response(render_payload(payload).replace("</answer>", ""), ex.task)
+            assert outer_reward(broken) == 0 and task_reward(broken) == 0
+            hand = w.alpha * float(d[j])  # no format or content credit
+            worst = max(worst, abs(oracle_reward(float(d[j]), broken, ex, w, MetricConfig()) - hand))
     rejected = 0
     for bad in ((0.4, 0.1, 0.1, 0.3), (0.5, 0.5, 0.5, 0.5), (1.0, 0.0, 0.0, 0.1)):
         try:
             RewardWeights(*bad)
         except InvalidWeightsError:
             rejected += 1
-    ok = worst <= 1e-12 and rejected == 3
-    report(4, "composite reward exactness", ok, f"max|err|={worst:.2e}, bad sums rejected={rejected}/3")
+    ok = worst <= 1e-12 and rejected == 3 and task_invalid > 100
+    report(
+        4, "composite reward exactness", ok,
+        f"max|err|={worst:.2e} over {slots} slots ({task_invalid} task-invalid), each also with its "
+        f"closing tag cut, bad sums rejected={rejected}/3",
+    )
 
 
 # --- criterion 5 --------------------------------------------------------------
@@ -403,7 +450,7 @@ def test_criterion_06_policy_update_and_kl():
     featurizer = Featurizer(2)
     cache = build_caches([ex], featurizer)[ex.id]
     pool_feats = pool_features(pool, ex, cache, featurizer)
-    match_cdf = checked_cdf(matching_distribution(pool, cfg.matching).probs)
+    match_dist = matching_distribution(pool, cfg.matching)
     disc = init_params(featurizer.dim, 0, seed=0)
     theta = np.array([0.3, -0.2])
     steps = 1_250  # steps * n_rollouts = 10^4 rollouts
@@ -414,7 +461,7 @@ def test_criterion_06_policy_update_and_kl():
         children = np.random.SeedSequence([606, i]).spawn(2)
         uniforms = np.stack([np.random.default_rng(c).random(cfg.n_rollouts) for c in children])
         # a one-example epoch: the step's rollout and match rows
-        matches = match_cdf.searchsorted(uniforms[1], side="right")
+        matches = sample_matches(match_dist, uniforms[1])
         disc, _, _ = rl_step(
             student, {ex.id: ref.probs(ex)}, disc, [ex], cfg, uniforms[None, 0], [matches],
             {ex.id: cache}, {ex.id: pool_feats}, {ex.id: pair_weights(pool, cfg)},

@@ -490,6 +490,19 @@ def test_ablate_tiny(tmp_path):
     assert lines[2].startswith("A,1,") and lines[3].startswith("D,2,")
 
 
+def test_ablate_repeated_setting_is_config_error(tmp_path, capsys, monkeypatch):
+    no_training(monkeypatch)
+    cfg = write_cfg(
+        tmp_path, "a.json",
+        {"train": TINY_TRAIN, "seeds": [0, 1], "settings": ["A", "D", "A"], "benchmark": TINY_BENCH},
+    )
+    out = tmp_path / "o.csv"
+    assert main(["ablate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "duplicate" in err and "'A'" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_ablate_unknown_setting_is_config_error(tmp_path):
     cfg = write_cfg(
         tmp_path, "a.json",
@@ -640,6 +653,7 @@ BAD_HARNESS_FIELDS = {
     "ablate_seeds_negative": ("ablate", {"seeds": [-1, 0]}),
     "ablate_seeds_booleans": ("ablate", {"seeds": [True, False]}),
     "ablate_settings_string": ("ablate", {"settings": "AD"}),
+    "ablate_seeds_above_the_exact_test_cap": ("ablate", {"seeds": list(range(41))}),
     "adaptive_mislead_string": ("adaptive", {"mislead": "x"}),
 }
 

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import mk_mcq
+from oracles import permutation_pvalue
 from mskd.analysis import analyze_variance
 from mskd.corpus import ResponseRow
 from mskd.harness import (
     ABLATION_LABELS,
+    MAX_PERMUTATION_PAIRS,
     AblationResult,
     AblationSummary,
     EmptyReportError,
@@ -153,16 +155,68 @@ def test_run_ablation_summary_and_artifacts():
         run_ablation(tiny_cfg(), seeds=(0,), benchmark=bench)
 
 
+def test_ablation_rejects_repeated_labels_and_untestable_seeds_before_training(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("trained before checking the settings")
+
+    monkeypatch.setattr("mskd.harness.run_pipeline", fail)
+    monkeypatch.setattr("mskd.harness.make_closed_benchmark", fail)
+    with pytest.raises(ValueError, match=r"duplicate ablation settings \['A'\]"):
+        run_ablation(tiny_cfg(), settings=("A", "A"), seeds=(0, 1))
+    with pytest.raises(ValueError, match="duplicate"):
+        run_ablation(tiny_cfg(), settings=("A", "D", "B", "D"), seeds=(0, 1))
+    with pytest.raises(ValueError, match="at most 40 seeds, got 41"):
+        run_ablation(tiny_cfg(), settings=("A", "D"), seeds=tuple(range(41)))
+
+
 def test_permutation_pvalue_behaviour():
     same = np.full(10, 0.5)
     assert paired_permutation_pvalue(same, same) == 1.0
     x = np.arange(10, dtype=float)
-    y = x + 1.0  # uniform shift, maximally consistent
-    p = paired_permutation_pvalue(y, x)
-    assert p < 0.01
-    assert p == paired_permutation_pvalue(y, x)  # deterministic
+    y = x + 1.0  # uniform shift: only it and its mirror reach the observed sum
+    assert paired_permutation_pvalue(y, x) == 2 / 2**10
+    # D above A on all 20 seeds: the exact p-value, not a Monte-Carlo floor
+    assert paired_permutation_pvalue(np.linspace(0.6, 0.7, 20), np.full(20, 0.5)) == 2.0**-19
     with pytest.raises(ValueError):
         paired_permutation_pvalue(np.array([1.0]), np.array([0.0]))
+
+
+def test_permutation_pvalue_caps_the_pair_count():
+    rng = np.random.default_rng(7)
+    x = rng.random(MAX_PERMUTATION_PAIRS)
+    assert 0.0 < paired_permutation_pvalue(x, x[::-1]) <= 1.0
+    x = np.append(x, 0.5)
+    with pytest.raises(ValueError, match="at most 40 pairs"):
+        paired_permutation_pvalue(x, x[::-1])
+
+
+def _paired_cases():
+    rng = np.random.default_rng(11)
+    grid = np.array([0.1, 0.2, 0.3, 0.7])
+    for n in range(2, 11):
+        yield rng.random(n), rng.random(n)  # distinct differences
+        yield rng.choice(grid, n), rng.choice(grid, n)  # ties and zeros
+        x = np.round(rng.random(n), 1)
+        yield x + 0.1 * (rng.random(n) < 0.5), x  # differences of 0 and 0.1, unequal in ulps
+
+
+PAIRED_CASES = list(_paired_cases())
+
+
+@pytest.mark.parametrize("case", range(len(PAIRED_CASES)))
+def test_permutation_pvalue_equals_brute_force_enumeration(case):
+    x, y = PAIRED_CASES[case]
+    assert paired_permutation_pvalue(x, y) == permutation_pvalue(x, y)
+
+
+def test_permutation_pvalue_counts_a_pattern_and_its_mirror_after_rounding():
+    # the decimals 0.1 + 0.2 - 0.3 sum to 0 and their floats to 5.6e-17:
+    # every pattern reaches the observed sum
+    assert paired_permutation_pvalue([0.1, 0.2, 0.3], [0.0, 0.0, 0.6]) == 1.0
+    # |sum| reaches 0.4 for +-(0.3 - 0.1 + 0.2) and +-(0.3 + 0.1 + 0.2), each
+    # with either sign on the zero difference
+    x, y = np.array([0.3, -0.1, 0.2, 0.0]), np.zeros(4)
+    assert paired_permutation_pvalue(x, y) == permutation_pvalue(x, y) == 8 / 16
 
 
 def test_proxy_overrides_mass_and_targets():

@@ -137,17 +137,29 @@ def test_matching_distribution_validates_probs():
 
 def test_sample_matches_frequencies(rng):
     dist = MatchingDistribution((0.5, 0.3, 0.2, 0.0))
-    draws = sample_matches(dist, 100_000, rng)
+    draws = sample_matches(dist, rng.random(100_000))
     freqs = np.bincount(draws, minlength=4) / draws.size
     assert np.abs(freqs - np.array(dist.probs)).max() < 0.01
     assert freqs[3] == 0.0  # zero-probability entry never drawn
+    # a uniform equal to a CDF value draws past a zero-mass slot, as choice does
+    gap = MatchingDistribution((0.5, 0.0, 0.5))
+    assert sample_matches(gap, np.array([0.0, 0.25, 0.5, 0.75])).tolist() == [0, 0, 2, 2]
 
 
-def test_sample_matches_deterministic_per_seed():
-    dist = MatchingDistribution((0.7, 0.3))
-    a = sample_matches(dist, 1000, np.random.default_rng(42))
-    b = sample_matches(dist, 1000, np.random.default_rng(42))
-    assert np.array_equal(a, b)
+@pytest.mark.parametrize(
+    "probs", [(0.7, 0.3), (0.5, 0.3, 0.2, 0.0), (0.0, 0.25, 0.0, 0.75), (0.1,) * 10, (1.0,)]
+)
+@pytest.mark.parametrize("seed", range(3))
+def test_sample_matches_is_generator_choice(probs, seed):
+    dist = MatchingDistribution(probs)
+    n = 1000
+    want = np.random.default_rng(seed).choice(len(probs), size=n, p=np.asarray(probs))
+    got = sample_matches(dist, np.random.default_rng(seed).random(n))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # any shape: a run's (epochs, n_rollouts) rows, or none at all
+    u = np.random.default_rng(seed).random((40, 25))
+    assert np.array_equal(sample_matches(dist, u), sample_matches(dist, u.ravel()).reshape(40, 25))
+    assert sample_matches(dist, np.empty((0, 8))).shape == (0, 8)
 
 
 def test_select_sft_target_argmax_lowest_index_ties():

@@ -1,20 +1,26 @@
-"""Composite reward: exact weighted sum, weight validation, components."""
+"""Composite reward: exact weighted sum, weight validation, components.
+
+The batched composite_reward is checked against the per-response statement
+in tests/oracles.py; a weights object that is not RewardWeights is
+TrainConfig's InvalidWeightsError (tests/test_trainer.py)."""
 
 import numpy as np
 import pytest
 
 from conftest import mk_mcq, mk_open
-from mskd.discriminator import _sigmoid as sigmoid
+from oracles import composite_reward as oracle_reward
+from mskd.discriminator import Featurizer, _sigmoid as sigmoid
+from mskd.metrics import quality_score
 from mskd.rewards import (
     DEFAULT_WEIGHTS,
     InvalidWeightsError,
     RewardWeights,
     composite_reward,
-    content_reward,
     outer_reward,
     task_reward,
 )
-from mskd.tasks import OptionLetter, ParsedResponse, parse_response
+from mskd.tasks import parse_response
+from mskd.train import build_caches
 
 
 def test_default_weights():
@@ -41,47 +47,43 @@ def test_format_rewards_follow_flags():
     assert outer_reward(bad) == 0 and task_reward(bad) == 0
 
 
-def test_content_reward_closed_is_quality():
+def test_content_is_gated_quality_closed_and_zero_open():
+    # the trainer's content term is build_caches' per-slot quality
     ex = mk_mcq(gt="B")
-    r = parse_response("<answer>B</answer>", ex.task)
-    assert content_reward(r, ex) == 1.0
-    r = parse_response("<answer>C</answer>", ex.task)
-    assert content_reward(r, ex) == 0.0
+    caches = build_caches([ex, mk_open()], Featurizer(4))
+    assert caches[ex.id].quality.tolist() == [0.0, 1.0, 0.0, 0.0]
+    assert caches[mk_open().id].quality.tolist() == [0.0] * 4
+    only_content = RewardWeights(0.0, 0.0, 0.0, 1.0)
+    for resp, want in (("<answer>B</answer>", 1.0), ("<answer>C</answer>", 0.0)):
+        assert oracle_reward(0.5, parse_response(resp, ex.task), ex, only_content) == want
+    free = parse_response("<answer>free text</answer>", mk_open().task)
+    assert oracle_reward(0.5, free, mk_open(), only_content) == 0.0
 
 
-def test_content_reward_open_is_zero():
-    ex = mk_open()
-    r = parse_response("<answer>free text</answer>", ex.task)
-    assert content_reward(r, ex) == 0.0
-
-
-def test_composite_reward_exact_weighted_sum(rng):
+def test_composite_reward_is_the_scalar_sum_bit_for_bit(rng):
+    # one batched call over (examples, rollouts) arrays, as rl_step makes it
     ex = mk_mcq(gt="B")
-    resp = parse_response("<answer>B</answer>", ex.task)
+    resps = [parse_response(raw, ex.task) for raw in ("<answer>B</answer>", "<answer>C</answer>", "<answer>Q")]
+    outer = np.array([[outer_reward(r) for r in resps]], dtype=float)
+    task = np.array([[task_reward(r) for r in resps]], dtype=float)
+    content = np.array([[1.0, 0.0, 0.0]])
     for _ in range(1000):
         raw = rng.uniform(0, 1, 4)
         w = RewardWeights(*(raw / raw.sum()))
-        disc = float(rng.uniform(0, 1))
-        b = composite_reward(disc, resp, ex, w)
-        want = w.alpha * disc + w.beta * 1.0 + w.eta * 1.0 + w.delta * 1.0
-        assert b.composite == want  # bit-exact: same expression shape
-        assert (b.outer, b.task, b.content) == (1.0, 1.0, 1.0)
-        assert b.disc == disc
+        disc = rng.uniform(0, 1, (2, 3))
+        got = composite_reward(w, disc, outer, task, content)
+        want = [[oracle_reward(float(d), r, ex, w) for d, r in zip(row, resps)] for row in disc]
+        assert got.tolist() == want  # bit-exact: same expression shape
+        assert composite_reward(w, float(disc[0, 0]), 1, 1, 1.0) == want[0][0]
 
 
 def test_composite_reward_gates_content_on_validity():
     ex = mk_mcq(gt="B")
     resp = parse_response("<answer>B</answer>" * 2, ex.task)  # duplicated span
-    b = composite_reward(0.7, resp, ex, DEFAULT_WEIGHTS)
-    assert (b.outer, b.task, b.content) == (0.0, 0.0, 0.0)
-    assert b.composite == pytest.approx(0.4 * 0.7, abs=1e-15)
-
-
-def test_composite_reward_rejects_bad_weights_type():
-    ex = mk_mcq(gt="B")
-    resp = parse_response("<answer>B</answer>", ex.task)
-    with pytest.raises(InvalidWeightsError):
-        composite_reward(0.5, resp, ex, (0.4, 0.1, 0.1, 0.4))
+    assert (outer_reward(resp), task_reward(resp), quality_score(resp, ex)) == (0, 0, 0.0)
+    got = oracle_reward(0.7, resp, ex, DEFAULT_WEIGHTS)
+    assert got == composite_reward(DEFAULT_WEIGHTS, 0.7, 0, 0, 0.0)
+    assert got == pytest.approx(0.4 * 0.7, abs=1e-15)
 
 
 def test_sigmoid_basics():

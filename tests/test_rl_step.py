@@ -2,14 +2,14 @@
 
 The oracle below is the step as it was written before the reward, KL,
 discriminator and draw paths were vectorised and before a call took a whole
-epoch: one example per call, one composite_reward call per rollout (its
-scalar formula copied too, since composite_reward now shares the trainer's
-vectorised one), Generator.choice for both draws, the KL gradient with its
-logs taken twice and the discriminator loss through np.mean.  It is kept
-here as the oracle only; one rl_step epoch must match the oracle stepped
-through every example of the epoch in order, bit for bit.  The oracle seeds
-each step's two Generators from its SeedSequence; the trainer reads the same
-draws from uniform_table.
+epoch: one example per call, one reward per rollout from the per-response
+statement of the sum in tests/oracles.py, Generator.choice for both draws,
+the KL gradient with its logs taken twice and the discriminator loss
+through np.mean.  It is kept here as the oracle only; one rl_step epoch
+must match the oracle stepped through every example of the epoch in order,
+bit for bit.  The oracle seeds each step's two Generators from its
+SeedSequence; the trainer reads the same draws from uniform_table, and its
+matches through pool.sample_matches.
 """
 
 from dataclasses import replace
@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import mk_mcq, mk_temporal
-from oracles import kl_divergence, score_answer_space
+from oracles import composite_reward, kl_divergence, score_answer_space
 from mskd.discriminator import (
     DiscriminatorParams,
     Featurizer,
@@ -29,8 +29,9 @@ from mskd.discriminator import (
     score_batch,
 )
 from mskd.harness import make_closed_benchmark, make_open_benchmark, setting_config
-from mskd.policy import checked_cdf, init_student, softmax
-from mskd.rewards import RewardBreakdown, RewardWeights, content_reward, outer_reward, task_reward
+from mskd.policy import init_student, softmax
+from mskd.pool import sample_matches
+from mskd.rewards import RewardWeights
 from mskd.synthetic import SyntheticTeacher
 from mskd.tasks import TemporalSegment
 from mskd.train import (
@@ -53,14 +54,6 @@ from mskd.train import (
 class SkippedExample(Exception):
     """What the per-example step raised for a pool with no matchable
     responses; rl_step now returns the skipped ids instead."""
-
-
-def _oracle_composite_reward(disc_score, resp, ex, w, cfg):
-    outer = outer_reward(resp)
-    task = task_reward(resp)
-    content = content_reward(resp, ex, cfg)
-    composite = w.alpha * disc_score + w.beta * outer + w.eta * task + w.delta * content
-    return RewardBreakdown(disc=disc_score, outer=outer, task=task, content=content, composite=composite)
 
 
 def _oracle_kl_gradient_logits(p, q):
@@ -120,7 +113,7 @@ def oracle_rl_step(student, ref, disc, pool, ex, cfg, seed, cache, pool_feats, m
     slots, _ = score_answer_space(ex, cfg.metric)
     rewards = np.array(
         [
-            _oracle_composite_reward(float(mapped[i]), slots[rollouts[i]], ex, cfg.weights, cfg.metric).composite
+            composite_reward(float(mapped[i]), slots[rollouts[i]], ex, cfg.weights, cfg.metric)
             for i in range(n)
         ]
     )
@@ -189,7 +182,6 @@ def run_both(bench, cfg, epochs=2):
     caches = build_caches(examples, featurizer, cfg.metric)
     feats = {ex.id: pool_features(pools[ex.id], ex, caches[ex.id], featurizer) for ex in examples}
     dists = {ex.id: matching_for(pools[ex.id], cfg) for ex in examples}
-    cdfs = {k: None if d is None else checked_cdf(d.probs) for k, d in dists.items()}
     pair_q = {ex.id: pair_weights(pools[ex.id], cfg) for ex in examples}
     student, ref, disc = start_state(examples, cfg, featurizer)
     ref_probs = {ex.id: ref.probs(ex) for ex in examples}
@@ -210,7 +202,7 @@ def run_both(bench, cfg, epochs=2):
                 continue
             o_student, o_disc, o_metrics[ex.id] = oracle_rl_step(o_student, ref, o_disc, pools[ex.id], *step)
         matches = [
-            None if cdfs[ex.id] is None else cdfs[ex.id].searchsorted(uniforms[epoch, i, 1], side="right")
+            None if dists[ex.id] is None else sample_matches(dists[ex.id], uniforms[epoch, i, 1])
             for i, ex in enumerate(examples)
         ]
         disc, metrics, got_skipped = rl_step(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import mk_binary, mk_mcq, mk_open, mk_temporal
+import mskd.train
 import oracles
 from oracles import sampled_pass_at_k
 from mskd.discriminator import Featurizer, init_params
@@ -16,6 +17,7 @@ from mskd.pool import (
     apply_filter,
     build_pool,
     matching_distribution,
+    sample_matches,
 )
 from mskd.metrics import MetricConfig
 from mskd.rewards import InvalidWeightsError, RewardWeights
@@ -40,7 +42,7 @@ from mskd.train import (
     select_sft_targets,
     slot_parses,
 )
-from mskd.policy import StudentPolicy, checked_cdf, init_student, kl_gradient_logits, nucleus
+from mskd.policy import StudentPolicy, init_student, kl_gradient_logits, nucleus
 
 
 def point_mass_teacher(examples, slot=None, violation=0.0):
@@ -76,7 +78,7 @@ def rl_epoch(student, disc, ex, pool, cfg):
     featurizer = Featurizer(len(ex.answer_space))
     cache = build_caches([ex], featurizer, cfg.metric)[ex.id]
     dist = matching_for(pool, cfg)
-    match = None if dist is None else checked_cdf(dist.probs).searchsorted(u[1], side="right")
+    match = None if dist is None else sample_matches(dist, u[1])
     return rl_step(
         student, {ex.id: student.probs(ex)}, disc, [ex], cfg, u[None, 0], [match],
         {ex.id: cache}, {ex.id: pool_features(pool, ex, cache, featurizer)}, {ex.id: pair_weights(pool, cfg)},
@@ -167,6 +169,25 @@ def test_pipeline_stage2_zero_keeps_ref_equal_to_student():
     art = run_pipeline(exs, small_cfg(epochs_stage2=0), teacher=point_mass_teacher(exs))
     for ex in exs:
         np.testing.assert_array_equal(art.student.logits_for(ex), art.ref.logits_for(ex))
+
+
+def test_pipeline_rewards_and_matches_through_the_checked_functions(monkeypatch):
+    # the acceptance criteria check composite_reward and sample_matches, so
+    # training must reach both: one reward call per answer-space size and
+    # epoch, one match draw per pool
+    calls = {"composite_reward": 0, "sample_matches": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _original=getattr(mskd.train, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(mskd.train, name, counted)
+    exs = [mk_mcq(0, gt="A"), mk_binary(1), mk_temporal(2)]
+    cfg = small_cfg()
+    art = run_pipeline(exs, cfg, teacher=point_mass_teacher(exs))
+    assert art.skipped_rl == ()
+    assert calls == {"composite_reward": 2 * cfg.epochs_stage2, "sample_matches": len(exs)}
 
 
 def test_pipeline_requires_answer_space_and_examples():
