@@ -25,6 +25,9 @@ import numpy as np
 from mskd.tasks import SupervisionExample
 
 _LEN_SCALE = 512.0
+# The columns of Featurizer's layout that hold a response's reward terms:
+# its outer and task format flags and its quality (the content term).
+OUTER_COL, TASK_COL, QUALITY_COL = 0, 1, 3
 
 
 @dataclass(frozen=True, slots=True)
@@ -32,9 +35,9 @@ class Featurizer:
     """Deterministic feature layout of width 4 + space_size:
 
     [0] outer_valid flag, [1] task_valid flag, [2] raw length / 512 capped
-    at 1, [3] the caller's ground-truth quality (0 for open-ended or
-    invalid), then a one-hot of the payload's position in the example's
-    answer space.
+    at 1, [3] ground-truth quality, which featurize_all leaves at 0 for the
+    caller to write (it stays 0 for open-ended or invalid), then a one-hot
+    of the payload's position in the example's answer space.
     """
 
     space_size: int
@@ -43,14 +46,13 @@ class Featurizer:
     def dim(self) -> int:
         return 4 + self.space_size
 
-    def featurize_all(self, responses, ex: SupervisionExample, quality) -> np.ndarray:
+    def featurize_all(self, responses, ex: SupervisionExample) -> np.ndarray:
         """The (len(responses), dim) feature rows of a sequence of
-        ParsedResponses; quality is one value for every row or one per row."""
+        ParsedResponses, with the quality column at 0."""
         f = np.zeros((len(responses), self.dim))
-        f[:, 0] = [r.outer_valid for r in responses]
-        f[:, 1] = [r.task_valid for r in responses]
+        f[:, OUTER_COL] = [r.outer_valid for r in responses]
+        f[:, TASK_COL] = [r.task_valid for r in responses]
         f[:, 2] = np.minimum([len(r.raw) for r in responses], _LEN_SCALE) / _LEN_SCALE
-        f[:, 3] = quality
         for row, resp in enumerate(responses):
             slot = ex.slot_of(resp.payload)
             if slot is not None and slot < self.space_size:

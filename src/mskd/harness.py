@@ -28,7 +28,6 @@ import numpy as np
 
 from mskd.analysis import VarianceReport
 from mskd.metrics import _check_numbers, _is_finite, temporal_iou
-from mskd.policy import StudentPolicy
 from mskd.pool import MatchingDistribution, TeacherPool
 from mskd.synthetic import (
     BisectionPaths,
@@ -289,7 +288,7 @@ def make_open_benchmark(
 
 
 def open_accuracy(
-    student: StudentPolicy, examples: list[SupervisionExample], slot_scores: dict[str, np.ndarray]
+    student: dict[str, np.ndarray], examples: list[SupervisionExample], slot_scores: dict[str, np.ndarray]
 ) -> float:
     """Mean latent rating under the policy; the hidden-truth analogue of
     the closed-ended expected metric."""
@@ -309,7 +308,6 @@ class AblationResult:
     filter_on: bool
     weight_on: bool
     accuracies: tuple[float, ...]
-    seeds: tuple[int, ...]
 
     @property
     def mean_acc(self) -> float:
@@ -423,7 +421,6 @@ def run_ablation(
                 filter_on=cfgs[0].tau > 0.0,
                 weight_on=cfgs[0].matching == "quality",
                 accuracies=tuple(accs),
-                seeds=tuple(int(s) for s in seeds),
             )
         )
     p_ad = None

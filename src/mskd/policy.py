@@ -1,14 +1,15 @@
-"""Categorical student policy over each example's enumerated answer space."""
+"""Categorical student policy over each example's enumerated answer space.
+
+The student is its logits, one array per example id; these are the
+distributions, draws and KL terms computed from them.
+"""
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 import numpy as np
-
-from mskd.tasks import SupervisionExample
 
 # Generator.choice's tolerance on the total of a float64 probability vector.
 _SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
@@ -87,32 +88,6 @@ def categorical_draw(p: np.ndarray | Sequence[float], n: int, rng: np.random.Gen
     exactly ``rng.choice(len(p), size=n, p=p)`` for a float64 vector p, and
     the generator's state afterwards is the same too."""
     return checked_cdf(p).searchsorted(rng.random(n), side="right")
-
-
-@dataclass
-class StudentPolicy:
-    """Per-example logits over answer spaces, keyed by example id."""
-
-    logits: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def logits_for(self, ex: SupervisionExample) -> np.ndarray:
-        return self.logits[ex.id]
-
-    def probs(self, ex: SupervisionExample) -> np.ndarray:
-        return softmax(self.logits_for(ex))
-
-    def copy(self) -> "StudentPolicy":
-        return StudentPolicy(logits={k: v.copy() for k, v in self.logits.items()})
-
-
-def init_student(examples) -> StudentPolicy:
-    """Uniform (zero-logit) policy; requires answer spaces on every example."""
-    logits = {}
-    for ex in examples:
-        if ex.answer_space is None:
-            raise ValueError(f"example {ex.id}: answer_space required for a simulated policy")
-        logits[ex.id] = np.zeros(len(ex.answer_space))
-    return StudentPolicy(logits=logits)
 
 
 def kl_gradient_logits(p: np.ndarray, q: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:

@@ -3,11 +3,13 @@
 The composite is the exact weighted sum
     alpha * disc + beta * outer + eta * task + delta * content
 with weights validated to sum to one — silent renormalization would move
-the published operating point, so malformed weights fail hard.  The
-trainer computes it in one batched composite_reward call per
-answer-space size and epoch, over the per-slot format flags and qualities
-that train.build_caches gathers: content is a slot's gated ground-truth
-quality on a closed-ended task and 0 on an open-ended one.
+the published operating point, so malformed weights fail hard.  outer and
+task are a response's validity flags, 0 or 1: the flag is the reward.  The
+trainer computes the sum in one batched composite_reward call per
+answer-space size and epoch, over its rollouts' slot feature rows
+(train.build_caches): columns 0 and 1 are the flags, and column 3 the
+content, a slot's gated ground-truth quality on a closed-ended task and 0
+on an open-ended one.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from mskd.metrics import _is_finite
-from mskd.tasks import ParsedResponse
 
 
 class InvalidWeightsError(ValueError):
@@ -40,14 +41,6 @@ class RewardWeights:
 
 
 DEFAULT_WEIGHTS = RewardWeights(alpha=0.4, beta=0.1, eta=0.1, delta=0.4)
-
-
-def outer_reward(resp: ParsedResponse) -> int:
-    return int(resp.outer_valid)
-
-
-def task_reward(resp: ParsedResponse) -> int:
-    return int(resp.task_valid)
 
 
 def composite_reward(w: RewardWeights, disc, outer, task, content):

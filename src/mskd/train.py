@@ -10,6 +10,11 @@ pairwise loss on the matched pairs.  rl_step runs a whole epoch of these
 steps: only the discriminator moves from step to step, so the student half
 of every step is batched across the epoch's examples.
 
+The student is its logits: a dict from example id to one array over the
+example's answer space.  A slot's feature row (build_caches) is its one
+record: the discriminator scores the row, and the reward reads the slot's
+format flags and content from the row's columns 0, 1 and 3.
+
 Every random draw comes from a stream derived as
 SeedSequence([seed, stream_tag, epoch, example_index]), so runs are
 bit-reproducible and ablation arms that should coincide do so exactly.  The
@@ -31,6 +36,9 @@ from pathlib import Path
 import numpy as np
 
 from mskd.discriminator import (
+    OUTER_COL,
+    QUALITY_COL,
+    TASK_COL,
     DiscriminatorParams,
     Featurizer,
     _sigmoid,
@@ -40,15 +48,7 @@ from mskd.discriminator import (
     score_batch,
 )
 from mskd.metrics import DEFAULT_METRICS, MetricConfig, _check_numbers, _is_finite, _is_int, quality_score
-from mskd.policy import (
-    StudentPolicy,
-    _invert_rows,
-    checked_cdf,
-    init_student,
-    kl_gradient_logits,
-    nucleus,
-    softmax,
-)
+from mskd.policy import _invert_rows, checked_cdf, kl_gradient_logits, nucleus, softmax
 from mskd.pool import (
     DegeneratePoolError,
     MatchingDistribution,
@@ -60,14 +60,7 @@ from mskd.pool import (
     sample_matches,
     select_sft_target,
 )
-from mskd.rewards import (
-    DEFAULT_WEIGHTS,
-    InvalidWeightsError,
-    RewardWeights,
-    composite_reward,
-    outer_reward,
-    task_reward,
-)
+from mskd.rewards import DEFAULT_WEIGHTS, InvalidWeightsError, RewardWeights, composite_reward
 from mskd.synthetic import SyntheticTeacher, sample_teacher_pool
 from mskd.tasks import ParsedResponse, SupervisionExample, TaskType, parse_response, render_payload
 
@@ -244,21 +237,6 @@ class TrainConfig:
             raise ValueError(f"matching must be 'quality' or 'uniform', got {self.matching!r}")
 
 
-@dataclass
-class ExampleCache:
-    """Precomputed per-slot artifacts for one example's answer space.
-
-    outer and task hold each slot's format rewards (0.0 or 1.0) and quality
-    its content reward, so a step's rewards are one gather per term; outer
-    and task are read-only, shared by the examples that share slot_parses.
-    """
-
-    quality: np.ndarray
-    features: np.ndarray
-    outer: np.ndarray
-    task: np.ndarray
-
-
 def slot_parses(examples: list[SupervisionExample]) -> list[tuple[ParsedResponse, ...]]:
     """Each example's answer-space slots, rendered and parsed, once per
     distinct (task, answer_space); equal payloads render alike but for signed
@@ -284,43 +262,40 @@ def build_caches(
     examples: list[SupervisionExample],
     featurizer: Featurizer,
     cfg: MetricConfig = DEFAULT_METRICS,
-) -> dict[str, ExampleCache]:
-    """Score and featurize every answer-space slot once; examples that share
-    slot_parses share all but quality, and open-ended slots score 0."""
-    shared: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    caches: dict[str, ExampleCache] = {}
+) -> dict[str, np.ndarray]:
+    """Each example's (slots, dim) feature rows, every answer-space slot
+    scored and featurized once.  A row is its slot's one record: columns 0,
+    1 and 3 are its reward terms, the outer and task format flags and the
+    content, the gated quality on a closed-ended task and 0 on an open-ended
+    one.  Examples that share slot_parses share all but column 3."""
+    shared: dict[int, np.ndarray] = {}
+    caches: dict[str, np.ndarray] = {}
     for ex, responses in zip(examples, slot_parses(examples)):
-        if id(responses) not in shared:
-            outer = np.array([outer_reward(r) for r in responses], dtype=float)
-            task = np.array([task_reward(r) for r in responses], dtype=float)
-            outer.flags.writeable = task.flags.writeable = False
-            shared[id(responses)] = featurizer.featurize_all(responses, ex, 0.0), outer, task
-        base, outer, task = shared[id(responses)]
+        base = shared.get(id(responses))
+        if base is None:
+            base = shared[id(responses)] = featurizer.featurize_all(responses, ex)
+        caches[ex.id] = feats = base.copy()
         if ex.task.is_closed:
-            quality = np.array([quality_score(r, ex, cfg) for r in responses])
-        else:
-            quality = np.zeros(len(responses))
-        features = base.copy()
-        features[:, 3] = quality  # the quality column of Featurizer's layout
-        caches[ex.id] = ExampleCache(quality, features, outer, task)
+            feats[:, QUALITY_COL] = [quality_score(r, ex, cfg) for r in responses]
     return caches
 
 
 def pool_features(
     pool: TeacherPool,
     ex: SupervisionExample,
-    cache: ExampleCache,
+    slot_feats: np.ndarray,
     featurizer: Featurizer,
 ) -> np.ndarray:
     """(K, dim) feature rows for a pool, featurized in one call.  A response
-    whose payload is an answer-space slot takes that slot's cached row, the
-    row a student rollout of the slot gets, whatever else its text holds;
-    every row's quality column holds the pool's (filtered) quality."""
-    feats = featurizer.featurize_all(pool.responses, ex, 0.0)
+    whose payload is an answer-space slot takes that slot's row of
+    slot_feats (ex's build_caches rows), the row a student rollout of the
+    slot gets, whatever else its text holds; every row's quality column
+    holds the pool's (filtered) quality."""
+    feats = featurizer.featurize_all(pool.responses, ex)
     slots = [ex.slot_of(resp.payload) for resp in pool.responses]
     in_space = [row for row, slot in enumerate(slots) if slot is not None]
-    feats[in_space] = cache.features[[slots[row] for row in in_space]]
-    feats[:, 3] = 0.0 if pool.qualities is None else pool.qualities
+    feats[in_space] = slot_feats[[slots[row] for row in in_space]]
+    feats[:, QUALITY_COL] = 0.0 if pool.qualities is None else pool.qualities
     return feats
 
 
@@ -351,7 +326,7 @@ def select_sft_targets(
 
 
 def _sft_epoch(
-    student: StudentPolicy,
+    student: dict[str, np.ndarray],
     examples: list[SupervisionExample],
     targets: dict[str, int],
     lr: float,
@@ -361,7 +336,7 @@ def _sft_epoch(
         slot = targets.get(ex.id)
         if slot is None:
             continue
-        logits = student.logits_for(ex)
+        logits = student[ex.id]
         p = softmax(logits)
         p[slot] -= 1.0
         logits -= lr * p  # grad of NLL is (probs - onehot)
@@ -385,33 +360,35 @@ def pair_weights(pool: TeacherPool, cfg: TrainConfig) -> np.ndarray:
 
 
 def rl_step(
-    student: StudentPolicy,
+    student: dict[str, np.ndarray],
     ref_probs: dict[str, np.ndarray],
     disc: DiscriminatorParams,
     examples: list[SupervisionExample],
     cfg: TrainConfig,
     uniforms: np.ndarray,
     matches: list[np.ndarray | None],
-    caches: dict[str, ExampleCache],
+    caches: dict[str, np.ndarray],
     pool_feats: dict[str, np.ndarray],
     pair_q: dict[str, np.ndarray],
 ) -> tuple[DiscriminatorParams, dict[str, dict[str, float]], tuple[str, ...]]:
     """One epoch of adversarial distillation over examples (distinct ids).
 
-    caches (built with cfg.metric), pool_feats and pair_q hold each example's
-    build_caches, pool_features and pair_weights, and ref_probs the frozen
-    reference policy's distributions.  uniforms[i] is example i's
-    n_rollouts rollout uniforms, which it inverts as Generator.choice would,
-    and matches[i] the pool rows its rollouts are paired with; None skips
-    the example, and the skipped ids are returned.
+    student maps each example id to its logits, and ref_probs to the frozen
+    reference policy's distribution.  caches (built with cfg.metric),
+    pool_feats and pair_q hold each example's build_caches, pool_features
+    and pair_weights.  uniforms[i] is example i's n_rollouts rollout
+    uniforms, which it inverts as Generator.choice would, and matches[i] the
+    pool rows its rollouts are paired with; None skips the example, and the
+    skipped ids are returned.
 
     Order: every rollout is drawn from the epoch-start policy; then, one
-    example after another, the discriminator scores that example's rollouts
-    and descends its pair loss on the matched pairs; the student updates
-    (policy gradient with a group-mean baseline + KL pull) land at the end,
-    in place.  Example i's logits are read and written by its step alone,
-    and the discriminator reads only rollout feature rows, so this is a
-    per-example sequence of steps bit for bit; each answer-space-size
+    example after another, the discriminator scores that example's rollout
+    rows and descends its pair loss on the matched pairs; the student
+    updates (policy gradient with a group-mean baseline + KL pull) land at
+    the end, in place, with each rollout's reward read off the same rows'
+    reward columns.  Example i's logits are read and written by its step
+    alone, and the discriminator reads only rollout feature rows, so this is
+    a per-example sequence of steps bit for bit; each answer-space-size
     group's student half is one row-wise pass.  The metrics, keyed by the
     id of each example stepped, in order, reflect the state it acted on.
     """
@@ -424,17 +401,19 @@ def rl_step(
     mean_reward, kl = np.empty(len(active)), np.empty(len(active))
     groups = []
     for gids, rows, ref in score_groups([examples[i] for i in active], [ref_probs[k] for k in ids]):
-        logits = np.array([student.logits[k] for k in gids])
+        logits = np.array([student[k] for k in gids])
         p = softmax(logits)
         rollouts[rows] = _invert_rows(checked_cdf(p), u[rows])
         kl[rows], kl_grad = kl_gradient_logits(p, ref)
         groups.append((gids, rows, logits, p, kl_grad))
 
+    # each rollout's slot row, gathered once for the discriminator and the reward
+    roll_feats = np.empty((len(active), n, disc.feature_dim))
     raw_scores = np.empty((len(active), n))
     disc_loss = np.empty(len(active))
     # take(), not fancy indexing: the same rows at a fraction of the call cost
     for pos, (k, roll, pair) in enumerate(zip(ids, rollouts, [matches[i] for i in active])):
-        student_feats = caches[k].features.take(roll, 0)
+        student_feats = roll_feats[pos] = caches[k].take(roll, 0)
         raw_scores[pos] = score_batch(disc, student_feats)
         disc, disc_loss[pos] = batch_update(
             disc, pool_feats[k].take(pair, 0), student_feats, pair_q[k].take(pair), cfg.lr_disc
@@ -443,16 +422,18 @@ def rl_step(
     for gids, rows, logits, p, kl_grad in groups:
         size, m = p.shape
         row, roll = np.arange(size)[:, None], rollouts[rows]
-        slot_values = zip(*((caches[k].outer, caches[k].task, caches[k].quality) for k in gids))
-        outer, task, quality = (np.array(values)[row, roll] for values in slot_values)
-        rewards = composite_reward(cfg.weights, _sigmoid(raw_scores[rows]), outer, task, quality)
+        terms = roll_feats[rows]
+        rewards = composite_reward(
+            cfg.weights, _sigmoid(raw_scores[rows]),
+            terms[..., OUTER_COL], terms[..., TASK_COL], terms[..., QUALITY_COL],
+        )
         mean = rewards.sum(axis=1) / n
         adv = rewards - mean[:, None]
         counts = np.bincount((row * m + roll).ravel(), weights=adv.ravel(), minlength=size * m)
         pg = counts.reshape(size, m) / n - p * (adv.sum(axis=1, keepdims=True) / n)
         logits += cfg.lr_student * (pg - cfg.gamma * kl_grad)
         for k, updated in zip(gids, logits):
-            student.logits[k][...] = updated
+            student[k][...] = updated
         mean_reward[rows] = mean
 
     metrics = {
@@ -498,9 +479,9 @@ def score_groups(examples: list[SupervisionExample], scores: list[np.ndarray]) -
 
 
 def expected_scores(
-    student: StudentPolicy, groups: list[tuple], temperature: float = 1.0, top_p: float = 1.0
+    student: dict[str, np.ndarray], groups: list[tuple], temperature: float = 1.0, top_p: float = 1.0
 ) -> np.ndarray:
-    """nucleus(student's distribution, temperature, top_p) @ score for each
+    """nucleus(softmax(student[id]), temperature, top_p) @ score for each
     example of score_groups, in the order of its examples.
 
     Each group takes one row-wise softmax and nucleus and one stacked
@@ -509,12 +490,12 @@ def expected_scores(
     """
     out = np.empty(sum(len(rows) for _, rows, _ in groups))
     for ids, rows, q in groups:
-        p = nucleus(softmax(np.array([student.logits[i] for i in ids])), temperature, top_p)
+        p = nucleus(softmax(np.array([student[i] for i in ids])), temperature, top_p)
         out[rows] = (p[:, None, :] @ q[:, :, None])[:, 0, 0]
     return out
 
 
-def eval_accuracy(student: StudentPolicy, groups: list[tuple]) -> float | None:
+def eval_accuracy(student: dict[str, np.ndarray], groups: list[tuple]) -> float | None:
     """Mean expected task metric under the policy: groups are the
     score_groups of the closed-ended examples' slot qualities, and None
     when there are none."""
@@ -523,8 +504,11 @@ def eval_accuracy(student: StudentPolicy, groups: list[tuple]) -> float | None:
 
 @dataclass
 class TrainedArtifacts:
-    student: StudentPolicy
-    ref: StudentPolicy
+    """A run's result; student and ref map each example id to its logits,
+    the trained ones and the Stage-1 ones."""
+
+    student: dict[str, np.ndarray]
+    ref: dict[str, np.ndarray]
     disc: DiscriminatorParams
     rows: list[MetricsRow]
     final_accuracy: float | None
@@ -538,7 +522,7 @@ class TrainedArtifacts:
         save_params(self.disc, out / "disc.json")
         payload = {
             "shared": False,  # layout flag of the format; every policy is per-example
-            "logits": {k: v.tolist() for k, v in sorted(self.student.logits.items())},
+            "logits": {k: v.tolist() for k, v in sorted(self.student.items())},
         }
         (out / "student.json").write_text(
             json.dumps(payload, sort_keys=True) + "\n", encoding="utf-8"
@@ -558,6 +542,31 @@ def make_pools(
     return pools
 
 
+def _check_overrides(
+    examples: list[SupervisionExample],
+    pools: dict[str, TeacherPool],
+    sft_targets: dict[str, int],
+    match_overrides: dict[str, MatchingDistribution],
+) -> None:
+    """run_pipeline's override inputs: every key names an example, every
+    SFT target is an int slot of its answer space (a bool is not one), and
+    every matching distribution has one probability per pool response."""
+    by_id = {ex.id: ex for ex in examples}
+    for name, given in (("sft_targets", sft_targets), ("match_overrides", match_overrides)):
+        unknown = sorted(set(given) - set(by_id))
+        if unknown:
+            raise ValueError(f"{name} name no example: {unknown}")
+    for k, slot in sft_targets.items():
+        size = len(by_id[k].answer_space)
+        if not (_is_int(slot) and 0 <= slot < size):
+            raise ValueError(f"sft_targets[{k!r}] must be an int slot in [0, {size}), got {slot!r}")
+    for k, dist in match_overrides.items():
+        if len(dist.probs) != pools[k].k:
+            raise ValueError(
+                f"match_overrides[{k!r}] has {len(dist.probs)} probabilities for a pool of {pools[k].k}"
+            )
+
+
 def run_pipeline(
     examples: list[SupervisionExample],
     cfg: TrainConfig,
@@ -569,8 +578,13 @@ def run_pipeline(
     """Stage 1 then Stage 2 over all examples; reproducible per (cfg, seed).
 
     Pools may be passed in directly (e.g. loaded from a cache file); the
-    filter is applied here either way.  The reference policy is frozen at
-    the Stage-1 result.  The metrics log carries one row per epoch.
+    filter is applied here either way.  sft_targets (example id -> slot)
+    and match_overrides (example id -> a distribution over its pool) replace
+    the selected targets and the configured matching; an override that
+    names no example, a target that is not a slot or a distribution whose
+    length is not its pool's K raises ValueError before training.  The
+    reference policy is frozen at the Stage-1 result.  The metrics log
+    carries one row per epoch.
     """
     if not examples:
         raise ValueError("no examples to train on")
@@ -584,14 +598,12 @@ def run_pipeline(
         pools = make_pools(examples, teacher, cfg)
     else:
         pools = {ex.id: apply_filter(pools[ex.id], cfg.tau) for ex in examples}
+    _check_overrides(examples, pools, sft_targets or {}, match_overrides or {})
 
     featurizer = Featurizer(max(len(ex.answer_space) for ex in examples))
     caches = build_caches(examples, featurizer, cfg.metric)
     pool_feats = {ex.id: pool_features(pools[ex.id], ex, caches[ex.id], featurizer) for ex in examples}
     match_dists = {ex.id: matching_for(pools[ex.id], cfg) for ex in examples}
-    unknown = sorted(set(match_overrides or {}) - set(match_dists))
-    if unknown:
-        raise ValueError(f"match_overrides name no example: {unknown}")
     match_dists.update(match_overrides or {})
     table = stream_table(cfg.seed, np.arange(cfg.epochs_stage2)[:, None], np.arange(len(examples)))
     uniforms = uniform_table(table, cfg.n_rollouts)
@@ -603,9 +615,9 @@ def run_pipeline(
     ]
     pair_q = {ex.id: pair_weights(pools[ex.id], cfg) for ex in examples}
     closed = [ex for ex in examples if ex.task.is_closed]
-    acc_groups = score_groups(closed, [caches[ex.id].quality for ex in closed])
+    acc_groups = score_groups(closed, [caches[ex.id][:, QUALITY_COL] for ex in closed])
 
-    student = init_student(examples)
+    student = {ex.id: np.zeros(len(ex.answer_space)) for ex in examples}
     if sft_targets is None:
         sft_targets, skipped_sft = select_sft_targets(examples, pools, cfg.seed)
     else:
@@ -618,8 +630,8 @@ def run_pipeline(
         step += 1
         rows.append(MetricsRow(step, "sft", None, None, None, eval_accuracy(student, acc_groups)))
 
-    ref = student.copy()
-    ref_probs = {ex.id: ref.probs(ex) for ex in examples}
+    ref = {k: logits.copy() for k, logits in student.items()}
+    ref_probs = {k: softmax(logits) for k, logits in ref.items()}
     disc = init_params(featurizer.dim, cfg.hidden_dim, seed=np.random.SeedSequence([cfg.seed, _S_DISC]))
 
     skipped_rl: set[str] = set()
@@ -677,7 +689,7 @@ def _passk_settings(
 
 
 def pass_at_k_eval(
-    student: StudentPolicy,
+    student: dict[str, np.ndarray],
     examples: list[SupervisionExample],
     k_values: list[int],
     temperature: float = 1.0,

@@ -9,7 +9,8 @@ from kl_divergence.  train.pass_at_k_eval computes pass@k in closed form;
 sampled_pass_at_k is the Monte-Carlo estimate it is checked against.
 train.build_caches parses each distinct answer space once and featurizes it
 with array writes; build_caches below is the per-example, per-slot form it
-was written in, with score_answer_space and featurize copied verbatim.
+was written in, with score_answer_space and featurize copied verbatim, and
+like it gives each example's (slots, dim) feature matrix.
 train.pool_features featurizes a whole pool in one call and then takes
 the cached slot rows; pool_features below is the per-row form it replaced,
 copied verbatim.
@@ -22,6 +23,11 @@ batched call; composite_reward below is the per-response statement of the
 sum that it is checked against.  harness.paired_permutation_pvalue counts
 sign patterns by meet-in-the-middle in floats; permutation_pvalue below
 walks every pattern in exact rational arithmetic.
+train.rl_step's student half is a sampled policy-gradient step;
+expected_logit_update below is its exact expectation over the rollout
+uniforms, which the sampled steps are checked against.
+A student is its logits, a dict from example id to one array per answer
+space, here as in the library.
 """
 
 import itertools
@@ -36,9 +42,9 @@ from mskd.analysis import QUANTILES, TaskVariance, VarianceReport
 from mskd.corpus import ResponseRow
 from mskd.discriminator import _LEN_SCALE, DiscriminatorParams, Featurizer
 from mskd.metrics import DEFAULT_METRICS, MetricConfig, quality_score
-from mskd.policy import StudentPolicy, categorical_draw, nucleus
+from mskd.policy import categorical_draw, nucleus, softmax
 from mskd.pool import TeacherPool
-from mskd.rewards import RewardWeights, outer_reward, task_reward
+from mskd.rewards import RewardWeights
 from mskd.tasks import (
     ANSWER_RE,
     FLOAT_RE,
@@ -56,7 +62,7 @@ from mskd.tasks import (
     Text,
     render_payload,
 )
-from mskd.train import ExampleCache, _stream
+from mskd.train import _stream
 
 # the stream tag the sampled estimator drew its samples from
 _S_PASSK = 5
@@ -127,6 +133,31 @@ def permutation_pvalue(x: np.ndarray, y: np.ndarray) -> float:
     return hits / 2**d.size
 
 
+def expected_logit_update(
+    logits: np.ndarray,
+    ref_probs: np.ndarray,
+    rewards: np.ndarray,
+    n: int,
+    lr: float,
+    gamma: float,
+) -> np.ndarray:
+    """The expected change of one example's logits in an rl_step, over its
+    n rollout uniforms, with rewards[j] the reward of slot j:
+
+        lr * ((n - 1)/n * p * (r - p @ r) - gamma * grad KL(p || ref))
+
+    for p = softmax(logits).  The advantage of a rollout is its reward less
+    the mean over all n rollouts, itself included, so each rollout's own
+    reward pulls its baseline and the policy gradient shrinks by (n - 1)/n
+    (Kool et al. 2019, Buy 4 REINFORCE Samples, Get a Baseline for Free!;
+    Shao et al. 2024, GRPO).  The KL gradient is p * (log p - log ref - KL),
+    from kl_divergence; p must have no exact zeros."""
+    p = softmax(np.asarray(logits, dtype=float))
+    r = np.asarray(rewards, dtype=float)
+    grad_kl = p * (np.log(p) - np.log(ref_probs) - kl_divergence(p, ref_probs))
+    return lr * ((n - 1) / n * p * (r - p @ r) - gamma * grad_kl)
+
+
 def score_answer_space(
     ex: SupervisionExample,
     cfg: MetricConfig = DEFAULT_METRICS,
@@ -158,7 +189,7 @@ def featurize(
 def pool_features(
     pool: TeacherPool,
     ex: SupervisionExample,
-    cache: ExampleCache,
+    slot_feats: np.ndarray,
     featurizer: Featurizer,
 ) -> np.ndarray:
     """(K, dim) feature rows for a pool, reusing slot rows where possible;
@@ -166,7 +197,7 @@ def pool_features(
     rows = []
     for resp in pool.responses:
         slot = ex.slot_of(resp.payload)
-        rows.append(featurize(featurizer, resp, ex, 0.0) if slot is None else cache.features[slot])
+        rows.append(featurize(featurizer, resp, ex, 0.0) if slot is None else slot_feats[slot])
     feats = np.stack(rows)
     feats[:, 3] = 0.0 if pool.qualities is None else pool.qualities
     return feats
@@ -176,24 +207,21 @@ def build_caches(
     examples: list[SupervisionExample],
     featurizer: Featurizer,
     cfg: MetricConfig = DEFAULT_METRICS,
-) -> dict[str, ExampleCache]:
+) -> dict[str, np.ndarray]:
     """Score and featurize every answer-space slot once."""
-    caches: dict[str, ExampleCache] = {}
+    caches: dict[str, np.ndarray] = {}
     for ex in examples:
         if ex.answer_space is None:
             raise ValueError(f"example {ex.id}: answer_space required by the simulator")
         responses, quality = score_answer_space(ex, cfg)
-        feats = np.stack(
+        caches[ex.id] = np.stack(
             [featurize(featurizer, r, ex, quality=float(q)) for r, q in zip(responses, quality)]
         )
-        outer = np.array([outer_reward(r) for r in responses], dtype=float)
-        task = np.array([task_reward(r) for r in responses], dtype=float)
-        caches[ex.id] = ExampleCache(quality, feats, outer, task)
     return caches
 
 
 def sample(
-    student: StudentPolicy,
+    student: dict[str, np.ndarray],
     ex: SupervisionExample,
     n: int,
     rng: np.random.Generator,
@@ -201,14 +229,14 @@ def sample(
     top_p: float = 1.0,
 ) -> np.ndarray:
     """n slot draws from the student's nucleus distribution for ex."""
-    p = student.probs(ex)
+    p = softmax(student[ex.id])
     if temperature != 1.0 or top_p != 1.0:
         p = nucleus(p, temperature, top_p)
     return categorical_draw(p, n, rng)
 
 
 def sampled_pass_at_k(
-    student: StudentPolicy,
+    student: dict[str, np.ndarray],
     examples: list[SupervisionExample],
     k_values: list[int],
     temperature: float = 1.0,

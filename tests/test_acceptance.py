@@ -32,8 +32,8 @@ from mskd.metrics import (
     spatial_iou,
 )
 from mskd.pool import apply_filter, build_pool, matching_distribution, sample_matches
-from mskd.policy import StudentPolicy, init_student
-from mskd.rewards import InvalidWeightsError, RewardWeights, composite_reward, outer_reward, task_reward
+from mskd.policy import softmax
+from mskd.rewards import InvalidWeightsError, RewardWeights, composite_reward
 from mskd.tasks import (
     Binary,
     Number,
@@ -311,12 +311,13 @@ def _invalid_payload(task, rng):
 
 
 def test_criterion_04_composite_reward_exactness():
-    # The trainer's rewards: composite_reward over build_caches' per-slot
-    # format flags and qualities, against the per-response oracle sum, on
-    # answer spaces of fuzzed payloads with task-invalid ones among them.
-    # A slot always renders a well-formed envelope, so the trainer cannot
-    # reach an outer-invalid response; those fuzz cases are checked on the
-    # oracle and outer_reward alone.
+    # The trainer's rewards: composite_reward over the outer, task and
+    # content columns (0, 1 and 3) of build_caches' slot feature rows,
+    # against the per-response oracle sum, on answer spaces of fuzzed
+    # payloads with task-invalid ones among them.  A slot always renders a
+    # well-formed envelope, so the trainer cannot reach an outer-invalid
+    # response; those fuzz cases are checked on the oracle and the parsed
+    # flags alone.
     rng = np.random.default_rng(404)
     bases = [
         mk_mcq(0, gt="B"), mk_binary(1), mk_temporal(2),
@@ -340,17 +341,17 @@ def test_criterion_04_composite_reward_exactness():
     worst = 0.0
     slots = task_invalid = 0
     for ex in examples:
-        cache = caches[ex.id]
+        feats = caches[ex.id]
         w = RewardWeights(*(float(v) for v in rng.dirichlet(np.ones(4))))
         d = rng.uniform(size=len(ex.answer_space))
-        got = composite_reward(w, d, cache.outer, cache.task, cache.quality)
+        got = composite_reward(w, d, feats[:, 0], feats[:, 1], feats[:, 3])
         for j, payload in enumerate(ex.answer_space):
             parsed = parse_response(render_payload(payload), ex.task)
             worst = max(worst, abs(got[j] - oracle_reward(float(d[j]), parsed, ex, w, MetricConfig())))
             slots += 1
             task_invalid += not parsed.task_valid
             broken = parse_response(render_payload(payload).replace("</answer>", ""), ex.task)
-            assert outer_reward(broken) == 0 and task_reward(broken) == 0
+            assert not broken.outer_valid and not broken.task_valid
             hand = w.alpha * float(d[j])  # no format or content credit
             worst = max(worst, abs(oracle_reward(float(d[j]), broken, ex, w, MetricConfig()) - hand))
     rejected = 0
@@ -456,17 +457,16 @@ def test_criterion_06_policy_update_and_kl():
     steps = 1_250  # steps * n_rollouts = 10^4 rollouts
     total = 0.0
     for i in range(steps):
-        student = StudentPolicy(logits={ex.id: theta.copy()})
-        ref = StudentPolicy(logits={ex.id: theta.copy()})
+        student = {ex.id: theta.copy()}
         children = np.random.SeedSequence([606, i]).spawn(2)
         uniforms = np.stack([np.random.default_rng(c).random(cfg.n_rollouts) for c in children])
         # a one-example epoch: the step's rollout and match rows
         matches = sample_matches(match_dist, uniforms[1])
         disc, _, _ = rl_step(
-            student, {ex.id: ref.probs(ex)}, disc, [ex], cfg, uniforms[None, 0], [matches],
+            student, {ex.id: softmax(theta)}, disc, [ex], cfg, uniforms[None, 0], [matches],
             {ex.id: cache}, {ex.id: pool_feats}, {ex.id: pair_weights(pool, cfg)},
         )
-        total += (student.logits_for(ex)[0] - theta[0]) / cfg.lr_student
+        total += (student[ex.id][0] - theta[0]) / cfg.lr_student
     mean_update = total / steps
     pi0 = float(np.exp(0.3) / (np.exp(0.3) + np.exp(-0.2)))
     delta = 1.0 - 0.2  # reward gap between the two answer slots
@@ -494,7 +494,7 @@ def test_criterion_06_policy_update_and_kl():
                 epochs_stage1=6, epochs_stage2=20, seed=s,
             )
             art = run_pipeline(exs, cfg_g, teacher=teacher)
-            vals.append(np.mean([kl_divergence(art.student.probs(e), art.ref.probs(e)) for e in exs]))
+            vals.append(np.mean([kl_divergence(softmax(art.student[e.id]), softmax(art.ref[e.id])) for e in exs]))
         kl_means.append(float(np.mean(vals)))
     monotone = all(b <= a + 1e-12 for a, b in zip(kl_means, kl_means[1:]))
     elapsed = time.perf_counter() - t0
@@ -556,7 +556,8 @@ def test_criterion_09_pass_at_k(bench, ablation):
         )
         for i in range(10_000)
     ]
-    curve = pass_at_k_eval(init_student(exs), exs, [1, 4], temperature=1.0, top_p=1.0)
+    uniform = {ex.id: np.zeros(4) for ex in exs}
+    curve = pass_at_k_eval(uniform, exs, [1, 4], temperature=1.0, top_p=1.0)
     err1 = abs(curve[0][1] - 0.25)
     err4 = abs(curve[1][1] - (1.0 - 0.75**4))
 

@@ -65,27 +65,31 @@ def test_featurizer_layout():
     ex = mk_mcq(gt="B")
     f = Featurizer(4)
     r = parse_response("<answer>B</answer>", ex.task)
-    vec = f.featurize_all((r,), ex, quality_score(r, ex))[0]
+    vec = f.featurize_all((r,), ex)[0]
     assert vec.shape == (f.dim,)
     assert vec[0] == 1.0 and vec[1] == 1.0  # validity flags
     assert 0.0 < vec[2] <= 1.0  # length feature
-    assert vec[3] == 1.0  # quality of a correct answer
+    assert vec[3] == 0.0  # the quality column, left for the caller
     one_hot = vec[4:]
     assert one_hot.sum() == 1.0 and one_hot[1] == 1.0  # slot B
+    # build_caches writes each slot's quality into it; slot B's row is r's
+    feats = build_caches([ex], f)[ex.id]
+    assert feats[:, 3].tolist() == [0.0, quality_score(r, ex), 0.0, 0.0] == [0.0, 1.0, 0.0, 0.0]
+    assert np.delete(feats[1], 3).tolist() == np.delete(vec, 3).tolist()
 
 
 def test_featurizer_invalid_response_is_mostly_zero():
     ex = mk_mcq(gt="B")
     f = Featurizer(4)
     r = parse_response("broken", ex.task)
-    vec = f.featurize_all((r,), ex, quality_score(r, ex))[0]
+    vec = f.featurize_all((r,), ex)[0]
     assert vec[0] == 0.0 and vec[1] == 0.0 and vec[3] == 0.0
     assert vec[4:].sum() == 0.0
 
 
 def test_featurize_open_ended_has_zero_quality_feature():
     ex = mk_open()
-    feats = build_caches([ex], Featurizer(4))[ex.id].features
+    feats = build_caches([ex], Featurizer(4))[ex.id]
     assert np.all(feats[:, 3] == 0.0)
     assert np.array_equal(feats[:, 4:], np.eye(4))
 

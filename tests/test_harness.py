@@ -33,7 +33,6 @@ from mskd.harness import (
     setting_config,
 )
 from mskd.pool import build_pool
-from mskd.policy import init_student
 from mskd.synthetic import retention_probability
 from mskd.tasks import TaskType
 from mskd.train import TrainConfig
@@ -106,7 +105,7 @@ def test_open_benchmark_latents_hidden_from_surface():
         latent = bench.slot_scores[ex.id]
         assert latent.shape == (6,)
         assert np.all((latent > 0.0) & (latent < 1.0))
-    uniform = init_student(bench.examples)
+    uniform = {ex.id: np.zeros(6) for ex in bench.examples}
     acc = open_accuracy(uniform, bench.examples, bench.slot_scores)
     want = np.mean([bench.slot_scores[ex.id].mean() for ex in bench.examples])
     assert acc == pytest.approx(want, abs=1e-12)
@@ -335,8 +334,8 @@ def test_run_sensitivity_smoke():
 
 
 def _fake_summary():
-    r1 = AblationResult("A", 1, False, False, (0.5, 0.52), (0, 1))
-    r2 = AblationResult("D", 4, True, True, (0.6, 0.64), (0, 1))
+    r1 = AblationResult("A", 1, False, False, (0.5, 0.52))
+    r2 = AblationResult("D", 4, True, True, (0.6, 0.64))
     return AblationSummary((r1, r2), p_value_ad=0.25)
 
 

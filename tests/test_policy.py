@@ -1,20 +1,17 @@
 """Categorical policy: softmax/nucleus sampling and exact KL machinery."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import mk_mcq
 from oracles import kl_divergence
 from mskd.policy import (
     _invert_rows,
     categorical_draw,
     checked_cdf,
-    init_student,
     kl_gradient_logits,
     nucleus,
     softmax,
@@ -139,25 +136,6 @@ def test_kl_gradient_matches_finite_differences(rng):
             dn[j] -= eps
             fd = (kl_divergence(softmax(up), q) - kl_divergence(softmax(dn), q)) / (2 * eps)
             assert grad[j] == pytest.approx(fd, abs=1e-6)
-
-
-def test_init_student_uniform():
-    exs = [mk_mcq(i) for i in range(3)]
-    pol = init_student(exs)
-    for ex in exs:
-        assert np.array_equal(pol.logits_for(ex), np.zeros(4))
-        np.testing.assert_allclose(pol.probs(ex), 0.25)
-    no_space = replace(mk_mcq(0), answer_space=None)
-    with pytest.raises(ValueError):
-        init_student([no_space])
-
-
-def test_copy_is_deep():
-    ex = mk_mcq(0)
-    pol = init_student([ex])
-    dup = pol.copy()
-    dup.logits[ex.id][0] = 5.0
-    assert pol.logits[ex.id][0] == 0.0
 
 
 # --- categorical draws ---------------------------------------------------------

@@ -48,7 +48,6 @@ PUBLIC = (
     "RewardWeights",
     "SensitivityResult",
     "SpatialBox",
-    "StudentPolicy",
     "SupervisionExample",
     "SyntheticTeacher",
     "TaskType",
@@ -69,7 +68,6 @@ PUBLIC = (
     "epsilon_accuracy",
     "exact_match",
     "init_params",
-    "init_student",
     "load_params",
     "make_closed_benchmark",
     "make_open_benchmark",
@@ -104,7 +102,7 @@ PUBLIC = (
 
 
 def test_all_is_pinned():
-    assert len(PUBLIC) == 81
+    assert len(PUBLIC) == 79
     assert list(mskd.__all__) == list(PUBLIC)
     assert all(hasattr(mskd, name) for name in PUBLIC)
 
@@ -135,11 +133,16 @@ def test_single_path_removals_stay_out_of_the_package():
         # pass_at_k_eval's settings check serves mskd passk too
         mskd.discriminator.Featurizer: ("featurize",),
         mskd.cli: ("_success_threshold", "TaskType"),
-        # rl_step returns the ids of the examples it skipped
-        mskd.train: ("SkippedExample",),
         # the trainer's batched composite_reward is the one reward sum; the
-        # scalar statement is tests/oracles.py's reference
-        mskd.rewards: ("weighted_reward", "RewardBreakdown", "content_reward"),
+        # scalar statement is tests/oracles.py's reference; a validity flag
+        # is its own format reward
+        mskd.rewards: ("weighted_reward", "RewardBreakdown", "content_reward", "outer_reward", "task_reward"),
+        # the student is its logits, a dict keyed by example id
+        mskd.policy: ("StudentPolicy", "init_student"),
+        # rl_step returns the ids of the examples it skipped, a slot's
+        # build_caches feature row is its one record, and the student is
+        # its logits
+        mskd.train: ("SkippedExample", "ExampleCache", "StudentPolicy", "init_student"),
     }
     for owner, names in gone.items():
         assert [n for n in names if hasattr(owner, n)] == [], owner.__name__
@@ -148,7 +151,8 @@ def test_single_path_removals_stay_out_of_the_package():
         # temperature and top_p are pass@k settings, which training never read
         mskd.train.TrainConfig: ("baseline", "temperature", "top_p"),
         mskd.train.TrainedArtifacts: ("pools",),
-        mskd.train.ExampleCache: ("responses",),
+        # run_ablation wrote it, and nothing read it
+        mskd.harness.AblationResult: ("seeds",),
         mskd.harness.Benchmark: ("mu_targets",),
         mskd.synthetic.SyntheticTeacher: ("temperature", "top_p"),
     }
@@ -160,3 +164,5 @@ def test_single_path_removals_stay_out_of_the_package():
     # test is exact
     assert "rng" not in inspect.signature(mskd.sample_matches).parameters
     assert {"n_perm", "seed"}.isdisjoint(inspect.signature(mskd.paired_permutation_pvalue).parameters)
+    # featurize_all leaves the quality column at 0, and its callers write it
+    assert "quality" not in inspect.signature(mskd.Featurizer.featurize_all).parameters

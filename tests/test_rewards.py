@@ -1,8 +1,10 @@
 """Composite reward: exact weighted sum, weight validation, components.
 
 The batched composite_reward is checked against the per-response statement
-in tests/oracles.py; a weights object that is not RewardWeights is
-TrainConfig's InvalidWeightsError (tests/test_trainer.py)."""
+in tests/oracles.py; the trainer reads its format and content terms off a
+slot's feature row (columns 0, 1 and 3 of build_caches); a weights object
+that is not RewardWeights is TrainConfig's InvalidWeightsError
+(tests/test_trainer.py)."""
 
 import numpy as np
 import pytest
@@ -16,10 +18,8 @@ from mskd.rewards import (
     InvalidWeightsError,
     RewardWeights,
     composite_reward,
-    outer_reward,
-    task_reward,
 )
-from mskd.tasks import parse_response
+from mskd.tasks import SupervisionExample, TaskType, Text, parse_response, render_payload
 from mskd.train import build_caches
 
 
@@ -38,21 +38,25 @@ def test_weights_must_sum_to_one():
         RewardWeights(float("nan"), 0.4, 0.1, 0.5)
 
 
-def test_format_rewards_follow_flags():
-    good = parse_response("<answer>B</answer>", mk_mcq().task)
-    assert outer_reward(good) == 1 and task_reward(good) == 1
-    half = parse_response("<answer>not a letter</answer>", mk_mcq().task)
-    assert outer_reward(half) == 1 and task_reward(half) == 0
-    bad = parse_response("no tags", mk_mcq().task)
-    assert outer_reward(bad) == 0 and task_reward(bad) == 0
+def test_format_terms_are_the_parsed_flags():
+    # the flag is the reward: build_caches' columns 0 and 1 are each slot's
+    # outer and task flags; a blank text is task-invalid, and one holding
+    # the closing tag breaks the envelope
+    space = (Text("stop"), Text(""), Text("x</answer>y"))
+    ex = SupervisionExample(id="ocr-0", task=TaskType.OCR, question="read it", ground_truth=Text("stop"),
+                            answer_space=space)
+    feats = build_caches([ex], Featurizer(3))[ex.id]
+    assert feats[:, :2].tolist() == [[1.0, 1.0], [1.0, 0.0], [0.0, 0.0]]
+    parsed = [parse_response(render_payload(p), ex.task) for p in space]
+    assert feats[:, :2].tolist() == [[r.outer_valid, r.task_valid] for r in parsed]
 
 
 def test_content_is_gated_quality_closed_and_zero_open():
     # the trainer's content term is build_caches' per-slot quality
     ex = mk_mcq(gt="B")
     caches = build_caches([ex, mk_open()], Featurizer(4))
-    assert caches[ex.id].quality.tolist() == [0.0, 1.0, 0.0, 0.0]
-    assert caches[mk_open().id].quality.tolist() == [0.0] * 4
+    assert caches[ex.id][:, 3].tolist() == [0.0, 1.0, 0.0, 0.0]
+    assert caches[mk_open().id][:, 3].tolist() == [0.0] * 4
     only_content = RewardWeights(0.0, 0.0, 0.0, 1.0)
     for resp, want in (("<answer>B</answer>", 1.0), ("<answer>C</answer>", 0.0)):
         assert oracle_reward(0.5, parse_response(resp, ex.task), ex, only_content) == want
@@ -64,8 +68,8 @@ def test_composite_reward_is_the_scalar_sum_bit_for_bit(rng):
     # one batched call over (examples, rollouts) arrays, as rl_step makes it
     ex = mk_mcq(gt="B")
     resps = [parse_response(raw, ex.task) for raw in ("<answer>B</answer>", "<answer>C</answer>", "<answer>Q")]
-    outer = np.array([[outer_reward(r) for r in resps]], dtype=float)
-    task = np.array([[task_reward(r) for r in resps]], dtype=float)
+    outer = np.array([[r.outer_valid for r in resps]], dtype=float)
+    task = np.array([[r.task_valid for r in resps]], dtype=float)
     content = np.array([[1.0, 0.0, 0.0]])
     for _ in range(1000):
         raw = rng.uniform(0, 1, 4)
@@ -80,7 +84,7 @@ def test_composite_reward_is_the_scalar_sum_bit_for_bit(rng):
 def test_composite_reward_gates_content_on_validity():
     ex = mk_mcq(gt="B")
     resp = parse_response("<answer>B</answer>" * 2, ex.task)  # duplicated span
-    assert (outer_reward(resp), task_reward(resp), quality_score(resp, ex)) == (0, 0, 0.0)
+    assert (resp.outer_valid, resp.task_valid, quality_score(resp, ex)) == (False, False, 0.0)
     got = oracle_reward(0.7, resp, ex, DEFAULT_WEIGHTS)
     assert got == composite_reward(DEFAULT_WEIGHTS, 0.7, 0, 0, 0.0)
     assert got == pytest.approx(0.4 * 0.7, abs=1e-15)

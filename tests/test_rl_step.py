@@ -2,8 +2,9 @@
 
 The oracle below is the step as it was written before the reward, KL,
 discriminator and draw paths were vectorised and before a call took a whole
-epoch: one example per call, one reward per rollout from the per-response
-statement of the sum in tests/oracles.py, Generator.choice for both draws,
+epoch: one example per call, one reward per rollout as the weighted sum
+written out over its discriminator score and its slot row's outer, task and
+content columns, Generator.choice for both draws,
 the KL gradient with its logs taken twice and the discriminator loss
 through np.mean.  It is kept here as the oracle only; one rl_step epoch
 must match the oracle stepped through every example of the epoch in order,
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 from conftest import mk_mcq, mk_temporal
-from oracles import composite_reward, kl_divergence, score_answer_space
+from oracles import kl_divergence
 from mskd.discriminator import (
     DiscriminatorParams,
     Featurizer,
@@ -29,7 +30,7 @@ from mskd.discriminator import (
     score_batch,
 )
 from mskd.harness import make_closed_benchmark, make_open_benchmark, setting_config
-from mskd.policy import init_student, softmax
+from mskd.policy import softmax
 from mskd.pool import sample_matches
 from mskd.rewards import RewardWeights
 from mskd.synthetic import SyntheticTeacher
@@ -102,25 +103,26 @@ def oracle_rl_step(student, ref, disc, pool, ex, cfg, seed, cache, pool_feats, m
     seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(int(seed))
     roll_rng, match_rng = (np.random.default_rng(c) for c in seq.spawn(2))
 
-    logits = student.logits_for(ex)
+    logits = student[ex.id]
     p = softmax(logits)
     n = cfg.n_rollouts
     rollouts = roll_rng.choice(len(p), size=n, p=p)
 
-    student_feats = cache.features[rollouts]
+    student_feats = cache[rollouts]
     raw_scores = score_batch(disc, student_feats)
     mapped = 0.5 * (1.0 + np.tanh(0.5 * raw_scores))  # sigmoid into [0,1]
-    slots, _ = score_answer_space(ex, cfg.metric)
+    w = cfg.weights
+    # a row's outer, task and content terms are its columns 0, 1 and 3
     rewards = np.array(
         [
-            composite_reward(float(mapped[i]), slots[rollouts[i]], ex, cfg.weights, cfg.metric)
-            for i in range(n)
+            w.alpha * float(mapped[i]) + w.beta * row[0] + w.eta * row[1] + w.delta * row[3]
+            for i, row in enumerate(student_feats)
         ]
     )
 
     adv = rewards - rewards.mean()
     pg = np.bincount(rollouts, weights=adv, minlength=len(p)) / n - p * (adv.sum() / n)
-    kl, kl_grad = _oracle_kl_gradient_logits(p, ref.probs(ex))
+    kl, kl_grad = _oracle_kl_gradient_logits(p, softmax(ref[ex.id]))
     logits += cfg.lr_student * (pg - cfg.gamma * kl_grad)
 
     matches = _oracle_sample_matches(match_dist, n, match_rng)
@@ -160,15 +162,15 @@ def disc_bytes(disc):
 def start_state(examples, cfg, featurizer):
     """A non-uniform student and reference; some slots' mass underflows to 0."""
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 31]))
-    student, ref = init_student(examples), init_student(examples)
+    student, ref = {}, {}
     for ex in examples:
-        student.logits[ex.id] += rng.normal(0.0, 1.5, len(ex.answer_space))
-        ref.logits[ex.id] += rng.normal(0.0, 1.5, len(ex.answer_space))
+        student[ex.id] = rng.normal(0.0, 1.5, len(ex.answer_space))
+        ref[ex.id] = rng.normal(0.0, 1.5, len(ex.answer_space))
     # exact zeros in p, one of them mid-vector in the widest space, so the
     # masked KL sum is not the plain one
     widest = max(examples, key=lambda ex: len(ex.answer_space))
-    student.logits[widest.id][1] = -1000.0
-    student.logits[examples[0].id][-1] = -1000.0
+    student[widest.id][1] = -1000.0
+    student[examples[0].id][-1] = -1000.0
     disc = init_params(featurizer.dim, cfg.hidden_dim, seed=np.random.SeedSequence([cfg.seed, 3]))
     return student, ref, disc
 
@@ -184,8 +186,8 @@ def run_both(bench, cfg, epochs=2):
     dists = {ex.id: matching_for(pools[ex.id], cfg) for ex in examples}
     pair_q = {ex.id: pair_weights(pools[ex.id], cfg) for ex in examples}
     student, ref, disc = start_state(examples, cfg, featurizer)
-    ref_probs = {ex.id: ref.probs(ex) for ex in examples}
-    o_student, o_disc = student.copy(), disc
+    ref_probs = {k: softmax(logits) for k, logits in ref.items()}
+    o_student, o_disc = {k: logits.copy() for k, logits in student.items()}, disc
     table = stream_table(cfg.seed, np.arange(epochs)[:, None], np.arange(len(examples)))
     uniforms = uniform_table(table, cfg.n_rollouts)
     skipped = tuple(ex.id for ex in examples if dists[ex.id] is None)
@@ -210,7 +212,7 @@ def run_both(bench, cfg, epochs=2):
         )
         assert got_skipped == skipped
         for ex in examples:
-            assert student.logits[ex.id].tobytes() == o_student.logits[ex.id].tobytes(), ex.id
+            assert student[ex.id].tobytes() == o_student[ex.id].tobytes(), ex.id
         assert disc_bytes(disc) == disc_bytes(o_disc)
         assert list(metrics) == list(o_metrics)  # stepped examples, in order
         for k, m in metrics.items():
@@ -259,7 +261,7 @@ def test_rl_step_matches_oracle_with_invalid_slots():
     )
     bench = SimpleNamespace(examples=examples, teacher=teacher)
     cfg = TrainConfig(seed=6, tau=0.0, weights=ODD_WEIGHTS)
-    assert build_caches(examples, Featurizer(4))[examples[0].id].task.tolist() == [0.0, 1.0, 1.0, 0.0]
+    assert build_caches(examples, Featurizer(4))[examples[0].id][:, 1].tolist() == [0.0, 1.0, 1.0, 0.0]
     run_both(bench, cfg)
     run_both(bench, replace(cfg, matching="uniform", disc_weighting=False))
 

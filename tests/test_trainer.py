@@ -42,7 +42,7 @@ from mskd.train import (
     select_sft_targets,
     slot_parses,
 )
-from mskd.policy import StudentPolicy, init_student, kl_gradient_logits, nucleus
+from mskd.policy import kl_gradient_logits, nucleus, softmax
 
 
 def point_mass_teacher(examples, slot=None, violation=0.0):
@@ -65,6 +65,11 @@ def small_cfg(**kw):
     return TrainConfig(**base)
 
 
+def uniform_student(examples):
+    """The zero logits run_pipeline starts from."""
+    return {ex.id: np.zeros(len(ex.answer_space)) for ex in examples}
+
+
 def uniforms(cfg):
     """A step's (rollout, matching) uniforms, from generators seeded with 0."""
     children = np.random.SeedSequence(0).spawn(2)
@@ -80,17 +85,15 @@ def rl_epoch(student, disc, ex, pool, cfg):
     dist = matching_for(pool, cfg)
     match = None if dist is None else sample_matches(dist, u[1])
     return rl_step(
-        student, {ex.id: student.probs(ex)}, disc, [ex], cfg, u[None, 0], [match],
+        student, {ex.id: softmax(student[ex.id])}, disc, [ex], cfg, u[None, 0], [match],
         {ex.id: cache}, {ex.id: pool_features(pool, ex, cache, featurizer)}, {ex.id: pair_weights(pool, cfg)},
     )
 
 
 def test_kl_penalty_is_policy_kl():
-    ex = mk_mcq(0)
-    student = StudentPolicy(logits={ex.id: np.array([1.0, 0.0, 0.0, 0.0])})
-    ref = StudentPolicy(logits={ex.id: np.zeros(4)})
-    assert kl_gradient_logits(student.probs(ex), student.copy().probs(ex))[0] == 0.0
-    assert kl_gradient_logits(student.probs(ex), ref.probs(ex))[0] > 0.0
+    logits = np.array([1.0, 0.0, 0.0, 0.0])
+    assert kl_gradient_logits(softmax(logits), softmax(logits.copy()))[0] == 0.0
+    assert kl_gradient_logits(softmax(logits), softmax(np.zeros(4)))[0] > 0.0
 
 
 def test_sft_stage_descends_to_target():
@@ -98,12 +101,12 @@ def test_sft_stage_descends_to_target():
     teacher = point_mass_teacher(exs)
     cfg = small_cfg(epochs_stage1=1)
     pools = make_pools(exs, teacher, cfg)
-    student = init_student(exs)
+    student = uniform_student(exs)
     targets, _ = select_sft_targets(exs, pools, cfg.seed)
-    probs_at_target = [student.probs(exs[0])[2]]
+    probs_at_target = [softmax(student[exs[0].id])[2]]
     for _ in range(100):
         _sft_epoch(student, exs, targets, cfg.lr_student)
-        probs_at_target.append(student.probs(exs[0])[2])
+        probs_at_target.append(softmax(student[exs[0].id])[2])
     diffs = np.diff(probs_at_target)
     assert np.all(diffs > 0)  # strictly converging toward the taught slot
     assert probs_at_target[-1] > 0.95
@@ -124,20 +127,20 @@ def test_rl_step_returns_skipped_id_on_degenerate_pool():
     ex = mk_mcq(0, gt="B")
     pool = build_pool(ex, ["nonsense", "more nonsense"])
     cfg = small_cfg()
-    student = init_student([ex])
+    student = uniform_student([ex])
     disc = init_params(Featurizer(4).dim, 0, seed=0)
     new_disc, metrics, skipped = rl_epoch(student, disc, ex, pool, cfg)
     assert skipped == (ex.id,)
     assert metrics == {}
     assert new_disc is disc
-    assert np.array_equal(student.logits[ex.id], np.zeros(4))
+    assert np.array_equal(student[ex.id], np.zeros(4))
 
 
 def test_rl_step_metric_keys_are_python_floats():
     ex = mk_mcq(0, gt="B")
     pool = build_pool(ex, ["<answer>B</answer>", "<answer>A</answer>"])
     cfg = small_cfg()
-    student = init_student([ex])
+    student = uniform_student([ex])
     disc = init_params(Featurizer(4).dim, 0, seed=0)
     _, metrics, skipped = rl_epoch(student, disc, ex, pool, cfg)
     assert skipped == ()
@@ -168,7 +171,31 @@ def test_pipeline_stage2_zero_keeps_ref_equal_to_student():
     exs = [mk_mcq(0, gt="A"), mk_binary(1)]
     art = run_pipeline(exs, small_cfg(epochs_stage2=0), teacher=point_mass_teacher(exs))
     for ex in exs:
-        np.testing.assert_array_equal(art.student.logits_for(ex), art.ref.logits_for(ex))
+        np.testing.assert_array_equal(art.student[ex.id], art.ref[ex.id])
+
+
+def test_pipeline_starts_from_uniform_logits():
+    # the student is its logits: zeros over each answer space before Stage 1
+    exs = [mk_mcq(0), mk_binary(1), mk_temporal(2)]
+    art = run_pipeline(exs, small_cfg(epochs_stage1=0, epochs_stage2=0), teacher=point_mass_teacher(exs))
+    assert list(art.student) == list(art.ref) == [ex.id for ex in exs]
+    for ex in exs:
+        assert art.student[ex.id].tolist() == [0.0] * len(ex.answer_space)
+        np.testing.assert_allclose(softmax(art.student[ex.id]), 1.0 / len(ex.answer_space))
+
+
+def test_pipeline_ref_is_a_copy_of_the_stage1_logits():
+    # Stage 2 updates the student's arrays in place; the reference keeps
+    # the Stage-1 values
+    exs = [mk_mcq(0, gt="A"), mk_binary(1)]
+    teacher = point_mass_teacher(exs)
+    stage1 = run_pipeline(exs, small_cfg(epochs_stage2=0), teacher=teacher)
+    art = run_pipeline(exs, small_cfg(), teacher=teacher)
+    for ex in exs:
+        assert art.ref[ex.id].tobytes() == stage1.student[ex.id].tobytes()
+        assert not np.array_equal(art.student[ex.id], art.ref[ex.id])
+        art.student[ex.id][0] = 5.0
+        assert art.ref[ex.id].tobytes() == stage1.student[ex.id].tobytes()
 
 
 def test_pipeline_rewards_and_matches_through_the_checked_functions(monkeypatch):
@@ -193,8 +220,6 @@ def test_pipeline_rewards_and_matches_through_the_checked_functions(monkeypatch)
 def test_pipeline_requires_answer_space_and_examples():
     with pytest.raises(ValueError):
         run_pipeline([], small_cfg(), teacher=None)
-    from dataclasses import replace
-
     ex = replace(mk_mcq(0), answer_space=None)
     with pytest.raises(ValueError, match="answer_space"):
         run_pipeline([ex], small_cfg(), teacher=point_mass_teacher([mk_mcq(0)]))
@@ -210,7 +235,7 @@ def test_pipeline_rerun_is_bit_identical():
     b = run_pipeline(exs, cfg, teacher=teacher)
     assert metrics_to_csv(a.rows) == metrics_to_csv(b.rows)
     for ex in exs:
-        np.testing.assert_array_equal(a.student.logits_for(ex), b.student.logits_for(ex))
+        np.testing.assert_array_equal(a.student[ex.id], b.student[ex.id])
     np.testing.assert_array_equal(a.disc.weights, b.disc.weights)
 
 
@@ -234,7 +259,7 @@ def test_knobs_do_not_perturb_unrelated_streams():
     b = run_pipeline(exs, quality, teacher=teacher)
     assert metrics_to_csv(a.rows) == metrics_to_csv(b.rows)
     for ex in exs:
-        np.testing.assert_array_equal(a.student.logits_for(ex), b.student.logits_for(ex))
+        np.testing.assert_array_equal(a.student[ex.id], b.student[ex.id])
 
 
 def test_tau_zero_equals_no_filter_exactly():
@@ -245,34 +270,37 @@ def test_tau_zero_equals_no_filter_exactly():
     assert metrics_to_csv(a.rows) == metrics_to_csv(b.rows)
 
 
-def closed_groups(examples, caches):
+def slot_quality(caches):
+    """Each example's slot qualities: column 3 of its build_caches rows."""
+    return {k: feats[:, 3].copy() for k, feats in caches.items()}
+
+
+def closed_groups(examples, quality):
     """The groups run_pipeline hands eval_accuracy."""
     closed = [ex for ex in examples if ex.task.is_closed]
-    return score_groups(closed, [caches[ex.id].quality for ex in closed])
+    return score_groups(closed, [quality[ex.id] for ex in closed])
 
 
 def test_eval_accuracy_none_for_open_only():
     exs = [mk_open(0, n_slots=2), mk_open(1, n_slots=7), mk_open(2)]
-    caches = build_caches(exs, Featurizer(7))
-    assert eval_accuracy(init_student(exs), closed_groups(exs, caches)) is None
-    assert _oracle_eval_accuracy(init_student(exs), exs, caches) is None
+    quality = slot_quality(build_caches(exs, Featurizer(7)))
+    assert eval_accuracy(uniform_student(exs), closed_groups(exs, quality)) is None
+    assert _oracle_eval_accuracy(uniform_student(exs), exs, quality) is None
 
 
 def test_eval_accuracy_expected_metric():
     ex = mk_mcq(0, gt="B")
-    caches = build_caches([ex], Featurizer(4))
-    student = StudentPolicy(logits={ex.id: np.array([0.0, 50.0, 0.0, 0.0])})
-    groups = closed_groups([ex], caches)
-    assert eval_accuracy(student, groups) == pytest.approx(1.0, abs=1e-12)
-    assert eval_accuracy(init_student([ex]), groups) == pytest.approx(0.25)
+    groups = closed_groups([ex], slot_quality(build_caches([ex], Featurizer(4))))
+    assert eval_accuracy({ex.id: np.array([0.0, 50.0, 0.0, 0.0])}, groups) == pytest.approx(1.0, abs=1e-12)
+    assert eval_accuracy(uniform_student([ex]), groups) == pytest.approx(0.25)
 
 
 # The per-example loops eval_accuracy and open_accuracy ran before they were
-# batched by answer-space size, kept verbatim as the oracles of the batched
-# path.
-def _oracle_eval_accuracy(student, examples, caches):
+# batched by answer-space size, kept as the oracles of the batched path; a
+# student is its logits.
+def _oracle_eval_accuracy(student, examples, quality):
     vals = [
-        float(student.probs(ex) @ caches[ex.id].quality) for ex in examples if ex.task.is_closed
+        float(softmax(student[ex.id]) @ quality[ex.id]) for ex in examples if ex.task.is_closed
     ]
     if not vals:
         return None
@@ -280,7 +308,7 @@ def _oracle_eval_accuracy(student, examples, caches):
 
 
 def _oracle_open_accuracy(student, examples, slot_scores):
-    vals = [float(student.probs(ex) @ slot_scores[ex.id]) for ex in examples]
+    vals = [float(softmax(student[ex.id]) @ slot_scores[ex.id]) for ex in examples]
     return float(np.mean(vals))
 
 
@@ -305,14 +333,12 @@ def _mixed_examples():
 def test_batched_expected_scores_match_per_example_loops(seed):
     rng = np.random.default_rng(seed)
     exs = _mixed_examples()
-    student = init_student(exs)
-    for ex in exs:
-        student.logits[ex.id] += rng.normal(0.0, 2.0, len(ex.answer_space))
-    student.logits[exs[3].id][2] = -1000.0  # a slot whose mass underflows to 0
-    caches = build_caches(exs, Featurizer(7))
-    assert eval_accuracy(student, closed_groups(exs, caches)) == _oracle_eval_accuracy(student, exs, caches)
+    student = {ex.id: rng.normal(0.0, 2.0, len(ex.answer_space)) for ex in exs}
+    student[exs[3].id][2] = -1000.0  # a slot whose mass underflows to 0
+    quality = slot_quality(build_caches(exs, Featurizer(7)))
+    assert eval_accuracy(student, closed_groups(exs, quality)) == _oracle_eval_accuracy(student, exs, quality)
     # graded scores on every slot, so each term of every product counts
-    graded = {k: replace(c, quality=rng.uniform(0.0, 1.0, len(c.quality))) for k, c in caches.items()}
+    graded = {k: rng.uniform(0.0, 1.0, len(q)) for k, q in quality.items()}
     assert eval_accuracy(student, closed_groups(exs, graded)) == _oracle_eval_accuracy(student, exs, graded)
     scores = {ex.id: rng.uniform(0.0, 1.0, len(ex.answer_space)) for ex in exs}
     for subset in (exs, [ex for ex in exs if not ex.task.is_closed], exs[::-1]):
@@ -340,7 +366,7 @@ def test_pool_features_shape_and_reuse():
     cache = build_caches([ex], featurizer)[ex.id]
     feats = pool_features(pool, ex, cache, featurizer)
     assert feats.shape == (3, featurizer.dim)
-    np.testing.assert_array_equal(feats[0], cache.features[1])  # the same row as slot B's
+    np.testing.assert_array_equal(feats[0], cache[1])  # the same row as slot B's
     assert feats[2][0] == 0.0 and not feats[2, 4:].any()  # invalid: no flag, no slot
 
 
@@ -393,7 +419,7 @@ def test_pool_features_match_the_slot_row_oracle_on_corpus_texts():
         ]
         assert len(reworded) >= 2 and None in slots, ex.id
         for row in reworded:
-            np.testing.assert_array_equal(np.delete(got[row], 3), np.delete(cache.features[slots[row]], 3))
+            np.testing.assert_array_equal(np.delete(got[row], 3), np.delete(cache[slots[row]], 3))
 
 
 def test_pool_features_carry_the_filtered_pool_quality():
@@ -403,16 +429,17 @@ def test_pool_features_carry_the_filtered_pool_quality():
     assert pool.qualities[0] == 0.0 and ex.slot_of(pool.responses[0].payload) == 0
     featurizer = Featurizer(len(ex.answer_space))
     cache = build_caches([ex], featurizer)[ex.id]
-    assert cache.quality[0] > 0.0  # the unfiltered slot quality
+    assert cache[0, 3] > 0.0  # the unfiltered slot quality
+    before = cache.copy()
     feats = pool_features(pool, ex, cache, featurizer)
     np.testing.assert_array_equal(feats[:, 3], pool.qualities)
-    np.testing.assert_array_equal(feats[0, [0, 1, 2, 4, 5]], cache.features[0, [0, 1, 2, 4, 5]])
-    assert cache.features[0, 3] == cache.quality[0]  # the cached row is left as it was
+    np.testing.assert_array_equal(feats[0, [0, 1, 2, 4, 5]], cache[0, [0, 1, 2, 4, 5]])
+    assert cache.tobytes() == before.tobytes()  # the cached rows are left as they were
 
 
 def test_pass_at_k_monotone_and_bounded():
     exs = [mk_mcq(i, gt="ABCD"[i % 4]) for i in range(8)]
-    student = init_student(exs)
+    student = uniform_student(exs)
     curve = pass_at_k_eval(student, exs, [1, 2, 4, 8, 16])
     ks = [k for k, _ in curve]
     rates = [r for _, r in curve]
@@ -425,7 +452,7 @@ def test_pass_at_k_monotone_and_bounded():
 
 def test_pass_at_k_threshold_dict_and_validation():
     exs = [mk_temporal(0, gt=(0.2, 0.6))]
-    student = init_student(exs)
+    student = uniform_student(exs)
     strict = pass_at_k_eval(student, exs, [4], success_threshold=1.0)
     loose = pass_at_k_eval(student, exs, [4], success_threshold={TaskType.TEMPORAL_GROUNDING: 0.1})
     assert strict == [(4, 1.0 - 0.75**4)]  # only the exact segment succeeds
@@ -434,8 +461,8 @@ def test_pass_at_k_threshold_dict_and_validation():
     # the only successful slot lies outside the nucleus: no sample can hit it
     # (the kept mass of these logits sums to 1 + 2**-52 in the dot product)
     ex = mk_mcq(0, gt="D")
-    sharp = StudentPolicy(logits={ex.id: np.array([-1.0, -1.5, -1.5, -30.0])})
-    assert nucleus(sharp.probs(ex), 0.8, 0.9)[3] == 0.0
+    sharp = {ex.id: np.array([-1.0, -1.5, -1.5, -30.0])}
+    assert nucleus(softmax(sharp[ex.id]), 0.8, 0.9)[3] == 0.0
     curve = pass_at_k_eval(sharp, [ex], [1, 2, 64, 1000], temperature=0.8, top_p=0.9)
     assert curve == [(1, 0.0), (2, 0.0), (64, 0.0), (1000, 0.0)]
     with pytest.raises(ValueError):
@@ -456,7 +483,7 @@ def test_pass_at_k_threshold_dict_and_validation():
 
 def test_pass_at_k_dedupes_and_sorts_k():
     exs = [mk_mcq(0)]
-    student = init_student(exs)
+    student = uniform_student(exs)
     curve = pass_at_k_eval(student, exs, [8, 1, 8, 2])
     assert [k for k, _ in curve] == [1, 2, 8]
     settings = _passk_settings((8, np.int64(1), 8, 2), 0.7, 1.0, {"ocr": 1, TaskType.BINARY_QA: 0.5})
@@ -484,13 +511,12 @@ _PASSK_TEMPLATES = (
 @pytest.mark.parametrize("student_index", range(3))
 def test_pass_at_k_matches_sampled_oracle(student_index):
     copies = 1000
-    exs, logits = [], {}
+    exs, student = [], {}
     for t, (make, students) in enumerate(_PASSK_TEMPLATES):
         for c in range(copies):
             ex = make(t * copies + c)
             exs.append(ex)
-            logits[ex.id] = np.array(students[student_index])
-    student = StudentPolicy(logits=logits)
+            student[ex.id] = np.array(students[student_index])
     ks = [1, 2, 3, 5, 8]
     setting = dict(temperature=0.7, top_p=0.9, success_threshold={TaskType.TEMPORAL_GROUNDING: 0.5})
     exact = pass_at_k_eval(student, exs, ks, **setting)
@@ -642,6 +668,60 @@ def test_bad_match_override_is_rejected():
         run_pipeline([ex], cfg, pools={ex.id: pool}, match_overrides={ex.id: good, "mcq-9": good})
 
 
+def _training_forbidden(*args, **kwargs):
+    raise AssertionError("Stage 1 ran before the overrides were checked")
+
+
+def _override_case():
+    """An MCQ example with a 4-response pool, and a config that trains."""
+    ex = mk_mcq(0, gt="B")
+    pool = build_pool(ex, ["<answer>B</answer>", "<answer>A</answer>", "<answer>C</answer>", "<answer>B</answer>"])
+    return ex, pool, small_cfg(epochs_stage1=2, epochs_stage2=1)
+
+
+def test_sft_target_naming_no_example_is_rejected(monkeypatch):
+    monkeypatch.setattr(mskd.train, "_sft_epoch", _training_forbidden)
+    ex, pool, cfg = _override_case()
+    with pytest.raises(ValueError, match=r"sft_targets name no example: \['mcq-9'\]"):
+        run_pipeline([ex], cfg, pools={ex.id: pool}, sft_targets={ex.id: 1, "mcq-9": 0})
+
+
+@pytest.mark.parametrize("slot", [-1, 4, 10])
+def test_sft_target_outside_the_answer_space_is_rejected(monkeypatch, slot):
+    # a target of -1 trained toward the last slot, as 3 does
+    monkeypatch.setattr(mskd.train, "_sft_epoch", _training_forbidden)
+    ex, pool, cfg = _override_case()
+    with pytest.raises(ValueError, match=r"sft_targets\['mcq-0'\] must be an int slot in \[0, 4\)"):
+        run_pipeline([ex], cfg, pools={ex.id: pool}, sft_targets={ex.id: slot})
+
+
+@pytest.mark.parametrize("slot", [True, False, 1.0, np.float64(2.0), "1", None])
+def test_sft_target_that_is_not_an_int_is_rejected(monkeypatch, slot):
+    # True moved every logit by the same amount instead of naming slot 1
+    monkeypatch.setattr(mskd.train, "_sft_epoch", _training_forbidden)
+    ex, pool, cfg = _override_case()
+    with pytest.raises(ValueError, match="sft_targets"):
+        run_pipeline([ex], cfg, pools={ex.id: pool}, sft_targets={ex.id: slot})
+
+
+def test_sft_targets_accept_numpy_integer_slots():
+    ex, pool, cfg = _override_case()
+    a = run_pipeline([ex], cfg, pools={ex.id: pool}, sft_targets={ex.id: 1})
+    b = run_pipeline([ex], cfg, pools={ex.id: pool}, sft_targets={ex.id: np.int64(1)})
+    assert a.student[ex.id].tobytes() == b.student[ex.id].tobytes()
+
+
+@pytest.mark.parametrize("length", [3, 6])
+def test_match_override_of_the_wrong_length_is_rejected(monkeypatch, length):
+    # a length-3 override on a K=4 pool never matched the last response, and
+    # a length-6 one raised IndexError only after Stage 1
+    monkeypatch.setattr(mskd.train, "_sft_epoch", _training_forbidden)
+    ex, pool, cfg = _override_case()
+    bad = MatchingDistribution(tuple([1.0 / length] * length))
+    with pytest.raises(ValueError, match=rf"match_overrides\['mcq-0'\] has {length} probabilities for a pool of 4"):
+        run_pipeline([ex], cfg, pools={ex.id: pool}, match_overrides={ex.id: bad})
+
+
 def _slot_table_examples():
     """Closed, open, invalid-slot, spatial and OCR spaces; some shared by
     object, some only equal, and two equal spaces that render differently."""
@@ -691,16 +771,15 @@ def test_slot_table_matches_per_example_oracle(space_size):
     for ex, parsed in zip(exs, parses):
         g, w = got[ex.id], want[ex.id]
         assert [repr(r) for r in parsed] == [repr(r) for r in oracles.score_answer_space(ex, metric)[0]]
-        for name in ("quality", "features", "outer", "task"):
-            a, b = getattr(g, name), getattr(w, name)
-            assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), (ex.id, name)
-    # the spaces exercise what they are meant to
-    assert got["ex-8"].features[0, 4:].tolist() == [0.0, 1.0, 0.0, 0.0] + [0.0] * (space_size - 4)
-    assert got["ex-8"].task.tolist() == [1.0, 1.0, 0.0, 1.0]
-    assert got["ex-10"].outer.tolist() == [1.0, 1.0, 1.0, 0.0, 1.0]
-    assert got["ex-10"].features[0, 5] == 1.0 and 0.0 < got["ex-11"].quality[0] < 1.0
-    assert got["ex-12"].features[0, 2] != got["ex-13"].features[0, 2]
+        assert (g.shape, g.dtype, g.tobytes()) == (w.shape, w.dtype, w.tobytes()), ex.id
+    # the spaces exercise what they are meant to: columns 0, 1 and 3 are the
+    # outer flag, the task flag and the quality
+    assert got["ex-8"][0, 4:].tolist() == [0.0, 1.0, 0.0, 0.0] + [0.0] * (space_size - 4)
+    assert got["ex-8"][:, 1].tolist() == [1.0, 1.0, 0.0, 1.0]
+    assert got["ex-10"][:, 0].tolist() == [1.0, 1.0, 1.0, 0.0, 1.0]
+    assert got["ex-10"][0, 5] == 1.0 and 0.0 < got["ex-11"][0, 3] < 1.0
+    assert got["ex-12"][0, 2] != got["ex-13"][0, 2]
     for ex, parsed in zip(exs, parses):
-        assert featurizer.featurize_all(parsed, ex, 0.5).tobytes() == (
-            np.stack([oracles.featurize(featurizer, r, ex, 0.5) for r in parsed]).tobytes()
+        assert featurizer.featurize_all(parsed, ex).tobytes() == (
+            np.stack([oracles.featurize(featurizer, r, ex, 0.0) for r in parsed]).tobytes()
         )
