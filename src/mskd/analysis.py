@@ -12,7 +12,7 @@ standard deviations (ddof=0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -44,6 +44,11 @@ class TaskVariance:
     quantiles: tuple[float, ...] | None = None
 
 
+# A report's per-task statistics, in TaskVariance's field order: every field
+# but the task and the quantiles, which take one value per QUANTILES entry.
+STATS = tuple(f.name for f in fields(TaskVariance) if f.name not in ("task", "quantiles"))
+
+
 @dataclass(frozen=True, slots=True)
 class VarianceReport:
     per_task: dict[TaskType, TaskVariance]
@@ -58,15 +63,8 @@ class VarianceReport:
         }
         for task in sorted(self.per_task, key=lambda t: t.value):
             tv = self.per_task[task]
-            out["tasks"][task.value] = {
-                "n_questions": tv.n_questions,
-                "n_responses": tv.n_responses,
-                "violation_rate": tv.violation_rate,
-                "mean_quality": tv.mean_quality,
-                "cross_question_std": tv.cross_question_std,
-                "sampling_std": tv.sampling_std,
-                "quantiles": None if tv.quantiles is None else list(tv.quantiles),
-            }
+            out["tasks"][task.value] = {name: getattr(tv, name) for name in STATS}
+            out["tasks"][task.value]["quantiles"] = None if tv.quantiles is None else list(tv.quantiles)
         return out
 
 

@@ -234,12 +234,18 @@ def cmd_train(args) -> int:
             raise ConfigError(f"examples without answer_space cannot be trained: {no_space[:5]}")
         if args.pool_cache is None:
             raise ConfigError("--examples requires --pool-cache (no synthetic teacher to sample)")
-        pools = {p.example_id: p for p in read_pool_cache(args.pool_cache)}
-        missing = [ex.id for ex in examples if ex.id not in pools]
+        cache = {p.example_id: p for p in read_pool_cache(args.pool_cache)}
+        missing = [ex.id for ex in examples if ex.id not in cache]
         if missing:
             raise ConfigError(f"pool cache missing examples: {missing[:5]}")
+        # a cache may hold pools of other examples; run_pipeline takes one per example
+        pools = {ex.id: cache[ex.id] for ex in examples}
         for ex in examples:
             pool = pools[ex.id]
+            if pool.task is not ex.task:
+                raise ConfigError(
+                    f"pool cache example {ex.id}: pool is for task {pool.task.value}, not {ex.task.value}"
+                )
             if pool.k != tc.k:
                 raise ConfigError(f"pool cache example {ex.id}: {pool.k} responses, train config k is {tc.k}")
             if pool.tau_applied is not None and pool.tau_applied > tc.tau:

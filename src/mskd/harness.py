@@ -10,8 +10,8 @@ Ablation arms:
     A  single teacher sample
     B  K samples, no filter, uniform matching
     C  B plus quality filtering
-    D  C plus quality-proportional matching and match-quality-weighted
-       discriminator pairs
+    D  C plus quality matching: quality-proportional pairing and
+       match-quality-weighted discriminator pairs, one knob
 
 Arms share every random stream that their knobs do not touch, so paired
 per-seed comparisons are low-variance and coinciding configurations agree
@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from mskd.analysis import VarianceReport
+from mskd.analysis import QUANTILES, STATS, VarianceReport
 from mskd.metrics import _check_numbers, _is_finite, temporal_iou
 from mskd.pool import MatchingDistribution, TeacherPool
 from mskd.synthetic import (
@@ -44,7 +44,7 @@ from mskd.tasks import (
     Text,
     option_letters,
 )
-from mskd.train import TrainConfig, TrainedArtifacts, expected_scores, make_pools, run_pipeline, score_groups
+from mskd.train import TrainConfig, TrainedArtifacts, eval_accuracy, make_pools, run_pipeline, score_groups
 
 
 class EmptyReportError(ValueError):
@@ -287,15 +287,6 @@ def make_open_benchmark(
     return Benchmark(examples, teacher, slot_scores, meta)
 
 
-def open_accuracy(
-    student: dict[str, np.ndarray], examples: list[SupervisionExample], slot_scores: dict[str, np.ndarray]
-) -> float:
-    """Mean latent rating under the policy; the hidden-truth analogue of
-    the closed-ended expected metric."""
-    scores = [slot_scores[ex.id] for ex in examples]
-    return float(np.mean(expected_scores(student, score_groups(examples, scores))))
-
-
 # --- ablation ---------------------------------------------------------------
 
 ABLATION_LABELS = ("A", "B", "C", "D")
@@ -326,13 +317,13 @@ class AblationSummary:
 
 def setting_config(label: str, cfg_base: TrainConfig) -> TrainConfig:
     if label == "A":
-        return replace(cfg_base, k=1, tau=0.0, matching="uniform", disc_weighting=False)
+        return replace(cfg_base, k=1, tau=0.0, matching="uniform")
     if label == "B":
-        return replace(cfg_base, tau=0.0, matching="uniform", disc_weighting=False)
+        return replace(cfg_base, tau=0.0, matching="uniform")
     if label == "C":
-        return replace(cfg_base, matching="uniform", disc_weighting=False)
+        return replace(cfg_base, matching="uniform")
     if label == "D":
-        return replace(cfg_base, matching="quality", disc_weighting=True)
+        return replace(cfg_base, matching="quality")
     raise ValueError(f"unknown ablation setting {label!r}")
 
 
@@ -554,6 +545,8 @@ def run_task_adaptive_check(
     cells = [tuple(replace(cfg, seed=s) for cfg in arms) for s in seeds]
     closed = closed_benchmark if closed_benchmark is not None else make_closed_benchmark()
     open_b = open_benchmark if open_benchmark is not None else make_open_benchmark()
+    # the open arms' accuracy: the mean latent rating under the policy
+    latent = score_groups(open_b.examples, [open_b.slot_scores[ex.id] for ex in open_b.examples])
     closed_gt, closed_uni, open_prox, open_uni = [], [], [], []
     for cfg_d, cfg_c, cfg_open in cells:
         closed_gt.append(
@@ -565,7 +558,7 @@ def run_task_adaptive_check(
 
         pools = make_pools(open_b.examples, open_b.teacher, cfg_open)
         art_uni = run_pipeline(open_b.examples, cfg_open, pools=pools)
-        open_uni.append(open_accuracy(art_uni.student, open_b.examples, open_b.slot_scores))
+        open_uni.append(eval_accuracy(art_uni.student, latent))
 
         prng = np.random.default_rng(np.random.SeedSequence([int(cfg_open.seed), 23]))
         proxies = {
@@ -576,7 +569,7 @@ def run_task_adaptive_check(
         art_prox = run_pipeline(
             open_b.examples, cfg_open, pools=pools, sft_targets=targets, match_overrides=dists
         )
-        open_prox.append(open_accuracy(art_prox.student, open_b.examples, open_b.slot_scores))
+        open_prox.append(eval_accuracy(art_prox.student, latent))
 
     def stat(vals):
         return (float(np.mean(vals)), float(np.std(vals)))
@@ -660,31 +653,12 @@ def emit_report(results, format: str, path: str | Path) -> Path:
             body = {"schema": "variance/v1", "report": results.to_json()}
             path.write_text(json.dumps(body, sort_keys=True, indent=2) + "\n", encoding="utf-8")
             return path
-        cols = (
-            "task",
-            "n_questions",
-            "n_responses",
-            "violation_rate",
-            "mean_quality",
-            "cross_question_std",
-            "sampling_std",
-        ) + tuple(f"q{int(q * 100)}" for q in (0.1, 0.25, 0.5, 0.75, 0.9))
+        cols = ("task", *STATS, *(f"q{int(q * 100)}" for q in QUANTILES))
         rows = []
         for task in sorted(results.per_task, key=lambda t: t.value):
             tv = results.per_task[task]
-            quants = tv.quantiles if tv.quantiles is not None else (None,) * 5
-            rows.append(
-                (
-                    task.value,
-                    tv.n_questions,
-                    tv.n_responses,
-                    tv.violation_rate,
-                    tv.mean_quality,
-                    tv.cross_question_std,
-                    tv.sampling_std,
-                    *quants,
-                )
-            )
+            quants = tv.quantiles if tv.quantiles is not None else (None,) * len(QUANTILES)
+            rows.append((task.value, *(getattr(tv, name) for name in STATS), *quants))
         results = ReportTable("variance/v1", cols, tuple(rows))
 
     tables = results if isinstance(results, (list, tuple)) else [results]

@@ -165,75 +165,71 @@ class ParsedResponse:
     """Raw text plus the two validity flags and the extracted payload.
 
     Invariants: payload present implies both flags true; task_valid implies
-    outer_valid.  ``clamped`` records that spatial coordinates were pulled
-    into [0,1] during extraction (the response stays valid).
+    outer_valid.
     """
 
     raw: str
     outer_valid: bool
     task_valid: bool
     payload: AnswerPayload | None = None
-    clamped: bool = False
 
 
-def _parse_payload(content: str, task: TaskType) -> tuple[AnswerPayload | None, bool]:
-    """Extract a payload from answer-span content; (None, False) on mismatch.
-
-    Second element flags coordinate clamping for spatial boxes.
-    """
+def _parse_payload(content: str, task: TaskType) -> AnswerPayload | None:
+    """Extract a payload from answer-span content; None on mismatch.  A
+    spatial box's coordinates are clamped into [0,1] (the response stays
+    valid)."""
     if task is TaskType.TEMPORAL_GROUNDING:
         stamps = TIMESTAMP_RE.findall(content)
         if len(stamps) != 2:
-            return None, False
+            return None
         try:
             start, end = map(float, map(str.strip, stamps))
         except ValueError:
-            return None, False
+            return None
         if not (math.isfinite(start) and math.isfinite(end)):
-            return None, False
+            return None
         # Reversed or negative spans are format violations, never repaired.
         if start < 0.0 or start > end:
-            return None, False
-        return TemporalSegment(start, end), False
+            return None
+        return TemporalSegment(start, end)
 
     if task is TaskType.SPATIAL_GROUNDING:
         tokens = FLOAT_RE.findall(content)
         if len(tokens) != 4:
-            return None, False
+            return None
         box = list(map(float, tokens))
         x1, y1, x2, y2 = box
         if not all(map(math.isfinite, box)) or x1 > x2 or y1 > y2:
-            return None, False
-        clamped = [min(max(v, 0.0), 1.0) for v in box]
-        return SpatialBox(*clamped), clamped != box
+            return None
+        return SpatialBox(*[min(max(v, 0.0), 1.0) for v in box])
 
     if task is TaskType.MULTIPLE_CHOICE:
         s = content.strip()
         if len(s) == 1 and s.upper() in string.ascii_uppercase:
-            return OptionLetter(s.upper()), False
-        return None, False
+            return OptionLetter(s.upper())
+        return None
 
     if task is TaskType.BINARY_QA:
         s = content.strip().lower()
         if s in ("yes", "no"):
-            return Binary(s == "yes"), False
-        return None, False
+            return Binary(s == "yes")
+        return None
 
     if task is TaskType.NUMERICAL:
         s = content.strip()
         try:
             value = float(s)
         except ValueError:
-            return None, False
+            return None
         if not math.isfinite(value):
-            return None, False
-        return Number(value), False
+            return None
+        return Number(value)
 
     # OCR and open-ended: any non-empty text.
     s = content.strip()
     if not s:
-        return None, False
-    return Text(s), False
+        return None
+    return Text(s)
 
 
 def parse_response(raw: str, task: TaskType) -> ParsedResponse:
@@ -249,10 +245,10 @@ def parse_response(raw: str, task: TaskType) -> ParsedResponse:
         and raw.count("</think>") == 1
     ):
         return ParsedResponse(raw, False, False, None)
-    payload, clamped = _parse_payload(raw[start + 8 : end], task)
+    payload = _parse_payload(raw[start + 8 : end], task)
     if payload is None:
         return ParsedResponse(raw, True, False, None)
-    return ParsedResponse(raw, True, True, payload, clamped)
+    return ParsedResponse(raw, True, True, payload)
 
 
 def render_payload(payload: AnswerPayload, think: str | None = None) -> str:

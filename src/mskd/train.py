@@ -22,9 +22,16 @@ RL steps' streams are the two spawned children of that sequence; a step
 reads the first n_rollouts doubles of each, which uniform_table computes for
 a whole run at once, bit for bit, from stream_table's seed states.  All else
 a step reads is fixed for the run and taken once: the reference policy, each
-pool's matched rows for every epoch and its pair weights, each distinct
+pool's feature rows and matched rows for every epoch, each distinct
 (task, answer_space)'s slot parses, and the answer-space-size groups
 evaluation batches over.
+
+Quality-aware matching (TrainConfig.matching = "quality", ablation arm D) is
+one step with two effects: on a closed-ended example a rollout is paired
+with a teacher response drawn in proportion to its filtered quality, and
+the pair counts in the discriminator's loss by that quality, read from
+column 3 of the teacher's feature row.  Under "uniform" matching the draw is
+uniform over the responses the filter kept and every pair counts 1.
 """
 
 from __future__ import annotations
@@ -65,7 +72,7 @@ from mskd.synthetic import SyntheticTeacher, sample_teacher_pool
 from mskd.tasks import ParsedResponse, SupervisionExample, TaskType, parse_response, render_payload
 
 # Stream tags: one per independent purpose so that config knobs that should
-# not perturb unrelated draws (tau, matching mode, weighting) never do.
+# not perturb unrelated draws (tau, matching mode) never do.
 _S_POOL, _S_SFT, _S_DISC, _S_ROLL = 1, 2, 3, 4
 
 
@@ -199,7 +206,9 @@ def uniform_table(table: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True, slots=True)
 class TrainConfig:
-    """All trainer knobs.  k teacher samples, n_rollouts per input."""
+    """All trainer knobs.  k teacher samples, n_rollouts per input;
+    matching is "quality" (quality-proportional pairing and quality-weighted
+    discriminator pairs) or "uniform" (neither)."""
 
     k: int = 4
     n_rollouts: int = 8
@@ -212,7 +221,6 @@ class TrainConfig:
     epochs_stage2: int = 30
     seed: int = 0
     matching: str = "quality"
-    disc_weighting: bool = True
     hidden_dim: int = 0
     metric: MetricConfig = DEFAULT_METRICS
 
@@ -227,8 +235,6 @@ class TrainConfig:
             positive=("lr_student", "lr_disc"),
             rates=("tau",),
         )
-        if not isinstance(self.disc_weighting, bool):
-            raise ValueError(f"disc_weighting must be a bool, got {self.disc_weighting!r}")
         if not isinstance(self.weights, RewardWeights):
             raise InvalidWeightsError(f"weights must be RewardWeights, got {type(self.weights).__name__}")
         if not isinstance(self.metric, MetricConfig):
@@ -351,14 +357,6 @@ def matching_for(pool: TeacherPool, cfg: TrainConfig) -> MatchingDistribution | 
         return None
 
 
-def pair_weights(pool: TeacherPool, cfg: TrainConfig) -> np.ndarray:
-    """Each pool response's weight in the discriminator's pair loss: its
-    (filtered) quality under cfg.disc_weighting on a closed pool, else 1."""
-    if cfg.disc_weighting and pool.qualities is not None:
-        return np.asarray(pool.qualities, dtype=float)
-    return np.ones(pool.k)
-
-
 def rl_step(
     student: dict[str, np.ndarray],
     ref_probs: dict[str, np.ndarray],
@@ -369,17 +367,17 @@ def rl_step(
     matches: list[np.ndarray | None],
     caches: dict[str, np.ndarray],
     pool_feats: dict[str, np.ndarray],
-    pair_q: dict[str, np.ndarray],
-) -> tuple[DiscriminatorParams, dict[str, dict[str, float]], tuple[str, ...]]:
+) -> tuple[DiscriminatorParams, dict[str, dict[str, float]]]:
     """One epoch of adversarial distillation over examples (distinct ids).
 
     student maps each example id to its logits, and ref_probs to the frozen
-    reference policy's distribution.  caches (built with cfg.metric),
-    pool_feats and pair_q hold each example's build_caches, pool_features
-    and pair_weights.  uniforms[i] is example i's n_rollouts rollout
-    uniforms, which it inverts as Generator.choice would, and matches[i] the
-    pool rows its rollouts are paired with; None skips the example, and the
-    skipped ids are returned.
+    reference policy's distribution.  caches (built with cfg.metric) and
+    pool_feats hold each example's build_caches and pool_features rows.
+    uniforms[i] is example i's n_rollouts rollout uniforms, which it inverts
+    as Generator.choice would, and matches[i] the pool rows its rollouts are
+    paired with; None skips the example.  Under quality matching on a
+    closed-ended example a pair's weight in the discriminator's loss is the
+    quality column of its teacher row, else 1.
 
     Order: every rollout is drawn from the epoch-start policy; then, one
     example after another, the discriminator scores that example's rollout
@@ -411,13 +409,15 @@ def rl_step(
     roll_feats = np.empty((len(active), n, disc.feature_dim))
     raw_scores = np.empty((len(active), n))
     disc_loss = np.empty(len(active))
+    weighted, unit = cfg.matching == "quality", np.ones(n)
     # take(), not fancy indexing: the same rows at a fraction of the call cost
-    for pos, (k, roll, pair) in enumerate(zip(ids, rollouts, [matches[i] for i in active])):
+    for pos, (i, k, roll) in enumerate(zip(active, ids, rollouts)):
         student_feats = roll_feats[pos] = caches[k].take(roll, 0)
         raw_scores[pos] = score_batch(disc, student_feats)
-        disc, disc_loss[pos] = batch_update(
-            disc, pool_feats[k].take(pair, 0), student_feats, pair_q[k].take(pair), cfg.lr_disc
-        )
+        teacher_feats = pool_feats[k].take(matches[i], 0)
+        # a contiguous copy: a strided column costs the loss more than the copy
+        pair_w = teacher_feats[:, QUALITY_COL].copy() if weighted and examples[i].task.is_closed else unit
+        disc, disc_loss[pos] = batch_update(disc, teacher_feats, student_feats, pair_w, cfg.lr_disc)
 
     for gids, rows, logits, p, kl_grad in groups:
         size, m = p.shape
@@ -440,7 +440,7 @@ def rl_step(
         k: {"mean_reward": r, "disc_loss": d, "kl": c}
         for k, r, d, c in zip(ids, mean_reward.tolist(), disc_loss.tolist(), kl.tolist())
     }
-    return disc, metrics, tuple(ex.id for ex, m in zip(examples, matches) if m is None)
+    return disc, metrics
 
 
 @dataclass(frozen=True, slots=True)
@@ -496,9 +496,10 @@ def expected_scores(
 
 
 def eval_accuracy(student: dict[str, np.ndarray], groups: list[tuple]) -> float | None:
-    """Mean expected task metric under the policy: groups are the
-    score_groups of the closed-ended examples' slot qualities, and None
-    when there are none."""
+    """Mean expected slot score under the policy, None when groups is
+    empty: groups are score_groups of the closed-ended examples' slot
+    qualities in training, and of the latent ratings in the harness's
+    open-ended check."""
     return float(np.mean(expected_scores(student, groups))) if groups else None
 
 
@@ -542,6 +543,18 @@ def make_pools(
     return pools
 
 
+def _check_ids(name: str, given: dict, examples: list[SupervisionExample], every: bool = False) -> None:
+    """The rule of run_pipeline's id-keyed inputs: every key of given names
+    an example, and with every set each example has a key; else ValueError
+    naming the ids."""
+    missing = [ex.id for ex in examples if ex.id not in given] if every else []
+    unknown = sorted(set(given) - {ex.id for ex in examples})
+    problems = [f"{name} miss examples: {missing}"] if missing else []
+    problems += [f"{name} name no example: {unknown}"] if unknown else []
+    if problems:
+        raise ValueError("; ".join(problems))
+
+
 def _check_overrides(
     examples: list[SupervisionExample],
     pools: dict[str, TeacherPool],
@@ -552,10 +565,8 @@ def _check_overrides(
     SFT target is an int slot of its answer space (a bool is not one), and
     every matching distribution has one probability per pool response."""
     by_id = {ex.id: ex for ex in examples}
-    for name, given in (("sft_targets", sft_targets), ("match_overrides", match_overrides)):
-        unknown = sorted(set(given) - set(by_id))
-        if unknown:
-            raise ValueError(f"{name} name no example: {unknown}")
+    _check_ids("sft_targets", sft_targets, examples)
+    _check_ids("match_overrides", match_overrides, examples)
     for k, slot in sft_targets.items():
         size = len(by_id[k].answer_space)
         if not (_is_int(slot) and 0 <= slot < size):
@@ -577,14 +588,17 @@ def run_pipeline(
 ) -> TrainedArtifacts:
     """Stage 1 then Stage 2 over all examples; reproducible per (cfg, seed).
 
-    Pools may be passed in directly (e.g. loaded from a cache file); the
-    filter is applied here either way.  sft_targets (example id -> slot)
-    and match_overrides (example id -> a distribution over its pool) replace
-    the selected targets and the configured matching; an override that
-    names no example, a target that is not a slot or a distribution whose
-    length is not its pool's K raises ValueError before training.  The
-    reference policy is frozen at the Stage-1 result.  The metrics log
-    carries one row per epoch.
+    Pools may be passed in directly (e.g. loaded from a cache file), one
+    per example and of its task, and no other; the filter is applied here
+    either way.  sft_targets (example id -> slot) and match_overrides
+    (example id -> a distribution over its pool) replace the selected
+    targets and the configured matching.  A pool, target or override that
+    names no example, a missing pool or one of another task, a target that
+    is not a slot or a distribution whose length is not its pool's K raises
+    ValueError before training.  The reference policy is frozen at the
+    Stage-1 result.  The metrics log carries one row per epoch, and
+    skipped_rl lists the examples whose pools have nothing to match when
+    Stage 2 runs.
     """
     if not examples:
         raise ValueError("no examples to train on")
@@ -597,6 +611,10 @@ def run_pipeline(
             raise ValueError("need either a teacher or prebuilt pools")
         pools = make_pools(examples, teacher, cfg)
     else:
+        _check_ids("pools", pools, examples, every=True)
+        for ex in examples:
+            if (task := pools[ex.id].task) is not ex.task:
+                raise ValueError(f"pools[{ex.id!r}] is for task {task.value}, not {ex.task.value}")
         pools = {ex.id: apply_filter(pools[ex.id], cfg.tau) for ex in examples}
     _check_overrides(examples, pools, sft_targets or {}, match_overrides or {})
 
@@ -613,7 +631,6 @@ def run_pipeline(
         None if (d := match_dists[ex.id]) is None else sample_matches(d, uniforms[:, i, 1])
         for i, ex in enumerate(examples)
     ]
-    pair_q = {ex.id: pair_weights(pools[ex.id], cfg) for ex in examples}
     closed = [ex for ex in examples if ex.task.is_closed]
     acc_groups = score_groups(closed, [caches[ex.id][:, QUALITY_COL] for ex in closed])
 
@@ -634,13 +651,11 @@ def run_pipeline(
     ref_probs = {k: softmax(logits) for k, logits in ref.items()}
     disc = init_params(featurizer.dim, cfg.hidden_dim, seed=np.random.SeedSequence([cfg.seed, _S_DISC]))
 
-    skipped_rl: set[str] = set()
     for epoch in range(cfg.epochs_stage2):
-        disc, metrics, skipped = rl_step(
+        disc, metrics = rl_step(
             student, ref_probs, disc, examples, cfg, uniforms[epoch, :, 0],
-            [None if m is None else m[epoch] for m in matches], caches, pool_feats, pair_q,
+            [None if m is None else m[epoch] for m in matches], caches, pool_feats,
         )
-        skipped_rl.update(skipped)
         sums = np.zeros(3)
         for m in metrics.values():
             sums += (m["mean_reward"], m["disc_loss"], m["kl"])
@@ -652,6 +667,8 @@ def run_pipeline(
         else:
             rows.append(MetricsRow(step, "rl", None, None, None, acc))
 
+    # an example with nothing to match sits out every RL epoch
+    skipped_rl = tuple(sorted(ex.id for ex, m in zip(examples, matches) if m is None))
     return TrainedArtifacts(
         student=student,
         ref=ref,
@@ -659,7 +676,7 @@ def run_pipeline(
         rows=rows,
         final_accuracy=eval_accuracy(student, acc_groups),
         skipped_sft=skipped_sft,
-        skipped_rl=tuple(sorted(skipped_rl)),
+        skipped_rl=skipped_rl if cfg.epochs_stage2 else (),
     )
 
 

@@ -17,7 +17,8 @@ copied verbatim.
 tasks.parse_response checks the envelope with str.count/str.find alone and
 analysis.analyze_variance reduces one stacked array per sample count;
 parse_response and analyze_variance below are the regex and per-question
-forms they replaced, with _outer_match and _parse_payload copied verbatim.
+forms they replaced, with _outer_match and _parse_payload copied verbatim
+but for the clamping flag that ParsedResponse no longer carries.
 rewards.composite_reward sums the trainer's per-slot gathers in one
 batched call; composite_reward below is the per-response statement of the
 sum that it is checked against.  harness.paired_permutation_pvalue counts
@@ -290,66 +291,62 @@ def _outer_match(raw: str) -> re.Match | None:
     return ans if think is not None and think.end() <= ans.start() else None
 
 
-def _parse_payload(content: str, task: TaskType) -> tuple[AnswerPayload | None, bool]:
-    """Extract a payload from answer-span content; (None, False) on mismatch.
-
-    Second element flags coordinate clamping for spatial boxes.
-    """
+def _parse_payload(content: str, task: TaskType) -> AnswerPayload | None:
+    """Extract a payload from answer-span content; None on mismatch."""
     if task is TaskType.TEMPORAL_GROUNDING:
         stamps = TIMESTAMP_RE.findall(content)
         if len(stamps) != 2:
-            return None, False
+            return None
         try:
             start, end = (float(s.strip()) for s in stamps)
         except ValueError:
-            return None, False
+            return None
         if not (math.isfinite(start) and math.isfinite(end)):
-            return None, False
+            return None
         # Reversed or negative spans are format violations, never repaired.
         if start < 0.0 or start > end:
-            return None, False
-        return TemporalSegment(start, end), False
+            return None
+        return TemporalSegment(start, end)
 
     if task is TaskType.SPATIAL_GROUNDING:
         tokens = FLOAT_RE.findall(content)
         if len(tokens) != 4:
-            return None, False
+            return None
         x1, y1, x2, y2 = (float(t) for t in tokens)
         if not all(math.isfinite(v) for v in (x1, y1, x2, y2)):
-            return None, False
+            return None
         if x1 > x2 or y1 > y2:
-            return None, False
+            return None
         clamped = [min(max(v, 0.0), 1.0) for v in (x1, y1, x2, y2)]
-        changed = clamped != [x1, y1, x2, y2]
-        return SpatialBox(*clamped), changed
+        return SpatialBox(*clamped)
 
     if task is TaskType.MULTIPLE_CHOICE:
         s = content.strip()
         if len(s) == 1 and s.upper() in string.ascii_uppercase:
-            return OptionLetter(s.upper()), False
-        return None, False
+            return OptionLetter(s.upper())
+        return None
 
     if task is TaskType.BINARY_QA:
         s = content.strip().lower()
         if s in ("yes", "no"):
-            return Binary(s == "yes"), False
-        return None, False
+            return Binary(s == "yes")
+        return None
 
     if task is TaskType.NUMERICAL:
         s = content.strip()
         try:
             value = float(s)
         except ValueError:
-            return None, False
+            return None
         if not math.isfinite(value):
-            return None, False
-        return Number(value), False
+            return None
+        return Number(value)
 
     # OCR and open-ended: any non-empty text.
     s = content.strip()
     if not s:
-        return None, False
-    return Text(s), False
+        return None
+    return Text(s)
 
 
 def parse_response(raw: str, task: TaskType) -> ParsedResponse:
@@ -357,10 +354,10 @@ def parse_response(raw: str, task: TaskType) -> ParsedResponse:
     ans = _outer_match(raw)
     if ans is None:
         return ParsedResponse(raw, False, False, None)
-    payload, clamped = _parse_payload(ans.group(1), task)
+    payload = _parse_payload(ans.group(1), task)
     if payload is None:
         return ParsedResponse(raw, True, False, None)
-    return ParsedResponse(raw, True, True, payload, clamped)
+    return ParsedResponse(raw, True, True, payload)
 
 
 def analyze_variance(

@@ -48,7 +48,7 @@ from mskd.tasks import (
     render_payload,
 )
 from mskd.train import (
-    TrainConfig, build_caches, pair_weights, pool_features, rl_step, run_pipeline, pass_at_k_eval,
+    TrainConfig, build_caches, pool_features, rl_step, run_pipeline, pass_at_k_eval,
     stream_table, uniform_table,
 )
 
@@ -445,7 +445,7 @@ def test_criterion_06_policy_update_and_kl():
     w = RewardWeights(0.0, 0.1, 0.1, 0.8)  # discriminator off: rewards enumerable
     cfg = TrainConfig(
         k=2, n_rollouts=8, tau=0.0, weights=w, gamma=0.0, lr_student=0.3,
-        matching="uniform", disc_weighting=False,
+        matching="uniform",
     )
     pool = build_pool(ex, [render_payload(Binary(True)), render_payload(Binary(False))])
     featurizer = Featurizer(2)
@@ -462,9 +462,9 @@ def test_criterion_06_policy_update_and_kl():
         uniforms = np.stack([np.random.default_rng(c).random(cfg.n_rollouts) for c in children])
         # a one-example epoch: the step's rollout and match rows
         matches = sample_matches(match_dist, uniforms[1])
-        disc, _, _ = rl_step(
+        disc, _ = rl_step(
             student, {ex.id: softmax(theta)}, disc, [ex], cfg, uniforms[None, 0], [matches],
-            {ex.id: cache}, {ex.id: pool_feats}, {ex.id: pair_weights(pool, cfg)},
+            {ex.id: cache}, {ex.id: pool_feats},
         )
         total += (student[ex.id][0] - theta[0]) / cfg.lr_student
     mean_update = total / steps

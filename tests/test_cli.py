@@ -246,6 +246,13 @@ def test_train_rejects_the_removed_baseline_key(tmp_path, capsys):
     assert "unknown keys ['baseline']" in capsys.readouterr().err
 
 
+def test_train_rejects_the_removed_disc_weighting_key(tmp_path, capsys):
+    # matching="quality" weights the discriminator pairs too
+    cfg = write_cfg(tmp_path, "t.json", dict(TINY_TRAIN, disc_weighting=False))
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    assert "unknown keys ['disc_weighting']" in capsys.readouterr().err
+
+
 def test_train_rejects_malformed_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json", encoding="utf-8")
@@ -388,6 +395,54 @@ def test_train_pool_cache_mismatch_is_config_error(corpus, tmp_path, capsys, bui
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: pool cache example mcq-0: ") and message in err
+
+
+def test_train_takes_only_its_examples_pools_from_a_cache(corpus, tmp_path):
+    # a cache may hold pools of other examples: training on two of the three
+    # examples reads the same from the full cache as from their two lines
+    ex_path, resp_path = corpus
+    cache, part = tmp_path / "pools.jsonl", tmp_path / "part.jsonl"
+    assert main(
+        ["pool", "build", "--examples", str(ex_path), "--responses", str(resp_path),
+         "--k", "3", "--tau", "0.3", "--out", str(cache)]
+    ) == 0
+    lines = cache.read_text(encoding="utf-8").splitlines(keepends=True)
+    part.write_text("".join(lines[:2]), encoding="utf-8")
+    some = tmp_path / "some.jsonl"
+    some.write_text("".join(ex_path.read_text(encoding="utf-8").splitlines(keepends=True)[:2]), encoding="utf-8")
+    cfg = write_cfg(tmp_path, "t.json", dict(TINY_TRAIN, k=3))
+    outs = []
+    for pools in (cache, part):
+        outs.append(tmp_path / f"run-{pools.stem}")
+        argv = ["train", "--config", cfg, "--examples", str(some), "--pool-cache", str(pools), "--out", str(outs[-1])]
+        assert main(argv) == 0
+    for name in ("metrics.csv", "student.json", "disc.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_train_pool_cache_of_another_task_is_config_error(corpus, tmp_path, capsys):
+    ex_path, resp_path = corpus
+    cache = tmp_path / "pools.jsonl"
+    assert main(
+        ["pool", "build", "--examples", str(ex_path), "--responses", str(resp_path),
+         "--k", "3", "--tau", "0.0", "--out", str(cache)]
+    ) == 0
+    lines = cache.read_text(encoding="utf-8").splitlines()
+    # a well-formed open-ended line: its texts parse alike, with no qualities
+    obj = json.loads(lines[0])
+    obj.update(task="open_ended", tau_applied=None)
+    for record in obj["responses"]:
+        record["q"] = None
+    cache.write_text("\n".join([json.dumps(obj), *lines[1:]]) + "\n", encoding="utf-8")
+    cfg = write_cfg(tmp_path, "t.json", dict(TINY_TRAIN, k=3))
+    code = main(
+        ["train", "--config", cfg, "--examples", str(ex_path), "--pool-cache", str(cache),
+         "--out", str(tmp_path / "run")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: pool cache example mcq-0: pool is for task open_ended, not multiple_choice")
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("command", ["analyze", "pool_build", "train_pool_cache"])

@@ -22,7 +22,6 @@ from mskd.harness import (
     make_closed_benchmark,
     make_open_benchmark,
     misleading_proxy,
-    open_accuracy,
     paired_permutation_pvalue,
     passk_table,
     proxy_overrides,
@@ -35,7 +34,7 @@ from mskd.harness import (
 from mskd.pool import build_pool
 from mskd.synthetic import retention_probability
 from mskd.tasks import TaskType
-from mskd.train import TrainConfig
+from mskd.train import TrainConfig, eval_accuracy, score_groups
 
 
 def tiny_bench(**kw):
@@ -106,7 +105,8 @@ def test_open_benchmark_latents_hidden_from_surface():
         assert latent.shape == (6,)
         assert np.all((latent > 0.0) & (latent < 1.0))
     uniform = {ex.id: np.zeros(6) for ex in bench.examples}
-    acc = open_accuracy(uniform, bench.examples, bench.slot_scores)
+    latent = score_groups(bench.examples, [bench.slot_scores[ex.id] for ex in bench.examples])
+    acc = eval_accuracy(uniform, latent)
     want = np.mean([bench.slot_scores[ex.id].mean() for ex in bench.examples])
     assert acc == pytest.approx(want, abs=1e-12)
 
@@ -114,13 +114,13 @@ def test_open_benchmark_latents_hidden_from_surface():
 def test_setting_configs():
     base = TrainConfig(k=4, tau=0.3)
     a = setting_config("A", base)
-    assert (a.k, a.tau, a.matching, a.disc_weighting) == (1, 0.0, "uniform", False)
+    assert (a.k, a.tau, a.matching) == (1, 0.0, "uniform")
     b = setting_config("B", base)
-    assert (b.k, b.tau, b.matching, b.disc_weighting) == (4, 0.0, "uniform", False)
+    assert (b.k, b.tau, b.matching) == (4, 0.0, "uniform")
     c = setting_config("C", base)
-    assert (c.k, c.tau, c.matching, c.disc_weighting) == (4, 0.3, "uniform", False)
+    assert (c.k, c.tau, c.matching) == (4, 0.3, "uniform")
     d = setting_config("D", base)
-    assert (d.k, d.tau, d.matching, d.disc_weighting) == (4, 0.3, "quality", True)
+    assert (d.k, d.tau, d.matching) == (4, 0.3, "quality")
     with pytest.raises(ValueError):
         setting_config("E", base)
     # with the filter already off, B and C are literally the same config

@@ -139,27 +139,34 @@ def test_single_path_removals_stay_out_of_the_package():
         mskd.rewards: ("weighted_reward", "RewardBreakdown", "content_reward", "outer_reward", "task_reward"),
         # the student is its logits, a dict keyed by example id
         mskd.policy: ("StudentPolicy", "init_student"),
-        # rl_step returns the ids of the examples it skipped, a slot's
-        # build_caches feature row is its one record, and the student is
-        # its logits
-        mskd.train: ("SkippedExample", "ExampleCache", "StudentPolicy", "init_student"),
+        # rl_step leaves an example with no matches untouched, a slot's
+        # build_caches feature row is its one record, the student is its
+        # logits, and a pair's weight is its teacher row's quality column
+        mskd.train: ("SkippedExample", "ExampleCache", "StudentPolicy", "init_student", "pair_weights"),
+        # the open-ended accuracy is eval_accuracy over the latent ratings
+        mskd.harness: ("open_accuracy",),
     }
     for owner, names in gone.items():
         assert [n for n in names if hasattr(owner, n)] == [], owner.__name__
     # fields no caller read, and knobs with one value in use
     dead_fields = {
-        # temperature and top_p are pass@k settings, which training never read
-        mskd.train.TrainConfig: ("baseline", "temperature", "top_p"),
+        # temperature and top_p are pass@k settings, and matching="quality"
+        # weights the discriminator pairs too
+        mskd.train.TrainConfig: ("baseline", "temperature", "top_p", "disc_weighting"),
         mskd.train.TrainedArtifacts: ("pools",),
         # run_ablation wrote it, and nothing read it
         mskd.harness.AblationResult: ("seeds",),
         mskd.harness.Benchmark: ("mu_targets",),
         mskd.synthetic.SyntheticTeacher: ("temperature", "top_p"),
+        # the clamped coordinates are the payload's; nothing read the flag
+        mskd.tasks.ParsedResponse: ("clamped",),
     }
     for cls, names in dead_fields.items():
         have = {f.name for f in dataclasses.fields(cls)}
         assert [n for n in names if n in have] == [], cls.__name__
     assert "keep_students" not in inspect.signature(mskd.run_ablation).parameters
+    # each pool's feature rows carry its pair weights
+    assert "pair_q" not in inspect.signature(mskd.rl_step).parameters
     # matches are drawn from the run's uniform table, and the permutation
     # test is exact
     assert "rng" not in inspect.signature(mskd.sample_matches).parameters

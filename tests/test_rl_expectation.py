@@ -35,7 +35,6 @@ from mskd.train import (
     TrainConfig,
     build_caches,
     matching_for,
-    pair_weights,
     pool_features,
     rl_step,
     stream_table,
@@ -83,7 +82,6 @@ def step_inputs(ex, cfg, seed):
         featurizer=featurizer,
         feats=feats,
         pool_feats=pool_features(pool, ex, feats, featurizer),
-        pair_q=pair_weights(pool, cfg),
         dist=matching_for(pool, cfg),
         logits=logits,
         ref_probs=softmax(ref_logits),
@@ -122,12 +120,11 @@ def epoch_of_copies(ex, cfg, disc, inputs, draws, seed):
     def per_copy(value):
         return {c.id: value for c in copies}
 
-    _, metrics, skipped = rl_step(
+    _, metrics = rl_step(
         student, per_copy(inputs["ref_probs"]), disc, copies, cfg, u[:, 0],
-        list(sample_matches(inputs["dist"], u[:, 1])), per_copy(inputs["feats"]),
-        per_copy(inputs["pool_feats"]), per_copy(inputs["pair_q"]),
+        list(sample_matches(inputs["dist"], u[:, 1])), per_copy(inputs["feats"]), per_copy(inputs["pool_feats"]),
     )
-    assert skipped == () and len(metrics) == draws
+    assert len(metrics) == draws
     return np.array([student[c.id] - inputs["logits"] for c in copies])
 
 
@@ -141,7 +138,7 @@ def one_example_epochs(ex, cfg, disc, inputs, draws, seed):
         student = {ex.id: inputs["logits"].copy()}
         rl_step(
             student, {ex.id: inputs["ref_probs"]}, disc, [ex], cfg, u[i : i + 1, 0], [matches[i]],
-            {ex.id: inputs["feats"]}, {ex.id: inputs["pool_feats"]}, {ex.id: inputs["pair_q"]},
+            {ex.id: inputs["feats"]}, {ex.id: inputs["pool_feats"]},
         )
         updates[i] = student[ex.id] - inputs["logits"]
     return updates
@@ -162,7 +159,7 @@ def random_disc(dim, hidden_dim, seed):
 def config(weights, n_rollouts, hidden_dim=0):
     return TrainConfig(
         n_rollouts=n_rollouts, weights=weights, gamma=0.3, lr_student=0.3, matching="uniform",
-        disc_weighting=False, hidden_dim=hidden_dim,
+        hidden_dim=hidden_dim,
     )
 
 

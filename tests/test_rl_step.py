@@ -41,7 +41,6 @@ from mskd.train import (
     build_caches,
     make_pools,
     matching_for,
-    pair_weights,
     pool_features,
     rl_step,
     stream_table,
@@ -54,7 +53,7 @@ from mskd.train import (
 
 class SkippedExample(Exception):
     """What the per-example step raised for a pool with no matchable
-    responses; rl_step now returns the skipped ids instead."""
+    responses; rl_step now leaves such an example untouched."""
 
 
 def _oracle_kl_gradient_logits(p, q):
@@ -126,7 +125,8 @@ def oracle_rl_step(student, ref, disc, pool, ex, cfg, seed, cache, pool_feats, m
     logits += cfg.lr_student * (pg - cfg.gamma * kl_grad)
 
     matches = _oracle_sample_matches(match_dist, n, match_rng)
-    if cfg.disc_weighting and pool.qualities is not None:
+    # quality matching weights each pair by its teacher's (filtered) quality
+    if cfg.matching == "quality" and pool.qualities is not None:
         q = np.asarray(pool.qualities, dtype=float)[matches]
     else:
         q = np.ones(n)
@@ -184,7 +184,6 @@ def run_both(bench, cfg, epochs=2):
     caches = build_caches(examples, featurizer, cfg.metric)
     feats = {ex.id: pool_features(pools[ex.id], ex, caches[ex.id], featurizer) for ex in examples}
     dists = {ex.id: matching_for(pools[ex.id], cfg) for ex in examples}
-    pair_q = {ex.id: pair_weights(pools[ex.id], cfg) for ex in examples}
     student, ref, disc = start_state(examples, cfg, featurizer)
     ref_probs = {k: softmax(logits) for k, logits in ref.items()}
     o_student, o_disc = {k: logits.copy() for k, logits in student.items()}, disc
@@ -207,10 +206,7 @@ def run_both(bench, cfg, epochs=2):
             None if dists[ex.id] is None else sample_matches(dists[ex.id], uniforms[epoch, i, 1])
             for i, ex in enumerate(examples)
         ]
-        disc, metrics, got_skipped = rl_step(
-            student, ref_probs, disc, examples, cfg, uniforms[epoch, :, 0], matches, caches, feats, pair_q
-        )
-        assert got_skipped == skipped
+        disc, metrics = rl_step(student, ref_probs, disc, examples, cfg, uniforms[epoch, :, 0], matches, caches, feats)
         for ex in examples:
             assert student[ex.id].tobytes() == o_student[ex.id].tobytes(), ex.id
         assert disc_bytes(disc) == disc_bytes(o_disc)
@@ -263,7 +259,7 @@ def test_rl_step_matches_oracle_with_invalid_slots():
     cfg = TrainConfig(seed=6, tau=0.0, weights=ODD_WEIGHTS)
     assert build_caches(examples, Featurizer(4))[examples[0].id][:, 1].tolist() == [0.0, 1.0, 1.0, 0.0]
     run_both(bench, cfg)
-    run_both(bench, replace(cfg, matching="uniform", disc_weighting=False))
+    run_both(bench, replace(cfg, matching="uniform"))
 
 
 def test_rl_step_epoch_mixes_space_sizes_and_a_skipped_example():
@@ -284,4 +280,4 @@ def test_rl_step_epoch_mixes_space_sizes_and_a_skipped_example():
     bench = SimpleNamespace(examples=examples, teacher=teacher)
     cfg = TrainConfig(seed=7, weights=ODD_WEIGHTS)
     assert run_both(bench, cfg, epochs=3) == ("mcq-1",)
-    assert run_both(bench, replace(cfg, matching="uniform", disc_weighting=False, hidden_dim=2)) == ("mcq-1",)
+    assert run_both(bench, replace(cfg, matching="uniform", hidden_dim=2)) == ("mcq-1",)

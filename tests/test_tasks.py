@@ -85,12 +85,12 @@ def test_temporal_rejects(content):
 
 def test_spatial_parse_and_clamp():
     r = parse_response("<answer>[0.1, 0.2, 0.5, 0.9]</answer>", T.SPATIAL_GROUNDING)
-    assert r.task_valid and not r.clamped
+    assert r.task_valid
     assert r.payload == SpatialBox(0.1, 0.2, 0.5, 0.9)
 
-    # out-of-range coordinates clamp into [0,1] and set the flag
+    # out-of-range coordinates clamp into [0,1], and the response stays valid
     r = parse_response("<answer>[-0.2, 0.0, 0.5, 1.4]</answer>", T.SPATIAL_GROUNDING)
-    assert r.task_valid and r.clamped
+    assert r.task_valid
     assert r.payload == SpatialBox(0.0, 0.0, 0.5, 1.0)
 
 
@@ -180,7 +180,7 @@ def test_render_parse_round_trip_fuzz(rng):
         think = None if rng.random() < 0.5 else f"thought {i}"
         raw = render_payload(payload, think=think)
         r = parse_response(raw, task)
-        assert r.outer_valid and r.task_valid and not r.clamped
+        assert r.outer_valid and r.task_valid
         assert r.payload == payload
 
 

@@ -10,7 +10,7 @@ import mskd.train
 import oracles
 from oracles import sampled_pass_at_k
 from mskd.discriminator import Featurizer, init_params
-from mskd.harness import make_closed_benchmark, make_open_benchmark, open_accuracy
+from mskd.harness import make_closed_benchmark, make_open_benchmark
 from mskd.pool import (
     MatchingDistribution,
     NoValidTargetError,
@@ -33,7 +33,6 @@ from mskd.train import (
     make_pools,
     matching_for,
     metrics_to_csv,
-    pair_weights,
     pass_at_k_eval,
     pool_features,
     rl_step,
@@ -86,7 +85,7 @@ def rl_epoch(student, disc, ex, pool, cfg):
     match = None if dist is None else sample_matches(dist, u[1])
     return rl_step(
         student, {ex.id: softmax(student[ex.id])}, disc, [ex], cfg, u[None, 0], [match],
-        {ex.id: cache}, {ex.id: pool_features(pool, ex, cache, featurizer)}, {ex.id: pair_weights(pool, cfg)},
+        {ex.id: cache}, {ex.id: pool_features(pool, ex, cache, featurizer)},
     )
 
 
@@ -123,14 +122,13 @@ def test_select_sft_targets_skips_degenerate_pools():
     assert skipped == (bad.id,)
 
 
-def test_rl_step_returns_skipped_id_on_degenerate_pool():
+def test_rl_step_leaves_an_example_without_matches_untouched():
     ex = mk_mcq(0, gt="B")
     pool = build_pool(ex, ["nonsense", "more nonsense"])
     cfg = small_cfg()
     student = uniform_student([ex])
     disc = init_params(Featurizer(4).dim, 0, seed=0)
-    new_disc, metrics, skipped = rl_epoch(student, disc, ex, pool, cfg)
-    assert skipped == (ex.id,)
+    new_disc, metrics = rl_epoch(student, disc, ex, pool, cfg)
     assert metrics == {}
     assert new_disc is disc
     assert np.array_equal(student[ex.id], np.zeros(4))
@@ -142,8 +140,7 @@ def test_rl_step_metric_keys_are_python_floats():
     cfg = small_cfg()
     student = uniform_student([ex])
     disc = init_params(Featurizer(4).dim, 0, seed=0)
-    _, metrics, skipped = rl_epoch(student, disc, ex, pool, cfg)
-    assert skipped == ()
+    _, metrics = rl_epoch(student, disc, ex, pool, cfg)
     (m,) = metrics.values()
     assert set(m) == {"mean_reward", "disc_loss", "kl"}
     assert all(type(v) is float for v in m.values())
@@ -155,6 +152,76 @@ def test_run_pipeline_rejects_duplicate_example_ids():
     exs = [mk_mcq(0), mk_mcq(1, gt="C"), mk_temporal(0), mk_mcq(1, gt="D")]
     with pytest.raises(ValueError, match="duplicate example id 'mcq-1'"):
         run_pipeline(exs, small_cfg(), teacher=point_mass_teacher(exs[:3]))
+
+
+def test_run_pipeline_rejects_pools_that_miss_or_name_no_example(monkeypatch):
+    # pools are keyed by id like the overrides: a missing pool once raised a
+    # bare KeyError, and a pool naming no example was ignored
+    monkeypatch.setattr(mskd.train, "_sft_epoch", _training_forbidden)
+    exs = [mk_mcq(0, gt="B"), mk_mcq(1, gt="C")]
+    pools = {ex.id: build_pool(ex, ["<answer>B</answer>", "<answer>C</answer>"]) for ex in exs}
+    cases = (
+        ({"mcq-0": pools["mcq-0"]}, r"pools miss examples: \['mcq-1'\]"),
+        ({**pools, "zzz": pools["mcq-0"]}, r"pools name no example: \['zzz'\]"),
+        ({"zzz": pools["mcq-0"]}, r"pools miss examples: \['mcq-0', 'mcq-1'\]; pools name no example: \['zzz'\]"),
+    )
+    for given, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_pipeline(exs, small_cfg(k=2), pools=given)
+
+
+def test_run_pipeline_rejects_a_pool_of_another_task(monkeypatch):
+    # an open-ended pool has no qualities, so a closed example would train
+    # on uniform matching and unit pair weights without a word
+    monkeypatch.setattr(mskd.train, "_sft_epoch", _training_forbidden)
+    ex = mk_mcq(0, gt="B")
+    pool = build_pool(mk_open(0), ["<answer>B</answer>", "<answer>C</answer>"])
+    with pytest.raises(ValueError, match=r"^pools\['mcq-0'\] is for task open_ended, not multiple_choice$"):
+        run_pipeline([ex], small_cfg(k=2), pools={ex.id: pool})
+
+
+def test_skipped_rl_lists_examples_without_matches_when_stage2_runs():
+    # nothing survives in the two garbage pools, so neither example is
+    # stepped; skipped_rl is sorted, and empty when Stage 2 does not run
+    exs = [mk_mcq(2, gt="B"), mk_mcq(0, gt="B"), mk_mcq(1, gt="B")]
+    pools = {ex.id: build_pool(ex, ["garbage", "also garbage"]) for ex in exs}
+    pools["mcq-0"] = build_pool(exs[1], ["<answer>B</answer>", "<answer>A</answer>"])
+    for matching in ("quality", "uniform"):
+        art = run_pipeline(exs, small_cfg(k=2, matching=matching), pools=pools)
+        assert art.skipped_rl == ("mcq-1", "mcq-2")
+        for k in art.skipped_rl:
+            assert art.student[k].tobytes() == art.ref[k].tobytes()
+        assert not np.array_equal(art.student["mcq-0"], art.ref["mcq-0"])
+        art = run_pipeline(exs, small_cfg(k=2, matching=matching, epochs_stage2=0), pools=pools)
+        assert art.skipped_rl == ()
+
+
+def test_pair_weights_are_the_teacher_rows_quality_under_quality_matching(monkeypatch):
+    # quality matching weights a pair by column 3 of its teacher row on a
+    # closed-ended example, passed as a contiguous vector; otherwise every
+    # pair counts 1
+    seen = []
+
+    def recording(disc, teacher_feats, student_feats, q_match, lr, _original=mskd.train.batch_update):
+        seen.append((teacher_feats[:, 3].copy(), q_match))
+        return _original(disc, teacher_feats, student_feats, q_match, lr)
+
+    monkeypatch.setattr(mskd.train, "batch_update", recording)
+    bench = make_closed_benchmark(n_mcq=2, n_temporal=2, retention_target=None)
+    open_bench = make_open_benchmark(n_examples=2, space_size=4)
+    for b in (bench, open_bench):
+        for matching in ("quality", "uniform"):
+            seen.clear()
+            run_pipeline(b.examples, small_cfg(matching=matching, tau=0.2), teacher=b.teacher)
+            assert len(seen) == 6 * len(b.examples)
+            for quality, q_match in seen:
+                assert q_match.flags.c_contiguous and q_match.shape == (4,)
+                if matching == "quality" and b is bench:
+                    assert q_match.tobytes() == quality.tobytes()
+                else:
+                    assert q_match.tolist() == [1.0] * 4
+            if matching == "quality" and b is bench:
+                assert any(0.0 < q < 1.0 for quality, _ in seen for q in quality)
 
 
 def test_pipeline_improves_accuracy_over_uniform():
@@ -250,11 +317,12 @@ def test_artifact_save_round_trip_bytes(tmp_path):
 
 
 def test_knobs_do_not_perturb_unrelated_streams():
-    """Same seed, all-equal qualities: matching mode and weighting are no-ops."""
+    """Same seed, all-equal qualities: the matching mode, with its pair
+    weights, is a no-op."""
     exs = [mk_mcq(i, gt="B") for i in range(3)]
     teacher = point_mass_teacher(exs)  # every sample correct -> quality 1.0
-    base = small_cfg(matching="uniform", disc_weighting=False, tau=0.0)
-    quality = small_cfg(matching="quality", disc_weighting=True, tau=0.0)
+    base = small_cfg(matching="uniform", tau=0.0)
+    quality = small_cfg(matching="quality", tau=0.0)
     a = run_pipeline(exs, base, teacher=teacher)
     b = run_pipeline(exs, quality, teacher=teacher)
     assert metrics_to_csv(a.rows) == metrics_to_csv(b.rows)
@@ -295,9 +363,9 @@ def test_eval_accuracy_expected_metric():
     assert eval_accuracy(uniform_student([ex]), groups) == pytest.approx(0.25)
 
 
-# The per-example loops eval_accuracy and open_accuracy ran before they were
-# batched by answer-space size, kept as the oracles of the batched path; a
-# student is its logits.
+# The per-example loops eval_accuracy and the harness's open-ended accuracy
+# ran before they were batched by answer-space size, kept as the oracles of
+# the batched path; a student is its logits.
 def _oracle_eval_accuracy(student, examples, quality):
     vals = [
         float(softmax(student[ex.id]) @ quality[ex.id]) for ex in examples if ex.task.is_closed
@@ -342,7 +410,7 @@ def test_batched_expected_scores_match_per_example_loops(seed):
     assert eval_accuracy(student, closed_groups(exs, graded)) == _oracle_eval_accuracy(student, exs, graded)
     scores = {ex.id: rng.uniform(0.0, 1.0, len(ex.answer_space)) for ex in exs}
     for subset in (exs, [ex for ex in exs if not ex.task.is_closed], exs[::-1]):
-        got = open_accuracy(student, subset, scores)
+        got = eval_accuracy(student, score_groups(subset, [scores[ex.id] for ex in subset]))
         assert repr(got) == repr(_oracle_open_accuracy(student, subset, scores))
 
 
@@ -596,8 +664,6 @@ BAD_CONFIG_FIELDS = [
         for v in (np.nan, np.inf, True)
     ],
     (TrainConfig, {"tau": "0.3"}, "tau"),
-    (TrainConfig, {"disc_weighting": "no"}, "disc_weighting"),
-    (TrainConfig, {"disc_weighting": 1}, "disc_weighting"),
     (TrainConfig, {"metric": {"eps_rel": 0.05}}, "metric"),
     (MetricConfig, {"eps_rel": np.nan}, "eps_rel"),
     (MetricConfig, {"eps_rel": np.inf}, "eps_rel"),
@@ -641,7 +707,7 @@ def test_match_override_changes_pairs_only():
     ex = mk_mcq(0, gt="B")
     raws = ["<answer>B</answer>", "<answer>A</answer>", "<answer>C</answer>"]
     pool = build_pool(ex, raws)
-    cfg = small_cfg(epochs_stage1=0, epochs_stage2=1, disc_weighting=False)
+    cfg = small_cfg(epochs_stage1=0, epochs_stage2=1)
     override = matching_distribution(pool, "uniform")
     a = run_pipeline([ex], cfg, pools={ex.id: pool})
     b = run_pipeline([ex], cfg, pools={ex.id: pool}, match_overrides={ex.id: override})
