@@ -9,8 +9,9 @@ keys are checked against the ones each command understands.  Each block
 is handed to the type it configures (TrainConfig, MetricConfig,
 RewardWeights, make_closed_benchmark, make_open_benchmark), and passk's
 top-level k_values, temperature, top_p and success_threshold to the check
-pass_at_k_eval runs; these reject unknown keys, wrong types and
-out-of-range values, and the CLI only turns those errors into exit code 2.
+pass_at_k_eval runs, and train's examples and cached pools to the rule of
+run_pipeline's inputs (train._check_inputs); these reject what they do not
+accept, and the CLI only turns those errors into exit code 2.
 Unreadable input files exit 2 as well.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 degenerate data
@@ -58,7 +59,7 @@ from mskd.pool import (
     write_pool_cache,
 )
 from mskd.rewards import RewardWeights
-from mskd.train import TrainConfig, _passk_settings, pass_at_k_eval, run_pipeline
+from mskd.train import TrainConfig, _check_inputs, _passk_settings, pass_at_k_eval, run_pipeline
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -219,6 +220,11 @@ def cmd_pool_build(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args.config, _TRAIN_KEYS | {"benchmark"})
+    # real examples and their cached pools replace the synthetic benchmark together
+    if (args.examples is None) != (args.pool_cache is None):
+        raise ConfigError("--examples and --pool-cache must be given together")
+    if args.examples is not None and "benchmark" in cfg:
+        raise ConfigError("a benchmark block configures the synthetic benchmark, which --examples replaces")
     bench_block = cfg.pop("benchmark", {})
     tc = _train_config(cfg, args.seed)
     out = Path(args.out)
@@ -229,30 +235,13 @@ def cmd_train(args) -> int:
         examples = read_examples(args.examples)
         if not examples:
             raise DegenerateDataError("examples file is empty")
-        no_space = [ex.id for ex in examples if ex.answer_space is None]
-        if no_space:
-            raise ConfigError(f"examples without answer_space cannot be trained: {no_space[:5]}")
-        if args.pool_cache is None:
-            raise ConfigError("--examples requires --pool-cache (no synthetic teacher to sample)")
         cache = {p.example_id: p for p in read_pool_cache(args.pool_cache)}
-        missing = [ex.id for ex in examples if ex.id not in cache]
-        if missing:
-            raise ConfigError(f"pool cache missing examples: {missing[:5]}")
         # a cache may hold pools of other examples; run_pipeline takes one per example
-        pools = {ex.id: cache[ex.id] for ex in examples}
-        for ex in examples:
-            pool = pools[ex.id]
-            if pool.task is not ex.task:
-                raise ConfigError(
-                    f"pool cache example {ex.id}: pool is for task {pool.task.value}, not {ex.task.value}"
-                )
-            if pool.k != tc.k:
-                raise ConfigError(f"pool cache example {ex.id}: {pool.k} responses, train config k is {tc.k}")
-            if pool.tau_applied is not None and pool.tau_applied > tc.tau:
-                raise ConfigError(
-                    f"pool cache example {ex.id}: filtered at tau {pool.tau_applied}, above the "
-                    f"train config tau {tc.tau}; qualities it zeroed cannot be restored"
-                )
+        pools = {ex.id: cache[ex.id] for ex in examples if ex.id in cache}
+        try:
+            _check_inputs(examples, tc, pools=pools)
+        except ValueError as exc:
+            raise ConfigError(f"pool cache: {exc}") from exc
         artifacts = run_pipeline(examples, tc, pools=pools)
     else:
         bench = _build(make_closed_benchmark, bench_block, "benchmark config")

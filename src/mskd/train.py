@@ -367,7 +367,7 @@ def rl_step(
     matches: list[np.ndarray | None],
     caches: dict[str, np.ndarray],
     pool_feats: dict[str, np.ndarray],
-) -> tuple[DiscriminatorParams, dict[str, dict[str, float]]]:
+) -> tuple[DiscriminatorParams, np.ndarray]:
     """One epoch of adversarial distillation over examples (distinct ids).
 
     student maps each example id to its logits, and ref_probs to the frozen
@@ -387,8 +387,9 @@ def rl_step(
     reward columns.  Example i's logits are read and written by its step
     alone, and the discriminator reads only rollout feature rows, so this is
     a per-example sequence of steps bit for bit; each answer-space-size
-    group's student half is one row-wise pass.  The metrics, keyed by the
-    id of each example stepped, in order, reflect the state it acted on.
+    group's student half is one row-wise pass.  The stats hold one row per
+    example stepped, in order: its mean reward, the discriminator's loss
+    before its step and its KL, each of the state it acted on.
     """
     _check_distinct_ids(examples)
     active = [i for i, m in enumerate(matches) if m is not None]
@@ -396,19 +397,18 @@ def rl_step(
     n = cfg.n_rollouts
     u = uniforms[active]
     rollouts = np.empty((len(active), n), dtype=np.intp)
-    mean_reward, kl = np.empty(len(active)), np.empty(len(active))
+    stats = np.empty((len(active), 3))  # mean reward, disc loss, KL
     groups = []
     for gids, rows, ref in score_groups([examples[i] for i in active], [ref_probs[k] for k in ids]):
         logits = np.array([student[k] for k in gids])
         p = softmax(logits)
         rollouts[rows] = _invert_rows(checked_cdf(p), u[rows])
-        kl[rows], kl_grad = kl_gradient_logits(p, ref)
+        stats[rows, 2], kl_grad = kl_gradient_logits(p, ref)
         groups.append((gids, rows, logits, p, kl_grad))
 
     # each rollout's slot row, gathered once for the discriminator and the reward
     roll_feats = np.empty((len(active), n, disc.feature_dim))
     raw_scores = np.empty((len(active), n))
-    disc_loss = np.empty(len(active))
     weighted, unit = cfg.matching == "quality", np.ones(n)
     # take(), not fancy indexing: the same rows at a fraction of the call cost
     for pos, (i, k, roll) in enumerate(zip(active, ids, rollouts)):
@@ -417,7 +417,7 @@ def rl_step(
         teacher_feats = pool_feats[k].take(matches[i], 0)
         # a contiguous copy: a strided column costs the loss more than the copy
         pair_w = teacher_feats[:, QUALITY_COL].copy() if weighted and examples[i].task.is_closed else unit
-        disc, disc_loss[pos] = batch_update(disc, teacher_feats, student_feats, pair_w, cfg.lr_disc)
+        disc, stats[pos, 1] = batch_update(disc, teacher_feats, student_feats, pair_w, cfg.lr_disc)
 
     for gids, rows, logits, p, kl_grad in groups:
         size, m = p.shape
@@ -434,13 +434,8 @@ def rl_step(
         logits += cfg.lr_student * (pg - cfg.gamma * kl_grad)
         for k, updated in zip(gids, logits):
             student[k][...] = updated
-        mean_reward[rows] = mean
-
-    metrics = {
-        k: {"mean_reward": r, "disc_loss": d, "kl": c}
-        for k, r, d, c in zip(ids, mean_reward.tolist(), disc_loss.tolist(), kl.tolist())
-    }
-    return disc, metrics
+        stats[rows, 0] = mean
+    return disc, stats
 
 
 @dataclass(frozen=True, slots=True)
@@ -555,27 +550,58 @@ def _check_ids(name: str, given: dict, examples: list[SupervisionExample], every
         raise ValueError("; ".join(problems))
 
 
-def _check_overrides(
+def _check_inputs(
     examples: list[SupervisionExample],
-    pools: dict[str, TeacherPool],
-    sft_targets: dict[str, int],
-    match_overrides: dict[str, MatchingDistribution],
+    cfg: TrainConfig,
+    teacher: SyntheticTeacher | None = None,
+    pools: dict[str, TeacherPool] | None = None,
+    sft_targets: dict[str, int] | None = None,
+    match_overrides: dict[str, MatchingDistribution] | None = None,
 ) -> None:
-    """run_pipeline's override inputs: every key names an example, every
-    SFT target is an int slot of its answer space (a bool is not one), and
-    every matching distribution has one probability per pool response."""
-    by_id = {ex.id: ex for ex in examples}
+    """What run_pipeline accepts: examples, non-empty, of distinct ids and
+    each with an answer space; a teacher with probs and a violation_rate
+    for every example, or one pool per example and no other, of its task,
+    with cfg.k responses and filtered at no tau above cfg.tau (a quality the
+    filter zeroed cannot be restored); and, keyed by example ids, SFT
+    targets that are int slots of their answer space (a bool is not one)
+    and distributions of cfg.k probabilities, one per pool response.
+    Anything else raises ValueError naming the input."""
+    if not examples:
+        raise ValueError("no examples to train on")
+    _check_distinct_ids(examples)
+    for ex in examples:
+        if ex.answer_space is None:
+            raise ValueError(f"example {ex.id}: training needs an enumerated answer_space")
+    if pools is None:
+        if teacher is None:
+            raise ValueError("need either a teacher or prebuilt pools")
+        for name in ("probs", "violation_rate"):
+            if missing := [ex.id for ex in examples if ex.id not in getattr(teacher, name)]:
+                raise ValueError(f"teacher.{name} miss examples: {missing}")
+    else:
+        _check_ids("pools", pools, examples, every=True)
+        for ex in examples:
+            pool = pools[ex.id]
+            if pool.task is not ex.task:
+                raise ValueError(f"pools[{ex.id!r}] is for task {pool.task.value}, not {ex.task.value}")
+            if pool.k != cfg.k:
+                raise ValueError(f"pools[{ex.id!r}] has {pool.k} responses, train config k is {cfg.k}")
+            if pool.tau_applied is not None and pool.tau_applied > cfg.tau:
+                raise ValueError(
+                    f"pools[{ex.id!r}] filtered at tau {pool.tau_applied}, above the train config "
+                    f"tau {cfg.tau}; qualities it zeroed cannot be restored"
+                )
+    sft_targets, match_overrides = sft_targets or {}, match_overrides or {}
     _check_ids("sft_targets", sft_targets, examples)
     _check_ids("match_overrides", match_overrides, examples)
+    by_id = {ex.id: ex for ex in examples}
     for k, slot in sft_targets.items():
         size = len(by_id[k].answer_space)
         if not (_is_int(slot) and 0 <= slot < size):
             raise ValueError(f"sft_targets[{k!r}] must be an int slot in [0, {size}), got {slot!r}")
     for k, dist in match_overrides.items():
-        if len(dist.probs) != pools[k].k:
-            raise ValueError(
-                f"match_overrides[{k!r}] has {len(dist.probs)} probabilities for a pool of {pools[k].k}"
-            )
+        if len(dist.probs) != cfg.k:
+            raise ValueError(f"match_overrides[{k!r}] has {len(dist.probs)} probabilities for a pool of {cfg.k}")
 
 
 def run_pipeline(
@@ -588,35 +614,20 @@ def run_pipeline(
 ) -> TrainedArtifacts:
     """Stage 1 then Stage 2 over all examples; reproducible per (cfg, seed).
 
-    Pools may be passed in directly (e.g. loaded from a cache file), one
-    per example and of its task, and no other; the filter is applied here
-    either way.  sft_targets (example id -> slot) and match_overrides
-    (example id -> a distribution over its pool) replace the selected
-    targets and the configured matching.  A pool, target or override that
-    names no example, a missing pool or one of another task, a target that
-    is not a slot or a distribution whose length is not its pool's K raises
-    ValueError before training.  The reference policy is frozen at the
-    Stage-1 result.  The metrics log carries one row per epoch, and
-    skipped_rl lists the examples whose pools have nothing to match when
-    Stage 2 runs.
+    Pools may be passed in directly (e.g. loaded from a cache file); the
+    filter is applied here either way.  sft_targets (example id -> slot) and
+    match_overrides (example id -> a distribution over its pool) replace the
+    selected targets and the configured matching.  _check_inputs states what
+    is accepted, and runs before any pool is drawn.  The reference policy
+    is frozen at the Stage-1 result.  The metrics log carries one row per
+    epoch, and skipped_rl lists the examples whose pools have nothing to
+    match when Stage 2 runs.
     """
-    if not examples:
-        raise ValueError("no examples to train on")
-    _check_distinct_ids(examples)
-    for ex in examples:
-        if ex.answer_space is None:
-            raise ValueError(f"example {ex.id}: training needs an enumerated answer_space")
+    _check_inputs(examples, cfg, teacher, pools, sft_targets, match_overrides)
     if pools is None:
-        if teacher is None:
-            raise ValueError("need either a teacher or prebuilt pools")
         pools = make_pools(examples, teacher, cfg)
     else:
-        _check_ids("pools", pools, examples, every=True)
-        for ex in examples:
-            if (task := pools[ex.id].task) is not ex.task:
-                raise ValueError(f"pools[{ex.id!r}] is for task {task.value}, not {ex.task.value}")
         pools = {ex.id: apply_filter(pools[ex.id], cfg.tau) for ex in examples}
-    _check_overrides(examples, pools, sft_targets or {}, match_overrides or {})
 
     featurizer = Featurizer(max(len(ex.answer_space) for ex in examples))
     caches = build_caches(examples, featurizer, cfg.metric)
@@ -652,20 +663,15 @@ def run_pipeline(
     disc = init_params(featurizer.dim, cfg.hidden_dim, seed=np.random.SeedSequence([cfg.seed, _S_DISC]))
 
     for epoch in range(cfg.epochs_stage2):
-        disc, metrics = rl_step(
+        disc, stats = rl_step(
             student, ref_probs, disc, examples, cfg, uniforms[epoch, :, 0],
             [None if m is None else m[epoch] for m in matches], caches, pool_feats,
         )
-        sums = np.zeros(3)
-        for m in metrics.values():
-            sums += (m["mean_reward"], m["disc_loss"], m["kl"])
         step += 1
         acc = eval_accuracy(student, acc_groups)
-        if metrics:
-            sums /= len(metrics)
-            rows.append(MetricsRow(step, "rl", *sums.tolist(), acc))
-        else:
-            rows.append(MetricsRow(step, "rl", None, None, None, acc))
+        # cumsum adds the rows one after another, in step order
+        means = (stats.cumsum(axis=0)[-1] / len(stats)).tolist() if len(stats) else [None] * 3
+        rows.append(MetricsRow(step, "rl", *means, acc))
 
     # an example with nothing to match sits out every RL epoch
     skipped_rl = tuple(sorted(ex.id for ex, m in zip(examples, matches) if m is None))

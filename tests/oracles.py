@@ -26,7 +26,9 @@ sign patterns by meet-in-the-middle in floats; permutation_pvalue below
 walks every pattern in exact rational arithmetic.
 train.rl_step's student half is a sampled policy-gradient step;
 expected_logit_update below is its exact expectation over the rollout
-uniforms, which the sampled steps are checked against.
+uniforms, which the sampled steps are checked against, and
+expected_disc_update that of its discriminator half, over the rollout and
+matching uniforms.
 A student is its logits, a dict from example id to one array per answer
 space, here as in the library.
 """
@@ -41,7 +43,7 @@ import numpy as np
 
 from mskd.analysis import QUANTILES, TaskVariance, VarianceReport
 from mskd.corpus import ResponseRow
-from mskd.discriminator import _LEN_SCALE, DiscriminatorParams, Featurizer
+from mskd.discriminator import _LEN_SCALE, DiscriminatorParams, Featurizer, _batch_loss_and_grad
 from mskd.metrics import DEFAULT_METRICS, MetricConfig, quality_score
 from mskd.policy import categorical_draw, nucleus, softmax
 from mskd.pool import TeacherPool
@@ -157,6 +159,41 @@ def expected_logit_update(
     r = np.asarray(rewards, dtype=float)
     grad_kl = p * (np.log(p) - np.log(ref_probs) - kl_divergence(p, ref_probs))
     return lr * ((n - 1) / n * p * (r - p @ r) - gamma * grad_kl)
+
+
+def disc_vector(params: DiscriminatorParams) -> np.ndarray:
+    """Every parameter of a discriminator in one flat vector."""
+    if params.is_linear:
+        return params.weights.copy()
+    return np.concatenate([params.weights, params.hidden_w.ravel(), params.hidden_b])
+
+
+def expected_disc_update(
+    params: DiscriminatorParams,
+    teacher_rows: np.ndarray,
+    slot_rows: np.ndarray,
+    match_probs: np.ndarray,
+    policy: np.ndarray,
+    pair_weights: np.ndarray,
+    lr: float,
+) -> np.ndarray:
+    """The expected change of disc_vector(params) in a one-example rl_step,
+    over its rollout and matching uniforms:
+
+        -lr * sum_i sum_j m_i * p_j * w_i * grad l(i, j)
+
+    over the K x |space| grid of (teacher row i, slot row j) pairs, with m
+    the matching distribution, p the student policy, w_i the weight of a
+    pair whose teacher row is i, and l(i, j) the one-pair loss, whose
+    gradient _batch_loss_and_grad gives.  The step's loss is the mean over
+    n pairs, each an independent (i, j) draw, so its gradient has the mean
+    of one pair's."""
+    total = np.zeros(disc_vector(params).shape)
+    for t_row, m, w in zip(teacher_rows, match_probs, pair_weights):
+        for s_row, p in zip(slot_rows, policy):
+            _, grad = _batch_loss_and_grad(params, t_row[None], s_row[None], np.ones(1))
+            total += m * p * w * disc_vector(grad)
+    return -lr * total
 
 
 def score_answer_space(

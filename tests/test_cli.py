@@ -375,8 +375,8 @@ def test_train_truncated_pool_cache_is_input_error(corpus, tmp_path, capsys):
 @pytest.mark.parametrize(
     "build, train, message",
     [
-        (("--k", "3", "--tau", "0.3"), {"k": 2}, "3 responses, train config k is 2"),
-        (("--k", "3", "--tau", "0.9"), {"k": 3, "tau": 0.0}, "filtered at tau 0.9"),
+        (("--k", "3", "--tau", "0.3"), {"k": 2}, "has 3 responses, train config k is 2"),
+        (("--k", "3", "--tau", "0.9"), {"k": 3, "tau": 0.0}, "filtered at tau 0.9, above the train config tau 0.0"),
     ],
     ids=["k_mismatch", "tau_above_train_tau"],
 )
@@ -394,7 +394,67 @@ def test_train_pool_cache_mismatch_is_config_error(corpus, tmp_path, capsys, bui
     )
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: pool cache example mcq-0: ") and message in err
+    assert err.startswith("config error: pool cache: pools['mcq-0'] ") and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_pool_cache_that_lacks_an_example_is_config_error(corpus, tmp_path, capsys):
+    ex_path, resp_path = corpus
+    cache = tmp_path / "pools.jsonl"
+    assert pool_build(corpus, cache, "--k", "3", "--tau", "0.3") == 0
+    cache.write_text("".join(cache.read_text(encoding="utf-8").splitlines(keepends=True)[:2]), encoding="utf-8")
+    cfg = write_cfg(tmp_path, "t.json", dict(TINY_TRAIN, k=3))
+    code = main(
+        ["train", "--config", cfg, "--examples", str(ex_path), "--pool-cache", str(cache),
+         "--out", str(tmp_path / "run")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: pool cache: pools miss examples: ['mcq-2']")
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_example_without_answer_space_is_config_error(ocr_corpus, tmp_path, capsys):
+    # the OCR examples have no enumerated answer space to train a policy over
+    ex_path, _ = ocr_corpus
+    cache = tmp_path / "pools.jsonl"
+    assert pool_build(ocr_corpus, cache) == 0
+    cfg = write_cfg(tmp_path, "t.json", dict(TINY_TRAIN, k=4, tau=0.5))
+    code = main(
+        ["train", "--config", cfg, "--examples", str(ex_path), "--pool-cache", str(cache),
+         "--out", str(tmp_path / "run")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: pool cache: example ocr-0: training needs an enumerated answer_space")
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, block, message",
+    [
+        (("--pool-cache", "no-such-pools.jsonl"), {}, "--examples and --pool-cache must be given together"),
+        (("--examples", "EXAMPLES", "--pool-cache", "POOLS"), {"benchmark": {"n_mcq": -5}}, "a benchmark block"),
+        (("--examples", "EXAMPLES", "--pool-cache", "POOLS"), {"benchmark": TINY_BENCH}, "a benchmark block"),
+    ],
+    ids=["pool_cache_without_examples", "bad_benchmark_with_examples", "benchmark_with_examples"],
+)
+def test_train_rejects_inputs_it_would_ignore(corpus, tmp_path, capsys, monkeypatch, flags, block, message):
+    # --pool-cache alone trained the synthetic benchmark, and --examples
+    # dropped a benchmark block unread
+    no_training(monkeypatch)
+    cache = tmp_path / "pools.jsonl"
+    assert pool_build(corpus, cache, "--k", "3", "--tau", "0.3") == 0
+    paths = {"EXAMPLES": str(corpus[0]), "POOLS": str(cache)}
+    cfg = write_cfg(tmp_path, "t.json", dict(TINY_TRAIN, k=3, **block))
+    argv = ["train", "--config", cfg, *(paths.get(f, f) for f in flags), "--out", str(tmp_path / "run")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}") and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_takes_only_its_examples_pools_from_a_cache(corpus, tmp_path):
@@ -441,7 +501,8 @@ def test_train_pool_cache_of_another_task_is_config_error(corpus, tmp_path, caps
     )
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: pool cache example mcq-0: pool is for task open_ended, not multiple_choice")
+    assert err.startswith("config error: pool cache: pools['mcq-0'] is for task open_ended, not multiple_choice")
+    assert "Traceback" not in err
     assert not (tmp_path / "run").exists()
 
 

@@ -1,4 +1,4 @@
-"""rl_step's student half against the estimator it claims to be.
+"""rl_step against the estimators it claims to be.
 
 tests/test_rl_step.py pins how the step computes, bit for bit; this file
 pins what it estimates.  Over its rollout uniforms, an example's expected
@@ -14,8 +14,15 @@ the scorer and the reward sum.
 With alpha = 0 the reward does not read the discriminator, so N copies of
 one example under distinct ids, in one epoch call, are N independent draws.
 With alpha > 0 the discriminator moves from step to step within an epoch,
-so each draw is a one-example epoch call from the same discriminator.  The
-discriminator half of the step is not checked here.
+so each draw is a one-example epoch call from the same discriminator.
+
+The discriminator half of a one-example call descends the mean pair loss of
+n (teacher row, rollout slot) pairs, each drawn independently from the
+matching distribution and the policy, so its expected parameter update is
+oracles.expected_disc_update.  Those tests draw the matches with
+sample_matches from the step's matching uniforms, which are independent of
+its rollout uniforms, and assert |z| < 5 for every parameter coordinate
+under each ablation arm's pool and matching.
 """
 
 import math
@@ -27,7 +34,8 @@ import pytest
 import oracles
 from conftest import mk_open, mk_temporal
 from mskd.discriminator import DiscriminatorParams, Featurizer
-from mskd.pool import build_pool, sample_matches
+from mskd.harness import setting_config
+from mskd.pool import apply_filter, build_pool, sample_matches
 from mskd.policy import softmax
 from mskd.rewards import RewardWeights
 from mskd.tasks import SupervisionExample, TaskType, TemporalSegment, Text, render_payload
@@ -120,28 +128,32 @@ def epoch_of_copies(ex, cfg, disc, inputs, draws, seed):
     def per_copy(value):
         return {c.id: value for c in copies}
 
-    _, metrics = rl_step(
+    _, stats = rl_step(
         student, per_copy(inputs["ref_probs"]), disc, copies, cfg, u[:, 0],
         list(sample_matches(inputs["dist"], u[:, 1])), per_copy(inputs["feats"]), per_copy(inputs["pool_feats"]),
     )
-    assert len(metrics) == draws
+    assert len(stats) == draws
     return np.array([student[c.id] - inputs["logits"] for c in copies])
 
 
 def one_example_epochs(ex, cfg, disc, inputs, draws, seed):
     """draws one-example rl_step epochs, each from the same logits and the
-    same discriminator; each call's logit update."""
+    same discriminator; each call's logit update and the update of its
+    discriminator's oracles.disc_vector."""
     u = step_uniforms(cfg, seed, draws)
     matches = sample_matches(inputs["dist"], u[:, 1])
+    start = oracles.disc_vector(disc)
     updates = np.empty((draws, len(ex.answer_space)))
+    disc_updates = np.empty((draws, len(start)))
     for i in range(draws):
         student = {ex.id: inputs["logits"].copy()}
-        rl_step(
+        stepped, _ = rl_step(
             student, {ex.id: inputs["ref_probs"]}, disc, [ex], cfg, u[i : i + 1, 0], [matches[i]],
             {ex.id: inputs["feats"]}, {ex.id: inputs["pool_feats"]},
         )
         updates[i] = student[ex.id] - inputs["logits"]
-    return updates
+        disc_updates[i] = oracles.disc_vector(stepped) - start
+    return updates, disc_updates
 
 
 def random_disc(dim, hidden_dim, seed):
@@ -201,10 +213,56 @@ def test_student_update_expectation_with_the_discriminator(space, hidden_dim):
     seed = 200 + hidden_dim
     inputs = step_inputs(ex, cfg, seed)
     disc = random_disc(inputs["featurizer"].dim, hidden_dim, seed)
-    updates = one_example_epochs(ex, cfg, disc, inputs, 2500, seed)
+    updates, _ = one_example_epochs(ex, cfg, disc, inputs, 2500, seed)
     r = slot_rewards(ex, cfg, disc, inputs["featurizer"])
     assert np.ptp(r) > 0.05  # the discriminator term varies even on open slots
     expected = oracles.expected_logit_update(
         inputs["logits"], inputs["ref_probs"], r, cfg.n_rollouts, cfg.lr_student, cfg.gamma
     )
     assert max_abs_z(updates, expected) < Z_BOUND
+
+
+def arm_inputs(ex, cfg, seed):
+    """step_inputs with the pool an ablation arm trains on: the first cfg.k
+    of ex's slots in another order with a broken envelope among them,
+    filtered at cfg.tau as make_pools filters."""
+    inputs = step_inputs(ex, cfg, seed)
+    raws = [render_payload(p) for p in ex.answer_space]
+    raws = raws[2:] + ["<answer>broken"] + raws[:2]
+    pool = apply_filter(build_pool(ex, raws[: cfg.k], cfg.metric), cfg.tau)
+    inputs.update(
+        pool_feats=pool_features(pool, ex, inputs["feats"], inputs["featurizer"]), dist=matching_for(pool, cfg)
+    )
+    return inputs
+
+
+# space, ablation arm and hidden width of each discriminator case
+DISC_CASES = {
+    **{f"arm_{arm}": (graded_temporal, arm, 0) for arm in "ABCD"},
+    "hidden_layer": (graded_temporal, "D", 3),
+    "open_ended": (open_ended, "D", 0),
+    "invalid_slots": (invalid_slots, "D", 0),
+}
+
+
+@pytest.mark.parametrize("case", list(DISC_CASES))
+def test_disc_update_expectation(case):
+    make, arm, hidden_dim = DISC_CASES[case]
+    ex = make()
+    cfg = setting_config(arm, replace(config(WITH_DISC, 6, hidden_dim), k=5))
+    seed = 300 + list(DISC_CASES).index(case)
+    inputs = arm_inputs(ex, cfg, seed)
+    disc = random_disc(inputs["featurizer"].dim, hidden_dim, seed)
+    _, updates = one_example_epochs(ex, cfg, disc, inputs, 2500, seed)
+    teacher_rows = inputs["pool_feats"]
+    # quality matching on a closed-ended example weights a pair by column 3
+    # of its teacher row, the pool's filtered quality
+    weighted = cfg.matching == "quality" and ex.task.is_closed
+    w = teacher_rows[:, 3] if weighted else np.ones(len(teacher_rows))
+    grid = (disc, teacher_rows, inputs["feats"], np.array(inputs["dist"].probs), softmax(inputs["logits"]))
+    assert max_abs_z(updates, oracles.expected_disc_update(*grid, w, cfg.lr_disc)) < Z_BOUND
+    if case == "arm_D":
+        assert any(0.0 < q < 1.0 for q in w)
+        # the draws tell the quality-weighted pair loss from the unweighted one
+        unweighted = oracles.expected_disc_update(*grid, np.ones(len(w)), cfg.lr_disc)
+        assert max_abs_z(updates, unweighted) > Z_BOUND

@@ -206,14 +206,14 @@ def run_both(bench, cfg, epochs=2):
             None if dists[ex.id] is None else sample_matches(dists[ex.id], uniforms[epoch, i, 1])
             for i, ex in enumerate(examples)
         ]
-        disc, metrics = rl_step(student, ref_probs, disc, examples, cfg, uniforms[epoch, :, 0], matches, caches, feats)
+        disc, stats = rl_step(student, ref_probs, disc, examples, cfg, uniforms[epoch, :, 0], matches, caches, feats)
         for ex in examples:
             assert student[ex.id].tobytes() == o_student[ex.id].tobytes(), ex.id
         assert disc_bytes(disc) == disc_bytes(o_disc)
-        assert list(metrics) == list(o_metrics)  # stepped examples, in order
-        for k, m in metrics.items():
-            assert {n: repr(v) for n, v in m.items()} == {n: repr(v) for n, v in o_metrics[k].items()}, k
-            assert all(type(v) is float for v in m.values())
+        # one row per stepped example, in order
+        assert stats.shape == (len(o_metrics), 3)
+        for row, (k, m) in zip(stats, o_metrics.items()):
+            assert row.tobytes() == np.array([m["mean_reward"], m["disc_loss"], m["kl"]]).tobytes(), k
     assert len(skipped) < len(examples)
     return skipped
 

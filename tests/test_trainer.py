@@ -128,22 +128,10 @@ def test_rl_step_leaves_an_example_without_matches_untouched():
     cfg = small_cfg()
     student = uniform_student([ex])
     disc = init_params(Featurizer(4).dim, 0, seed=0)
-    new_disc, metrics = rl_epoch(student, disc, ex, pool, cfg)
-    assert metrics == {}
+    new_disc, stats = rl_epoch(student, disc, ex, pool, cfg)
+    assert stats.shape == (0, 3)
     assert new_disc is disc
     assert np.array_equal(student[ex.id], np.zeros(4))
-
-
-def test_rl_step_metric_keys_are_python_floats():
-    ex = mk_mcq(0, gt="B")
-    pool = build_pool(ex, ["<answer>B</answer>", "<answer>A</answer>"])
-    cfg = small_cfg()
-    student = uniform_student([ex])
-    disc = init_params(Featurizer(4).dim, 0, seed=0)
-    _, metrics = rl_epoch(student, disc, ex, pool, cfg)
-    (m,) = metrics.values()
-    assert set(m) == {"mean_reward", "disc_loss", "kl"}
-    assert all(type(v) is float for v in m.values())
 
 
 def test_run_pipeline_rejects_duplicate_example_ids():
@@ -178,6 +166,55 @@ def test_run_pipeline_rejects_a_pool_of_another_task(monkeypatch):
     pool = build_pool(mk_open(0), ["<answer>B</answer>", "<answer>C</answer>"])
     with pytest.raises(ValueError, match=r"^pools\['mcq-0'\] is for task open_ended, not multiple_choice$"):
         run_pipeline([ex], small_cfg(k=2), pools={ex.id: pool})
+
+
+def test_run_pipeline_rejects_a_pool_of_another_k(monkeypatch):
+    # a K=4 pool once trained under k=2 without a word
+    monkeypatch.setattr(mskd.train, "_sft_epoch", _training_forbidden)
+    ex, pool, _ = _override_case()
+    with pytest.raises(ValueError, match=r"^pools\['mcq-0'\] has 4 responses, train config k is 2$"):
+        run_pipeline([ex], small_cfg(k=2), pools={ex.id: pool})
+
+
+def test_run_pipeline_rejects_a_pool_filtered_above_tau(monkeypatch):
+    # the filter zeroed the qualities below 0.9 for good, so training under
+    # tau 0.3 would see another pool than a 0.3 filter leaves; at or below
+    # the config's tau the pool is accepted
+    ex, pool, cfg = _override_case()
+    run_pipeline([ex], replace(cfg, tau=0.3), pools={ex.id: apply_filter(pool, 0.3)})
+    monkeypatch.setattr(mskd.train, "_sft_epoch", _training_forbidden)
+    with pytest.raises(ValueError, match=r"^pools\['mcq-0'\] filtered at tau 0.9, above the train config tau 0.3; "):
+        run_pipeline([ex], replace(cfg, tau=0.3), pools={ex.id: apply_filter(pool, 0.9)})
+
+
+def test_run_pipeline_rejects_a_teacher_that_lacks_an_example(monkeypatch):
+    # sampling the missing example's pool raised a bare KeyError
+    monkeypatch.setattr(mskd.train, "make_pools", _pools_forbidden)
+    exs = [mk_mcq(0), mk_mcq(7)]
+    teacher = point_mass_teacher(exs)
+    for name in ("probs", "violation_rate"):
+        lacking = replace(teacher, **{name: {"mcq-0": getattr(teacher, name)["mcq-0"]}})
+        with pytest.raises(ValueError, match=rf"^teacher\.{name} miss examples: \['mcq-7'\]$"):
+            run_pipeline(exs, small_cfg(), teacher=lacking)
+
+
+def _pools_forbidden(*args, **kwargs):
+    raise AssertionError("a pool was drawn before the inputs were checked")
+
+
+def test_bad_override_or_target_fails_before_any_pool_is_drawn(monkeypatch):
+    monkeypatch.setattr(mskd.train, "make_pools", _pools_forbidden)
+    ex = mk_mcq(0)
+    teacher, cfg = point_mass_teacher([ex]), small_cfg()
+    cases = (
+        ({"sft_targets": {ex.id: 4}}, r"sft_targets\['mcq-0'\] must be an int slot in \[0, 4\)"),
+        ({"sft_targets": {"mcq-9": 0}}, r"sft_targets name no example: \['mcq-9'\]"),
+        ({"match_overrides": {ex.id: MatchingDistribution((0.5, 0.5))}},
+         r"match_overrides\['mcq-0'\] has 2 probabilities for a pool of 3"),
+    )
+    for given, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}"):
+            run_pipeline([ex], cfg, teacher=teacher, **given)
 
 
 def test_skipped_rl_lists_examples_without_matches_when_stage2_runs():
@@ -742,7 +779,7 @@ def _override_case():
     """An MCQ example with a 4-response pool, and a config that trains."""
     ex = mk_mcq(0, gt="B")
     pool = build_pool(ex, ["<answer>B</answer>", "<answer>A</answer>", "<answer>C</answer>", "<answer>B</answer>"])
-    return ex, pool, small_cfg(epochs_stage1=2, epochs_stage2=1)
+    return ex, pool, small_cfg(k=4, epochs_stage1=2, epochs_stage2=1)
 
 
 def test_sft_target_naming_no_example_is_rejected(monkeypatch):
