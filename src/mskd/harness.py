@@ -44,7 +44,7 @@ from mskd.tasks import (
     Text,
     option_letters,
 )
-from mskd.train import TrainConfig, TrainedArtifacts, eval_accuracy, make_pools, run_pipeline, score_groups
+from mskd.train import Plan, TrainConfig, TrainedArtifacts, eval_accuracy, score_groups
 
 
 class EmptyReportError(ValueError):
@@ -398,26 +398,17 @@ def run_ablation(
     # every cell's config first, so a bad label or seed fails before any training
     cells = ablation_cells(settings, seeds, cfg_base)
     bench = benchmark if benchmark is not None else make_closed_benchmark()
-    results = []
-    artifacts: dict[str, list[TrainedArtifacts]] = {}
-    by_label: dict[str, tuple[float, ...]] = {}
-    for label, cfgs in cells.items():
-        artifacts[label] = [run_pipeline(bench.examples, cfg, teacher=bench.teacher) for cfg in cfgs]
-        accs = [art.final_accuracy for art in artifacts[label]]
-        by_label[label] = tuple(accs)
-        results.append(
-            AblationResult(
-                setting=label,
-                k=cfgs[0].k,
-                filter_on=cfgs[0].tau > 0.0,
-                weight_on=cfgs[0].matching == "quality",
-                accuracies=tuple(accs),
-            )
-        )
+    plan = Plan(bench.examples, cfg_base.metric, bench.teacher)
+    artifacts = {label: [plan.run(cfg) for cfg in cfgs] for label, cfgs in cells.items()}
+    by_label = {label: tuple(art.final_accuracy for art in arts) for label, arts in artifacts.items()}
+    results = tuple(
+        AblationResult(label, cfg.k, cfg.tau > 0.0, cfg.matching == "quality", by_label[label])
+        for label, (cfg, *_) in cells.items()
+    )
     p_ad = None
     if "A" in by_label and "D" in by_label:
         p_ad = paired_permutation_pvalue(by_label["D"], by_label["A"])
-    return AblationSummary(tuple(results), p_ad), artifacts
+    return AblationSummary(results, p_ad), artifacts
 
 
 # --- sensitivity ------------------------------------------------------------
@@ -444,32 +435,27 @@ def run_sensitivity(
     seeds: tuple[int, ...] = tuple(range(10)),
     benchmark: Benchmark | None = None,
 ) -> SensitivityResult:
-    """Accuracy over a K grid and a tau grid; tau cells reuse one pool draw
-    per seed, so measured retention is exactly non-increasing in tau."""
+    """Accuracy over a K grid and a tau grid; tau cells of a seed share one
+    pool draw, so measured retention is exactly non-increasing in tau."""
     if not seeds:
         raise ValueError("seeds must not be empty")
     # every cell's config first, so a bad grid value fails before any training
     k_cfgs = [[replace(cfg_base, k=k, seed=s) for s in seeds] for k in k_grid]
     tau_cfgs = [[replace(cfg_base, tau=tau, seed=s) for s in seeds] for tau in tau_grid]
-    pool_cfgs = [replace(cfg_base, tau=0.0, seed=s) for s in seeds]  # one unfiltered draw per seed
     bench = benchmark if benchmark is not None else make_closed_benchmark()
+    plan = Plan(bench.examples, cfg_base.metric, bench.teacher)
     k_cells = []
     for k, cfgs in zip(k_grid, k_cfgs):
-        accs = [run_pipeline(bench.examples, cfg, teacher=bench.teacher).final_accuracy for cfg in cfgs]
+        accs = [plan.run(cfg).final_accuracy for cfg in cfgs]
         k_cells.append(SweepCell(float(k), float(np.mean(accs)), float(np.std(accs))))
 
     tau_cells = []
-    pools_per_seed = [make_pools(bench.examples, bench.teacher, cfg) for cfg in pool_cfgs]
-    qualities_per_seed = [
-        np.concatenate([np.asarray(p.qualities) for p in pools.values() if p.qualities is not None])
-        for pools in pools_per_seed
-    ]
     for tau, cfgs in zip(tau_grid, tau_cfgs):
-        accs = []
-        rets = []
-        for pools, qs, cfg in zip(pools_per_seed, qualities_per_seed, cfgs):
-            art = run_pipeline(bench.examples, cfg, pools=pools)
-            accs.append(art.final_accuracy)
+        accs, rets = [], []
+        for cfg in cfgs:
+            accs.append(plan.run(cfg).final_accuracy)
+            pools = plan.pools(cfg).values()
+            qs = np.concatenate([np.asarray(p.qualities) for p in pools if p.qualities is not None])
             rets.append(float((qs >= tau).mean()))
         tau_cells.append(
             SweepCell(float(tau), float(np.mean(accs)), float(np.std(accs)), float(np.mean(rets)))
@@ -545,43 +531,35 @@ def run_task_adaptive_check(
     cells = [tuple(replace(cfg, seed=s) for cfg in arms) for s in seeds]
     closed = closed_benchmark if closed_benchmark is not None else make_closed_benchmark()
     open_b = open_benchmark if open_benchmark is not None else make_open_benchmark()
+    closed_plan = Plan(closed.examples, cfg_base.metric, closed.teacher)
+    open_plan = Plan(open_b.examples, cfg_base.metric, open_b.teacher)
     # the open arms' accuracy: the mean latent rating under the policy
     latent = score_groups(open_b.examples, [open_b.slot_scores[ex.id] for ex in open_b.examples])
     closed_gt, closed_uni, open_prox, open_uni = [], [], [], []
     for cfg_d, cfg_c, cfg_open in cells:
-        closed_gt.append(
-            run_pipeline(closed.examples, cfg_d, teacher=closed.teacher).final_accuracy
-        )
-        closed_uni.append(
-            run_pipeline(closed.examples, cfg_c, teacher=closed.teacher).final_accuracy
-        )
-
-        pools = make_pools(open_b.examples, open_b.teacher, cfg_open)
-        art_uni = run_pipeline(open_b.examples, cfg_open, pools=pools)
-        open_uni.append(eval_accuracy(art_uni.student, latent))
+        closed_gt.append(closed_plan.run(cfg_d).final_accuracy)
+        closed_uni.append(closed_plan.run(cfg_c).final_accuracy)
+        open_uni.append(eval_accuracy(open_plan.run(cfg_open).student, latent))
 
         prng = np.random.default_rng(np.random.SeedSequence([int(cfg_open.seed), 23]))
         proxies = {
             ex.id: misleading_proxy(open_b.slot_scores[ex.id], mislead, proxy_noise, prng)
             for ex in open_b.examples
         }
-        dists, targets = proxy_overrides(open_b.examples, pools, proxies)
-        art_prox = run_pipeline(
-            open_b.examples, cfg_open, pools=pools, sft_targets=targets, match_overrides=dists
-        )
+        dists, targets = proxy_overrides(open_b.examples, open_plan.pools(cfg_open), proxies)
+        art_prox = open_plan.run(cfg_open, sft_targets=targets, match_overrides=dists)
         open_prox.append(eval_accuracy(art_prox.student, latent))
 
     def stat(vals):
         return (float(np.mean(vals)), float(np.std(vals)))
 
-    res = AdaptiveCheckResult(
+    return AdaptiveCheckResult(
         closed_gt=stat(closed_gt),
         closed_uniform=stat(closed_uni),
         open_proxy=stat(open_prox),
         open_uniform=stat(open_uni),
         crossover=(np.mean(closed_gt) >= np.mean(closed_uni)) and (np.mean(open_uni) >= np.mean(open_prox)),
     )
-    return res
 
 
 # --- reports ----------------------------------------------------------------

@@ -21,10 +21,12 @@ bit-reproducible and ablation arms that should coincide do so exactly.  The
 RL steps' streams are the two spawned children of that sequence; a step
 reads the first n_rollouts doubles of each, which uniform_table computes for
 a whole run at once, bit for bit, from stream_table's seed states.  All else
-a step reads is fixed for the run and taken once: the reference policy, each
-pool's feature rows and matched rows for every epoch, each distinct
-(task, answer_space)'s slot parses, and the answer-space-size groups
-evaluation batches over.
+a step reads is taken once: per run, the reference policy and each pool's
+feature rows and matched rows for every epoch; per Plan, shared by every
+cell on one set of examples, the slot rows and accuracy groups under one
+metric and each (seed, k)'s unfiltered pools.  Pool streams do not depend on
+tau or matching, so cells share a draw, and the filter at cfg.tau is applied
+only where a cell trains (Plan.run).  run_pipeline is a fresh plan's cell.
 
 Quality-aware matching (TrainConfig.matching = "quality", ablation arm D) is
 one step with two effects: on a closed-ended example a rollout is paired
@@ -37,6 +39,7 @@ uniform over the responses the filter kept and every pair counts 1.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -438,27 +441,14 @@ def rl_step(
     return disc, stats
 
 
-@dataclass(frozen=True, slots=True)
-class MetricsRow:
-    step: int
-    stage: str
-    mean_reward: float | None
-    disc_loss: float | None
-    kl: float | None
-    accuracy: float | None
-
-
-def _csv_cell(value: float | None) -> str:
-    return "" if value is None else repr(float(value))
-
-
-def metrics_to_csv(rows: list[MetricsRow]) -> str:
+def metrics_to_csv(metrics: np.ndarray, sft_epochs: int) -> str:
+    """metrics.csv of a run's (epochs, 4) log: one row per epoch, the first
+    sft_epochs of them Stage 1's, with its mean reward, discriminator loss,
+    KL and accuracy; a NaN is an empty cell."""
     lines = ["step,stage,mean_reward,disc_loss,kl,accuracy"]
-    for r in rows:
-        lines.append(
-            f"{r.step},{r.stage},{_csv_cell(r.mean_reward)},{_csv_cell(r.disc_loss)},"
-            f"{_csv_cell(r.kl)},{_csv_cell(r.accuracy)}"
-        )
+    for step, row in enumerate(metrics.tolist(), 1):
+        cells = ("" if math.isnan(v) else repr(v) for v in row)
+        lines.append(",".join((str(step), "sft" if step <= sft_epochs else "rl", *cells)))
     return "\n".join(lines) + "\n"
 
 
@@ -501,12 +491,15 @@ def eval_accuracy(student: dict[str, np.ndarray], groups: list[tuple]) -> float 
 @dataclass
 class TrainedArtifacts:
     """A run's result; student and ref map each example id to its logits,
-    the trained ones and the Stage-1 ones."""
+    the trained ones and the Stage-1 ones.  metrics is the (epochs, 4) log
+    metrics_to_csv writes, NaN where a cell is empty; its first sft_epochs
+    rows are Stage 1's."""
 
     student: dict[str, np.ndarray]
     ref: dict[str, np.ndarray]
     disc: DiscriminatorParams
-    rows: list[MetricsRow]
+    metrics: np.ndarray
+    sft_epochs: int
     final_accuracy: float | None
     skipped_sft: tuple[str, ...]
     skipped_rl: tuple[str, ...]
@@ -514,7 +507,7 @@ class TrainedArtifacts:
     def save(self, out_dir: str | Path) -> None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "metrics.csv").write_text(metrics_to_csv(self.rows), encoding="utf-8")
+        (out / "metrics.csv").write_text(metrics_to_csv(self.metrics, self.sft_epochs), encoding="utf-8")
         save_params(self.disc, out / "disc.json")
         payload = {
             "shared": False,  # layout flag of the format; every policy is per-example
@@ -530,11 +523,12 @@ def make_pools(
     teacher: SyntheticTeacher,
     cfg: TrainConfig,
 ) -> dict[str, TeacherPool]:
-    """Sample one teacher pool per example and apply the quality filter."""
+    """Sample one unfiltered teacher pool per example, scored under
+    cfg.metric; cfg.tau plays no part (Plan.run filters)."""
     pools: dict[str, TeacherPool] = {}
     for i, ex in enumerate(examples):
         raws = sample_teacher_pool(teacher, ex, cfg.k, _stream(cfg.seed, _S_POOL, i))
-        pools[ex.id] = apply_filter(build_pool(ex, raws, cfg.metric), cfg.tau)
+        pools[ex.id] = build_pool(ex, raws, cfg.metric)
     return pools
 
 
@@ -560,12 +554,13 @@ def _check_inputs(
 ) -> None:
     """What run_pipeline accepts: examples, non-empty, of distinct ids and
     each with an answer space; a teacher with probs and a violation_rate
-    for every example, or one pool per example and no other, of its task,
-    with cfg.k responses and filtered at no tau above cfg.tau (a quality the
-    filter zeroed cannot be restored); and, keyed by example ids, SFT
-    targets that are int slots of their answer space (a bool is not one)
-    and distributions of cfg.k probabilities, one per pool response.
-    Anything else raises ValueError naming the input."""
+    for every example, or one pool per example and no other, of its task
+    and the pool of the example it is keyed by, with cfg.k responses and
+    filtered at no tau above cfg.tau (a quality the filter zeroed cannot be
+    restored); and, keyed by example ids, SFT targets that are int slots of
+    their answer space (a bool is not one) and distributions of cfg.k
+    probabilities, one per pool response.  Anything else raises ValueError
+    naming the input."""
     if not examples:
         raise ValueError("no examples to train on")
     _check_distinct_ids(examples)
@@ -584,6 +579,8 @@ def _check_inputs(
             pool = pools[ex.id]
             if pool.task is not ex.task:
                 raise ValueError(f"pools[{ex.id!r}] is for task {pool.task.value}, not {ex.task.value}")
+            if pool.example_id != ex.id:
+                raise ValueError(f"pools[{ex.id!r}] is the pool of example {pool.example_id!r}")
             if pool.k != cfg.k:
                 raise ValueError(f"pools[{ex.id!r}] has {pool.k} responses, train config k is {cfg.k}")
             if pool.tau_applied is not None and pool.tau_applied > cfg.tau:
@@ -604,6 +601,97 @@ def _check_inputs(
             raise ValueError(f"match_overrides[{k!r}] has {len(dist.probs)} probabilities for a pool of {cfg.k}")
 
 
+class Plan:
+    """What every training cell on examples shares: the featurizer, the
+    build_caches rows and closed examples' accuracy score_groups under
+    metric, and each (seed, k)'s make_pools draw, made on first use.  A cell
+    under another metric raises ValueError."""
+
+    def __init__(
+        self, examples: list[SupervisionExample], metric: MetricConfig, teacher: SyntheticTeacher | None = None
+    ) -> None:
+        self.examples, self.metric, self.teacher = examples, metric, teacher
+        self.featurizer = Featurizer(max(len(ex.answer_space) for ex in examples))
+        self.caches = build_caches(examples, self.featurizer, metric)
+        closed = [ex for ex in examples if ex.task.is_closed]
+        self.acc_groups = score_groups(closed, [self.caches[ex.id][:, QUALITY_COL] for ex in closed])
+        self._pools: dict[tuple[int, int], dict[str, TeacherPool]] = {}
+
+    def _check_metric(self, cfg: TrainConfig) -> None:
+        if cfg.metric != self.metric:
+            raise ValueError(f"train config metric {cfg.metric} is not the plan's metric {self.metric}")
+
+    def pools(self, cfg: TrainConfig) -> dict[str, TeacherPool]:
+        """make_pools for (cfg.seed, cfg.k), drawn once."""
+        self._check_metric(cfg)
+        key = (cfg.seed, cfg.k)
+        if key not in self._pools:
+            self._pools[key] = make_pools(self.examples, self.teacher, cfg)
+        return self._pools[key]
+
+    def run(
+        self, cfg: TrainConfig, pools: dict[str, TeacherPool] | None = None,
+        sft_targets: dict[str, int] | None = None, match_overrides: dict[str, MatchingDistribution] | None = None,
+    ) -> TrainedArtifacts:
+        """One cell, Stage 1 then Stage 2, reproducible per (cfg, seed).
+
+        pools (the plan's draw by default) are filtered at cfg.tau here.
+        sft_targets (example id -> slot) and match_overrides (example id ->
+        a distribution over its pool) replace the selected targets and the
+        configured matching, as _check_inputs accepts.  The reference policy
+        is frozen at the Stage-1 result; skipped_rl lists the examples whose
+        pools have nothing to match when Stage 2 runs."""
+        self._check_metric(cfg)
+        examples, caches, featurizer, acc_groups = self.examples, self.caches, self.featurizer, self.acc_groups
+        _check_inputs(examples, cfg, self.teacher, pools, sft_targets, match_overrides)
+        drawn = self.pools(cfg) if pools is None else pools
+        pools = {ex.id: apply_filter(drawn[ex.id], cfg.tau) for ex in examples}
+        pool_feats = {ex.id: pool_features(pools[ex.id], ex, caches[ex.id], featurizer) for ex in examples}
+        match_dists = {ex.id: matching_for(pools[ex.id], cfg) for ex in examples}
+        match_dists.update(match_overrides or {})
+        table = stream_table(cfg.seed, np.arange(cfg.epochs_stage2)[:, None], np.arange(len(examples)))
+        uniforms = uniform_table(table, cfg.n_rollouts)
+        # every epoch's matched pool rows, drawn once per pool before training;
+        # each step gathers its teacher rows itself
+        matches = [
+            None if (d := match_dists[ex.id]) is None else sample_matches(d, uniforms[:, i, 1])
+            for i, ex in enumerate(examples)
+        ]
+
+        student = {ex.id: np.zeros(len(ex.answer_space)) for ex in examples}
+        if sft_targets is None:
+            sft_targets, skipped_sft = select_sft_targets(examples, pools, cfg.seed)
+        else:
+            skipped_sft = tuple(ex.id for ex in examples if ex.id not in sft_targets)
+
+        log = []  # per epoch: mean reward, disc loss, KL, accuracy; None is empty
+        for _ in range(cfg.epochs_stage1):
+            _sft_epoch(student, examples, sft_targets, cfg.lr_student)
+            log.append((None, None, None, eval_accuracy(student, acc_groups)))
+
+        ref = {k: logits.copy() for k, logits in student.items()}
+        ref_probs = {k: softmax(logits) for k, logits in ref.items()}
+        disc = init_params(featurizer.dim, cfg.hidden_dim, seed=np.random.SeedSequence([cfg.seed, _S_DISC]))
+
+        for epoch in range(cfg.epochs_stage2):
+            disc, stats = rl_step(
+                student, ref_probs, disc, examples, cfg, uniforms[epoch, :, 0],
+                [None if m is None else m[epoch] for m in matches], caches, pool_feats,
+            )
+            # cumsum adds the rows one after another, in step order
+            means = (stats.cumsum(axis=0)[-1] / len(stats)).tolist() if len(stats) else [None] * 3
+            log.append((*means, eval_accuracy(student, acc_groups)))
+
+        # an example with nothing to match sits out every RL epoch
+        skipped_rl = tuple(sorted(ex.id for ex, m in zip(examples, matches) if m is None))
+        return TrainedArtifacts(
+            student=student, ref=ref, disc=disc,
+            metrics=np.array(log, dtype=float).reshape(-1, 4),  # None reads NaN
+            sft_epochs=cfg.epochs_stage1, final_accuracy=eval_accuracy(student, acc_groups),
+            skipped_sft=skipped_sft, skipped_rl=skipped_rl if cfg.epochs_stage2 else (),
+        )
+
+
 def run_pipeline(
     examples: list[SupervisionExample],
     cfg: TrainConfig,
@@ -612,78 +700,11 @@ def run_pipeline(
     sft_targets: dict[str, int] | None = None,
     match_overrides: dict[str, MatchingDistribution] | None = None,
 ) -> TrainedArtifacts:
-    """Stage 1 then Stage 2 over all examples; reproducible per (cfg, seed).
-
-    Pools may be passed in directly (e.g. loaded from a cache file); the
-    filter is applied here either way.  sft_targets (example id -> slot) and
-    match_overrides (example id -> a distribution over its pool) replace the
-    selected targets and the configured matching.  _check_inputs states what
-    is accepted, and runs before any pool is drawn.  The reference policy
-    is frozen at the Stage-1 result.  The metrics log carries one row per
-    epoch, and skipped_rl lists the examples whose pools have nothing to
-    match when Stage 2 runs.
-    """
+    """Plan.run of a plan of examples under cfg.metric: pools passed in
+    (e.g. loaded from a cache file) or drawn from teacher.  _check_inputs
+    runs first, before the plan is built or any pool is drawn."""
     _check_inputs(examples, cfg, teacher, pools, sft_targets, match_overrides)
-    if pools is None:
-        pools = make_pools(examples, teacher, cfg)
-    else:
-        pools = {ex.id: apply_filter(pools[ex.id], cfg.tau) for ex in examples}
-
-    featurizer = Featurizer(max(len(ex.answer_space) for ex in examples))
-    caches = build_caches(examples, featurizer, cfg.metric)
-    pool_feats = {ex.id: pool_features(pools[ex.id], ex, caches[ex.id], featurizer) for ex in examples}
-    match_dists = {ex.id: matching_for(pools[ex.id], cfg) for ex in examples}
-    match_dists.update(match_overrides or {})
-    table = stream_table(cfg.seed, np.arange(cfg.epochs_stage2)[:, None], np.arange(len(examples)))
-    uniforms = uniform_table(table, cfg.n_rollouts)
-    # every epoch's matched pool rows, drawn once per pool before training;
-    # each step gathers its teacher rows itself
-    matches = [
-        None if (d := match_dists[ex.id]) is None else sample_matches(d, uniforms[:, i, 1])
-        for i, ex in enumerate(examples)
-    ]
-    closed = [ex for ex in examples if ex.task.is_closed]
-    acc_groups = score_groups(closed, [caches[ex.id][:, QUALITY_COL] for ex in closed])
-
-    student = {ex.id: np.zeros(len(ex.answer_space)) for ex in examples}
-    if sft_targets is None:
-        sft_targets, skipped_sft = select_sft_targets(examples, pools, cfg.seed)
-    else:
-        skipped_sft = tuple(ex.id for ex in examples if ex.id not in sft_targets)
-
-    rows: list[MetricsRow] = []
-    step = 0
-    for _ in range(cfg.epochs_stage1):
-        _sft_epoch(student, examples, sft_targets, cfg.lr_student)
-        step += 1
-        rows.append(MetricsRow(step, "sft", None, None, None, eval_accuracy(student, acc_groups)))
-
-    ref = {k: logits.copy() for k, logits in student.items()}
-    ref_probs = {k: softmax(logits) for k, logits in ref.items()}
-    disc = init_params(featurizer.dim, cfg.hidden_dim, seed=np.random.SeedSequence([cfg.seed, _S_DISC]))
-
-    for epoch in range(cfg.epochs_stage2):
-        disc, stats = rl_step(
-            student, ref_probs, disc, examples, cfg, uniforms[epoch, :, 0],
-            [None if m is None else m[epoch] for m in matches], caches, pool_feats,
-        )
-        step += 1
-        acc = eval_accuracy(student, acc_groups)
-        # cumsum adds the rows one after another, in step order
-        means = (stats.cumsum(axis=0)[-1] / len(stats)).tolist() if len(stats) else [None] * 3
-        rows.append(MetricsRow(step, "rl", *means, acc))
-
-    # an example with nothing to match sits out every RL epoch
-    skipped_rl = tuple(sorted(ex.id for ex, m in zip(examples, matches) if m is None))
-    return TrainedArtifacts(
-        student=student,
-        ref=ref,
-        disc=disc,
-        rows=rows,
-        final_accuracy=eval_accuracy(student, acc_groups),
-        skipped_sft=skipped_sft,
-        skipped_rl=skipped_rl if cfg.epochs_stage2 else (),
-    )
+    return Plan(examples, cfg.metric, teacher).run(cfg, pools, sft_targets, match_overrides)
 
 
 def _passk_settings(

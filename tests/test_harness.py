@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import mk_mcq
+import mskd.train
 from oracles import permutation_pvalue
 from mskd.analysis import analyze_variance
 from mskd.corpus import ResponseRow
@@ -137,6 +138,17 @@ def test_ablation_b_equals_c_when_filter_disabled():
     assert by["B"].accuracies == by["C"].accuracies  # exact per-seed ties
 
 
+def no_training(monkeypatch):
+    """Fail on a benchmark or a plan built: the harnesses train every cell
+    through one Plan per benchmark, so nothing trains before either."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("built a benchmark or a plan before checking every setting")
+
+    for name in ("Plan", "make_closed_benchmark", "make_open_benchmark"):
+        monkeypatch.setattr(f"mskd.harness.{name}", fail)
+
+
 def test_run_ablation_summary_and_artifacts():
     bench = tiny_bench()
     summary, artifacts = run_ablation(
@@ -155,11 +167,7 @@ def test_run_ablation_summary_and_artifacts():
 
 
 def test_ablation_rejects_repeated_labels_and_untestable_seeds_before_training(monkeypatch):
-    def fail(*args, **kwargs):
-        raise AssertionError("trained before checking the settings")
-
-    monkeypatch.setattr("mskd.harness.run_pipeline", fail)
-    monkeypatch.setattr("mskd.harness.make_closed_benchmark", fail)
+    no_training(monkeypatch)
     with pytest.raises(ValueError, match=r"duplicate ablation settings \['A'\]"):
         run_ablation(tiny_cfg(), settings=("A", "A"), seeds=(0, 1))
     with pytest.raises(ValueError, match="duplicate"):
@@ -244,21 +252,9 @@ def test_misleading_proxy_inverts_latent():
 
 @pytest.mark.parametrize("run", [run_sensitivity, run_task_adaptive_check])
 def test_sweeps_reject_empty_seeds_before_training(run, monkeypatch):
-    def no_training(*args, **kwargs):
-        raise AssertionError("trained or built a benchmark before checking seeds")
-
-    for name in ("run_pipeline", "make_pools", "make_closed_benchmark", "make_open_benchmark"):
-        monkeypatch.setattr(f"mskd.harness.{name}", no_training)
+    no_training(monkeypatch)
     with pytest.raises(ValueError, match="seeds"):
         run(tiny_cfg(), seeds=())
-
-
-def no_training(monkeypatch):
-    def fail(*args, **kwargs):
-        raise AssertionError("trained before checking every setting")
-
-    for name in ("run_pipeline", "make_pools"):
-        monkeypatch.setattr(f"mskd.harness.{name}", fail)
 
 
 @pytest.mark.parametrize(
@@ -314,6 +310,36 @@ def test_harnesses_reject_a_non_integer_seed_before_training(monkeypatch, run, b
     no_training(monkeypatch)
     with pytest.raises(ValueError, match="^seed must be an integer"):
         run(tiny_cfg(), seeds=seeds, **benchmarks)
+
+
+def test_a_harness_call_builds_one_plan_and_draws_each_seed_and_k_once(monkeypatch):
+    # cells that differ only in tau or matching share their pool draw
+    built, drawn = [], []
+
+    def recording(record, original):
+        def wrapper(*args):
+            record.append(args[-1])  # the metric or the train config
+            return original(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(mskd.train, "build_caches", recording(built, mskd.train.build_caches))
+    monkeypatch.setattr(mskd.train, "make_pools", recording(drawn, mskd.train.make_pools))
+    bench, open_bench = tiny_bench(), make_open_benchmark(n_examples=3)
+    calls = (
+        (lambda: run_ablation(tiny_cfg(), seeds=(0, 1), benchmark=bench), 1, [(0, 1), (0, 3), (1, 1), (1, 3)]),
+        (lambda: run_sensitivity(tiny_cfg(), k_grid=(2, 3), tau_grid=(0.0, 0.5), seeds=(0, 1), benchmark=bench),
+         1, [(0, 2), (0, 3), (1, 2), (1, 3)]),
+        # one plan and one draw per (seed, K) on each benchmark
+        (lambda: run_task_adaptive_check(tiny_cfg(), seeds=(0, 1), closed_benchmark=bench,
+                                         open_benchmark=open_bench), 2, [(0, 3), (0, 3), (1, 3), (1, 3)]),
+    )
+    for run, plans, draws in calls:
+        built.clear()
+        drawn.clear()
+        run()
+        assert len(built) == plans
+        assert sorted((cfg.seed, cfg.k) for cfg in drawn) == draws
 
 
 def test_run_sensitivity_smoke():

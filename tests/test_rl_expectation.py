@@ -225,7 +225,7 @@ def test_student_update_expectation_with_the_discriminator(space, hidden_dim):
 def arm_inputs(ex, cfg, seed):
     """step_inputs with the pool an ablation arm trains on: the first cfg.k
     of ex's slots in another order with a broken envelope among them,
-    filtered at cfg.tau as make_pools filters."""
+    filtered at cfg.tau as run_pipeline filters."""
     inputs = step_inputs(ex, cfg, seed)
     raws = [render_payload(p) for p in ex.answer_space]
     raws = raws[2:] + ["<answer>broken"] + raws[:2]

@@ -31,7 +31,7 @@ from mskd.discriminator import (
 )
 from mskd.harness import make_closed_benchmark, make_open_benchmark, setting_config
 from mskd.policy import softmax
-from mskd.pool import sample_matches
+from mskd.pool import apply_filter, sample_matches
 from mskd.rewards import RewardWeights
 from mskd.synthetic import SyntheticTeacher
 from mskd.tasks import TemporalSegment
@@ -179,7 +179,8 @@ def run_both(bench, cfg, epochs=2):
     """Step the oracle through each epoch, example by example, and take the
     epoch in one rl_step call; compare after each epoch."""
     examples = bench.examples
-    pools = make_pools(examples, bench.teacher, cfg)
+    # the pools a cell trains on: drawn, then filtered at cfg.tau
+    pools = {k: apply_filter(pool, cfg.tau) for k, pool in make_pools(examples, bench.teacher, cfg).items()}
     featurizer = Featurizer(max(len(ex.answer_space) for ex in examples))
     caches = build_caches(examples, featurizer, cfg.metric)
     feats = {ex.id: pool_features(pools[ex.id], ex, caches[ex.id], featurizer) for ex in examples}

@@ -10,7 +10,7 @@ import mskd.train
 import oracles
 from oracles import sampled_pass_at_k
 from mskd.discriminator import Featurizer, init_params
-from mskd.harness import make_closed_benchmark, make_open_benchmark
+from mskd.harness import make_closed_benchmark, make_open_benchmark, setting_config
 from mskd.pool import (
     MatchingDistribution,
     NoValidTargetError,
@@ -24,7 +24,7 @@ from mskd.rewards import InvalidWeightsError, RewardWeights
 from mskd.synthetic import SyntheticTeacher
 from mskd.tasks import Number, SpatialBox, SupervisionExample, TaskType, TemporalSegment, Text, render_payload
 from mskd.train import (
-    MetricsRow,
+    Plan,
     TrainConfig,
     _passk_settings,
     build_caches,
@@ -158,6 +158,15 @@ def test_run_pipeline_rejects_pools_that_miss_or_name_no_example(monkeypatch):
             run_pipeline(exs, small_cfg(k=2), pools=given)
 
 
+def test_run_pipeline_rejects_a_pool_of_another_example(monkeypatch):
+    # mcq-1's pool under mcq-0's key once trained mcq-0 toward mcq-1's answer
+    monkeypatch.setattr(mskd.train, "_sft_epoch", _training_forbidden)
+    exs = [mk_mcq(0, gt="B"), mk_mcq(1, gt="C")]
+    pool = build_pool(exs[1], ["<answer>C</answer>", "<answer>C</answer>"])
+    with pytest.raises(ValueError, match=r"^pools\['mcq-0'\] is the pool of example 'mcq-1'$"):
+        run_pipeline(exs[:1], small_cfg(k=2), pools={"mcq-0": pool})
+
+
 def test_run_pipeline_rejects_a_pool_of_another_task(monkeypatch):
     # an open-ended pool has no qualities, so a closed example would train
     # on uniform matching and unit pair weights without a word
@@ -268,7 +277,7 @@ def test_pipeline_improves_accuracy_over_uniform():
     assert art.final_accuracy is not None
     assert art.final_accuracy > 0.25 + 0.2  # well above the uniform baseline
     assert art.skipped_sft == () and art.skipped_rl == ()
-    assert len(art.rows) == 4 + 6
+    assert art.metrics.shape == (4 + 6, 4) and art.sft_epochs == 4
 
 
 def test_pipeline_stage2_zero_keeps_ref_equal_to_student():
@@ -337,7 +346,7 @@ def test_pipeline_rerun_is_bit_identical():
     cfg = small_cfg(hidden_dim=3)
     a = run_pipeline(exs, cfg, teacher=teacher)
     b = run_pipeline(exs, cfg, teacher=teacher)
-    assert metrics_to_csv(a.rows) == metrics_to_csv(b.rows)
+    assert metrics_to_csv(a.metrics, a.sft_epochs) == metrics_to_csv(b.metrics, b.sft_epochs)
     for ex in exs:
         np.testing.assert_array_equal(a.student[ex.id], b.student[ex.id])
     np.testing.assert_array_equal(a.disc.weights, b.disc.weights)
@@ -362,7 +371,7 @@ def test_knobs_do_not_perturb_unrelated_streams():
     quality = small_cfg(matching="quality", tau=0.0)
     a = run_pipeline(exs, base, teacher=teacher)
     b = run_pipeline(exs, quality, teacher=teacher)
-    assert metrics_to_csv(a.rows) == metrics_to_csv(b.rows)
+    assert metrics_to_csv(a.metrics, a.sft_epochs) == metrics_to_csv(b.metrics, b.sft_epochs)
     for ex in exs:
         np.testing.assert_array_equal(a.student[ex.id], b.student[ex.id])
 
@@ -372,7 +381,7 @@ def test_tau_zero_equals_no_filter_exactly():
     teacher = point_mass_teacher(exs)
     a = run_pipeline(exs, small_cfg(tau=0.0), teacher=teacher)
     b = run_pipeline(exs, small_cfg(tau=0.0), teacher=teacher)
-    assert metrics_to_csv(a.rows) == metrics_to_csv(b.rows)
+    assert metrics_to_csv(a.metrics, a.sft_epochs) == metrics_to_csv(b.metrics, b.sft_epochs)
 
 
 def slot_quality(caches):
@@ -452,16 +461,22 @@ def test_batched_expected_scores_match_per_example_loops(seed):
 
 
 def test_metrics_csv_layout():
-    rows = [
-        MetricsRow(1, "sft", None, None, None, 0.5),
-        MetricsRow(2, "rl", 0.125, 0.6931471805599453, 0.0, None),
-    ]
-    got = metrics_to_csv(rows)
+    # an RL epoch that stepped no example is empty but for its accuracy, so
+    # the stage comes from the SFT epoch count, not from the empty cells
+    nan = float("nan")
+    metrics = np.array([
+        [nan, nan, nan, 0.5],
+        [0.125, 0.6931471805599453, 0.0, nan],
+        [nan, nan, nan, 0.25],
+    ])
+    got = metrics_to_csv(metrics, 1)
     assert got == (
         "step,stage,mean_reward,disc_loss,kl,accuracy\n"
         "1,sft,,,,0.5\n"
         "2,rl,0.125,0.6931471805599453,0.0,\n"
+        "3,rl,,,,0.25\n"
     )
+    assert metrics_to_csv(np.empty((0, 4)), 0) == "step,stage,mean_reward,disc_loss,kl,accuracy\n"
 
 
 def test_pool_features_shape_and_reuse():
@@ -486,7 +501,7 @@ def test_pool_features_match_the_slot_row_oracle_on_synthetic_pools():
         featurizer = Featurizer(max(len(ex.answer_space) for ex in bench.examples))
         caches = build_caches(bench.examples, featurizer)
         for ex in bench.examples:
-            pool = pools[ex.id]
+            pool = apply_filter(pools[ex.id], 0.5)
             got = pool_features(pool, ex, caches[ex.id], featurizer)
             want = oracles.pool_features(pool, ex, caches[ex.id], featurizer)
             assert (got.shape, got.tobytes()) == (want.shape, want.tobytes()), ex.id
@@ -631,21 +646,56 @@ def test_pass_at_k_matches_sampled_oracle(student_index):
         assert abs(r_hat - r) <= 4.0 * np.sqrt(r * (1.0 - r) / len(exs))
 
 
-def test_make_pools_applies_filter():
-    ex = mk_mcq(0, gt="B")
-    teacher = SyntheticTeacher(
-        probs={ex.id: np.array([0.5, 0.5, 0.0, 0.0])}, violation_rate={ex.id: 0.0}
-    )
-    cfg = small_cfg(k=8, tau=0.5)
-    pools = make_pools([ex], teacher, cfg)
-    pool = pools[ex.id]
-    assert pool.tau_applied == 0.5
-    # wrong answers (quality 0) are zeroed by the filter, right ones kept
-    for q, resp in zip(pool.qualities, pool.responses):
-        if resp.payload == ex.ground_truth:
-            assert q == 1.0
-        else:
-            assert q == 0.0
+def saved(art, out):
+    """The bytes of the files art.save writes."""
+    art.save(out)
+    return {name: (out / name).read_bytes() for name in ("metrics.csv", "disc.json", "student.json")}
+
+
+def test_make_pools_draws_unfiltered_pools_that_the_cell_filters(tmp_path):
+    # tau is applied where a cell trains: make_pools keeps the raw
+    # qualities, and training on its pools equals training from the teacher
+    ex = mk_temporal(0)
+    teacher = SyntheticTeacher(probs={ex.id: np.full(4, 0.25)}, violation_rate={ex.id: 0.0})
+    pool = make_pools([ex], teacher, small_cfg(k=8, tau=0.5))[ex.id]
+    assert pool.tau_applied is None
+    assert pool.qualities == build_pool(ex, [r.raw for r in pool.responses]).qualities
+    assert any(0.0 < q < 0.5 for q in pool.qualities)  # a quality the filter would zero
+    bench = make_closed_benchmark(n_mcq=2, n_temporal=3, retention_target=None)
+    for arm in "ABCD":
+        cfg = setting_config(arm, small_cfg(tau=0.5))
+        pools = make_pools(bench.examples, bench.teacher, cfg)
+        got = saved(run_pipeline(bench.examples, cfg, pools=pools), tmp_path / "pools")
+        assert got == saved(run_pipeline(bench.examples, cfg, teacher=bench.teacher), tmp_path / "teacher"), arm
+
+
+def test_one_plan_across_arms_and_taus_equals_fresh_runs(tmp_path):
+    bench = make_closed_benchmark(n_mcq=2, n_temporal=3, retention_target=None)
+    plan = Plan(bench.examples, MetricConfig(), bench.teacher)
+    for seed in (0, 1):
+        for tau in (0.0, 0.3, 0.6):
+            for arm in "ABCD":
+                cfg = setting_config(arm, small_cfg(tau=tau, seed=seed))
+                got = saved(plan.run(cfg), tmp_path / "plan")
+                want = saved(run_pipeline(bench.examples, cfg, teacher=bench.teacher), tmp_path / "fresh")
+                assert got == want, (seed, tau, arm)
+    # no cell wrote into the shared slot rows
+    fresh = build_caches(bench.examples, plan.featurizer, plan.metric)
+    assert list(plan.caches) == list(fresh)
+    for k, rows in fresh.items():
+        assert plan.caches[k].tobytes() == rows.tobytes(), k
+
+
+def test_plan_rejects_a_cell_under_another_metric(monkeypatch):
+    # the plan's slot rows and pool qualities were scored under its metric
+    exs = [mk_mcq(0), mk_temporal(1)]
+    plan = Plan(exs, MetricConfig(), point_mass_teacher(exs))
+    monkeypatch.setattr(mskd.train, "make_pools", _pools_forbidden)
+    monkeypatch.setattr(mskd.train, "_sft_epoch", _training_forbidden)
+    other = small_cfg(metric=MetricConfig(eps_rel=0.1))
+    for call in (plan.run, plan.pools):
+        with pytest.raises(ValueError, match=r"^train config metric .* is not the plan's metric"):
+            call(other)
 
 
 def test_train_config_validation():
@@ -749,8 +799,8 @@ def test_match_override_changes_pairs_only():
     a = run_pipeline([ex], cfg, pools={ex.id: pool})
     b = run_pipeline([ex], cfg, pools={ex.id: pool}, match_overrides={ex.id: override})
     # rollout stream is shared, so rewards and KL agree even if pairs differ
-    assert a.rows[-1].mean_reward == b.rows[-1].mean_reward
-    assert a.rows[-1].kl == b.rows[-1].kl
+    assert a.metrics[-1, 0] == b.metrics[-1, 0]  # mean reward
+    assert a.metrics[-1, 2] == b.metrics[-1, 2]  # KL
 
 
 def test_bad_match_override_is_rejected():
