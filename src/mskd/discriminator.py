@@ -17,6 +17,7 @@ the scorer has no bias term, and checkpoints record it as 0.0.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -112,41 +113,85 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
+def _theta(params: DiscriminatorParams) -> list[np.ndarray]:
+    """The scorer's arrays, in DiscriminatorParams' field order."""
+    return [params.weights] if params.is_linear else [params.weights, params.hidden_w, params.hidden_b]
+
+
+def _pair_grad(
+    theta: list[np.ndarray], ft: np.ndarray, fs: np.ndarray, d: np.ndarray, q: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """One pair batch's raw student scores, its margins z = D(student) -
+    D(teacher) and the gradient of its mean weighted pair loss, the arrays
+    in theta's order.  ft and fs are the (n, dim) teacher and student rows
+    and d = fs - ft, the only rows the linear scorer's margins and gradient
+    read: z is d @ w, which fs @ w - ft @ w would round differently.
+
+    Means are written as sum / n, which is exactly how numpy's mean computes
+    them, so the bits are the same.
+    """
+    n = len(fs)
+    if len(theta) == 1:
+        (w,) = theta
+        z = d @ w
+        g = q * _sigmoid(z)
+        return fs @ w, z, [(g[:, None] * d).sum(axis=0) / n]
+    w, hidden_w, hidden_b = theta
+    ht = np.tanh(ft @ hidden_w.T + hidden_b)
+    hs = np.tanh(fs @ hidden_w.T + hidden_b)
+    dh = hs - ht
+    z = dh @ w
+    g = q * _sigmoid(z)
+    grad_w = (g[:, None] * dh).sum(axis=0) / n
+    # backprop through tanh: d score / d hidden_w[j,:] = w_j (1-h_j^2) f
+    bs = g[:, None] * (1.0 - hs * hs) * w
+    bt = g[:, None] * (1.0 - ht * ht) * w
+    return hs @ w, z, [grad_w, (bs.T @ fs - bt.T @ ft) / n, (bs - bt).sum(axis=0) / n]
+
+
 def _batch_loss_and_grad(
     params: DiscriminatorParams,
     teacher_feats: np.ndarray,
     student_feats: np.ndarray,
     q_match: np.ndarray,
 ) -> tuple[float, DiscriminatorParams]:
-    """Mean weighted pairwise loss and its gradient over a pair batch.
-
-    Means are written as sum / n, which is exactly how numpy's mean computes
-    them, so the bits are the same.
-    """
+    """Mean weighted pairwise loss and its gradient over a pair batch."""
     ft = np.atleast_2d(np.asarray(teacher_feats, dtype=float))
     fs = np.atleast_2d(np.asarray(student_feats, dtype=float))
     q = np.asarray(q_match, dtype=float).reshape(-1)
-    n = ft.shape[0]
-    if params.is_linear:
-        d = fs - ft
-        z = d @ params.weights
-        loss = float((q * np.logaddexp(0.0, z)).sum() / n)
-        g = q * _sigmoid(z)
-        grad_w = (g[:, None] * d).sum(axis=0) / n
-        return loss, DiscriminatorParams(weights=grad_w)
-    ht = np.tanh(ft @ params.hidden_w.T + params.hidden_b)
-    hs = np.tanh(fs @ params.hidden_w.T + params.hidden_b)
-    dh = hs - ht
-    z = dh @ params.weights
-    loss = float((q * np.logaddexp(0.0, z)).sum() / n)
-    g = q * _sigmoid(z)
-    grad_w = (g[:, None] * dh).sum(axis=0) / n
-    # backprop through tanh: d score / d hidden_w[j,:] = w_j (1-h_j^2) f
-    bs = g[:, None] * (1.0 - hs * hs) * params.weights
-    bt = g[:, None] * (1.0 - ht * ht) * params.weights
-    grad_hw = (bs.T @ fs - bt.T @ ft) / n
-    grad_hb = (bs - bt).sum(axis=0) / n
-    return loss, DiscriminatorParams(weights=grad_w, hidden_w=grad_hw, hidden_b=grad_hb)
+    _, z, grad = _pair_grad(_theta(params), ft, fs, fs - ft, q)
+    return float((q * np.logaddexp(0.0, z)).sum() / len(fs)), DiscriminatorParams(*grad)
+
+
+def chain_update(
+    params: DiscriminatorParams,
+    teacher: np.ndarray,
+    student: np.ndarray,
+    pair_w: np.ndarray,
+    lr: float,
+) -> tuple[DiscriminatorParams, np.ndarray, np.ndarray]:
+    """A chain of descent steps, one per pair batch, in order.
+
+    teacher and student are (m, n, dim) stacks of m batches of n matched
+    rows, and pair_w the (m, n) pair weights.  Step i scores student[i]
+    under the params it starts from, then descends batch i's mean weighted
+    pair loss once.  Returns the final params (params itself when m is 0),
+    the (m, n) raw student scores and the (m,) losses, each of the params
+    its step started from.  Only the descent is sequential: the row
+    differences are taken once for the chain and the losses in one pass
+    after it.
+    """
+    if not (math.isfinite(lr) and lr > 0):
+        raise ValueError(f"lr must be finite and > 0, got {lr}")
+    m, n = student.shape[:2]
+    theta = _theta(params)
+    d = student - teacher
+    scores, z = np.empty((m, n)), np.empty((m, n))
+    for i in range(m):
+        scores[i], z[i], grad = _pair_grad(theta, teacher[i], student[i], d[i], pair_w[i])
+        theta = [t - lr * g for t, g in zip(theta, grad)]
+    losses = (pair_w * np.logaddexp(0.0, z)).sum(axis=1) / n
+    return (DiscriminatorParams(*theta) if m else params), scores, losses
 
 
 def batch_update(
@@ -156,11 +201,13 @@ def batch_update(
     q_match: np.ndarray,
     lr: float,
 ) -> tuple[DiscriminatorParams, float]:
-    """Descend the mean pair loss once; returns (new params, loss before)."""
-    if lr <= 0:
-        raise ValueError(f"lr must be positive, got {lr}")
-    loss, grad = _batch_loss_and_grad(params, teacher_feats, student_feats, q_match)
-    return apply_gradient(params, grad, lr), loss
+    """Descend the mean pair loss once, chain_update's one-batch case;
+    returns (new params, loss before)."""
+    ft = np.atleast_2d(np.asarray(teacher_feats, dtype=float))
+    fs = np.atleast_2d(np.asarray(student_feats, dtype=float))
+    q = np.asarray(q_match, dtype=float).reshape(-1)
+    params, _, losses = chain_update(params, ft[None], fs[None], q[None], lr)
+    return params, float(losses[0])
 
 
 def apply_gradient(

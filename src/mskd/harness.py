@@ -436,7 +436,9 @@ def run_sensitivity(
     benchmark: Benchmark | None = None,
 ) -> SensitivityResult:
     """Accuracy over a K grid and a tau grid; tau cells of a seed share one
-    pool draw, so measured retention is exactly non-increasing in tau."""
+    pool draw, so measured retention is exactly non-increasing in tau.  Each
+    distinct config trains once: the (cfg_base.k, cfg_base.tau) cell of a
+    seed is in both tables."""
     if not seeds:
         raise ValueError("seeds must not be empty")
     # every cell's config first, so a bad grid value fails before any training
@@ -444,16 +446,20 @@ def run_sensitivity(
     tau_cfgs = [[replace(cfg_base, tau=tau, seed=s) for s in seeds] for tau in tau_grid]
     bench = benchmark if benchmark is not None else make_closed_benchmark()
     plan = Plan(bench.examples, cfg_base.metric, bench.teacher)
+    accuracy: dict[TrainConfig, float | None] = {}
+    for cfg in (cfg for cfgs in k_cfgs + tau_cfgs for cfg in cfgs):
+        if cfg not in accuracy:
+            accuracy[cfg] = plan.run(cfg).final_accuracy
     k_cells = []
     for k, cfgs in zip(k_grid, k_cfgs):
-        accs = [plan.run(cfg).final_accuracy for cfg in cfgs]
+        accs = [accuracy[cfg] for cfg in cfgs]
         k_cells.append(SweepCell(float(k), float(np.mean(accs)), float(np.std(accs))))
 
     tau_cells = []
     for tau, cfgs in zip(tau_grid, tau_cfgs):
         accs, rets = [], []
         for cfg in cfgs:
-            accs.append(plan.run(cfg).final_accuracy)
+            accs.append(accuracy[cfg])
             pools = plan.pools(cfg).values()
             qs = np.concatenate([np.asarray(p.qualities) for p in pools if p.qualities is not None])
             rets.append(float((qs >= tau).mean()))

@@ -1,14 +1,17 @@
 """Two-stage trainer: supervised warm start, then adversarial RL.
 
 Stage 1 fits the categorical student to the best pool response per example
-by cross-entropy.  Stage 2 takes, per example and epoch, one step: sample N
-rollouts, pair each with a teacher response drawn from the matching
-distribution, reward the rollouts (discriminator + format + content), apply
-a policy-gradient update with a group-mean advantage baseline and an exact
-KL pull toward the frozen Stage-1 policy, then descend the discriminator's
-pairwise loss on the matched pairs.  rl_step runs a whole epoch of these
-steps: only the discriminator moves from step to step, so the student half
-of every step is batched across the epoch's examples.
+by cross-entropy, one row-wise pass per answer-space size and epoch.  Stage
+2 takes, per example and epoch, one step: sample N rollouts, pair each with
+a teacher response drawn from the matching distribution, reward the
+rollouts (discriminator + format + content), apply a policy-gradient update
+with a group-mean advantage baseline and an exact KL pull toward the frozen
+Stage-1 policy, then descend the discriminator's pairwise loss on the
+matched pairs.  rl_step runs a whole epoch of these steps: only the
+discriminator moves from step to step, so the student half of every step is
+batched across the epoch's examples, each epoch's rollout and teacher rows
+are gathered in one take each, and the discriminator's steps are one chain
+(discriminator.chain_update) that keeps only the descent sequential.
 
 The student is its logits: a dict from example id to one array over the
 example's answer space.  A slot's feature row (build_caches) is its one
@@ -21,10 +24,11 @@ bit-reproducible and ablation arms that should coincide do so exactly.  The
 RL steps' streams are the two spawned children of that sequence; a step
 reads the first n_rollouts doubles of each, which uniform_table computes for
 a whole run at once, bit for bit, from stream_table's seed states.  All else
-a step reads is taken once: per run, the reference policy and each pool's
-feature rows and matched rows for every epoch; per Plan, shared by every
-cell on one set of examples, the slot rows and accuracy groups under one
-metric and each (seed, k)'s unfiltered pools.  Pool streams do not depend on
+a step reads is taken once: per run, the reference policy, the pools'
+feature rows as one (examples, K, dim) stack and each pool's matched rows
+for every epoch; per Plan, shared by every cell on one set of examples, the
+slot rows as one (total_slots, dim) matrix and the accuracy groups under one
+metric, and each (seed, k)'s unfiltered pools.  Pool streams do not depend on
 tau or matching, so cells share a draw, and the filter at cfg.tau is applied
 only where a cell trains (Plan.run).  run_pipeline is a fresh plan's cell.
 
@@ -52,10 +56,9 @@ from mskd.discriminator import (
     DiscriminatorParams,
     Featurizer,
     _sigmoid,
-    batch_update,
+    chain_update,
     init_params,
     save_params,
-    score_batch,
 )
 from mskd.metrics import DEFAULT_METRICS, MetricConfig, _check_numbers, _is_finite, _is_int, quality_score
 from mskd.policy import _invert_rows, checked_cdf, kl_gradient_logits, nucleus, softmax
@@ -340,15 +343,17 @@ def _sft_epoch(
     targets: dict[str, int],
     lr: float,
 ) -> None:
-    """One cross-entropy descent pass toward each example's target slot."""
-    for ex in examples:
-        slot = targets.get(ex.id)
-        if slot is None:
-            continue
-        logits = student[ex.id]
+    """One cross-entropy descent pass toward each example's target slot;
+    an example without a target is left as it is.  Each answer-space size
+    takes one row-wise softmax, which gives every example's step bit for
+    bit."""
+    taught = [ex for ex in examples if ex.id in targets]
+    for ids, _, logits in score_groups(taught, [student[ex.id] for ex in taught]):
         p = softmax(logits)
-        p[slot] -= 1.0
+        p[np.arange(len(ids)), [targets[k] for k in ids]] -= 1.0
         logits -= lr * p  # grad of NLL is (probs - onehot)
+        for k, updated in zip(ids, logits):
+            student[k][...] = updated
 
 
 def matching_for(pool: TeacherPool, cfg: TrainConfig) -> MatchingDistribution | None:
@@ -368,33 +373,43 @@ def rl_step(
     cfg: TrainConfig,
     uniforms: np.ndarray,
     matches: list[np.ndarray | None],
-    caches: dict[str, np.ndarray],
-    pool_feats: dict[str, np.ndarray],
+    slot_rows: np.ndarray,
+    pool_rows: np.ndarray,
 ) -> tuple[DiscriminatorParams, np.ndarray]:
     """One epoch of adversarial distillation over examples (distinct ids).
 
     student maps each example id to its logits, and ref_probs to the frozen
-    reference policy's distribution.  caches (built with cfg.metric) and
-    pool_feats hold each example's build_caches and pool_features rows.
-    uniforms[i] is example i's n_rollouts rollout uniforms, which it inverts
-    as Generator.choice would, and matches[i] the pool rows its rollouts are
-    paired with; None skips the example.  Under quality matching on a
+    reference policy's distribution.  slot_rows stacks the examples'
+    build_caches rows (built with cfg.metric) in example order, and
+    pool_rows (examples, K, dim) their pool_features rows.  uniforms[i] is
+    example i's n_rollouts rollout uniforms, which it inverts as
+    Generator.choice would, and matches[i] the pool rows its rollouts are
+    paired with; None skips the example.  Stacks of another number of
+    slots or pools raise ValueError.  Under quality matching on a
     closed-ended example a pair's weight in the discriminator's loss is the
     quality column of its teacher row, else 1.
 
-    Order: every rollout is drawn from the epoch-start policy; then, one
-    example after another, the discriminator scores that example's rollout
-    rows and descends its pair loss on the matched pairs; the student
-    updates (policy gradient with a group-mean baseline + KL pull) land at
-    the end, in place, with each rollout's reward read off the same rows'
-    reward columns.  Example i's logits are read and written by its step
-    alone, and the discriminator reads only rollout feature rows, so this is
-    a per-example sequence of steps bit for bit; each answer-space-size
+    Order: every rollout is drawn from the epoch-start policy; the rollout
+    rows and the matched teacher rows of the whole epoch are gathered in one
+    take each; then the discriminator walks one chain (chain_update), one
+    example after another: it scores that example's rollout rows and
+    descends its pair loss on the matched pairs.  The student updates
+    (policy gradient with a group-mean baseline + KL pull) land at the end,
+    in place, with each rollout's reward read off the same rows' reward
+    columns.  Example i's logits are read and written by its step alone,
+    and the discriminator reads only rollout feature rows, so this is a
+    per-example sequence of steps bit for bit; each answer-space-size
     group's student half is one row-wise pass.  The stats hold one row per
     example stepped, in order: its mean reward, the discriminator's loss
     before its step and its KL, each of the state it acted on.
     """
     _check_distinct_ids(examples)
+    sizes = [len(ex.answer_space) for ex in examples]
+    if slot_rows.shape[0] != sum(sizes) or pool_rows.shape[0] != len(examples):
+        raise ValueError(
+            f"slot_rows hold {slot_rows.shape[0]} rows and pool_rows {pool_rows.shape[0]} pools for "
+            f"{len(examples)} examples of {sum(sizes)} slots"
+        )
     active = [i for i, m in enumerate(matches) if m is not None]
     ids = [examples[i].id for i in active]
     n = cfg.n_rollouts
@@ -409,18 +424,22 @@ def rl_step(
         stats[rows, 2], kl_grad = kl_gradient_logits(p, ref)
         groups.append((gids, rows, logits, p, kl_grad))
 
-    # each rollout's slot row, gathered once for the discriminator and the reward
-    roll_feats = np.empty((len(active), n, disc.feature_dim))
-    raw_scores = np.empty((len(active), n))
-    weighted, unit = cfg.matching == "quality", np.ones(n)
-    # take(), not fancy indexing: the same rows at a fraction of the call cost
-    for pos, (i, k, roll) in enumerate(zip(active, ids, rollouts)):
-        student_feats = roll_feats[pos] = caches[k].take(roll, 0)
-        raw_scores[pos] = score_batch(disc, student_feats)
-        teacher_feats = pool_feats[k].take(matches[i], 0)
-        # a contiguous copy: a strided column costs the loss more than the copy
-        pair_w = teacher_feats[:, QUALITY_COL].copy() if weighted and examples[i].task.is_closed else unit
-        disc, stats[pos, 1] = batch_update(disc, teacher_feats, student_feats, pair_w, cfg.lr_disc)
+    # each rollout's slot row, gathered once for the discriminator and the
+    # reward, and each matched teacher row; take(), not fancy indexing: the
+    # same rows at a fraction of the call cost
+    at = np.array(active, dtype=np.intp)[:, None]
+    starts = np.cumsum([0] + sizes[:-1], dtype=np.intp)
+    roll_feats = slot_rows.take(starts[at] + rollouts, 0)
+    _, k, dim = pool_rows.shape
+    # the reshape keeps the (0, n) shape of an epoch with nothing to match
+    picks = np.array([matches[i] for i in active], dtype=np.intp).reshape(len(active), n)
+    teacher_feats = pool_rows.reshape(-1, dim).take(at * k + picks, 0)
+    if cfg.matching == "quality":
+        closed = np.array([examples[i].task.is_closed for i in active], dtype=bool)
+        pair_w = np.where(closed[:, None], teacher_feats[..., QUALITY_COL], 1.0)
+    else:
+        pair_w = np.ones((len(active), n))
+    disc, raw_scores, stats[:, 1] = chain_update(disc, teacher_feats, roll_feats, pair_w, cfg.lr_disc)
 
     for gids, rows, logits, p, kl_grad in groups:
         size, m = p.shape
@@ -605,14 +624,19 @@ class Plan:
     """What every training cell on examples shares: the featurizer, the
     build_caches rows and closed examples' accuracy score_groups under
     metric, and each (seed, k)'s make_pools draw, made on first use.  A cell
-    under another metric raises ValueError."""
+    under another metric raises ValueError.  The slot rows are one
+    (total_slots, dim) matrix, slot_rows, in example order, and caches[id]
+    are views of it."""
 
     def __init__(
         self, examples: list[SupervisionExample], metric: MetricConfig, teacher: SyntheticTeacher | None = None
     ) -> None:
         self.examples, self.metric, self.teacher = examples, metric, teacher
         self.featurizer = Featurizer(max(len(ex.answer_space) for ex in examples))
-        self.caches = build_caches(examples, self.featurizer, metric)
+        caches = build_caches(examples, self.featurizer, metric)
+        self.slot_rows = np.concatenate(list(caches.values()))
+        bounds = np.cumsum([len(rows) for rows in caches.values()])[:-1]
+        self.caches = dict(zip(caches, np.split(self.slot_rows, bounds)))
         closed = [ex for ex in examples if ex.task.is_closed]
         self.acc_groups = score_groups(closed, [self.caches[ex.id][:, QUALITY_COL] for ex in closed])
         self._pools: dict[tuple[int, int], dict[str, TeacherPool]] = {}
@@ -646,13 +670,13 @@ class Plan:
         _check_inputs(examples, cfg, self.teacher, pools, sft_targets, match_overrides)
         drawn = self.pools(cfg) if pools is None else pools
         pools = {ex.id: apply_filter(drawn[ex.id], cfg.tau) for ex in examples}
-        pool_feats = {ex.id: pool_features(pools[ex.id], ex, caches[ex.id], featurizer) for ex in examples}
+        pool_rows = np.stack([pool_features(pools[ex.id], ex, caches[ex.id], featurizer) for ex in examples])
         match_dists = {ex.id: matching_for(pools[ex.id], cfg) for ex in examples}
         match_dists.update(match_overrides or {})
         table = stream_table(cfg.seed, np.arange(cfg.epochs_stage2)[:, None], np.arange(len(examples)))
         uniforms = uniform_table(table, cfg.n_rollouts)
         # every epoch's matched pool rows, drawn once per pool before training;
-        # each step gathers its teacher rows itself
+        # rl_step gathers an epoch's teacher rows in one take
         matches = [
             None if (d := match_dists[ex.id]) is None else sample_matches(d, uniforms[:, i, 1])
             for i, ex in enumerate(examples)
@@ -676,7 +700,7 @@ class Plan:
         for epoch in range(cfg.epochs_stage2):
             disc, stats = rl_step(
                 student, ref_probs, disc, examples, cfg, uniforms[epoch, :, 0],
-                [None if m is None else m[epoch] for m in matches], caches, pool_feats,
+                [None if m is None else m[epoch] for m in matches], self.slot_rows, pool_rows,
             )
             # cumsum adds the rows one after another, in step order
             means = (stats.cumsum(axis=0)[-1] / len(stats)).tolist() if len(stats) else [None] * 3

@@ -29,6 +29,11 @@ expected_logit_update below is its exact expectation over the rollout
 uniforms, which the sampled steps are checked against, and
 expected_disc_update that of its discriminator half, over the rollout and
 matching uniforms.
+discriminator.chain_update walks an epoch's pair batches in one chain and
+train._sft_epoch takes one row-wise softmax per answer-space size;
+disc_chain and sft_epoch below are the per-example loops they replaced,
+disc_chain over verbatim copies of score_batch, _batch_loss_and_grad,
+batch_update and apply_gradient as they were then (renamed loop_*).
 A student is its logits, a dict from example id to one array per answer
 space, here as in the library.
 """
@@ -43,7 +48,7 @@ import numpy as np
 
 from mskd.analysis import QUANTILES, TaskVariance, VarianceReport
 from mskd.corpus import ResponseRow
-from mskd.discriminator import _LEN_SCALE, DiscriminatorParams, Featurizer, _batch_loss_and_grad
+from mskd.discriminator import _LEN_SCALE, DiscriminatorParams, Featurizer, _batch_loss_and_grad, _sigmoid
 from mskd.metrics import DEFAULT_METRICS, MetricConfig, quality_score
 from mskd.policy import categorical_draw, nucleus, softmax
 from mskd.pool import TeacherPool
@@ -194,6 +199,109 @@ def expected_disc_update(
             _, grad = _batch_loss_and_grad(params, t_row[None], s_row[None], np.ones(1))
             total += m * p * w * disc_vector(grad)
     return -lr * total
+
+
+def loop_score_batch(params: DiscriminatorParams, feats: np.ndarray) -> np.ndarray:
+    """Raw (pre-sigmoid) score of each feature row; higher means more
+    teacher-like."""
+    feats = np.atleast_2d(np.asarray(feats, dtype=float))
+    if params.is_linear:
+        return feats @ params.weights
+    h = np.tanh(feats @ params.hidden_w.T + params.hidden_b)
+    return h @ params.weights
+
+
+def loop_batch_loss_and_grad(
+    params: DiscriminatorParams,
+    teacher_feats: np.ndarray,
+    student_feats: np.ndarray,
+    q_match: np.ndarray,
+) -> tuple[float, DiscriminatorParams]:
+    """Mean weighted pairwise loss and its gradient over a pair batch.
+
+    Means are written as sum / n, which is exactly how numpy's mean computes
+    them, so the bits are the same.
+    """
+    ft = np.atleast_2d(np.asarray(teacher_feats, dtype=float))
+    fs = np.atleast_2d(np.asarray(student_feats, dtype=float))
+    q = np.asarray(q_match, dtype=float).reshape(-1)
+    n = ft.shape[0]
+    if params.is_linear:
+        d = fs - ft
+        z = d @ params.weights
+        loss = float((q * np.logaddexp(0.0, z)).sum() / n)
+        g = q * _sigmoid(z)
+        grad_w = (g[:, None] * d).sum(axis=0) / n
+        return loss, DiscriminatorParams(weights=grad_w)
+    ht = np.tanh(ft @ params.hidden_w.T + params.hidden_b)
+    hs = np.tanh(fs @ params.hidden_w.T + params.hidden_b)
+    dh = hs - ht
+    z = dh @ params.weights
+    loss = float((q * np.logaddexp(0.0, z)).sum() / n)
+    g = q * _sigmoid(z)
+    grad_w = (g[:, None] * dh).sum(axis=0) / n
+    # backprop through tanh: d score / d hidden_w[j,:] = w_j (1-h_j^2) f
+    bs = g[:, None] * (1.0 - hs * hs) * params.weights
+    bt = g[:, None] * (1.0 - ht * ht) * params.weights
+    grad_hw = (bs.T @ fs - bt.T @ ft) / n
+    grad_hb = (bs - bt).sum(axis=0) / n
+    return loss, DiscriminatorParams(weights=grad_w, hidden_w=grad_hw, hidden_b=grad_hb)
+
+
+def loop_batch_update(
+    params: DiscriminatorParams,
+    teacher_feats: np.ndarray,
+    student_feats: np.ndarray,
+    q_match: np.ndarray,
+    lr: float,
+) -> tuple[DiscriminatorParams, float]:
+    """Descend the mean pair loss once; returns (new params, loss before)."""
+    if lr <= 0:
+        raise ValueError(f"lr must be positive, got {lr}")
+    loss, grad = loop_batch_loss_and_grad(params, teacher_feats, student_feats, q_match)
+    return loop_apply_gradient(params, grad, lr), loss
+
+
+def loop_apply_gradient(
+    params: DiscriminatorParams, grad: DiscriminatorParams, lr: float
+) -> DiscriminatorParams:
+    if params.is_linear:
+        return DiscriminatorParams(weights=params.weights - lr * grad.weights)
+    return DiscriminatorParams(
+        weights=params.weights - lr * grad.weights,
+        hidden_w=params.hidden_w - lr * grad.hidden_w,
+        hidden_b=params.hidden_b - lr * grad.hidden_b,
+    )
+
+
+def disc_chain(
+    params: DiscriminatorParams, teacher: np.ndarray, student: np.ndarray, pair_w: np.ndarray, lr: float
+) -> tuple[DiscriminatorParams, np.ndarray, np.ndarray]:
+    """The discriminator half of an rl_step epoch as the loop it was: per
+    example, in order, score its student rows, then descend its pair loss
+    once.  The final params, the (m, n) raw scores and the (m,) losses."""
+    scores, losses = np.empty(pair_w.shape), np.empty(len(pair_w))
+    for pos, (teacher_feats, student_feats, q) in enumerate(zip(teacher, student, pair_w)):
+        scores[pos] = loop_score_batch(params, student_feats)
+        params, losses[pos] = loop_batch_update(params, teacher_feats, student_feats, q, lr)
+    return params, scores, losses
+
+
+def sft_epoch(
+    student: dict[str, np.ndarray],
+    examples: list[SupervisionExample],
+    targets: dict[str, int],
+    lr: float,
+) -> None:
+    """One cross-entropy descent pass toward each example's target slot."""
+    for ex in examples:
+        slot = targets.get(ex.id)
+        if slot is None:
+            continue
+        logits = student[ex.id]
+        p = softmax(logits)
+        p[slot] -= 1.0
+        logits -= lr * p  # grad of NLL is (probs - onehot)
 
 
 def score_answer_space(

@@ -464,7 +464,7 @@ def test_criterion_06_policy_update_and_kl():
         matches = sample_matches(match_dist, uniforms[1])
         disc, _ = rl_step(
             student, {ex.id: softmax(theta)}, disc, [ex], cfg, uniforms[None, 0], [matches],
-            {ex.id: cache}, {ex.id: pool_feats},
+            cache, pool_feats[None],
         )
         total += (student[ex.id][0] - theta[0]) / cfg.lr_student
     mean_update = total / steps

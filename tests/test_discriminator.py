@@ -5,7 +5,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from conftest import mk_mcq, mk_open
 from oracles import pairwise_loss, score
 from mskd.discriminator import (
@@ -14,6 +17,7 @@ from mskd.discriminator import (
     _batch_loss_and_grad,
     apply_gradient,
     batch_update,
+    chain_update,
     init_params,
     load_params,
     save_params,
@@ -177,6 +181,50 @@ def test_update_step_descends_loss(rng):
     assert losses[-1] < losses[0]
     # batch loss is convex in linear params: strictly non-increasing here
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+
+
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1.0])
+def test_update_rejects_a_step_size_that_is_not_finite_and_positive(lr):
+    # a NaN step size once passed the lr <= 0 check and returned NaN weights
+    for hidden in (0, 3):
+        p = init_params(5, hidden, seed=0)
+        with pytest.raises(ValueError, match="lr must be finite and > 0"):
+            batch_update(p, np.ones((2, 5)), np.zeros((2, 5)), np.ones(2), lr)
+        with pytest.raises(ValueError, match="lr must be finite and > 0"):
+            chain_update(p, np.ones((1, 2, 5)), np.zeros((1, 2, 5)), np.ones((1, 2)), lr)
+
+
+@st.composite
+def _chains(draw):
+    """A discriminator and an epoch's stacked pair batches: feature rows of
+    flags, fractions and one-hots as the trainer's are, and pair weights
+    that mix zeros, ones and fractions."""
+    hidden = draw(st.sampled_from([0, 1, 3]))
+    m, n, dim = draw(st.integers(1, 6)), draw(st.sampled_from([1, 5, 8])), draw(st.integers(1, 59))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = init_params(dim, hidden, seed=int(rng.integers(2**32)), scale=float(rng.choice([0.1, 1.0, 3.0])))
+    rows = rng.choice([0.0, 1.0, 0.25, 0.6180339887], size=(2, m, n, dim), p=[0.5, 0.3, 0.1, 0.1])
+    pair_w = np.where(rng.random((m, n)) < 0.3, 0.0, rng.choice([1.0, 0.37, 0.9], size=(m, n)))
+    lr = draw(st.sampled_from([0.3, 0.05, 1.7]))
+    return params, rows[0], rows[1], pair_w, lr
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_chains())
+@example((init_params(59, 0, seed=5), np.ones((6, 8, 59)), np.zeros((6, 8, 59)), np.zeros((6, 8)), 0.3))  # no weight
+def test_chain_is_the_per_example_loop_bit_for_bit(chain):
+    params, teacher, student, pair_w, lr = chain
+    got_params, got_scores, got_losses = chain_update(params, teacher, student, pair_w, lr)
+    want_params, want_scores, want_losses = oracles.disc_chain(params, teacher, student, pair_w, lr)
+    assert oracles.disc_vector(got_params).tobytes() == oracles.disc_vector(want_params).tobytes()
+    assert got_scores.tobytes() == want_scores.tobytes()
+    assert got_losses.tobytes() == want_losses.tobytes()
+
+
+def test_chain_of_no_batches_returns_its_params():
+    p = init_params(5, 3, seed=0)
+    out, scores, losses = chain_update(p, np.empty((0, 8, 5)), np.empty((0, 8, 5)), np.empty((0, 8)), 0.3)
+    assert out is p and scores.shape == (0, 8) and losses.shape == (0,)
 
 
 def test_score_batch_matches_scalar_score(rng):

@@ -1,6 +1,7 @@
 """Benchmark construction, ablation/sweep/adaptive harnesses, reports."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from mskd.harness import (
     AblationSummary,
     EmptyReportError,
     ReportTable,
+    SensitivityResult,
+    SweepCell,
     ablation_table,
     adaptive_table,
     emit_report,
@@ -357,6 +360,46 @@ def test_run_sensitivity_smoke():
     assert tau_cells[0.0].retention == 1.0
     assert tau_cells[0.5].retention <= 1.0
     assert all(0.0 <= c.mean_acc <= 1.0 for c in res.tau_table)
+
+
+def _sensitivity_training_every_cell(cfg_base, k_grid, tau_grid, seeds, bench):
+    """run_sensitivity as it was: every cell of both tables trained, the
+    (cfg_base.k, cfg_base.tau) cell of each seed twice."""
+    plan = mskd.train.Plan(bench.examples, cfg_base.metric, bench.teacher)
+    k_cells = []
+    for k in k_grid:
+        accs = [plan.run(replace(cfg_base, k=k, seed=s)).final_accuracy for s in seeds]
+        k_cells.append(SweepCell(float(k), float(np.mean(accs)), float(np.std(accs))))
+    tau_cells = []
+    for tau in tau_grid:
+        accs, rets = [], []
+        for s in seeds:
+            cfg = replace(cfg_base, tau=tau, seed=s)
+            accs.append(plan.run(cfg).final_accuracy)
+            pools = plan.pools(cfg).values()
+            qs = np.concatenate([np.asarray(p.qualities) for p in pools if p.qualities is not None])
+            rets.append(float((qs >= tau).mean()))
+        tau_cells.append(SweepCell(float(tau), float(np.mean(accs)), float(np.std(accs)), float(np.mean(rets))))
+    return SensitivityResult(tuple(k_cells), tuple(tau_cells))
+
+
+def test_run_sensitivity_trains_each_distinct_config_once(monkeypatch):
+    # the (k = 3, tau = 0.3) cell of each seed is in both tables; it trains
+    # once and its accuracy serves both, so the result is the one every cell
+    # trained gives
+    bench, cfg_base = tiny_bench(), tiny_cfg(tau=0.3)
+    grids = dict(k_grid=(2, 3), tau_grid=(0.0, 0.3), seeds=(0, 1))
+    want = _sensitivity_training_every_cell(cfg_base, bench=bench, **grids)
+    trained = []
+
+    def counted(self, cfg, *args, _original=mskd.train.Plan.run, **kwargs):
+        trained.append(cfg)
+        return _original(self, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(mskd.train.Plan, "run", counted)
+    got = run_sensitivity(cfg_base, benchmark=bench, **grids)
+    assert len(trained) == len(set(trained)) == 6
+    assert repr(got) == repr(want)
 
 
 def _fake_summary():

@@ -130,7 +130,8 @@ def epoch_of_copies(ex, cfg, disc, inputs, draws, seed):
 
     _, stats = rl_step(
         student, per_copy(inputs["ref_probs"]), disc, copies, cfg, u[:, 0],
-        list(sample_matches(inputs["dist"], u[:, 1])), per_copy(inputs["feats"]), per_copy(inputs["pool_feats"]),
+        list(sample_matches(inputs["dist"], u[:, 1])),
+        np.concatenate([inputs["feats"]] * draws), np.stack([inputs["pool_feats"]] * draws),
     )
     assert len(stats) == draws
     return np.array([student[c.id] - inputs["logits"] for c in copies])
@@ -149,7 +150,7 @@ def one_example_epochs(ex, cfg, disc, inputs, draws, seed):
         student = {ex.id: inputs["logits"].copy()}
         stepped, _ = rl_step(
             student, {ex.id: inputs["ref_probs"]}, disc, [ex], cfg, u[i : i + 1, 0], [matches[i]],
-            {ex.id: inputs["feats"]}, {ex.id: inputs["pool_feats"]},
+            inputs["feats"], inputs["pool_feats"][None],
         )
         updates[i] = student[ex.id] - inputs["logits"]
         disc_updates[i] = oracles.disc_vector(stepped) - start

@@ -207,7 +207,10 @@ def run_both(bench, cfg, epochs=2):
             None if dists[ex.id] is None else sample_matches(dists[ex.id], uniforms[epoch, i, 1])
             for i, ex in enumerate(examples)
         ]
-        disc, stats = rl_step(student, ref_probs, disc, examples, cfg, uniforms[epoch, :, 0], matches, caches, feats)
+        disc, stats = rl_step(
+            student, ref_probs, disc, examples, cfg, uniforms[epoch, :, 0], matches,
+            np.concatenate([caches[ex.id] for ex in examples]), np.stack([feats[ex.id] for ex in examples]),
+        )
         for ex in examples:
             assert student[ex.id].tobytes() == o_student[ex.id].tobytes(), ex.id
         assert disc_bytes(disc) == disc_bytes(o_disc)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import mk_binary, mk_mcq, mk_open, mk_temporal
+import mskd.discriminator
 import mskd.train
 import oracles
 from oracles import sampled_pass_at_k
@@ -85,7 +86,7 @@ def rl_epoch(student, disc, ex, pool, cfg):
     match = None if dist is None else sample_matches(dist, u[1])
     return rl_step(
         student, {ex.id: softmax(student[ex.id])}, disc, [ex], cfg, u[None, 0], [match],
-        {ex.id: cache}, {ex.id: pool_features(pool, ex, cache, featurizer)},
+        cache, pool_features(pool, ex, cache, featurizer)[None],
     )
 
 
@@ -132,6 +133,63 @@ def test_rl_step_leaves_an_example_without_matches_untouched():
     assert stats.shape == (0, 3)
     assert new_disc is disc
     assert np.array_equal(student[ex.id], np.zeros(4))
+    # an epoch where no example has matches: the chain has no batch, and
+    # neither the discriminator nor any student row may move
+    exs = [ex, mk_temporal(1), mk_binary(2)]
+    featurizer = Featurizer(max(len(e.answer_space) for e in exs))
+    caches = build_caches(exs, featurizer, cfg.metric)
+    rng = np.random.default_rng(3)
+    student = {e.id: rng.normal(0.0, 1.0, len(e.answer_space)) for e in exs}
+    before = {k: logits.copy() for k, logits in student.items()}
+    for hidden in (0, 2):
+        disc = init_params(featurizer.dim, hidden, seed=0)
+        disc_bytes = oracles.disc_vector(disc).tobytes()
+        new_disc, stats = rl_step(
+            student, {k: softmax(v) for k, v in before.items()}, disc, exs, cfg,
+            rng.random((len(exs), cfg.n_rollouts)), [None] * len(exs),
+            np.concatenate([caches[e.id] for e in exs]), np.zeros((len(exs), cfg.k, featurizer.dim)),
+        )
+        assert stats.shape == (0, 3)
+        assert new_disc is disc
+        assert oracles.disc_vector(disc).tobytes() == disc_bytes
+        for k, logits in student.items():
+            assert logits.tobytes() == before[k].tobytes(), k
+
+
+def test_rl_step_rejects_row_stacks_that_do_not_fit_its_examples():
+    # a short stack would gather another example's rows without a word
+    exs = [mk_mcq(0), mk_binary(1)]
+    cfg = small_cfg()
+    featurizer = Featurizer(4)
+    slot_rows = np.concatenate(list(build_caches(exs, featurizer, cfg.metric).values()))
+    pool_rows = np.zeros((2, cfg.k, featurizer.dim))
+    student = uniform_student(exs)
+    args = (student, {k: softmax(v) for k, v in student.items()}, init_params(featurizer.dim), exs, cfg,
+            np.zeros((2, cfg.n_rollouts)), [None, None])
+    for rows in ((slot_rows[:-1], pool_rows), (slot_rows, pool_rows[:1])):
+        with pytest.raises(ValueError, match=r"for 2 examples of 6 slots$"):
+            rl_step(*args, *rows)
+
+
+def test_sft_epoch_is_the_per_example_loop_bit_for_bit():
+    # 4-, 7- and 2-slot spaces interleave, and one example has no target
+    seven = tuple(TemporalSegment(j / 10, (j + 3) / 10) for j in range(7))
+    exs = [
+        mk_mcq(0), mk_temporal(1, gt=(0.1, 0.4), space=seven), mk_binary(2),
+        mk_mcq(3), mk_temporal(4, gt=(0.3, 0.6), space=seven), mk_mcq(5),
+    ]
+    targets = {"mcq-0": 2, "tg-1": 6, "bin-2": 0, "tg-4": 0, "mcq-5": 3}
+    assert "mcq-3" not in targets
+    rng = np.random.default_rng(8)
+    got = {ex.id: rng.normal(0.0, 2.0, len(ex.answer_space)) for ex in exs}
+    want = {k: logits.copy() for k, logits in got.items()}
+    untaught = want["mcq-3"].copy()
+    for _ in range(5):
+        _sft_epoch(got, exs, targets, 0.3)
+        oracles.sft_epoch(want, exs, targets, 0.3)
+        for ex in exs:
+            assert got[ex.id].tobytes() == want[ex.id].tobytes(), ex.id
+    assert got["mcq-3"].tobytes() == untaught.tobytes()
 
 
 def test_run_pipeline_rejects_duplicate_example_ids():
@@ -244,30 +302,53 @@ def test_skipped_rl_lists_examples_without_matches_when_stage2_runs():
 
 def test_pair_weights_are_the_teacher_rows_quality_under_quality_matching(monkeypatch):
     # quality matching weights a pair by column 3 of its teacher row on a
-    # closed-ended example, passed as a contiguous vector; otherwise every
-    # pair counts 1
+    # closed-ended example, passed as one contiguous (examples, n) array per
+    # epoch; otherwise every pair counts 1
     seen = []
 
-    def recording(disc, teacher_feats, student_feats, q_match, lr, _original=mskd.train.batch_update):
-        seen.append((teacher_feats[:, 3].copy(), q_match))
-        return _original(disc, teacher_feats, student_feats, q_match, lr)
+    def recording(disc, teacher, student, pair_w, lr, _original=mskd.train.chain_update):
+        seen.append((teacher[..., 3].copy(), pair_w))
+        return _original(disc, teacher, student, pair_w, lr)
 
-    monkeypatch.setattr(mskd.train, "batch_update", recording)
+    monkeypatch.setattr(mskd.train, "chain_update", recording)
     bench = make_closed_benchmark(n_mcq=2, n_temporal=2, retention_target=None)
     open_bench = make_open_benchmark(n_examples=2, space_size=4)
     for b in (bench, open_bench):
         for matching in ("quality", "uniform"):
             seen.clear()
             run_pipeline(b.examples, small_cfg(matching=matching, tau=0.2), teacher=b.teacher)
-            assert len(seen) == 6 * len(b.examples)
-            for quality, q_match in seen:
-                assert q_match.flags.c_contiguous and q_match.shape == (4,)
+            assert len(seen) == 6
+            for quality, pair_w in seen:
+                assert pair_w.flags.c_contiguous and pair_w.shape == (len(b.examples), 4)
                 if matching == "quality" and b is bench:
-                    assert q_match.tobytes() == quality.tobytes()
+                    assert pair_w.tobytes() == quality.tobytes()
                 else:
-                    assert q_match.tolist() == [1.0] * 4
+                    assert pair_w.tolist() == [[1.0] * 4] * len(b.examples)
             if matching == "quality" and b is bench:
-                assert any(0.0 < q < 1.0 for quality, _ in seen for q in quality)
+                assert any(0.0 < q < 1.0 for quality, _ in seen for q in quality.ravel())
+
+
+def test_rl_epoch_makes_one_chain_call_and_no_per_example_discriminator_call(monkeypatch):
+    # the discriminator half of an epoch is one chain_update call; the
+    # one-batch score_batch and batch_update are not called per example
+    calls = {"chain_update": 0, "score_batch": 0, "batch_update": 0}
+    for name in calls:
+        original = getattr(mskd.discriminator, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(mskd.discriminator, name, counted)
+        if hasattr(mskd.train, name):
+            monkeypatch.setattr(mskd.train, name, counted)
+    exs = [mk_mcq(0, gt="A"), mk_binary(1), mk_temporal(2), mk_mcq(3, gt="C")]
+    for hidden in (0, 2):
+        calls.update(dict.fromkeys(calls, 0))
+        cfg = small_cfg(hidden_dim=hidden)
+        art = run_pipeline(exs, cfg, teacher=point_mass_teacher(exs))
+        assert art.skipped_rl == ()
+        assert calls == {"chain_update": cfg.epochs_stage2, "score_batch": 0, "batch_update": 0}
 
 
 def test_pipeline_improves_accuracy_over_uniform():
