@@ -28,6 +28,9 @@ from mskd.tasks import (
 )
 
 QUANTILES = (0.1, 0.25, 0.5, 0.75, 0.9)
+# make_variance_corpus draws each question's mean quality from
+# [_MU_LOW, _MU_HIGH], narrowed so both sample levels stay inside (0, 1).
+_MU_LOW, _MU_HIGH = 0.25, 0.85
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,8 +166,6 @@ def make_variance_corpus(
     sampling_std: float = 0.10,
     violation_rate: float = 0.01,
     seed: int = 0,
-    mu_low: float = 0.25,
-    mu_high: float = 0.85,
 ) -> tuple[list[SupervisionExample], list[ResponseRow], InjectedStats]:
     """Build a corpus whose statistics are known exactly.
 
@@ -183,8 +184,8 @@ def make_variance_corpus(
     examples: list[SupervisionExample] = []
     rows: list[ResponseRow] = []
     mus: list[float] = []
-    lo = max(mu_low, sampling_std + 0.01)
-    hi = min(mu_high, 1.0 - sampling_std - 0.01)
+    lo = max(_MU_LOW, sampling_std + 0.01)
+    hi = min(_MU_HIGH, 1.0 - sampling_std - 0.01)
     for qi in range(n_questions):
         a = float(rng.uniform(0.0, 0.4))
         length = float(rng.uniform(0.3, 0.6))

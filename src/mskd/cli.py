@@ -75,6 +75,8 @@ class DegenerateDataError(ValueError):
 
 
 _TRAIN_KEYS = frozenset(f.name for f in fields(TrainConfig))
+# ablate, sweep and adaptive run this many seeds when the config names none
+_DEFAULT_SEEDS = 8
 
 
 def _load_config(path: str | None, allowed: frozenset) -> dict:
@@ -154,7 +156,7 @@ def _format_for(args) -> str:
     return "json" if str(args.out).endswith(".json") else "csv"
 
 
-def _seeds_from(cfg: dict, base_seed: int, default_n: int = 8) -> tuple[int, ...]:
+def _seeds_from(cfg: dict, base_seed: int) -> tuple[int, ...]:
     if "seeds" in cfg:
         seeds = _list_field(cfg, "seeds", None, lambda s: _is_int(s) and s >= 0, "integers >= 0")
         if len(seeds) < 2:
@@ -162,7 +164,7 @@ def _seeds_from(cfg: dict, base_seed: int, default_n: int = 8) -> tuple[int, ...
         return seeds
     if base_seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {base_seed}")
-    return tuple(base_seed + i for i in range(default_n))
+    return tuple(base_seed + i for i in range(_DEFAULT_SEEDS))
 
 
 # --- subcommands ------------------------------------------------------------

@@ -26,6 +26,8 @@ import numpy as np
 from mskd.tasks import SupervisionExample
 
 _LEN_SCALE = 512.0
+# init_params draws every weight from N(0, _INIT_SCALE^2).
+_INIT_SCALE = 0.1
 # The columns of Featurizer's layout that hold a response's reward terms:
 # its outer and task format flags and its quality (the content term).
 OUTER_COL, TASK_COL, QUALITY_COL = 0, 1, 3
@@ -86,14 +88,13 @@ def init_params(
     feature_dim: int,
     hidden_dim: int = 0,
     seed: int | np.random.SeedSequence = 0,
-    scale: float = 0.1,
 ) -> DiscriminatorParams:
     rng = np.random.default_rng(seed)
     if hidden_dim == 0:
-        return DiscriminatorParams(weights=rng.normal(0.0, scale, feature_dim))
+        return DiscriminatorParams(weights=rng.normal(0.0, _INIT_SCALE, feature_dim))
     return DiscriminatorParams(
-        weights=rng.normal(0.0, scale, hidden_dim),
-        hidden_w=rng.normal(0.0, scale, (hidden_dim, feature_dim)),
+        weights=rng.normal(0.0, _INIT_SCALE, hidden_dim),
+        hidden_w=rng.normal(0.0, _INIT_SCALE, (hidden_dim, feature_dim)),
         hidden_b=np.zeros(hidden_dim),
     )
 
@@ -208,18 +209,6 @@ def batch_update(
     q = np.asarray(q_match, dtype=float).reshape(-1)
     params, _, losses = chain_update(params, ft[None], fs[None], q[None], lr)
     return params, float(losses[0])
-
-
-def apply_gradient(
-    params: DiscriminatorParams, grad: DiscriminatorParams, lr: float
-) -> DiscriminatorParams:
-    if params.is_linear:
-        return DiscriminatorParams(weights=params.weights - lr * grad.weights)
-    return DiscriminatorParams(
-        weights=params.weights - lr * grad.weights,
-        hidden_w=params.hidden_w - lr * grad.hidden_w,
-        hidden_b=params.hidden_b - lr * grad.hidden_b,
-    )
 
 
 def save_params(params: DiscriminatorParams, path: str | Path) -> None:

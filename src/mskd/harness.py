@@ -61,11 +61,10 @@ class Benchmark:
     meta: dict
 
 
-def _temporal_space(points: int = 10) -> tuple[TemporalSegment, ...]:
-    grid = [float(v) for v in np.linspace(0.0, 1.0, points)]
-    return tuple(
-        TemporalSegment(grid[i], grid[j]) for i in range(points) for j in range(i, points)
-    )
+# The closed benchmark's temporal answer space: every segment between two
+# points of a 10-point grid on [0, 1], ordered by start, then end.
+_GRID = tuple(float(v) for v in np.linspace(0.0, 1.0, 10))
+_TEMPORAL_SPACE = tuple(TemporalSegment(a, b) for i, a in enumerate(_GRID) for b in _GRID[i:])
 
 
 def _check_benchmark_args(
@@ -173,7 +172,6 @@ def make_closed_benchmark(
         raise ValueError(f"retention_target must be None or in (0,1), got {retention_target!r}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 11]))
     letters = option_letters(option_count)
-    t_space = _temporal_space()
     examples: list[SupervisionExample] = []
     slot_scores: dict[str, np.ndarray] = {}
     violations: dict[str, float] = {}
@@ -190,20 +188,19 @@ def make_closed_benchmark(
         examples.append(ex)
         slot_scores[ex.id] = np.array([float(s == gt.letter) for s in letters])
         violations[ex.id] = violation_mcq
-    grid_n = 10
     for i in range(n_temporal):
-        a = int(rng.integers(0, grid_n - 3))
-        b = int(rng.integers(a + 3, grid_n))
-        gt = t_space[a * grid_n - a * (a - 1) // 2 + (b - a)]
+        a = int(rng.integers(0, len(_GRID) - 3))
+        b = int(rng.integers(a + 3, len(_GRID)))
+        gt = TemporalSegment(_GRID[a], _GRID[b])
         ex = SupervisionExample(
             id=f"tg-{i:03d}",
             task=TaskType.TEMPORAL_GROUNDING,
             question=f"when does event {i} happen",
             ground_truth=gt,
-            answer_space=t_space,
+            answer_space=_TEMPORAL_SPACE,
         )
         examples.append(ex)
-        slot_scores[ex.id] = np.array([temporal_iou(s, gt) for s in t_space])
+        slot_scores[ex.id] = np.array([temporal_iou(s, gt) for s in _TEMPORAL_SPACE])
         violations[ex.id] = violation_temporal
     z = rng.standard_normal(len(examples))
     groups = _calibration_paths(examples, slot_scores, temperature, top_p)
@@ -482,10 +479,10 @@ class AdaptiveCheckResult:
 
 
 def misleading_proxy(
-    latent: np.ndarray, mislead: float = 0.85, noise: float = 0.05, rng=None
+    latent: np.ndarray, rng: np.random.Generator, mislead: float = 0.85, noise: float = 0.05
 ) -> np.ndarray:
-    """A surface scorer that mostly inverts the latent rating."""
-    rng = rng if rng is not None else np.random.default_rng(0)
+    """A surface scorer that mostly inverts the latent rating; rng draws
+    its noise."""
     raw = (1.0 - mislead) * latent + mislead * (1.0 - latent) + noise * rng.standard_normal(latent.shape)
     return np.clip(raw, 0.0, 1.0)
 
@@ -549,7 +546,7 @@ def run_task_adaptive_check(
 
         prng = np.random.default_rng(np.random.SeedSequence([int(cfg_open.seed), 23]))
         proxies = {
-            ex.id: misleading_proxy(open_b.slot_scores[ex.id], mislead, proxy_noise, prng)
+            ex.id: misleading_proxy(open_b.slot_scores[ex.id], prng, mislead, proxy_noise)
             for ex in open_b.examples
         }
         dists, targets = proxy_overrides(open_b.examples, open_plan.pools(cfg_open), proxies)

@@ -19,6 +19,10 @@ import numpy as np
 from mskd.policy import categorical_draw, nucleus, softmax
 from mskd.tasks import SupervisionExample, render_payload
 
+# Calibration bisects concentration on [CONC_LO, CONC_HI] for at most
+# BISECT_STEPS steps; a row whose root is 0 can use the whole budget.
+CONC_LO, CONC_HI, BISECT_STEPS = -400.0, 400.0, 100
+
 
 @dataclass
 class SyntheticTeacher:
@@ -54,37 +58,30 @@ def expected_quality(scores: np.ndarray, probs: np.ndarray) -> float | np.ndarra
 class BisectionPaths:
     """Each row's last bisection path for one score matrix and one setting.
 
-    Row i's bisection walks a fixed dyadic tree from ``[lo, hi]``: the
-    node after a decision depends only on the decisions before it, and the
-    expected score at a node depends only on the row's scores, the node,
+    Row i's bisection walks a fixed dyadic tree from ``[CONC_LO, CONC_HI]``:
+    the node after a decision depends only on the decisions before it, and
+    the expected score at a node depends only on the row's scores, the node,
     ``temperature`` and ``top_p``, never on the target.  So the stored
     nodes, their expected scores and the decisions taken there let a later
     target resume at the first node where it decides differently.
 
-    ``nodes``, ``values`` and ``below`` hold one path per row, ``length``
-    how much of it is valid; ``mean_lo`` and ``mean_hi`` are the expected
-    scores at ``lo`` and ``hi``, computed once.
+    ``nodes``, ``values`` and ``below`` hold one path of at most
+    BISECT_STEPS nodes per row, ``length`` how much of it is valid;
+    ``mean_lo`` and ``mean_hi`` are the expected scores at CONC_LO and
+    CONC_HI, computed once.
     """
 
-    def __init__(
-        self,
-        scores: np.ndarray,
-        temperature: float = 1.0,
-        top_p: float = 0.9,
-        lo: float = -400.0,
-        hi: float = 400.0,
-        iters: int = 100,
-    ) -> None:
+    def __init__(self, scores: np.ndarray, temperature: float = 1.0, top_p: float = 0.9) -> None:
         self.scores = np.atleast_2d(np.array(scores, dtype=float))
-        self.settings = (temperature, top_p, float(lo), float(hi), iters)
+        self.settings = (temperature, top_p)
         n = len(self.scores)
         self.mean_lo, self.mean_hi = (
-            expected_quality(self.scores, sampling_probs(self.scores, c, temperature, top_p))
-            for c in (np.full(n, float(lo)), np.full(n, float(hi)))
+            expected_quality(self.scores, sampling_probs(self.scores, np.full(n, c), temperature, top_p))
+            for c in (CONC_LO, CONC_HI)
         )
-        self.nodes = np.empty((n, 0))
-        self.values = np.empty((n, 0))
-        self.below = np.empty((n, 0), dtype=bool)
+        self.nodes = np.zeros((n, BISECT_STEPS))
+        self.values = np.zeros((n, BISECT_STEPS))
+        self.below = np.zeros((n, BISECT_STEPS), dtype=bool)
         self.length = np.zeros(n, dtype=np.intp)
 
     def check(self, scores: np.ndarray, settings: tuple) -> None:
@@ -93,23 +90,13 @@ class BisectionPaths:
         if scores.shape != self.scores.shape or scores.tobytes() != self.scores.tobytes():
             raise ValueError("paths were recorded for another score matrix")
         if settings != self.settings:
-            raise ValueError(
-                f"paths were recorded for (temperature, top_p, lo, hi, iters) = {self.settings}, "
-                f"not {settings}"
-            )
+            raise ValueError(f"paths were recorded for (temperature, top_p) = {self.settings}, not {settings}")
 
     def record(
         self, rows: np.ndarray, mid: np.ndarray, values: np.ndarray, below: np.ndarray
     ) -> None:
-        """Append one node to each of rows' paths, widening the store if full."""
+        """Append one node to each of rows' paths; none is full."""
         depth = self.length[rows]
-        width = self.nodes.shape[1]
-        if depth.max(initial=-1) >= width:
-            grow = min(max(width, 64), self.settings[-1] - width)
-            self.nodes, self.values, self.below = (
-                np.concatenate([a, np.zeros((len(a), grow), dtype=a.dtype)], axis=1)
-                for a in (self.nodes, self.values, self.below)
-            )
         self.nodes[rows, depth] = mid
         self.values[rows, depth] = values
         self.below[rows, depth] = below
@@ -121,9 +108,6 @@ def calibrate_concentration(
     target_mean: float | np.ndarray,
     temperature: float = 1.0,
     top_p: float = 0.9,
-    lo: float = -400.0,
-    hi: float = 400.0,
-    iters: int = 100,
     *,
     paths: BisectionPaths | None = None,
 ) -> float | np.ndarray:
@@ -135,8 +119,9 @@ def calibrate_concentration(
     bisected row by row in one batch and gives an array of n
     concentrations; a 1-D call is the one-row case.  Any other target
     shape raises ValueError.
-    A row leaves the batch once its bracket stops moving, since every
-    later step would repeat the same midpoint, or after ``iters`` steps.
+    Bisection starts from ``[CONC_LO, CONC_HI]``.  A row leaves the batch
+    once its bracket stops moving, since every later step would repeat the
+    same midpoint, or after BISECT_STEPS steps.
 
     ``paths`` is the record of each row's previous bisection of these
     scores with these settings (a fresh one if None; any other scores or
@@ -150,7 +135,7 @@ def calibrate_concentration(
     new paths.
     """
     one = np.ndim(scores) == 1
-    settings = (temperature, top_p, float(lo), float(hi), iters)
+    settings = (temperature, top_p)
     if paths is None:
         paths = BisectionPaths(scores, *settings)
     else:
@@ -177,17 +162,17 @@ def calibrate_concentration(
     # the bracket at that node: the largest earlier node that moved the lower
     # end and the smallest that moved the upper end
     before = step < first[:, None]
-    low = np.full(len(scores), float(lo))
-    high = np.full(len(scores), float(hi))
-    low[live] = np.where(before & below, nodes, -np.inf).max(axis=1, initial=float(lo))
-    high[live] = np.where(before & ~below, nodes, np.inf).min(axis=1, initial=float(hi))
+    low = np.full(len(scores), CONC_LO)
+    high = np.full(len(scores), CONC_HI)
+    low[live] = np.where(before & below, nodes, -np.inf).max(axis=1, initial=CONC_LO)
+    high[live] = np.where(before & ~below, nodes, np.inf).min(axis=1, initial=CONC_HI)
 
     def step_to(rows: np.ndarray, mid: np.ndarray, go_low: np.ndarray) -> np.ndarray:
         """Move rows' brackets to mid; the rows whose walk goes on."""
         a, b = low[rows], high[rows]
         low[rows] = np.where(go_low, mid, a)
         high[rows] = np.where(go_low, b, mid)
-        return rows[((low[rows] != a) | (high[rows] != b)) & (paths.length[rows] < iters)]
+        return rows[((low[rows] != a) | (high[rows] != b)) & (paths.length[rows] < BISECT_STEPS)]
 
     # a flipped row cuts its path back to the flip node and takes the other
     # decision there, from the stored expected score; a row without a path
@@ -197,7 +182,7 @@ def calibrate_concentration(
     mid, go_low = nodes[flipped, at], ~below[flipped, at]
     paths.length[rows] = at
     paths.record(rows, mid, paths.values[rows, at], go_low)
-    rows = np.concatenate([step_to(rows, mid, go_low), live[(length == 0) & (iters > 0)]])
+    rows = np.concatenate([step_to(rows, mid, go_low), live[length == 0]])
     while rows.size:
         mid = 0.5 * (low[rows] + high[rows])
         s = scores[rows]
@@ -205,7 +190,7 @@ def calibrate_concentration(
         go_low = values < targets[rows]
         paths.record(rows, mid, values, go_low)
         rows = step_to(rows, mid, go_low)
-    out = np.where(clip_lo, lo, np.where(clip_hi, hi, 0.5 * (low + high)))
+    out = np.where(clip_lo, CONC_LO, np.where(clip_hi, CONC_HI, 0.5 * (low + high)))
     return float(out[0]) if one else out
 
 

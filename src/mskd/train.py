@@ -82,15 +82,6 @@ from mskd.tasks import ParsedResponse, SupervisionExample, TaskType, parse_respo
 _S_POOL, _S_SFT, _S_DISC, _S_ROLL = 1, 2, 3, 4
 
 
-def _check_distinct_ids(examples: list[SupervisionExample]) -> None:
-    """Every example id once: pools, caches and logits are keyed by id."""
-    seen: set[str] = set()
-    for ex in examples:
-        if ex.id in seen:
-            raise ValueError(f"duplicate example id {ex.id!r}")
-        seen.add(ex.id)
-
-
 def _stream(seed: int, *tags: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *[int(t) for t in tags]]))
 
@@ -376,7 +367,8 @@ def rl_step(
     slot_rows: np.ndarray,
     pool_rows: np.ndarray,
 ) -> tuple[DiscriminatorParams, np.ndarray]:
-    """One epoch of adversarial distillation over examples (distinct ids).
+    """One epoch of adversarial distillation over examples, which
+    _check_examples must accept.
 
     student maps each example id to its logits, and ref_probs to the frozen
     reference policy's distribution.  slot_rows stacks the examples'
@@ -403,7 +395,7 @@ def rl_step(
     example stepped, in order: its mean reward, the discriminator's loss
     before its step and its KL, each of the state it acted on.
     """
-    _check_distinct_ids(examples)
+    _check_examples(examples)
     sizes = [len(ex.answer_space) for ex in examples]
     if slot_rows.shape[0] != sum(sizes) or pool_rows.shape[0] != len(examples):
         raise ValueError(
@@ -563,6 +555,21 @@ def _check_ids(name: str, given: dict, examples: list[SupervisionExample], every
         raise ValueError("; ".join(problems))
 
 
+def _check_examples(examples: list[SupervisionExample]) -> None:
+    """The examples rule of _check_inputs, Plan and rl_step: non-empty, every
+    id once (pools, caches and logits are keyed by id) and each with an
+    answer space; else ValueError naming the example."""
+    if not examples:
+        raise ValueError("no examples to train on")
+    seen: set[str] = set()
+    for ex in examples:
+        if ex.id in seen:
+            raise ValueError(f"duplicate example id {ex.id!r}")
+        if ex.answer_space is None:
+            raise ValueError(f"example {ex.id}: training needs an enumerated answer_space")
+        seen.add(ex.id)
+
+
 def _check_inputs(
     examples: list[SupervisionExample],
     cfg: TrainConfig,
@@ -580,12 +587,7 @@ def _check_inputs(
     their answer space (a bool is not one) and distributions of cfg.k
     probabilities, one per pool response.  Anything else raises ValueError
     naming the input."""
-    if not examples:
-        raise ValueError("no examples to train on")
-    _check_distinct_ids(examples)
-    for ex in examples:
-        if ex.answer_space is None:
-            raise ValueError(f"example {ex.id}: training needs an enumerated answer_space")
+    _check_examples(examples)
     if pools is None:
         if teacher is None:
             raise ValueError("need either a teacher or prebuilt pools")
@@ -623,14 +625,16 @@ def _check_inputs(
 class Plan:
     """What every training cell on examples shares: the featurizer, the
     build_caches rows and closed examples' accuracy score_groups under
-    metric, and each (seed, k)'s make_pools draw, made on first use.  A cell
-    under another metric raises ValueError.  The slot rows are one
+    metric, and each (seed, k)'s make_pools draw, made on first use.
+    Examples that _check_examples rejects raise ValueError before anything
+    is built, as does a cell under another metric.  The slot rows are one
     (total_slots, dim) matrix, slot_rows, in example order, and caches[id]
     are views of it."""
 
     def __init__(
         self, examples: list[SupervisionExample], metric: MetricConfig, teacher: SyntheticTeacher | None = None
     ) -> None:
+        _check_examples(examples)
         self.examples, self.metric, self.teacher = examples, metric, teacher
         self.featurizer = Featurizer(max(len(ex.answer_space) for ex in examples))
         caches = build_caches(examples, self.featurizer, metric)

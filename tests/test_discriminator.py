@@ -15,7 +15,6 @@ from mskd.discriminator import (
     DiscriminatorParams,
     Featurizer,
     _batch_loss_and_grad,
-    apply_gradient,
     batch_update,
     chain_update,
     init_params,
@@ -202,7 +201,10 @@ def _chains(draw):
     hidden = draw(st.sampled_from([0, 1, 3]))
     m, n, dim = draw(st.integers(1, 6)), draw(st.sampled_from([1, 5, 8])), draw(st.integers(1, 59))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    params = init_params(dim, hidden, seed=int(rng.integers(2**32)), scale=float(rng.choice([0.1, 1.0, 3.0])))
+    # init_params draws at scale 0.1; scale the arrays to reach 1.0 and 3.0 too
+    p = init_params(dim, hidden, seed=int(rng.integers(2**32)))
+    scale = float(rng.choice([1.0, 10.0, 30.0]))
+    params = DiscriminatorParams(*(scale * a for a in (p.weights, p.hidden_w, p.hidden_b) if a is not None))
     rows = rng.choice([0.0, 1.0, 0.25, 0.6180339887], size=(2, m, n, dim), p=[0.5, 0.3, 0.1, 0.1])
     pair_w = np.where(rng.random((m, n)) < 0.3, 0.0, rng.choice([1.0, 0.37, 0.9], size=(m, n)))
     lr = draw(st.sampled_from([0.3, 0.05, 1.7]))
@@ -313,8 +315,14 @@ def test_load_params_reads_the_fixtures_that_the_bad_cases_mutate(tmp_path):
         assert p.hidden_dim == obj["layout"]["hidden_dim"]
 
 
-def test_apply_gradient_moves_against_gradient():
-    p = DiscriminatorParams(weights=np.array([1.0, 2.0]))
-    g = DiscriminatorParams(weights=np.array([0.5, -1.0]))
-    out = apply_gradient(p, g, lr=0.1)
-    np.testing.assert_allclose(out.weights, [0.95, 2.1])
+@pytest.mark.parametrize("hidden", [0, 3])
+def test_batch_update_steps_against_the_gradient_bit_for_bit(hidden):
+    rng = np.random.default_rng(7)
+    p = init_params(6, hidden, seed=2)
+    ft, fs, q = rng.random((8, 6)), rng.random((8, 6)), rng.random(8)
+    loss, grad = _batch_loss_and_grad(p, ft, fs, q)
+    out, got_loss = batch_update(p, ft, fs, q, lr=0.1)
+    assert got_loss == loss
+    # loop_apply_gradient is p - lr * grad, array by array
+    want = oracles.loop_apply_gradient(p, grad, 0.1)
+    assert oracles.disc_vector(out).tobytes() == oracles.disc_vector(want).tobytes()

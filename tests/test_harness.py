@@ -1,5 +1,6 @@
 """Benchmark construction, ablation/sweep/adaptive harnesses, reports."""
 
+import inspect
 import json
 from dataclasses import replace
 
@@ -248,7 +249,7 @@ def test_proxy_overrides_mass_and_targets():
 
 def test_misleading_proxy_inverts_latent():
     latent = np.linspace(0.05, 0.95, 50)
-    prox = misleading_proxy(latent, mislead=0.85, noise=0.0)
+    prox = misleading_proxy(latent, np.random.default_rng(0), mislead=0.85, noise=0.0)
     assert np.corrcoef(latent, prox)[0, 1] < -0.99
     assert np.all((prox >= 0.0) & (prox <= 1.0))
 
@@ -313,6 +314,46 @@ def test_harnesses_reject_a_non_integer_seed_before_training(monkeypatch, run, b
     no_training(monkeypatch)
     with pytest.raises(ValueError, match="^seed must be an integer"):
         run(tiny_cfg(), seeds=seeds, **benchmarks)
+
+
+def _bad_examples(bench, case):
+    exs = bench.examples
+    if case == "empty":
+        return [], "^no examples to train on$"
+    if case == "no_answer_space":
+        return [exs[0], replace(exs[1], answer_space=None)], f"example {exs[1].id}: .*answer_space"
+    return [exs[0], exs[1], exs[0]], f"duplicate example id '{exs[0].id}'"
+
+
+@pytest.mark.parametrize("case", ["empty", "no_answer_space", "duplicate_id"])
+@pytest.mark.parametrize(
+    "run,slot",
+    [
+        (run_ablation, "benchmark"),
+        (run_sensitivity, "benchmark"),
+        (run_task_adaptive_check, "closed_benchmark"),
+        (run_task_adaptive_check, "open_benchmark"),
+    ],
+    ids=["ablation", "sensitivity", "adaptive_closed", "adaptive_open"],
+)
+def test_harnesses_reject_bad_examples_before_building_a_plan(monkeypatch, run, slot, case):
+    # the plan checks its examples before it builds any row
+    benches = {"closed_benchmark": tiny_bench(), "open_benchmark": make_open_benchmark(n_examples=3)}
+    benches["benchmark"] = benches["closed_benchmark"]
+    bench = benches[slot]
+    examples, message = _bad_examples(bench, case)
+    benches[slot] = replace(bench, examples=examples)
+    kw = {name: benches[name] for name in inspect.signature(run).parameters if name in benches}
+
+    build_caches = mskd.train.build_caches
+
+    def checked_first(exs, *args):
+        assert exs is not examples, "built a plan's rows before checking its examples"
+        return build_caches(exs, *args)
+
+    monkeypatch.setattr(mskd.train, "build_caches", checked_first)
+    with pytest.raises(ValueError, match=message):
+        run(tiny_cfg(), seeds=(0, 1), **kw)
 
 
 def test_a_harness_call_builds_one_plan_and_draws_each_seed_and_k_once(monkeypatch):

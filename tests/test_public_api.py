@@ -143,8 +143,11 @@ def test_single_path_removals_stay_out_of_the_package():
         # build_caches feature row is its one record, the student is its
         # logits, and a pair's weight is its teacher row's quality column
         mskd.train: ("SkippedExample", "ExampleCache", "StudentPolicy", "init_student", "pair_weights"),
-        # the open-ended accuracy is eval_accuracy over the latent ratings
-        mskd.harness: ("open_accuracy",),
+        # the open-ended accuracy is eval_accuracy over the latent ratings,
+        # and the closed benchmark's temporal space is one module constant
+        mskd.harness: ("open_accuracy", "_temporal_space"),
+        # batch_update is the one descent step
+        mskd.discriminator: ("apply_gradient",),
     }
     for owner, names in gone.items():
         assert [n for n in names if hasattr(owner, n)] == [], owner.__name__
@@ -173,3 +176,16 @@ def test_single_path_removals_stay_out_of_the_package():
     assert {"n_perm", "seed"}.isdisjoint(inspect.signature(mskd.paired_permutation_pvalue).parameters)
     # featurize_all leaves the quality column at 0, and its callers write it
     assert "quality" not in inspect.signature(mskd.Featurizer.featurize_all).parameters
+    # knobs that only tests set are module constants, and the harness always
+    # passes misleading_proxy its seeded generator
+    fixed = {
+        mskd.calibrate_concentration: ("lo", "hi", "iters"),
+        mskd.synthetic.BisectionPaths: ("lo", "hi", "iters"),
+        mskd.init_params: ("scale",),
+        mskd.make_variance_corpus: ("mu_low", "mu_high"),
+        mskd.cli._seeds_from: ("default_n",),
+    }
+    for fn, names in fixed.items():
+        assert set(names).isdisjoint(inspect.signature(fn).parameters), fn.__name__
+    rng = inspect.signature(mskd.harness.misleading_proxy).parameters["rng"]
+    assert rng.default is inspect.Parameter.empty

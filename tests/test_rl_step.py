@@ -20,12 +20,11 @@ import numpy as np
 import pytest
 
 from conftest import mk_mcq, mk_temporal
-from oracles import kl_divergence
+from oracles import kl_divergence, loop_apply_gradient
 from mskd.discriminator import (
     DiscriminatorParams,
     Featurizer,
     _sigmoid,
-    apply_gradient,
     init_params,
     score_batch,
 )
@@ -88,7 +87,7 @@ def _oracle_batch_loss_and_grad(params, teacher_feats, student_feats, q_match):
 
 def _oracle_batch_update(params, teacher_feats, student_feats, q_match, lr):
     loss, grad = _oracle_batch_loss_and_grad(params, teacher_feats, student_feats, q_match)
-    return apply_gradient(params, grad, lr), loss
+    return loop_apply_gradient(params, grad, lr), loss
 
 
 def _oracle_sample_matches(dist, n, rng):

@@ -10,6 +10,7 @@ from conftest import mk_mcq
 from mskd.metrics import DEFAULT_METRICS, quality_score
 from mskd.policy import nucleus
 from mskd.synthetic import (
+    BISECT_STEPS,
     BisectionPaths,
     SyntheticTeacher,
     calibrate_concentration,
@@ -300,25 +301,56 @@ def _resume_case(draw):
     return scores, draw(_target_sequence(n))
 
 
+def _assert_matches_oracle(scores, targets, temperature, top_p, conc):
+    probs = sampling_probs(scores, conc, temperature, top_p)
+    for i in range(len(scores)):
+        want_c = _oracle_calibrate(scores[i], float(targets[i]), temperature, top_p)
+        want_p = _oracle_sampling_probs(scores[i], want_c, temperature, top_p)
+        assert np.float64(conc[i]).tobytes() == np.float64(want_c).tobytes()
+        assert probs[i].tobytes() == want_p.tobytes()
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(_resume_case(), _TEMPERATURE, _TOP_P, st.sampled_from([100, 3, 4, 5, 6, 7]))
+@given(_resume_case(), _TEMPERATURE, _TOP_P)
 @example(
     (np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.2, 0.5, 0.9, 0.9]]),
      [np.array(t) for t in ([0.5] * 3, [0.7, 0.3, 0.6], [-1.0, 2.0, 0.5], [0.5] * 3,
                             [0.9, 0.1, 0.4], [0.6, 0.6, 2.0], [0.61, 0.59, 0.41], [0.5] * 3)]),
-    1.0, 0.9, 100,
+    1.0, 0.9,
 )
-def test_resumed_calibration_matches_fresh_oracle(case, temperature, top_p, iters):
+def test_resumed_calibration_matches_fresh_oracle(case, temperature, top_p):
     scores, targets_seq = case
-    paths = BisectionPaths(scores, temperature, top_p, iters=iters)
+    paths = BisectionPaths(scores, temperature, top_p)
     for targets in targets_seq:
-        conc = calibrate_concentration(scores, targets, temperature, top_p, iters=iters, paths=paths)
-        probs = sampling_probs(scores, conc, temperature, top_p)
-        for i in range(len(scores)):
-            want_c = _oracle_calibrate(scores[i], float(targets[i]), temperature, top_p, iters=iters)
-            want_p = _oracle_sampling_probs(scores[i], want_c, temperature, top_p)
-            assert np.float64(conc[i]).tobytes() == np.float64(want_c).tobytes()
-            assert probs[i].tobytes() == want_p.tobytes()
+        conc = calibrate_concentration(scores, targets, temperature, top_p, paths=paths)
+        _assert_matches_oracle(scores, targets, temperature, top_p, conc)
+
+
+@pytest.mark.parametrize("row", [[0.0, 1.0], [0.2, 0.4, 0.6, 0.8]])
+def test_resume_after_the_full_step_budget_matches_fresh_oracle(row):
+    # the expected score at the root (concentration 0) is the target 0.5, so
+    # the bracket closes in on 0 and never stops moving: the walk takes every
+    # one of the BISECT_STEPS steps, and the step cap decides where it ends
+    scores = np.array([row])
+    paths = BisectionPaths(scores, 1.0, 1.0)
+    conc = calibrate_concentration(scores, np.array([0.5]), 1.0, 1.0, paths=paths)
+    _assert_matches_oracle(scores, [0.5], 1.0, 1.0, conc)
+    assert paths.length[0] == BISECT_STEPS
+    # no node decides 0.5 differently; 0.6 flips at the root; the largest
+    # float below 0.5 flips deep, at the first node whose expected score is it
+    for target, flips_deep in ((0.5, None), (0.6, False), (0.5, False), (np.nextafter(0.5, 0.0), True)):
+        length = paths.length[0]
+        nodes, values, below = (a[0, :length].copy() for a in (paths.nodes, paths.values, paths.below))
+        flips = np.flatnonzero((values < target) != below)
+        conc = calibrate_concentration(scores, np.array([target]), 1.0, 1.0, paths=paths)
+        _assert_matches_oracle(scores, [target], 1.0, 1.0, conc)
+        if flips_deep is None:
+            assert flips.size == 0 and paths.nodes[0, :length].tobytes() == nodes.tobytes()
+        else:
+            at = flips[0]
+            assert (at > 1) == flips_deep
+            assert paths.nodes[0, : at + 1].tobytes() == nodes[: at + 1].tobytes()
+            assert paths.below[0, at] != below[at]
 
 
 def test_bisection_paths_reject_other_inputs():
@@ -331,9 +363,6 @@ def test_bisection_paths_reject_other_inputs():
         (scores + 0.01, {}),  # other scores
         (scores, {"temperature": 0.5}),
         (scores, {"top_p": 1.0}),
-        (scores, {"lo": -100.0}),
-        (scores, {"hi": 100.0}),
-        (scores, {"iters": 50}),
     ]
     for other, kw in others:
         with pytest.raises(ValueError):
