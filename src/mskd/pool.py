@@ -131,11 +131,12 @@ def sample_matches(dist: MatchingDistribution, u: np.ndarray) -> np.ndarray:
     return checked_cdf(dist.probs).searchsorted(u, side="right")
 
 
-def select_sft_target(pool: TeacherPool, rng: np.random.Generator) -> int:
+def select_sft_target(pool: TeacherPool, rng: np.random.Generator | None) -> int:
     """Pick the supervised-fit target index for this pool.
 
     Closed-ended: argmax quality, lowest index on ties; all-zero pools have
-    no usable target and raise.  Open-ended: a uniform draw from rng.
+    no usable target and raise.  Open-ended: a uniform draw from rng, which
+    only an open-ended pool reads.
     """
     if pool.k == 0:
         raise InvalidPoolError(f"pool {pool.example_id}: empty")

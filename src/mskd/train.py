@@ -13,10 +13,11 @@ batched across the epoch's examples, each epoch's rollout and teacher rows
 are gathered in one take each, and the discriminator's steps are one chain
 (discriminator.chain_update) that keeps only the descent sequential.
 
-The student is its logits: a dict from example id to one array over the
-example's answer space.  A slot's feature row (build_caches) is its one
-record: the discriminator scores the row, and the reward reads the slot's
-format flags and content from the row's columns 0, 1 and 3.
+The student is its logits: one float64 stack per answer-space size, laid
+out once per cell, and a dict from example id to its row of a stack.  A
+slot's feature row (build_caches) is its one record: the discriminator
+scores the row, and the reward reads the slot's format flags and content
+from the row's columns 0, 1 and 3.
 
 Every random draw comes from a stream derived as
 SeedSequence([seed, stream_tag, epoch, example_index]), so runs are
@@ -24,13 +25,16 @@ bit-reproducible and ablation arms that should coincide do so exactly.  The
 RL steps' streams are the two spawned children of that sequence; a step
 reads the first n_rollouts doubles of each, which uniform_table computes for
 a whole run at once, bit for bit, from stream_table's seed states.  All else
-a step reads is taken once: per run, the reference policy, the pools'
-feature rows as one (examples, K, dim) stack and each pool's matched rows
-for every epoch; per Plan, shared by every cell on one set of examples, the
-slot rows as one (total_slots, dim) matrix and the accuracy groups under one
-metric, and each (seed, k)'s unfiltered pools.  Pool streams do not depend on
-tau or matching, so cells share a draw, and the filter at cfg.tau is applied
-only where a cell trains (Plan.run).  run_pipeline is a fresh plan's cell.
+a step reads is taken once: per cell, the logits stacks with their taught,
+active and closed rows, the reference policy of the active rows, the pools'
+feature rows as one (examples * K, dim) matrix and every epoch's matched
+rows of it as one array; per Plan, shared by every cell on one set of
+examples, the slot rows as one (total_slots, dim) matrix with each
+example's first row, the stacks' layout and the accuracy's slot qualities
+under one metric, and each (seed, k)'s unfiltered pools.  Pool streams do
+not depend on tau or matching, so cells share a draw, and the filter at
+cfg.tau is applied only where a cell trains (Plan.run).  run_pipeline is a
+fresh plan's cell.
 
 Quality-aware matching (TrainConfig.matching = "quality", ablation arm D) is
 one step with two effects: on a closed-ended example a rollout is paired
@@ -270,8 +274,10 @@ def build_caches(
     scored and featurized once.  A row is its slot's one record: columns 0,
     1 and 3 are its reward terms, the outer and task format flags and the
     content, the gated quality on a closed-ended task and 0 on an open-ended
-    one.  Examples that share slot_parses share all but column 3."""
+    one.  Examples that share slot_parses share all but column 3, and with
+    an equal truth of one rendering (so never 0.0 and -0.0) column 3 too."""
     shared: dict[int, np.ndarray] = {}
+    scored: dict[tuple, list[float]] = {}
     caches: dict[str, np.ndarray] = {}
     for ex, responses in zip(examples, slot_parses(examples)):
         base = shared.get(id(responses))
@@ -279,7 +285,10 @@ def build_caches(
             base = shared[id(responses)] = featurizer.featurize_all(responses, ex)
         caches[ex.id] = feats = base.copy()
         if ex.task.is_closed:
-            feats[:, QUALITY_COL] = [quality_score(r, ex, cfg) for r in responses]
+            key = (id(responses), ex.ground_truth, render_payload(ex.ground_truth))
+            if key not in scored:
+                scored[key] = [quality_score(r, ex, cfg) for r in responses]
+            feats[:, QUALITY_COL] = scored[key]
     return caches
 
 
@@ -316,7 +325,8 @@ def select_sft_targets(
     for i, ex in enumerate(examples):
         pool = pools[ex.id]
         try:
-            pool_idx = select_sft_target(pool, _stream(seed, _S_SFT, i))
+            # only an open-ended pool draws its target, so only it gets a stream
+            pool_idx = select_sft_target(pool, _stream(seed, _S_SFT, i) if pool.qualities is None else None)
         except NoValidTargetError:
             skipped.append(ex.id)
             continue
@@ -328,23 +338,15 @@ def select_sft_targets(
     return targets, tuple(skipped)
 
 
-def _sft_epoch(
-    student: dict[str, np.ndarray],
-    examples: list[SupervisionExample],
-    targets: dict[str, int],
-    lr: float,
-) -> None:
-    """One cross-entropy descent pass toward each example's target slot;
-    an example without a target is left as it is.  Each answer-space size
-    takes one row-wise softmax, which gives every example's step bit for
-    bit."""
-    taught = [ex for ex in examples if ex.id in targets]
-    for ids, _, logits in score_groups(taught, [student[ex.id] for ex in taught]):
-        p = softmax(logits)
-        p[np.arange(len(ids)), [targets[k] for k in ids]] -= 1.0
-        logits -= lr * p  # grad of NLL is (probs - onehot)
-        for k, updated in zip(ids, logits):
-            student[k][...] = updated
+def _sft_epoch(taught: list[tuple], lr: float) -> None:
+    """One cross-entropy descent pass toward each taught example's target
+    slot, in place: taught holds, per answer-space size, the logits stack,
+    its taught rows (_pick's selector) and their target slots.  Each takes
+    one row-wise softmax, which gives every example's step bit for bit."""
+    for logits, sel, slots in taught:
+        p = softmax(logits[sel])
+        p[np.arange(len(slots)), slots] -= 1.0
+        logits[sel] -= lr * p  # grad of NLL is (probs - onehot)
 
 
 def matching_for(pool: TeacherPool, cfg: TrainConfig) -> MatchingDistribution | None:
@@ -357,29 +359,30 @@ def matching_for(pool: TeacherPool, cfg: TrainConfig) -> MatchingDistribution | 
 
 
 def rl_step(
-    student: dict[str, np.ndarray],
-    ref_probs: dict[str, np.ndarray],
+    groups: list[tuple],
     disc: DiscriminatorParams,
-    examples: list[SupervisionExample],
     cfg: TrainConfig,
     uniforms: np.ndarray,
-    matches: list[np.ndarray | None],
+    picks: np.ndarray,
+    slot_at: np.ndarray,
+    weighted: np.ndarray,
     slot_rows: np.ndarray,
     pool_rows: np.ndarray,
 ) -> tuple[DiscriminatorParams, np.ndarray]:
-    """One epoch of adversarial distillation over examples, which
-    _check_examples must accept.
+    """One epoch of adversarial distillation over the active examples, the
+    ones with matches.
 
-    student maps each example id to its logits, and ref_probs to the frozen
-    reference policy's distribution.  slot_rows stacks the examples'
-    build_caches rows (built with cfg.metric) in example order, and
-    pool_rows (examples, K, dim) their pool_features rows.  uniforms[i] is
-    example i's n_rollouts rollout uniforms, which it inverts as
-    Generator.choice would, and matches[i] the pool rows its rollouts are
-    paired with; None skips the example.  Stacks of another number of
-    slots or pools raise ValueError.  Under quality matching on a
-    closed-ended example a pair's weight in the discriminator's loss is the
-    quality column of its teacher row, else 1.
+    groups hold, per answer-space size, the student's logits stack, which
+    the step updates in place, its active rows (_pick's selector), their
+    positions among the active examples and their frozen reference
+    probabilities.  Per active example, in order: uniforms holds its
+    n_rollouts rollout uniforms, which it inverts as Generator.choice
+    would; picks the rows of pool_rows (the pools' pool_features rows,
+    stacked) its rollouts are paired with; slot_at (active, 1) its first
+    row of slot_rows (the build_caches rows under cfg.metric, stacked); and
+    weighted whether a pair's weight in the discriminator's loss is the
+    quality column of its teacher row (quality matching on a closed-ended
+    example) rather than 1.
 
     Order: every rollout is drawn from the epoch-start policy; the rollout
     rows and the matched teacher rows of the whole epoch are gathered in one
@@ -387,68 +390,46 @@ def rl_step(
     example after another: it scores that example's rollout rows and
     descends its pair loss on the matched pairs.  The student updates
     (policy gradient with a group-mean baseline + KL pull) land at the end,
-    in place, with each rollout's reward read off the same rows' reward
-    columns.  Example i's logits are read and written by its step alone,
-    and the discriminator reads only rollout feature rows, so this is a
-    per-example sequence of steps bit for bit; each answer-space-size
-    group's student half is one row-wise pass.  The stats hold one row per
-    example stepped, in order: its mean reward, the discriminator's loss
-    before its step and its KL, each of the state it acted on.
+    with each rollout's reward read off the same rows' reward columns.
+    Example i's logits are read and written by its step alone, and the
+    discriminator reads only rollout feature rows, so this is a
+    per-example sequence of steps bit for bit; each group's student half is
+    one row-wise pass.  The stats hold one row per active example, in
+    order: its mean reward, the discriminator's loss before its step and
+    its KL, each of the state it acted on.
     """
-    _check_examples(examples)
-    sizes = [len(ex.answer_space) for ex in examples]
-    if slot_rows.shape[0] != sum(sizes) or pool_rows.shape[0] != len(examples):
-        raise ValueError(
-            f"slot_rows hold {slot_rows.shape[0]} rows and pool_rows {pool_rows.shape[0]} pools for "
-            f"{len(examples)} examples of {sum(sizes)} slots"
-        )
-    active = [i for i, m in enumerate(matches) if m is not None]
-    ids = [examples[i].id for i in active]
     n = cfg.n_rollouts
-    u = uniforms[active]
-    rollouts = np.empty((len(active), n), dtype=np.intp)
-    stats = np.empty((len(active), 3))  # mean reward, disc loss, KL
-    groups = []
-    for gids, rows, ref in score_groups([examples[i] for i in active], [ref_probs[k] for k in ids]):
-        logits = np.array([student[k] for k in gids])
-        p = softmax(logits)
-        rollouts[rows] = _invert_rows(checked_cdf(p), u[rows])
-        stats[rows, 2], kl_grad = kl_gradient_logits(p, ref)
-        groups.append((gids, rows, logits, p, kl_grad))
+    rollouts = np.empty(uniforms.shape, dtype=np.intp)
+    stats = np.empty((len(uniforms), 3))  # mean reward, disc loss, KL
+    policies = []
+    for logits, sel, pos, ref in groups:
+        p = softmax(logits[sel])
+        rollouts[pos] = _invert_rows(checked_cdf(p), uniforms[pos])
+        stats[pos, 2], kl_grad = kl_gradient_logits(p, ref)
+        policies.append((p, kl_grad))
 
     # each rollout's slot row, gathered once for the discriminator and the
     # reward, and each matched teacher row; take(), not fancy indexing: the
     # same rows at a fraction of the call cost
-    at = np.array(active, dtype=np.intp)[:, None]
-    starts = np.cumsum([0] + sizes[:-1], dtype=np.intp)
-    roll_feats = slot_rows.take(starts[at] + rollouts, 0)
-    _, k, dim = pool_rows.shape
-    # the reshape keeps the (0, n) shape of an epoch with nothing to match
-    picks = np.array([matches[i] for i in active], dtype=np.intp).reshape(len(active), n)
-    teacher_feats = pool_rows.reshape(-1, dim).take(at * k + picks, 0)
-    if cfg.matching == "quality":
-        closed = np.array([examples[i].task.is_closed for i in active], dtype=bool)
-        pair_w = np.where(closed[:, None], teacher_feats[..., QUALITY_COL], 1.0)
-    else:
-        pair_w = np.ones((len(active), n))
+    roll_feats = slot_rows.take(slot_at + rollouts, 0)
+    teacher_feats = pool_rows.take(picks, 0)
+    pair_w = np.where(weighted[:, None], teacher_feats[..., QUALITY_COL], 1.0)
     disc, raw_scores, stats[:, 1] = chain_update(disc, teacher_feats, roll_feats, pair_w, cfg.lr_disc)
 
-    for gids, rows, logits, p, kl_grad in groups:
+    for (logits, sel, pos, _), (p, kl_grad) in zip(groups, policies):
         size, m = p.shape
-        row, roll = np.arange(size)[:, None], rollouts[rows]
-        terms = roll_feats[rows]
+        row, roll = np.arange(size)[:, None], rollouts[pos]
+        terms = roll_feats[pos]
         rewards = composite_reward(
-            cfg.weights, _sigmoid(raw_scores[rows]),
+            cfg.weights, _sigmoid(raw_scores[pos]),
             terms[..., OUTER_COL], terms[..., TASK_COL], terms[..., QUALITY_COL],
         )
         mean = rewards.sum(axis=1) / n
         adv = rewards - mean[:, None]
         counts = np.bincount((row * m + roll).ravel(), weights=adv.ravel(), minlength=size * m)
         pg = counts.reshape(size, m) / n - p * (adv.sum(axis=1, keepdims=True) / n)
-        logits += cfg.lr_student * (pg - cfg.gamma * kl_grad)
-        for k, updated in zip(gids, logits):
-            student[k][...] = updated
-        stats[rows, 0] = mean
+        logits[sel] += cfg.lr_student * (pg - cfg.gamma * kl_grad)
+        stats[pos, 0] = mean
     return disc, stats
 
 
@@ -474,37 +455,54 @@ def score_groups(examples: list[SupervisionExample], scores: list[np.ndarray]) -
     ]
 
 
-def expected_scores(
-    student: dict[str, np.ndarray], groups: list[tuple], temperature: float = 1.0, top_p: float = 1.0
-) -> np.ndarray:
-    """nucleus(softmax(student[id]), temperature, top_p) @ score for each
-    example of score_groups, in the order of its examples.
+def _pick(layout: list[np.ndarray], on: np.ndarray) -> list[tuple]:
+    """For each group of layout (its examples' indices) with an example
+    where on holds: the group's index, the selector of those rows (a slice
+    when all are, so that the stack's rows are a view) and their examples'
+    indices."""
+    out = []
+    for g, rows in enumerate(layout):
+        mask = on[rows]
+        if mask.any():
+            out.append((g, slice(None) if mask.all() else np.flatnonzero(mask), rows[mask]))
+    return out
+
+
+def logit_groups(student: dict[str, np.ndarray], groups: list[tuple]) -> list[tuple]:
+    """score_groups' groups with each group's ids replaced by their logits
+    in student, stacked: the (logits, rows, scores) expected_scores reads."""
+    return [(np.array([student[i] for i in ids]), rows, q) for ids, rows, q in groups]
+
+
+def expected_scores(groups: list[tuple], temperature: float = 1.0, top_p: float = 1.0) -> np.ndarray:
+    """nucleus(softmax(logits), temperature, top_p) @ scores, row by row,
+    for each group (logits, rows, scores), at its rows of the result.
 
     Each group takes one row-wise softmax and nucleus and one stacked
     (1, m) @ (m, 1) product, which give the per-example values bit for
     bit.  At the default temperature and top_p the nucleus is the softmax.
     """
     out = np.empty(sum(len(rows) for _, rows, _ in groups))
-    for ids, rows, q in groups:
-        p = nucleus(softmax(np.array([student[i] for i in ids])), temperature, top_p)
+    for logits, rows, q in groups:
+        p = nucleus(softmax(logits), temperature, top_p)
         out[rows] = (p[:, None, :] @ q[:, :, None])[:, 0, 0]
     return out
 
 
-def eval_accuracy(student: dict[str, np.ndarray], groups: list[tuple]) -> float | None:
+def eval_accuracy(groups: list[tuple]) -> float | None:
     """Mean expected slot score under the policy, None when groups is
-    empty: groups are score_groups of the closed-ended examples' slot
-    qualities in training, and of the latent ratings in the harness's
+    empty: groups (expected_scores') hold the closed-ended examples' slot
+    qualities in training, and the latent ratings in the harness's
     open-ended check."""
-    return float(np.mean(expected_scores(student, groups))) if groups else None
+    return float(np.mean(expected_scores(groups))) if groups else None
 
 
 @dataclass
 class TrainedArtifacts:
     """A run's result; student and ref map each example id to its logits,
-    the trained ones and the Stage-1 ones.  metrics is the (epochs, 4) log
-    metrics_to_csv writes, NaN where a cell is empty; its first sft_epochs
-    rows are Stage 1's."""
+    the trained ones (rows of the cell's stacks) and Stage-1 copies.
+    metrics is the (epochs, 4) log metrics_to_csv writes, NaN where a cell
+    is empty; its first sft_epochs rows are Stage 1's."""
 
     student: dict[str, np.ndarray]
     ref: dict[str, np.ndarray]
@@ -556,7 +554,7 @@ def _check_ids(name: str, given: dict, examples: list[SupervisionExample], every
 
 
 def _check_examples(examples: list[SupervisionExample]) -> None:
-    """The examples rule of _check_inputs, Plan and rl_step: non-empty, every
+    """The examples rule of _check_inputs and Plan: non-empty, every
     id once (pools, caches and logits are keyed by id) and each with an
     answer space; else ValueError naming the example."""
     if not examples:
@@ -624,12 +622,15 @@ def _check_inputs(
 
 class Plan:
     """What every training cell on examples shares: the featurizer, the
-    build_caches rows and closed examples' accuracy score_groups under
-    metric, and each (seed, k)'s make_pools draw, made on first use.
-    Examples that _check_examples rejects raise ValueError before anything
-    is built, as does a cell under another metric.  The slot rows are one
-    (total_slots, dim) matrix, slot_rows, in example order, and caches[id]
-    are views of it."""
+    build_caches rows under metric, the student's layout and each (seed,
+    k)'s make_pools draw, made on first use.  Examples that _check_examples
+    rejects raise ValueError before anything is built, as does a cell under
+    another metric.  The slot rows are one (total_slots, dim) matrix,
+    slot_rows, in example order, and caches[id] are views of it.  The
+    layout holds each answer-space size's example indices in score_groups
+    order, one logits stack per size; acc holds, per stack with a
+    closed-ended example, its closed rows, their positions among the
+    closed-ended examples and their slot qualities."""
 
     def __init__(
         self, examples: list[SupervisionExample], metric: MetricConfig, teacher: SyntheticTeacher | None = None
@@ -639,10 +640,15 @@ class Plan:
         self.featurizer = Featurizer(max(len(ex.answer_space) for ex in examples))
         caches = build_caches(examples, self.featurizer, metric)
         self.slot_rows = np.concatenate(list(caches.values()))
-        bounds = np.cumsum([len(rows) for rows in caches.values()])[:-1]
-        self.caches = dict(zip(caches, np.split(self.slot_rows, bounds)))
-        closed = [ex for ex in examples if ex.task.is_closed]
-        self.acc_groups = score_groups(closed, [self.caches[ex.id][:, QUALITY_COL] for ex in closed])
+        sizes = [len(rows) for rows in caches.values()]
+        self.starts = np.cumsum([0] + sizes[:-1])  # each example's first slot row
+        self.caches = dict(zip(caches, np.split(self.slot_rows, self.starts[1:])))
+        quality = score_groups(examples, [self.caches[ex.id][:, QUALITY_COL] for ex in examples])
+        self.layout = [np.array(rows) for _, rows, _ in quality]
+        self.order = np.argsort(np.concatenate(self.layout)).tolist()  # example i's row among all stacks' rows
+        self.closed = np.array([ex.task.is_closed for ex in examples])
+        rank = np.cumsum(self.closed) - 1
+        self.acc = [(g, sel, rank[rows], quality[g][2][sel]) for g, sel, rows in _pick(self.layout, self.closed)]
         self._pools: dict[tuple[int, int], dict[str, TeacherPool]] = {}
 
     def _check_metric(self, cfg: TrainConfig) -> None:
@@ -670,53 +676,61 @@ class Plan:
         is frozen at the Stage-1 result; skipped_rl lists the examples whose
         pools have nothing to match when Stage 2 runs."""
         self._check_metric(cfg)
-        examples, caches, featurizer, acc_groups = self.examples, self.caches, self.featurizer, self.acc_groups
+        examples, caches, featurizer = self.examples, self.caches, self.featurizer
         _check_inputs(examples, cfg, self.teacher, pools, sft_targets, match_overrides)
         drawn = self.pools(cfg) if pools is None else pools
         pools = {ex.id: apply_filter(drawn[ex.id], cfg.tau) for ex in examples}
-        pool_rows = np.stack([pool_features(pools[ex.id], ex, caches[ex.id], featurizer) for ex in examples])
+        pool_rows = np.concatenate([pool_features(pools[ex.id], ex, caches[ex.id], featurizer) for ex in examples])
         match_dists = {ex.id: matching_for(pools[ex.id], cfg) for ex in examples}
         match_dists.update(match_overrides or {})
-        table = stream_table(cfg.seed, np.arange(cfg.epochs_stage2)[:, None], np.arange(len(examples)))
-        uniforms = uniform_table(table, cfg.n_rollouts)
-        # every epoch's matched pool rows, drawn once per pool before training;
-        # rl_step gathers an epoch's teacher rows in one take
-        matches = [
-            None if (d := match_dists[ex.id]) is None else sample_matches(d, uniforms[:, i, 1])
-            for i, ex in enumerate(examples)
-        ]
+        epochs, n = cfg.epochs_stage2, cfg.n_rollouts
+        uniforms = uniform_table(stream_table(cfg.seed, np.arange(epochs)[:, None], np.arange(len(examples))), n)
 
-        student = {ex.id: np.zeros(len(ex.answer_space)) for ex in examples}
+        # the student: one logits stack per answer-space size, its rows by id
+        stacks = [np.zeros((len(rows), len(examples[rows[0]].answer_space))) for rows in self.layout]
+        flat = [row for logits in stacks for row in logits]
+        student = {ex.id: flat[j] for ex, j in zip(examples, self.order)}
         if sft_targets is None:
             sft_targets, skipped_sft = select_sft_targets(examples, pools, cfg.seed)
         else:
             skipped_sft = tuple(ex.id for ex in examples if ex.id not in sft_targets)
+        slots = np.array([sft_targets.get(ex.id, -1) for ex in examples])
+        taught = [(stacks[g], sel, slots[rows]) for g, sel, rows in _pick(self.layout, slots >= 0)]
+
+        def accuracy() -> float | None:
+            return eval_accuracy([(stacks[g][sel], pos, q) for g, sel, pos, q in self.acc])
 
         log = []  # per epoch: mean reward, disc loss, KL, accuracy; None is empty
         for _ in range(cfg.epochs_stage1):
-            _sft_epoch(student, examples, sft_targets, cfg.lr_student)
-            log.append((None, None, None, eval_accuracy(student, acc_groups)))
+            _sft_epoch(taught, cfg.lr_student)
+            log.append((None, None, None, accuracy()))
 
         ref = {k: logits.copy() for k, logits in student.items()}
-        ref_probs = {k: softmax(logits) for k, logits in ref.items()}
         disc = init_params(featurizer.dim, cfg.hidden_dim, seed=np.random.SeedSequence([cfg.seed, _S_DISC]))
-
-        for epoch in range(cfg.epochs_stage2):
+        # what every RL epoch reads, taken once: the examples with matches,
+        # their stack rows and reference policy, and every epoch's matched
+        # rows of pool_rows, drawn in one call per pool
+        active = np.array([match_dists[ex.id] is not None for ex in examples])
+        at, pos = np.flatnonzero(active), np.cumsum(active) - 1
+        groups = [(stacks[g], sel, pos[rows], softmax(stacks[g][sel])) for g, sel, rows in _pick(self.layout, active)]
+        picks = [sample_matches(match_dists[examples[i].id], uniforms[:, i, 1]) + i * cfg.k for i in at]
+        picks, u = np.array(picks, dtype=np.intp).reshape(len(at), epochs, n).swapaxes(0, 1), uniforms[:, at, 0]
+        slot_at, weighted = self.starts[at, None], self.closed[at] & (cfg.matching == "quality")
+        for epoch in range(epochs):
             disc, stats = rl_step(
-                student, ref_probs, disc, examples, cfg, uniforms[epoch, :, 0],
-                [None if m is None else m[epoch] for m in matches], self.slot_rows, pool_rows,
+                groups, disc, cfg, u[epoch], picks[epoch], slot_at, weighted, self.slot_rows, pool_rows
             )
             # cumsum adds the rows one after another, in step order
             means = (stats.cumsum(axis=0)[-1] / len(stats)).tolist() if len(stats) else [None] * 3
-            log.append((*means, eval_accuracy(student, acc_groups)))
+            log.append((*means, accuracy()))
 
         # an example with nothing to match sits out every RL epoch
-        skipped_rl = tuple(sorted(ex.id for ex, m in zip(examples, matches) if m is None))
+        skipped_rl = tuple(sorted(ex.id for ex, on in zip(examples, active) if not on))
         return TrainedArtifacts(
             student=student, ref=ref, disc=disc,
             metrics=np.array(log, dtype=float).reshape(-1, 4),  # None reads NaN
-            sft_epochs=cfg.epochs_stage1, final_accuracy=eval_accuracy(student, acc_groups),
-            skipped_sft=skipped_sft, skipped_rl=skipped_rl if cfg.epochs_stage2 else (),
+            sft_epochs=cfg.epochs_stage1, final_accuracy=accuracy(),
+            skipped_sft=skipped_sft, skipped_rl=skipped_rl if epochs else (),
         )
 
 
@@ -786,5 +800,5 @@ def pass_at_k_eval(
         t = thr.get(ex.task, 1.0) if isinstance(thr, dict) else thr
         misses.append(np.array([quality_score(r, ex, metric_cfg) < t for r in responses], dtype=float))
     # at most 1, so an example with no successful slot scores exactly 0
-    f = np.minimum(expected_scores(student, score_groups(examples, misses), temperature, top_p), 1.0)
+    f = np.minimum(expected_scores(logit_groups(student, score_groups(examples, misses)), temperature, top_p), 1.0)
     return [(k, float(np.mean(1.0 - f**k))) for k in ks]

@@ -10,6 +10,7 @@ from mskd.tasks import (
     Text,
     option_letters,
 )
+from mskd.train import _pick, _sft_epoch, rl_step, score_groups
 
 
 def mk_mcq(idx=0, gt="B", n_options=4):
@@ -58,6 +59,45 @@ def mk_open(idx=0, n_slots=4):
         question=f"question {idx}",
         answer_space=tuple(Text(f"caption {idx}-{j}") for j in range(n_slots)),
     )
+
+
+def stack_student(examples, student):
+    """The layout Plan.run trains on, for a dict of logits by id: each
+    answer-space size's example indices in score_groups order and its
+    logits stack.  student's values become the stacks' rows, so they see
+    every update."""
+    groups = score_groups(examples, [student[ex.id] for ex in examples])
+    for ids, _, logits in groups:
+        student.update(zip(ids, logits))
+    return [np.array(rows) for _, rows, _ in groups], [logits for _, _, logits in groups]
+
+
+def rl_epoch_on(student, ref_probs, disc, examples, cfg, uniforms, matches, slot_rows, pool_rows):
+    """train.rl_step over per-example inputs, laid out as Plan.run lays
+    them out: logits and reference probabilities by id, each example's
+    rollout uniforms and its matched pool rows (None: nothing to match), its
+    build_caches rows stacked in slot_rows and its (K, dim) pool rows
+    stacked in pool_rows."""
+    layout, stacks = stack_student(examples, student)
+    active = np.array([m is not None for m in matches], dtype=bool)
+    at, pos = np.flatnonzero(active), np.cumsum(active) - 1
+    groups = [
+        (stacks[g], sel, pos[rows], np.array([ref_probs[examples[i].id] for i in rows]))
+        for g, sel, rows in _pick(layout, active)
+    ]
+    _, k, dim = pool_rows.shape
+    picks = np.array([matches[i] + i * k for i in at], dtype=np.intp).reshape(len(at), cfg.n_rollouts)
+    starts = np.cumsum([0] + [len(ex.answer_space) for ex in examples])[at, None]
+    weighted = np.array([examples[i].task.is_closed for i in at], dtype=bool) & (cfg.matching == "quality")
+    return rl_step(groups, disc, cfg, uniforms[at], picks, starts, weighted, slot_rows, pool_rows.reshape(-1, dim))
+
+
+def sft_epoch_on(student, examples, targets, lr):
+    """train._sft_epoch over a dict of logits by id and targets by id, laid
+    out as Plan.run lays them out."""
+    layout, stacks = stack_student(examples, student)
+    slots = np.array([targets.get(ex.id, -1) for ex in examples])
+    _sft_epoch([(stacks[g], sel, slots[rows]) for g, sel, rows in _pick(layout, slots >= 0)], lr)
 
 
 @pytest.fixture

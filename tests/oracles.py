@@ -35,7 +35,7 @@ disc_chain and sft_epoch below are the per-example loops they replaced,
 disc_chain over verbatim copies of score_batch, _batch_loss_and_grad,
 batch_update and apply_gradient as they were then (renamed loop_*).
 A student is its logits, a dict from example id to one array per answer
-space, here as in the library.
+space, as TrainedArtifacts.student holds them.
 """
 
 import itertools

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import mk_binary, mk_mcq, mk_temporal
+from conftest import mk_binary, mk_mcq, mk_temporal, rl_epoch_on
 from oracles import composite_reward as oracle_reward, kl_divergence, pairwise_loss
 from mskd.analysis import analyze_variance, make_variance_corpus
 from mskd.discriminator import (
@@ -48,7 +48,7 @@ from mskd.tasks import (
     render_payload,
 )
 from mskd.train import (
-    TrainConfig, build_caches, pool_features, rl_step, run_pipeline, pass_at_k_eval,
+    TrainConfig, build_caches, pool_features, run_pipeline, pass_at_k_eval,
     stream_table, uniform_table,
 )
 
@@ -462,7 +462,7 @@ def test_criterion_06_policy_update_and_kl():
         uniforms = np.stack([np.random.default_rng(c).random(cfg.n_rollouts) for c in children])
         # a one-example epoch: the step's rollout and match rows
         matches = sample_matches(match_dist, uniforms[1])
-        disc, _ = rl_step(
+        disc, _ = rl_epoch_on(
             student, {ex.id: softmax(theta)}, disc, [ex], cfg, uniforms[None, 0], [matches],
             cache, pool_feats[None],
         )

@@ -117,7 +117,7 @@ def test_open_proxy_override_digests(tmp_path):
     cfg = TrainConfig(seed=5, k=6, epochs_stage1=6, epochs_stage2=10)
     pools = make_pools(bench.examples, bench.teacher, cfg)
     prng = np.random.default_rng(np.random.SeedSequence([5, 23]))
-    proxies = {ex.id: misleading_proxy(bench.slot_scores[ex.id], rng=prng) for ex in bench.examples}
+    proxies = {ex.id: misleading_proxy(bench.slot_scores[ex.id], prng, 0.85, 0.05) for ex in bench.examples}
     dists, targets = proxy_overrides(bench.examples, pools, proxies)
     overrides = json.dumps(
         {"dists": {k: list(d.probs) for k, d in dists.items()}, "targets": targets},

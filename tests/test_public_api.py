@@ -177,7 +177,7 @@ def test_single_path_removals_stay_out_of_the_package():
     # featurize_all leaves the quality column at 0, and its callers write it
     assert "quality" not in inspect.signature(mskd.Featurizer.featurize_all).parameters
     # knobs that only tests set are module constants, and the harness always
-    # passes misleading_proxy its seeded generator
+    # passes misleading_proxy its seeded generator and its two settings
     fixed = {
         mskd.calibrate_concentration: ("lo", "hi", "iters"),
         mskd.synthetic.BisectionPaths: ("lo", "hi", "iters"),
@@ -187,5 +187,5 @@ def test_single_path_removals_stay_out_of_the_package():
     }
     for fn, names in fixed.items():
         assert set(names).isdisjoint(inspect.signature(fn).parameters), fn.__name__
-    rng = inspect.signature(mskd.harness.misleading_proxy).parameters["rng"]
-    assert rng.default is inspect.Parameter.empty
+    proxy = inspect.signature(mskd.harness.misleading_proxy).parameters
+    assert [proxy[name].default for name in ("rng", "mislead", "noise")] == [inspect.Parameter.empty] * 3

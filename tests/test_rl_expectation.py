@@ -32,7 +32,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import mk_open, mk_temporal
+from conftest import mk_open, mk_temporal, rl_epoch_on
 from mskd.discriminator import DiscriminatorParams, Featurizer
 from mskd.harness import setting_config
 from mskd.pool import apply_filter, build_pool, sample_matches
@@ -44,7 +44,6 @@ from mskd.train import (
     build_caches,
     matching_for,
     pool_features,
-    rl_step,
     stream_table,
     uniform_table,
 )
@@ -128,7 +127,7 @@ def epoch_of_copies(ex, cfg, disc, inputs, draws, seed):
     def per_copy(value):
         return {c.id: value for c in copies}
 
-    _, stats = rl_step(
+    _, stats = rl_epoch_on(
         student, per_copy(inputs["ref_probs"]), disc, copies, cfg, u[:, 0],
         list(sample_matches(inputs["dist"], u[:, 1])),
         np.concatenate([inputs["feats"]] * draws), np.stack([inputs["pool_feats"]] * draws),
@@ -148,7 +147,7 @@ def one_example_epochs(ex, cfg, disc, inputs, draws, seed):
     disc_updates = np.empty((draws, len(start)))
     for i in range(draws):
         student = {ex.id: inputs["logits"].copy()}
-        stepped, _ = rl_step(
+        stepped, _ = rl_epoch_on(
             student, {ex.id: inputs["ref_probs"]}, disc, [ex], cfg, u[i : i + 1, 0], [matches[i]],
             inputs["feats"], inputs["pool_feats"][None],
         )

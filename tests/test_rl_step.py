@@ -19,7 +19,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import mk_mcq, mk_temporal
+import oracles
+from conftest import mk_mcq, mk_open, mk_temporal, rl_epoch_on
 from oracles import kl_divergence, loop_apply_gradient
 from mskd.discriminator import (
     DiscriminatorParams,
@@ -41,7 +42,8 @@ from mskd.train import (
     make_pools,
     matching_for,
     pool_features,
-    rl_step,
+    run_pipeline,
+    select_sft_targets,
     stream_table,
     uniform_table,
 )
@@ -206,7 +208,7 @@ def run_both(bench, cfg, epochs=2):
             None if dists[ex.id] is None else sample_matches(dists[ex.id], uniforms[epoch, i, 1])
             for i, ex in enumerate(examples)
         ]
-        disc, stats = rl_step(
+        disc, stats = rl_epoch_on(
             student, ref_probs, disc, examples, cfg, uniforms[epoch, :, 0], matches,
             np.concatenate([caches[ex.id] for ex in examples]), np.stack([feats[ex.id] for ex in examples]),
         )
@@ -284,3 +286,85 @@ def test_rl_step_epoch_mixes_space_sizes_and_a_skipped_example():
     cfg = TrainConfig(seed=7, weights=ODD_WEIGHTS)
     assert run_both(bench, cfg, epochs=3) == ("mcq-1",)
     assert run_both(bench, replace(cfg, matching="uniform", hidden_dim=2)) == ("mcq-1",)
+
+
+def oracle_cell(examples, teacher, cfg, targets):
+    """A cell as the per-example loops ran it: each SFT epoch by
+    oracles.sft_epoch, each RL epoch by oracle_rl_step over the examples in
+    order, the accuracy by the per-example loop; the trained and the
+    Stage-1 logits, the discriminator and the (epochs, 4) log."""
+    from test_trainer import _oracle_eval_accuracy
+
+    pools = {k: apply_filter(pool, cfg.tau) for k, pool in make_pools(examples, teacher, cfg).items()}
+    featurizer = Featurizer(max(len(ex.answer_space) for ex in examples))
+    caches = oracles.build_caches(examples, featurizer, cfg.metric)
+    feats = {ex.id: oracles.pool_features(pools[ex.id], ex, caches[ex.id], featurizer) for ex in examples}
+    dists = {ex.id: matching_for(pools[ex.id], cfg) for ex in examples}
+    quality = {k: rows[:, 3].copy() for k, rows in caches.items()}
+    student = {ex.id: np.zeros(len(ex.answer_space)) for ex in examples}
+    log = []
+    for _ in range(cfg.epochs_stage1):
+        oracles.sft_epoch(student, examples, targets, cfg.lr_student)
+        log.append([None] * 3 + [_oracle_eval_accuracy(student, examples, quality)])
+    ref = {k: logits.copy() for k, logits in student.items()}
+    disc = init_params(featurizer.dim, cfg.hidden_dim, seed=np.random.SeedSequence([cfg.seed, 3]))
+    for epoch in range(cfg.epochs_stage2):
+        totals, stepped = [0.0, 0.0, 0.0], 0
+        for i, ex in enumerate(examples):
+            if dists[ex.id] is None:
+                continue
+            seq = np.random.SeedSequence([cfg.seed, _S_ROLL, epoch, i])
+            student, disc, m = oracle_rl_step(
+                student, ref, disc, pools[ex.id], ex, cfg, seq, caches[ex.id], feats[ex.id], dists[ex.id]
+            )
+            totals = [t + v for t, v in zip(totals, (m["mean_reward"], m["disc_loss"], m["kl"]))]
+            stepped += 1
+        log.append([t / stepped for t in totals] + [_oracle_eval_accuracy(student, examples, quality)])
+    return student, ref, disc, np.array(log, dtype=float)
+
+
+@pytest.mark.parametrize("matching,hidden", [("quality", 0), ("uniform", 2)])
+def test_cell_on_partly_used_stacks_matches_the_per_example_oracles(matching, hidden):
+    # each 4-slot stack holds closed and open-ended examples, so the
+    # accuracy reads a subset of it; mcq-3 has no SFT target, and every
+    # response of tg-1 is malformed, so its pool has nothing to match
+    seven = tuple(TemporalSegment(j / 10, (j + 3) / 10) for j in range(7))
+    examples = [
+        mk_mcq(0, gt="A"),
+        mk_temporal(1, gt=(0.1, 0.4), space=seven),
+        mk_open(2),
+        mk_mcq(3, gt="C"),
+        mk_temporal(4, gt=(0.3, 0.6), space=seven),
+        mk_open(5),
+        mk_mcq(6, gt="D"),
+    ]
+    probs = {}
+    for ex in examples:
+        probs[ex.id] = np.ones(len(ex.answer_space))
+        if ex.task.is_closed:
+            probs[ex.id][ex.answer_space.index(ex.ground_truth)] = len(ex.answer_space)
+        probs[ex.id] /= probs[ex.id].sum()
+    teacher = SyntheticTeacher(probs, {ex.id: 1.0 if ex.id == "tg-1" else 0.2 for ex in examples})
+    cfg = TrainConfig(
+        seed=4, k=5, n_rollouts=6, epochs_stage1=3, epochs_stage2=4, weights=ODD_WEIGHTS,
+        matching=matching, hidden_dim=hidden,
+    )
+    pools = {k: apply_filter(pool, cfg.tau) for k, pool in make_pools(examples, teacher, cfg).items()}
+    targets, skipped = select_sft_targets(examples, pools, cfg.seed)
+    assert skipped == ("tg-1",)
+    del targets["mcq-3"]
+
+    art = run_pipeline(examples, cfg, teacher=teacher, sft_targets=targets)
+    student, ref, disc, log = oracle_cell(examples, teacher, cfg, targets)
+    assert (art.skipped_sft, art.skipped_rl) == (("tg-1", "mcq-3"), ("tg-1",))
+    assert art.metrics.tobytes() == log.tobytes()
+    assert disc_bytes(art.disc) == disc_bytes(disc)
+    assert repr(art.final_accuracy) == repr(float(log[-1, 3]))
+    assert list(art.student) == list(art.ref) == [ex.id for ex in examples]
+    for ex in examples:
+        assert art.student[ex.id].tobytes() == student[ex.id].tobytes(), ex.id
+        assert art.ref[ex.id].tobytes() == ref[ex.id].tobytes(), ex.id
+        # the Stage-1 logits are copies, not views of the trained stacks
+        assert not any(np.shares_memory(art.ref[ex.id], logits) for logits in art.student.values()), ex.id
+    assert not np.array_equal(art.student["tg-4"], art.ref["tg-4"])
+    assert art.student["tg-1"].tobytes() == np.zeros(7).tobytes()  # neither taught nor stepped

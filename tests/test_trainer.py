@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import mk_binary, mk_mcq, mk_open, mk_temporal
+from conftest import mk_binary, mk_mcq, mk_open, mk_temporal, rl_epoch_on, sft_epoch_on
 import mskd.discriminator
 import mskd.train
 import oracles
@@ -19,6 +19,7 @@ from mskd.pool import (
     build_pool,
     matching_distribution,
     sample_matches,
+    select_sft_target,
 )
 from mskd.metrics import MetricConfig
 from mskd.rewards import InvalidWeightsError, RewardWeights
@@ -29,14 +30,13 @@ from mskd.train import (
     TrainConfig,
     _passk_settings,
     build_caches,
-    _sft_epoch,
     eval_accuracy,
+    logit_groups,
     make_pools,
     matching_for,
     metrics_to_csv,
     pass_at_k_eval,
     pool_features,
-    rl_step,
     run_pipeline,
     score_groups,
     select_sft_targets,
@@ -84,7 +84,7 @@ def rl_epoch(student, disc, ex, pool, cfg):
     cache = build_caches([ex], featurizer, cfg.metric)[ex.id]
     dist = matching_for(pool, cfg)
     match = None if dist is None else sample_matches(dist, u[1])
-    return rl_step(
+    return rl_epoch_on(
         student, {ex.id: softmax(student[ex.id])}, disc, [ex], cfg, u[None, 0], [match],
         cache, pool_features(pool, ex, cache, featurizer)[None],
     )
@@ -105,7 +105,7 @@ def test_sft_stage_descends_to_target():
     targets, _ = select_sft_targets(exs, pools, cfg.seed)
     probs_at_target = [softmax(student[exs[0].id])[2]]
     for _ in range(100):
-        _sft_epoch(student, exs, targets, cfg.lr_student)
+        sft_epoch_on(student, exs, targets, cfg.lr_student)
         probs_at_target.append(softmax(student[exs[0].id])[2])
     diffs = np.diff(probs_at_target)
     assert np.all(diffs > 0)  # strictly converging toward the taught slot
@@ -121,6 +121,24 @@ def test_select_sft_targets_skips_degenerate_pools():
     targets, skipped = select_sft_targets([ok, bad], pools, seed=0)
     assert targets == {ok.id: 1}
     assert skipped == (bad.id,)
+
+
+def test_select_sft_targets_draws_a_stream_for_open_pools_only(monkeypatch):
+    # a closed pool's target is its argmax, so only an open pool needs the
+    # (seed, _S_SFT, i) stream, and each target is what that stream gives
+    exs = [mk_mcq(0, gt="B"), mk_open(1), mk_temporal(2), mk_open(3, n_slots=2)]
+    teacher = point_mass_teacher(exs[::2])
+    teacher.probs.update({ex.id: np.full(len(ex.answer_space), 1.0 / len(ex.answer_space)) for ex in exs[1::2]})
+    teacher.violation_rate.update({ex.id: 0.0 for ex in exs[1::2]})
+    pools = make_pools(exs, teacher, small_cfg(k=4))
+    streams = []
+    real = mskd.train._stream
+    monkeypatch.setattr(mskd.train, "_stream", lambda *key: streams.append(key) or real(*key))
+    targets, skipped = select_sft_targets(exs, pools, 9)
+    assert streams == [(9, 2, 1), (9, 2, 3)] and skipped == ()
+    for i, ex in enumerate(exs):
+        want = select_sft_target(pools[ex.id], real(9, 2, i))
+        assert targets[ex.id] == ex.slot_of(pools[ex.id].responses[want].payload), ex.id
 
 
 def test_rl_step_leaves_an_example_without_matches_untouched():
@@ -144,7 +162,7 @@ def test_rl_step_leaves_an_example_without_matches_untouched():
     for hidden in (0, 2):
         disc = init_params(featurizer.dim, hidden, seed=0)
         disc_bytes = oracles.disc_vector(disc).tobytes()
-        new_disc, stats = rl_step(
+        new_disc, stats = rl_epoch_on(
             student, {k: softmax(v) for k, v in before.items()}, disc, exs, cfg,
             rng.random((len(exs), cfg.n_rollouts)), [None] * len(exs),
             np.concatenate([caches[e.id] for e in exs]), np.zeros((len(exs), cfg.k, featurizer.dim)),
@@ -154,21 +172,6 @@ def test_rl_step_leaves_an_example_without_matches_untouched():
         assert oracles.disc_vector(disc).tobytes() == disc_bytes
         for k, logits in student.items():
             assert logits.tobytes() == before[k].tobytes(), k
-
-
-def test_rl_step_rejects_row_stacks_that_do_not_fit_its_examples():
-    # a short stack would gather another example's rows without a word
-    exs = [mk_mcq(0), mk_binary(1)]
-    cfg = small_cfg()
-    featurizer = Featurizer(4)
-    slot_rows = np.concatenate(list(build_caches(exs, featurizer, cfg.metric).values()))
-    pool_rows = np.zeros((2, cfg.k, featurizer.dim))
-    student = uniform_student(exs)
-    args = (student, {k: softmax(v) for k, v in student.items()}, init_params(featurizer.dim), exs, cfg,
-            np.zeros((2, cfg.n_rollouts)), [None, None])
-    for rows in ((slot_rows[:-1], pool_rows), (slot_rows, pool_rows[:1])):
-        with pytest.raises(ValueError, match=r"for 2 examples of 6 slots$"):
-            rl_step(*args, *rows)
 
 
 def test_sft_epoch_is_the_per_example_loop_bit_for_bit():
@@ -185,7 +188,7 @@ def test_sft_epoch_is_the_per_example_loop_bit_for_bit():
     want = {k: logits.copy() for k, logits in got.items()}
     untaught = want["mcq-3"].copy()
     for _ in range(5):
-        _sft_epoch(got, exs, targets, 0.3)
+        sft_epoch_on(got, exs, targets, 0.3)
         oracles.sft_epoch(want, exs, targets, 0.3)
         for ex in exs:
             assert got[ex.id].tobytes() == want[ex.id].tobytes(), ex.id
@@ -479,15 +482,16 @@ def closed_groups(examples, quality):
 def test_eval_accuracy_none_for_open_only():
     exs = [mk_open(0, n_slots=2), mk_open(1, n_slots=7), mk_open(2)]
     quality = slot_quality(build_caches(exs, Featurizer(7)))
-    assert eval_accuracy(uniform_student(exs), closed_groups(exs, quality)) is None
+    assert eval_accuracy(logit_groups(uniform_student(exs), closed_groups(exs, quality))) is None
     assert _oracle_eval_accuracy(uniform_student(exs), exs, quality) is None
 
 
 def test_eval_accuracy_expected_metric():
     ex = mk_mcq(0, gt="B")
     groups = closed_groups([ex], slot_quality(build_caches([ex], Featurizer(4))))
-    assert eval_accuracy({ex.id: np.array([0.0, 50.0, 0.0, 0.0])}, groups) == pytest.approx(1.0, abs=1e-12)
-    assert eval_accuracy(uniform_student([ex]), groups) == pytest.approx(0.25)
+    peaked = {ex.id: np.array([0.0, 50.0, 0.0, 0.0])}
+    assert eval_accuracy(logit_groups(peaked, groups)) == pytest.approx(1.0, abs=1e-12)
+    assert eval_accuracy(logit_groups(uniform_student([ex]), groups)) == pytest.approx(0.25)
 
 
 # The per-example loops eval_accuracy and the harness's open-ended accuracy
@@ -531,13 +535,15 @@ def test_batched_expected_scores_match_per_example_loops(seed):
     student = {ex.id: rng.normal(0.0, 2.0, len(ex.answer_space)) for ex in exs}
     student[exs[3].id][2] = -1000.0  # a slot whose mass underflows to 0
     quality = slot_quality(build_caches(exs, Featurizer(7)))
-    assert eval_accuracy(student, closed_groups(exs, quality)) == _oracle_eval_accuracy(student, exs, quality)
+    got = eval_accuracy(logit_groups(student, closed_groups(exs, quality)))
+    assert got == _oracle_eval_accuracy(student, exs, quality)
     # graded scores on every slot, so each term of every product counts
     graded = {k: rng.uniform(0.0, 1.0, len(q)) for k, q in quality.items()}
-    assert eval_accuracy(student, closed_groups(exs, graded)) == _oracle_eval_accuracy(student, exs, graded)
+    got = eval_accuracy(logit_groups(student, closed_groups(exs, graded)))
+    assert got == _oracle_eval_accuracy(student, exs, graded)
     scores = {ex.id: rng.uniform(0.0, 1.0, len(ex.answer_space)) for ex in exs}
     for subset in (exs, [ex for ex in exs if not ex.task.is_closed], exs[::-1]):
-        got = eval_accuracy(student, score_groups(subset, [scores[ex.id] for ex in subset]))
+        got = eval_accuracy(logit_groups(student, score_groups(subset, [scores[ex.id] for ex in subset])))
         assert repr(got) == repr(_oracle_open_accuracy(student, subset, scores))
 
 
@@ -989,6 +995,34 @@ def _slot_table_examples():
         make(13, TaskType.NUMERICAL, Number(0.0), (Number(0.0), Number(1.0))),  # equal, renders apart
         make(14, TaskType.NUMERICAL, Number(1.0), (Number(0.0), Number(1.0))),
     ]
+
+
+def test_build_caches_scores_a_space_once_per_rendered_truth(monkeypatch):
+    # examples with the same slot parses and an equal truth of one rendering
+    # share one quality column; 0.0 and -0.0 are equal but render apart
+    seven = tuple(TemporalSegment(j / 10, (j + 3) / 10) for j in range(7))
+    numbers = (Number(0.0), Number(1.0))
+
+    def number(i, gt):
+        return SupervisionExample(
+            id=f"num-{i}", task=TaskType.NUMERICAL, question="q", ground_truth=Number(gt), answer_space=numbers
+        )
+
+    exs = [
+        mk_mcq(0, gt="A"), mk_mcq(1, gt="A"), mk_mcq(2, gt="C"),
+        mk_temporal(3, gt=(0.0, 0.3), space=seven), mk_temporal(4, gt=(0.0, 0.3), space=seven),
+        mk_temporal(5, gt=(-0.0, 0.3), space=seven),
+        number(6, 0.0), number(7, -0.0), number(8, 0.0), mk_open(9),
+    ]
+    scored = []
+    real = mskd.train.quality_score
+    monkeypatch.setattr(mskd.train, "quality_score", lambda r, ex, cfg: scored.append(ex.id) or real(r, ex, cfg))
+    featurizer, metric = Featurizer(7), MetricConfig(eps_rel=0.1)
+    got = build_caches(exs, featurizer, metric)
+    assert scored == ["mcq-0"] * 4 + ["mcq-2"] * 4 + ["tg-3"] * 7 + ["tg-5"] * 7 + ["num-6"] * 2 + ["num-7"] * 2
+    want = oracles.build_caches(exs, featurizer, metric)
+    for ex in exs:
+        assert got[ex.id].tobytes() == want[ex.id].tobytes(), ex.id
 
 
 @pytest.mark.parametrize("space_size", [5, 7])
