@@ -26,7 +26,7 @@ RL steps' streams are the two spawned children of that sequence; a step
 reads the first n_rollouts doubles of each, which uniform_table computes for
 a whole run at once, bit for bit, from stream_table's seed states.  All else
 a step reads is taken once: per cell, the logits stacks with their taught,
-active and closed rows, the reference policy of the active rows, the pools'
+active and closed rows, the stacks' reference policy, the pools'
 feature rows as one (examples * K, dim) matrix and every epoch's matched
 rows of it as one array; per Plan, shared by every cell on one set of
 examples, the slot rows as one (total_slots, dim) matrix with each
@@ -370,7 +370,7 @@ def rl_step(
     pool_rows: np.ndarray,
 ) -> tuple[DiscriminatorParams, np.ndarray]:
     """One epoch of adversarial distillation over the active examples, the
-    ones with matches.
+    ones with matches, on the layout rl_inputs builds for Plan.run.
 
     groups hold, per answer-space size, the student's logits stack, which
     the step updates in place, its active rows (_pick's selector), their
@@ -382,7 +382,8 @@ def rl_step(
     row of slot_rows (the build_caches rows under cfg.metric, stacked); and
     weighted whether a pair's weight in the discriminator's loss is the
     quality column of its teacher row (quality matching on a closed-ended
-    example) rather than 1.
+    example) rather than 1.  Inputs that do not fit one another raise
+    ValueError: a short stack would gather another example's rows.
 
     Order: every rollout is drawn from the epoch-start policy; the rollout
     rows and the matched teacher rows of the whole epoch are gathered in one
@@ -398,7 +399,14 @@ def rl_step(
     order: its mean reward, the discriminator's loss before its step and
     its KL, each of the state it acted on.
     """
-    n = cfg.n_rollouts
+    n, a = cfg.n_rollouts, len(slot_at)
+    covered = np.sort(np.concatenate([np.arange(0)] + [p for _, _, p, _ in groups]))
+    fits = uniforms.shape == picks.shape == (a, n) and slot_at.shape == (a, 1) and weighted.shape == (a,)
+    if not (fits and np.array_equal(covered, np.arange(a))) or a and (
+        min(slot_at.min(), picks.min()) < 0 or picks.max() >= len(pool_rows)
+        or max(slot_at[p].max() + logits.shape[1] for logits, _, p, _ in groups) > len(slot_rows)
+    ):
+        raise ValueError(f"rl_step inputs do not fit {a} active examples and their row stacks")
     rollouts = np.empty(uniforms.shape, dtype=np.intp)
     stats = np.empty((len(uniforms), 3))  # mean reward, disc loss, KL
     policies = []
@@ -457,15 +465,29 @@ def score_groups(examples: list[SupervisionExample], scores: list[np.ndarray]) -
 
 def _pick(layout: list[np.ndarray], on: np.ndarray) -> list[tuple]:
     """For each group of layout (its examples' indices) with an example
-    where on holds: the group's index, the selector of those rows (a slice
-    when all are, so that the stack's rows are a view) and their examples'
-    indices."""
+    where on holds: its index, the selector of those rows (a slice when all
+    are, so the stack's rows are a view) and their examples' indices."""
     out = []
     for g, rows in enumerate(layout):
         mask = on[rows]
         if mask.any():
             out.append((g, slice(None) if mask.all() else np.flatnonzero(mask), rows[mask]))
     return out
+
+
+def rl_inputs(
+    layout: list, stacks: list, refs: list, matches: list, starts: np.ndarray, closed: np.ndarray, cfg: TrainConfig
+) -> tuple[list[tuple], np.ndarray, np.ndarray, np.ndarray]:
+    """rl_step's groups, picks (epochs, active, n), slot_at and weighted for
+    a cell: layout holds each stack's example indices, refs the stacks'
+    reference policy; per example, matches its (epochs, n) rows of its
+    cfg.k-row pool or None, starts its first slot row, closed its kind."""
+    active = np.array([m is not None for m in matches], dtype=bool)
+    at, pos = np.flatnonzero(active), np.cumsum(active) - 1
+    groups = [(stacks[g], sel, pos[rows], refs[g][sel]) for g, sel, rows in _pick(layout, active)]
+    picks = np.array([matches[i] + i * cfg.k for i in at], dtype=np.intp)
+    picks = picks.reshape(len(at), cfg.epochs_stage2, cfg.n_rollouts).swapaxes(0, 1)
+    return groups, picks, starts[at, None], closed[at] & (cfg.matching == "quality")
 
 
 def logit_groups(student: dict[str, np.ndarray], groups: list[tuple]) -> list[tuple]:
@@ -640,12 +662,10 @@ class Plan:
         self.featurizer = Featurizer(max(len(ex.answer_space) for ex in examples))
         caches = build_caches(examples, self.featurizer, metric)
         self.slot_rows = np.concatenate(list(caches.values()))
-        sizes = [len(rows) for rows in caches.values()]
-        self.starts = np.cumsum([0] + sizes[:-1])  # each example's first slot row
+        self.starts = np.cumsum([0] + [len(rows) for rows in caches.values()])[:-1]  # each example's first slot row
         self.caches = dict(zip(caches, np.split(self.slot_rows, self.starts[1:])))
         quality = score_groups(examples, [self.caches[ex.id][:, QUALITY_COL] for ex in examples])
         self.layout = [np.array(rows) for _, rows, _ in quality]
-        self.order = np.argsort(np.concatenate(self.layout)).tolist()  # example i's row among all stacks' rows
         self.closed = np.array([ex.task.is_closed for ex in examples])
         rank = np.cumsum(self.closed) - 1
         self.acc = [(g, sel, rank[rows], quality[g][2][sel]) for g, sel, rows in _pick(self.layout, self.closed)]
@@ -688,8 +708,8 @@ class Plan:
 
         # the student: one logits stack per answer-space size, its rows by id
         stacks = [np.zeros((len(rows), len(examples[rows[0]].answer_space))) for rows in self.layout]
-        flat = [row for logits in stacks for row in logits]
-        student = {ex.id: flat[j] for ex, j in zip(examples, self.order)}
+        row_of = dict(zip(np.concatenate(self.layout).tolist(), (row for logits in stacks for row in logits)))
+        student = {ex.id: row_of[i] for i, ex in enumerate(examples)}
         if sft_targets is None:
             sft_targets, skipped_sft = select_sft_targets(examples, pools, cfg.seed)
         else:
@@ -707,15 +727,12 @@ class Plan:
 
         ref = {k: logits.copy() for k, logits in student.items()}
         disc = init_params(featurizer.dim, cfg.hidden_dim, seed=np.random.SeedSequence([cfg.seed, _S_DISC]))
-        # what every RL epoch reads, taken once: the examples with matches,
-        # their stack rows and reference policy, and every epoch's matched
-        # rows of pool_rows, drawn in one call per pool
-        active = np.array([match_dists[ex.id] is not None for ex in examples])
-        at, pos = np.flatnonzero(active), np.cumsum(active) - 1
-        groups = [(stacks[g], sel, pos[rows], softmax(stacks[g][sel])) for g, sel, rows in _pick(self.layout, active)]
-        picks = [sample_matches(match_dists[examples[i].id], uniforms[:, i, 1]) + i * cfg.k for i in at]
-        picks, u = np.array(picks, dtype=np.intp).reshape(len(at), epochs, n).swapaxes(0, 1), uniforms[:, at, 0]
-        slot_at, weighted = self.starts[at, None], self.closed[at] & (cfg.matching == "quality")
+        # every epoch's matched pool rows, drawn once per pool before training
+        dists = [match_dists[ex.id] for ex in examples]
+        matches = [None if d is None else sample_matches(d, uniforms[:, i, 1]) for i, d in enumerate(dists)]
+        refs = [softmax(logits) for logits in stacks]
+        groups, picks, slot_at, weighted = rl_inputs(self.layout, stacks, refs, matches, self.starts, self.closed, cfg)
+        u = uniforms[:, [m is not None for m in matches], 0]
         for epoch in range(epochs):
             disc, stats = rl_step(
                 groups, disc, cfg, u[epoch], picks[epoch], slot_at, weighted, self.slot_rows, pool_rows
@@ -725,7 +742,7 @@ class Plan:
             log.append((*means, accuracy()))
 
         # an example with nothing to match sits out every RL epoch
-        skipped_rl = tuple(sorted(ex.id for ex, on in zip(examples, active) if not on))
+        skipped_rl = tuple(sorted(ex.id for ex, m in zip(examples, matches) if m is None))
         return TrainedArtifacts(
             student=student, ref=ref, disc=disc,
             metrics=np.array(log, dtype=float).reshape(-1, 4),  # None reads NaN

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from mskd.tasks import (
     Text,
     option_letters,
 )
-from mskd.train import _pick, _sft_epoch, rl_step, score_groups
+from mskd.train import _pick, _sft_epoch, rl_inputs, rl_step, score_groups
 
 
 def mk_mcq(idx=0, gt="B", n_options=4):
@@ -73,23 +75,22 @@ def stack_student(examples, student):
 
 
 def rl_epoch_on(student, ref_probs, disc, examples, cfg, uniforms, matches, slot_rows, pool_rows):
-    """train.rl_step over per-example inputs, laid out as Plan.run lays
-    them out: logits and reference probabilities by id, each example's
-    rollout uniforms and its matched pool rows (None: nothing to match), its
-    build_caches rows stacked in slot_rows and its (K, dim) pool rows
-    stacked in pool_rows."""
+    """train.rl_step over per-example inputs, laid out by train.rl_inputs
+    as Plan.run lays them out: logits and reference probabilities by id,
+    each example's rollout uniforms and its matched pool rows (None: nothing
+    to match), its build_caches rows stacked in slot_rows and its (K, dim)
+    pool rows stacked in pool_rows."""
     layout, stacks = stack_student(examples, student)
-    active = np.array([m is not None for m in matches], dtype=bool)
-    at, pos = np.flatnonzero(active), np.cumsum(active) - 1
-    groups = [
-        (stacks[g], sel, pos[rows], np.array([ref_probs[examples[i].id] for i in rows]))
-        for g, sel, rows in _pick(layout, active)
-    ]
+    refs = [np.array([ref_probs[examples[i].id] for i in rows]) for rows in layout]
+    starts = np.cumsum([0] + [len(ex.answer_space) for ex in examples])[:-1]
+    closed = np.array([ex.task.is_closed for ex in examples], dtype=bool)
     _, k, dim = pool_rows.shape
-    picks = np.array([matches[i] + i * k for i in at], dtype=np.intp).reshape(len(at), cfg.n_rollouts)
-    starts = np.cumsum([0] + [len(ex.answer_space) for ex in examples])[at, None]
-    weighted = np.array([examples[i].task.is_closed for i in at], dtype=bool) & (cfg.matching == "quality")
-    return rl_step(groups, disc, cfg, uniforms[at], picks, starts, weighted, slot_rows, pool_rows.reshape(-1, dim))
+    one_epoch = [None if m is None else np.asarray(m)[None] for m in matches]
+    groups, picks, slot_at, weighted = rl_inputs(
+        layout, stacks, refs, one_epoch, starts, closed, replace(cfg, k=k, epochs_stage2=1)
+    )
+    u = uniforms[[m is not None for m in matches]]
+    return rl_step(groups, disc, cfg, u, picks[0], slot_at, weighted, slot_rows, pool_rows.reshape(-1, dim))
 
 
 def sft_epoch_on(student, examples, targets, lr):

@@ -37,6 +37,8 @@ from mskd.train import (
     metrics_to_csv,
     pass_at_k_eval,
     pool_features,
+    rl_inputs,
+    rl_step,
     run_pipeline,
     score_groups,
     select_sft_targets,
@@ -172,6 +174,40 @@ def test_rl_step_leaves_an_example_without_matches_untouched():
         assert oracles.disc_vector(disc).tobytes() == disc_bytes
         for k, logits in student.items():
             assert logits.tobytes() == before[k].tobytes(), k
+
+
+def test_rl_step_rejects_row_stacks_that_do_not_fit_its_examples():
+    # a short stack would gather another example's rows without a word
+    exs = [mk_mcq(0), mk_binary(1)]
+    cfg = small_cfg()
+    featurizer = Featurizer(4)
+    slot_rows = np.concatenate(list(build_caches(exs, featurizer, cfg.metric).values()))
+    pool_rows = np.zeros((2, cfg.k, featurizer.dim))
+    student = uniform_student(exs)
+    # both examples are stepped; every rollout takes slot 0, every match the last pool row
+    matches = [np.full(cfg.n_rollouts, cfg.k - 1)] * 2
+    args = (student, {k: softmax(v) for k, v in student.items()}, init_params(featurizer.dim), exs, cfg,
+            np.zeros((2, cfg.n_rollouts)), matches)
+    for rows in ((slot_rows[:-1], pool_rows), (slot_rows, pool_rows[:1])):
+        with pytest.raises(ValueError, match=r"^rl_step inputs do not fit 2 active examples"):
+            rl_epoch_on(*args, *rows)
+        for k, logits in student.items():
+            assert not logits.any(), k
+    rl_epoch_on(*args, slot_rows, pool_rows)
+
+    # inputs that disagree with one another, built as Plan.run builds them
+    layout, stacks = [np.array([0]), np.array([1])], [np.zeros((1, 4)), np.zeros((1, 2))]
+    groups, picks, slot_at, weighted = rl_inputs(
+        layout, stacks, [softmax(s) for s in stacks], [m[None] for m in matches], np.array([0, 4]),
+        np.array([True, True]), replace(cfg, epochs_stage2=1),
+    )
+    flat_pools = pool_rows.reshape(-1, featurizer.dim)
+    fine = (groups, args[2], cfg, args[5], picks[0], slot_at, weighted, slot_rows, flat_pools)
+    twice = [(*g[:2], np.array([0]), g[3]) for g in groups]
+    for i, bad in ((0, twice), (3, args[5][:1]), (4, picks[0] - cfg.k), (5, slot_at[:1]), (6, weighted[:1])):
+        with pytest.raises(ValueError, match=r"^rl_step inputs do not fit"):
+            rl_step(*fine[:i], bad, *fine[i + 1 :])
+    rl_step(*fine)
 
 
 def test_sft_epoch_is_the_per_example_loop_bit_for_bit():
