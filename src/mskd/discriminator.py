@@ -150,20 +150,6 @@ def _pair_grad(
     return hs @ w, z, [grad_w, (bs.T @ fs - bt.T @ ft) / n, (bs - bt).sum(axis=0) / n]
 
 
-def _batch_loss_and_grad(
-    params: DiscriminatorParams,
-    teacher_feats: np.ndarray,
-    student_feats: np.ndarray,
-    q_match: np.ndarray,
-) -> tuple[float, DiscriminatorParams]:
-    """Mean weighted pairwise loss and its gradient over a pair batch."""
-    ft = np.atleast_2d(np.asarray(teacher_feats, dtype=float))
-    fs = np.atleast_2d(np.asarray(student_feats, dtype=float))
-    q = np.asarray(q_match, dtype=float).reshape(-1)
-    _, z, grad = _pair_grad(_theta(params), ft, fs, fs - ft, q)
-    return float((q * np.logaddexp(0.0, z)).sum() / len(fs)), DiscriminatorParams(*grad)
-
-
 def chain_update(
     params: DiscriminatorParams,
     teacher: np.ndarray,

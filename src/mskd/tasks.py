@@ -115,7 +115,8 @@ class SupervisionExample:
 
     ``answer_space`` is the optional finite enumeration of candidate payloads
     used by the simulator; real corpora may omit it.  Its payloads must be
-    distinct, so that ``slot_of`` names exactly one slot for each.
+    distinct, so that ``slot_of`` names exactly one slot for each.  A
+    segment or box truth must not be reversed; a slot may be.
     """
 
     id: str
@@ -136,6 +137,10 @@ class SupervisionExample:
                     f"example {self.id}: ground_truth must be {want.__name__} "
                     f"for {self.task.value}"
                 )
+            gt = self.ground_truth
+            segment, box = isinstance(gt, TemporalSegment), isinstance(gt, SpatialBox)
+            if segment and gt.start > gt.end or box and (gt.x1 > gt.x2 or gt.y1 > gt.y2):
+                raise ValueError(f"example {self.id}: ground_truth {gt} is reversed")
         elif self.ground_truth is not None:
             raise ValueError(f"example {self.id}: open-ended task must not carry ground_truth")
         if self.option_count is not None:

@@ -315,27 +315,21 @@ def select_sft_targets(
     examples: list[SupervisionExample],
     pools: dict[str, TeacherPool],
     seed: int,
-) -> tuple[dict[str, int], tuple[str, ...]]:
-    """Map example id -> answer-space slot of its SFT target.
-
-    Examples whose pools offer no usable target are skipped and reported.
-    """
+) -> dict[str, int]:
+    """Map example id -> answer-space slot of its SFT target; an example
+    whose pool offers no usable target has no key."""
     targets: dict[str, int] = {}
-    skipped: list[str] = []
     for i, ex in enumerate(examples):
         pool = pools[ex.id]
         try:
             # only an open-ended pool draws its target, so only it gets a stream
             pool_idx = select_sft_target(pool, _stream(seed, _S_SFT, i) if pool.qualities is None else None)
         except NoValidTargetError:
-            skipped.append(ex.id)
             continue
         slot = ex.slot_of(pool.responses[pool_idx].payload)
-        if slot is None:
-            skipped.append(ex.id)
-            continue
-        targets[ex.id] = slot
-    return targets, tuple(skipped)
+        if slot is not None:
+            targets[ex.id] = slot
+    return targets
 
 
 def _sft_epoch(taught: list[tuple], lr: float) -> None:
@@ -577,16 +571,16 @@ def _check_ids(name: str, given: dict, examples: list[SupervisionExample], every
 
 def _check_examples(examples: list[SupervisionExample]) -> None:
     """The examples rule of _check_inputs and Plan: non-empty, every
-    id once (pools, caches and logits are keyed by id) and each with an
-    answer space; else ValueError naming the example."""
+    id once (pools, caches and logits are keyed by id) and each with a
+    non-empty answer space; else ValueError naming the example."""
     if not examples:
         raise ValueError("no examples to train on")
     seen: set[str] = set()
     for ex in examples:
         if ex.id in seen:
             raise ValueError(f"duplicate example id {ex.id!r}")
-        if ex.answer_space is None:
-            raise ValueError(f"example {ex.id}: training needs an enumerated answer_space")
+        if not ex.answer_space:  # None or ()
+            raise ValueError(f"example {ex.id}: training needs an enumerated answer_space of at least one slot")
         seen.add(ex.id)
 
 
@@ -598,8 +592,8 @@ def _check_inputs(
     sft_targets: dict[str, int] | None = None,
     match_overrides: dict[str, MatchingDistribution] | None = None,
 ) -> None:
-    """What run_pipeline accepts: examples, non-empty, of distinct ids and
-    each with an answer space; a teacher with probs and a violation_rate
+    """What Plan.run accepts: examples, non-empty, of distinct ids and each
+    with a non-empty answer space; a teacher with probs and a violation_rate
     for every example, or one pool per example and no other, of its task
     and the pool of the example it is keyed by, with cfg.k responses and
     filtered at no tau above cfg.tau (a quality the filter zeroed cannot be
@@ -689,20 +683,19 @@ class Plan:
     ) -> TrainedArtifacts:
         """One cell, Stage 1 then Stage 2, reproducible per (cfg, seed).
 
-        pools (the plan's draw by default) are filtered at cfg.tau here.
-        sft_targets (example id -> slot) and match_overrides (example id ->
-        a distribution over its pool) replace the selected targets and the
-        configured matching, as _check_inputs accepts.  The reference policy
-        is frozen at the Stage-1 result; skipped_rl lists the examples whose
-        pools have nothing to match when Stage 2 runs."""
+        _check_inputs runs first, before any pool is drawn.  pools (the
+        plan's draw by default) are filtered at cfg.tau here.  sft_targets
+        (example id -> slot) and match_overrides (example id -> a
+        distribution over its pool) replace the selected targets and those
+        examples' matching.  The reference policy is frozen at the Stage-1
+        result.  skipped_sft lists the examples without a target, skipped_rl
+        those whose pools have nothing to match when Stage 2 runs."""
         self._check_metric(cfg)
         examples, caches, featurizer = self.examples, self.caches, self.featurizer
         _check_inputs(examples, cfg, self.teacher, pools, sft_targets, match_overrides)
         drawn = self.pools(cfg) if pools is None else pools
         pools = {ex.id: apply_filter(drawn[ex.id], cfg.tau) for ex in examples}
         pool_rows = np.concatenate([pool_features(pools[ex.id], ex, caches[ex.id], featurizer) for ex in examples])
-        match_dists = {ex.id: matching_for(pools[ex.id], cfg) for ex in examples}
-        match_dists.update(match_overrides or {})
         epochs, n = cfg.epochs_stage2, cfg.n_rollouts
         uniforms = uniform_table(stream_table(cfg.seed, np.arange(epochs)[:, None], np.arange(len(examples))), n)
 
@@ -710,10 +703,8 @@ class Plan:
         stacks = [np.zeros((len(rows), len(examples[rows[0]].answer_space))) for rows in self.layout]
         row_of = dict(zip(np.concatenate(self.layout).tolist(), (row for logits in stacks for row in logits)))
         student = {ex.id: row_of[i] for i, ex in enumerate(examples)}
-        if sft_targets is None:
-            sft_targets, skipped_sft = select_sft_targets(examples, pools, cfg.seed)
-        else:
-            skipped_sft = tuple(ex.id for ex in examples if ex.id not in sft_targets)
+        sft_targets = select_sft_targets(examples, pools, cfg.seed) if sft_targets is None else sft_targets
+        skipped_sft = tuple(ex.id for ex in examples if ex.id not in sft_targets)
         slots = np.array([sft_targets.get(ex.id, -1) for ex in examples])
         taught = [(stacks[g], sel, slots[rows]) for g, sel, rows in _pick(self.layout, slots >= 0)]
 
@@ -728,7 +719,8 @@ class Plan:
         ref = {k: logits.copy() for k, logits in student.items()}
         disc = init_params(featurizer.dim, cfg.hidden_dim, seed=np.random.SeedSequence([cfg.seed, _S_DISC]))
         # every epoch's matched pool rows, drawn once per pool before training
-        dists = [match_dists[ex.id] for ex in examples]
+        overrides = match_overrides or {}
+        dists = [overrides[ex.id] if ex.id in overrides else matching_for(pools[ex.id], cfg) for ex in examples]
         matches = [None if d is None else sample_matches(d, uniforms[:, i, 1]) for i, d in enumerate(dists)]
         refs = [softmax(logits) for logits in stacks]
         groups, picks, slot_at, weighted = rl_inputs(self.layout, stacks, refs, matches, self.starts, self.closed, cfg)
@@ -759,10 +751,9 @@ def run_pipeline(
     sft_targets: dict[str, int] | None = None,
     match_overrides: dict[str, MatchingDistribution] | None = None,
 ) -> TrainedArtifacts:
-    """Plan.run of a plan of examples under cfg.metric: pools passed in
-    (e.g. loaded from a cache file) or drawn from teacher.  _check_inputs
-    runs first, before the plan is built or any pool is drawn."""
-    _check_inputs(examples, cfg, teacher, pools, sft_targets, match_overrides)
+    """Plan.run of a fresh plan of examples under cfg.metric: pools passed
+    in (e.g. loaded from a cache file) or drawn from teacher.  The plan
+    checks the examples before it builds a row, Plan.run all inputs first."""
     return Plan(examples, cfg.metric, teacher).run(cfg, pools, sft_targets, match_overrides)
 
 

@@ -1,7 +1,7 @@
 """Scalar and sampled reference forms of library paths, kept for tests only.
 
 The library computes scores, pair losses and the KL pull only in batched
-form (discriminator.score_batch and _batch_loss_and_grad, and
+form (discriminator.score_batch, _pair_grad under chain_update, and
 policy.kl_gradient_logits).  The one-pair and one-distribution forms below
 are what those paths are checked against: the finite-difference gradient
 checks differentiate pairwise_loss, and the rl_step oracle takes its KL
@@ -28,7 +28,8 @@ train.rl_step's student half is a sampled policy-gradient step;
 expected_logit_update below is its exact expectation over the rollout
 uniforms, which the sampled steps are checked against, and
 expected_disc_update that of its discriminator half, over the rollout and
-matching uniforms.
+matching uniforms, with each pair's gradient from loop_batch_loss_and_grad,
+so neither oracle shares the trainer's pair math.
 discriminator.chain_update walks an epoch's pair batches in one chain and
 train._sft_epoch takes one row-wise softmax per answer-space size;
 disc_chain and sft_epoch below are the per-example loops they replaced,
@@ -48,7 +49,7 @@ import numpy as np
 
 from mskd.analysis import QUANTILES, TaskVariance, VarianceReport
 from mskd.corpus import ResponseRow
-from mskd.discriminator import _LEN_SCALE, DiscriminatorParams, Featurizer, _batch_loss_and_grad, _sigmoid
+from mskd.discriminator import _LEN_SCALE, DiscriminatorParams, Featurizer, _sigmoid
 from mskd.metrics import DEFAULT_METRICS, MetricConfig, quality_score
 from mskd.policy import categorical_draw, nucleus, softmax
 from mskd.pool import TeacherPool
@@ -190,13 +191,13 @@ def expected_disc_update(
     over the K x |space| grid of (teacher row i, slot row j) pairs, with m
     the matching distribution, p the student policy, w_i the weight of a
     pair whose teacher row is i, and l(i, j) the one-pair loss, whose
-    gradient _batch_loss_and_grad gives.  The step's loss is the mean over
+    gradient loop_batch_loss_and_grad gives.  The step's loss is the mean over
     n pairs, each an independent (i, j) draw, so its gradient has the mean
     of one pair's."""
     total = np.zeros(disc_vector(params).shape)
     for t_row, m, w in zip(teacher_rows, match_probs, pair_weights):
         for s_row, p in zip(slot_rows, policy):
-            _, grad = _batch_loss_and_grad(params, t_row[None], s_row[None], np.ones(1))
+            _, grad = loop_batch_loss_and_grad(params, t_row[None], s_row[None], np.ones(1))
             total += m * p * w * disc_vector(grad)
     return -lr * total
 

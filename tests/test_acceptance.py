@@ -18,7 +18,8 @@ from mskd.analysis import analyze_variance, make_variance_corpus
 from mskd.discriminator import (
     DiscriminatorParams,
     Featurizer,
-    _batch_loss_and_grad,
+    _pair_grad,
+    _theta,
     batch_update,
     init_params,
 )
@@ -389,7 +390,8 @@ def _unflatten(vec: np.ndarray, like: DiscriminatorParams) -> DiscriminatorParam
 
 def _pair_gradient(p, ft, fs, q) -> DiscriminatorParams:
     """The trainer's analytic gradient for a batch of one pair."""
-    return _batch_loss_and_grad(p, ft[None, :], fs[None, :], np.array([q]))[1]
+    ft, fs = ft[None, :], fs[None, :]
+    return DiscriminatorParams(*_pair_grad(_theta(p), ft, fs, fs - ft, np.array([q]))[2])
 
 
 def test_criterion_05_gradient_check():

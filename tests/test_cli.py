@@ -11,11 +11,11 @@ import pytest
 
 from conftest import mk_mcq, mk_open
 from mskd.cli import _train_config, main
-from mskd.corpus import ResponseRow, write_examples, write_responses
+from mskd.corpus import ResponseRow, payload_from_json, write_examples, write_responses
 from mskd.pool import read_pool_cache
 from mskd.metrics import DEFAULT_METRICS
 from mskd.rewards import DEFAULT_WEIGHTS
-from mskd.tasks import SupervisionExample, TaskType, Text, parse_response
+from mskd.tasks import SupervisionExample, TaskType, Text, parse_response, render_payload
 from mskd.train import TrainConfig
 
 TINY_TRAIN = {"k": 2, "n_rollouts": 4, "epochs_stage1": 2, "epochs_stage2": 2}
@@ -431,6 +431,61 @@ def test_train_example_without_answer_space_is_config_error(ocr_corpus, tmp_path
     assert err.startswith("config error: pool cache: example ocr-0: training needs an enumerated answer_space")
     assert "Traceback" not in err
     assert not (tmp_path / "run").exists()
+
+
+def test_train_example_with_an_empty_answer_space_is_config_error(tmp_path, capsys):
+    # a policy over no slots crashed with a numpy reduction error
+    ex = SupervisionExample("open-0", TaskType.OPEN_ENDED, "caption?", answer_space=())
+    rows = [ResponseRow(ex.id, "teacher", si, f"<answer>scene {si}</answer>") for si in range(4)]
+    paths = tmp_path / "ex.jsonl", tmp_path / "resp.jsonl"
+    write_examples([ex], paths[0])
+    write_responses(rows, paths[1])
+    cache = tmp_path / "pools.jsonl"
+    assert pool_build(paths, cache) == 0
+    cfg = write_cfg(tmp_path, "t.json", dict(TINY_TRAIN, k=4, tau=0.5))
+    code = main(
+        ["train", "--config", cfg, "--examples", str(paths[0]), "--pool-cache", str(cache),
+         "--out", str(tmp_path / "run")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: pool cache: example open-0: training needs an enumerated answer_space")
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "pool_build", "train_pool_cache"])
+@pytest.mark.parametrize(
+    "task, truth, reversed_truth",
+    [
+        ("temporal_grounding", [0.2, 0.5], [0.5, 0.2]),
+        ("spatial_grounding", [0.1, 0.2, 0.6, 0.9], [0.6, 0.2, 0.1, 0.9]),
+    ],
+    ids=["segment", "box"],
+)
+def test_reversed_ground_truth_is_input_error(tmp_path, capsys, command, task, truth, reversed_truth):
+    # scoring against it raised from the metric, with a traceback
+    space = [truth, reversed_truth]
+    ex_path, resp_path, cache = tmp_path / "ex.jsonl", tmp_path / "resp.jsonl", tmp_path / "pools.jsonl"
+    record = {"id": "x-0", "task": task, "question": "where?", "ground_truth": truth, "answer_space": space}
+    ex_path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    texts = [render_payload(payload_from_json(v, TaskType(task))) for v in space]
+    write_responses([ResponseRow("x-0", "teacher", si, texts[si % 2]) for si in range(4)], resp_path)
+    assert pool_build((ex_path, resp_path), cache) == 0
+    ex_path.write_text(json.dumps(dict(record, ground_truth=reversed_truth)) + "\n", encoding="utf-8")
+    argv = {
+        "analyze": ["analyze", "--examples", str(ex_path), "--responses", str(resp_path),
+                    "--out", str(tmp_path / "r.csv")],
+        "pool_build": ["pool", "build", "--examples", str(ex_path), "--responses", str(resp_path),
+                       "--k", "4", "--tau", "0.5", "--out", str(cache)],
+        "train_pool_cache": ["train", "--config", write_cfg(tmp_path, "t.json", dict(TINY_TRAIN, k=4, tau=0.5)),
+                             "--examples", str(ex_path), "--pool-cache", str(cache),
+                             "--out", str(tmp_path / "run")],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {ex_path}:1: example x-0: ground_truth ") and "is reversed" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

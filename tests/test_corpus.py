@@ -130,6 +130,15 @@ def test_read_examples_errors_name_file_and_line(tmp_path):
         read_examples(path)
 
 
+def test_read_examples_names_the_line_of_a_reversed_truth(tmp_path):
+    path = tmp_path / "examples.jsonl"
+    write_examples([mk_temporal(0)], path)
+    reversed_truth = '{"id": "t", "task": "temporal_grounding", "question": "q", "ground_truth": [0.5, 0.2]}'
+    path.write_text(path.read_text(encoding="utf-8") + reversed_truth + "\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match=f"^{re.escape(str(path))}:2: example t: ground_truth .* is reversed$"):
+        read_examples(path)
+
+
 def test_examples_file_round_trip(tmp_path):
     examples = [mk_mcq(0), mk_temporal(1), mk_binary(2), mk_open(3)]
     path = tmp_path / "examples.jsonl"

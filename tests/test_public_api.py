@@ -83,7 +83,6 @@ PUBLIC = (
     "read_pool_cache",
     "read_responses",
     "render_payload",
-    "rl_step",
     "run_ablation",
     "run_pipeline",
     "run_sensitivity",
@@ -102,16 +101,16 @@ PUBLIC = (
 
 
 def test_all_is_pinned():
-    assert len(PUBLIC) == 79
+    assert len(PUBLIC) == 78
     assert list(mskd.__all__) == list(PUBLIC)
     assert all(hasattr(mskd, name) for name in PUBLIC)
 
 
 def test_scalar_twins_stay_out_of_the_package():
-    # the batched path of each is score_batch, _batch_loss_and_grad,
-    # batch_update, discriminator._sigmoid, kl_gradient_logits and run_pipeline
+    # the batched path of each is score_batch, _pair_grad, batch_update,
+    # discriminator._sigmoid, kl_gradient_logits and run_pipeline
     gone = {
-        mskd.discriminator: ("score", "pairwise_loss", "loss_gradient", "update_step"),
+        mskd.discriminator: ("score", "pairwise_loss", "loss_gradient", "update_step", "_batch_loss_and_grad"),
         mskd.rewards: ("sigmoid",),
         mskd.policy: ("kl_divergence",),
         mskd.train: ("kl_penalty", "sft_stage"),
@@ -146,8 +145,11 @@ def test_single_path_removals_stay_out_of_the_package():
         # the open-ended accuracy is eval_accuracy over the latent ratings,
         # and the closed benchmark's temporal space is one module constant
         mskd.harness: ("open_accuracy", "_temporal_space"),
-        # batch_update is the one descent step
-        mskd.discriminator: ("apply_gradient",),
+        # chain_update is the one descent step, batch_update its one-batch
+        # case, and _pair_grad the one pair loss gradient
+        mskd.discriminator: ("apply_gradient", "_batch_loss_and_grad"),
+        # rl_step's inputs come only from Plan.run's layout (train.rl_inputs)
+        mskd: ("rl_step",),
     }
     for owner, names in gone.items():
         assert [n for n in names if hasattr(owner, n)] == [], owner.__name__
@@ -169,7 +171,7 @@ def test_single_path_removals_stay_out_of_the_package():
         assert [n for n in names if n in have] == [], cls.__name__
     assert "keep_students" not in inspect.signature(mskd.run_ablation).parameters
     # each pool's feature rows carry its pair weights
-    assert "pair_q" not in inspect.signature(mskd.rl_step).parameters
+    assert "pair_q" not in inspect.signature(mskd.train.rl_step).parameters
     # matches are drawn from the run's uniform table, and the permutation
     # test is exact
     assert "rng" not in inspect.signature(mskd.sample_matches).parameters

@@ -350,8 +350,8 @@ def test_cell_on_partly_used_stacks_matches_the_per_example_oracles(matching, hi
         matching=matching, hidden_dim=hidden,
     )
     pools = {k: apply_filter(pool, cfg.tau) for k, pool in make_pools(examples, teacher, cfg).items()}
-    targets, skipped = select_sft_targets(examples, pools, cfg.seed)
-    assert skipped == ("tg-1",)
+    targets = select_sft_targets(examples, pools, cfg.seed)
+    assert [ex.id for ex in examples if ex.id not in targets] == ["tg-1"]
     del targets["mcq-3"]
 
     art = run_pipeline(examples, cfg, teacher=teacher, sft_targets=targets)

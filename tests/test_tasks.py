@@ -239,6 +239,26 @@ def test_example_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "task, truth",
+    [
+        (T.TEMPORAL_GROUNDING, TemporalSegment(0.5, 0.2)),
+        (T.SPATIAL_GROUNDING, SpatialBox(0.6, 0.1, 0.2, 0.9)),
+        (T.SPATIAL_GROUNDING, SpatialBox(0.1, 0.9, 0.6, 0.2)),
+    ],
+    ids=["segment", "box_x", "box_y"],
+)
+def test_example_rejects_a_reversed_truth(task, truth):
+    # temporal_iou and spatial_iou raise on it, so scoring any response
+    # against it failed deep inside pool building and training
+    with pytest.raises(ValueError, match=r"^example x: ground_truth .* is reversed$"):
+        SupervisionExample(id="x", task=task, question="q", ground_truth=truth)
+    # a degenerate truth is not reversed, and a reversed slot is allowed
+    point = TemporalSegment(0.3, 0.3)
+    SupervisionExample("y", T.TEMPORAL_GROUNDING, "q", point, answer_space=(point, TemporalSegment(0.5, 0.2)))
+    SupervisionExample("z", T.SPATIAL_GROUNDING, "q", SpatialBox(0.2, 0.2, 0.2, 0.2))
+
+
 class _CountingPattern:
     def __init__(self, pattern):
         self.pattern = pattern

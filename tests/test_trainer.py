@@ -104,7 +104,7 @@ def test_sft_stage_descends_to_target():
     cfg = small_cfg(epochs_stage1=1)
     pools = make_pools(exs, teacher, cfg)
     student = uniform_student(exs)
-    targets, _ = select_sft_targets(exs, pools, cfg.seed)
+    targets = select_sft_targets(exs, pools, cfg.seed)
     probs_at_target = [softmax(student[exs[0].id])[2]]
     for _ in range(100):
         sft_epoch_on(student, exs, targets, cfg.lr_student)
@@ -120,9 +120,8 @@ def test_select_sft_targets_skips_degenerate_pools():
         ok.id: build_pool(ok, ["<answer>B</answer>", "<answer>A</answer>"]),
         bad.id: build_pool(bad, ["garbage", "also garbage"]),
     }
-    targets, skipped = select_sft_targets([ok, bad], pools, seed=0)
-    assert targets == {ok.id: 1}
-    assert skipped == (bad.id,)
+    # the degenerate pool's example has no key
+    assert select_sft_targets([ok, bad], pools, seed=0) == {ok.id: 1}
 
 
 def test_select_sft_targets_draws_a_stream_for_open_pools_only(monkeypatch):
@@ -136,8 +135,8 @@ def test_select_sft_targets_draws_a_stream_for_open_pools_only(monkeypatch):
     streams = []
     real = mskd.train._stream
     monkeypatch.setattr(mskd.train, "_stream", lambda *key: streams.append(key) or real(*key))
-    targets, skipped = select_sft_targets(exs, pools, 9)
-    assert streams == [(9, 2, 1), (9, 2, 3)] and skipped == ()
+    targets = select_sft_targets(exs, pools, 9)
+    assert streams == [(9, 2, 1), (9, 2, 3)] and list(targets) == [ex.id for ex in exs]
     for i, ex in enumerate(exs):
         want = select_sft_target(pools[ex.id], real(9, 2, i))
         assert targets[ex.id] == ex.slot_of(pools[ex.id].responses[want].payload), ex.id
@@ -321,6 +320,37 @@ def test_bad_override_or_target_fails_before_any_pool_is_drawn(monkeypatch):
     for given, message in cases:
         with pytest.raises(ValueError, match=f"^{message}"):
             run_pipeline([ex], cfg, teacher=teacher, **given)
+
+
+def test_run_pipeline_checks_its_inputs_once(monkeypatch):
+    # run_pipeline is a fresh plan's cell, and Plan.run states the one check
+    calls = []
+    real = mskd.train._check_inputs
+    monkeypatch.setattr(mskd.train, "_check_inputs", lambda *a: calls.append(a) or real(*a))
+    exs = [mk_mcq(0), mk_temporal(1)]
+    run_pipeline(exs, small_cfg(epochs_stage2=1), teacher=point_mass_teacher(exs))
+    assert len(calls) == 1
+
+
+def test_run_pipeline_rejects_an_empty_answer_space(monkeypatch):
+    # Plan's featurizer took the max over no slots and raised a numpy error
+    monkeypatch.setattr(mskd.train, "build_caches", _pools_forbidden)
+    monkeypatch.setattr(mskd.train, "make_pools", _pools_forbidden)
+    exs = [mk_mcq(0), replace(mk_open(0), answer_space=())]
+    teacher = point_mass_teacher(exs[:1])
+    teacher.probs["open-0"], teacher.violation_rate["open-0"] = np.zeros(0), 0.0
+    with pytest.raises(ValueError, match=r"^example open-0: training needs an enumerated answer_space"):
+        run_pipeline(exs, small_cfg(), teacher=teacher)
+
+
+def test_skipped_sft_lists_the_examples_without_a_target_selected_or_given():
+    # one rule for both: an example is skipped when the targets lack it
+    exs = [mk_mcq(2, gt="B"), mk_mcq(0, gt="B"), mk_mcq(1, gt="B")]
+    pools = {ex.id: build_pool(ex, ["garbage", "also garbage"]) for ex in exs}
+    pools["mcq-0"] = build_pool(exs[1], ["<answer>B</answer>", "<answer>A</answer>"])
+    cfg = small_cfg(k=2, epochs_stage2=0)
+    assert run_pipeline(exs, cfg, pools=pools).skipped_sft == ("mcq-2", "mcq-1")
+    assert run_pipeline(exs, cfg, pools=pools, sft_targets={"mcq-1": 0}).skipped_sft == ("mcq-2", "mcq-0")
 
 
 def test_skipped_rl_lists_examples_without_matches_when_stage2_runs():
