@@ -119,24 +119,35 @@ def _theta(params: DiscriminatorParams) -> list[np.ndarray]:
     return [params.weights] if params.is_linear else [params.weights, params.hidden_w, params.hidden_b]
 
 
-def _pair_grad(
-    theta: list[np.ndarray], ft: np.ndarray, fs: np.ndarray, d: np.ndarray, q: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """One pair batch's raw student scores, its margins z = D(student) -
-    D(teacher) and the gradient of its mean weighted pair loss, the arrays
-    in theta's order.  ft and fs are the (n, dim) teacher and student rows
-    and d = fs - ft, the only rows the linear scorer's margins and gradient
-    read: z is d @ w, which fs @ w - ft @ w would round differently.
+def _linear_grad(
+    w: np.ndarray, d: np.ndarray, q: np.ndarray, z: np.ndarray, g: np.ndarray, gd: np.ndarray, grad: np.ndarray
+) -> np.ndarray:
+    """Margins z = d @ w of a linear-scorer pair batch and the gradient of
+    its mean weighted pair loss, written into z (n,) and grad (dim,) via the
+    scratch g (n,) and gd (n, dim); returns grad.  d holds the (n, dim)
+    student - teacher rows: fs @ w - ft @ w would round differently.  Each
+    ufunc writes its buffer (a positional out) in the order that
+    q * _sigmoid(z) and (g[:, None] * d).sum(axis=0) / n run, so the bits
+    are theirs; sum / n is how numpy's mean computes it."""
+    np.matmul(d, w, z)
+    np.multiply(0.5, z, g)
+    np.tanh(g, g)
+    np.add(1.0, g, g)
+    np.multiply(0.5, g, g)
+    np.multiply(q, g, g)
+    np.multiply(g[:, None], d, gd)
+    np.add.reduce(gd, 0, None, grad)
+    return np.divide(grad, len(d), grad)
 
-    Means are written as sum / n, which is exactly how numpy's mean computes
-    them, so the bits are the same.
-    """
+
+def _hidden_grad(
+    theta: list[np.ndarray], ft: np.ndarray, fs: np.ndarray, q: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """The hidden-layer scorer's raw student scores of a pair batch, its
+    margins z = D(student) - D(teacher) and the gradient of its mean
+    weighted pair loss, the arrays in theta's order; ft and fs are the
+    (n, dim) teacher and student rows.  Means are sum / n, as numpy's."""
     n = len(fs)
-    if len(theta) == 1:
-        (w,) = theta
-        z = d @ w
-        g = q * _sigmoid(z)
-        return fs @ w, z, [(g[:, None] * d).sum(axis=0) / n]
     w, hidden_w, hidden_b = theta
     ht = np.tanh(ft @ hidden_w.T + hidden_b)
     hs = np.tanh(fs @ hidden_w.T + hidden_b)
@@ -160,25 +171,47 @@ def chain_update(
     """A chain of descent steps, one per pair batch, in order.
 
     teacher and student are (m, n, dim) stacks of m batches of n matched
-    rows, and pair_w the (m, n) pair weights.  Step i scores student[i]
-    under the params it starts from, then descends batch i's mean weighted
-    pair loss once.  Returns the final params (params itself when m is 0),
-    the (m, n) raw student scores and the (m,) losses, each of the params
-    its step started from.  Only the descent is sequential: the row
-    differences are taken once for the chain and the losses in one pass
-    after it.
+    rows (dim the scorer's feature_dim) and pair_w the (m, n) pair weights;
+    other shapes raise ValueError, as does a step size that is not finite
+    and positive.  Step i scores student[i] under the params it starts
+    from, then descends batch i's mean weighted pair loss once.  Returns
+    the final params (params itself when m is 0), the (m, n) raw student
+    scores and the (m,) losses, each of the params its step started from;
+    no input is written or shared with them.  Only the descent is
+    sequential: the row differences are taken once and the losses in one
+    pass after it.  The linear scorer's weights are one (m + 1, dim)
+    history, step i writing row i + 1 through buffers allocated once per
+    chain, and its scores are one stacked matmul after the descent, per
+    batch the same product as student[i] @ w.
     """
     if not (math.isfinite(lr) and lr > 0):
         raise ValueError(f"lr must be finite and > 0, got {lr}")
-    m, n = student.shape[:2]
-    theta = _theta(params)
+    dim = params.feature_dim
+    if not (pair_w.ndim == 2 and teacher.shape == student.shape == (*pair_w.shape, dim)):
+        raise ValueError(
+            f"chain_update needs (m, n, {dim}) teacher and student stacks and (m, n) pair weights, "
+            f"got {teacher.shape}, {student.shape} and {pair_w.shape}"
+        )
+    m, n = pair_w.shape
     d = student - teacher
-    scores, z = np.empty((m, n)), np.empty((m, n))
-    for i in range(m):
-        scores[i], z[i], grad = _pair_grad(theta, teacher[i], student[i], d[i], pair_w[i])
-        theta = [t - lr * g for t, g in zip(theta, grad)]
+    z = np.empty((m, n))
+    if params.is_linear:
+        W = np.empty((m + 1, dim))
+        W[0] = params.weights
+        g, gd, grad = np.empty(n), np.empty((n, dim)), np.empty(dim)
+        for d_i, q_i, z_i, w, w_next in zip(d, pair_w, z, W, W[1:]):
+            np.multiply(lr, _linear_grad(w, d_i, q_i, z_i, g, gd, grad), grad)
+            np.subtract(w, grad, w_next)
+        scores = np.matmul(student, W[:m, :, None])[..., 0]
+        final = DiscriminatorParams(W[m].copy())
+    else:
+        theta, scores = _theta(params), np.empty((m, n))
+        for i in range(m):
+            scores[i], z[i], grad = _hidden_grad(theta, teacher[i], student[i], pair_w[i])
+            theta = [t - lr * g for t, g in zip(theta, grad)]
+        final = DiscriminatorParams(*theta)
     losses = (pair_w * np.logaddexp(0.0, z)).sum(axis=1) / n
-    return (DiscriminatorParams(*theta) if m else params), scores, losses
+    return (final if m else params), scores, losses
 
 
 def batch_update(

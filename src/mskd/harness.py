@@ -44,7 +44,7 @@ from mskd.tasks import (
     Text,
     option_letters,
 )
-from mskd.train import Plan, TrainConfig, TrainedArtifacts, eval_accuracy, logit_groups, score_groups
+from mskd.train import Plan, TrainConfig, TrainedArtifacts, eval_accuracy, policy_groups, score_groups
 
 
 class EmptyReportError(ValueError):
@@ -540,7 +540,7 @@ def run_task_adaptive_check(
     for cfg_d, cfg_c, cfg_open in cells:
         closed_gt.append(closed_plan.run(cfg_d).final_accuracy)
         closed_uni.append(closed_plan.run(cfg_c).final_accuracy)
-        open_uni.append(eval_accuracy(logit_groups(open_plan.run(cfg_open).student, latent)))
+        open_uni.append(eval_accuracy(policy_groups(open_plan.run(cfg_open).student, latent)))
 
         prng = np.random.default_rng(np.random.SeedSequence([int(cfg_open.seed), 23]))
         proxies = {
@@ -549,7 +549,7 @@ def run_task_adaptive_check(
         }
         dists, targets = proxy_overrides(open_b.examples, open_plan.pools(cfg_open), proxies)
         art_prox = open_plan.run(cfg_open, sft_targets=targets, match_overrides=dists)
-        open_prox.append(eval_accuracy(logit_groups(art_prox.student, latent)))
+        open_prox.append(eval_accuracy(policy_groups(art_prox.student, latent)))
 
     def stat(vals):
         return (float(np.mean(vals)), float(np.std(vals)))

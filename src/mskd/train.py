@@ -332,15 +332,16 @@ def select_sft_targets(
     return targets
 
 
-def _sft_epoch(taught: list[tuple], lr: float) -> None:
+def _sft_epoch(taught: list[tuple], stacks: list[np.ndarray], probs: list[np.ndarray], lr: float) -> None:
     """One cross-entropy descent pass toward each taught example's target
-    slot, in place: taught holds, per answer-space size, the logits stack,
-    its taught rows (_pick's selector) and their target slots.  Each takes
-    one row-wise softmax, which gives every example's step bit for bit."""
-    for logits, sel, slots in taught:
-        p = softmax(logits[sel])
+    slot, on the logits stacks in place: taught holds, per answer-space
+    size, its stack's index, its taught rows (_pick's selector) and their
+    target slots; probs holds each stack's row-wise softmax, whose rows
+    are every example's own softmax bit for bit."""
+    for g, sel, slots in taught:
+        p = probs[g][sel].copy()
         p[np.arange(len(slots)), slots] -= 1.0
-        logits[sel] -= lr * p  # grad of NLL is (probs - onehot)
+        stacks[g][sel] -= lr * p  # grad of NLL is (probs - onehot)
 
 
 def matching_for(pool: TeacherPool, cfg: TrainConfig) -> MatchingDistribution | None:
@@ -354,6 +355,8 @@ def matching_for(pool: TeacherPool, cfg: TrainConfig) -> MatchingDistribution | 
 
 def rl_step(
     groups: list[tuple],
+    stacks: list[np.ndarray],
+    probs: list[np.ndarray],
     disc: DiscriminatorParams,
     cfg: TrainConfig,
     uniforms: np.ndarray,
@@ -366,17 +369,18 @@ def rl_step(
     """One epoch of adversarial distillation over the active examples, the
     ones with matches, on the layout rl_inputs builds for Plan.run.
 
-    groups hold, per answer-space size, the student's logits stack, which
-    the step updates in place, its active rows (_pick's selector), their
-    positions among the active examples and their frozen reference
-    probabilities.  Per active example, in order: uniforms holds its
-    n_rollouts rollout uniforms, which it inverts as Generator.choice
-    would; picks the rows of pool_rows (the pools' pool_features rows,
-    stacked) its rollouts are paired with; slot_at (active, 1) its first
-    row of slot_rows (the build_caches rows under cfg.metric, stacked); and
-    weighted whether a pair's weight in the discriminator's loss is the
-    quality column of its teacher row (quality matching on a closed-ended
-    example) rather than 1.  Inputs that do not fit one another raise
+    stacks are the student's logits stacks, which the step updates in
+    place, and probs their row-wise softmax, the epoch-start policy.
+    groups hold, per answer-space size with an active example, its stack's
+    index, its active rows (_pick's selector), their positions among the
+    active examples and their frozen reference probabilities.  Per active
+    example, in order: uniforms holds its n_rollouts rollout uniforms,
+    which it inverts as Generator.choice would; picks the rows of
+    pool_rows (the pools' pool_features rows, stacked) its rollouts are
+    paired with; slot_at (active, 1) its first row of slot_rows (the
+    build_caches rows under cfg.metric, stacked); and weighted whether a
+    pair's weight in the discriminator's loss is the quality column of its
+    teacher row (quality matching on a closed-ended example) rather than 1.  Inputs that do not fit one another raise
     ValueError: a short stack would gather another example's rows.
 
     Order: every rollout is drawn from the epoch-start policy; the rollout
@@ -395,17 +399,20 @@ def rl_step(
     """
     n, a = cfg.n_rollouts, len(slot_at)
     covered = np.sort(np.concatenate([np.arange(0)] + [p for _, _, p, _ in groups]))
-    fits = uniforms.shape == picks.shape == (a, n) and slot_at.shape == (a, 1) and weighted.shape == (a,)
+    fits = (
+        uniforms.shape == picks.shape == (a, n) and slot_at.shape == (a, 1) and weighted.shape == (a,)
+        and [p.shape for p in probs] == [logits.shape for logits in stacks]
+    )
     if not (fits and np.array_equal(covered, np.arange(a))) or a and (
         min(slot_at.min(), picks.min()) < 0 or picks.max() >= len(pool_rows)
-        or max(slot_at[p].max() + logits.shape[1] for logits, _, p, _ in groups) > len(slot_rows)
+        or max(slot_at[pos].max() + stacks[g].shape[1] for g, _, pos, _ in groups) > len(slot_rows)
     ):
         raise ValueError(f"rl_step inputs do not fit {a} active examples and their row stacks")
     rollouts = np.empty(uniforms.shape, dtype=np.intp)
     stats = np.empty((len(uniforms), 3))  # mean reward, disc loss, KL
     policies = []
-    for logits, sel, pos, ref in groups:
-        p = softmax(logits[sel])
+    for g, sel, pos, ref in groups:
+        p = probs[g][sel]
         rollouts[pos] = _invert_rows(checked_cdf(p), uniforms[pos])
         stats[pos, 2], kl_grad = kl_gradient_logits(p, ref)
         policies.append((p, kl_grad))
@@ -418,7 +425,7 @@ def rl_step(
     pair_w = np.where(weighted[:, None], teacher_feats[..., QUALITY_COL], 1.0)
     disc, raw_scores, stats[:, 1] = chain_update(disc, teacher_feats, roll_feats, pair_w, cfg.lr_disc)
 
-    for (logits, sel, pos, _), (p, kl_grad) in zip(groups, policies):
+    for (g, sel, pos, _), (p, kl_grad) in zip(groups, policies):
         size, m = p.shape
         row, roll = np.arange(size)[:, None], rollouts[pos]
         terms = roll_feats[pos]
@@ -430,7 +437,7 @@ def rl_step(
         adv = rewards - mean[:, None]
         counts = np.bincount((row * m + roll).ravel(), weights=adv.ravel(), minlength=size * m)
         pg = counts.reshape(size, m) / n - p * (adv.sum(axis=1, keepdims=True) / n)
-        logits[sel] += cfg.lr_student * (pg - cfg.gamma * kl_grad)
+        stacks[g][sel] += cfg.lr_student * (pg - cfg.gamma * kl_grad)
         stats[pos, 0] = mean
     return disc, stats
 
@@ -470,37 +477,40 @@ def _pick(layout: list[np.ndarray], on: np.ndarray) -> list[tuple]:
 
 
 def rl_inputs(
-    layout: list, stacks: list, refs: list, matches: list, starts: np.ndarray, closed: np.ndarray, cfg: TrainConfig
-) -> tuple[list[tuple], np.ndarray, np.ndarray, np.ndarray]:
-    """rl_step's groups, picks (epochs, active, n), slot_at and weighted for
-    a cell: layout holds each stack's example indices, refs the stacks'
-    reference policy; per example, matches its (epochs, n) rows of its
-    cfg.k-row pool or None, starts its first slot row, closed its kind."""
+    layout: list, refs: list, matches: list, uniforms: np.ndarray, starts: np.ndarray, closed: np.ndarray,
+    cfg: TrainConfig,
+) -> tuple[list[tuple], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """rl_step's groups, uniforms and picks (epochs, active, n), slot_at and
+    weighted for a cell: layout holds each stack's example indices, refs
+    the stacks' reference policy; per example, matches its (epochs, n) rows
+    of its cfg.k-row pool or None, uniforms[:, i, 0] its rollout uniforms,
+    starts its first slot row and closed its kind."""
     active = np.array([m is not None for m in matches], dtype=bool)
     at, pos = np.flatnonzero(active), np.cumsum(active) - 1
-    groups = [(stacks[g], sel, pos[rows], refs[g][sel]) for g, sel, rows in _pick(layout, active)]
+    groups = [(g, sel, pos[rows], refs[g][sel]) for g, sel, rows in _pick(layout, active)]
     picks = np.array([matches[i] + i * cfg.k for i in at], dtype=np.intp)
     picks = picks.reshape(len(at), cfg.epochs_stage2, cfg.n_rollouts).swapaxes(0, 1)
-    return groups, picks, starts[at, None], closed[at] & (cfg.matching == "quality")
+    return groups, uniforms[:, at, 0], picks, starts[at, None], closed[at] & (cfg.matching == "quality")
 
 
-def logit_groups(student: dict[str, np.ndarray], groups: list[tuple]) -> list[tuple]:
-    """score_groups' groups with each group's ids replaced by their logits
-    in student, stacked: the (logits, rows, scores) expected_scores reads."""
-    return [(np.array([student[i] for i in ids]), rows, q) for ids, rows, q in groups]
+def policy_groups(student: dict[str, np.ndarray], groups: list[tuple]) -> list[tuple]:
+    """score_groups' groups with each group's ids replaced by the student's
+    policy over their slots, one row-wise softmax of their stacked logits:
+    the (probs, rows, scores) expected_scores reads."""
+    return [(softmax(np.array([student[i] for i in ids])), rows, q) for ids, rows, q in groups]
 
 
 def expected_scores(groups: list[tuple], temperature: float = 1.0, top_p: float = 1.0) -> np.ndarray:
-    """nucleus(softmax(logits), temperature, top_p) @ scores, row by row,
-    for each group (logits, rows, scores), at its rows of the result.
+    """nucleus(probs, temperature, top_p) @ scores, row by row, for each
+    group (probs, rows, scores), at its rows of the result.
 
-    Each group takes one row-wise softmax and nucleus and one stacked
-    (1, m) @ (m, 1) product, which give the per-example values bit for
-    bit.  At the default temperature and top_p the nucleus is the softmax.
+    Each group takes one row-wise nucleus and one stacked (1, m) @ (m, 1)
+    product, which give the per-example values bit for bit.  At the
+    default temperature and top_p the nucleus is probs itself.
     """
     out = np.empty(sum(len(rows) for _, rows, _ in groups))
-    for logits, rows, q in groups:
-        p = nucleus(softmax(logits), temperature, top_p)
+    for probs, rows, q in groups:
+        p = nucleus(probs, temperature, top_p)
         out[rows] = (p[:, None, :] @ q[:, :, None])[:, 0, 0]
     return out
 
@@ -706,15 +716,20 @@ class Plan:
         sft_targets = select_sft_targets(examples, pools, cfg.seed) if sft_targets is None else sft_targets
         skipped_sft = tuple(ex.id for ex in examples if ex.id not in sft_targets)
         slots = np.array([sft_targets.get(ex.id, -1) for ex in examples])
-        taught = [(stacks[g], sel, slots[rows]) for g, sel, rows in _pick(self.layout, slots >= 0)]
+        taught = [(g, sel, slots[rows]) for g, sel, rows in _pick(self.layout, slots >= 0)]
 
-        def accuracy() -> float | None:
-            return eval_accuracy([(stacks[g][sel], pos, q) for g, sel, pos, q in self.acc])
+        def policy() -> tuple[list[np.ndarray], float | None]:
+            """Each stack's row-wise softmax, which the accuracy and the
+            next epoch read, and the accuracy under it."""
+            probs = [softmax(logits) for logits in stacks]
+            return probs, eval_accuracy([(probs[g][sel], pos, q) for g, sel, pos, q in self.acc])
 
         log = []  # per epoch: mean reward, disc loss, KL, accuracy; None is empty
+        probs, acc = policy()
         for _ in range(cfg.epochs_stage1):
-            _sft_epoch(taught, cfg.lr_student)
-            log.append((None, None, None, accuracy()))
+            _sft_epoch(taught, stacks, probs, cfg.lr_student)
+            probs, acc = policy()
+            log.append((None, None, None, acc))
 
         ref = {k: logits.copy() for k, logits in student.items()}
         disc = init_params(featurizer.dim, cfg.hidden_dim, seed=np.random.SeedSequence([cfg.seed, _S_DISC]))
@@ -722,23 +737,26 @@ class Plan:
         overrides = match_overrides or {}
         dists = [overrides[ex.id] if ex.id in overrides else matching_for(pools[ex.id], cfg) for ex in examples]
         matches = [None if d is None else sample_matches(d, uniforms[:, i, 1]) for i, d in enumerate(dists)]
-        refs = [softmax(logits) for logits in stacks]
-        groups, picks, slot_at, weighted = rl_inputs(self.layout, stacks, refs, matches, self.starts, self.closed, cfg)
-        u = uniforms[:, [m is not None for m in matches], 0]
+        # the frozen reference policy is the Stage-1 result's softmax
+        groups, u, picks, slot_at, weighted = rl_inputs(
+            self.layout, probs, matches, uniforms, self.starts, self.closed, cfg
+        )
         for epoch in range(epochs):
             disc, stats = rl_step(
-                groups, disc, cfg, u[epoch], picks[epoch], slot_at, weighted, self.slot_rows, pool_rows
+                groups, stacks, probs, disc, cfg, u[epoch], picks[epoch], slot_at, weighted,
+                self.slot_rows, pool_rows,
             )
+            probs, acc = policy()
             # cumsum adds the rows one after another, in step order
             means = (stats.cumsum(axis=0)[-1] / len(stats)).tolist() if len(stats) else [None] * 3
-            log.append((*means, accuracy()))
+            log.append((*means, acc))
 
         # an example with nothing to match sits out every RL epoch
         skipped_rl = tuple(sorted(ex.id for ex, m in zip(examples, matches) if m is None))
         return TrainedArtifacts(
             student=student, ref=ref, disc=disc,
             metrics=np.array(log, dtype=float).reshape(-1, 4),  # None reads NaN
-            sft_epochs=cfg.epochs_stage1, final_accuracy=accuracy(),
+            sft_epochs=cfg.epochs_stage1, final_accuracy=acc,
             skipped_sft=skipped_sft, skipped_rl=skipped_rl if epochs else (),
         )
 
@@ -808,5 +826,5 @@ def pass_at_k_eval(
         t = thr.get(ex.task, 1.0) if isinstance(thr, dict) else thr
         misses.append(np.array([quality_score(r, ex, metric_cfg) < t for r in responses], dtype=float))
     # at most 1, so an example with no successful slot scores exactly 0
-    f = np.minimum(expected_scores(logit_groups(student, score_groups(examples, misses)), temperature, top_p), 1.0)
+    f = np.minimum(expected_scores(policy_groups(student, score_groups(examples, misses)), temperature, top_p), 1.0)
     return [(k, float(np.mean(1.0 - f**k))) for k in ks]

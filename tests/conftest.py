@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mskd.policy import softmax
 from mskd.tasks import (
     Binary,
     OptionLetter,
@@ -86,11 +87,14 @@ def rl_epoch_on(student, ref_probs, disc, examples, cfg, uniforms, matches, slot
     closed = np.array([ex.task.is_closed for ex in examples], dtype=bool)
     _, k, dim = pool_rows.shape
     one_epoch = [None if m is None else np.asarray(m)[None] for m in matches]
-    groups, picks, slot_at, weighted = rl_inputs(
-        layout, stacks, refs, one_epoch, starts, closed, replace(cfg, k=k, epochs_stage2=1)
+    groups, u, picks, slot_at, weighted = rl_inputs(
+        layout, refs, one_epoch, np.asarray(uniforms)[None, :, None], starts, closed,
+        replace(cfg, k=k, epochs_stage2=1),
     )
-    u = uniforms[[m is not None for m in matches]]
-    return rl_step(groups, disc, cfg, u, picks[0], slot_at, weighted, slot_rows, pool_rows.reshape(-1, dim))
+    probs = [softmax(logits) for logits in stacks]
+    return rl_step(
+        groups, stacks, probs, disc, cfg, u[0], picks[0], slot_at, weighted, slot_rows, pool_rows.reshape(-1, dim)
+    )
 
 
 def sft_epoch_on(student, examples, targets, lr):
@@ -98,7 +102,8 @@ def sft_epoch_on(student, examples, targets, lr):
     out as Plan.run lays them out."""
     layout, stacks = stack_student(examples, student)
     slots = np.array([targets.get(ex.id, -1) for ex in examples])
-    _sft_epoch([(stacks[g], sel, slots[rows]) for g, sel, rows in _pick(layout, slots >= 0)], lr)
+    taught = [(g, sel, slots[rows]) for g, sel, rows in _pick(layout, slots >= 0)]
+    _sft_epoch(taught, stacks, [softmax(logits) for logits in stacks], lr)
 
 
 @pytest.fixture

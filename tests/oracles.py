@@ -1,8 +1,8 @@
 """Scalar and sampled reference forms of library paths, kept for tests only.
 
 The library computes scores, pair losses and the KL pull only in batched
-form (discriminator.score_batch, _pair_grad under chain_update, and
-policy.kl_gradient_logits).  The one-pair and one-distribution forms below
+form (discriminator.score_batch, _linear_grad and _hidden_grad under
+chain_update, and policy.kl_gradient_logits).  The one-pair and one-distribution forms below
 are what those paths are checked against: the finite-difference gradient
 checks differentiate pairwise_loss, and the rl_step oracle takes its KL
 from kl_divergence.  train.pass_at_k_eval computes pass@k in closed form;
@@ -31,7 +31,7 @@ expected_disc_update that of its discriminator half, over the rollout and
 matching uniforms, with each pair's gradient from loop_batch_loss_and_grad,
 so neither oracle shares the trainer's pair math.
 discriminator.chain_update walks an epoch's pair batches in one chain and
-train._sft_epoch takes one row-wise softmax per answer-space size;
+train._sft_epoch reads one row-wise softmax per answer-space size;
 disc_chain and sft_epoch below are the per-example loops they replaced,
 disc_chain over verbatim copies of score_batch, _batch_loss_and_grad,
 batch_update and apply_gradient as they were then (renamed loop_*).

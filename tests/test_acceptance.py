@@ -18,7 +18,8 @@ from mskd.analysis import analyze_variance, make_variance_corpus
 from mskd.discriminator import (
     DiscriminatorParams,
     Featurizer,
-    _pair_grad,
+    _hidden_grad,
+    _linear_grad,
     _theta,
     batch_update,
     init_params,
@@ -390,8 +391,11 @@ def _unflatten(vec: np.ndarray, like: DiscriminatorParams) -> DiscriminatorParam
 
 def _pair_gradient(p, ft, fs, q) -> DiscriminatorParams:
     """The trainer's analytic gradient for a batch of one pair."""
-    ft, fs = ft[None, :], fs[None, :]
-    return DiscriminatorParams(*_pair_grad(_theta(p), ft, fs, fs - ft, np.array([q]))[2])
+    ft, fs, q = ft[None, :], fs[None, :], np.array([q])
+    if p.is_linear:
+        scratch = np.empty(1), np.empty(1), np.empty(fs.shape), np.empty(fs.shape[1])
+        return DiscriminatorParams(_linear_grad(p.weights, fs - ft, q, *scratch))
+    return DiscriminatorParams(*_hidden_grad(_theta(p), ft, fs, q)[2])
 
 
 def test_criterion_05_gradient_check():

@@ -14,7 +14,8 @@ from oracles import pairwise_loss, score
 from mskd.discriminator import (
     DiscriminatorParams,
     Featurizer,
-    _pair_grad,
+    _hidden_grad,
+    _linear_grad,
     _theta,
     batch_update,
     chain_update,
@@ -48,8 +49,11 @@ def _unflatten(vec: np.ndarray, like: DiscriminatorParams) -> DiscriminatorParam
 
 def loss_gradient(params, ft, fs, q):
     """The trainer's analytic gradient for a batch of one pair."""
-    ft, fs = ft[None, :], fs[None, :]
-    return DiscriminatorParams(*_pair_grad(_theta(params), ft, fs, fs - ft, np.array([q]))[2])
+    ft, fs, q = ft[None, :], fs[None, :], np.array([q])
+    if params.is_linear:
+        scratch = np.empty(1), np.empty(1), np.empty(fs.shape), np.empty(fs.shape[1])
+        return DiscriminatorParams(_linear_grad(params.weights, fs - ft, q, *scratch))
+    return DiscriminatorParams(*_hidden_grad(_theta(params), ft, fs, q)[2])
 
 
 def fd_gradient(params, ft, fs, q, eps=1e-6):
@@ -213,9 +217,20 @@ def _chains(draw):
     return params, rows[0], rows[1], pair_w, lr
 
 
+def _benchmark_chain(hidden: int) -> tuple:
+    """One epoch's chain at the default cell's shape: 59 active examples,
+    8 rollouts and 59 features, at init scale and the default lr_disc."""
+    rng = np.random.default_rng(59)
+    rows = rng.choice([0.0, 1.0, 0.25, 0.6180339887], size=(2, 59, 8, 59), p=[0.5, 0.3, 0.1, 0.1])
+    pair_w = np.where(rng.random((59, 8)) < 0.3, 0.0, rng.choice([1.0, 0.37, 0.9], size=(59, 8)))
+    return init_params(59, hidden, seed=26), rows[0], rows[1], pair_w, 0.3
+
+
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(_chains())
 @example((init_params(59, 0, seed=5), np.ones((6, 8, 59)), np.zeros((6, 8, 59)), np.zeros((6, 8)), 0.3))  # no weight
+@example(_benchmark_chain(0))
+@example(_benchmark_chain(3))
 def test_chain_is_the_per_example_loop_bit_for_bit(chain):
     params, teacher, student, pair_w, lr = chain
     got_params, got_scores, got_losses = chain_update(params, teacher, student, pair_w, lr)
@@ -223,6 +238,46 @@ def test_chain_is_the_per_example_loop_bit_for_bit(chain):
     assert oracles.disc_vector(got_params).tobytes() == oracles.disc_vector(want_params).tobytes()
     assert got_scores.tobytes() == want_scores.tobytes()
     assert got_losses.tobytes() == want_losses.tobytes()
+
+
+@pytest.mark.parametrize("hidden", [0, 3])
+def test_chain_writes_no_input_and_returns_its_own_arrays(hidden):
+    params, teacher, student, pair_w, lr = _benchmark_chain(hidden)
+    inputs = [*_theta(params), teacher, student, pair_w]
+    before = [a.tobytes() for a in inputs]
+    out, scores, losses = chain_update(params, teacher, student, pair_w, lr)
+    assert [a.tobytes() for a in inputs] == before
+    for got in (*_theta(out), scores, losses):
+        assert not any(np.shares_memory(got, a) for a in inputs)
+    # the returned params own their arrays, not rows of the chain's buffers
+    assert all(a.base is None for a in _theta(out))
+
+
+def test_chain_and_batch_update_reject_stacks_that_do_not_pair_up():
+    # each of these once broadcast into a loss instead of raising
+    p = init_params(5, 0, seed=0)
+    rng = np.random.default_rng(3)
+    t, s = rng.random((2, 3, 4, 5))
+    match = r"^chain_update needs \(m, n, 5\) teacher and student stacks and \(m, n\) pair weights, got "
+    with pytest.raises(ValueError, match=match + r"\(1, 1, 5\), \(1, 4, 5\) and \(1, 4\)$"):
+        batch_update(p, t[0, :1], s[0], np.ones(4), 0.3)
+    with pytest.raises(ValueError, match=match + r"\(1, 4, 5\), \(1, 4, 5\) and \(1, 1\)$"):
+        batch_update(p, t[0], s[0], np.ones(1), 0.3)
+    with pytest.raises(ValueError, match=match + r"\(3, 1, 5\), \(3, 4, 5\) and \(3, 4\)$"):
+        chain_update(p, t[:, :1], s, np.ones((3, 4)), 0.3)
+    for hidden in (0, 3):
+        p = init_params(5, hidden, seed=0)
+        bad = [
+            (t, s, np.ones(4)),  # weights of one batch
+            (t, s, np.ones((3, 4, 1))),
+            (t[..., :4], s[..., :4], np.ones((3, 4))),  # rows narrower than the scorer
+            (t[:2], s, np.ones((3, 4))),
+            (t, s, np.ones((2, 4))),
+        ]
+        for teacher, student, pair_w in bad:
+            with pytest.raises(ValueError, match="^chain_update needs"):
+                chain_update(p, teacher, student, pair_w, 0.3)
+        chain_update(p, t, s, np.ones((3, 4)), 0.3)
 
 
 def test_chain_of_no_batches_returns_its_params():

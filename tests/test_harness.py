@@ -39,7 +39,7 @@ from mskd.harness import (
 from mskd.pool import build_pool
 from mskd.synthetic import retention_probability
 from mskd.tasks import TaskType
-from mskd.train import TrainConfig, eval_accuracy, logit_groups, score_groups
+from mskd.train import TrainConfig, eval_accuracy, policy_groups, score_groups
 
 
 def tiny_bench(**kw):
@@ -111,7 +111,7 @@ def test_open_benchmark_latents_hidden_from_surface():
         assert np.all((latent > 0.0) & (latent < 1.0))
     uniform = {ex.id: np.zeros(6) for ex in bench.examples}
     latent = score_groups(bench.examples, [bench.slot_scores[ex.id] for ex in bench.examples])
-    acc = eval_accuracy(logit_groups(uniform, latent))
+    acc = eval_accuracy(policy_groups(uniform, latent))
     want = np.mean([bench.slot_scores[ex.id].mean() for ex in bench.examples])
     assert acc == pytest.approx(want, abs=1e-12)
 

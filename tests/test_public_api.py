@@ -107,8 +107,8 @@ def test_all_is_pinned():
 
 
 def test_scalar_twins_stay_out_of_the_package():
-    # the batched path of each is score_batch, _pair_grad, batch_update,
-    # discriminator._sigmoid, kl_gradient_logits and run_pipeline
+    # the batched path of each is score_batch, _linear_grad and _hidden_grad,
+    # batch_update, discriminator._sigmoid, kl_gradient_logits and run_pipeline
     gone = {
         mskd.discriminator: ("score", "pairwise_loss", "loss_gradient", "update_step", "_batch_loss_and_grad"),
         mskd.rewards: ("sigmoid",),
@@ -146,8 +146,9 @@ def test_single_path_removals_stay_out_of_the_package():
         # and the closed benchmark's temporal space is one module constant
         mskd.harness: ("open_accuracy", "_temporal_space"),
         # chain_update is the one descent step, batch_update its one-batch
-        # case, and _pair_grad the one pair loss gradient
-        mskd.discriminator: ("apply_gradient", "_batch_loss_and_grad"),
+        # case, and _linear_grad and _hidden_grad each scorer's one pair
+        # loss gradient
+        mskd.discriminator: ("apply_gradient", "_batch_loss_and_grad", "_pair_grad"),
         # rl_step's inputs come only from Plan.run's layout (train.rl_inputs)
         mskd: ("rl_step",),
     }

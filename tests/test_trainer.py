@@ -31,11 +31,11 @@ from mskd.train import (
     _passk_settings,
     build_caches,
     eval_accuracy,
-    logit_groups,
     make_pools,
     matching_for,
     metrics_to_csv,
     pass_at_k_eval,
+    policy_groups,
     pool_features,
     rl_inputs,
     rl_step,
@@ -196,14 +196,18 @@ def test_rl_step_rejects_row_stacks_that_do_not_fit_its_examples():
 
     # inputs that disagree with one another, built as Plan.run builds them
     layout, stacks = [np.array([0]), np.array([1])], [np.zeros((1, 4)), np.zeros((1, 2))]
-    groups, picks, slot_at, weighted = rl_inputs(
-        layout, stacks, [softmax(s) for s in stacks], [m[None] for m in matches], np.array([0, 4]),
+    probs = [softmax(s) for s in stacks]
+    groups, u, picks, slot_at, weighted = rl_inputs(
+        layout, probs, [m[None] for m in matches], args[5][None, :, None], np.array([0, 4]),
         np.array([True, True]), replace(cfg, epochs_stage2=1),
     )
     flat_pools = pool_rows.reshape(-1, featurizer.dim)
-    fine = (groups, args[2], cfg, args[5], picks[0], slot_at, weighted, slot_rows, flat_pools)
+    fine = (groups, stacks, probs, args[2], cfg, u[0], picks[0], slot_at, weighted, slot_rows, flat_pools)
     twice = [(*g[:2], np.array([0]), g[3]) for g in groups]
-    for i, bad in ((0, twice), (3, args[5][:1]), (4, picks[0] - cfg.k), (5, slot_at[:1]), (6, weighted[:1])):
+    for i, bad in (
+        (0, twice), (2, probs[::-1]), (2, probs[:1]), (5, u[0, :1]), (6, picks[0] - cfg.k), (7, slot_at[:1]),
+        (8, weighted[:1]),
+    ):
         with pytest.raises(ValueError, match=r"^rl_step inputs do not fit"):
             rl_step(*fine[:i], bad, *fine[i + 1 :])
     rl_step(*fine)
@@ -548,7 +552,7 @@ def closed_groups(examples, quality):
 def test_eval_accuracy_none_for_open_only():
     exs = [mk_open(0, n_slots=2), mk_open(1, n_slots=7), mk_open(2)]
     quality = slot_quality(build_caches(exs, Featurizer(7)))
-    assert eval_accuracy(logit_groups(uniform_student(exs), closed_groups(exs, quality))) is None
+    assert eval_accuracy(policy_groups(uniform_student(exs), closed_groups(exs, quality))) is None
     assert _oracle_eval_accuracy(uniform_student(exs), exs, quality) is None
 
 
@@ -556,8 +560,8 @@ def test_eval_accuracy_expected_metric():
     ex = mk_mcq(0, gt="B")
     groups = closed_groups([ex], slot_quality(build_caches([ex], Featurizer(4))))
     peaked = {ex.id: np.array([0.0, 50.0, 0.0, 0.0])}
-    assert eval_accuracy(logit_groups(peaked, groups)) == pytest.approx(1.0, abs=1e-12)
-    assert eval_accuracy(logit_groups(uniform_student([ex]), groups)) == pytest.approx(0.25)
+    assert eval_accuracy(policy_groups(peaked, groups)) == pytest.approx(1.0, abs=1e-12)
+    assert eval_accuracy(policy_groups(uniform_student([ex]), groups)) == pytest.approx(0.25)
 
 
 # The per-example loops eval_accuracy and the harness's open-ended accuracy
@@ -601,15 +605,15 @@ def test_batched_expected_scores_match_per_example_loops(seed):
     student = {ex.id: rng.normal(0.0, 2.0, len(ex.answer_space)) for ex in exs}
     student[exs[3].id][2] = -1000.0  # a slot whose mass underflows to 0
     quality = slot_quality(build_caches(exs, Featurizer(7)))
-    got = eval_accuracy(logit_groups(student, closed_groups(exs, quality)))
+    got = eval_accuracy(policy_groups(student, closed_groups(exs, quality)))
     assert got == _oracle_eval_accuracy(student, exs, quality)
     # graded scores on every slot, so each term of every product counts
     graded = {k: rng.uniform(0.0, 1.0, len(q)) for k, q in quality.items()}
-    got = eval_accuracy(logit_groups(student, closed_groups(exs, graded)))
+    got = eval_accuracy(policy_groups(student, closed_groups(exs, graded)))
     assert got == _oracle_eval_accuracy(student, exs, graded)
     scores = {ex.id: rng.uniform(0.0, 1.0, len(ex.answer_space)) for ex in exs}
     for subset in (exs, [ex for ex in exs if not ex.task.is_closed], exs[::-1]):
-        got = eval_accuracy(logit_groups(student, score_groups(subset, [scores[ex.id] for ex in subset])))
+        got = eval_accuracy(policy_groups(student, score_groups(subset, [scores[ex.id] for ex in subset])))
         assert repr(got) == repr(_oracle_open_accuracy(student, subset, scores))
 
 
