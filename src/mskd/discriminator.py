@@ -23,8 +23,6 @@ from pathlib import Path
 
 import numpy as np
 
-from mskd.tasks import SupervisionExample
-
 _LEN_SCALE = 512.0
 # init_params draws every weight from N(0, _INIT_SCALE^2).
 _INIT_SCALE = 0.1
@@ -40,7 +38,7 @@ class Featurizer:
     [0] outer_valid flag, [1] task_valid flag, [2] raw length / 512 capped
     at 1, [3] ground-truth quality, which featurize_all leaves at 0 for the
     caller to write (it stays 0 for open-ended or invalid), then a one-hot
-    of the payload's position in the example's answer space.
+    of the payload's position in its example's answer space.
     """
 
     space_size: int
@@ -49,15 +47,16 @@ class Featurizer:
     def dim(self) -> int:
         return 4 + self.space_size
 
-    def featurize_all(self, responses, ex: SupervisionExample) -> np.ndarray:
+    def featurize_all(self, responses, slots) -> np.ndarray:
         """The (len(responses), dim) feature rows of a sequence of
-        ParsedResponses, with the quality column at 0."""
+        ParsedResponses, with the quality column at 0; slots holds each
+        response's position in its own example's answer space
+        (SupervisionExample.slot_of of its payload), None if absent."""
         f = np.zeros((len(responses), self.dim))
         f[:, OUTER_COL] = [r.outer_valid for r in responses]
         f[:, TASK_COL] = [r.task_valid for r in responses]
         f[:, 2] = np.minimum([len(r.raw) for r in responses], _LEN_SCALE) / _LEN_SCALE
-        for row, resp in enumerate(responses):
-            slot = ex.slot_of(resp.payload)
+        for row, slot in enumerate(slots):
             if slot is not None and slot < self.space_size:
                 f[row, 4 + slot] = 1.0
         return f
@@ -119,25 +118,45 @@ def _theta(params: DiscriminatorParams) -> list[np.ndarray]:
     return [params.weights] if params.is_linear else [params.weights, params.hidden_w, params.hidden_b]
 
 
-def _linear_grad(
-    w: np.ndarray, d: np.ndarray, q: np.ndarray, z: np.ndarray, g: np.ndarray, gd: np.ndarray, grad: np.ndarray
-) -> np.ndarray:
+def _scalar(value: float) -> np.ndarray:
+    """value as a read-only 0-d float64 array: a ufunc takes it as it is,
+    where a Python float or a numpy scalar is converted on every call; the
+    loop and the result are the same."""
+    out = np.array(value, dtype=np.float64)
+    out.setflags(write=False)
+    return out
+
+
+# _linear_grad's constants
+_HALF, _ONE = _scalar(0.5), _scalar(1.0)
+
+
+def _linear_scratch(n: int, dim: int) -> tuple:
+    """_linear_grad's buffers for batches of n pairs of dim columns, made
+    once per chain: the (n,) logistic g, its (n, 1) column view, the (n,
+    dim) weighted rows and the (dim,) gradient, and n as a _scalar."""
+    g = np.empty(n)
+    return g, g[:, None], np.empty((n, dim)), np.empty(dim), _scalar(n)
+
+
+def _linear_grad(w: np.ndarray, d: np.ndarray, q: np.ndarray, z: np.ndarray, scratch: tuple) -> np.ndarray:
     """Margins z = d @ w of a linear-scorer pair batch and the gradient of
-    its mean weighted pair loss, written into z (n,) and grad (dim,) via the
-    scratch g (n,) and gd (n, dim); returns grad.  d holds the (n, dim)
-    student - teacher rows: fs @ w - ft @ w would round differently.  Each
-    ufunc writes its buffer (a positional out) in the order that
-    q * _sigmoid(z) and (g[:, None] * d).sum(axis=0) / n run, so the bits
-    are theirs; sum / n is how numpy's mean computes it."""
+    its mean weighted pair loss, written into z (n,) and scratch's
+    gradient buffer (_linear_scratch(n, dim)); returns that buffer.  d
+    holds the (n, dim) student - teacher rows: fs @ w - ft @ w would round
+    differently.  Each ufunc writes its buffer (a positional out) in the
+    order that q * _sigmoid(z) and (g[:, None] * d).sum(axis=0) / n run, so
+    the bits are theirs; sum / n is how numpy's mean computes it."""
+    g, g_col, gd, grad, n = scratch
     np.matmul(d, w, z)
-    np.multiply(0.5, z, g)
+    np.multiply(_HALF, z, g)
     np.tanh(g, g)
-    np.add(1.0, g, g)
-    np.multiply(0.5, g, g)
+    np.add(_ONE, g, g)
+    np.multiply(_HALF, g, g)
     np.multiply(q, g, g)
-    np.multiply(g[:, None], d, gd)
+    np.multiply(g_col, d, gd)
     np.add.reduce(gd, 0, None, grad)
-    return np.divide(grad, len(d), grad)
+    return np.divide(grad, n, grad)
 
 
 def _hidden_grad(
@@ -198,9 +217,10 @@ def chain_update(
     if params.is_linear:
         W = np.empty((m + 1, dim))
         W[0] = params.weights
-        g, gd, grad = np.empty(n), np.empty((n, dim)), np.empty(dim)
+        scratch, step = _linear_scratch(n, dim), _scalar(lr)
         for d_i, q_i, z_i, w, w_next in zip(d, pair_w, z, W, W[1:]):
-            np.multiply(lr, _linear_grad(w, d_i, q_i, z_i, g, gd, grad), grad)
+            grad = _linear_grad(w, d_i, q_i, z_i, scratch)
+            np.multiply(step, grad, grad)
             np.subtract(w, grad, w_next)
         scores = np.matmul(student, W[:m, :, None])[..., 0]
         final = DiscriminatorParams(W[m].copy())

@@ -79,15 +79,13 @@ def checked_cdf(p: np.ndarray | Sequence[float]) -> np.ndarray:
 def _invert_rows(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     """cdf[r].searchsorted(u[r], side="right") for every row r of a 2-D
     checked_cdf and a (rows, n) array of uniforms, as one comparison count:
-    a CDF is non-decreasing, so the index is the number of entries <= u."""
+    a CDF is non-decreasing, so the index is the number of entries <= u.
+    With more uniforms per row than entries (a pool's matches) the count
+    adds one (rows, n) comparison per entry, else it sums each uniform's
+    comparisons in a row: numpy reduces fastest along the longer axis."""
+    if u.shape[1] > cdf.shape[1]:
+        return np.add.reduce(cdf.T[:, :, None] <= u, 0, dtype=np.intp)
     return (cdf[:, None, :] <= u[:, :, None]).sum(-1)
-
-
-def categorical_draw(p: np.ndarray | Sequence[float], n: int, rng: np.random.Generator) -> np.ndarray:
-    """n indices drawn with replacement from the categorical distribution p:
-    exactly ``rng.choice(len(p), size=n, p=p)`` for a float64 vector p, and
-    the generator's state afterwards is the same too."""
-    return checked_cdf(p).searchsorted(rng.random(n), side="right")
 
 
 def kl_gradient_logits(p: np.ndarray, q: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:

@@ -17,7 +17,7 @@ import numpy as np
 
 from mskd.corpus import CorpusError, _json_lines
 from mskd.metrics import DEFAULT_METRICS, MetricConfig, _is_finite, quality_score
-from mskd.policy import checked_cdf
+from mskd.policy import _invert_rows, checked_cdf
 from mskd.tasks import ParsedResponse, SupervisionExample, TaskType, parse_response
 
 
@@ -124,11 +124,20 @@ def matching_distribution(pool: TeacherPool, mode: str = "quality") -> MatchingD
     return MatchingDistribution(tuple(q / total for q in pool.qualities))
 
 
-def sample_matches(dist: MatchingDistribution, u: np.ndarray) -> np.ndarray:
-    """The pool indices that uniforms u in [0, 1), of any shape, draw from
-    the matching distribution; for u = rng.random(n) these are
-    rng.choice(k, size=n, p=dist.probs), bit for bit."""
-    return checked_cdf(dist.probs).searchsorted(u, side="right")
+def sample_matches(dists: Sequence[MatchingDistribution], u: np.ndarray) -> np.ndarray:
+    """The pool indices that uniforms u in [0, 1) draw from matching
+    distributions of one length: u[i], of any shape, from dists[i], all
+    from one stacked CDF; for u[i] = rng.random(n) these are
+    rng.choice(k, size=n, p=dists[i].probs), bit for bit.  Distributions of
+    unequal lengths, or a u whose first axis is not one row per
+    distribution, raise ValueError."""
+    u = np.asarray(u, dtype=float)
+    if u.ndim == 0 or len(u) != len(dists):
+        raise ValueError(f"need one row of uniforms per distribution ({len(dists)}), got shape {u.shape}")
+    if not dists:
+        return np.zeros(u.shape, dtype=np.intp)
+    cdf = checked_cdf([d.probs for d in dists])
+    return _invert_rows(cdf, u.reshape(len(dists), math.prod(u.shape[1:]))).reshape(u.shape)
 
 
 def select_sft_target(pool: TeacherPool, rng: np.random.Generator | None) -> int:

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mskd.policy import categorical_draw, nucleus, softmax
+from mskd.metrics import _is_finite
+from mskd.policy import _invert_rows, checked_cdf, nucleus, softmax
 from mskd.tasks import SupervisionExample, render_payload
 
 # Calibration bisects concentration on [CONC_LO, CONC_HI] for at most
@@ -213,22 +214,72 @@ def corrupt_envelope(raw: str) -> str:
     return raw.replace("</answer>", "")
 
 
+def teacher_stacks(
+    teacher: SyntheticTeacher, examples: list[SupervisionExample]
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """The teacher's sampling rows for examples: per answer-space size, the
+    indices of its examples and their probs rows as one checked_cdf stack,
+    and each example's violation rate.  Raises ValueError naming the ids
+    the teacher has no probs or violation_rate for, else the first example
+    without an answer space, whose probs row is not one probability per
+    slot of it, whose violation_rate is not a number in [0, 1], or whose
+    probs are no distribution Generator.choice accepts."""
+    for name in ("probs", "violation_rate"):
+        if missing := [ex.id for ex in examples if ex.id not in getattr(teacher, name)]:
+            raise ValueError(f"teacher.{name} miss examples: {missing}")
+    sizes: dict[int, list[int]] = {}
+    for i, ex in enumerate(examples):
+        if ex.answer_space is None:
+            raise ValueError(f"example {ex.id}: answer_space required for synthetic sampling")
+        shape, size = np.shape(teacher.probs[ex.id]), len(ex.answer_space)
+        if shape != (size,):
+            raise ValueError(
+                f"teacher.probs[{ex.id!r}] has shape {shape}, not one probability per slot of its "
+                f"{size}-slot answer space"
+            )
+        rate = teacher.violation_rate[ex.id]
+        if not (_is_finite(rate) and 0.0 <= rate <= 1.0):
+            raise ValueError(f"teacher.violation_rate[{ex.id!r}] must be a number in [0, 1], got {rate!r}")
+        sizes.setdefault(size, []).append(i)
+    groups = []
+    for rows in sizes.values():
+        probs = np.array([teacher.probs[examples[i].id] for i in rows], dtype=float)
+        try:
+            groups.append((np.array(rows), checked_cdf(probs)))
+        except ValueError:
+            for i, row in zip(rows, probs):  # name the first row that fails
+                try:
+                    checked_cdf(row)
+                except ValueError as exc:
+                    raise ValueError(f"teacher.probs[{examples[i].id!r}]: {exc}") from None
+    return groups, np.array([teacher.violation_rate[ex.id] for ex in examples], dtype=float)
+
+
 def sample_teacher_pool(
     teacher: SyntheticTeacher,
-    ex: SupervisionExample,
+    examples: list[SupervisionExample],
     k: int,
-    rng: np.random.Generator,
-) -> list[str]:
-    """Draw k responses: render the sampled payload, sometimes corrupted."""
+    uniforms: np.ndarray,
+) -> list[list[str]]:
+    """Draw k responses per example: example i renders the slots that
+    uniforms[i, :k] draw from its probs, exactly as Generator.choice maps
+    them, and breaks the envelope of response j when uniforms[i, k + j]
+    falls below its violation rate.  With uniforms[i] = rng.random(2 * k)
+    these are the draws rng.choice(size, k, p=probs) and rng.random(k) < rate
+    give.  uniforms must be (len(examples), 2 * k); a teacher that
+    teacher_stacks rejects raises its ValueError."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if ex.answer_space is None:
-        raise ValueError(f"example {ex.id}: answer_space required for synthetic sampling")
-    p = teacher.probs[ex.id]
-    idx = categorical_draw(p, k, rng)
-    corrupt = rng.random(k) < teacher.violation_rate[ex.id]
-    raws = []
-    for j, bad in zip(idx, corrupt):
-        raw = render_payload(ex.answer_space[int(j)])
-        raws.append(corrupt_envelope(raw) if bad else raw)
-    return raws
+    u = np.asarray(uniforms, dtype=float)
+    if u.shape != (len(examples), 2 * k):
+        raise ValueError(f"need ({len(examples)}, {2 * k}) uniforms for {len(examples)} examples, got {u.shape}")
+    groups, rates = teacher_stacks(teacher, examples)
+    slots = np.empty((len(examples), k), dtype=np.intp)
+    for rows, cdf in groups:
+        slots[rows] = _invert_rows(cdf, u[rows, :k])
+    corrupt = u[:, k:] < rates[:, None]
+    pools = []
+    for ex, row, bad in zip(examples, slots.tolist(), corrupt.tolist()):
+        raws = [render_payload(ex.answer_space[j]) for j in row]
+        pools.append([corrupt_envelope(raw) if b else raw for raw, b in zip(raws, bad)])
+    return pools

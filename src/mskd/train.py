@@ -24,14 +24,16 @@ SeedSequence([seed, stream_tag, epoch, example_index]), so runs are
 bit-reproducible and ablation arms that should coincide do so exactly.  The
 RL steps' streams are the two spawned children of that sequence; a step
 reads the first n_rollouts doubles of each, which uniform_table computes for
-a whole run at once, bit for bit, from stream_table's seed states.  All else
-a step reads is taken once: per cell, the logits stacks with their taught,
-active and closed rows, the stacks' reference policy, the pools'
-feature rows as one (examples * K, dim) matrix and every epoch's matched
-rows of it as one array; per Plan, shared by every cell on one set of
-examples, the slot rows as one (total_slots, dim) matrix with each
-example's first row, the stacks' layout and the accuracy's slot qualities
-under one metric, and each (seed, k)'s unfiltered pools.  Pool streams do
+a whole run at once, bit for bit, from stream_table's seed states.  Pools
+are drawn alike, every example's stream in one seed_states and
+uniform_table pass.  All else a step reads is taken once: per cell, the
+logits stacks with their taught, active and closed rows, the stacks'
+reference policy, the pools' feature rows as one (examples * K, dim)
+matrix (one pool_features call) and every epoch's matched rows of it as
+one array (one sample_matches call); per Plan, shared by every cell on
+one set of examples, the slot rows as one (total_slots, dim) matrix with
+each example's first row, the stacks' layout and the accuracy's slot
+qualities under one metric, and each (seed, k)'s unfiltered pools.  Pool streams do
 not depend on tau or matching, so cells share a draw, and the filter at
 cfg.tau is applied only where a cell trains (Plan.run).  run_pipeline is a
 fresh plan's cell.
@@ -78,7 +80,7 @@ from mskd.pool import (
     select_sft_target,
 )
 from mskd.rewards import DEFAULT_WEIGHTS, InvalidWeightsError, RewardWeights, composite_reward
-from mskd.synthetic import SyntheticTeacher, sample_teacher_pool
+from mskd.synthetic import SyntheticTeacher, sample_teacher_pool, teacher_stacks
 from mskd.tasks import ParsedResponse, SupervisionExample, TaskType, parse_response, render_payload
 
 # Stream tags: one per independent purpose so that config knobs that should
@@ -110,26 +112,25 @@ def _seed_words(seed: int) -> list[int]:
             return words
 
 
-def stream_table(seed: int, epochs: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """The seed states of RL step (epoch, i)'s (rollout, matching) streams.
-
-    Row [..., j, :] is
-    SeedSequence([seed, _S_ROLL, epoch, i], spawn_key=(j,)).generate_state(4, np.uint64),
-    the state of the j-th child that .spawn(2) would give, computed for every
-    (epoch, i) of the broadcast of epochs and indices (each below 2**32) in
-    one uint32 pass of SeedSequence's mix_entropy and generate_state.  The
-    shape is broadcast(epochs, indices) + (2, 4); rows are C-contiguous.
+def seed_states(seed: int, *keys, spawn=None) -> np.ndarray:
+    """SeedSequence([seed, *keys], spawn_key=(spawn,)).generate_state(4,
+    np.uint64) (no spawn key when spawn is None) for every element of the
+    broadcast of keys and spawn, ints or arrays of words below 2**32, in one
+    uint32 pass of SeedSequence's mix_entropy and generate_state; the shape
+    is that broadcast + (4,).  Entropy shorter than the 4-word pool is padded
+    with zero words, as numpy pads it: mix_entropy hashes zeros into the
+    pool words it does not fill, and a spawn key follows the padding.
     """
     seed = int(seed)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    shape = np.broadcast_shapes(np.shape(epochs), np.shape(indices)) + (2,)
-    entropy = [np.full(shape, w, dtype=np.uint32) for w in (*_seed_words(seed), _S_ROLL)]
-    entropy += [
-        np.broadcast_to(np.asarray(epochs, dtype=np.uint32)[..., None], shape),
-        np.broadcast_to(np.asarray(indices, dtype=np.uint32)[..., None], shape),
-        np.broadcast_to(np.arange(2, dtype=np.uint32), shape),  # the spawn key
-    ]
+    words = [*_seed_words(seed), *keys]
+    words += [0] * (_POOL_SIZE - len(words)) + ([] if spawn is None else [spawn])
+    shape = np.broadcast_shapes(*map(np.shape, words))
+    # at least 1-d: a 0-d array's ops give scalars, whose products warn on
+    # wrap-around
+    flat = shape or (1,)
+    entropy = [np.broadcast_to(np.asarray(w, dtype=np.uint32), flat) for w in words]
     # The hash constants do not depend on the data, so their chain stays in
     # Python ints; every product of arrays wraps modulo 2**32 as in C.
     hash_const = _INIT_A
@@ -145,8 +146,6 @@ def stream_table(seed: int, epochs: np.ndarray, indices: np.ndarray) -> np.ndarr
         result = x * _MIX_MULT_L - y * _MIX_MULT_R
         return result ^ (result >> _XSHIFT)
 
-    # The entropy is at least _POOL_SIZE words (seed, tag, epoch, index), so
-    # SeedSequence's zero padding never applies.
     pool = [hashmix(w) for w in entropy[:_POOL_SIZE]]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
@@ -159,7 +158,7 @@ def stream_table(seed: int, epochs: np.ndarray, indices: np.ndarray) -> np.ndarr
     # 8 uint32 words, paired little-endian (lo | hi << 32) into 4 uint64
     # words, as SeedSequence views them
     hash_const = _INIT_B
-    state = np.empty(shape + (4,), dtype=np.uint64)
+    state = np.empty(flat + (4,), dtype=np.uint64)
     for k in range(8):
         value = pool[k % _POOL_SIZE] ^ hash_const
         hash_const = hash_const * _MULT_B & _MASK32
@@ -169,7 +168,21 @@ def stream_table(seed: int, epochs: np.ndarray, indices: np.ndarray) -> np.ndarr
             state[..., k // 2] |= value.astype(np.uint64) << 32
         else:
             state[..., k // 2] = value
-    return state
+    return state.reshape(shape + (4,))
+
+
+def stream_table(seed: int, epochs: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """The seed states of RL step (epoch, i)'s (rollout, matching) streams.
+
+    Row [..., j, :] is
+    SeedSequence([seed, _S_ROLL, epoch, i], spawn_key=(j,)).generate_state(4, np.uint64),
+    the state of the j-th child that .spawn(2) would give, for every (epoch,
+    i) of the broadcast of epochs and indices (each below 2**32): one
+    seed_states pass.  The shape is broadcast(epochs, indices) + (2, 4);
+    rows are C-contiguous.
+    """
+    epochs, indices = np.asarray(epochs)[..., None], np.asarray(indices)[..., None]
+    return seed_states(seed, _S_ROLL, epochs, indices, spawn=np.arange(2))
 
 
 # PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h), high and
@@ -282,7 +295,8 @@ def build_caches(
     for ex, responses in zip(examples, slot_parses(examples)):
         base = shared.get(id(responses))
         if base is None:
-            base = shared[id(responses)] = featurizer.featurize_all(responses, ex)
+            slots = [ex.slot_of(r.payload) for r in responses]
+            base = shared[id(responses)] = featurizer.featurize_all(responses, slots)
         caches[ex.id] = feats = base.copy()
         if ex.task.is_closed:
             key = (id(responses), ex.ground_truth, render_payload(ex.ground_truth))
@@ -293,21 +307,30 @@ def build_caches(
 
 
 def pool_features(
-    pool: TeacherPool,
-    ex: SupervisionExample,
-    slot_feats: np.ndarray,
+    pools: list[TeacherPool],
+    examples: list[SupervisionExample],
+    slot_rows: np.ndarray,
+    starts: np.ndarray,
     featurizer: Featurizer,
 ) -> np.ndarray:
-    """(K, dim) feature rows for a pool, featurized in one call.  A response
-    whose payload is an answer-space slot takes that slot's row of
-    slot_feats (ex's build_caches rows), the row a student rollout of the
-    slot gets, whatever else its text holds; every row's quality column
-    holds the pool's (filtered) quality."""
-    feats = featurizer.featurize_all(pool.responses, ex)
-    slots = [ex.slot_of(resp.payload) for resp in pool.responses]
+    """The feature rows of every response of pools, pools[i] the pool of
+    examples[i], stacked in order: one featurize_all call and one gather.
+    A response whose payload is a slot of its own example's answer space
+    takes that slot's row of slot_rows (the build_caches rows stacked,
+    example i's from row starts[i]), the row a student rollout of the slot
+    gets, whatever else its text holds; every row's quality column holds
+    its pool's (filtered) quality, 0 in an open-ended pool."""
+    responses = [resp for pool in pools for resp in pool.responses]
+    owners = [
+        (ex, start) for pool, ex, start in zip(pools, examples, np.asarray(starts).tolist()) for _ in pool.responses
+    ]
+    slots = [ex.slot_of(resp.payload) for (ex, _), resp in zip(owners, responses)]
+    feats = featurizer.featurize_all(responses, slots)
     in_space = [row for row, slot in enumerate(slots) if slot is not None]
-    feats[in_space] = slot_feats[[slots[row] for row in in_space]]
-    feats[:, QUALITY_COL] = 0.0 if pool.qualities is None else pool.qualities
+    feats[in_space] = slot_rows.take([owners[row][1] + slots[row] for row in in_space], 0)
+    feats[:, QUALITY_COL] = [
+        q for pool in pools for q in ((0.0,) * pool.k if pool.qualities is None else pool.qualities)
+    ]
     return feats
 
 
@@ -477,19 +500,18 @@ def _pick(layout: list[np.ndarray], on: np.ndarray) -> list[tuple]:
 
 
 def rl_inputs(
-    layout: list, refs: list, matches: list, uniforms: np.ndarray, starts: np.ndarray, closed: np.ndarray,
-    cfg: TrainConfig,
+    layout: list, refs: list, active: np.ndarray, matches: np.ndarray, uniforms: np.ndarray, starts: np.ndarray,
+    closed: np.ndarray, cfg: TrainConfig,
 ) -> tuple[list[tuple], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """rl_step's groups, uniforms and picks (epochs, active, n), slot_at and
     weighted for a cell: layout holds each stack's example indices, refs
-    the stacks' reference policy; per example, matches its (epochs, n) rows
-    of its cfg.k-row pool or None, uniforms[:, i, 0] its rollout uniforms,
-    starts its first slot row and closed its kind."""
-    active = np.array([m is not None for m in matches], dtype=bool)
+    the stacks' reference policy; per example, active whether it has
+    matches, uniforms[:, i, 0] its rollout uniforms, starts its first slot
+    row and closed its kind; matches holds each active example's (epochs,
+    n) rows of its cfg.k-row pool."""
     at, pos = np.flatnonzero(active), np.cumsum(active) - 1
     groups = [(g, sel, pos[rows], refs[g][sel]) for g, sel, rows in _pick(layout, active)]
-    picks = np.array([matches[i] + i * cfg.k for i in at], dtype=np.intp)
-    picks = picks.reshape(len(at), cfg.epochs_stage2, cfg.n_rollouts).swapaxes(0, 1)
+    picks = (matches + (at * cfg.k)[:, None, None]).swapaxes(0, 1)
     return groups, uniforms[:, at, 0], picks, starts[at, None], closed[at] & (cfg.matching == "quality")
 
 
@@ -559,12 +581,13 @@ def make_pools(
     cfg: TrainConfig,
 ) -> dict[str, TeacherPool]:
     """Sample one unfiltered teacher pool per example, scored under
-    cfg.metric; cfg.tau plays no part (Plan.run filters)."""
-    pools: dict[str, TeacherPool] = {}
-    for i, ex in enumerate(examples):
-        raws = sample_teacher_pool(teacher, ex, cfg.k, _stream(cfg.seed, _S_POOL, i))
-        pools[ex.id] = build_pool(ex, raws, cfg.metric)
-    return pools
+    cfg.metric; cfg.tau plays no part (Plan.run filters).  Example i's
+    pool reads the first 2 * cfg.k doubles of the stream
+    SeedSequence([cfg.seed, _S_POOL, i]), all examples' in one
+    uniform_table of their seed_states."""
+    states = seed_states(cfg.seed, _S_POOL, np.arange(len(examples)))
+    raws = sample_teacher_pool(teacher, examples, cfg.k, uniform_table(states, 2 * cfg.k))
+    return {ex.id: build_pool(ex, r, cfg.metric) for ex, r in zip(examples, raws)}
 
 
 def _check_ids(name: str, given: dict, examples: list[SupervisionExample], every: bool = False) -> None:
@@ -603,9 +626,10 @@ def _check_inputs(
     match_overrides: dict[str, MatchingDistribution] | None = None,
 ) -> None:
     """What Plan.run accepts: examples, non-empty, of distinct ids and each
-    with a non-empty answer space; a teacher with probs and a violation_rate
-    for every example, or one pool per example and no other, of its task
-    and the pool of the example it is keyed by, with cfg.k responses and
+    with a non-empty answer space; a teacher that teacher_stacks accepts
+    (for every example a distribution over its answer space and a
+    violation_rate in [0, 1]), or one pool per example and no other, of its
+    task and the pool of the example it is keyed by, with cfg.k responses and
     filtered at no tau above cfg.tau (a quality the filter zeroed cannot be
     restored); and, keyed by example ids, SFT targets that are int slots of
     their answer space (a bool is not one) and distributions of cfg.k
@@ -615,9 +639,7 @@ def _check_inputs(
     if pools is None:
         if teacher is None:
             raise ValueError("need either a teacher or prebuilt pools")
-        for name in ("probs", "violation_rate"):
-            if missing := [ex.id for ex in examples if ex.id not in getattr(teacher, name)]:
-                raise ValueError(f"teacher.{name} miss examples: {missing}")
+        teacher_stacks(teacher, examples)
     else:
         _check_ids("pools", pools, examples, every=True)
         for ex in examples:
@@ -701,11 +723,11 @@ class Plan:
         result.  skipped_sft lists the examples without a target, skipped_rl
         those whose pools have nothing to match when Stage 2 runs."""
         self._check_metric(cfg)
-        examples, caches, featurizer = self.examples, self.caches, self.featurizer
+        examples, featurizer = self.examples, self.featurizer
         _check_inputs(examples, cfg, self.teacher, pools, sft_targets, match_overrides)
         drawn = self.pools(cfg) if pools is None else pools
         pools = {ex.id: apply_filter(drawn[ex.id], cfg.tau) for ex in examples}
-        pool_rows = np.concatenate([pool_features(pools[ex.id], ex, caches[ex.id], featurizer) for ex in examples])
+        pool_rows = pool_features([pools[ex.id] for ex in examples], examples, self.slot_rows, self.starts, featurizer)
         epochs, n = cfg.epochs_stage2, cfg.n_rollouts
         uniforms = uniform_table(stream_table(cfg.seed, np.arange(epochs)[:, None], np.arange(len(examples))), n)
 
@@ -733,13 +755,15 @@ class Plan:
 
         ref = {k: logits.copy() for k, logits in student.items()}
         disc = init_params(featurizer.dim, cfg.hidden_dim, seed=np.random.SeedSequence([cfg.seed, _S_DISC]))
-        # every epoch's matched pool rows, drawn once per pool before training
+        # every epoch's matched pool rows, drawn in one pass before training
         overrides = match_overrides or {}
         dists = [overrides[ex.id] if ex.id in overrides else matching_for(pools[ex.id], cfg) for ex in examples]
-        matches = [None if d is None else sample_matches(d, uniforms[:, i, 1]) for i, d in enumerate(dists)]
+        active = np.array([d is not None for d in dists], dtype=bool)
+        at = np.flatnonzero(active)
+        matches = sample_matches([dists[i] for i in at], uniforms[:, at, 1].swapaxes(0, 1))
         # the frozen reference policy is the Stage-1 result's softmax
         groups, u, picks, slot_at, weighted = rl_inputs(
-            self.layout, probs, matches, uniforms, self.starts, self.closed, cfg
+            self.layout, probs, active, matches, uniforms, self.starts, self.closed, cfg
         )
         for epoch in range(epochs):
             disc, stats = rl_step(
@@ -752,7 +776,7 @@ class Plan:
             log.append((*means, acc))
 
         # an example with nothing to match sits out every RL epoch
-        skipped_rl = tuple(sorted(ex.id for ex, m in zip(examples, matches) if m is None))
+        skipped_rl = tuple(sorted(ex.id for ex, on in zip(examples, active.tolist()) if not on))
         return TrainedArtifacts(
             student=student, ref=ref, disc=disc,
             metrics=np.array(log, dtype=float).reshape(-1, 4),  # None reads NaN

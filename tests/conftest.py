@@ -86,9 +86,10 @@ def rl_epoch_on(student, ref_probs, disc, examples, cfg, uniforms, matches, slot
     starts = np.cumsum([0] + [len(ex.answer_space) for ex in examples])[:-1]
     closed = np.array([ex.task.is_closed for ex in examples], dtype=bool)
     _, k, dim = pool_rows.shape
-    one_epoch = [None if m is None else np.asarray(m)[None] for m in matches]
+    active = np.array([m is not None for m in matches], dtype=bool)
+    one_epoch = np.array([m for m in matches if m is not None], dtype=np.intp).reshape(-1, 1, cfg.n_rollouts)
     groups, u, picks, slot_at, weighted = rl_inputs(
-        layout, refs, one_epoch, np.asarray(uniforms)[None, :, None], starts, closed,
+        layout, refs, active, one_epoch, np.asarray(uniforms)[None, :, None], starts, closed,
         replace(cfg, k=k, epochs_stage2=1),
     )
     probs = [softmax(logits) for logits in stacks]

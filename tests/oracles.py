@@ -11,9 +11,14 @@ train.build_caches parses each distinct answer space once and featurizes it
 with array writes; build_caches below is the per-example, per-slot form it
 was written in, with score_answer_space and featurize copied verbatim, and
 like it gives each example's (slots, dim) feature matrix.
-train.pool_features featurizes a whole pool in one call and then takes
-the cached slot rows; pool_features below is the per-row form it replaced,
-copied verbatim.
+train.pool_features featurizes every pool of a cell in one call and then
+takes the cached slot rows; pool_features below is the per-pool, per-row
+form it replaced, copied verbatim.
+train.make_pools draws every example's pool from one uniform table and
+synthetic.sample_teacher_pool inverts one stacked CDF per answer-space
+size; make_pools, sample_teacher_pool and categorical_draw below are the
+per-example loop they replaced, one generator per example, copied verbatim
+(renamed loop_*).
 tasks.parse_response checks the envelope with str.count/str.find alone and
 analysis.analyze_variance reduces one stacked array per sample count;
 parse_response and analyze_variance below are the regex and per-question
@@ -51,8 +56,8 @@ from mskd.analysis import QUANTILES, TaskVariance, VarianceReport
 from mskd.corpus import ResponseRow
 from mskd.discriminator import _LEN_SCALE, DiscriminatorParams, Featurizer, _sigmoid
 from mskd.metrics import DEFAULT_METRICS, MetricConfig, quality_score
-from mskd.policy import categorical_draw, nucleus, softmax
-from mskd.pool import TeacherPool
+from mskd.policy import checked_cdf, nucleus, softmax
+from mskd.pool import TeacherPool, build_pool
 from mskd.rewards import RewardWeights
 from mskd.tasks import (
     ANSWER_RE,
@@ -71,7 +76,8 @@ from mskd.tasks import (
     Text,
     render_payload,
 )
-from mskd.train import _stream
+from mskd.synthetic import SyntheticTeacher, corrupt_envelope
+from mskd.train import _S_POOL, TrainConfig, _stream
 
 # the stream tag the sampled estimator drew its samples from
 _S_PASSK = 5
@@ -379,7 +385,49 @@ def sample(
     p = softmax(student[ex.id])
     if temperature != 1.0 or top_p != 1.0:
         p = nucleus(p, temperature, top_p)
-    return categorical_draw(p, n, rng)
+    return loop_categorical_draw(p, n, rng)
+
+
+def loop_categorical_draw(p, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n indices drawn with replacement from the categorical distribution p:
+    exactly ``rng.choice(len(p), size=n, p=p)`` for a float64 vector p, and
+    the generator's state afterwards is the same too."""
+    return checked_cdf(p).searchsorted(rng.random(n), side="right")
+
+
+def loop_sample_teacher_pool(
+    teacher: SyntheticTeacher,
+    ex: SupervisionExample,
+    k: int,
+    rng: np.random.Generator,
+) -> list[str]:
+    """Draw k responses: render the sampled payload, sometimes corrupted."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if ex.answer_space is None:
+        raise ValueError(f"example {ex.id}: answer_space required for synthetic sampling")
+    p = teacher.probs[ex.id]
+    idx = loop_categorical_draw(p, k, rng)
+    corrupt = rng.random(k) < teacher.violation_rate[ex.id]
+    raws = []
+    for j, bad in zip(idx, corrupt):
+        raw = render_payload(ex.answer_space[int(j)])
+        raws.append(corrupt_envelope(raw) if bad else raw)
+    return raws
+
+
+def loop_make_pools(
+    examples: list[SupervisionExample],
+    teacher: SyntheticTeacher,
+    cfg: TrainConfig,
+) -> dict[str, TeacherPool]:
+    """Sample one unfiltered teacher pool per example, scored under
+    cfg.metric; cfg.tau plays no part (Plan.run filters)."""
+    pools: dict[str, TeacherPool] = {}
+    for i, ex in enumerate(examples):
+        raws = loop_sample_teacher_pool(teacher, ex, cfg.k, _stream(cfg.seed, _S_POOL, i))
+        pools[ex.id] = build_pool(ex, raws, cfg.metric)
+    return pools
 
 
 def sampled_pass_at_k(

@@ -20,6 +20,7 @@ from mskd.discriminator import (
     Featurizer,
     _hidden_grad,
     _linear_grad,
+    _linear_scratch,
     _theta,
     batch_update,
     init_params,
@@ -280,7 +281,7 @@ def test_criterion_03_matching_fidelity():
         # the trainer's matching uniforms: epoch e's n_rollouts draws of
         # example pool_i's matching stream
         table = stream_table(1000, np.arange(n_draws // n_rollouts), pool_i)
-        draws = sample_matches(dist, uniform_table(table, n_rollouts)[:, 1]).ravel()
+        draws = sample_matches([dist], uniform_table(table, n_rollouts)[None, :, 1])[0].ravel()
         freq = np.bincount(draws, minlength=k) / n_draws
         max_dev = max(max_dev, float(np.abs(freq - expected).max()))
         zero_prob_draws += int(np.bincount(draws, minlength=k)[expected == 0.0].sum())
@@ -393,8 +394,8 @@ def _pair_gradient(p, ft, fs, q) -> DiscriminatorParams:
     """The trainer's analytic gradient for a batch of one pair."""
     ft, fs, q = ft[None, :], fs[None, :], np.array([q])
     if p.is_linear:
-        scratch = np.empty(1), np.empty(1), np.empty(fs.shape), np.empty(fs.shape[1])
-        return DiscriminatorParams(_linear_grad(p.weights, fs - ft, q, *scratch))
+        scratch = _linear_scratch(*fs.shape)
+        return DiscriminatorParams(_linear_grad(p.weights, fs - ft, q, np.empty(len(fs)), scratch))
     return DiscriminatorParams(*_hidden_grad(_theta(p), ft, fs, q)[2])
 
 
@@ -456,7 +457,7 @@ def test_criterion_06_policy_update_and_kl():
     pool = build_pool(ex, [render_payload(Binary(True)), render_payload(Binary(False))])
     featurizer = Featurizer(2)
     cache = build_caches([ex], featurizer)[ex.id]
-    pool_feats = pool_features(pool, ex, cache, featurizer)
+    pool_feats = pool_features([pool], [ex], cache, [0], featurizer)
     match_dist = matching_distribution(pool, cfg.matching)
     disc = init_params(featurizer.dim, 0, seed=0)
     theta = np.array([0.3, -0.2])
@@ -467,7 +468,7 @@ def test_criterion_06_policy_update_and_kl():
         children = np.random.SeedSequence([606, i]).spawn(2)
         uniforms = np.stack([np.random.default_rng(c).random(cfg.n_rollouts) for c in children])
         # a one-example epoch: the step's rollout and match rows
-        matches = sample_matches(match_dist, uniforms[1])
+        matches = sample_matches([match_dist], uniforms[None, 1])[0]
         disc, _ = rl_epoch_on(
             student, {ex.id: softmax(theta)}, disc, [ex], cfg, uniforms[None, 0], [matches],
             cache, pool_feats[None],

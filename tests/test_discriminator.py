@@ -16,6 +16,7 @@ from mskd.discriminator import (
     Featurizer,
     _hidden_grad,
     _linear_grad,
+    _linear_scratch,
     _theta,
     batch_update,
     chain_update,
@@ -51,8 +52,8 @@ def loss_gradient(params, ft, fs, q):
     """The trainer's analytic gradient for a batch of one pair."""
     ft, fs, q = ft[None, :], fs[None, :], np.array([q])
     if params.is_linear:
-        scratch = np.empty(1), np.empty(1), np.empty(fs.shape), np.empty(fs.shape[1])
-        return DiscriminatorParams(_linear_grad(params.weights, fs - ft, q, *scratch))
+        scratch = _linear_scratch(*fs.shape)
+        return DiscriminatorParams(_linear_grad(params.weights, fs - ft, q, np.empty(len(fs)), scratch))
     return DiscriminatorParams(*_hidden_grad(_theta(params), ft, fs, q)[2])
 
 
@@ -74,7 +75,7 @@ def test_featurizer_layout():
     ex = mk_mcq(gt="B")
     f = Featurizer(4)
     r = parse_response("<answer>B</answer>", ex.task)
-    vec = f.featurize_all((r,), ex)[0]
+    vec = f.featurize_all((r,), [ex.slot_of(r.payload)])[0]
     assert vec.shape == (f.dim,)
     assert vec[0] == 1.0 and vec[1] == 1.0  # validity flags
     assert 0.0 < vec[2] <= 1.0  # length feature
@@ -91,7 +92,7 @@ def test_featurizer_invalid_response_is_mostly_zero():
     ex = mk_mcq(gt="B")
     f = Featurizer(4)
     r = parse_response("broken", ex.task)
-    vec = f.featurize_all((r,), ex)[0]
+    vec = f.featurize_all((r,), [ex.slot_of(r.payload)])[0]
     assert vec[0] == 0.0 and vec[1] == 0.0 and vec[3] == 0.0
     assert vec[4:].sum() == 0.0
 

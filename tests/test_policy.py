@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from oracles import kl_divergence
 from mskd.policy import (
     _invert_rows,
-    categorical_draw,
     checked_cdf,
     kl_gradient_logits,
     nucleus,
@@ -157,8 +156,10 @@ def _categorical(draw):
 @example(np.array([0.25, 0.25, 0.25, 0.25]), 1, 7)  # ties, n = 1
 @example(np.array([0.1, 0.2, 0.3, 0.4 + 1e-9]), 9, 11)  # total off 1 within tolerance
 def test_categorical_draw_is_generator_choice(p, n, seed):
+    # the library's draw rule: a checked CDF, then the count of its entries
+    # at or below each of the generator's doubles
     ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = categorical_draw(p, n, ours)
+    got = _invert_rows(checked_cdf(p)[None], ours.random((1, n)))[0]
     want = theirs.choice(len(p), size=n, p=p)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
@@ -180,7 +181,7 @@ def test_categorical_draw_rejects_what_choice_rejects(p):
     with pytest.raises(ValueError):
         np.random.default_rng(0).choice(len(p), size=3, p=p)
     with pytest.raises(ValueError):
-        categorical_draw(p, 3, np.random.default_rng(0))
+        checked_cdf(p)
 
 
 # --- row-wise forms against the one-row form ------------------------------------
@@ -273,5 +274,6 @@ def _cdf_and_uniforms(draw):
 def test_rowwise_inversion_is_searchsorted_right(cdf_u):
     cdf, u = cdf_u
     got = _invert_rows(cdf, u)
+    assert got.shape == u.shape and got.dtype == np.intp
     for r in range(len(cdf)):
         assert got[r].tolist() == cdf[r].searchsorted(u[r], side="right").tolist()

@@ -137,13 +137,13 @@ def test_matching_distribution_validates_probs():
 
 def test_sample_matches_frequencies(rng):
     dist = MatchingDistribution((0.5, 0.3, 0.2, 0.0))
-    draws = sample_matches(dist, rng.random(100_000))
+    draws = sample_matches([dist], rng.random((1, 100_000)))[0]
     freqs = np.bincount(draws, minlength=4) / draws.size
     assert np.abs(freqs - np.array(dist.probs)).max() < 0.01
     assert freqs[3] == 0.0  # zero-probability entry never drawn
     # a uniform equal to a CDF value draws past a zero-mass slot, as choice does
     gap = MatchingDistribution((0.5, 0.0, 0.5))
-    assert sample_matches(gap, np.array([0.0, 0.25, 0.5, 0.75])).tolist() == [0, 0, 2, 2]
+    assert sample_matches([gap], np.array([[0.0, 0.25, 0.5, 0.75]])).tolist() == [[0, 0, 2, 2]]
 
 
 @pytest.mark.parametrize(
@@ -154,12 +154,12 @@ def test_sample_matches_is_generator_choice(probs, seed):
     dist = MatchingDistribution(probs)
     n = 1000
     want = np.random.default_rng(seed).choice(len(probs), size=n, p=np.asarray(probs))
-    got = sample_matches(dist, np.random.default_rng(seed).random(n))
+    got = sample_matches([dist], np.random.default_rng(seed).random((1, n)))[0]
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    # any shape: a run's (epochs, n_rollouts) rows, or none at all
+    # any shape per distribution: a run's (epochs, n_rollouts) rows, or none at all
     u = np.random.default_rng(seed).random((40, 25))
-    assert np.array_equal(sample_matches(dist, u), sample_matches(dist, u.ravel()).reshape(40, 25))
-    assert sample_matches(dist, np.empty((0, 8))).shape == (0, 8)
+    assert np.array_equal(sample_matches([dist], u[None]), sample_matches([dist], u.reshape(1, -1)).reshape(1, 40, 25))
+    assert sample_matches([dist], np.empty((1, 0, 8))).shape == (1, 0, 8)
 
 
 def test_select_sft_target_argmax_lowest_index_ties():

@@ -128,7 +128,7 @@ def test_single_path_removals_stay_out_of_the_package():
         mskd.tasks: ("TaskFamily", "validate_outer", "validate_task_format"),
         mskd.tasks.TaskType: ("family",),
         mskd.train.TrainedArtifacts: ("write_metrics",),
-        # pool_features featurizes a whole pool in one featurize_all call, and
+        # pool_features featurizes every pool of a cell in one featurize_all call, and
         # pass_at_k_eval's settings check serves mskd passk too
         mskd.discriminator.Featurizer: ("featurize",),
         mskd.cli: ("_success_threshold", "TaskType"),
@@ -136,8 +136,9 @@ def test_single_path_removals_stay_out_of_the_package():
         # scalar statement is tests/oracles.py's reference; a validity flag
         # is its own format reward
         mskd.rewards: ("weighted_reward", "RewardBreakdown", "content_reward", "outer_reward", "task_reward"),
-        # the student is its logits, a dict keyed by example id
-        mskd.policy: ("StudentPolicy", "init_student"),
+        # the student is its logits, a dict keyed by example id, and every
+        # draw inverts a table of uniforms (_invert_rows), not a generator
+        mskd.policy: ("StudentPolicy", "init_student", "categorical_draw"),
         # rl_step leaves an example with no matches untouched, a slot's
         # build_caches feature row is its one record, the student is its
         # logits, and a pair's weight is its teacher row's quality column
@@ -176,6 +177,7 @@ def test_single_path_removals_stay_out_of_the_package():
     # matches are drawn from the run's uniform table, and the permutation
     # test is exact
     assert "rng" not in inspect.signature(mskd.sample_matches).parameters
+    assert "rng" not in inspect.signature(mskd.sample_teacher_pool).parameters
     assert {"n_perm", "seed"}.isdisjoint(inspect.signature(mskd.paired_permutation_pvalue).parameters)
     # featurize_all leaves the quality column at 0, and its callers write it
     assert "quality" not in inspect.signature(mskd.Featurizer.featurize_all).parameters

@@ -88,7 +88,7 @@ def step_inputs(ex, cfg, seed):
     return dict(
         featurizer=featurizer,
         feats=feats,
-        pool_feats=pool_features(pool, ex, feats, featurizer),
+        pool_feats=pool_features([pool], [ex], feats, [0], featurizer),
         dist=matching_for(pool, cfg),
         logits=logits,
         ref_probs=softmax(ref_logits),
@@ -129,7 +129,7 @@ def epoch_of_copies(ex, cfg, disc, inputs, draws, seed):
 
     _, stats = rl_epoch_on(
         student, per_copy(inputs["ref_probs"]), disc, copies, cfg, u[:, 0],
-        list(sample_matches(inputs["dist"], u[:, 1])),
+        list(sample_matches([inputs["dist"]], u[None, :, 1])[0]),
         np.concatenate([inputs["feats"]] * draws), np.stack([inputs["pool_feats"]] * draws),
     )
     assert len(stats) == draws
@@ -141,7 +141,7 @@ def one_example_epochs(ex, cfg, disc, inputs, draws, seed):
     same discriminator; each call's logit update and the update of its
     discriminator's oracles.disc_vector."""
     u = step_uniforms(cfg, seed, draws)
-    matches = sample_matches(inputs["dist"], u[:, 1])
+    matches = sample_matches([inputs["dist"]], u[None, :, 1])[0]
     start = oracles.disc_vector(disc)
     updates = np.empty((draws, len(ex.answer_space)))
     disc_updates = np.empty((draws, len(start)))
@@ -231,7 +231,7 @@ def arm_inputs(ex, cfg, seed):
     raws = raws[2:] + ["<answer>broken"] + raws[:2]
     pool = apply_filter(build_pool(ex, raws[: cfg.k], cfg.metric), cfg.tau)
     inputs.update(
-        pool_feats=pool_features(pool, ex, inputs["feats"], inputs["featurizer"]), dist=matching_for(pool, cfg)
+        pool_feats=pool_features([pool], [ex], inputs["feats"], [0], inputs["featurizer"]), dist=matching_for(pool, cfg)
     )
     return inputs
 

@@ -184,7 +184,7 @@ def run_both(bench, cfg, epochs=2):
     pools = {k: apply_filter(pool, cfg.tau) for k, pool in make_pools(examples, bench.teacher, cfg).items()}
     featurizer = Featurizer(max(len(ex.answer_space) for ex in examples))
     caches = build_caches(examples, featurizer, cfg.metric)
-    feats = {ex.id: pool_features(pools[ex.id], ex, caches[ex.id], featurizer) for ex in examples}
+    feats = {ex.id: pool_features([pools[ex.id]], [ex], caches[ex.id], [0], featurizer) for ex in examples}
     dists = {ex.id: matching_for(pools[ex.id], cfg) for ex in examples}
     student, ref, disc = start_state(examples, cfg, featurizer)
     ref_probs = {k: softmax(logits) for k, logits in ref.items()}
@@ -205,7 +205,7 @@ def run_both(bench, cfg, epochs=2):
                 continue
             o_student, o_disc, o_metrics[ex.id] = oracle_rl_step(o_student, ref, o_disc, pools[ex.id], *step)
         matches = [
-            None if dists[ex.id] is None else sample_matches(dists[ex.id], uniforms[epoch, i, 1])
+            None if dists[ex.id] is None else sample_matches([dists[ex.id]], uniforms[epoch, i, 1][None])[0]
             for i, ex in enumerate(examples)
         ]
         disc, stats = rl_epoch_on(

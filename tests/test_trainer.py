@@ -7,6 +7,7 @@ import pytest
 
 from conftest import mk_binary, mk_mcq, mk_open, mk_temporal, rl_epoch_on, sft_epoch_on
 import mskd.discriminator
+import mskd.policy
 import mskd.train
 import oracles
 from oracles import sampled_pass_at_k
@@ -43,6 +44,8 @@ from mskd.train import (
     score_groups,
     select_sft_targets,
     slot_parses,
+    stream_table,
+    uniform_table,
 )
 from mskd.policy import kl_gradient_logits, nucleus, softmax
 
@@ -85,10 +88,10 @@ def rl_epoch(student, disc, ex, pool, cfg):
     featurizer = Featurizer(len(ex.answer_space))
     cache = build_caches([ex], featurizer, cfg.metric)[ex.id]
     dist = matching_for(pool, cfg)
-    match = None if dist is None else sample_matches(dist, u[1])
+    match = None if dist is None else sample_matches([dist], u[None, 1])[0]
     return rl_epoch_on(
         student, {ex.id: softmax(student[ex.id])}, disc, [ex], cfg, u[None, 0], [match],
-        cache, pool_features(pool, ex, cache, featurizer)[None],
+        cache, pool_features([pool], [ex], cache, [0], featurizer)[None],
     )
 
 
@@ -198,7 +201,7 @@ def test_rl_step_rejects_row_stacks_that_do_not_fit_its_examples():
     layout, stacks = [np.array([0]), np.array([1])], [np.zeros((1, 4)), np.zeros((1, 2))]
     probs = [softmax(s) for s in stacks]
     groups, u, picks, slot_at, weighted = rl_inputs(
-        layout, probs, [m[None] for m in matches], args[5][None, :, None], np.array([0, 4]),
+        layout, probs, np.array([True, True]), np.array(matches)[:, None], args[5][None, :, None], np.array([0, 4]),
         np.array([True, True]), replace(cfg, epochs_stage2=1),
     )
     flat_pools = pool_rows.reshape(-1, featurizer.dim)
@@ -309,6 +312,54 @@ def test_run_pipeline_rejects_a_teacher_that_lacks_an_example(monkeypatch):
 
 def _pools_forbidden(*args, **kwargs):
     raise AssertionError("a pool was drawn before the inputs were checked")
+
+
+def _teacher_with(monkeypatch, example_id, **change):
+    """An MCQ and a temporal example, and a point-mass teacher for them with
+    one of example_id's entries replaced; drawing a pool fails the test."""
+    monkeypatch.setattr(mskd.train, "make_pools", _pools_forbidden)
+    exs = [mk_mcq(0), mk_temporal(1)]
+    teacher = point_mass_teacher(exs)
+    for name, value in change.items():
+        getattr(teacher, name)[example_id] = value
+    return exs, teacher
+
+
+def test_run_pipeline_rejects_a_teacher_row_longer_than_its_answer_space(monkeypatch):
+    # mass on a fifth slot of a 4-slot space raised a bare IndexError from
+    # sample_teacher_pool
+    exs, teacher = _teacher_with(monkeypatch, "tg-1", probs=np.array([0.0, 0.0, 0.0, 0.0, 1.0]))
+    message = r"^teacher\.probs\['tg-1'\] has shape \(5,\), not one probability per slot of its 4-slot answer space$"
+    with pytest.raises(ValueError, match=message):
+        run_pipeline(exs, small_cfg(), teacher=teacher)
+
+
+def test_run_pipeline_rejects_a_teacher_row_shorter_than_its_answer_space(monkeypatch):
+    # a short row trained without a word and never drew its missing slots
+    exs, teacher = _teacher_with(monkeypatch, "mcq-0", probs=np.array([0.5, 0.5, 0.0]))
+    message = r"^teacher\.probs\['mcq-0'\] has shape \(3,\), not one probability per slot of its 4-slot answer space$"
+    with pytest.raises(ValueError, match=message):
+        run_pipeline(exs, small_cfg(), teacher=teacher)
+
+
+def test_run_pipeline_rejects_a_violation_rate_outside_the_unit_interval(monkeypatch):
+    # a rate of NaN corrupted nothing and one of 1.5 everything, both silently
+    for rate in (float("nan"), 1.5, -0.1, True):
+        exs, teacher = _teacher_with(monkeypatch, "tg-1", violation_rate=rate)
+        with pytest.raises(ValueError, match=rf"^teacher\.violation_rate\['tg-1'\] must be a number in \[0, 1\], got {rate!r}$"):
+            run_pipeline(exs, small_cfg(), teacher=teacher)
+
+
+def test_run_pipeline_rejects_a_teacher_row_that_is_no_distribution(monkeypatch):
+    # the sampler's own message named no example
+    for row, problem in (
+        ([0.5, 0.6, 0.0, 0.0], r"probabilities do not sum to 1 \(sum 1\.1\)"),
+        ([1.5, -0.5, 0.0, 0.0], "probabilities are not non-negative"),
+        ([np.nan, 1.0, 0.0, 0.0], "probabilities contain NaN"),
+    ):
+        exs, teacher = _teacher_with(monkeypatch, "mcq-0", probs=np.array(row))
+        with pytest.raises(ValueError, match=rf"^teacher\.probs\['mcq-0'\]: {problem}$"):
+            run_pipeline(exs, small_cfg(), teacher=teacher)
 
 
 def test_bad_override_or_target_fails_before_any_pool_is_drawn(monkeypatch):
@@ -468,7 +519,7 @@ def test_pipeline_ref_is_a_copy_of_the_stage1_logits():
 def test_pipeline_rewards_and_matches_through_the_checked_functions(monkeypatch):
     # the acceptance criteria check composite_reward and sample_matches, so
     # training must reach both: one reward call per answer-space size and
-    # epoch, one match draw per pool
+    # epoch, one match draw for every pool of the cell
     calls = {"composite_reward": 0, "sample_matches": 0}
     for name in calls:
 
@@ -481,7 +532,7 @@ def test_pipeline_rewards_and_matches_through_the_checked_functions(monkeypatch)
     cfg = small_cfg()
     art = run_pipeline(exs, cfg, teacher=point_mass_teacher(exs))
     assert art.skipped_rl == ()
-    assert calls == {"composite_reward": 2 * cfg.epochs_stage2, "sample_matches": len(exs)}
+    assert calls == {"composite_reward": 2 * cfg.epochs_stage2, "sample_matches": 1}
 
 
 def test_pipeline_requires_answer_space_and_examples():
@@ -641,7 +692,7 @@ def test_pool_features_shape_and_reuse():
     pool = build_pool(ex, ["<answer>B</answer>", "<answer>A</answer>", "junk"])
     featurizer = Featurizer(4)
     cache = build_caches([ex], featurizer)[ex.id]
-    feats = pool_features(pool, ex, cache, featurizer)
+    feats = pool_features([pool], [ex], cache, [0], featurizer)
     assert feats.shape == (3, featurizer.dim)
     np.testing.assert_array_equal(feats[0], cache[1])  # the same row as slot B's
     assert feats[2][0] == 0.0 and not feats[2, 4:].any()  # invalid: no flag, no slot
@@ -659,7 +710,7 @@ def test_pool_features_match_the_slot_row_oracle_on_synthetic_pools():
         caches = build_caches(bench.examples, featurizer)
         for ex in bench.examples:
             pool = apply_filter(pools[ex.id], 0.5)
-            got = pool_features(pool, ex, caches[ex.id], featurizer)
+            got = pool_features([pool], [ex], caches[ex.id], [0], featurizer)
             want = oracles.pool_features(pool, ex, caches[ex.id], featurizer)
             assert (got.shape, got.tobytes()) == (want.shape, want.tobytes()), ex.id
             invalid += sum(ex.slot_of(r.payload) is None for r in pool.responses)
@@ -686,7 +737,7 @@ def test_pool_features_match_the_slot_row_oracle_on_corpus_texts():
         pool = apply_filter(build_pool(ex, raws), 0.5)
         featurizer = Featurizer(len(ex.answer_space))
         cache = build_caches([ex], featurizer)[ex.id]
-        got = pool_features(pool, ex, cache, featurizer)
+        got = pool_features([pool], [ex], cache, [0], featurizer)
         want = oracles.pool_features(pool, ex, cache, featurizer)
         assert (got.shape, got.tobytes()) == (want.shape, want.tobytes()), ex.id
         slots = [ex.slot_of(r.payload) for r in pool.responses]
@@ -708,7 +759,7 @@ def test_pool_features_carry_the_filtered_pool_quality():
     cache = build_caches([ex], featurizer)[ex.id]
     assert cache[0, 3] > 0.0  # the unfiltered slot quality
     before = cache.copy()
-    feats = pool_features(pool, ex, cache, featurizer)
+    feats = pool_features([pool], [ex], cache, [0], featurizer)
     np.testing.assert_array_equal(feats[:, 3], pool.qualities)
     np.testing.assert_array_equal(feats[0, [0, 1, 2, 4, 5]], cache[0, [0, 1, 2, 4, 5]])
     assert cache.tobytes() == before.tobytes()  # the cached rows are left as they were
@@ -824,6 +875,146 @@ def test_make_pools_draws_unfiltered_pools_that_the_cell_filters(tmp_path):
         pools = make_pools(bench.examples, bench.teacher, cfg)
         got = saved(run_pipeline(bench.examples, cfg, pools=pools), tmp_path / "pools")
         assert got == saved(run_pipeline(bench.examples, cfg, teacher=bench.teacher), tmp_path / "teacher"), arm
+
+
+@pytest.mark.parametrize("k", [1, 4, 8])
+def test_make_pools_is_the_per_example_loop(k):
+    # one uniform table and one stacked draw per answer-space size give each
+    # example's pool as its own generator did, field for field and with its
+    # qualities bit for bit: 4- and 55-slot closed spaces, open spaces,
+    # violation rates 0 and 1, and seeds of one, two and three words
+    closed = make_closed_benchmark(n_mcq=3, n_temporal=4, retention_target=None, violation_temporal=0.3)
+    rates = dict(closed.teacher.violation_rate, **{"mcq-0": 0.0, "mcq-1": 1.0, "tg-0": 1.0, "tg-1": 0.0})
+    closed = replace(closed, teacher=replace(closed.teacher, violation_rate=rates))
+    open_b = make_open_benchmark(n_examples=3, space_size=5, violation=0.3)
+    assert {len(ex.answer_space) for ex in closed.examples} == {4, 55}
+    broken = 0
+    for bench in (closed, open_b):
+        for seed in (0, 9, 2**32, 2**40 + 3, 2**64 + 5):
+            cfg = TrainConfig(k=k, seed=seed)
+            got = make_pools(bench.examples, bench.teacher, cfg)
+            want = oracles.loop_make_pools(bench.examples, bench.teacher, cfg)
+            assert list(got) == list(want)
+            for key, pool in want.items():
+                assert got[key] == pool, (seed, key)
+                assert np.array(got[key].qualities, dtype=float).tobytes() == (
+                    np.array(pool.qualities, dtype=float).tobytes()
+                ), (seed, key)
+                broken += sum(not r.outer_valid for r in pool.responses)
+    # a rate of 1 breaks every envelope of its pool, so some responses are broken
+    assert broken >= 2 * 5 * k
+
+
+def test_pool_features_of_a_cell_are_the_per_pool_oracle():
+    # one featurize_all call and one gather for the whole cell give each
+    # pool's per-row oracle rows, in example order: off-space, broken and
+    # reworded closed responses, filtered qualities and open-ended pools
+    think = "<think>" + "x" * 100 + "</think>"
+    seven = tuple(TemporalSegment(j / 10, (j + 3) / 10) for j in range(7))
+    exs = [
+        mk_mcq(0, gt="B"), mk_open(1), mk_temporal(2, gt=(0.2, 0.5), space=seven), mk_binary(3), mk_open(4, n_slots=2),
+    ]
+    raws = {
+        "mcq-0": [think + "<answer>B</answer>", "<answer> C </answer>", "<answer>B", "<answer>E</answer>"],
+        "open-1": ["<answer>caption 1-2</answer>", "<answer>caption 1-2", "<answer>no such caption</answer>",
+                   think + "<answer>caption 1-0</answer>"],
+        "tg-2": ["<answer><t>0.20</t> <t>0.500</t></answer>", "<answer><t>0.25</t> <t>0.5</t></answer>",
+                 "garbage", "<answer><t>0.6</t> <t>0.9</t></answer>"],
+        "bin-3": ["<answer>yes</answer>", "<answer>no</answer>", "<answer>maybe</answer>", "<answer>yes"],
+        "open-4": ["<answer>caption 4-1</answer>", "<answer>caption 1-2</answer>", "", "<answer>caption 4-0</answer>"],
+    }
+    pools = [apply_filter(build_pool(ex, raws[ex.id]), 0.5) for ex in exs]
+    featurizer = Featurizer(max(len(ex.answer_space) for ex in exs))
+    caches = build_caches(exs, featurizer)
+    slot_rows = np.concatenate(list(caches.values()))
+    starts = np.cumsum([0] + [len(ex.answer_space) for ex in exs])[:-1]
+    got = pool_features(pools, exs, slot_rows, starts, featurizer)
+    want = np.concatenate([oracles.pool_features(pool, ex, caches[ex.id], featurizer) for pool, ex in zip(pools, exs)])
+    assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+    slots = [ex.slot_of(r.payload) for pool, ex in zip(pools, exs) for r in pool.responses]
+    assert None in slots and sum(s is not None for s in slots) >= 10
+    # open-1's "caption 1-2" is a slot of open-1 only: under open-4 it is off-space
+    assert slots[4] == 2 and slots[17] is None
+    assert sum(not r.outer_valid for pool in pools for r in pool.responses) >= 4
+
+
+def test_stacked_matches_are_each_pools_searchsorted():
+    # one stacked CDF for every distribution: zero-mass entries, and
+    # uniforms on a CDF edge, which draw past the zeros as choice does; more
+    # and fewer uniforms per row than entries
+    dists = [
+        MatchingDistribution((0.5, 0.0, 0.5, 0.0)), MatchingDistribution((0.0, 0.25, 0.25, 0.5)),
+        MatchingDistribution((0.25,) * 4), MatchingDistribution((0.0, 0.0, 0.0, 1.0)),
+    ]
+    edges = np.array([0.0, 0.25, 0.5, 0.75, np.nextafter(1.0, 0.0), np.nextafter(0.5, 0.0), 0.1, 0.9])
+    for u in (np.tile(edges, (4, 3, 1)), edges[None, :2].repeat(4, 0), np.random.default_rng(3).random((4, 30, 8))):
+        got = sample_matches(dists, u)
+        assert got.shape == u.shape and got.dtype == np.intp
+        for d, row, uniforms in zip(dists, got, u):
+            want = mskd.policy.checked_cdf(d.probs).searchsorted(uniforms, side="right")
+            assert row.tolist() == want.tolist()
+    assert sample_matches([], np.empty((0, 3, 8))).shape == (0, 3, 8)
+    with pytest.raises(ValueError):  # no stacked CDF of unequal lengths
+        sample_matches([dists[0], MatchingDistribution((1.0,))], np.zeros((2, 8)))
+    with pytest.raises(ValueError, match="one row of uniforms per distribution"):
+        sample_matches(dists, np.zeros((3, 8)))
+
+
+def test_a_cell_draws_its_matches_in_one_pass_overrides_included(monkeypatch):
+    # Plan.run hands every active example's distribution, overrides with
+    # zero entries among them, to one sample_matches call; each example's
+    # rows are its distribution's searchsorted of its matching uniforms
+    seen = []
+    real = mskd.train.sample_matches
+    monkeypatch.setattr(mskd.train, "sample_matches", lambda d, u: seen.append((d, u)) or real(d, u))
+    exs = [mk_mcq(0, gt="A"), mk_binary(1), mk_temporal(2), mk_mcq(3, gt="C")]
+    cfg = small_cfg(k=4, epochs_stage2=3)
+    overrides = {"mcq-0": MatchingDistribution((0.0, 0.5, 0.0, 0.5)), "tg-2": MatchingDistribution((0.0, 0.0, 1.0, 0.0))}
+    run_pipeline(exs, cfg, teacher=point_mass_teacher(exs), match_overrides=overrides)
+    (dists, u), = seen
+    assert len(dists) == len(exs) and u.shape == (len(exs), cfg.epochs_stage2, cfg.n_rollouts)
+    assert dists[0] is overrides["mcq-0"] and dists[2] is overrides["tg-2"]
+    table = uniform_table(stream_table(cfg.seed, np.arange(cfg.epochs_stage2)[:, None], np.arange(len(exs))), cfg.n_rollouts)
+    assert u.tobytes() == np.ascontiguousarray(table[..., 1, :].swapaxes(0, 1)).tobytes()
+    matches = real(dists, u)
+    for d, row, uniforms in zip(dists, matches, u):
+        assert row.tolist() == mskd.policy.checked_cdf(d.probs).searchsorted(uniforms, side="right").tolist()
+    assert not np.isin(matches[0], [0, 2]).any() and (matches[2] == 2).all()
+
+
+def test_a_default_cell_sets_up_in_whole_cell_passes(monkeypatch):
+    # the set-up of a cell runs no per-example loop of draws or featurizing:
+    # build_caches featurizes each distinct answer space once and
+    # pool_features every pool in one more call, every match comes from one
+    # sample_matches call, and no pool builds a generator of its own (the
+    # discriminator's init is the one SeedSequence of a closed cell)
+    bench = make_closed_benchmark()
+    calls = {"featurize_all": 0, "sample_matches": 0}
+    real_featurize, real_matches = Featurizer.featurize_all, mskd.train.sample_matches
+
+    def featurize_all(self, *args):
+        calls["featurize_all"] += 1
+        return real_featurize(self, *args)
+
+    def sample_matches_counted(*args):
+        calls["sample_matches"] += 1
+        return real_matches(*args)
+
+    sequences = []
+
+    class CountedSeedSequence(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            sequences.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(Featurizer, "featurize_all", featurize_all)
+    monkeypatch.setattr(mskd.train, "sample_matches", sample_matches_counted)
+    monkeypatch.setattr(np.random, "SeedSequence", CountedSeedSequence)
+    art = run_pipeline(bench.examples, TrainConfig(), teacher=bench.teacher)
+    spaces = len({id(parsed) for parsed in slot_parses(bench.examples)})
+    assert (len(bench.examples), spaces) == (60, 2) and art.skipped_rl != tuple(ex.id for ex in bench.examples)
+    assert calls == {"featurize_all": spaces + 1, "sample_matches": 1}
+    assert sequences == [([0, 3],)]
 
 
 def test_one_plan_across_arms_and_taus_equals_fresh_runs(tmp_path):
@@ -1118,6 +1309,6 @@ def test_slot_table_matches_per_example_oracle(space_size):
     assert got["ex-10"][0, 5] == 1.0 and 0.0 < got["ex-11"][0, 3] < 1.0
     assert got["ex-12"][0, 2] != got["ex-13"][0, 2]
     for ex, parsed in zip(exs, parses):
-        assert featurizer.featurize_all(parsed, ex).tobytes() == (
+        assert featurizer.featurize_all(parsed, [ex.slot_of(r.payload) for r in parsed]).tobytes() == (
             np.stack([oracles.featurize(featurizer, r, ex, 0.0) for r in parsed]).tobytes()
         )
