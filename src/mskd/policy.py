@@ -80,9 +80,13 @@ def _invert_rows(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     """cdf[r].searchsorted(u[r], side="right") for every row r of a 2-D
     checked_cdf and a (rows, n) array of uniforms, as one comparison count:
     a CDF is non-decreasing, so the index is the number of entries <= u.
-    With more uniforms per row than entries (a pool's matches) the count
-    adds one (rows, n) comparison per entry, else it sums each uniform's
-    comparisons in a row: numpy reduces fastest along the longer axis."""
+    With more uniforms per row than entries the count adds one (rows, n)
+    comparison per entry, else it sums each uniform's comparisons in a row;
+    each form is the faster on its own side.  Median us on a default cell's
+    shapes (2 vCPU), per-entry form against per-uniform form: matches, 56
+    rows of 240 uniforms over 4 entries, 86 against 490; 4-slot rollouts,
+    18 rows of 8, 9.4 against 10.5; 55-slot rollouts, 38 rows of 8, 82
+    against 35; 4-slot teacher draws, 20 rows of 4, 6.4 against 6.0."""
     if u.shape[1] > cdf.shape[1]:
         return np.add.reduce(cdf.T[:, :, None] <= u, 0, dtype=np.intp)
     return (cdf[:, None, :] <= u[:, :, None]).sum(-1)

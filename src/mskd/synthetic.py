@@ -214,15 +214,23 @@ def corrupt_envelope(raw: str) -> str:
     return raw.replace("</answer>", "")
 
 
-def teacher_stacks(
-    teacher: SyntheticTeacher, examples: list[SupervisionExample]
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """The teacher's sampling rows for examples: per answer-space size, the
-    indices of its examples and their probs rows as one checked_cdf stack,
-    and each example's violation rate.  Raises ValueError naming the ids
-    the teacher has no probs or violation_rate for, else the first example
-    without an answer space, whose probs row is not one probability per
-    slot of it, whose violation_rate is not a number in [0, 1], or whose
+@dataclass(frozen=True, eq=False)
+class TeacherStacks:
+    """A teacher's sampling rows for examples, as teacher_stacks checked
+    them: per answer-space size, the indices of its examples and their
+    probs rows as one checked_cdf stack (groups), and each example's
+    violation rate (rates)."""
+
+    examples: list[SupervisionExample]
+    groups: list[tuple[np.ndarray, np.ndarray]]
+    rates: np.ndarray
+
+
+def teacher_stacks(teacher: SyntheticTeacher, examples: list[SupervisionExample]) -> TeacherStacks:
+    """The teacher's TeacherStacks for examples.  Raises ValueError naming
+    the ids the teacher has no probs or violation_rate for, else the first
+    example without an answer space, whose probs row is not one probability
+    per slot of it, whose violation_rate is not a number in [0, 1], or whose
     probs are no distribution Generator.choice accepts."""
     for name in ("probs", "violation_rate"):
         if missing := [ex.id for ex in examples if ex.id not in getattr(teacher, name)]:
@@ -252,32 +260,27 @@ def teacher_stacks(
                     checked_cdf(row)
                 except ValueError as exc:
                     raise ValueError(f"teacher.probs[{examples[i].id!r}]: {exc}") from None
-    return groups, np.array([teacher.violation_rate[ex.id] for ex in examples], dtype=float)
+    rates = np.array([teacher.violation_rate[ex.id] for ex in examples], dtype=float)
+    return TeacherStacks(examples, groups, rates)
 
 
-def sample_teacher_pool(
-    teacher: SyntheticTeacher,
-    examples: list[SupervisionExample],
-    k: int,
-    uniforms: np.ndarray,
-) -> list[list[str]]:
-    """Draw k responses per example: example i renders the slots that
-    uniforms[i, :k] draw from its probs, exactly as Generator.choice maps
-    them, and breaks the envelope of response j when uniforms[i, k + j]
+def sample_teacher_pool(stacks: TeacherStacks, k: int, uniforms: np.ndarray) -> list[list[str]]:
+    """Draw k responses per example of stacks: example i renders the slots
+    that uniforms[i, :k] draw from its probs, exactly as Generator.choice
+    maps them, and breaks the envelope of response j when uniforms[i, k + j]
     falls below its violation rate.  With uniforms[i] = rng.random(2 * k)
     these are the draws rng.choice(size, k, p=probs) and rng.random(k) < rate
-    give.  uniforms must be (len(examples), 2 * k); a teacher that
-    teacher_stacks rejects raises its ValueError."""
+    give.  uniforms must be (len(stacks.examples), 2 * k)."""
+    examples = stacks.examples
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     u = np.asarray(uniforms, dtype=float)
     if u.shape != (len(examples), 2 * k):
         raise ValueError(f"need ({len(examples)}, {2 * k}) uniforms for {len(examples)} examples, got {u.shape}")
-    groups, rates = teacher_stacks(teacher, examples)
     slots = np.empty((len(examples), k), dtype=np.intp)
-    for rows, cdf in groups:
+    for rows, cdf in stacks.groups:
         slots[rows] = _invert_rows(cdf, u[rows, :k])
-    corrupt = u[:, k:] < rates[:, None]
+    corrupt = u[:, k:] < stacks.rates[:, None]
     pools = []
     for ex, row, bad in zip(examples, slots.tolist(), corrupt.tolist()):
         raws = [render_payload(ex.answer_space[j]) for j in row]

@@ -80,7 +80,7 @@ from mskd.pool import (
     select_sft_target,
 )
 from mskd.rewards import DEFAULT_WEIGHTS, InvalidWeightsError, RewardWeights, composite_reward
-from mskd.synthetic import SyntheticTeacher, sample_teacher_pool, teacher_stacks
+from mskd.synthetic import SyntheticTeacher, TeacherStacks, sample_teacher_pool, teacher_stacks
 from mskd.tasks import ParsedResponse, SupervisionExample, TaskType, parse_response, render_payload
 
 # Stream tags: one per independent purpose so that config knobs that should
@@ -575,18 +575,15 @@ class TrainedArtifacts:
         )
 
 
-def make_pools(
-    examples: list[SupervisionExample],
-    teacher: SyntheticTeacher,
-    cfg: TrainConfig,
-) -> dict[str, TeacherPool]:
-    """Sample one unfiltered teacher pool per example, scored under
-    cfg.metric; cfg.tau plays no part (Plan.run filters).  Example i's
-    pool reads the first 2 * cfg.k doubles of the stream
-    SeedSequence([cfg.seed, _S_POOL, i]), all examples' in one
-    uniform_table of their seed_states."""
+def make_pools(stacks: TeacherStacks, cfg: TrainConfig) -> dict[str, TeacherPool]:
+    """Sample one unfiltered teacher pool per example of stacks (a
+    teacher's teacher_stacks), scored under cfg.metric; cfg.tau plays no
+    part (Plan.run filters).  Example i's pool reads the first 2 * cfg.k
+    doubles of the stream SeedSequence([cfg.seed, _S_POOL, i]), all
+    examples' in one uniform_table of their seed_states."""
+    examples = stacks.examples
     states = seed_states(cfg.seed, _S_POOL, np.arange(len(examples)))
-    raws = sample_teacher_pool(teacher, examples, cfg.k, uniform_table(states, 2 * cfg.k))
+    raws = sample_teacher_pool(stacks, cfg.k, uniform_table(states, 2 * cfg.k))
     return {ex.id: build_pool(ex, r, cfg.metric) for ex, r in zip(examples, raws)}
 
 
@@ -620,27 +617,21 @@ def _check_examples(examples: list[SupervisionExample]) -> None:
 def _check_inputs(
     examples: list[SupervisionExample],
     cfg: TrainConfig,
-    teacher: SyntheticTeacher | None = None,
     pools: dict[str, TeacherPool] | None = None,
     sft_targets: dict[str, int] | None = None,
     match_overrides: dict[str, MatchingDistribution] | None = None,
 ) -> None:
-    """What Plan.run accepts: examples, non-empty, of distinct ids and each
-    with a non-empty answer space; a teacher that teacher_stacks accepts
-    (for every example a distribution over its answer space and a
-    violation_rate in [0, 1]), or one pool per example and no other, of its
-    task and the pool of the example it is keyed by, with cfg.k responses and
-    filtered at no tau above cfg.tau (a quality the filter zeroed cannot be
-    restored); and, keyed by example ids, SFT targets that are int slots of
-    their answer space (a bool is not one) and distributions of cfg.k
-    probabilities, one per pool response.  Anything else raises ValueError
-    naming the input."""
+    """What Plan.run accepts besides its teacher (which Plan.teacher_stacks
+    checks, once per plan, where no pools are given): examples, non-empty,
+    of distinct ids and each with a non-empty answer space; pools None, or
+    one pool per example and no other, of its task and the pool of the
+    example it is keyed by, with cfg.k responses and filtered at no tau
+    above cfg.tau (a quality the filter zeroed cannot be restored); and,
+    keyed by example ids, SFT targets that are int slots of their answer
+    space (a bool is not one) and distributions of cfg.k probabilities, one
+    per pool response.  Anything else raises ValueError naming the input."""
     _check_examples(examples)
-    if pools is None:
-        if teacher is None:
-            raise ValueError("need either a teacher or prebuilt pools")
-        teacher_stacks(teacher, examples)
-    else:
+    if pools is not None:
         _check_ids("pools", pools, examples, every=True)
         for ex in examples:
             pool = pools[ex.id]
@@ -671,11 +662,11 @@ def _check_inputs(
 class Plan:
     """What every training cell on examples shares: the featurizer, the
     build_caches rows under metric, the student's layout and each (seed,
-    k)'s make_pools draw, made on first use.  Examples that _check_examples
-    rejects raise ValueError before anything is built, as does a cell under
-    another metric.  The slot rows are one (total_slots, dim) matrix,
-    slot_rows, in example order, and caches[id] are views of it.  The
-    layout holds each answer-space size's example indices in score_groups
+    k)'s make_pools draw and the teacher's stacks it draws from, made on
+    first use.  Examples that _check_examples rejects raise ValueError
+    before anything is built, as does a cell under another metric.  The
+    slot rows are one (total_slots, dim) matrix, slot_rows, in example
+    order, example i's from row starts[i].  The layout holds each answer-space size's example indices in score_groups
     order, one logits stack per size; acc holds, per stack with a
     closed-ended example, its closed rows, their positions among the
     closed-ended examples and their slot qualities."""
@@ -689,24 +680,33 @@ class Plan:
         caches = build_caches(examples, self.featurizer, metric)
         self.slot_rows = np.concatenate(list(caches.values()))
         self.starts = np.cumsum([0] + [len(rows) for rows in caches.values()])[:-1]  # each example's first slot row
-        self.caches = dict(zip(caches, np.split(self.slot_rows, self.starts[1:])))
-        quality = score_groups(examples, [self.caches[ex.id][:, QUALITY_COL] for ex in examples])
+        quality = score_groups(examples, [caches[ex.id][:, QUALITY_COL] for ex in examples])
         self.layout = [np.array(rows) for _, rows, _ in quality]
         self.closed = np.array([ex.task.is_closed for ex in examples])
         rank = np.cumsum(self.closed) - 1
         self.acc = [(g, sel, rank[rows], quality[g][2][sel]) for g, sel, rows in _pick(self.layout, self.closed)]
+        self._stacks: TeacherStacks | None = None
         self._pools: dict[tuple[int, int], dict[str, TeacherPool]] = {}
 
     def _check_metric(self, cfg: TrainConfig) -> None:
         if cfg.metric != self.metric:
             raise ValueError(f"train config metric {cfg.metric} is not the plan's metric {self.metric}")
 
+    def teacher_stacks(self) -> TeacherStacks:
+        """The plan teacher's teacher_stacks for its examples, checked and
+        built once; without a teacher, ValueError."""
+        if self._stacks is None:
+            if self.teacher is None:
+                raise ValueError("need either a teacher or prebuilt pools")
+            self._stacks = teacher_stacks(self.teacher, self.examples)
+        return self._stacks
+
     def pools(self, cfg: TrainConfig) -> dict[str, TeacherPool]:
         """make_pools for (cfg.seed, cfg.k), drawn once."""
         self._check_metric(cfg)
         key = (cfg.seed, cfg.k)
         if key not in self._pools:
-            self._pools[key] = make_pools(self.examples, self.teacher, cfg)
+            self._pools[key] = make_pools(self.teacher_stacks(), cfg)
         return self._pools[key]
 
     def run(
@@ -715,8 +715,10 @@ class Plan:
     ) -> TrainedArtifacts:
         """One cell, Stage 1 then Stage 2, reproducible per (cfg, seed).
 
-        _check_inputs runs first, before any pool is drawn.  pools (the
-        plan's draw by default) are filtered at cfg.tau here.  sft_targets
+        The inputs are checked first, before any pool is drawn: the
+        teacher (Plan.teacher_stacks) where no pools are given, then
+        _check_inputs.  pools (the plan's draw by default) are filtered at
+        cfg.tau here.  sft_targets
         (example id -> slot) and match_overrides (example id -> a
         distribution over its pool) replace the selected targets and those
         examples' matching.  The reference policy is frozen at the Stage-1
@@ -724,7 +726,9 @@ class Plan:
         those whose pools have nothing to match when Stage 2 runs."""
         self._check_metric(cfg)
         examples, featurizer = self.examples, self.featurizer
-        _check_inputs(examples, cfg, self.teacher, pools, sft_targets, match_overrides)
+        if pools is None:
+            self.teacher_stacks()
+        _check_inputs(examples, cfg, pools, sft_targets, match_overrides)
         drawn = self.pools(cfg) if pools is None else pools
         pools = {ex.id: apply_filter(drawn[ex.id], cfg.tau) for ex in examples}
         pool_rows = pool_features([pools[ex.id] for ex in examples], examples, self.slot_rows, self.starts, featurizer)

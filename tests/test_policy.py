@@ -271,6 +271,8 @@ def _cdf_and_uniforms(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_cdf_and_uniforms())
 @example((checked_cdf(np.array([[0.0, 0.5, 0.0, 0.0, 0.5]])), np.array([[0.0, 0.5, 0.5, 0.999, 0.25]])))
+# more uniforms than entries: the per-entry count
+@example((checked_cdf(np.array([[0.25, 0.75], [1.0, 0.0]])), np.array([[0.0, 0.25, 0.999, 0.5], [0.0, 0.999, 0.5, 0]])))
 def test_rowwise_inversion_is_searchsorted_right(cdf_u):
     cdf, u = cdf_u
     got = _invert_rows(cdf, u)

@@ -33,7 +33,7 @@ from mskd.harness import make_closed_benchmark, make_open_benchmark, setting_con
 from mskd.policy import softmax
 from mskd.pool import apply_filter, sample_matches
 from mskd.rewards import RewardWeights
-from mskd.synthetic import SyntheticTeacher
+from mskd.synthetic import SyntheticTeacher, teacher_stacks
 from mskd.tasks import TemporalSegment
 from mskd.train import (
     _S_ROLL,
@@ -181,7 +181,8 @@ def run_both(bench, cfg, epochs=2):
     epoch in one rl_step call; compare after each epoch."""
     examples = bench.examples
     # the pools a cell trains on: drawn, then filtered at cfg.tau
-    pools = {k: apply_filter(pool, cfg.tau) for k, pool in make_pools(examples, bench.teacher, cfg).items()}
+    drawn = make_pools(teacher_stacks(bench.teacher, examples), cfg)
+    pools = {k: apply_filter(pool, cfg.tau) for k, pool in drawn.items()}
     featurizer = Featurizer(max(len(ex.answer_space) for ex in examples))
     caches = build_caches(examples, featurizer, cfg.metric)
     feats = {ex.id: pool_features([pools[ex.id]], [ex], caches[ex.id], [0], featurizer) for ex in examples}
@@ -295,7 +296,7 @@ def oracle_cell(examples, teacher, cfg, targets):
     Stage-1 logits, the discriminator and the (epochs, 4) log."""
     from test_trainer import _oracle_eval_accuracy
 
-    pools = {k: apply_filter(pool, cfg.tau) for k, pool in make_pools(examples, teacher, cfg).items()}
+    pools = {k: apply_filter(pool, cfg.tau) for k, pool in make_pools(teacher_stacks(teacher, examples), cfg).items()}
     featurizer = Featurizer(max(len(ex.answer_space) for ex in examples))
     caches = oracles.build_caches(examples, featurizer, cfg.metric)
     feats = {ex.id: oracles.pool_features(pools[ex.id], ex, caches[ex.id], featurizer) for ex in examples}
@@ -349,7 +350,7 @@ def test_cell_on_partly_used_stacks_matches_the_per_example_oracles(matching, hi
         seed=4, k=5, n_rollouts=6, epochs_stage1=3, epochs_stage2=4, weights=ODD_WEIGHTS,
         matching=matching, hidden_dim=hidden,
     )
-    pools = {k: apply_filter(pool, cfg.tau) for k, pool in make_pools(examples, teacher, cfg).items()}
+    pools = {k: apply_filter(pool, cfg.tau) for k, pool in make_pools(teacher_stacks(teacher, examples), cfg).items()}
     targets = select_sft_targets(examples, pools, cfg.seed)
     assert [ex.id for ex in examples if ex.id not in targets] == ["tg-1"]
     del targets["mcq-3"]

@@ -19,6 +19,7 @@ from mskd.synthetic import (
     retention_probability,
     sample_teacher_pool,
     sampling_probs,
+    teacher_stacks,
 )
 from mskd.tasks import parse_response
 
@@ -108,7 +109,7 @@ def _teacher_for(ex, probs, violation):
 
 def _draw(teacher, ex, k, rng):
     """ex's pool of k responses from rng's first 2 * k doubles."""
-    return sample_teacher_pool(teacher, [ex], k, rng.random((1, 2 * k)))[0]
+    return sample_teacher_pool(teacher_stacks(teacher, [ex]), k, rng.random((1, 2 * k)))[0]
 
 
 def test_sample_teacher_pool_deterministic():
@@ -131,7 +132,7 @@ def test_sample_teacher_pool_validation():
     with pytest.raises(ValueError):
         _draw(teacher, replace(ex, answer_space=None), 2, np.random.default_rng(0))
     with pytest.raises(ValueError, match=r"need \(1, 4\) uniforms"):
-        sample_teacher_pool(teacher, [ex], 2, np.zeros((1, 3)))
+        sample_teacher_pool(teacher_stacks(teacher, [ex]), 2, np.zeros((1, 3)))
 
 
 def test_point_mass_teacher_emits_identical_payloads():

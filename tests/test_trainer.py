@@ -24,7 +24,7 @@ from mskd.pool import (
 )
 from mskd.metrics import MetricConfig
 from mskd.rewards import InvalidWeightsError, RewardWeights
-from mskd.synthetic import SyntheticTeacher
+from mskd.synthetic import SyntheticTeacher, teacher_stacks
 from mskd.tasks import Number, SpatialBox, SupervisionExample, TaskType, TemporalSegment, Text, render_payload
 from mskd.train import (
     Plan,
@@ -105,7 +105,7 @@ def test_sft_stage_descends_to_target():
     exs = [mk_mcq(0, gt="C")]
     teacher = point_mass_teacher(exs)
     cfg = small_cfg(epochs_stage1=1)
-    pools = make_pools(exs, teacher, cfg)
+    pools = make_pools(teacher_stacks(teacher, exs), cfg)
     student = uniform_student(exs)
     targets = select_sft_targets(exs, pools, cfg.seed)
     probs_at_target = [softmax(student[exs[0].id])[2]]
@@ -134,7 +134,7 @@ def test_select_sft_targets_draws_a_stream_for_open_pools_only(monkeypatch):
     teacher = point_mass_teacher(exs[::2])
     teacher.probs.update({ex.id: np.full(len(ex.answer_space), 1.0 / len(ex.answer_space)) for ex in exs[1::2]})
     teacher.violation_rate.update({ex.id: 0.0 for ex in exs[1::2]})
-    pools = make_pools(exs, teacher, small_cfg(k=4))
+    pools = make_pools(teacher_stacks(teacher, exs), small_cfg(k=4))
     streams = []
     real = mskd.train._stream
     monkeypatch.setattr(mskd.train, "_stream", lambda *key: streams.append(key) or real(*key))
@@ -346,7 +346,8 @@ def test_run_pipeline_rejects_a_violation_rate_outside_the_unit_interval(monkeyp
     # a rate of NaN corrupted nothing and one of 1.5 everything, both silently
     for rate in (float("nan"), 1.5, -0.1, True):
         exs, teacher = _teacher_with(monkeypatch, "tg-1", violation_rate=rate)
-        with pytest.raises(ValueError, match=rf"^teacher\.violation_rate\['tg-1'\] must be a number in \[0, 1\], got {rate!r}$"):
+        message = rf"^teacher\.violation_rate\['tg-1'\] must be a number in \[0, 1\], got {rate!r}$"
+        with pytest.raises(ValueError, match=message):
             run_pipeline(exs, small_cfg(), teacher=teacher)
 
 
@@ -705,7 +706,7 @@ def test_pool_features_match_the_slot_row_oracle_on_synthetic_pools():
     open_b = make_open_benchmark(n_examples=4, space_size=5, violation=0.3)
     invalid = 0
     for bench in (closed, open_b):
-        pools = make_pools(bench.examples, bench.teacher, TrainConfig(k=8, tau=0.5))
+        pools = make_pools(teacher_stacks(bench.teacher, bench.examples), TrainConfig(k=8, tau=0.5))
         featurizer = Featurizer(max(len(ex.answer_space) for ex in bench.examples))
         caches = build_caches(bench.examples, featurizer)
         for ex in bench.examples:
@@ -865,14 +866,14 @@ def test_make_pools_draws_unfiltered_pools_that_the_cell_filters(tmp_path):
     # qualities, and training on its pools equals training from the teacher
     ex = mk_temporal(0)
     teacher = SyntheticTeacher(probs={ex.id: np.full(4, 0.25)}, violation_rate={ex.id: 0.0})
-    pool = make_pools([ex], teacher, small_cfg(k=8, tau=0.5))[ex.id]
+    pool = make_pools(teacher_stacks(teacher, [ex]), small_cfg(k=8, tau=0.5))[ex.id]
     assert pool.tau_applied is None
     assert pool.qualities == build_pool(ex, [r.raw for r in pool.responses]).qualities
     assert any(0.0 < q < 0.5 for q in pool.qualities)  # a quality the filter would zero
     bench = make_closed_benchmark(n_mcq=2, n_temporal=3, retention_target=None)
     for arm in "ABCD":
         cfg = setting_config(arm, small_cfg(tau=0.5))
-        pools = make_pools(bench.examples, bench.teacher, cfg)
+        pools = make_pools(teacher_stacks(bench.teacher, bench.examples), cfg)
         got = saved(run_pipeline(bench.examples, cfg, pools=pools), tmp_path / "pools")
         assert got == saved(run_pipeline(bench.examples, cfg, teacher=bench.teacher), tmp_path / "teacher"), arm
 
@@ -892,7 +893,7 @@ def test_make_pools_is_the_per_example_loop(k):
     for bench in (closed, open_b):
         for seed in (0, 9, 2**32, 2**40 + 3, 2**64 + 5):
             cfg = TrainConfig(k=k, seed=seed)
-            got = make_pools(bench.examples, bench.teacher, cfg)
+            got = make_pools(teacher_stacks(bench.teacher, bench.examples), cfg)
             want = oracles.loop_make_pools(bench.examples, bench.teacher, cfg)
             assert list(got) == list(want)
             for key, pool in want.items():
@@ -969,12 +970,16 @@ def test_a_cell_draws_its_matches_in_one_pass_overrides_included(monkeypatch):
     monkeypatch.setattr(mskd.train, "sample_matches", lambda d, u: seen.append((d, u)) or real(d, u))
     exs = [mk_mcq(0, gt="A"), mk_binary(1), mk_temporal(2), mk_mcq(3, gt="C")]
     cfg = small_cfg(k=4, epochs_stage2=3)
-    overrides = {"mcq-0": MatchingDistribution((0.0, 0.5, 0.0, 0.5)), "tg-2": MatchingDistribution((0.0, 0.0, 1.0, 0.0))}
+    overrides = {
+        "mcq-0": MatchingDistribution((0.0, 0.5, 0.0, 0.5)),
+        "tg-2": MatchingDistribution((0.0, 0.0, 1.0, 0.0)),
+    }
     run_pipeline(exs, cfg, teacher=point_mass_teacher(exs), match_overrides=overrides)
     (dists, u), = seen
     assert len(dists) == len(exs) and u.shape == (len(exs), cfg.epochs_stage2, cfg.n_rollouts)
     assert dists[0] is overrides["mcq-0"] and dists[2] is overrides["tg-2"]
-    table = uniform_table(stream_table(cfg.seed, np.arange(cfg.epochs_stage2)[:, None], np.arange(len(exs))), cfg.n_rollouts)
+    states = stream_table(cfg.seed, np.arange(cfg.epochs_stage2)[:, None], np.arange(len(exs)))
+    table = uniform_table(states, cfg.n_rollouts)
     assert u.tobytes() == np.ascontiguousarray(table[..., 1, :].swapaxes(0, 1)).tobytes()
     matches = real(dists, u)
     for d, row, uniforms in zip(dists, matches, u):
@@ -1027,11 +1032,24 @@ def test_one_plan_across_arms_and_taus_equals_fresh_runs(tmp_path):
                 got = saved(plan.run(cfg), tmp_path / "plan")
                 want = saved(run_pipeline(bench.examples, cfg, teacher=bench.teacher), tmp_path / "fresh")
                 assert got == want, (seed, tau, arm)
-    # no cell wrote into the shared slot rows
+    # no cell wrote into the shared slot rows, example i's from row starts[i]
     fresh = build_caches(bench.examples, plan.featurizer, plan.metric)
-    assert list(plan.caches) == list(fresh)
-    for k, rows in fresh.items():
-        assert plan.caches[k].tobytes() == rows.tobytes(), k
+    assert list(fresh) == [ex.id for ex in bench.examples]
+    assert plan.starts.tolist() == np.cumsum([0] + [len(rows) for rows in fresh.values()])[:-1].tolist()
+    assert plan.slot_rows.tobytes() == np.concatenate(list(fresh.values())).tobytes()
+
+
+def test_a_plan_checks_and_stacks_its_teacher_once(monkeypatch):
+    # every cell on a plan draws from the stacks its first cell checked
+    calls = []
+    real = mskd.train.teacher_stacks
+    monkeypatch.setattr(mskd.train, "teacher_stacks", lambda *a: calls.append(a) or real(*a))
+    exs = [mk_mcq(0), mk_temporal(1)]
+    plan = Plan(exs, MetricConfig(), point_mass_teacher(exs))
+    for seed in (0, 1):
+        for tau in (0.0, 0.5):
+            plan.run(small_cfg(seed=seed, tau=tau, epochs_stage2=1))
+    assert len(calls) == 1
 
 
 def test_plan_rejects_a_cell_under_another_metric(monkeypatch):
