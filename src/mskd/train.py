@@ -666,10 +666,11 @@ class Plan:
     first use.  Examples that _check_examples rejects raise ValueError
     before anything is built, as does a cell under another metric.  The
     slot rows are one (total_slots, dim) matrix, slot_rows, in example
-    order, example i's from row starts[i].  The layout holds each answer-space size's example indices in score_groups
-    order, one logits stack per size; acc holds, per stack with a
-    closed-ended example, its closed rows, their positions among the
-    closed-ended examples and their slot qualities."""
+    order, example i's from row starts[i].  The layout holds each
+    answer-space size's example indices in score_groups order, one logits
+    stack per size; acc holds, per stack with a closed-ended example, its
+    closed rows, their positions among the closed-ended examples and their
+    slot qualities."""
 
     def __init__(
         self, examples: list[SupervisionExample], metric: MetricConfig, teacher: SyntheticTeacher | None = None
@@ -718,12 +719,12 @@ class Plan:
         The inputs are checked first, before any pool is drawn: the
         teacher (Plan.teacher_stacks) where no pools are given, then
         _check_inputs.  pools (the plan's draw by default) are filtered at
-        cfg.tau here.  sft_targets
-        (example id -> slot) and match_overrides (example id -> a
-        distribution over its pool) replace the selected targets and those
-        examples' matching.  The reference policy is frozen at the Stage-1
-        result.  skipped_sft lists the examples without a target, skipped_rl
-        those whose pools have nothing to match when Stage 2 runs."""
+        cfg.tau here.  sft_targets (example id -> slot) and match_overrides
+        (example id -> a distribution over its pool) replace the selected
+        targets and those examples' matching.  The reference policy is
+        frozen at the Stage-1 result.  skipped_sft lists the examples
+        without a target, skipped_rl those whose pools have nothing to match
+        when Stage 2 runs."""
         self._check_metric(cfg)
         examples, featurizer = self.examples, self.featurizer
         if pools is None:
