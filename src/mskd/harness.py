@@ -120,17 +120,13 @@ def _calibrate(
     Each answer-space group is bisected in one batch that resumes from the
     paths its record holds from the previous call.
     """
-    concs: dict[int, float] = {}
-    probs: dict[int, np.ndarray] = {}
+    probs, concs = [None] * len(examples), [None] * len(examples)
     for rows, paths in groups:
         c = calibrate_concentration(paths.scores, targets[rows], temperature, top_p, paths=paths)
-        p = sampling_probs(paths.scores, c, temperature, top_p)
-        for j, cj, pj in zip(rows, c.tolist(), p):
+        for j, cj, pj in zip(rows, c.tolist(), sampling_probs(paths.scores, c, temperature, top_p)):
             concs[j], probs[j] = cj, pj
-    return (
-        {ex.id: probs[j] for j, ex in enumerate(examples)},
-        {ex.id: concs[j] for j, ex in enumerate(examples)},
-    )
+    ids = [ex.id for ex in examples]
+    return dict(zip(ids, probs)), dict(zip(ids, concs))
 
 
 def make_closed_benchmark(

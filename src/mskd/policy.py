@@ -17,20 +17,19 @@ _SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax over the last axis; each row of a 2-D input on its own."""
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def nucleus(probs: np.ndarray, temperature: float = 1.0, top_p: float = 1.0) -> np.ndarray:
     """Temperature then top-p truncation of a categorical distribution.
 
-    Works over the last axis, so a 2-D input is a stack of distributions.
-    Tied probabilities at the nucleus boundary are kept in stable index
-    order, so the result is deterministic for a given input.
+    Works over the last axis and keeps the input's shape, so a 2-D input
+    is a stack of distributions; temperature must be finite and > 0.  Tied
+    probabilities at the nucleus boundary are kept in stable index order.
     """
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    if not 0.0 < temperature < math.inf:
+        raise ValueError(f"temperature must be a finite number > 0, got {temperature!r}")
     if not 0.0 < top_p <= 1.0:
         raise ValueError(f"top_p must be in (0,1], got {top_p}")
     p = np.asarray(probs, dtype=float)
@@ -42,14 +41,16 @@ def nucleus(probs: np.ndarray, temperature: float = 1.0, top_p: float = 1.0) -> 
         p = p / p.sum(axis=-1, keepdims=True)
     if top_p == 1.0:
         return p
-    # (order,) for 1-D input, (rows, order) for 2-D: each row's slots by descending mass
-    idx = (*np.indices(p.shape, sparse=True)[:-1], np.argsort(-p, axis=-1, kind="stable"))
-    ranked = p[idx]
+    # flat indices of each row's slots by descending mass; the ufunc methods
+    # run the C loops of cumsum and sum, in the same order, with fewer calls
+    rows = p.reshape(math.prod(p.shape[:-1]), m := p.shape[-1])
+    order = m * np.arange(len(rows))[:, None] + (-rows).argsort(kind="stable")
+    ranked = rows.take(order)
     # smallest prefix with mass >= top_p
-    cut = (np.cumsum(ranked, axis=-1) < top_p).sum(axis=-1, keepdims=True) + 1
-    out = np.zeros_like(p)
-    out[idx] = np.where(np.arange(p.shape[-1]) < cut, ranked, 0.0)
-    return out / out.sum(axis=-1, keepdims=True)
+    cut = np.add.reduce(np.add.accumulate(ranked, axis=1) < top_p, axis=1, keepdims=True) + 1
+    out = np.zeros(rows.shape)
+    out.put(order, np.where(np.arange(m) < cut, ranked, 0.0))
+    return (out / np.add.reduce(out, axis=1, keepdims=True)).reshape(p.shape)
 
 
 def checked_cdf(p: np.ndarray | Sequence[float]) -> np.ndarray:

@@ -74,6 +74,8 @@ class BisectionPaths:
 
     def __init__(self, scores: np.ndarray, temperature: float = 1.0, top_p: float = 0.9) -> None:
         self.scores = np.atleast_2d(np.array(scores, dtype=float))
+        if not np.isfinite(self.scores).all():
+            raise ValueError("scores must be finite numbers")
         self.settings = (temperature, top_p)
         n = len(self.scores)
         self.mean_lo, self.mean_hi = (
@@ -93,16 +95,6 @@ class BisectionPaths:
         if settings != self.settings:
             raise ValueError(f"paths were recorded for (temperature, top_p) = {self.settings}, not {settings}")
 
-    def record(
-        self, rows: np.ndarray, mid: np.ndarray, values: np.ndarray, below: np.ndarray
-    ) -> None:
-        """Append one node to each of rows' paths; none is full."""
-        depth = self.length[rows]
-        self.nodes[rows, depth] = mid
-        self.values[rows, depth] = values
-        self.below[rows, depth] = below
-        self.length[rows] = depth + 1
-
 
 def calibrate_concentration(
     scores: np.ndarray,
@@ -114,46 +106,46 @@ def calibrate_concentration(
 ) -> float | np.ndarray:
     """Bisect concentration so expected score under sampling hits target.
 
-    Expected score is monotone non-decreasing in concentration; targets
-    outside the achievable range clip to the nearest endpoint.  An (n, m)
-    score matrix with n targets, or one scalar target for every row, is
-    bisected row by row in one batch and gives an array of n
-    concentrations; a 1-D call is the one-row case.  Any other target
-    shape raises ValueError.
-    Bisection starts from ``[CONC_LO, CONC_HI]``.  A row leaves the batch
+    Expected score is monotone non-decreasing in concentration; finite
+    targets outside the achievable range clip to the nearest endpoint.  An
+    (n, m) score matrix with n targets, or one scalar target for every row,
+    is bisected row by row in one batch and gives an array of n
+    concentrations; a 1-D call is the one-row case.  Another target shape,
+    a NaN target or a non-finite score raises ValueError before any step.
+    Bisection starts from ``[CONC_LO, CONC_HI]``; a step is one
+    sampling_probs call on the walking rows' compact state.  A row leaves
     once its bracket stops moving, since every later step would repeat the
     same midpoint, or after BISECT_STEPS steps.
 
     ``paths`` is the record of each row's previous bisection of these
-    scores with these settings (a fresh one if None; any other scores or
-    settings raise ValueError).  Each unclipped row compares its new target
-    with the stored expected score at every stored node.  Up to the first
-    node where the decision flips, a fresh walk from the root would visit
-    the same nodes and decide the same way, so the row rebuilds its bracket
-    there from the stored nodes, takes the flipped decision and bisects on;
-    a row without a flip keeps its old end state.  The result is therefore
-    the fresh bisection's, bit for bit, and the record is updated to the
-    new paths.
+    scores with these settings (a fresh one if None; other scores or
+    settings raise ValueError; a rejected call leaves it unchanged).  Each
+    unclipped row compares its new target with the stored expected score at
+    every stored node.  Up to the first node where the decision flips, a
+    fresh walk would visit the same nodes and decide the same way, so the
+    row rebuilds its bracket there from the stored nodes, takes the flipped
+    decision and bisects on; a row without a flip keeps its old end state.
+    The result and the record are the fresh bisection's, bit for bit.
     """
     one = np.ndim(scores) == 1
-    settings = (temperature, top_p)
     if paths is None:
-        paths = BisectionPaths(scores, *settings)
+        paths = BisectionPaths(scores, temperature, top_p)
     else:
-        paths.check(scores, settings)
+        paths.check(scores, (temperature, top_p))
     scores = paths.scores
     targets = np.asarray(target_mean, dtype=float)
-    if targets.ndim == 0:
-        targets = np.full(len(scores), float(targets))
-    elif targets.shape != (len(scores),):
+    if targets.shape not in ((), (len(scores),)):
         raise ValueError(
             f"target_mean must be a scalar or one target per row ({len(scores)}), "
             f"got shape {targets.shape}"
         )
+    if np.isnan(targets).any():
+        raise ValueError(f"target_mean must not be NaN, got {target_mean!r}")
+    targets = np.broadcast_to(targets, len(scores))
 
     clip_lo = targets <= paths.mean_lo
-    clip_hi = ~clip_lo & (targets >= paths.mean_hi)
-    live = np.flatnonzero(~(clip_lo | clip_hi))
+    out = np.where(clip_lo, CONC_LO, CONC_HI)
+    live = np.flatnonzero(~clip_lo & (targets < paths.mean_hi))
     # where each live row's stored path first decides differently (its length if nowhere)
     length = paths.length[live]
     step = np.arange(paths.nodes.shape[1])
@@ -163,35 +155,46 @@ def calibrate_concentration(
     # the bracket at that node: the largest earlier node that moved the lower
     # end and the smallest that moved the upper end
     before = step < first[:, None]
-    low = np.full(len(scores), CONC_LO)
-    high = np.full(len(scores), CONC_HI)
-    low[live] = np.where(before & below, nodes, -np.inf).max(axis=1, initial=CONC_LO)
-    high[live] = np.where(before & ~below, nodes, np.inf).min(axis=1, initial=CONC_HI)
+    lo = np.where(before & below, nodes, -np.inf).max(axis=1, initial=CONC_LO)
+    hi = np.where(before & ~below, nodes, np.inf).min(axis=1, initial=CONC_HI)
 
-    def step_to(rows: np.ndarray, mid: np.ndarray, go_low: np.ndarray) -> np.ndarray:
-        """Move rows' brackets to mid; the rows whose walk goes on."""
-        a, b = low[rows], high[rows]
-        low[rows] = np.where(go_low, mid, a)
-        high[rows] = np.where(go_low, b, mid)
-        return rows[((low[rows] != a) | (high[rows] != b)) & (paths.length[rows] < BISECT_STEPS)]
+    def move(lo, hi, mid, go_low):
+        """The brackets after a step to mid, and which of them moved."""
+        new_lo, new_hi = np.where(go_low, mid, lo), np.where(go_low, hi, mid)
+        return new_lo, new_hi, (new_lo != lo) | (new_hi != hi)
 
     # a flipped row cuts its path back to the flip node and takes the other
     # decision there, from the stored expected score; a row without a path
-    # starts at the root
-    flipped = first < length
-    rows, at = live[flipped], first[flipped]
-    mid, go_low = nodes[flipped, at], ~below[flipped, at]
-    paths.length[rows] = at
-    paths.record(rows, mid, paths.values[rows, at], go_low)
-    rows = np.concatenate([step_to(rows, mid, go_low), live[length == 0]])
+    # starts at the root; every other row keeps its old end state
+    flipped = np.flatnonzero(first < length)
+    at = first[flipped]
+    go_low = ~below[flipped, at]
+    paths.below[live[flipped], at] = go_low
+    paths.length[live[flipped]] = at + 1
+    lo[flipped], hi[flipped], moved = move(lo[flipped], hi[flipped], nodes[flipped, at], go_low)
+    walk = length == 0
+    walk[flipped] = moved & (at + 1 < BISECT_STEPS)
+    out[live] = 0.5 * (lo + hi)
+    # pos and cap: flat record indices of each walking row's next node and of
+    # its step cap; out and the lengths are written only when some row stops
+    rows = live[walk]
+    lo, hi, s, t = lo[walk], hi[walk], scores[rows], targets[rows]
+    cap = (rows + 1) * BISECT_STEPS
+    pos = cap - BISECT_STEPS + paths.length[rows]
     while rows.size:
-        mid = 0.5 * (low[rows] + high[rows])
-        s = scores[rows]
+        mid = 0.5 * (lo + hi)
         values = expected_quality(s, sampling_probs(s, mid, temperature, top_p))
-        go_low = values < targets[rows]
-        paths.record(rows, mid, values, go_low)
-        rows = step_to(rows, mid, go_low)
-    out = np.where(clip_lo, CONC_LO, np.where(clip_hi, CONC_HI, 0.5 * (low + high)))
+        go_low = values < t
+        paths.nodes.put(pos, mid)
+        paths.values.put(pos, values)
+        paths.below.put(pos, go_low)
+        pos += 1
+        lo, hi, moved = move(lo, hi, mid, go_low)
+        go_on = moved & (pos < cap)
+        if np.count_nonzero(go_on) < rows.size:
+            out[rows] = 0.5 * (lo + hi)
+            paths.length[rows] = pos - cap + BISECT_STEPS
+            rows, lo, hi, s, t, pos, cap = (x[go_on] for x in (rows, lo, hi, s, t, pos, cap))
     return float(out[0]) if one else out
 
 

@@ -77,6 +77,22 @@ def test_nucleus_validation():
         nucleus(p, top_p=1.2)
 
 
+@pytest.mark.parametrize("temperature", [math.nan, math.inf])
+def test_nucleus_rejects_a_non_finite_temperature(temperature):
+    # NaN used to give an all-NaN result and inf the uniform distribution
+    with pytest.raises(ValueError, match="temperature must be a finite number > 0"):
+        nucleus(np.array([0.6, 0.3, 0.1]), temperature, 0.9)
+
+
+@pytest.mark.parametrize("temperature, top_p", [(1.0, 1.0), (1.0, 0.5), (0.5, 0.9), (2.0, 1.0)])
+def test_nucleus_keeps_the_shape_of_its_input(temperature, top_p):
+    p = np.array([0.1, 0.5, 0.25, 0.15])
+    one = nucleus(p, temperature, top_p)
+    stack = nucleus(p[None], temperature, top_p)
+    assert one.shape == (4,) and stack.shape == (1, 4)
+    assert one.tobytes() == stack.tobytes()
+
+
 def test_nucleus_fuzz_properties(rng):
     for _ in range(500):
         n = int(rng.integers(2, 10))

@@ -404,3 +404,79 @@ def test_target_of_wrong_length_names_target_mean(target):
     # the record still serves its own inputs
     again = calibrate_concentration(scores, np.array([0.3, 0.7, 0.5]), paths=paths)
     assert again.tobytes() == before.tobytes()
+
+
+def _record(paths):
+    return [a.tobytes() for a in (paths.nodes, paths.values, paths.below, paths.length)]
+
+
+@pytest.mark.parametrize("target", [np.nan, np.array([0.5, np.nan, 0.3])])
+def test_nan_target_is_rejected_before_any_step(target):
+    # a NaN target used to clip silently to CONC_LO
+    scores = np.array([[0.0, 1.0, 0.5], [0.2, 0.4, 0.9], [0.3, 0.3, 0.6]])
+    with pytest.raises(ValueError, match="target_mean"):
+        calibrate_concentration(scores, target)
+    with pytest.raises(ValueError, match="target_mean"):
+        calibrate_concentration(scores[0], float(np.nan))
+    paths = BisectionPaths(scores)
+    before = calibrate_concentration(scores, np.array([0.3, 0.7, 0.5]), paths=paths)
+    record = _record(paths)
+    with pytest.raises(ValueError, match="target_mean"):
+        calibrate_concentration(scores, target, paths=paths)
+    assert _record(paths) == record
+    again = calibrate_concentration(scores, np.array([0.3, 0.7, 0.5]), paths=paths)
+    assert again.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_scores_are_rejected(bad):
+    scores = np.array([[0.0, 1.0, 0.5], [0.2, 0.4, 0.9]])
+    scores[1, 2] = bad
+    with pytest.raises(ValueError, match="scores"):
+        BisectionPaths(scores)
+    with pytest.raises(ValueError, match="scores"):
+        calibrate_concentration(scores, np.array([0.5, 0.6]))
+    with pytest.raises(ValueError, match="scores"):
+        calibrate_concentration(scores[1], 0.5)
+
+
+# --- the record after resumed calls against a fresh record --------------------
+
+
+def _assert_record_is_fresh(paths, scores, targets, temperature, top_p):
+    """paths holds, for every unclipped row, the path of one call with
+    targets on a fresh record."""
+    fresh = BisectionPaths(scores, temperature, top_p)
+    calibrate_concentration(scores, targets, temperature, top_p, paths=fresh)
+    for i in np.flatnonzero((fresh.mean_lo < targets) & (targets < fresh.mean_hi)):
+        n = fresh.length[i]
+        assert paths.length[i] == n
+        for got, want in ((paths.nodes, fresh.nodes), (paths.values, fresh.values), (paths.below, fresh.below)):
+            assert got[i, :n].tobytes() == want[i, :n].tobytes()
+    return fresh
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_resume_case(), _TEMPERATURE, _TOP_P)
+def test_resumed_record_equals_a_fresh_record(case, temperature, top_p):
+    scores, targets_seq = case
+    paths = BisectionPaths(scores, temperature, top_p)
+    for targets in targets_seq:
+        calibrate_concentration(scores, targets, temperature, top_p, paths=paths)
+        _assert_record_is_fresh(paths, scores, targets, temperature, top_p)
+
+
+def test_rows_that_stop_for_different_reasons_share_one_walk():
+    # row 0 at target 0.5 walks to the step cap (its root's expected score
+    # is 0.5), row 1's bracket stops moving early, and row 2 is clipped, so
+    # the walk drops rows at different steps
+    scores = np.array([[0.0, 1.0], [0.2, 0.9], [0.3, 0.6]])
+    paths = BisectionPaths(scores, 1.0, 1.0)
+    targets_seq = [[0.5, 0.7, 2.0], [0.6, 0.7, 0.45], [0.5, 0.4, -1.0], [np.nextafter(0.5, 0.0), 0.8, 0.5]]
+    for targets in map(np.array, targets_seq):
+        conc = calibrate_concentration(scores, targets, 1.0, 1.0, paths=paths)
+        _assert_matches_oracle(scores, targets, 1.0, 1.0, conc)
+        fresh = _assert_record_is_fresh(paths, scores, targets, 1.0, 1.0)
+        if targets[0] == 0.5:
+            assert fresh.length[0] == BISECT_STEPS and 0 < fresh.length[1] < BISECT_STEPS
+    assert conc[2] not in (-400.0, 400.0)
