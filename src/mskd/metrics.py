@@ -32,12 +32,14 @@ def _is_int(value) -> bool:
 
 
 def _is_finite(value) -> bool:
-    """A finite int or float (numpy scalars included); a bool is not one."""
-    return (
-        isinstance(value, (int, float, np.integer, np.floating))
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
+    """A finite int or float (numpy scalars included); a bool is not one,
+    nor an int too large for a float."""
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _check_numbers(
@@ -146,6 +148,19 @@ def ocr_similarity(pred: Text, gt: Text) -> float:
     return 1.0 - levenshtein(a, b) / max(len(a), len(b))
 
 
+# The metric of each closed-ended task, from (payload, truth, config).
+_TASK_METRICS = {
+    TaskType.TEMPORAL_GROUNDING: lambda pred, gt, cfg: temporal_iou(pred, gt),
+    TaskType.SPATIAL_GROUNDING: lambda pred, gt, cfg: spatial_iou(pred, gt),
+    TaskType.MULTIPLE_CHOICE: lambda pred, gt, cfg: float(exact_match(pred, gt)),
+    TaskType.BINARY_QA: lambda pred, gt, cfg: float(exact_match(pred, gt)),
+    TaskType.NUMERICAL: lambda pred, gt, cfg: float(epsilon_accuracy(pred, gt, cfg.eps_rel)),
+    TaskType.OCR: lambda pred, gt, cfg: (
+        float(exact_match(pred, gt)) if cfg.ocr_mode == "exact" else ocr_similarity(pred, gt)
+    ),
+}
+
+
 def quality_score(
     resp: ParsedResponse,
     ex: SupervisionExample,
@@ -157,23 +172,9 @@ def quality_score(
     the task metric of the extracted payload vs ground truth, in [0,1].
     Open-ended tasks have no quality notion here and raise.
     """
-    task = ex.task
-    if not task.is_closed:
+    metric = _TASK_METRICS.get(ex.task)
+    if metric is None:
         raise ValueError(f"quality is undefined for open-ended task (example {ex.id})")
     if not (resp.outer_valid and resp.task_valid):
         return 0.0
-    pred = resp.payload
-    gt = ex.ground_truth
-    if task is TaskType.TEMPORAL_GROUNDING:
-        return temporal_iou(pred, gt)
-    if task is TaskType.SPATIAL_GROUNDING:
-        return spatial_iou(pred, gt)
-    if task in (TaskType.MULTIPLE_CHOICE, TaskType.BINARY_QA):
-        return float(exact_match(pred, gt))
-    if task is TaskType.NUMERICAL:
-        return float(epsilon_accuracy(pred, gt, cfg.eps_rel))
-    if task is TaskType.OCR:
-        if cfg.ocr_mode == "exact":
-            return float(exact_match(pred, gt))
-        return ocr_similarity(pred, gt)
-    raise AssertionError(f"unhandled task {task}")
+    return metric(resp.payload, ex.ground_truth, cfg)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -93,8 +93,8 @@ def apply_filter(pool: TeacherPool, tau: float) -> TeacherPool:
         raise ValueError(f"tau must be in [0,1], got {tau}")
     if pool.qualities is None:
         return pool
-    effective = tuple(q if q >= tau else 0.0 for q in pool.qualities)
-    return replace(pool, qualities=effective, tau_applied=tau)
+    effective = tuple([q if q >= tau else 0.0 for q in pool.qualities])
+    return TeacherPool(pool.example_id, pool.task, pool.responses, effective, tau)
 
 
 def matching_distribution(pool: TeacherPool, mode: str = "quality") -> MatchingDistribution:
@@ -188,19 +188,22 @@ def read_pool_cache(path: str | Path) -> list[TeacherPool]:
     first_line: dict[str, int] = {}
     for lineno, obj in _json_lines(path, PoolCacheError, "bad pool record"):
         try:
-            if not isinstance(obj["example_id"], str):
-                raise ValueError(f"example_id must be a string, got {obj['example_id']!r}")
+            example_id = obj["example_id"]
+            if not isinstance(example_id, str):
+                raise ValueError(f"example_id must be a string, got {example_id!r}")
             task = TaskType(obj["task"])
             records = obj["responses"]
             if not records:
                 raise ValueError("responses must not be empty")
-            responses = tuple(parse_response(r["text"], task) for r in records)
+            # texts, then flag pairs, then qs, each over every response: this order picks a bad line's error
+            responses = tuple([parse_response(r["text"], task) for r in records])
             stored = [(r["outer_valid"], r["task_valid"]) for r in records]
             qs = [r["q"] for r in records]
             tau = obj.get("tau_applied")
             if tau is not None and not (_is_finite(tau) and 0.0 <= tau <= 1.0):
                 raise ValueError(f"tau_applied must be null or a number in [0,1], got {tau!r}")
-            if not task.is_closed:
+            closed = task.is_closed
+            if not closed:
                 if qs.count(None) != len(qs):
                     raise ValueError(f"each q of an open-ended pool must be null, got {qs!r}")
                 if tau is not None:
@@ -215,21 +218,16 @@ def read_pool_cache(path: str | Path) -> list[TeacherPool]:
                         f"each q of a closed-ended pool must be 0 or a number in [tau_applied, 1] "
                         f"([0,1] unfiltered), got {qs!r} at tau_applied {tau!r}"
                     )
-            pool = TeacherPool(
-                example_id=obj["example_id"],
-                task=task,
-                responses=responses,
-                qualities=tuple(map(float, qs)) if task.is_closed else None,
-                tau_applied=tau,
-            )
+            pool = TeacherPool(example_id, task, responses, tuple(map(float, qs)) if closed else None, tau)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise PoolCacheError(f"{path}:{lineno}: bad pool record ({exc!r})") from exc
-        for j, (flags, parsed) in enumerate(zip(stored, responses)):
-            if flags != (parsed.outer_valid, parsed.task_valid):
-                raise PoolCacheError(
-                    f"{path}:{lineno}: response {j} stores (outer_valid, task_valid) = "
-                    f"{flags} but its text re-parses to {(parsed.outer_valid, parsed.task_valid)}"
-                )
+        reparsed = [(r.outer_valid, r.task_valid) for r in responses]
+        if stored != reparsed:
+            j = next(j for j, flags in enumerate(stored) if flags != reparsed[j])
+            raise PoolCacheError(
+                f"{path}:{lineno}: response {j} stores (outer_valid, task_valid) = "
+                f"{stored[j]} but its text re-parses to {reparsed[j]}"
+            )
         first = first_line.setdefault(pool.example_id, lineno)
         if first != lineno:
             raise PoolCacheError(

@@ -14,8 +14,11 @@ The envelope is well formed exactly when:
   begins.
 
 Text before, between and after the spans is free; tags are case-sensitive.
-``ANSWER_RE`` and ``THINK_RE`` state the two spans as regular expressions;
-``parse_response`` applies the rules with ``str.count``/``str.find`` alone.
+``ANSWER_RE`` and ``THINK_RE`` state the two spans as regular expressions.
+``parse_response`` applies the rules without them: two ``str.partition``
+splits at the answer tags and ``in`` tests on the parts, then think-tag
+counts only when the text holds a think tag; the answer content goes to the
+task's parser in ``_PAYLOAD_PARSERS``.
 
 All parsing here is pure and total: malformed input never raises, it just
 yields a response whose validity flags are false.
@@ -31,7 +34,6 @@ from dataclasses import dataclass, field
 
 ANSWER_RE = re.compile(r"<answer>(.*?)</answer>", flags=re.S)
 THINK_RE = re.compile(r"<think>(.*?)</think>", flags=re.S)
-TIMESTAMP_RE = re.compile(r"<t>(.*?)</t>", flags=re.S)
 FLOAT_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
@@ -43,6 +45,9 @@ class TaskType(enum.Enum):
     NUMERICAL = "numerical"
     OCR = "ocr"
     OPEN_ENDED = "open_ended"
+
+    # members compare by identity; Enum's __hash__ is a Python call per dict lookup
+    __hash__ = object.__hash__
 
     @property
     def is_closed(self) -> bool:
@@ -99,6 +104,71 @@ PAYLOAD_TYPES: dict[TaskType, type] = {
     TaskType.NUMERICAL: Number,
     TaskType.OCR: Text,
     TaskType.OPEN_ENDED: Text,
+}
+
+
+def _parse_segment(s: str) -> TemporalSegment | None:
+    # the stamps <t>(.*?)</t> would match left to right, lazily: exactly two
+    a = s.find("<t>")
+    b = s.find("</t>", a + 3)
+    c = s.find("<t>", b + 4)
+    d = s.find("</t>", c + 3)
+    e = s.find("<t>", d + 4)
+    if -1 in (a, b, c, d) or e >= 0 and s.find("</t>", e + 3) >= 0:
+        return None
+    try:
+        start, end = float(s[a + 3 : b].strip()), float(s[c + 3 : d].strip())
+    except ValueError:
+        return None
+    # Reversed, negative or infinite spans are format violations, never repaired.
+    if not 0.0 <= start <= end < math.inf:
+        return None
+    return TemporalSegment(start, end)
+
+
+def _parse_box(s: str) -> SpatialBox | None:
+    tokens = FLOAT_RE.findall(s)
+    if len(tokens) != 4:
+        return None
+    x1, y1, x2, y2 = box = list(map(float, tokens))
+    # a token is never NaN, so the chains also reject every infinite coordinate
+    if not (-math.inf < x1 <= x2 < math.inf and -math.inf < y1 <= y2 < math.inf):
+        return None
+    return SpatialBox(*[0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in box])
+
+
+def _parse_letter(s: str) -> OptionLetter | None:
+    s = s.strip()
+    if len(s) == 1 and (letter := s.upper()) in string.ascii_uppercase:
+        return OptionLetter(letter)
+    return None
+
+
+def _parse_number(s: str) -> Number | None:
+    try:
+        value = float(s.strip())
+    except ValueError:
+        return None
+    return Number(value) if math.isfinite(value) else None
+
+
+def _parse_text(s: str) -> Text | None:
+    s = s.strip()
+    return Text(s) if s else None
+
+
+_YES_NO = {"yes": Binary(True), "no": Binary(False)}
+
+# Each task's parser: answer-span content to payload, None on mismatch.  A
+# spatial box's coordinates are clamped into [0,1] (the response stays valid).
+_PAYLOAD_PARSERS = {
+    TaskType.TEMPORAL_GROUNDING: _parse_segment,
+    TaskType.SPATIAL_GROUNDING: _parse_box,
+    TaskType.MULTIPLE_CHOICE: _parse_letter,
+    TaskType.BINARY_QA: lambda s: _YES_NO.get(s.strip().lower()),
+    TaskType.NUMERICAL: _parse_number,
+    TaskType.OCR: _parse_text,
+    TaskType.OPEN_ENDED: _parse_text,
 }
 
 
@@ -179,78 +249,18 @@ class ParsedResponse:
     payload: AnswerPayload | None = None
 
 
-def _parse_payload(content: str, task: TaskType) -> AnswerPayload | None:
-    """Extract a payload from answer-span content; None on mismatch.  A
-    spatial box's coordinates are clamped into [0,1] (the response stays
-    valid)."""
-    if task is TaskType.TEMPORAL_GROUNDING:
-        stamps = TIMESTAMP_RE.findall(content)
-        if len(stamps) != 2:
-            return None
-        try:
-            start, end = map(float, map(str.strip, stamps))
-        except ValueError:
-            return None
-        if not (math.isfinite(start) and math.isfinite(end)):
-            return None
-        # Reversed or negative spans are format violations, never repaired.
-        if start < 0.0 or start > end:
-            return None
-        return TemporalSegment(start, end)
-
-    if task is TaskType.SPATIAL_GROUNDING:
-        tokens = FLOAT_RE.findall(content)
-        if len(tokens) != 4:
-            return None
-        box = list(map(float, tokens))
-        x1, y1, x2, y2 = box
-        if not all(map(math.isfinite, box)) or x1 > x2 or y1 > y2:
-            return None
-        return SpatialBox(*[min(max(v, 0.0), 1.0) for v in box])
-
-    if task is TaskType.MULTIPLE_CHOICE:
-        s = content.strip()
-        if len(s) == 1 and s.upper() in string.ascii_uppercase:
-            return OptionLetter(s.upper())
-        return None
-
-    if task is TaskType.BINARY_QA:
-        s = content.strip().lower()
-        if s in ("yes", "no"):
-            return Binary(s == "yes")
-        return None
-
-    if task is TaskType.NUMERICAL:
-        s = content.strip()
-        try:
-            value = float(s)
-        except ValueError:
-            return None
-        if not math.isfinite(value):
-            return None
-        return Number(value)
-
-    # OCR and open-ended: any non-empty text.
-    s = content.strip()
-    if not s:
-        return None
-    return Text(s)
-
-
 def parse_response(raw: str, task: TaskType) -> ParsedResponse:
     """Parse raw text into validity flags plus an extracted payload."""
-    start = raw.find("<answer>")
-    end = raw.find("</answer>", start)
-    if start < 0 or end < 0 or raw.count("<answer>") != 1 or raw.count("</answer>") != 1:
+    head, _, rest = raw.partition("<answer>")
+    content, closed, tail = rest.partition("</answer>")
+    if not closed or "</answer>" in head or "<answer>" in rest or "</answer>" in tail:
         return ParsedResponse(raw, False, False, None)
-    think, unthink = raw.find("<think>"), raw.find("</think>")
-    if (think >= 0 or unthink >= 0) and not (
-        0 <= think < unthink <= start - 8
-        and raw.count("<think>") == 1
-        and raw.count("</think>") == 1
-    ):
-        return ParsedResponse(raw, False, False, None)
-    payload = _parse_payload(raw[start + 8 : end], task)
+    if "think>" in raw:
+        # neither think tag, or each once and in order before <answer>
+        n = raw.count("<think>")
+        if n > 1 or n != raw.count("</think>") or n and not 0 <= head.find("<think>") < head.find("</think>"):
+            return ParsedResponse(raw, False, False, None)
+    payload = _PAYLOAD_PARSERS[task](content)
     if payload is None:
         return ParsedResponse(raw, True, False, None)
     return ParsedResponse(raw, True, True, payload)

@@ -19,11 +19,14 @@ synthetic.sample_teacher_pool inverts one stacked CDF per answer-space
 size; make_pools, sample_teacher_pool and categorical_draw below are the
 per-example loop they replaced, one generator per example, copied verbatim
 (renamed loop_*).
-tasks.parse_response checks the envelope with str.count/str.find alone and
-analysis.analyze_variance reduces one stacked array per sample count;
-parse_response and analyze_variance below are the regex and per-question
-forms they replaced, with _outer_match and _parse_payload copied verbatim
-but for the clamping flag that ParsedResponse no longer carries.
+tasks.parse_response checks the envelope with two partitions and hands the
+answer to a per-task parser table, and analysis.analyze_variance reduces
+one stacked array per sample count; parse_response and analyze_variance
+below are the regex and per-question forms they replaced, with _outer_match
+and _parse_payload copied verbatim but for the clamping flag that
+ParsedResponse no longer carries.  metrics.quality_score dispatches through
+a per-task metric table; quality_score below is the if-chain it replaced,
+copied verbatim, and the other oracles here score with it.
 rewards.composite_reward sums the trainer's per-slot gathers in one
 batched call; composite_reward below is the per-response statement of the
 sum that it is checked against.  harness.paired_permutation_pvalue counts
@@ -55,7 +58,15 @@ import numpy as np
 from mskd.analysis import QUANTILES, TaskVariance, VarianceReport
 from mskd.corpus import ResponseRow
 from mskd.discriminator import _LEN_SCALE, DiscriminatorParams, Featurizer, _sigmoid
-from mskd.metrics import DEFAULT_METRICS, MetricConfig, quality_score
+from mskd.metrics import (
+    DEFAULT_METRICS,
+    MetricConfig,
+    epsilon_accuracy,
+    exact_match,
+    ocr_similarity,
+    spatial_iou,
+    temporal_iou,
+)
 from mskd.policy import checked_cdf, nucleus, softmax
 from mskd.pool import TeacherPool, build_pool
 from mskd.rewards import RewardWeights
@@ -63,7 +74,6 @@ from mskd.tasks import (
     ANSWER_RE,
     FLOAT_RE,
     THINK_RE,
-    TIMESTAMP_RE,
     AnswerPayload,
     Binary,
     Number,
@@ -78,6 +88,9 @@ from mskd.tasks import (
 )
 from mskd.synthetic import SyntheticTeacher, corrupt_envelope
 from mskd.train import _S_POOL, TrainConfig, _stream
+
+# the stamp grammar the temporal parser once matched with a regex
+TIMESTAMP_RE = re.compile(r"<t>(.*?)</t>", flags=re.S)
 
 # the stream tag the sampled estimator drew its samples from
 _S_PASSK = 5
@@ -467,6 +480,39 @@ def sampled_pass_at_k(
         hit_matrix[i] = prefix_hit[np.array(ks) - 1]
     rates = hit_matrix.mean(axis=0)
     return [(k, float(r)) for k, r in zip(ks, rates)]
+
+
+def quality_score(
+    resp: ParsedResponse,
+    ex: SupervisionExample,
+    cfg: MetricConfig = DEFAULT_METRICS,
+) -> float:
+    """Validity-gated quality of a response against the example's truth.
+
+    Returns 0.0 whenever the response fails either format check; otherwise
+    the task metric of the extracted payload vs ground truth, in [0,1].
+    Open-ended tasks have no quality notion here and raise.
+    """
+    task = ex.task
+    if not task.is_closed:
+        raise ValueError(f"quality is undefined for open-ended task (example {ex.id})")
+    if not (resp.outer_valid and resp.task_valid):
+        return 0.0
+    pred = resp.payload
+    gt = ex.ground_truth
+    if task is TaskType.TEMPORAL_GROUNDING:
+        return temporal_iou(pred, gt)
+    if task is TaskType.SPATIAL_GROUNDING:
+        return spatial_iou(pred, gt)
+    if task in (TaskType.MULTIPLE_CHOICE, TaskType.BINARY_QA):
+        return float(exact_match(pred, gt))
+    if task is TaskType.NUMERICAL:
+        return float(epsilon_accuracy(pred, gt, cfg.eps_rel))
+    if task is TaskType.OCR:
+        if cfg.ocr_mode == "exact":
+            return float(exact_match(pred, gt))
+        return ocr_similarity(pred, gt)
+    raise AssertionError(f"unhandled task {task}")
 
 
 def _outer_match(raw: str) -> re.Match | None:
