@@ -30,6 +30,7 @@ from mskd.tasks import (
     TaskType,
     TemporalSegment,
     Text,
+    _parse_letter,
 )
 
 
@@ -76,10 +77,9 @@ def payload_from_json(value, task: TaskType) -> AnswerPayload:
             x1, y1, x2, y2 = value
             return SpatialBox(_number(x1), _number(y1), _number(x2), _number(y2))
         if task is TaskType.MULTIPLE_CHOICE:
-            letter = str(value).strip().upper()
-            if len(letter) != 1 or not letter.isascii() or not letter.isalpha():
+            if (letter := _parse_letter(str(value))) is None:
                 raise ValueError("option letter must be a single ASCII letter")
-            return OptionLetter(letter)
+            return letter
         if task is TaskType.BINARY_QA:
             if isinstance(value, bool):
                 return Binary(value)

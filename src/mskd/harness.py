@@ -29,13 +29,7 @@ import numpy as np
 from mskd.analysis import QUANTILES, STATS, VarianceReport
 from mskd.metrics import _check_numbers, _is_finite, temporal_iou
 from mskd.pool import MatchingDistribution, TeacherPool
-from mskd.synthetic import (
-    BisectionPaths,
-    SyntheticTeacher,
-    calibrate_concentration,
-    retention_probability,
-    sampling_probs,
-)
+from mskd.synthetic import BisectionPaths, SyntheticTeacher, calibrate_concentration, retention_probability
 from mskd.tasks import (
     OptionLetter,
     SupervisionExample,
@@ -118,12 +112,13 @@ def _calibrate(
 
     ``targets`` holds one mean quality per example, in example order.
     Each answer-space group is bisected in one batch that resumes from the
-    paths its record holds from the previous call.
+    paths its record holds from the previous call; the probs are copies of
+    the rows the record keeps, so no teacher array aliases it.
     """
     probs, concs = [None] * len(examples), [None] * len(examples)
     for rows, paths in groups:
         c = calibrate_concentration(paths.scores, targets[rows], temperature, top_p, paths=paths)
-        for j, cj, pj in zip(rows, c.tolist(), sampling_probs(paths.scores, c, temperature, top_p)):
+        for j, cj, pj in zip(rows, c.tolist(), paths.probs.copy()):
             concs[j], probs[j] = cj, pj
     ids = [ex.id for ex in examples]
     return dict(zip(ids, probs)), dict(zip(ids, concs))
@@ -200,16 +195,16 @@ def make_closed_benchmark(
         violations[ex.id] = violation_temporal
     z = rng.standard_normal(len(examples))
     groups = _calibration_paths(examples, slot_scores, temperature, top_p)
+    rates = np.array([violations[ex.id] for ex in examples])
 
     def build_at(mu0: float):
         mus = np.clip(mu0 + spread * z, 0.05, 0.98)
         return mus, *_calibrate(examples, groups, mus, temperature, top_p)
 
-    def retention_at(probs: dict[str, np.ndarray]) -> float:
-        vals = [
-            retention_probability(slot_scores[ex.id], probs[ex.id], retention_tau, violations[ex.id])
-            for ex in examples
-        ]
+    def retention_at() -> float:  # of the last build, from each group's record
+        vals = np.empty(len(examples))
+        for rows, paths in groups:
+            vals[rows] = retention_probability(paths.scores, paths.probs, retention_tau, rates[rows])
         return float(np.mean(vals))
 
     if retention_target is None:
@@ -219,10 +214,7 @@ def make_closed_benchmark(
         for _ in range(40):
             mid = 0.5 * (lo + hi)
             mus, probs, concs = build_at(mid)
-            if retention_at(probs) < retention_target:
-                lo = mid
-            else:
-                hi = mid
+            lo, hi = (mid, hi) if retention_at() < retention_target else (lo, mid)
         mus, probs, concs = build_at(0.5 * (lo + hi))
 
     teacher = SyntheticTeacher(probs=probs, violation_rate=violations, concentration=concs)
@@ -231,7 +223,7 @@ def make_closed_benchmark(
         "spread": spread,
         "retention_target": retention_target,
         "retention_tau": retention_tau,
-        "exact_retention": retention_at(probs),
+        "exact_retention": retention_at(),
         "realized_mu_std": float(np.std(mus)),
     }
     return Benchmark(examples, teacher, slot_scores, meta)

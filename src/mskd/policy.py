@@ -17,8 +17,9 @@ _SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax over the last axis; each row of a 2-D input on its own."""
-    e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
-    return e / np.add.reduce(e, axis=-1, keepdims=True)
+    e = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    return np.divide(e, np.add.reduce(e, axis=-1, keepdims=True), out=e)
 
 
 def nucleus(probs: np.ndarray, temperature: float = 1.0, top_p: float = 1.0) -> np.ndarray:
@@ -33,6 +34,13 @@ def nucleus(probs: np.ndarray, temperature: float = 1.0, top_p: float = 1.0) -> 
     if not 0.0 < top_p <= 1.0:
         raise ValueError(f"top_p must be in (0,1], got {top_p}")
     p = np.asarray(probs, dtype=float)
+    rows = p.reshape(n := math.prod(p.shape[:-1]), m := p.shape[-1])
+    return _nucleus_rows(rows, temperature, top_p, m * np.arange(n)[:, None], np.arange(m)).reshape(p.shape)
+
+
+def _nucleus_rows(p: np.ndarray, temperature: float, top_p: float, offsets: np.ndarray, slots: np.ndarray):
+    """nucleus past its checks on a 2-D stack p of m-slot rows; offsets is ``m * arange(len(p))[:, None]``
+    and slots ``arange(m)``, which a caller that evaluates many stacks builds once."""
     if temperature != 1.0:
         support = p > 0.0
         logp = np.where(support, np.log(np.where(support, p, 1.0)), -np.inf)
@@ -43,14 +51,15 @@ def nucleus(probs: np.ndarray, temperature: float = 1.0, top_p: float = 1.0) -> 
         return p
     # flat indices of each row's slots by descending mass; the ufunc methods
     # run the C loops of cumsum and sum, in the same order, with fewer calls
-    rows = p.reshape(math.prod(p.shape[:-1]), m := p.shape[-1])
-    order = m * np.arange(len(rows))[:, None] + (-rows).argsort(kind="stable")
-    ranked = rows.take(order)
-    # smallest prefix with mass >= top_p
-    cut = np.add.reduce(np.add.accumulate(ranked, axis=1) < top_p, axis=1, keepdims=True) + 1
-    out = np.zeros(rows.shape)
-    out.put(order, np.where(np.arange(m) < cut, ranked, 0.0))
-    return (out / np.add.reduce(out, axis=1, keepdims=True)).reshape(p.shape)
+    order = (-p).argsort(kind="stable")
+    order += offsets
+    ranked = p.take(order)
+    # the smallest prefix with mass >= top_p ends at slot cut
+    cut = np.add.reduce(np.add.accumulate(ranked, axis=1) < top_p, axis=1, keepdims=True)
+    np.copyto(ranked, 0.0, where=slots > cut)
+    out = np.empty(p.shape)
+    out.put(order, ranked)
+    return np.divide(out, np.add.reduce(out, axis=1, keepdims=True), out=out)
 
 
 def checked_cdf(p: np.ndarray | Sequence[float]) -> np.ndarray:

@@ -196,7 +196,11 @@ def read_pool_cache(path: str | Path) -> list[TeacherPool]:
             if not records:
                 raise ValueError("responses must not be empty")
             # texts, then flag pairs, then qs, each over every response: this order picks a bad line's error
-            responses = tuple([parse_response(r["text"], task) for r in records])
+            responses = []
+            for j, r in enumerate(records):
+                if type(text := r["text"]) is not str:
+                    raise TypeError(f"response {j} needs a string 'text', got {text!r}")
+                responses.append(parse_response(text, task))
             stored = [(r["outer_valid"], r["task_valid"]) for r in records]
             qs = [r["q"] for r in records]
             tau = obj.get("tau_applied")
@@ -218,7 +222,7 @@ def read_pool_cache(path: str | Path) -> list[TeacherPool]:
                         f"each q of a closed-ended pool must be 0 or a number in [tau_applied, 1] "
                         f"([0,1] unfiltered), got {qs!r} at tau_applied {tau!r}"
                     )
-            pool = TeacherPool(example_id, task, responses, tuple(map(float, qs)) if closed else None, tau)
+            pool = TeacherPool(example_id, task, tuple(responses), tuple(map(float, qs)) if closed else None, tau)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise PoolCacheError(f"{path}:{lineno}: bad pool record ({exc!r})") from exc
         reparsed = [(r.outer_valid, r.task_valid) for r in responses]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mskd.metrics import _is_finite
-from mskd.policy import _invert_rows, checked_cdf, nucleus, softmax
+from mskd.policy import _invert_rows, _nucleus_rows, checked_cdf, nucleus, softmax
 from mskd.tasks import SupervisionExample, render_payload
 
 # Calibration bisects concentration on [CONC_LO, CONC_HI] for at most
@@ -68,8 +68,10 @@ class BisectionPaths:
 
     ``nodes``, ``values`` and ``below`` hold one path of at most
     BISECT_STEPS nodes per row, ``length`` how much of it is valid;
-    ``mean_lo`` and ``mean_hi`` are the expected scores at CONC_LO and
-    CONC_HI, computed once.
+    ``edges`` are the sampling probs at CONC_LO and CONC_HI, computed once,
+    and ``mean_lo`` and ``mean_hi`` their expected scores.  ``conc`` holds
+    the concentrations the last call returned (NaN before the first) and
+    ``probs`` each row's sampling probs at its ``conc``, bit for bit.
     """
 
     def __init__(self, scores: np.ndarray, temperature: float = 1.0, top_p: float = 0.9) -> None:
@@ -78,10 +80,9 @@ class BisectionPaths:
             raise ValueError("scores must be finite numbers")
         self.settings = (temperature, top_p)
         n = len(self.scores)
-        self.mean_lo, self.mean_hi = (
-            expected_quality(self.scores, sampling_probs(self.scores, np.full(n, c), temperature, top_p))
-            for c in (CONC_LO, CONC_HI)
-        )
+        self.edges = [sampling_probs(self.scores, np.full(n, c), temperature, top_p) for c in (CONC_LO, CONC_HI)]
+        self.mean_lo, self.mean_hi = (expected_quality(self.scores, p) for p in self.edges)
+        self.conc, self.probs = np.full(n, np.nan), np.zeros_like(self.scores)
         self.nodes = np.zeros((n, BISECT_STEPS))
         self.values = np.zeros((n, BISECT_STEPS))
         self.below = np.zeros((n, BISECT_STEPS), dtype=bool)
@@ -112,10 +113,10 @@ def calibrate_concentration(
     is bisected row by row in one batch and gives an array of n
     concentrations; a 1-D call is the one-row case.  Another target shape,
     a NaN target or a non-finite score raises ValueError before any step.
-    Bisection starts from ``[CONC_LO, CONC_HI]``; a step is one
-    sampling_probs call on the walking rows' compact state.  A row leaves
-    once its bracket stops moving, since every later step would repeat the
-    same midpoint, or after BISECT_STEPS steps.
+    Bisection starts from ``[CONC_LO, CONC_HI]``; a step evaluates the
+    walking rows' midpoints by sampling_probs' rule on state rebuilt only
+    when a row leaves, which it does once its bracket stops moving (every
+    later step would repeat the midpoint) or after BISECT_STEPS steps.
 
     ``paths`` is the record of each row's previous bisection of these
     scores with these settings (a fresh one if None; other scores or
@@ -125,7 +126,9 @@ def calibrate_concentration(
     fresh walk would visit the same nodes and decide the same way, so the
     row rebuilds its bracket there from the stored nodes, takes the flipped
     decision and bisects on; a row without a flip keeps its old end state.
-    The result and the record are the fresh bisection's, bit for bit.
+    The result and the record are the fresh bisection's, bit for bit; the
+    record's probs are each row's at its result, taken where the call has
+    them (a last step that did not move the bracket, a clipped row's edge).
     """
     one = np.ndim(scores) == 1
     if paths is None:
@@ -144,8 +147,9 @@ def calibrate_concentration(
     targets = np.broadcast_to(targets, len(scores))
 
     clip_lo = targets <= paths.mean_lo
+    inside = ~clip_lo & (targets < paths.mean_hi)
     out = np.where(clip_lo, CONC_LO, CONC_HI)
-    live = np.flatnonzero(~clip_lo & (targets < paths.mean_hi))
+    live = np.flatnonzero(inside)
     # where each live row's stored path first decides differently (its length if nowhere)
     length = paths.length[live]
     step = np.arange(paths.nodes.shape[1])
@@ -178,38 +182,71 @@ def calibrate_concentration(
     # pos and cap: flat record indices of each walking row's next node and of
     # its step cap; out and the lengths are written only when some row stops
     rows = live[walk]
-    lo, hi, s, t = lo[walk], hi[walk], scores[rows], targets[rows]
+    lo, hi, t = lo[walk], hi[walk], targets[rows]
     cap = (rows + 1) * BISECT_STEPS
     pos = cap - BISECT_STEPS + paths.length[rows]
+    # the walk's constants: flat row offsets and slot indices for the nucleus
+    offsets, slots = scores.shape[1] * np.arange(len(scores))[:, None], np.arange(scores.shape[1])
+
+    def probs_at(c, s, offs):
+        return _nucleus_rows(softmax(c[:, None] * s), temperature, top_p, offs, slots)
+
     while rows.size:
-        mid = 0.5 * (lo + hi)
-        values = expected_quality(s, sampling_probs(s, mid, temperature, top_p))
-        go_low = values < t
-        paths.nodes.put(pos, mid)
-        paths.values.put(pos, values)
-        paths.below.put(pos, go_low)
-        pos += 1
-        lo, hi, moved = move(lo, hi, mid, go_low)
-        go_on = moved & (pos < cap)
-        if np.count_nonzero(go_on) < rows.size:
-            out[rows] = 0.5 * (lo + hi)
-            paths.length[rows] = pos - cap + BISECT_STEPS
-            rows, lo, hi, s, t, pos, cap = (x[go_on] for x in (rows, lo, hi, s, t, pos, cap))
+        # the walking rows' scores, stacked for matmul, and offsets, fixed until a row leaves
+        s, offs = scores[rows], offsets[: rows.size]
+        stacked = s[:, None, :]
+        while True:
+            mid = 0.5 * (lo + hi)
+            probs = probs_at(mid, s, offs)
+            values = (stacked @ probs[:, :, None])[:, 0, 0]
+            go_low = values < t
+            paths.nodes.put(pos, mid)
+            paths.values.put(pos, values)
+            paths.below.put(pos, go_low)
+            pos += 1
+            lo, hi, moved = move(lo, hi, mid, go_low)
+            go_on = moved & (pos < cap)
+            if np.count_nonzero(go_on) < rows.size:
+                break
+        # a row whose bracket stopped moving ends at this step's mid, with its probs
+        paths.probs[rows[~moved]], paths.conc[rows[~moved]] = probs[~moved], mid[~moved]
+        out[rows] = 0.5 * (lo + hi)
+        paths.length[rows] = pos - cap + BISECT_STEPS
+        rows, lo, hi, t, pos, cap = (x[go_on] for x in (rows, lo, hi, t, pos, cap))
+    # clipped rows take their edge's probs, rows whose stored probs are at another
+    # concentration (step cap, clipped before) one batched evaluation; others keep theirs
+    for clipped, edge in zip((clip_lo, ~(clip_lo | inside)), paths.edges):
+        paths.probs[clipped] = edge[clipped]
+    if (stale := np.flatnonzero(inside & (out != paths.conc))).size:
+        paths.probs[stale] = probs_at(out[stale], scores[stale], offsets[: stale.size])
+    paths.conc[:] = out
     return float(out[0]) if one else out
 
 
 def retention_probability(
-    scores: np.ndarray, probs: np.ndarray, tau: float, violation_rate: float
-) -> float:
-    """Exact P(quality >= tau) for one example's sampling distribution.
+    scores: np.ndarray, probs: np.ndarray, tau: float, violation_rate: float | np.ndarray
+) -> float | np.ndarray:
+    """Exact P(quality >= tau) per row of (n, m) scores and probs, with one
+    violation rate or one per row; a 1-D call is the one-row case.
 
     Corrupted samples carry quality zero, which still clears a zero
-    threshold — retention at tau=0 is 1 by construction.
+    threshold — retention at tau=0 is 1 by construction.  A row's kept mass
+    is ``probs[scores >= tau].sum()`` bit for bit: the rows that keep k slots
+    are summed as one (rows, k) stack, in that sum's pairwise order (a
+    zero-masked row sum would add in another).
     """
-    scores = np.asarray(scores, dtype=float)
-    probs = np.asarray(probs, dtype=float)
-    valid_part = (1.0 - violation_rate) * float(probs[scores >= tau].sum())
-    return valid_part + (violation_rate if tau <= 0.0 else 0.0)
+    one = np.ndim(scores) == 1
+    scores, probs = (np.atleast_2d(np.asarray(x, dtype=float)) for x in (scores, probs))
+    counts = (keep := scores >= tau).sum(axis=1)
+    # rows by kept count, so the kept probs of each count's rows are one run
+    order = counts.argsort(kind="stable")
+    flat, kept, i, at = probs[order][keep[order]], np.empty(len(keep)), 0, 0
+    for k, r in enumerate(np.bincount(counts).tolist()):
+        if r:
+            kept[order[i : i + r]] = np.add.reduce(flat[at : at + k * r].reshape(r, k), axis=1)
+            i, at = i + r, at + k * r
+    out = (1.0 - np.asarray(violation_rate, dtype=float)) * kept + (violation_rate if tau <= 0.0 else 0.0)
+    return float(out[0]) if one else out
 
 
 def corrupt_envelope(raw: str) -> str:

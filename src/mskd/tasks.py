@@ -139,9 +139,7 @@ def _parse_box(s: str) -> SpatialBox | None:
 
 def _parse_letter(s: str) -> OptionLetter | None:
     s = s.strip()
-    if len(s) == 1 and (letter := s.upper()) in string.ascii_uppercase:
-        return OptionLetter(letter)
-    return None
+    return OptionLetter(s.upper()) if len(s) == 1 and s.isascii() and s.isalpha() else None  # "ﬆ".upper() is "ST"
 
 
 def _parse_number(s: str) -> Number | None:

@@ -24,7 +24,8 @@ answer to a per-task parser table, and analysis.analyze_variance reduces
 one stacked array per sample count; parse_response and analyze_variance
 below are the regex and per-question forms they replaced, with _outer_match
 and _parse_payload copied verbatim but for the clamping flag that
-ParsedResponse no longer carries.  metrics.quality_score dispatches through
+ParsedResponse no longer carries and the ASCII test on an option letter
+that tasks._parse_letter gained.  metrics.quality_score dispatches through
 a per-task metric table; quality_score below is the if-chain it replaced,
 copied verbatim, and the other oracles here score with it.
 rewards.composite_reward sums the trainer's per-slot gathers in one
@@ -38,6 +39,9 @@ uniforms, which the sampled steps are checked against, and
 expected_disc_update that of its discriminator half, over the rollout and
 matching uniforms, with each pair's gradient from loop_batch_loss_and_grad,
 so neither oracle shares the trainer's pair math.
+synthetic.retention_probability sums the kept probs of every row with the
+same kept count in one stacked reduction; retention_probability below is
+the one-example form it replaced, copied verbatim.
 discriminator.chain_update walks an epoch's pair batches in one chain and
 train._sft_epoch reads one row-wise softmax per answer-space size;
 disc_chain and sft_epoch below are the per-example loops they replaced,
@@ -443,6 +447,20 @@ def loop_make_pools(
     return pools
 
 
+def retention_probability(
+    scores: np.ndarray, probs: np.ndarray, tau: float, violation_rate: float
+) -> float:
+    """Exact P(quality >= tau) for one example's sampling distribution.
+
+    Corrupted samples carry quality zero, which still clears a zero
+    threshold — retention at tau=0 is 1 by construction.
+    """
+    scores = np.asarray(scores, dtype=float)
+    probs = np.asarray(probs, dtype=float)
+    valid_part = (1.0 - violation_rate) * float(probs[scores >= tau].sum())
+    return valid_part + (violation_rate if tau <= 0.0 else 0.0)
+
+
 def sampled_pass_at_k(
     student: dict[str, np.ndarray],
     examples: list[SupervisionExample],
@@ -562,7 +580,7 @@ def _parse_payload(content: str, task: TaskType) -> AnswerPayload | None:
 
     if task is TaskType.MULTIPLE_CHOICE:
         s = content.strip()
-        if len(s) == 1 and s.upper() in string.ascii_uppercase:
+        if len(s) == 1 and s.isascii() and s.upper() in string.ascii_uppercase:
             return OptionLetter(s.upper())
         return None
 

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import mk_mcq
+import mskd.harness as harness
+import mskd.synthetic as synthetic
 import mskd.train
 from oracles import permutation_pvalue
 from mskd.analysis import analyze_variance
@@ -37,7 +39,7 @@ from mskd.harness import (
     setting_config,
 )
 from mskd.pool import build_pool
-from mskd.synthetic import retention_probability
+from mskd.synthetic import retention_probability, sampling_probs
 from mskd.tasks import TaskType
 from mskd.train import TrainConfig, eval_accuracy, policy_groups, score_groups
 
@@ -101,6 +103,48 @@ def test_retention_monotone_and_total_at_zero():
         means.append(float(np.mean(vals)))
     assert means[0] == 1.0
     assert all(b <= a + 1e-12 for a, b in zip(means, means[1:]))
+
+
+@pytest.mark.parametrize(
+    "build, kw, n_calls",
+    [
+        (make_closed_benchmark, {"n_mcq": 4, "n_temporal": 8}, 41),
+        (make_closed_benchmark, {"n_mcq": 4, "n_temporal": 8, "temperature": 0.7, "top_p": 0.8}, 41),
+        (make_closed_benchmark, {"n_mcq": 4, "n_temporal": 8, "retention_target": None}, 1),
+        (make_open_benchmark, {"n_examples": 6}, 1),
+    ],
+)
+def test_calibrate_calls_sampling_probs_zero_times(monkeypatch, build, kw, n_calls):
+    # _calibrate copies the probs each bisection record keeps: nothing under
+    # it evaluates a calibrated row again, and no teacher array aliases them
+    real_paths, real_calibrate = harness._calibration_paths, harness._calibrate
+    calls, groups, calibrations = [], [], []
+
+    def counted(f):
+        def wrapper(*args, **kwargs):
+            calls.append(f.__name__)
+            return f(*args, **kwargs)
+        return wrapper
+
+    def guarded(*args, **kwargs):
+        calibrations.append(1)
+        with monkeypatch.context() as m:
+            m.setattr(synthetic, "sampling_probs", counted(sampling_probs))
+            m.setattr(synthetic, "nucleus", counted(synthetic.nucleus))
+            m.setattr(harness, "sampling_probs", counted(sampling_probs), raising=False)
+            return real_calibrate(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "_calibration_paths", lambda *a: groups.append(real_paths(*a)) or groups[-1])
+    monkeypatch.setattr(harness, "_calibrate", guarded)
+    bench = build(**kw)
+    assert calls == [] and len(calibrations) == n_calls
+    records = [paths.probs for _, paths in groups[0]]
+    settings = (kw.get("temperature", 1.0), kw.get("top_p", 0.9))
+    for ex in bench.examples:
+        probs = bench.teacher.probs[ex.id]
+        assert not any(np.shares_memory(probs, record) for record in records)
+        want = sampling_probs(bench.slot_scores[ex.id], bench.teacher.concentration[ex.id], *settings)
+        assert probs.tobytes() == want.tobytes()
 
 
 def test_open_benchmark_latents_hidden_from_surface():

@@ -281,6 +281,34 @@ def test_pool_cache_malformed_line_names_file_and_line(tmp_path, bad_line):
         read_pool_cache(path)
 
 
+@pytest.mark.parametrize("text", [5, 2.5, None, True, ["<answer>B</answer>"], {"t": 1}])
+def test_pool_cache_non_string_text_names_the_field_and_type(tmp_path, text):
+    # it used to surface as the AttributeError of a str method on the value
+    good = {"text": GOOD, "outer_valid": True, "task_valid": True, "q": 1.0}
+    path = tmp_path / "pools.jsonl"
+    path.write_text(_cache_line(responses=[good, dict(good, text=text)]) + "\n", encoding="utf-8")
+    want = f"response 1 needs a string 'text', got {text!r}"
+    with pytest.raises(PoolCacheError, match="pools.jsonl:1: bad pool record") as info:
+        read_pool_cache(path)
+    assert want in str(info.value) and "AttributeError" not in str(info.value)
+
+
+def test_pool_cache_text_checks_keep_each_lines_first_error(tmp_path):
+    # texts are checked response by response: the first bad one names the error
+    good = {"text": GOOD, "outer_valid": True, "task_valid": True, "q": 1.0}
+    no_text = {k: v for k, v in good.items() if k != "text"}
+    path = tmp_path / "pools.jsonl"
+    for responses, want in (
+        ([dict(good, text=5), no_text], "response 0 needs a string 'text', got 5"),
+        ([no_text, dict(good, text=5)], "KeyError('text')"),
+        ([dict(good, text=5, q="x", outer_valid=None)], "response 0 needs a string 'text'"),
+    ):
+        path.write_text(_cache_line(responses=responses) + "\n", encoding="utf-8")
+        with pytest.raises(PoolCacheError) as info:
+            read_pool_cache(path)
+        assert want in str(info.value)
+
+
 @pytest.mark.parametrize(
     "flag, stored",
     [("outer_valid", False), ("task_valid", False), ("outer_valid", "yes")],

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import oracles
 from conftest import mk_mcq
 from mskd.metrics import DEFAULT_METRICS, quality_score
 from mskd.policy import nucleus
@@ -480,3 +481,148 @@ def test_rows_that_stop_for_different_reasons_share_one_walk():
         if targets[0] == 0.5:
             assert fresh.length[0] == BISECT_STEPS and 0 < fresh.length[1] < BISECT_STEPS
     assert conc[2] not in (-400.0, 400.0)
+
+
+# --- the probs the record keeps ------------------------------------------------
+
+
+def _assert_probs_kept(paths, conc):
+    """The record's probs are sampling_probs at the returned concentrations,
+    bit for bit, and share no memory with them."""
+    conc = np.atleast_1d(conc)
+    assert paths.conc.tobytes() == conc.tobytes() and not np.shares_memory(paths.conc, conc)
+    assert paths.probs.tobytes() == sampling_probs(paths.scores, conc, *paths.settings).tobytes()
+
+
+def _row_classes(before, paths, targets, conc):
+    """How each row of one call got its result, from the record before it
+    (``_record``-like copies and the previous conc) and after it."""
+    nodes, below, length, old_conc = before
+    classes = []
+    for i, (t, c) in enumerate(zip(targets, conc)):
+        n = paths.length[i]
+        if t <= paths.mean_lo[i] or t >= paths.mean_hi[i]:
+            classes.append("clipped")
+        elif n == length[i] and (paths.below[i] == below[i]).all() and (paths.nodes[i] == nodes[i]).all():
+            classes.append("kept after a clip" if old_conc[i] in (-400.0, 400.0) else "kept")
+        elif paths.nodes[i, n - 1] == c:
+            classes.append("stopped")  # the last step's mid is the result
+        else:
+            assert n == BISECT_STEPS
+            classes.append("capped")
+    return classes
+
+
+def _call_and_classify(paths, targets, temperature, top_p):
+    before = (paths.nodes.copy(), paths.below.copy(), paths.length.copy(), paths.conc.copy())
+    conc = calibrate_concentration(paths.scores, targets, temperature, top_p, paths=paths)
+    _assert_probs_kept(paths, conc)
+    return _row_classes(before, paths, targets, conc), conc
+
+
+def test_record_probs_in_every_row_class():
+    # rows 0 and 2 walk to the step cap at target 0.5 and 0.45 (the expected
+    # score at their root), row 1 stops when its bracket stops moving; row 2
+    # is then clipped at either end and resumes its stored path without a
+    # flip, so the probs it held were an edge's and the call evaluates them
+    scores = np.array([[0.0, 1.0], [0.2, 0.9], [0.3, 0.6]])
+    paths = BisectionPaths(scores, 1.0, 1.0)
+    seen = []
+    for targets in ([0.5, 0.7, 0.45], [0.5, 0.7, 2.0], [0.6, 0.7, 0.45], [0.5, 0.8, -1.0],
+                    [0.5, 0.8, 0.45], [np.nextafter(0.5, 0.0), 0.4, 0.45]):
+        classes, conc = _call_and_classify(paths, np.array(targets), 1.0, 1.0)
+        _assert_matches_oracle(scores, targets, 1.0, 1.0, conc)
+        seen.append(classes)
+    assert seen == [
+        ["capped", "stopped", "capped"],
+        ["kept", "kept", "clipped"],
+        ["stopped", "kept", "kept after a clip"],
+        ["capped", "stopped", "clipped"],
+        ["kept", "kept", "kept after a clip"],
+        ["capped", "stopped", "kept"],
+    ]
+    # a flip always moves the bracket: a node equal to an end of its bracket
+    # is the last of its path (a walk that stays put there stops), so a
+    # flipped row walks on and ends "stopped" or "capped", or is cut at the cap
+
+
+def test_record_probs_are_fresh_arrays_the_caller_may_not_alias():
+    scores = np.array([[0.0, 1.0, 0.5], [0.2, 0.4, 0.9]])
+    paths = BisectionPaths(scores)
+    conc = calibrate_concentration(scores, np.array([0.5, 0.6]), paths=paths)
+    kept = paths.probs.copy()
+    conc[:] = 0.0  # the returned array is the caller's
+    again = calibrate_concentration(scores, np.array([0.5, 0.6]), paths=paths)
+    assert paths.probs.tobytes() == kept.tobytes()
+    _assert_probs_kept(paths, again)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_resume_case(), _TEMPERATURE, _TOP_P)
+def test_record_probs_match_sampling_probs_after_every_call(case, temperature, top_p):
+    scores, targets_seq = case
+    paths = BisectionPaths(scores, temperature, top_p)
+    assert np.isnan(paths.conc).all()
+    for targets in targets_seq:
+        _call_and_classify(paths, targets, temperature, top_p)
+
+
+# --- row-wise retention against the one-example oracle -------------------------
+
+_COUNTS = (0, 1, 7, 8, 9, 127, 128, 129)  # around numpy's pairwise-sum blocks of 8 and 128
+
+
+def _retention_stack(counts, m, tau, rng):
+    """Scores with exactly counts[i] slots >= tau in row i (any count when
+    tau <= 0), at shuffled places, and probs spread over many magnitudes."""
+    n = len(counts)
+    if tau <= 0.0:
+        scores = rng.uniform(-1.0, 1.0, (n, m))
+    else:
+        scores = rng.uniform(0.0, tau, (n, m)) * (rng.random((n, m)) < 0.9)
+        for row, k in zip(scores, counts):
+            row[rng.permutation(m)[:k]] = rng.uniform(tau, 1.0, k) if rng.random() < 0.7 else tau
+    probs = rng.random((n, m)) * 10.0 ** rng.integers(-12, 1, (n, m))
+    probs[rng.random((n, m)) < 0.1] = 0.0
+    probs[probs.sum(axis=1) == 0.0, 0] = 1.0
+    return scores, probs / probs.sum(axis=1, keepdims=True)
+
+
+def _assert_rows_match_oracle(scores, probs, tau, rates):
+    got = retention_probability(scores, probs, tau, rates)
+    assert got.shape == (len(scores),)
+    for i in range(len(scores)):
+        want = oracles.retention_probability(scores[i], probs[i], tau, float(rates[i]))
+        assert np.float64(got[i]).tobytes() == np.float64(want).tobytes()
+        one = retention_probability(scores[i], probs[i], tau, float(rates[i]))
+        assert type(one) is float and np.float64(one).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("tau", [0.3, 0.5, 1.0, 0.0, -0.25])
+def test_row_wise_retention_at_pairwise_block_edges(tau):
+    rng = np.random.default_rng(7)
+    counts = [k for k in _COUNTS for _ in range(3)]
+    rng.shuffle(counts)
+    scores, probs = _retention_stack(counts, 140, tau, rng)
+    if tau > 0.0:
+        assert sorted((scores >= tau).sum(axis=1).tolist()) == sorted(counts)
+    rates = rng.uniform(0.0, 1.0, len(counts))
+    rates[:3] = (0.0, 1.0, 0.1)
+    _assert_rows_match_oracle(scores, probs, tau, rates)
+    # one rate for every row is the same as that rate repeated
+    one_rate = retention_probability(scores, probs, tau, 0.1)
+    assert one_rate.tobytes() == retention_probability(scores, probs, tau, np.full(len(counts), 0.1)).tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.one_of(st.sampled_from(_COUNTS), st.integers(0, 20)), min_size=1, max_size=7),
+    st.integers(0, 12),
+    st.one_of(st.sampled_from([0.0, -0.5, 1.0]), st.floats(0.01, 1.0)),
+    st.integers(0, 2**32 - 1),
+)
+def test_row_wise_retention_matches_per_example_oracle(counts, extra, tau, seed):
+    rng = np.random.default_rng(seed)
+    scores, probs = _retention_stack(counts, max(counts) + extra or 1, tau, rng)
+    rates = rng.uniform(0.0, 1.0, len(counts))
+    _assert_rows_match_oracle(scores, probs, tau, rates)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import mk_binary, mk_mcq, mk_open, mk_temporal
 from mskd import tasks
+from mskd.corpus import CorpusError, payload_from_json
 from mskd.tasks import (
     Binary,
     Number,
@@ -116,6 +117,23 @@ def test_mcq_parse():
     assert not parse_response("<answer>AB</answer>", T.MULTIPLE_CHOICE).task_valid
     assert not parse_response("<answer>7</answer>", T.MULTIPLE_CHOICE).task_valid
     assert not parse_response("<answer></answer>", T.MULTIPLE_CHOICE).task_valid
+
+
+# one character whose str.upper() is ASCII: "ﬆ" -> "ST", "ı" -> "I", "ſ" -> "S";
+# "K" is the Kelvin sign, "Ａ" a fullwidth A
+_NON_ASCII_LETTERS = ["ﬆ", "ı", "ſ", "ﬀ", "\u212a", "\uff21", "é", "ß", "ǅ"]
+
+
+@pytest.mark.parametrize("content", _NON_ASCII_LETTERS)
+def test_mcq_rejects_a_non_ascii_letter(content):
+    # it used to parse "ﬆ" as OptionLetter("ST") with task_valid=True
+    raw = f"<answer>{content}</answer>"
+    got = parse_response(raw, T.MULTIPLE_CHOICE)
+    assert got.outer_valid and not got.task_valid and got.payload is None
+    assert oracles.parse_response(raw, T.MULTIPLE_CHOICE) == got
+    # the rule a response corpus applies to a ground-truth letter
+    with pytest.raises(CorpusError, match="bad payload value"):
+        payload_from_json(content, T.MULTIPLE_CHOICE)
 
 
 def test_binary_parse():
