@@ -9,10 +9,10 @@ keys are checked against the ones each command understands.  Each block
 is handed to the type it configures (TrainConfig, MetricConfig,
 RewardWeights, make_closed_benchmark, make_open_benchmark), and passk's
 top-level k_values, temperature, top_p and success_threshold to the check
-pass_at_k_eval runs, and train's examples and cached pools to the rule of
-run_pipeline's inputs (train._check_inputs); these reject what they do not
-accept, and the CLI only turns those errors into exit code 2.
-Unreadable input files exit 2 as well.
+pass_at_k_eval runs, and train's examples and cached pools to run_pipeline
+(train.InputError); these reject what they do not accept, and the CLI only
+turns those errors into exit code 2.  Unreadable input files exit 2 as
+well, and so does an --out that cannot be written, before any work.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 degenerate data
 (empty corpus, nothing survives filtering, empty report).
@@ -59,7 +59,7 @@ from mskd.pool import (
     write_pool_cache,
 )
 from mskd.rewards import RewardWeights
-from mskd.train import TrainConfig, _check_inputs, _passk_settings, pass_at_k_eval, run_pipeline
+from mskd.train import InputError, TrainConfig, _passk_settings, pass_at_k_eval, run_pipeline
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -229,10 +229,6 @@ def cmd_train(args) -> int:
         raise ConfigError("a benchmark block configures the synthetic benchmark, which --examples replaces")
     bench_block = cfg.pop("benchmark", {})
     tc = _train_config(cfg, args.seed)
-    out = Path(args.out)
-    blocker = next(p for p in (out, *out.parents) if p.exists())
-    if not blocker.is_dir():
-        raise ConfigError(f"--out {out}: {blocker} exists and is not a directory")
     if args.examples is not None:
         examples = read_examples(args.examples)
         if not examples:
@@ -241,10 +237,9 @@ def cmd_train(args) -> int:
         # a cache may hold pools of other examples; run_pipeline takes one per example
         pools = {ex.id: cache[ex.id] for ex in examples if ex.id in cache}
         try:
-            _check_inputs(examples, tc, pools=pools)
-        except ValueError as exc:
+            artifacts = run_pipeline(examples, tc, pools=pools)
+        except InputError as exc:
             raise ConfigError(f"pool cache: {exc}") from exc
-        artifacts = run_pipeline(examples, tc, pools=pools)
     else:
         bench = _build(make_closed_benchmark, bench_block, "benchmark config")
         artifacts = run_pipeline(bench.examples, tc, teacher=bench.teacher)
@@ -399,10 +394,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(args) -> None:
+    """--out's rule, run before any command's work: train's output directory
+    may be missing, but its nearest existing ancestor must be a directory; a
+    report or pool cache must be a file in an existing directory."""
+    out = Path(args.out)
+    if args.func is cmd_train:
+        blocker = next(p for p in (out, *out.parents) if p.exists())
+        if not blocker.is_dir():
+            raise ConfigError(f"--out {out}: {blocker} exists and is not a directory")
+    elif out.is_dir() or not out.parent.is_dir():
+        raise ConfigError(f"--out {out} must name a file in an existing directory")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -23,6 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
+from mskd.metrics import _is_int
+
 _LEN_SCALE = 512.0
 # init_params draws every weight from N(0, _INIT_SCALE^2).
 _INIT_SCALE = 0.1
@@ -285,6 +287,10 @@ def load_params(path: str | Path) -> DiscriminatorParams:
             arrays += [np.array(obj["hidden_w"], dtype=float), np.array(obj["hidden_b"], dtype=float)]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed checkpoint: {exc!r}") from exc
+    if not (_is_int(feature_dim) and _is_int(hidden_dim)):
+        raise ValueError(f"{path}: layout sizes must be integers, got {layout}")
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError(f"{path}: checkpoint weights must be finite numbers")
     if isinstance(bias, bool) or bias != 0.0:
         raise ValueError(f"{path}: bias must be 0.0, the scorer has no bias term; got {bias!r}")
     if hidden_dim == 0:

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from mskd.analysis import QUANTILES, STATS, VarianceReport
-from mskd.metrics import _check_numbers, _is_finite, temporal_iou
+from mskd.metrics import MetricConfig, _check_numbers, _is_finite, temporal_iou
 from mskd.pool import MatchingDistribution, TeacherPool
 from mskd.synthetic import BisectionPaths, SyntheticTeacher, calibrate_concentration, retention_probability
 from mskd.tasks import (
@@ -102,26 +102,28 @@ def _calibration_paths(
 
 
 def _calibrate(
-    examples: list[SupervisionExample],
-    groups: list[tuple[list[int], BisectionPaths]],
-    targets: np.ndarray,
-    temperature: float,
-    top_p: float,
-) -> tuple[dict[str, np.ndarray], dict[str, float]]:
-    """Sampling distributions and concentrations by example id.
+    groups: list[tuple[list[int], BisectionPaths]], targets: np.ndarray, temperature: float, top_p: float
+) -> None:
+    """Calibrate every answer-space group to its rows' targets (one mean
+    quality per example, in example order) in one batch that resumes from
+    the paths its record holds from the previous call; the record then
+    holds each row's concentration and probs (paths.conc, paths.probs)."""
+    for rows, paths in groups:
+        calibrate_concentration(paths.scores, targets[rows], temperature, top_p, paths=paths)
 
-    ``targets`` holds one mean quality per example, in example order.
-    Each answer-space group is bisected in one batch that resumes from the
-    paths its record holds from the previous call; the probs are copies of
-    the rows the record keeps, so no teacher array aliases it.
-    """
+
+def _teacher(
+    examples: list[SupervisionExample], groups: list[tuple[list[int], BisectionPaths]], violations: dict[str, float]
+) -> SyntheticTeacher:
+    """The teacher the records hold after the last _calibrate: each
+    example's concentration and a copy of its probs, so no teacher array
+    aliases a record."""
     probs, concs = [None] * len(examples), [None] * len(examples)
     for rows, paths in groups:
-        c = calibrate_concentration(paths.scores, targets[rows], temperature, top_p, paths=paths)
-        for j, cj, pj in zip(rows, c.tolist(), paths.probs.copy()):
+        for j, cj, pj in zip(rows, paths.conc.tolist(), paths.probs.copy()):
             concs[j], probs[j] = cj, pj
     ids = [ex.id for ex in examples]
-    return dict(zip(ids, probs)), dict(zip(ids, concs))
+    return SyntheticTeacher(dict(zip(ids, probs)), violations, dict(zip(ids, concs)))
 
 
 def make_closed_benchmark(
@@ -143,7 +145,9 @@ def make_closed_benchmark(
     Per-question target quality is mu0 + spread * z_i (clipped); when
     retention_target is set, mu0 is bisected so the exact probability that
     a teacher sample clears retention_tau equals the target, otherwise
-    mu_center is used directly.
+    mu_center is used directly.  Each step calibrates the records
+    (_calibrate) and reads its retention off them; the teacher is read off
+    them once, after the last step (_teacher).
     """
     _check_benchmark_args(
         {"n_mcq": n_mcq, "n_temporal": n_temporal},
@@ -197,36 +201,32 @@ def make_closed_benchmark(
     groups = _calibration_paths(examples, slot_scores, temperature, top_p)
     rates = np.array([violations[ex.id] for ex in examples])
 
-    def build_at(mu0: float):
+    def build_at(mu0: float) -> tuple[np.ndarray, float]:  # calibrated at mu0: the targets, their exact retention
         mus = np.clip(mu0 + spread * z, 0.05, 0.98)
-        return mus, *_calibrate(examples, groups, mus, temperature, top_p)
-
-    def retention_at() -> float:  # of the last build, from each group's record
+        _calibrate(groups, mus, temperature, top_p)
         vals = np.empty(len(examples))
         for rows, paths in groups:
             vals[rows] = retention_probability(paths.scores, paths.probs, retention_tau, rates[rows])
-        return float(np.mean(vals))
+        return mus, float(np.mean(vals))
 
     if retention_target is None:
-        mus, probs, concs = build_at(mu_center)
+        mus, retention = build_at(mu_center)
     else:
         lo, hi = 0.05, 0.98
         for _ in range(40):
             mid = 0.5 * (lo + hi)
-            mus, probs, concs = build_at(mid)
-            lo, hi = (mid, hi) if retention_at() < retention_target else (lo, mid)
-        mus, probs, concs = build_at(0.5 * (lo + hi))
+            lo, hi = (mid, hi) if build_at(mid)[1] < retention_target else (lo, mid)
+        mus, retention = build_at(0.5 * (lo + hi))
 
-    teacher = SyntheticTeacher(probs=probs, violation_rate=violations, concentration=concs)
     meta = {
         "seed": seed,
         "spread": spread,
         "retention_target": retention_target,
         "retention_tau": retention_tau,
-        "exact_retention": retention_at(),
+        "exact_retention": retention,
         "realized_mu_std": float(np.std(mus)),
     }
-    return Benchmark(examples, teacher, slot_scores, meta)
+    return Benchmark(examples, _teacher(examples, groups, violations), slot_scores, meta)
 
 
 def make_open_benchmark(
@@ -240,7 +240,8 @@ def make_open_benchmark(
     top_p: float = 0.9,
 ) -> Benchmark:
     """Open-ended benchmark: each answer slot carries a latent rating that
-    no surface scorer can see; the teacher favors well-rated slots."""
+    no surface scorer can see; the teacher, calibrated once (_calibrate,
+    then _teacher), favors well-rated slots."""
     _check_benchmark_args(
         {"n_examples": n_examples},
         temperature,
@@ -266,10 +267,9 @@ def make_open_benchmark(
         violations[ex.id] = violation
         mu_list.append(np.clip(mu_center + spread * rng.standard_normal(), 0.15, 0.9))
     groups = _calibration_paths(examples, slot_scores, temperature, top_p)
-    probs, concs = _calibrate(examples, groups, np.array(mu_list), temperature, top_p)
-    teacher = SyntheticTeacher(probs, violations, concs)
+    _calibrate(groups, np.array(mu_list), temperature, top_p)
     meta = {"seed": seed, "spread": spread, "space_size": space_size}
-    return Benchmark(examples, teacher, slot_scores, meta)
+    return Benchmark(examples, _teacher(examples, groups, violations), slot_scores, meta)
 
 
 # --- ablation ---------------------------------------------------------------
@@ -338,6 +338,8 @@ def paired_permutation_pvalue(x: np.ndarray, y: np.ndarray) -> float:
     either sum.  At most MAX_PERMUTATION_PAIRS pairs.
     """
     d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    if not np.isfinite(d).all():
+        raise ValueError(f"paired differences must be finite numbers, got {d.tolist()}")
     if d.size < 2:
         raise ValueError("need at least 2 pairs")
     if d.size > MAX_PERMUTATION_PAIRS:
@@ -369,6 +371,15 @@ def ablation_cells(
     return {label: [replace(setting_config(label, cfg_base), seed=s) for s in seeds] for label in settings}
 
 
+def _accuracy_plan(benchmark: Benchmark | None, metric: MetricConfig) -> Plan:
+    """The plan of benchmark, the default closed one if None; accuracy is
+    read on closed-ended examples, so a benchmark without one raises ValueError."""
+    bench = benchmark if benchmark is not None else make_closed_benchmark()
+    if bench.examples and not any(ex.task.is_closed for ex in bench.examples):  # none is Plan's error
+        raise ValueError("accuracy needs a closed-ended example, and the benchmark has none")
+    return Plan(bench.examples, metric, bench.teacher)
+
+
 def run_ablation(
     cfg_base: TrainConfig,
     settings: tuple[str, ...] = ABLATION_LABELS,
@@ -382,8 +393,7 @@ def run_ablation(
     """
     # every cell's config first, so a bad label or seed fails before any training
     cells = ablation_cells(settings, seeds, cfg_base)
-    bench = benchmark if benchmark is not None else make_closed_benchmark()
-    plan = Plan(bench.examples, cfg_base.metric, bench.teacher)
+    plan = _accuracy_plan(benchmark, cfg_base.metric)
     artifacts = {label: [plan.run(cfg) for cfg in cfgs] for label, cfgs in cells.items()}
     by_label = {label: tuple(art.final_accuracy for art in arts) for label, arts in artifacts.items()}
     results = tuple(
@@ -429,8 +439,7 @@ def run_sensitivity(
     # every cell's config first, so a bad grid value fails before any training
     k_cfgs = [[replace(cfg_base, k=k, seed=s) for s in seeds] for k in k_grid]
     tau_cfgs = [[replace(cfg_base, tau=tau, seed=s) for s in seeds] for tau in tau_grid]
-    bench = benchmark if benchmark is not None else make_closed_benchmark()
-    plan = Plan(bench.examples, cfg_base.metric, bench.teacher)
+    plan = _accuracy_plan(benchmark, cfg_base.metric)
     accuracy: dict[TrainConfig, float | None] = {}
     for cfg in (cfg for cfgs in k_cfgs + tau_cfgs for cfg in cfgs):
         if cfg not in accuracy:
@@ -518,9 +527,8 @@ def run_task_adaptive_check(
     # every cell's config first, so a bad seed fails before any training
     arms = (setting_config("D", cfg_base), setting_config("C", cfg_base), cfg_base)
     cells = [tuple(replace(cfg, seed=s) for cfg in arms) for s in seeds]
-    closed = closed_benchmark if closed_benchmark is not None else make_closed_benchmark()
+    closed_plan = _accuracy_plan(closed_benchmark, cfg_base.metric)
     open_b = open_benchmark if open_benchmark is not None else make_open_benchmark()
-    closed_plan = Plan(closed.examples, cfg_base.metric, closed.teacher)
     open_plan = Plan(open_b.examples, cfg_base.metric, open_b.teacher)
     # the open arms' accuracy: the mean latent rating under the policy
     latent = score_groups(open_b.examples, [open_b.slot_scores[ex.id] for ex in open_b.examples])

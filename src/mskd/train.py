@@ -587,30 +587,34 @@ def make_pools(stacks: TeacherStacks, cfg: TrainConfig) -> dict[str, TeacherPool
     return {ex.id: build_pool(ex, r, cfg.metric) for ex, r in zip(examples, raws)}
 
 
+class InputError(ValueError):
+    """What the rule of run_pipeline's inputs (_check_examples, _check_ids, _check_inputs) rejects."""
+
+
 def _check_ids(name: str, given: dict, examples: list[SupervisionExample], every: bool = False) -> None:
     """The rule of run_pipeline's id-keyed inputs: every key of given names
-    an example, and with every set each example has a key; else ValueError
+    an example, and with every set each example has a key; else InputError
     naming the ids."""
     missing = [ex.id for ex in examples if ex.id not in given] if every else []
     unknown = sorted(set(given) - {ex.id for ex in examples})
     problems = [f"{name} miss examples: {missing}"] if missing else []
     problems += [f"{name} name no example: {unknown}"] if unknown else []
     if problems:
-        raise ValueError("; ".join(problems))
+        raise InputError("; ".join(problems))
 
 
 def _check_examples(examples: list[SupervisionExample]) -> None:
     """The examples rule of _check_inputs and Plan: non-empty, every
     id once (pools, caches and logits are keyed by id) and each with a
-    non-empty answer space; else ValueError naming the example."""
+    non-empty answer space; else InputError naming the example."""
     if not examples:
-        raise ValueError("no examples to train on")
+        raise InputError("no examples to train on")
     seen: set[str] = set()
     for ex in examples:
         if ex.id in seen:
-            raise ValueError(f"duplicate example id {ex.id!r}")
+            raise InputError(f"duplicate example id {ex.id!r}")
         if not ex.answer_space:  # None or ()
-            raise ValueError(f"example {ex.id}: training needs an enumerated answer_space of at least one slot")
+            raise InputError(f"example {ex.id}: training needs an enumerated answer_space of at least one slot")
         seen.add(ex.id)
 
 
@@ -629,20 +633,20 @@ def _check_inputs(
     above cfg.tau (a quality the filter zeroed cannot be restored); and,
     keyed by example ids, SFT targets that are int slots of their answer
     space (a bool is not one) and distributions of cfg.k probabilities, one
-    per pool response.  Anything else raises ValueError naming the input."""
+    per pool response.  Anything else raises InputError naming the input."""
     _check_examples(examples)
     if pools is not None:
         _check_ids("pools", pools, examples, every=True)
         for ex in examples:
             pool = pools[ex.id]
             if pool.task is not ex.task:
-                raise ValueError(f"pools[{ex.id!r}] is for task {pool.task.value}, not {ex.task.value}")
+                raise InputError(f"pools[{ex.id!r}] is for task {pool.task.value}, not {ex.task.value}")
             if pool.example_id != ex.id:
-                raise ValueError(f"pools[{ex.id!r}] is the pool of example {pool.example_id!r}")
+                raise InputError(f"pools[{ex.id!r}] is the pool of example {pool.example_id!r}")
             if pool.k != cfg.k:
-                raise ValueError(f"pools[{ex.id!r}] has {pool.k} responses, train config k is {cfg.k}")
+                raise InputError(f"pools[{ex.id!r}] has {pool.k} responses, train config k is {cfg.k}")
             if pool.tau_applied is not None and pool.tau_applied > cfg.tau:
-                raise ValueError(
+                raise InputError(
                     f"pools[{ex.id!r}] filtered at tau {pool.tau_applied}, above the train config "
                     f"tau {cfg.tau}; qualities it zeroed cannot be restored"
                 )
@@ -653,18 +657,18 @@ def _check_inputs(
     for k, slot in sft_targets.items():
         size = len(by_id[k].answer_space)
         if not (_is_int(slot) and 0 <= slot < size):
-            raise ValueError(f"sft_targets[{k!r}] must be an int slot in [0, {size}), got {slot!r}")
+            raise InputError(f"sft_targets[{k!r}] must be an int slot in [0, {size}), got {slot!r}")
     for k, dist in match_overrides.items():
         if len(dist.probs) != cfg.k:
-            raise ValueError(f"match_overrides[{k!r}] has {len(dist.probs)} probabilities for a pool of {cfg.k}")
+            raise InputError(f"match_overrides[{k!r}] has {len(dist.probs)} probabilities for a pool of {cfg.k}")
 
 
 class Plan:
     """What every training cell on examples shares: the featurizer, the
     build_caches rows under metric, the student's layout and each (seed,
     k)'s make_pools draw and the teacher's stacks it draws from, made on
-    first use.  Examples that _check_examples rejects raise ValueError
-    before anything is built, as does a cell under another metric.  The
+    first use.  Examples that _check_examples rejects raise InputError
+    before anything is built, a cell under another metric ValueError.  The
     slot rows are one (total_slots, dim) matrix, slot_rows, in example
     order, example i's from row starts[i].  The layout holds each
     answer-space size's example indices in score_groups order, one logits

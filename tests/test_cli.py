@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from conftest import mk_mcq, mk_open
+import mskd.cli
+import mskd.train
 from mskd.cli import _train_config, main
 from mskd.corpus import ResponseRow, payload_from_json, write_examples, write_responses
 from mskd.pool import read_pool_cache
@@ -942,3 +944,48 @@ def test_unreadable_input_exits_two(corpus, tmp_path, capsys, monkeypatch, case)
     err = capsys.readouterr().err
     assert err.startswith(("input error: ", "config error: ")) and str(named) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "pool build", "ablate", "sweep", "adaptive", "passk"])
+@pytest.mark.parametrize("where", ["under_a_missing_directory", "an_existing_directory"])
+def test_bad_report_out_exits_two_before_any_work(corpus, tmp_path, capsys, monkeypatch, command, where):
+    # each found a bad --out only when it wrote, after all its work
+    ex_path, resp_path = corpus
+    out = tmp_path / "missing" / "r.csv" if where == "under_a_missing_directory" else tmp_path
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked before checking --out")
+
+    for name in ("make_closed_benchmark", "run_pipeline", "read_examples"):
+        monkeypatch.setattr(f"mskd.cli.{name}", no_work)
+    inputs = {
+        "analyze": ["--examples", str(ex_path), "--responses", str(resp_path)],
+        "pool build": ["--examples", str(ex_path), "--responses", str(resp_path), "--k", "3", "--tau", "0.3"],
+    }
+    assert main([*command.split(), *inputs.get(command, []), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: --out {out} must name a file in an existing directory\n"
+    assert not (tmp_path / "missing").exists()
+
+
+def test_train_pool_cache_checks_its_inputs_once(corpus, tmp_path, monkeypatch):
+    # the CLI hands the examples and pools to run_pipeline, whose cell states the one check
+    ex_path, resp_path = corpus
+    cache = tmp_path / "pools.jsonl"
+    assert main(
+        ["pool", "build", "--examples", str(ex_path), "--responses", str(resp_path),
+         "--k", "3", "--tau", "0.3", "--out", str(cache)]
+    ) == 0
+    calls, real = [], mskd.train._check_inputs
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (mskd.train, mskd.cli):  # a CLI that imports the rule by name calls it too
+        monkeypatch.setattr(module, "_check_inputs", spy, raising=False)
+    cfg = write_cfg(tmp_path, "t.json", dict(TINY_TRAIN, k=3, tau=0.3))
+    argv = ["train", "--config", cfg, "--examples", str(ex_path), "--pool-cache", str(cache),
+            "--out", str(tmp_path / "run")]
+    assert main(argv) == 0
+    assert len(calls) == 1

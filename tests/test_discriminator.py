@@ -352,6 +352,10 @@ BAD_CHECKPOINTS = {
     "hidden_b_shape": _mutated(HIDDEN, {"hidden_b": [0.0, 0.0]}),
     "nonzero_bias": _mutated(LINEAR, {"bias": 0.5}),
     "bias_not_a_number": _mutated(LINEAR, {"bias": "0"}),
+    "nan_weights": _mutated(LINEAR, {"weights": [float("nan"), 1.0]}),
+    "infinite_hidden_w": _mutated(HIDDEN, {"hidden_w": [[1.0, float("inf")]]}),
+    "bool_hidden_dim": _mutated(HIDDEN, {"layout": {"feature_dim": 2, "hidden_dim": True}}),
+    "float_feature_dim": _mutated(LINEAR, {"layout": {"feature_dim": 2.0, "hidden_dim": 0}}),
 }
 
 

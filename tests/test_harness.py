@@ -115,8 +115,8 @@ def test_retention_monotone_and_total_at_zero():
     ],
 )
 def test_calibrate_calls_sampling_probs_zero_times(monkeypatch, build, kw, n_calls):
-    # _calibrate copies the probs each bisection record keeps: nothing under
-    # it evaluates a calibrated row again, and no teacher array aliases them
+    # nothing under _calibrate evaluates a calibrated row again, and _teacher
+    # copies the probs each bisection record keeps, so no teacher array aliases them
     real_paths, real_calibrate = harness._calibration_paths, harness._calibrate
     calls, groups, calibrations = [], [], []
 
@@ -234,6 +234,35 @@ def test_permutation_pvalue_behaviour():
     assert paired_permutation_pvalue(np.linspace(0.6, 0.7, 20), np.full(20, 0.5)) == 2.0**-19
     with pytest.raises(ValueError):
         paired_permutation_pvalue(np.array([1.0]), np.array([0.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, None], ids=["nan", "inf", "minus_inf", "none"])
+def test_permutation_pvalue_rejects_non_finite_accuracies(bad):
+    # a NaN difference gave a p-value of 2.0 and an infinite one 1.0
+    with pytest.raises(ValueError, match="paired differences must be finite numbers"):
+        paired_permutation_pvalue(np.array([0.5, bad, 0.7], dtype=float), np.full(3, 0.5))
+
+
+@pytest.mark.parametrize("run", [run_ablation, run_sensitivity, run_task_adaptive_check])
+def test_accuracy_harnesses_reject_a_benchmark_without_closed_examples(monkeypatch, run):
+    # their accuracies were None: ablation's p-value read 2.0, and the sweep
+    # and the adaptive check trained every cell before numpy's mean raised TypeError
+    bench = make_open_benchmark(n_examples=3, space_size=4)
+    no_training(monkeypatch)
+    slot = "closed_benchmark" if run is run_task_adaptive_check else "benchmark"
+    with pytest.raises(ValueError, match="accuracy needs a closed-ended example"):
+        run(tiny_cfg(), seeds=(0, 1), **{slot: bench})
+
+
+def test_closed_benchmark_assembles_its_teacher_once(monkeypatch):
+    # 41 calibrations of the outer bisection, one teacher read off the records
+    teachers, calibrations = [], []
+    real_teacher, real_calibrate = harness.SyntheticTeacher, harness._calibrate
+    monkeypatch.setattr(harness, "SyntheticTeacher", lambda *a: teachers.append(1) or real_teacher(*a))
+    monkeypatch.setattr(harness, "_calibrate", lambda *a: calibrations.append(1) or real_calibrate(*a))
+    bench = make_closed_benchmark()
+    assert len(calibrations) == 41 and len(teachers) == 1
+    assert isinstance(bench.teacher, real_teacher)
 
 
 def test_permutation_pvalue_caps_the_pair_count():

@@ -1,7 +1,11 @@
-"""The README's library quickstart runs as written."""
+"""The README's library quickstart runs as written, and its command table
+names what the parser defines."""
 
+import argparse
 import re
 from pathlib import Path
+
+from mskd.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -21,3 +25,26 @@ def test_readme_quickstart_runs(capsys):
     assert 0.0 <= float(capsys.readouterr().out) <= 1.0
     assert [k for k, _ in scope["curve"]] == [1, 4, 16, 64]
     assert abs(sum(scope["dist"].probs) - 1.0) < 1e-12
+
+
+def parser_flags(parser: argparse.ArgumentParser, prefix: str = "") -> dict[str, set[str]]:
+    """Each subcommand's flags ("pool build" for a nested one), without --help."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {prefix: {s for a in parser._actions for s in a.option_strings if s not in ("-h", "--help")}}
+    return {
+        name: flags
+        for sub in subs
+        for command, p in sub.choices.items()
+        for name, flags in parser_flags(p, f"{prefix} {command}".strip()).items()
+    }
+
+
+def test_readme_command_table_matches_the_parser():
+    section = README.read_text(encoding="utf-8").split("## Command line\n", 1)[1].split("\n## ", 1)[0]
+    table = {
+        name: set(re.findall(r"--[a-z-]+", flags))
+        for names, flags in re.findall(r"^\| (`.*?) \| (.*) \|$", section, re.MULTILINE)
+        for name in re.findall(r"`([a-z ]+)`", names)
+    }
+    assert len(table) == 7 and table == parser_flags(build_parser())

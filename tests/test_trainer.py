@@ -388,6 +388,13 @@ def test_run_pipeline_checks_its_inputs_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_input_errors_are_value_errors():
+    # mskd train maps InputError alone to exit 2; library callers still catch ValueError
+    assert issubclass(mskd.train.InputError, ValueError)
+    with pytest.raises(mskd.train.InputError, match="^no examples to train on$"):
+        run_pipeline([], small_cfg())
+
+
 def test_run_pipeline_rejects_an_empty_answer_space(monkeypatch):
     # Plan's featurizer took the max over no slots and raised a numpy error
     monkeypatch.setattr(mskd.train, "build_caches", _pools_forbidden)
