@@ -60,10 +60,8 @@ from mskd.metrics import (
     temporal_iou,
 )
 from mskd.pool import (
-    DegeneratePoolError,
     InvalidPoolError,
     MatchingDistribution,
-    NoValidTargetError,
     PoolCacheError,
     TeacherPool,
     apply_filter,
@@ -117,7 +115,6 @@ __all__ = [
     "CorpusError",
     "DEFAULT_METRICS",
     "DEFAULT_WEIGHTS",
-    "DegeneratePoolError",
     "DiscriminatorParams",
     "EmptyReportError",
     "Featurizer",
@@ -126,7 +123,6 @@ __all__ = [
     "InvalidWeightsError",
     "MatchingDistribution",
     "MetricConfig",
-    "NoValidTargetError",
     "Number",
     "OptionLetter",
     "ParsedResponse",

@@ -14,8 +14,11 @@ pass_at_k_eval runs, and train's examples and cached pools to run_pipeline
 turns those errors into exit code 2.  Unreadable input files exit 2 as
 well, and so does an --out that cannot be written, before any work.
 
-Exit codes: 0 success, 2 configuration/usage error, 3 degenerate data
-(empty corpus, nothing survives filtering, empty report).
+Exit codes: 0 success, 2 configuration/usage error, 3 degenerate data:
+analyze without teacher rows, pool build where no example has a teacher
+row, train with an empty examples file, and train with nothing to learn
+(after filtering no example has an SFT target, nor, when Stage 2 runs, a
+teacher match); train then writes no artifacts.
 """
 
 from __future__ import annotations
@@ -49,15 +52,7 @@ from mskd.harness import (
     setting_config,
 )
 from mskd.metrics import MetricConfig, _is_finite, _is_int
-from mskd.pool import (
-    DegeneratePoolError,
-    InvalidPoolError,
-    NoValidTargetError,
-    apply_filter,
-    build_pool,
-    read_pool_cache,
-    write_pool_cache,
-)
+from mskd.pool import InvalidPoolError, apply_filter, build_pool, read_pool_cache, write_pool_cache
 from mskd.rewards import RewardWeights
 from mskd.train import InputError, TrainConfig, _passk_settings, pass_at_k_eval, run_pipeline
 
@@ -242,7 +237,11 @@ def cmd_train(args) -> int:
             raise ConfigError(f"pool cache: {exc}") from exc
     else:
         bench = _build(make_closed_benchmark, bench_block, "benchmark config")
-        artifacts = run_pipeline(bench.examples, tc, teacher=bench.teacher)
+        examples = bench.examples
+        artifacts = run_pipeline(examples, tc, teacher=bench.teacher)
+    n = len(examples)
+    if len(artifacts.skipped_sft) == n and (tc.epochs_stage2 == 0 or len(artifacts.skipped_rl) == n):
+        raise DegenerateDataError("nothing to learn: no example has an SFT target, and Stage 2 has no teacher match")
     artifacts.save(args.out)
     acc = artifacts.final_accuracy
     print(f"trained: final_accuracy={'n/a' if acc is None else repr(acc)}")
@@ -419,13 +418,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CorpusError, OSError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (
-        DegenerateDataError,
-        DegeneratePoolError,
-        InvalidPoolError,
-        NoValidTargetError,
-        EmptyReportError,
-    ) as exc:
+    except (DegenerateDataError, InvalidPoolError, EmptyReportError) as exc:
         print(f"degenerate data: {exc}", file=sys.stderr)
         return EXIT_DATA
 

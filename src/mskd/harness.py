@@ -335,9 +335,13 @@ def paired_permutation_pvalue(x: np.ndarray, y: np.ndarray) -> float:
     Sums that equal in exact arithmetic (a pattern and its mirror, tied or
     zero differences) may round apart, so a sum counts when it reaches the
     observed one less 2n ulps of sum(|d|), a bound on the rounding error of
-    either sum.  At most MAX_PERMUTATION_PAIRS pairs.
+    either sum.  x and y are 1-D arrays of one length; at most
+    MAX_PERMUTATION_PAIRS pairs.
     """
-    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ValueError(f"x and y must be 1-D arrays of one length, got shapes {x.shape} and {y.shape}")
+    d = x - y
     if not np.isfinite(d).all():
         raise ValueError(f"paired differences must be finite numbers, got {d.tolist()}")
     if d.size < 2:

@@ -29,14 +29,6 @@ class PoolCacheError(CorpusError):
     """A pool-cache line is not a pool record; names the file and line."""
 
 
-class DegeneratePoolError(ValueError):
-    """All matching mass vanished; skip this example for pairing."""
-
-
-class NoValidTargetError(ValueError):
-    """No response qualifies as an SFT target; exclude the example."""
-
-
 @dataclass(frozen=True, slots=True)
 class TeacherPool:
     """K parsed teacher responses for one example.
@@ -97,13 +89,16 @@ def apply_filter(pool: TeacherPool, tau: float) -> TeacherPool:
     return TeacherPool(pool.example_id, pool.task, pool.responses, effective, tau)
 
 
-def matching_distribution(pool: TeacherPool, mode: str = "quality") -> MatchingDistribution:
-    """Derive pairing probabilities over pool indices.
+def matching_distribution(pool: TeacherPool, mode: str = "quality") -> MatchingDistribution | None:
+    """Derive pairing probabilities over pool indices, or None when no
+    response can be matched.
 
     mode="quality": p_k proportional to (filtered) quality — the adaptive
-    strategy for closed-ended pools.  mode="uniform": equal mass over the
-    unfiltered support; before any filter pass (or at tau=0) that means all
-    K responses, valid or not.  Open-ended pools are always uniform over K.
+    strategy for closed-ended pools; None when every quality is zero.
+    mode="uniform": equal mass over the unfiltered support; before any
+    filter pass (or at tau=0) that means all K responses, valid or not,
+    and None when a filter pass kept nothing.  Open-ended pools are always
+    uniform over K.
     """
     if mode not in ("quality", "uniform"):
         raise ValueError(f"unknown matching mode {mode!r}")
@@ -115,12 +110,12 @@ def matching_distribution(pool: TeacherPool, mode: str = "quality") -> MatchingD
             return MatchingDistribution(tuple([1.0 / k] * k))
         kept = {i for i, q in enumerate(pool.qualities) if q > 0.0}
         if not kept:
-            raise DegeneratePoolError(f"pool {pool.example_id}: no responses survive the filter")
+            return None
         p = 1.0 / len(kept)
         return MatchingDistribution(tuple(p if i in kept else 0.0 for i in range(k)))
     total = sum(pool.qualities)
     if total <= 0.0:
-        raise DegeneratePoolError(f"pool {pool.example_id}: all qualities are zero")
+        return None
     return MatchingDistribution(tuple(q / total for q in pool.qualities))
 
 
@@ -140,12 +135,13 @@ def sample_matches(dists: Sequence[MatchingDistribution], u: np.ndarray) -> np.n
     return _invert_rows(cdf, u.reshape(len(dists), math.prod(u.shape[1:]))).reshape(u.shape)
 
 
-def select_sft_target(pool: TeacherPool, rng: np.random.Generator | None) -> int:
-    """Pick the supervised-fit target index for this pool.
+def select_sft_target(pool: TeacherPool, rng: np.random.Generator | None) -> int | None:
+    """Pick the supervised-fit target index for this pool, or None when it
+    has no usable target.
 
-    Closed-ended: argmax quality, lowest index on ties; all-zero pools have
-    no usable target and raise.  Open-ended: a uniform draw from rng, which
-    only an open-ended pool reads.
+    Closed-ended: argmax quality, lowest index on ties; None when every
+    quality is zero.  Open-ended: a uniform draw from rng, which only an
+    open-ended pool reads.
     """
     if pool.k == 0:
         raise InvalidPoolError(f"pool {pool.example_id}: empty")
@@ -153,7 +149,7 @@ def select_sft_target(pool: TeacherPool, rng: np.random.Generator | None) -> int
         return int(rng.integers(pool.k))
     best = max(pool.qualities)
     if best <= 0.0:
-        raise NoValidTargetError(f"pool {pool.example_id}: no response with positive quality")
+        return None
     return pool.qualities.index(best)
 
 

@@ -69,9 +69,7 @@ from mskd.discriminator import (
 from mskd.metrics import DEFAULT_METRICS, MetricConfig, _check_numbers, _is_finite, _is_int, quality_score
 from mskd.policy import _invert_rows, checked_cdf, kl_gradient_logits, nucleus, softmax
 from mskd.pool import (
-    DegeneratePoolError,
     MatchingDistribution,
-    NoValidTargetError,
     TeacherPool,
     apply_filter,
     build_pool,
@@ -344,10 +342,9 @@ def select_sft_targets(
     targets: dict[str, int] = {}
     for i, ex in enumerate(examples):
         pool = pools[ex.id]
-        try:
-            # only an open-ended pool draws its target, so only it gets a stream
-            pool_idx = select_sft_target(pool, _stream(seed, _S_SFT, i) if pool.qualities is None else None)
-        except NoValidTargetError:
+        # only an open-ended pool draws its target, so only it gets a stream
+        pool_idx = select_sft_target(pool, _stream(seed, _S_SFT, i) if pool.qualities is None else None)
+        if pool_idx is None:
             continue
         slot = ex.slot_of(pool.responses[pool_idx].payload)
         if slot is not None:
@@ -365,15 +362,6 @@ def _sft_epoch(taught: list[tuple], stacks: list[np.ndarray], probs: list[np.nda
         p = probs[g][sel].copy()
         p[np.arange(len(slots)), slots] -= 1.0
         stacks[g][sel] -= lr * p  # grad of NLL is (probs - onehot)
-
-
-def matching_for(pool: TeacherPool, cfg: TrainConfig) -> MatchingDistribution | None:
-    """The pool's matching distribution under cfg; None when no response
-    can be matched."""
-    try:
-        return matching_distribution(pool, cfg.matching)
-    except DegeneratePoolError:
-        return None
 
 
 def rl_step(
@@ -766,7 +754,10 @@ class Plan:
         disc = init_params(featurizer.dim, cfg.hidden_dim, seed=np.random.SeedSequence([cfg.seed, _S_DISC]))
         # every epoch's matched pool rows, drawn in one pass before training
         overrides = match_overrides or {}
-        dists = [overrides[ex.id] if ex.id in overrides else matching_for(pools[ex.id], cfg) for ex in examples]
+        dists = [
+            overrides[ex.id] if ex.id in overrides else matching_distribution(pools[ex.id], cfg.matching)
+            for ex in examples
+        ]
         active = np.array([d is not None for d in dists], dtype=bool)
         at = np.flatnonzero(active)
         matches = sample_matches([dists[i] for i in at], uniforms[:, at, 1].swapaxes(0, 1))
@@ -847,7 +838,8 @@ def pass_at_k_eval(
     A sample succeeds when its slot metric reaches the task's threshold
     (1.0 = exact match).  With f the nucleus mass on an example's failing
     slots, k independent samples all fail with probability f**k, so each
-    rate is the exact mean(1 - f**k), non-decreasing in k.
+    rate is the exact mean(1 - f**k), non-decreasing in k.  The student
+    holds each example's finite logits, one per answer-space slot.
     """
     ks, thr = _passk_settings(k_values, temperature, top_p, success_threshold)
     if not examples:
@@ -856,6 +848,15 @@ def pass_at_k_eval(
     for ex, responses in zip(examples, slot_parses(examples)):
         if not ex.task.is_closed:
             raise ValueError(f"example {ex.id}: pass@k needs a closed-ended success check")
+        if ex.id not in student:
+            raise ValueError(f"example {ex.id}: the student has no logits for it")
+        logits = np.asarray(student[ex.id], dtype=float)
+        if logits.shape != (len(ex.answer_space),):
+            raise ValueError(
+                f"example {ex.id}: {len(ex.answer_space)} answer slots, student logits of shape {logits.shape}"
+            )
+        if not np.isfinite(logits).all():
+            raise ValueError(f"example {ex.id}: student logits must be finite, got {logits.tolist()}")
         t = thr.get(ex.task, 1.0) if isinstance(thr, dict) else thr
         misses.append(np.array([quality_score(r, ex, metric_cfg) < t for r in responses], dtype=float))
     # at most 1, so an example with no successful slot scores exactly 0

@@ -102,17 +102,66 @@ def test_analyze_json_by_suffix(corpus, tmp_path):
     assert blob["schema"] == "variance/v1"
 
 
-def test_analyze_without_teacher_rows_is_data_error(tmp_path):
-    ex = mk_mcq(0)
-    write_examples([ex], tmp_path / "ex.jsonl")
-    write_responses(
-        [ResponseRow(ex.id, "student", 0, "<answer>A</answer>")], tmp_path / "resp.jsonl"
-    )
-    code = main(
-        ["analyze", "--examples", str(tmp_path / "ex.jsonl"),
-         "--responses", str(tmp_path / "resp.jsonl"), "--out", str(tmp_path / "r.csv")]
-    )
-    assert code == 3
+def _degenerate_data(case, tmp_path):
+    """argv of one documented exit-3 case, its inputs written under tmp_path."""
+    examples = [] if case == "train_with_an_empty_examples_file" else [mk_mcq(i, gt="B") for i in range(3)]
+    # analyze and pool build see only student rows; train's teacher rows all answer A, never B
+    source = "teacher" if case.startswith("train") else "student"
+    rows = [ResponseRow(ex.id, source, si, "<answer>A</answer>") for ex in examples for si in range(4)]
+    ex_path, resp_path, cache = tmp_path / "ex.jsonl", tmp_path / "resp.jsonl", tmp_path / "pools.jsonl"
+    write_examples(examples, ex_path)
+    write_responses(rows, resp_path)
+    inputs = ["--examples", str(ex_path), "--responses", str(resp_path)]
+    if case == "analyze_without_teacher_rows":
+        return ["analyze", *inputs, "--out", str(tmp_path / "r.csv")]
+    build = ["pool", "build", *inputs, "--k", "4", "--tau", "0.3", "--out", str(cache)]
+    if case == "pool_build_without_teacher_rows":
+        return build
+    if examples:
+        assert main(build) == 0
+    else:
+        cache.write_text("", encoding="utf-8")
+    stage2 = {"epochs_stage2": 0} if case == "train_with_nothing_to_learn_in_stage_1_only" else {}
+    cfg = write_cfg(tmp_path, "t.json", dict(TINY_TRAIN, k=4, tau=0.3, **stage2))
+    return ["train", "--config", cfg, "--examples", str(ex_path), "--pool-cache", str(cache),
+            "--out", str(tmp_path / "run")]
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["analyze_without_teacher_rows", "pool_build_without_teacher_rows", "train_with_an_empty_examples_file",
+     "train_with_nothing_to_learn", "train_with_nothing_to_learn_in_stage_1_only"],
+)
+def test_degenerate_data_exits_three(tmp_path, capsys, case):
+    # train with nothing to learn exited 0 with skipped_sft and skipped_rl naming every example
+    argv = _degenerate_data(case, tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("degenerate data: ") and "Traceback" not in err
+    assert not (tmp_path / "run").exists() and not (tmp_path / "r.csv").exists()
+    if argv[0] == "pool":
+        assert not (tmp_path / "pools.jsonl").exists()
+
+
+def test_train_on_stage_2_matches_alone_is_not_degenerate(tmp_path, capsys):
+    # uniform matching over an unfiltered pool pairs every response: no SFT
+    # target anywhere, but Stage 2 has matches to train on
+    examples = [mk_mcq(i, gt="B") for i in range(3)]
+    rows = [ResponseRow(ex.id, "teacher", si, "<answer>A</answer>") for ex in examples for si in range(4)]
+    ex_path, resp_path, cache = tmp_path / "ex.jsonl", tmp_path / "resp.jsonl", tmp_path / "pools.jsonl"
+    write_examples(examples, ex_path)
+    write_responses(rows, resp_path)
+    assert main(
+        ["pool", "build", "--examples", str(ex_path), "--responses", str(resp_path),
+         "--k", "4", "--tau", "0", "--out", str(cache)]
+    ) == 0
+    cfg = write_cfg(tmp_path, "t.json", dict(TINY_TRAIN, k=4, tau=0.0, matching="uniform"))
+    argv = ["train", "--config", cfg, "--examples", str(ex_path), "--pool-cache", str(cache),
+            "--out", str(tmp_path / "run")]
+    assert main(argv) == 0
+    assert "skipped_sft=3 skipped_rl=0" in capsys.readouterr().out
+    assert (tmp_path / "run" / "student.json").exists()
 
 
 def test_analyze_missing_file_is_config_error(tmp_path):

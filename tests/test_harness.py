@@ -243,6 +243,24 @@ def test_permutation_pvalue_rejects_non_finite_accuracies(bad):
         paired_permutation_pvalue(np.array([0.5, bad, 0.7], dtype=float), np.full(3, 0.5))
 
 
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        ([0.1, 0.2, 0.3], [0.5]),  # broadcast as if three pairs: p read 0.25
+        ([0.5], [0.1, 0.2, 0.3]),
+        ([0.1, 0.2, 0.3], [0.5, 0.6]),
+        ([[0.1, 0.2], [0.3, 0.4]], [[0.5, 0.6], [0.7, 0.8]]),  # numpy's broadcast error named no input
+        ([[0.1, 0.2, 0.3]], [0.5, 0.6, 0.7]),
+        (0.5, 0.4),
+    ],
+    ids=["short_y", "short_x", "unequal", "both_2d", "x_2d", "scalars"],
+)
+def test_permutation_pvalue_rejects_unpaired_inputs(x, y):
+    with pytest.raises(ValueError) as err:
+        paired_permutation_pvalue(x, y)
+    assert str(err.value) == f"x and y must be 1-D arrays of one length, got shapes {np.shape(x)} and {np.shape(y)}"
+
+
 @pytest.mark.parametrize("run", [run_ablation, run_sensitivity, run_task_adaptive_check])
 def test_accuracy_harnesses_reject_a_benchmark_without_closed_examples(monkeypatch, run):
     # their accuracies were None: ablation's p-value read 2.0, and the sweep

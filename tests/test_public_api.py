@@ -29,7 +29,6 @@ PUBLIC = (
     "CorpusError",
     "DEFAULT_METRICS",
     "DEFAULT_WEIGHTS",
-    "DegeneratePoolError",
     "DiscriminatorParams",
     "EmptyReportError",
     "Featurizer",
@@ -38,7 +37,6 @@ PUBLIC = (
     "InvalidWeightsError",
     "MatchingDistribution",
     "MetricConfig",
-    "NoValidTargetError",
     "Number",
     "OptionLetter",
     "ParsedResponse",
@@ -101,7 +99,7 @@ PUBLIC = (
 
 
 def test_all_is_pinned():
-    assert len(PUBLIC) == 78
+    assert len(PUBLIC) == 76
     assert list(mskd.__all__) == list(PUBLIC)
     assert all(hasattr(mskd, name) for name in PUBLIC)
 
@@ -121,17 +119,18 @@ def test_scalar_twins_stay_out_of_the_package():
 
 def test_single_path_removals_stay_out_of_the_package():
     # each concept has one path: apply_filter passes open-ended pools
-    # through, parse_response carries both validity flags, and TaskType.is_closed
-    # is the task family
+    # through, parse_response carries both validity flags, TaskType.is_closed
+    # is the task family, and a pool with nothing to match or no SFT target
+    # is a None from matching_distribution or select_sft_target
     gone = {
-        mskd.pool: ("filter_closed",),
+        mskd.pool: ("filter_closed", "DegeneratePoolError", "NoValidTargetError"),
         mskd.tasks: ("TaskFamily", "validate_outer", "validate_task_format"),
         mskd.tasks.TaskType: ("family",),
         mskd.train.TrainedArtifacts: ("write_metrics",),
         # pool_features featurizes every pool of a cell in one featurize_all call, and
         # pass_at_k_eval's settings check serves mskd passk too
         mskd.discriminator.Featurizer: ("featurize",),
-        mskd.cli: ("_success_threshold", "TaskType"),
+        mskd.cli: ("_success_threshold", "TaskType", "DegeneratePoolError", "NoValidTargetError"),
         # the trainer's batched composite_reward is the one reward sum; the
         # scalar statement is tests/oracles.py's reference; a validity flag
         # is its own format reward
@@ -141,8 +140,11 @@ def test_single_path_removals_stay_out_of_the_package():
         mskd.policy: ("StudentPolicy", "init_student", "categorical_draw"),
         # rl_step leaves an example with no matches untouched, a slot's
         # build_caches feature row is its one record, the student is its
-        # logits, and a pair's weight is its teacher row's quality column
-        mskd.train: ("SkippedExample", "ExampleCache", "StudentPolicy", "init_student", "pair_weights"),
+        # logits, a pair's weight is its teacher row's quality column, and
+        # Plan.run calls matching_distribution itself
+        mskd.train: (
+            "SkippedExample", "ExampleCache", "StudentPolicy", "init_student", "pair_weights", "matching_for"
+        ),
         # the open-ended accuracy is eval_accuracy over the latent ratings,
         # and the closed benchmark's temporal space is one module constant
         mskd.harness: ("open_accuracy", "_temporal_space"),

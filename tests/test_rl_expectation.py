@@ -35,14 +35,13 @@ import oracles
 from conftest import mk_open, mk_temporal, rl_epoch_on
 from mskd.discriminator import DiscriminatorParams, Featurizer
 from mskd.harness import setting_config
-from mskd.pool import apply_filter, build_pool, sample_matches
+from mskd.pool import apply_filter, build_pool, matching_distribution, sample_matches
 from mskd.policy import softmax
 from mskd.rewards import RewardWeights
 from mskd.tasks import SupervisionExample, TaskType, TemporalSegment, Text, render_payload
 from mskd.train import (
     TrainConfig,
     build_caches,
-    matching_for,
     pool_features,
     stream_table,
     uniform_table,
@@ -89,7 +88,7 @@ def step_inputs(ex, cfg, seed):
         featurizer=featurizer,
         feats=feats,
         pool_feats=pool_features([pool], [ex], feats, [0], featurizer),
-        dist=matching_for(pool, cfg),
+        dist=matching_distribution(pool, cfg.matching),
         logits=logits,
         ref_probs=softmax(ref_logits),
     )
@@ -231,7 +230,8 @@ def arm_inputs(ex, cfg, seed):
     raws = raws[2:] + ["<answer>broken"] + raws[:2]
     pool = apply_filter(build_pool(ex, raws[: cfg.k], cfg.metric), cfg.tau)
     inputs.update(
-        pool_feats=pool_features([pool], [ex], inputs["feats"], [0], inputs["featurizer"]), dist=matching_for(pool, cfg)
+        pool_feats=pool_features([pool], [ex], inputs["feats"], [0], inputs["featurizer"]),
+        dist=matching_distribution(pool, cfg.matching),
     )
     return inputs
 

@@ -31,7 +31,7 @@ from mskd.discriminator import (
 )
 from mskd.harness import make_closed_benchmark, make_open_benchmark, setting_config
 from mskd.policy import softmax
-from mskd.pool import apply_filter, sample_matches
+from mskd.pool import apply_filter, matching_distribution, sample_matches
 from mskd.rewards import RewardWeights
 from mskd.synthetic import SyntheticTeacher, teacher_stacks
 from mskd.tasks import TemporalSegment
@@ -40,7 +40,6 @@ from mskd.train import (
     TrainConfig,
     build_caches,
     make_pools,
-    matching_for,
     pool_features,
     run_pipeline,
     select_sft_targets,
@@ -186,7 +185,7 @@ def run_both(bench, cfg, epochs=2):
     featurizer = Featurizer(max(len(ex.answer_space) for ex in examples))
     caches = build_caches(examples, featurizer, cfg.metric)
     feats = {ex.id: pool_features([pools[ex.id]], [ex], caches[ex.id], [0], featurizer) for ex in examples}
-    dists = {ex.id: matching_for(pools[ex.id], cfg) for ex in examples}
+    dists = {ex.id: matching_distribution(pools[ex.id], cfg.matching) for ex in examples}
     student, ref, disc = start_state(examples, cfg, featurizer)
     ref_probs = {k: softmax(logits) for k, logits in ref.items()}
     o_student, o_disc = {k: logits.copy() for k, logits in student.items()}, disc
@@ -300,7 +299,7 @@ def oracle_cell(examples, teacher, cfg, targets):
     featurizer = Featurizer(max(len(ex.answer_space) for ex in examples))
     caches = oracles.build_caches(examples, featurizer, cfg.metric)
     feats = {ex.id: oracles.pool_features(pools[ex.id], ex, caches[ex.id], featurizer) for ex in examples}
-    dists = {ex.id: matching_for(pools[ex.id], cfg) for ex in examples}
+    dists = {ex.id: matching_distribution(pools[ex.id], cfg.matching) for ex in examples}
     quality = {k: rows[:, 3].copy() for k, rows in caches.items()}
     student = {ex.id: np.zeros(len(ex.answer_space)) for ex in examples}
     log = []

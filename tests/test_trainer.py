@@ -15,7 +15,6 @@ from mskd.discriminator import Featurizer, init_params
 from mskd.harness import make_closed_benchmark, make_open_benchmark, setting_config
 from mskd.pool import (
     MatchingDistribution,
-    NoValidTargetError,
     apply_filter,
     build_pool,
     matching_distribution,
@@ -33,7 +32,6 @@ from mskd.train import (
     build_caches,
     eval_accuracy,
     make_pools,
-    matching_for,
     metrics_to_csv,
     pass_at_k_eval,
     policy_groups,
@@ -87,7 +85,7 @@ def rl_epoch(student, disc, ex, pool, cfg):
     u = uniforms(cfg)
     featurizer = Featurizer(len(ex.answer_space))
     cache = build_caches([ex], featurizer, cfg.metric)[ex.id]
-    dist = matching_for(pool, cfg)
+    dist = matching_distribution(pool, cfg.matching)
     match = None if dist is None else sample_matches([dist], u[None, 1])[0]
     return rl_epoch_on(
         student, {ex.id: softmax(student[ex.id])}, disc, [ex], cfg, u[None, 0], [match],
@@ -815,6 +813,28 @@ def test_pass_at_k_threshold_dict_and_validation():
     for bad in (float("nan"), float("inf"), True, {TaskType.TEMPORAL_GROUNDING: float("nan")}):
         with pytest.raises(ValueError, match="success_threshold"):
             pass_at_k_eval(student, exs, [1], success_threshold=bad)
+
+
+@pytest.mark.parametrize(
+    "logits, message",
+    [
+        (None, "example mcq-1: the student has no logits for it"),  # was a bare KeyError
+        ([0.0, 0.0, 0.0], r"example mcq-1: 4 answer slots, student logits of shape \(3,\)"),
+        ([[0.0] * 4], r"example mcq-1: 4 answer slots, student logits of shape \(1, 4\)"),
+        ([0.0, np.nan, 0.0, 0.0], "example mcq-1: student logits must be finite"),  # read as a nan rate
+        ([0.0, 0.0, np.inf, 0.0], "example mcq-1: student logits must be finite"),
+    ],
+    ids=["missing", "short", "two_d", "nan", "inf"],
+)
+def test_pass_at_k_rejects_a_bad_student_row(logits, message):
+    exs = [mk_mcq(i) for i in range(3)]
+    student = uniform_student(exs)
+    if logits is None:
+        del student[exs[1].id]
+    else:
+        student[exs[1].id] = np.array(logits)
+    with pytest.raises(ValueError, match=message):
+        pass_at_k_eval(student, exs, [1, 2])
 
 
 def test_pass_at_k_dedupes_and_sorts_k():
