@@ -37,7 +37,6 @@ from mskd.harness import (
     AblationSummary,
     AdaptiveCheckResult,
     Benchmark,
-    EmptyReportError,
     ReportTable,
     SensitivityResult,
     emit_report,
@@ -60,9 +59,7 @@ from mskd.metrics import (
     temporal_iou,
 )
 from mskd.pool import (
-    InvalidPoolError,
     MatchingDistribution,
-    PoolCacheError,
     TeacherPool,
     apply_filter,
     build_pool,
@@ -116,17 +113,14 @@ __all__ = [
     "DEFAULT_METRICS",
     "DEFAULT_WEIGHTS",
     "DiscriminatorParams",
-    "EmptyReportError",
     "Featurizer",
     "InjectedStats",
-    "InvalidPoolError",
     "InvalidWeightsError",
     "MatchingDistribution",
     "MetricConfig",
     "Number",
     "OptionLetter",
     "ParsedResponse",
-    "PoolCacheError",
     "ReportTable",
     "ResponseRow",
     "RewardWeights",

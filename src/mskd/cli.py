@@ -14,11 +14,12 @@ pass_at_k_eval runs, and train's examples and cached pools to run_pipeline
 turns those errors into exit code 2.  Unreadable input files exit 2 as
 well, and so does an --out that cannot be written, before any work.
 
-Exit codes: 0 success, 2 configuration/usage error, 3 degenerate data:
-analyze without teacher rows, pool build where no example has a teacher
-row, train with an empty examples file, and train with nothing to learn
-(after filtering no example has an SFT target, nor, when Stage 2 runs, a
-teacher match); train then writes no artifacts.
+Exit codes: 0 success, 2 configuration/usage error, 3 degenerate data.
+Exit 3 comes only from DegenerateDataError: analyze without teacher rows,
+pool build where no example has a teacher row, train with an empty
+examples file, and train with nothing to learn (after filtering no example
+has an SFT target, nor, when Stage 2 runs, a teacher match); train then
+writes no artifacts.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from mskd.corpus import (
 )
 from mskd.harness import (
     ABLATION_LABELS,
-    EmptyReportError,
     ablation_cells,
     ablation_table,
     adaptive_table,
@@ -52,7 +52,7 @@ from mskd.harness import (
     setting_config,
 )
 from mskd.metrics import MetricConfig, _is_finite, _is_int
-from mskd.pool import InvalidPoolError, apply_filter, build_pool, read_pool_cache, write_pool_cache
+from mskd.pool import apply_filter, build_pool, read_pool_cache, write_pool_cache
 from mskd.rewards import RewardWeights
 from mskd.train import InputError, TrainConfig, _passk_settings, pass_at_k_eval, run_pipeline
 
@@ -181,17 +181,20 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_pool_build(args) -> int:
-    metric = _metric_only_config(args.config)
-    examples = read_examples(args.examples)
-    rows = read_responses(args.responses)
     if args.k < 1:
         raise ConfigError(f"--k must be >= 1, got {args.k}")
     if not 0.0 <= args.tau <= 1.0:
         raise ConfigError(f"--tau must be in [0,1], got {args.tau}")
+    metric = _metric_only_config(args.config)
+    examples = read_examples(args.examples)
+    rows = read_responses(args.responses)
+    ids = {ex.id for ex in examples}
     by_example: dict[str, dict[int, str]] = {}
     for row in rows:
         if row.source != "teacher":
             continue
+        if row.example_id not in ids:
+            raise ConfigError(f"{args.responses}: teacher response references unknown example {row.example_id}")
         samples = by_example.setdefault(row.example_id, {})
         if row.sample_index in samples:
             raise ConfigError(
@@ -418,7 +421,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CorpusError, OSError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DegenerateDataError, InvalidPoolError, EmptyReportError) as exc:
+    except DegenerateDataError as exc:
         print(f"degenerate data: {exc}", file=sys.stderr)
         return EXIT_DATA
 

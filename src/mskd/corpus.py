@@ -148,11 +148,10 @@ def write_examples(examples: Iterable[SupervisionExample], path: str | Path) -> 
 _scan = json.JSONDecoder().scan_once
 
 
-def _json_lines(
-    path: str | Path, error: type[CorpusError] = CorpusError, what: str = "invalid JSON"
-) -> Iterator[tuple[int, object]]:
+def _json_lines(path: str | Path, what: str = "invalid JSON") -> Iterator[tuple[int, object]]:
     """(line number, value) for each non-blank line of a JSON-lines file; a
-    line that is not JSON, or a file that is not UTF-8, raises ``error``.
+    line that is not JSON raises CorpusError naming the file, the line and
+    ``what``, and a file that is not UTF-8 one naming the file.
 
     A line that is one JSON value from its first character to its newline is
     decoded by the scanner alone; any other line goes through ``json.loads``,
@@ -171,10 +170,10 @@ def _json_lines(
                     try:
                         obj = json.loads(line)
                     except json.JSONDecodeError as exc:
-                        raise error(f"{path}:{lineno}: {what} ({exc})") from exc
+                        raise CorpusError(f"{path}:{lineno}: {what} ({exc})") from exc
                 yield lineno, obj
         except UnicodeDecodeError as exc:
-            raise error(f"{path}: not UTF-8 text ({exc})") from exc
+            raise CorpusError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
 def read_examples(path: str | Path) -> list[SupervisionExample]:

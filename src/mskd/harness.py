@@ -41,10 +41,6 @@ from mskd.tasks import (
 from mskd.train import Plan, TrainConfig, TrainedArtifacts, eval_accuracy, policy_groups, score_groups
 
 
-class EmptyReportError(ValueError):
-    """emit_report was handed nothing to write."""
-
-
 @dataclass
 class Benchmark:
     """Examples plus their calibrated teacher and per-slot scores."""
@@ -363,8 +359,9 @@ def ablation_cells(
 ) -> dict[str, list[TrainConfig]]:
     """Every (setting, seed) cell's config, by label in settings order and
     then by seed.  Raises ValueError for an unknown or repeated label (one
-    label names one report row), for fewer than 2 seeds, or for more seeds
-    than the A-vs-D test takes when both arms run."""
+    label names one report row), a repeated seed (the A-vs-D test counts
+    each pair of cells once), fewer than 2 seeds, or more seeds than the
+    A-vs-D test takes when both arms run."""
     if len(seeds) < 2:
         raise ValueError("need at least 2 seeds for significance reporting")
     if "A" in settings and "D" in settings and len(seeds) > MAX_PERMUTATION_PAIRS:
@@ -372,6 +369,9 @@ def ablation_cells(
     repeated = sorted({label for label in settings if settings.count(label) > 1})
     if repeated:
         raise ValueError(f"duplicate ablation settings {repeated}")
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        raise ValueError(f"duplicate ablation seeds {repeated}")
     return {label: [replace(setting_config(label, cfg_base), seed=s) for s in seeds] for label in settings}
 
 
@@ -627,7 +627,7 @@ def emit_report(results, format: str, path: str | Path) -> Path:
     path = Path(path)
     if isinstance(results, VarianceReport):
         if not results.per_task:
-            raise EmptyReportError("variance report has no tasks")
+            raise ValueError("variance report has no tasks")
         if format == "json":
             body = {"schema": "variance/v1", "report": results.to_json()}
             path.write_text(json.dumps(body, sort_keys=True, indent=2) + "\n", encoding="utf-8")
@@ -642,7 +642,7 @@ def emit_report(results, format: str, path: str | Path) -> Path:
 
     tables = results if isinstance(results, (list, tuple)) else [results]
     if not tables or any(not t.rows for t in tables):
-        raise EmptyReportError("no rows to write")
+        raise ValueError("no rows to write")
     if format == "json":
         body = {
             "tables": [

@@ -21,14 +21,6 @@ from mskd.policy import _invert_rows, checked_cdf
 from mskd.tasks import ParsedResponse, SupervisionExample, TaskType, parse_response
 
 
-class InvalidPoolError(ValueError):
-    """Pool construction was handed unusable inputs."""
-
-
-class PoolCacheError(CorpusError):
-    """A pool-cache line is not a pool record; names the file and line."""
-
-
 @dataclass(frozen=True, slots=True)
 class TeacherPool:
     """K parsed teacher responses for one example.
@@ -71,7 +63,7 @@ def build_pool(
 ) -> TeacherPool:
     """Parse K raw responses and score them against the example's truth."""
     if len(raws) == 0:
-        raise InvalidPoolError(f"example {ex.id}: empty response list")
+        raise ValueError(f"example {ex.id}: empty response list")
     task = ex.task
     responses = tuple(parse_response(raw, task) for raw in raws)
     qualities = tuple(quality_score(r, ex, cfg) for r in responses) if task.is_closed else None
@@ -144,7 +136,7 @@ def select_sft_target(pool: TeacherPool, rng: np.random.Generator | None) -> int
     open-ended pool reads.
     """
     if pool.k == 0:
-        raise InvalidPoolError(f"pool {pool.example_id}: empty")
+        raise ValueError(f"pool {pool.example_id}: empty")
     if pool.qualities is None:
         return int(rng.integers(pool.k))
     best = max(pool.qualities)
@@ -178,11 +170,12 @@ def read_pool_cache(path: str | Path) -> list[TeacherPool]:
     outer_valid/task_valid flags differ from the re-parse of its texts, when
     its example_id repeats, or unless every q is null and so is tau_applied
     (open-ended task), or every q is a number in [0,1] that the filter at
-    tau_applied would keep: 0 or at least tau_applied (closed-ended).
+    tau_applied would keep: 0 or at least tau_applied (closed-ended).  A
+    rejected line raises CorpusError, naming the file and line.
     """
     pools = []
     first_line: dict[str, int] = {}
-    for lineno, obj in _json_lines(path, PoolCacheError, "bad pool record"):
+    for lineno, obj in _json_lines(path, "bad pool record"):
         try:
             example_id = obj["example_id"]
             if not isinstance(example_id, str):
@@ -220,17 +213,17 @@ def read_pool_cache(path: str | Path) -> list[TeacherPool]:
                     )
             pool = TeacherPool(example_id, task, tuple(responses), tuple(map(float, qs)) if closed else None, tau)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise PoolCacheError(f"{path}:{lineno}: bad pool record ({exc!r})") from exc
+            raise CorpusError(f"{path}:{lineno}: bad pool record ({exc!r})") from exc
         reparsed = [(r.outer_valid, r.task_valid) for r in responses]
         if stored != reparsed:
             j = next(j for j, flags in enumerate(stored) if flags != reparsed[j])
-            raise PoolCacheError(
+            raise CorpusError(
                 f"{path}:{lineno}: response {j} stores (outer_valid, task_valid) = "
                 f"{stored[j]} but its text re-parses to {reparsed[j]}"
             )
         first = first_line.setdefault(pool.example_id, lineno)
         if first != lineno:
-            raise PoolCacheError(
+            raise CorpusError(
                 f"{path}:{lineno}: duplicate example_id {pool.example_id!r} (first on line {first})"
             )
         pools.append(pool)

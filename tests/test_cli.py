@@ -172,6 +172,34 @@ def test_analyze_missing_file_is_config_error(tmp_path):
     assert code == 2
 
 
+def test_pool_build_teacher_row_of_an_unknown_example_is_config_error(corpus, tmp_path, capsys):
+    # pool build dropped the row and wrote the cache with exit 0, where analyze exits 2
+    ex_path, resp_path = corpus
+    with open(resp_path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(
+            {"example_id": "mcq-9", "source": "teacher", "sample_index": 0, "text": "<answer>A</answer>"}
+        ) + "\n")
+    out = tmp_path / "pools.jsonl"
+    assert pool_build(corpus, out, "--k", "3") == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {resp_path}: teacher response references unknown example mcq-9\n"
+    assert not out.exists()
+    assert main(["analyze", "--examples", str(ex_path), "--responses", str(resp_path),
+                 "--out", str(tmp_path / "r.csv")]) == 2
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--k", "0", "--k must be >= 1, got 0"), ("--tau", "1.5", "--tau must be in [0,1], got 1.5")],
+    ids=["k", "tau"],
+)
+def test_pool_build_checks_k_and_tau_before_reading_inputs(tmp_path, capsys, flag, value, message):
+    # both corpus files were read and validated first, so an unreadable one hid a bad flag
+    missing = tmp_path / "missing.jsonl"
+    assert pool_build((missing, missing), tmp_path / "pools.jsonl", flag, value) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_pool_build_then_train(corpus, tmp_path):
     ex_path, resp_path = corpus
     cache = tmp_path / "pools.jsonl"
@@ -723,6 +751,19 @@ def test_ablate_repeated_setting_is_config_error(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "duplicate" in err and "'A'" in err
     assert "Traceback" not in err and not out.exists()
+
+
+def test_ablate_repeated_seed_is_config_error(tmp_path, capsys, monkeypatch):
+    # a repeated seed counted its pair of cells more than once in the A-vs-D p-value
+    no_training(monkeypatch)
+    cfg = write_cfg(
+        tmp_path, "a.json",
+        {"train": TINY_TRAIN, "seeds": [0, 0, 1, 1], "settings": ["A", "D"], "benchmark": TINY_BENCH},
+    )
+    out = tmp_path / "o.csv"
+    assert main(["ablate", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: duplicate ablation seeds [0, 1]\n"
+    assert not out.exists()
 
 
 def test_ablate_unknown_setting_is_config_error(tmp_path):

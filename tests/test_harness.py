@@ -19,7 +19,6 @@ from mskd.harness import (
     MAX_PERMUTATION_PAIRS,
     AblationResult,
     AblationSummary,
-    EmptyReportError,
     ReportTable,
     SensitivityResult,
     SweepCell,
@@ -222,6 +221,12 @@ def test_ablation_rejects_repeated_labels_and_untestable_seeds_before_training(m
         run_ablation(tiny_cfg(), settings=("A", "D", "B", "D"), seeds=(0, 1))
     with pytest.raises(ValueError, match="at most 40 seeds, got 41"):
         run_ablation(tiny_cfg(), settings=("A", "D"), seeds=tuple(range(41)))
+    # the exact A-vs-D test counted a repeated seed's pair of cells once per
+    # repeat: seeds (0, 0, 1, 1) gave p = 0.125 where (0, 1) gives 0.5
+    with pytest.raises(ValueError, match=r"^duplicate ablation seeds \[0, 1\]$"):
+        run_ablation(tiny_cfg(), settings=("A", "D"), seeds=(0, 0, 1, 1))
+    with pytest.raises(ValueError, match=r"^duplicate ablation seeds \[2\]$"):
+        run_ablation(tiny_cfg(), settings=("B",), seeds=(2, 0, 2))
 
 
 def test_permutation_pvalue_behaviour():
@@ -566,7 +571,7 @@ def test_emit_report_csv_and_json(tmp_path):
 
 def test_emit_report_rejects_empty_and_bad_format(tmp_path):
     empty = ReportTable("x/v1", ("a",), ())
-    with pytest.raises(EmptyReportError):
+    with pytest.raises(ValueError, match="^no rows to write$"):
         emit_report(empty, "csv", tmp_path / "x.csv")
     with pytest.raises(ValueError, match="format"):
         emit_report(ablation_table(_fake_summary()), "yaml", tmp_path / "x.yaml")

@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from conftest import mk_mcq, mk_open, mk_temporal
+from mskd.corpus import CorpusError
 from mskd.pool import (
-    InvalidPoolError,
     MatchingDistribution,
-    PoolCacheError,
     apply_filter,
     build_pool,
     matching_distribution,
@@ -43,7 +42,7 @@ def test_build_pool_open_has_no_qualities():
 
 
 def test_build_pool_rejects_empty():
-    with pytest.raises(InvalidPoolError):
+    with pytest.raises(ValueError, match="^example mcq-0: empty response list$"):
         build_pool(mk_mcq(), [])
 
 
@@ -232,7 +231,7 @@ def test_pool_cache_duplicate_example_id_names_both_lines(tmp_path):
     path = tmp_path / "pools.jsonl"
     lines = [_cache_line(), _cache_line(example_id="mcq-2"), _cache_line(q=0.0)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(PoolCacheError, match=r"pools.jsonl:3: duplicate example_id 'mcq-1' \(first on line 1\)"):
+    with pytest.raises(CorpusError, match=r"pools.jsonl:3: duplicate example_id 'mcq-1' \(first on line 1\)"):
         read_pool_cache(path)
 
 
@@ -272,7 +271,7 @@ def test_pool_cache_malformed_line_names_file_and_line(tmp_path, bad_line):
     write_pool_cache([build_pool(ex, [GOOD, WRONG])], path)
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(bad_line + "\n")
-    with pytest.raises(PoolCacheError, match="pools.jsonl:2: bad pool record"):
+    with pytest.raises(CorpusError, match="pools.jsonl:2: bad pool record"):
         read_pool_cache(path)
 
 
@@ -283,7 +282,7 @@ def test_pool_cache_non_string_text_names_the_field_and_type(tmp_path, text):
     path = tmp_path / "pools.jsonl"
     path.write_text(_cache_line(responses=[good, dict(good, text=text)]) + "\n", encoding="utf-8")
     want = f"response 1 needs a string 'text', got {text!r}"
-    with pytest.raises(PoolCacheError, match="pools.jsonl:1: bad pool record") as info:
+    with pytest.raises(CorpusError, match="pools.jsonl:1: bad pool record") as info:
         read_pool_cache(path)
     assert want in str(info.value) and "AttributeError" not in str(info.value)
 
@@ -299,7 +298,7 @@ def test_pool_cache_text_checks_keep_each_lines_first_error(tmp_path):
         ([dict(good, text=5, q="x", outer_valid=None)], "response 0 needs a string 'text'"),
     ):
         path.write_text(_cache_line(responses=responses) + "\n", encoding="utf-8")
-        with pytest.raises(PoolCacheError) as info:
+        with pytest.raises(CorpusError, match="pools.jsonl:1: bad pool record") as info:
             read_pool_cache(path)
         assert want in str(info.value)
 
@@ -317,5 +316,5 @@ def test_pool_cache_stored_flags_must_match_reparse(tmp_path, flag, stored):
     obj["responses"][1][flag] = stored
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(obj) + "\n")
-    with pytest.raises(PoolCacheError, match=r"pools.jsonl:2: response 1 stores \(outer_valid, task_valid\)"):
+    with pytest.raises(CorpusError, match=r"pools.jsonl:2: response 1 stores \(outer_valid, task_valid\)"):
         read_pool_cache(path)

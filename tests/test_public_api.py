@@ -4,11 +4,15 @@ Each concept has one public path; a name added to or dropped from
 mskd.__all__ has to be added to or dropped from this list as well.
 """
 
+import ast
 import dataclasses
+import importlib
 import inspect
+from pathlib import Path
 
 import mskd
 import mskd.cli
+import mskd.corpus
 import mskd.discriminator
 import mskd.harness
 import mskd.policy
@@ -30,17 +34,14 @@ PUBLIC = (
     "DEFAULT_METRICS",
     "DEFAULT_WEIGHTS",
     "DiscriminatorParams",
-    "EmptyReportError",
     "Featurizer",
     "InjectedStats",
-    "InvalidPoolError",
     "InvalidWeightsError",
     "MatchingDistribution",
     "MetricConfig",
     "Number",
     "OptionLetter",
     "ParsedResponse",
-    "PoolCacheError",
     "ReportTable",
     "ResponseRow",
     "RewardWeights",
@@ -99,7 +100,7 @@ PUBLIC = (
 
 
 def test_all_is_pinned():
-    assert len(PUBLIC) == 76
+    assert len(PUBLIC) == 73
     assert list(mskd.__all__) == list(PUBLIC)
     assert all(hasattr(mskd, name) for name in PUBLIC)
 
@@ -123,14 +124,20 @@ def test_single_path_removals_stay_out_of_the_package():
     # is the task family, and a pool with nothing to match or no SFT target
     # is a None from matching_distribution or select_sft_target
     gone = {
-        mskd.pool: ("filter_closed", "DegeneratePoolError", "NoValidTargetError"),
+        # a bad pool-cache line is a CorpusError, and an empty pool or report a ValueError
+        mskd.pool: (
+            "filter_closed", "DegeneratePoolError", "NoValidTargetError", "InvalidPoolError", "PoolCacheError"
+        ),
         mskd.tasks: ("TaskFamily", "validate_outer", "validate_task_format"),
         mskd.tasks.TaskType: ("family",),
         mskd.train.TrainedArtifacts: ("write_metrics",),
         # pool_features featurizes every pool of a cell in one featurize_all call, and
         # pass_at_k_eval's settings check serves mskd passk too
         mskd.discriminator.Featurizer: ("featurize",),
-        mskd.cli: ("_success_threshold", "TaskType", "DegeneratePoolError", "NoValidTargetError"),
+        mskd.cli: (
+            "_success_threshold", "TaskType", "DegeneratePoolError", "NoValidTargetError", "InvalidPoolError",
+            "EmptyReportError",
+        ),
         # the trainer's batched composite_reward is the one reward sum; the
         # scalar statement is tests/oracles.py's reference; a validity flag
         # is its own format reward
@@ -147,7 +154,7 @@ def test_single_path_removals_stay_out_of_the_package():
         ),
         # the open-ended accuracy is eval_accuracy over the latent ratings,
         # and the closed benchmark's temporal space is one module constant
-        mskd.harness: ("open_accuracy", "_temporal_space"),
+        mskd.harness: ("open_accuracy", "_temporal_space", "EmptyReportError"),
         # chain_update is the one descent step, batch_update its one-batch
         # case, and _linear_grad and _hidden_grad each scorer's one pair
         # loss gradient
@@ -174,6 +181,8 @@ def test_single_path_removals_stay_out_of_the_package():
         have = {f.name for f in dataclasses.fields(cls)}
         assert [n for n in names if n in have] == [], cls.__name__
     assert "keep_students" not in inspect.signature(mskd.run_ablation).parameters
+    # every corpus and pool-cache file error is a CorpusError
+    assert "error" not in inspect.signature(mskd.corpus._json_lines).parameters
     # each pool's feature rows carry its pair weights
     assert "pair_q" not in inspect.signature(mskd.train.rl_step).parameters
     # matches are drawn from the run's uniform table, and the permutation
@@ -196,3 +205,23 @@ def test_single_path_removals_stay_out_of_the_package():
         assert set(names).isdisjoint(inspect.signature(fn).parameters), fn.__name__
     proxy = inspect.signature(mskd.harness.misleading_proxy).parameters
     assert [proxy[name].default for name in ("rng", "mislead", "noise")] == [inspect.Parameter.empty] * 3
+
+
+def test_each_exception_type_is_caught_by_name():
+    # an exception type exists only where some handler in the package catches
+    # it by name; InvalidWeightsError stays for acceptance criterion 4, which does
+    package = Path(mskd.__file__).parent
+    defined, caught = set(), set()
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        module = importlib.import_module(f"mskd.{path.stem}") if path.stem != "__init__" else mskd
+        defined |= {
+            node.name
+            for node in tree.body
+            if isinstance(node, ast.ClassDef) and issubclass(getattr(module, node.name), BaseException)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                caught |= {ast.unparse(t).rsplit(".", 1)[-1] for t in types}
+    assert defined - caught == {"InvalidWeightsError"}
