@@ -38,6 +38,7 @@ from mskd.corpus import (
 )
 from mskd.harness import (
     ABLATION_LABELS,
+    _check_seeds,
     ablation_cells,
     ablation_table,
     adaptive_table,
@@ -151,11 +152,17 @@ def _format_for(args) -> str:
     return "json" if str(args.out).endswith(".json") else "csv"
 
 
-def _seeds_from(cfg: dict, base_seed: int) -> tuple[int, ...]:
+def _seeds_from(cfg: dict, base_seed: int, what: str) -> tuple[int, ...]:
+    """The config's seeds, at least 2 and distinct, else base_seed and the
+    seeds after it; what names the run in a duplicate-seed message."""
     if "seeds" in cfg:
         seeds = _list_field(cfg, "seeds", None, lambda s: _is_int(s) and s >= 0, "integers >= 0")
         if len(seeds) < 2:
             raise ConfigError("need at least 2 seeds")
+        try:
+            _check_seeds(seeds, what)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         return seeds
     if base_seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {base_seed}")
@@ -256,7 +263,7 @@ def cmd_train(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = _load_config(args.config, frozenset({"train", "seeds", "settings", "benchmark"}))
     tc = _train_config(cfg.get("train", {}), None)
-    seeds = _seeds_from(cfg, args.seed)
+    seeds = _seeds_from(cfg, args.seed, "ablation")
     settings = _list_field(cfg, "settings", ABLATION_LABELS, lambda s: isinstance(s, str), "labels")
     try:
         ablation_cells(settings, seeds, tc)
@@ -275,7 +282,7 @@ def cmd_ablate(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config, frozenset({"train", "seeds", "k_grid", "tau_grid", "benchmark"}))
     tc = _train_config(cfg.get("train", {}), None)
-    seeds = _seeds_from(cfg, args.seed)
+    seeds = _seeds_from(cfg, args.seed, "sweep")
     k_grid = _list_field(cfg, "k_grid", (2, 4, 8), lambda k: _is_int(k) and k >= 1, "integers >= 1")
     taus = _list_field(
         cfg, "tau_grid", (0.0, 0.2, 0.3, 0.5), lambda t: _is_finite(t) and 0 <= t <= 1, "numbers in [0, 1]"
@@ -295,7 +302,7 @@ def cmd_adaptive(args) -> int:
         frozenset({"train", "seeds", "mislead", "proxy_noise", "benchmark", "open_benchmark"}),
     )
     tc = _train_config(cfg.get("train", {}), None)
-    seeds = _seeds_from(cfg, args.seed)
+    seeds = _seeds_from(cfg, args.seed, "adaptive")
     mislead = _number_field(cfg, "mislead", 0.85)
     proxy_noise = _number_field(cfg, "proxy_noise", 0.05)
     bench = _build(make_closed_benchmark, cfg.get("benchmark", {}), "benchmark config")

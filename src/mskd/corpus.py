@@ -15,7 +15,6 @@ a number, or a string) — the task field disambiguates on read.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -31,6 +30,7 @@ from mskd.tasks import (
     TemporalSegment,
     Text,
     _parse_letter,
+    _record,
 )
 
 
@@ -38,7 +38,7 @@ class CorpusError(ValueError):
     """A corpus file failed validation."""
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class ResponseRow:
     example_id: str
     source: str

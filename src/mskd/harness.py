@@ -354,6 +354,17 @@ def paired_permutation_pvalue(x: np.ndarray, y: np.ndarray) -> float:
     return float(count / 2.0**d.size)
 
 
+def _check_seeds(seeds: tuple[int, ...], what: str) -> None:
+    """Reject an empty seed list, or a repeated seed, which would train its
+    cells again and count them as further independent samples; what names
+    the run in the message."""
+    if not seeds:
+        raise ValueError("seeds must not be empty")
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        raise ValueError(f"duplicate {what} seeds {repeated}")
+
+
 def ablation_cells(
     settings: tuple[str, ...], seeds: tuple[int, ...], cfg_base: TrainConfig
 ) -> dict[str, list[TrainConfig]]:
@@ -369,9 +380,7 @@ def ablation_cells(
     repeated = sorted({label for label in settings if settings.count(label) > 1})
     if repeated:
         raise ValueError(f"duplicate ablation settings {repeated}")
-    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
-    if repeated:
-        raise ValueError(f"duplicate ablation seeds {repeated}")
+    _check_seeds(seeds, "ablation")
     return {label: [replace(setting_config(label, cfg_base), seed=s) for s in seeds] for label in settings}
 
 
@@ -438,8 +447,7 @@ def run_sensitivity(
     pool draw, so measured retention is exactly non-increasing in tau.  Each
     distinct config trains once: the (cfg_base.k, cfg_base.tau) cell of a
     seed is in both tables."""
-    if not seeds:
-        raise ValueError("seeds must not be empty")
+    _check_seeds(seeds, "sweep")
     # every cell's config first, so a bad grid value fails before any training
     k_cfgs = [[replace(cfg_base, k=k, seed=s) for s in seeds] for k in k_grid]
     tau_cfgs = [[replace(cfg_base, tau=tau, seed=s) for s in seeds] for tau in tau_grid]
@@ -524,8 +532,7 @@ def run_task_adaptive_check(
     proxy_noise: float = 0.05,
 ) -> AdaptiveCheckResult:
     """2x2 comparison: {closed, open} x {score-guided, uniform} matching."""
-    if not seeds:
-        raise ValueError("seeds must not be empty")
+    _check_seeds(seeds, "adaptive")
     # a NaN proxy sums to no positive mass, so every pool would match uniformly
     _check_numbers({"mislead": mislead, "proxy_noise": proxy_noise})
     # every cell's config first, so a bad seed fails before any training

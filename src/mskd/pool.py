@@ -18,10 +18,10 @@ import numpy as np
 from mskd.corpus import CorpusError, _json_lines
 from mskd.metrics import DEFAULT_METRICS, MetricConfig, _is_finite, quality_score
 from mskd.policy import _invert_rows, checked_cdf
-from mskd.tasks import ParsedResponse, SupervisionExample, TaskType, parse_response
+from mskd.tasks import ParsedResponse, SupervisionExample, TaskType, _record, parse_response
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class TeacherPool:
     """K parsed teacher responses for one example.
 

@@ -27,10 +27,11 @@ yields a response whose validity flags are false.
 from __future__ import annotations
 
 import enum
+import inspect
 import math
 import re
 import string
-from dataclasses import dataclass, field
+from dataclasses import _FIELD_INITVAR, MISSING, dataclass, field, fields
 
 ANSWER_RE = re.compile(r"<answer>(.*?)</answer>", flags=re.S)
 THINK_RE = re.compile(r"<think>(.*?)</think>", flags=re.S)
@@ -54,7 +55,73 @@ class TaskType(enum.Enum):
         return self is not TaskType.OPEN_ENDED
 
 
-@dataclass(frozen=True, slots=True)
+def _record(cls):
+    """``@dataclass(frozen=True, slots=True)`` whose one ``__init__`` stores
+    each init field through the class's own slot member descriptor
+    (``cls.<field>.__set__``), then calls ``__post_init__`` if the class has
+    one; fields with ``init=False`` are left to it, as the dataclass
+    ``__init__`` leaves them.
+
+    A frozen dataclass ``__init__`` stores each field with
+    ``object.__setattr__``: about 0.7 µs for a 4-field record on CPython
+    3.11 (2-vCPU host), against about 0.45 µs through the descriptors.  The
+    corpus path (``mskd analyze``, ``mskd pool build`` and the pool-cache
+    read) builds one or more records per input line, about 130k for a
+    16k-row corpus, so the records it builds per line use this decorator:
+    the six payloads, ``ParsedResponse`` and ``SupervisionExample`` here,
+    ``corpus.ResponseRow`` and ``pool.TeacherPool``.  Records built a few
+    times per run keep the plain dataclass.  Everything else (frozen
+    assignment, eq, hash, repr, ``__match_args__``, ``fields``, ``replace``,
+    pickling, the constructor signature and a derived docstring) is the
+    dataclass's own.  A field feature this ``__init__`` does not implement
+    (a default factory, a keyword-only field, an ``InitVar`` or an
+    ``init=False`` default) raises TypeError.
+    """
+    doc = cls.__doc__
+    # a class with no docstring gets one derived from its signature; derived
+    # before this __init__ exists, it would come from object.__init__'s text
+    # signature: the wrong text, and a tokenizer pass costing ms at import
+    cls.__doc__ = doc or cls.__name__
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    for f in cls.__dataclass_fields__.values():
+        if f._field_type is _FIELD_INITVAR:
+            raise TypeError(f"{cls.__name__}.{f.name}: _record does not implement InitVar fields")
+    env, params, body, annotations = {}, [], [], {}
+    for f in fields(cls):
+        if f.default_factory is not MISSING or f.kw_only or not f.init and f.default is not MISSING:
+            raise TypeError(
+                f"{cls.__name__}.{f.name}: _record does not implement default factories, "
+                "keyword-only fields or init=False defaults"
+            )
+        if f.init:
+            env[f"_set_{f.name}"] = cls.__dict__[f.name].__set__
+            annotations[f.name] = f.type
+            default = ""
+            if f.default is not MISSING:
+                env[f"_dflt_{f.name}"] = f.default
+                default = f"=_dflt_{f.name}"
+            params.append(f"{f.name}{default}")
+            body.append(f"_set_{f.name}(self, {f.name})")
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    src = (
+        f"def make({', '.join(env)}):\n"
+        f"    def __init__(self, {', '.join(params)}):\n"
+        + "".join(f"        {line}\n" for line in body or ["pass"])
+        + "    return __init__\n"
+    )
+    ns: dict = {}
+    exec(src, {}, ns)
+    init = ns["make"](**env)
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__annotations__ = {**annotations, "return": None}
+    cls.__init__ = init
+    if not doc:
+        cls.__doc__ = cls.__name__ + str(inspect.signature(cls)).replace(" -> None", "")
+    return cls
+
+
+@_record
 class TemporalSegment:
     """A single [start, end] span in seconds, start >= 0 and start <= end."""
 
@@ -62,7 +129,7 @@ class TemporalSegment:
     end: float
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class SpatialBox:
     """Axis-aligned box in normalized [0,1] coordinates, x1<=x2 and y1<=y2."""
 
@@ -72,22 +139,22 @@ class SpatialBox:
     y2: float
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class OptionLetter:
     letter: str
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class Binary:
     value: bool
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class Number:
     value: float
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class Text:
     value: str
 
@@ -177,7 +244,7 @@ def option_letters(n: int) -> tuple[str, ...]:
     return tuple(string.ascii_uppercase[:n])
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class SupervisionExample:
     """One question unit: id, task, and (for closed-ended tasks) the truth.
 
@@ -233,7 +300,7 @@ class SupervisionExample:
         return self._slot_index.get(payload)
 
 
-@dataclass(frozen=True, slots=True)
+@_record
 class ParsedResponse:
     """Raw text plus the two validity flags and the extracted payload.
 

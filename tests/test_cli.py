@@ -766,6 +766,17 @@ def test_ablate_repeated_seed_is_config_error(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,what", [("sweep", "sweep"), ("adaptive", "adaptive")])
+def test_sweep_and_adaptive_repeated_seed_is_config_error(tmp_path, capsys, monkeypatch, command, what):
+    # both exited 0, reporting std_acc 0.0 for seeds [0, 0] as if two seeds had agreed
+    no_training(monkeypatch)
+    cfg = write_cfg(tmp_path, "c.json", {"train": TINY_TRAIN, "seeds": [0, 0], "benchmark": TINY_BENCH})
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: duplicate {what} seeds [0]\n"
+    assert not out.exists()
+
+
 def test_ablate_unknown_setting_is_config_error(tmp_path):
     cfg = write_cfg(
         tmp_path, "a.json",

@@ -358,6 +358,23 @@ def test_sweeps_reject_empty_seeds_before_training(run, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "run,what,benchmarks",
+    [
+        (run_sensitivity, "sweep", {"benchmark": object()}),
+        (run_task_adaptive_check, "adaptive", {"closed_benchmark": object(), "open_benchmark": object()}),
+    ],
+    ids=["sensitivity", "adaptive"],
+)
+def test_sweeps_reject_repeated_seeds_before_training(run, what, benchmarks, monkeypatch):
+    # a repeated seed trained its cells again: seeds (0, 0) reported std_acc 0.0
+    no_training(monkeypatch)
+    with pytest.raises(ValueError, match=rf"^duplicate {what} seeds \[0\]$"):
+        run(tiny_cfg(), seeds=(0, 0), **benchmarks)
+    with pytest.raises(ValueError, match=rf"^duplicate {what} seeds \[1, 3\]$"):
+        run(tiny_cfg(), seeds=(3, 1, 2, 1, 3), **benchmarks)
+
+
+@pytest.mark.parametrize(
     "grids,field",
     [
         ({"k_grid": (2.7,)}, "k"),  # int(2.7) would train K=2 and report 2.7
