@@ -18,6 +18,7 @@ import numpy as np
 
 from mskd.corpus import ResponseRow
 from mskd.metrics import DEFAULT_METRICS, MetricConfig, quality_score
+from mskd.policy import score_groups
 from mskd.synthetic import corrupt_envelope
 from mskd.tasks import (
     SupervisionExample,
@@ -121,11 +122,7 @@ def analyze_variance(
         # per-question mean and std from one stacked array per sample count;
         # a row-wise reduction over the last axis equals the 1-D one bit for bit
         q_means, q_stds = np.empty(len(quals)), np.empty(len(quals))
-        by_count: dict[int, list[int]] = {}
-        for i, v in enumerate(quals):
-            by_count.setdefault(len(v), []).append(i)
-        for idx in by_count.values():
-            block = np.array([quals[i] for i in idx])
+        for _, idx, block in score_groups([by_id[q] for q in qual_by_q], quals):
             q_means[idx], q_stds[idx] = block.mean(axis=1), block.std(axis=1)
         sds = q_stds[[len(v) >= 2 for v in quals]]
         per_task[task] = TaskVariance(

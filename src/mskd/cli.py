@@ -153,12 +153,10 @@ def _format_for(args) -> str:
 
 
 def _seeds_from(cfg: dict, base_seed: int, what: str) -> tuple[int, ...]:
-    """The config's seeds, at least 2 and distinct, else base_seed and the
-    seeds after it; what names the run in a duplicate-seed message."""
+    """The config's seeds, which _check_seeds accepts, else base_seed and
+    the seeds after it; what names the run in _check_seeds' message."""
     if "seeds" in cfg:
         seeds = _list_field(cfg, "seeds", None, lambda s: _is_int(s) and s >= 0, "integers >= 0")
-        if len(seeds) < 2:
-            raise ConfigError("need at least 2 seeds")
         try:
             _check_seeds(seeds, what)
         except ValueError as exc:
@@ -176,7 +174,7 @@ def cmd_analyze(args) -> int:
     metric = _metric_only_config(args.config)
     examples = read_examples(args.examples)
     rows = read_responses(args.responses)
-    if not examples or not any(r.source == "teacher" for r in rows):
+    if not any(r.source == "teacher" for r in rows):
         raise DegenerateDataError("no teacher responses to analyze")
     try:
         report = analyze_variance(examples, rows, metric)

@@ -27,7 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from mskd.analysis import QUANTILES, STATS, VarianceReport
-from mskd.metrics import MetricConfig, _check_numbers, _is_finite, temporal_iou
+from mskd.metrics import MetricConfig, _check_numbers, _is_finite, quality_score
+from mskd.policy import score_groups
 from mskd.pool import MatchingDistribution, TeacherPool
 from mskd.synthetic import BisectionPaths, SyntheticTeacher, calibrate_concentration, retention_probability
 from mskd.tasks import (
@@ -38,7 +39,7 @@ from mskd.tasks import (
     Text,
     option_letters,
 )
-from mskd.train import Plan, TrainConfig, TrainedArtifacts, eval_accuracy, policy_groups, score_groups
+from mskd.train import Plan, TrainConfig, TrainedArtifacts, eval_accuracy, policy_groups, slot_parses
 
 
 @dataclass
@@ -138,6 +139,8 @@ def make_closed_benchmark(
 ) -> Benchmark:
     """Mixed MCQ + segment-localization benchmark with a calibrated teacher.
 
+    A slot's score is the quality_score, under the default metric, of the
+    slot rendered and parsed (train.slot_parses), as build_caches scores it.
     Per-question target quality is mu0 + spread * z_i (clipped); when
     retention_target is set, mu0 is bisected so the exact probability that
     a teacher sample clears retention_tau equals the target, otherwise
@@ -164,7 +167,6 @@ def make_closed_benchmark(
     rng = np.random.default_rng(np.random.SeedSequence([seed, 11]))
     letters = option_letters(option_count)
     examples: list[SupervisionExample] = []
-    slot_scores: dict[str, np.ndarray] = {}
     violations: dict[str, float] = {}
     for i in range(n_mcq):
         gt = OptionLetter(letters[int(rng.integers(option_count))])
@@ -177,7 +179,6 @@ def make_closed_benchmark(
             answer_space=tuple(OptionLetter(c) for c in letters),
         )
         examples.append(ex)
-        slot_scores[ex.id] = np.array([float(s == gt.letter) for s in letters])
         violations[ex.id] = violation_mcq
     for i in range(n_temporal):
         a = int(rng.integers(0, len(_GRID) - 3))
@@ -191,8 +192,11 @@ def make_closed_benchmark(
             answer_space=_TEMPORAL_SPACE,
         )
         examples.append(ex)
-        slot_scores[ex.id] = np.array([temporal_iou(s, gt) for s in _TEMPORAL_SPACE])
         violations[ex.id] = violation_temporal
+    slot_scores = {
+        ex.id: np.array([quality_score(r, ex) for r in responses])
+        for ex, responses in zip(examples, slot_parses(examples))
+    }
     z = rng.standard_normal(len(examples))
     groups = _calibration_paths(examples, slot_scores, temperature, top_p)
     rates = np.array([violations[ex.id] for ex in examples])
@@ -355,11 +359,11 @@ def paired_permutation_pvalue(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _check_seeds(seeds: tuple[int, ...], what: str) -> None:
-    """Reject an empty seed list, or a repeated seed, which would train its
-    cells again and count them as further independent samples; what names
-    the run in the message."""
-    if not seeds:
-        raise ValueError("seeds must not be empty")
+    """Reject fewer than 2 seeds, which give no spread, or a repeated seed,
+    which would train its cells again and count them as further independent
+    samples; what names the run in the message."""
+    if len(seeds) < 2:
+        raise ValueError(f"need at least 2 {what} seeds, got {len(seeds)}")
     repeated = sorted({s for s in seeds if seeds.count(s) > 1})
     if repeated:
         raise ValueError(f"duplicate {what} seeds {repeated}")
@@ -369,18 +373,16 @@ def ablation_cells(
     settings: tuple[str, ...], seeds: tuple[int, ...], cfg_base: TrainConfig
 ) -> dict[str, list[TrainConfig]]:
     """Every (setting, seed) cell's config, by label in settings order and
-    then by seed.  Raises ValueError for an unknown or repeated label (one
-    label names one report row), a repeated seed (the A-vs-D test counts
-    each pair of cells once), fewer than 2 seeds, or more seeds than the
-    A-vs-D test takes when both arms run."""
-    if len(seeds) < 2:
-        raise ValueError("need at least 2 seeds for significance reporting")
+    then by seed.  Raises ValueError for fewer than 2 seeds or a repeated
+    seed (_check_seeds; the A-vs-D test counts each pair of cells once),
+    more seeds than the A-vs-D test takes when both arms run, or an unknown
+    or repeated label (one label names one report row)."""
+    _check_seeds(seeds, "ablation")
     if "A" in settings and "D" in settings and len(seeds) > MAX_PERMUTATION_PAIRS:
         raise ValueError(f"the A-vs-D test takes at most {MAX_PERMUTATION_PAIRS} seeds, got {len(seeds)}")
     repeated = sorted({label for label in settings if settings.count(label) > 1})
     if repeated:
         raise ValueError(f"duplicate ablation settings {repeated}")
-    _check_seeds(seeds, "ablation")
     return {label: [replace(setting_config(label, cfg_base), seed=s) for s in seeds] for label in settings}
 
 
@@ -566,7 +568,7 @@ def run_task_adaptive_check(
         closed_uniform=stat(closed_uni),
         open_proxy=stat(open_prox),
         open_uniform=stat(open_uni),
-        crossover=(np.mean(closed_gt) >= np.mean(closed_uni)) and (np.mean(open_uni) >= np.mean(open_prox)),
+        crossover=bool(np.mean(closed_gt) >= np.mean(closed_uni) and np.mean(open_uni) >= np.mean(open_prox)),
     )
 
 

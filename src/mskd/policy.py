@@ -1,7 +1,8 @@
 """Categorical student policy over each example's enumerated answer space.
 
 The student is its logits, one array per example id; these are the
-distributions, draws and KL terms computed from them.
+distributions, draws and KL terms computed from them, grouped by
+answer-space size (score_groups).
 """
 
 from __future__ import annotations
@@ -11,8 +12,22 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from mskd.tasks import SupervisionExample
+
 # Generator.choice's tolerance on the total of a float64 probability vector.
 _SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
+
+
+def score_groups(examples: list[SupervisionExample], scores: list) -> list[tuple]:
+    """Examples and their rows (scores[j] that of examples[j]) grouped by
+    length, in first-seen order: each group's example ids, their positions
+    and their rows stacked once."""
+    groups: dict[int, list[int]] = {}
+    for j, score in enumerate(scores):
+        groups.setdefault(len(score), []).append(j)
+    return [
+        ([examples[j].id for j in rows], rows, np.array([scores[j] for j in rows])) for rows in groups.values()
+    ]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mskd.metrics import _is_finite
-from mskd.policy import _invert_rows, _nucleus_rows, checked_cdf, nucleus, softmax
+from mskd.policy import _invert_rows, _nucleus_rows, checked_cdf, nucleus, score_groups, softmax
 from mskd.tasks import SupervisionExample, render_payload
 
 # Calibration bisects concentration on [CONC_LO, CONC_HI] for at most
@@ -275,8 +275,7 @@ def teacher_stacks(teacher: SyntheticTeacher, examples: list[SupervisionExample]
     for name in ("probs", "violation_rate"):
         if missing := [ex.id for ex in examples if ex.id not in getattr(teacher, name)]:
             raise ValueError(f"teacher.{name} miss examples: {missing}")
-    sizes: dict[int, list[int]] = {}
-    for i, ex in enumerate(examples):
+    for ex in examples:
         if ex.answer_space is None:
             raise ValueError(f"example {ex.id}: answer_space required for synthetic sampling")
         shape, size = np.shape(teacher.probs[ex.id]), len(ex.answer_space)
@@ -288,18 +287,16 @@ def teacher_stacks(teacher: SyntheticTeacher, examples: list[SupervisionExample]
         rate = teacher.violation_rate[ex.id]
         if not (_is_finite(rate) and 0.0 <= rate <= 1.0):
             raise ValueError(f"teacher.violation_rate[{ex.id!r}] must be a number in [0, 1], got {rate!r}")
-        sizes.setdefault(size, []).append(i)
     groups = []
-    for rows in sizes.values():
-        probs = np.array([teacher.probs[examples[i].id] for i in rows], dtype=float)
+    for ids, rows, probs in score_groups(examples, [teacher.probs[ex.id] for ex in examples]):
         try:
             groups.append((np.array(rows), checked_cdf(probs)))
         except ValueError:
-            for i, row in zip(rows, probs):  # name the first row that fails
+            for i, row in zip(ids, probs):  # name the first row that fails
                 try:
                     checked_cdf(row)
                 except ValueError as exc:
-                    raise ValueError(f"teacher.probs[{examples[i].id!r}]: {exc}") from None
+                    raise ValueError(f"teacher.probs[{i!r}]: {exc}") from None
     rates = np.array([teacher.violation_rate[ex.id] for ex in examples], dtype=float)
     return TeacherStacks(examples, groups, rates)
 

@@ -67,7 +67,7 @@ from mskd.discriminator import (
     save_params,
 )
 from mskd.metrics import DEFAULT_METRICS, MetricConfig, _check_numbers, _is_finite, _is_int, quality_score
-from mskd.policy import _invert_rows, checked_cdf, kl_gradient_logits, nucleus, softmax
+from mskd.policy import _invert_rows, checked_cdf, kl_gradient_logits, nucleus, score_groups, softmax
 from mskd.pool import (
     MatchingDistribution,
     TeacherPool,
@@ -462,17 +462,6 @@ def metrics_to_csv(metrics: np.ndarray, sft_epochs: int) -> str:
         cells = ("" if math.isnan(v) else repr(v) for v in row)
         lines.append(",".join((str(step), "sft" if step <= sft_epochs else "rl", *cells)))
     return "\n".join(lines) + "\n"
-
-
-def score_groups(examples: list[SupervisionExample], scores: list[np.ndarray]) -> list[tuple]:
-    """Examples and their slot scores grouped by answer-space size: each
-    group's example ids, their positions and their scores stacked once."""
-    groups: dict[int, list[int]] = {}
-    for j, score in enumerate(scores):
-        groups.setdefault(len(score), []).append(j)
-    return [
-        ([examples[j].id for j in rows], rows, np.array([scores[j] for j in rows])) for rows in groups.values()
-    ]
 
 
 def _pick(layout: list[np.ndarray], on: np.ndarray) -> list[tuple]:

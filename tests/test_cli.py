@@ -188,6 +188,18 @@ def test_pool_build_teacher_row_of_an_unknown_example_is_config_error(corpus, tm
                  "--out", str(tmp_path / "r.csv")]) == 2
 
 
+def test_analyze_teacher_rows_without_examples_is_config_error(corpus, tmp_path, capsys):
+    # an empty examples file exited 3 with "no teacher responses to analyze",
+    # though the responses file has teacher rows; pool build exits 2 on it
+    _, resp_path = corpus
+    ex_path, out = tmp_path / "none.jsonl", tmp_path / "r.csv"
+    write_examples([], ex_path)
+    assert main(["analyze", "--examples", str(ex_path), "--responses", str(resp_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: corpus inconsistent: response references unknown example mcq-0\n"
+    assert not out.exists()
+    assert pool_build((ex_path, resp_path), tmp_path / "pools.jsonl", "--k", "3") == 2
+
+
 @pytest.mark.parametrize(
     "flag, value, message",
     [("--k", "0", "--k must be >= 1, got 0"), ("--tau", "1.5", "--tau must be in [0,1], got 1.5")],

@@ -14,6 +14,7 @@ import mskd.train
 from oracles import permutation_pvalue
 from mskd.analysis import analyze_variance
 from mskd.corpus import ResponseRow
+from mskd.discriminator import QUALITY_COL
 from mskd.harness import (
     ABLATION_LABELS,
     MAX_PERMUTATION_PAIRS,
@@ -37,10 +38,11 @@ from mskd.harness import (
     sensitivity_tables,
     setting_config,
 )
+from mskd.metrics import DEFAULT_METRICS
 from mskd.pool import build_pool
 from mskd.synthetic import retention_probability, sampling_probs
 from mskd.tasks import TaskType
-from mskd.train import TrainConfig, eval_accuracy, policy_groups, score_groups
+from mskd.train import Plan, TrainConfig, eval_accuracy, policy_groups, score_groups
 
 
 def tiny_bench(**kw):
@@ -76,6 +78,21 @@ def test_closed_benchmark_slot_scores_peak_at_truth():
         assert scores.max() == 1.0
         if ex.task == TaskType.MULTIPLE_CHOICE:
             assert scores.sum() == 1.0  # one-hot
+
+
+@pytest.mark.parametrize(
+    "kw", [{}, {"seed": 7, "option_count": 5, "n_mcq": 5, "n_temporal": 4}], ids=["default", "five_options"]
+)
+def test_closed_benchmark_slot_scores_are_the_plans_quality_column(kw):
+    # the benchmark scored its slots with formulas of its own; they are the
+    # quality column build_caches writes under the default metric, one array each
+    bench = make_closed_benchmark(**kw)
+    plan = Plan(bench.examples, DEFAULT_METRICS, bench.teacher)
+    for ex, start in zip(bench.examples, plan.starts.tolist()):
+        column = plan.slot_rows[start : start + len(ex.answer_space), QUALITY_COL]
+        assert bench.slot_scores[ex.id].tobytes() == column.tobytes()
+    arrays = [bench.slot_scores[ex.id] for ex in bench.examples]
+    assert all(a.flags.owndata for a in arrays) and len({id(a) for a in arrays}) == len(arrays)
 
 
 def test_closed_benchmark_retention_calibration():
@@ -229,6 +246,12 @@ def test_ablation_rejects_repeated_labels_and_untestable_seeds_before_training(m
         run_ablation(tiny_cfg(), settings=("B",), seeds=(2, 0, 2))
 
 
+def test_ablation_reports_a_single_seed_first(monkeypatch):
+    no_training(monkeypatch)
+    with pytest.raises(ValueError, match=r"^need at least 2 ablation seeds, got 1$"):
+        run_ablation(tiny_cfg(), settings=("A", "A", "Z"), seeds=(0,))
+
+
 def test_permutation_pvalue_behaviour():
     same = np.full(10, 0.5)
     assert paired_permutation_pvalue(same, same) == 1.0
@@ -372,6 +395,32 @@ def test_sweeps_reject_repeated_seeds_before_training(run, what, benchmarks, mon
         run(tiny_cfg(), seeds=(0, 0), **benchmarks)
     with pytest.raises(ValueError, match=rf"^duplicate {what} seeds \[1, 3\]$"):
         run(tiny_cfg(), seeds=(3, 1, 2, 1, 3), **benchmarks)
+
+
+@pytest.mark.parametrize(
+    "run,what,benchmarks",
+    [
+        (run_sensitivity, "sweep", {"benchmark": object()}),
+        (run_task_adaptive_check, "adaptive", {"closed_benchmark": object(), "open_benchmark": object()}),
+    ],
+    ids=["sensitivity", "adaptive"],
+)
+def test_sweeps_reject_a_single_seed_before_training(run, what, benchmarks, monkeypatch):
+    # one seed trained its cells and reported std_acc 0.0, a spread of nothing
+    no_training(monkeypatch)
+    with pytest.raises(ValueError, match=rf"^need at least 2 {what} seeds, got 1$"):
+        run(tiny_cfg(), seeds=(0,), **benchmarks)
+
+
+def test_adaptive_crossover_is_a_bool_of_the_four_means():
+    # it was a numpy bool (np.False_), not the bool its field declares
+    result = run_task_adaptive_check(
+        tiny_cfg(), seeds=(0, 1), closed_benchmark=tiny_bench(),
+        open_benchmark=make_open_benchmark(n_examples=2, space_size=4),
+    )
+    assert type(result.crossover) is bool
+    want = result.closed_gt[0] >= result.closed_uniform[0] and result.open_uniform[0] >= result.open_proxy[0]
+    assert result.crossover == want
 
 
 @pytest.mark.parametrize(

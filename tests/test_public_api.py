@@ -11,6 +11,7 @@ import inspect
 from pathlib import Path
 
 import mskd
+import mskd.analysis
 import mskd.cli
 import mskd.corpus
 import mskd.discriminator
@@ -225,3 +226,27 @@ def test_each_exception_type_is_caught_by_name():
                 types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
                 caught |= {ast.unparse(t).rsplit(".", 1)[-1] for t in types}
     assert defined - caught == {"InvalidWeightsError"}
+
+
+def test_task_metrics_are_used_only_through_quality_score():
+    # the closed benchmark scored its slots with float(s == gt.letter) and
+    # temporal_iou, a second statement of the metrics quality_score dispatches to
+    metrics = {"temporal_iou", "spatial_iou", "exact_match", "epsilon_accuracy", "ocr_similarity"}
+    package = Path(mskd.__file__).parent
+    uses = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "metrics.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+            if name in metrics:
+                uses.append(f"{path.name}:{node.lineno} {name}")
+    assert uses == []
+
+
+def test_score_groups_has_one_home():
+    # the trainer, the teacher's stacks and the variance report group rows by
+    # length through the one function, so stack g of each holds the same examples
+    assert mskd.train.score_groups is mskd.policy.score_groups
+    for module in (mskd.synthetic, mskd.analysis, mskd.harness):
+        assert module.score_groups is mskd.policy.score_groups, module.__name__

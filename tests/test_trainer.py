@@ -1079,6 +1079,20 @@ def test_a_plan_checks_and_stacks_its_teacher_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_teacher_stacks_hold_the_plans_layout():
+    # the teacher's stacks and the student's come from one score_groups
+    # grouping, so stack g of each holds the same examples in the same order
+    bench = make_closed_benchmark()
+    space = tuple(TemporalSegment(a / 10, b / 10) for a in range(10) for b in range(a, 10))
+    mixed = [mk_mcq(0), mk_temporal(1, space=space), mk_mcq(2), mk_mcq(3, n_options=3)]
+    assert [len(ex.answer_space) for ex in mixed] == [4, 55, 4, 3]
+    for exs, teacher in ((bench.examples, bench.teacher), (mixed, point_mass_teacher(mixed, slot=0))):
+        plan = Plan(exs, MetricConfig(), teacher)
+        layout = [rows.tolist() for rows in plan.layout]
+        assert [rows.tolist() for rows, _ in plan.teacher_stacks().groups] == layout
+    assert layout == [[0, 2], [1], [3]]
+
+
 def test_plan_rejects_a_cell_under_another_metric(monkeypatch):
     # the plan's slot rows and pool qualities were scored under its metric
     exs = [mk_mcq(0), mk_temporal(1)]
