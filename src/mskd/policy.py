@@ -123,10 +123,11 @@ def kl_gradient_logits(p: np.ndarray, q: np.ndarray) -> tuple[float | np.ndarray
 
     With p = softmax(theta): d KL / d theta_j = p_j ((log p_j - log q_j) - KL).
     KL is summed over the support of p only (0 log 0 = 0) and is inf when q
-    is 0 somewhere on that support; each log is taken once.
+    is 0 somewhere on that support; each log is taken once, on that support,
+    so a q that is 0 only off it is a finite case without a warning.
     """
     pos = p > 0.0
-    diff = np.where(pos, np.log(np.where(pos, p, 1.0)) - np.log(q), 0.0)
+    diff = np.where(pos, np.log(np.where(pos, p, 1.0)) - np.log(np.where(pos, q, 1.0)), 0.0)
     terms = p * diff
     kl = terms.sum(axis=-1, keepdims=True)
     # a row with an exact zero in p sums over its support alone: the zeros

@@ -6,7 +6,7 @@ with weights validated to sum to one — silent renormalization would move
 the published operating point, so malformed weights fail hard.  outer and
 task are a response's validity flags, 0 or 1: the flag is the reward.  The
 trainer computes the sum in one batched composite_reward call per
-answer-space size and epoch, over its rollouts' slot feature rows
+epoch, over all its active rollouts' slot feature rows
 (train.build_caches): columns 0 and 1 are the flags, and column 3 the
 content, a slot's gated ground-truth quality on a closed-ended task and 0
 on an open-ended one.

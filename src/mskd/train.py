@@ -7,11 +7,14 @@ a teacher response drawn from the matching distribution, reward the
 rollouts (discriminator + format + content), apply a policy-gradient update
 with a group-mean advantage baseline and an exact KL pull toward the frozen
 Stage-1 policy, then descend the discriminator's pairwise loss on the
-matched pairs.  rl_step runs a whole epoch of these steps: only the
-discriminator moves from step to step, so the student half of every step is
-batched across the epoch's examples, each epoch's rollout and teacher rows
-are gathered in one take each, and the discriminator's steps are one chain
-(discriminator.chain_update) that keeps only the descent sequential.
+matched pairs.  rl_step runs all of a cell's Stage-2 epochs in one call:
+it checks its inputs and weights every epoch's pairs once, before the first
+epoch.  Within an epoch only the discriminator moves from step to step, so
+the student half of every step is batched across the epoch's examples (the
+rewards and advantages in one pass over all its rollouts), each epoch's
+rollout and teacher rows are gathered in one take each, and the
+discriminator's steps are one chain (discriminator.chain_update) that keeps
+only the descent sequential.
 
 The student is its logits: one float64 stack per answer-space size, laid
 out once per cell, and a dict from example id to its row of a stack.  A
@@ -364,6 +367,13 @@ def _sft_epoch(taught: list[tuple], stacks: list[np.ndarray], probs: list[np.nda
         stacks[g][sel] -= lr * p  # grad of NLL is (probs - onehot)
 
 
+def _policy(stacks: list[np.ndarray], acc: list[tuple]) -> tuple[list[np.ndarray], float | None]:
+    """Each logits stack's row-wise softmax, which the accuracy and the next
+    epoch read, and eval_accuracy under it over acc's rows (Plan.acc)."""
+    probs = [softmax(logits) for logits in stacks]
+    return probs, eval_accuracy([(probs[g][sel], pos, q) for g, sel, pos, q in acc])
+
+
 def rl_step(
     groups: list[tuple],
     stacks: list[np.ndarray],
@@ -376,81 +386,97 @@ def rl_step(
     weighted: np.ndarray,
     slot_rows: np.ndarray,
     pool_rows: np.ndarray,
-) -> tuple[DiscriminatorParams, np.ndarray]:
-    """One epoch of adversarial distillation over the active examples, the
-    ones with matches, on the layout rl_inputs builds for Plan.run.
+    acc: list[tuple],
+) -> tuple[DiscriminatorParams, np.ndarray, list[float | None]]:
+    """A cell's Stage 2: epochs of adversarial distillation over the active
+    examples, the ones with matches, on the layout rl_inputs builds for
+    Plan.run; one epoch per row of uniforms.
 
-    stacks are the student's logits stacks, which the step updates in
-    place, and probs their row-wise softmax, the epoch-start policy.
+    stacks are the student's logits stacks, which every epoch updates in
+    place, and probs their row-wise softmax, the first epoch's policy.
     groups hold, per answer-space size with an active example, its stack's
     index, its active rows (_pick's selector), their positions among the
-    active examples and their frozen reference probabilities.  Per active
-    example, in order: uniforms holds its n_rollouts rollout uniforms,
-    which it inverts as Generator.choice would; picks the rows of
+    active examples and their frozen reference probabilities; acc the
+    accuracy's rows (Plan.acc).  Per epoch and active example, in order:
+    uniforms (epochs, active, n) holds its n_rollouts rollout uniforms,
+    which it inverts as Generator.choice would, and picks the rows of
     pool_rows (the pools' pool_features rows, stacked) its rollouts are
-    paired with; slot_at (active, 1) its first row of slot_rows (the
-    build_caches rows under cfg.metric, stacked); and weighted whether a
-    pair's weight in the discriminator's loss is the quality column of its
-    teacher row (quality matching on a closed-ended example) rather than 1.  Inputs that do not fit one another raise
-    ValueError: a short stack would gather another example's rows.
+    paired with; per active example, slot_at (active, 1) holds its first
+    row of slot_rows (the build_caches rows under cfg.metric, stacked) and
+    weighted whether a pair's weight in the discriminator's loss is the
+    quality column of its teacher row (quality matching on a closed-ended
+    example) rather than 1.  Inputs that do not fit one another raise
+    ValueError before any epoch runs: a short stack would gather another
+    example's rows.  The check, every epoch's pair weights and each
+    group's flat row offsets are taken once per call.
 
-    Order: every rollout is drawn from the epoch-start policy; the rollout
-    rows and the matched teacher rows of the whole epoch are gathered in one
-    take each; then the discriminator walks one chain (chain_update), one
-    example after another: it scores that example's rollout rows and
-    descends its pair loss on the matched pairs.  The student updates
-    (policy gradient with a group-mean baseline + KL pull) land at the end,
-    with each rollout's reward read off the same rows' reward columns.
-    Example i's logits are read and written by its step alone, and the
-    discriminator reads only rollout feature rows, so this is a
-    per-example sequence of steps bit for bit; each group's student half is
-    one row-wise pass.  The stats hold one row per active example, in
-    order: its mean reward, the discriminator's loss before its step and
-    its KL, each of the state it acted on.
+    Order within an epoch: every rollout is drawn from the epoch-start
+    policy; the rollout rows and the matched teacher rows of the epoch are
+    gathered in one take each; then the discriminator walks one chain
+    (chain_update), one example after another: it scores that example's
+    rollout rows and descends its pair loss on the matched pairs.  The
+    rewards of all active rollouts are one pass over the same rows' reward
+    columns, and the student updates (policy gradient with a group-mean
+    baseline + KL pull) land at the end.  Example i's logits are read and
+    written by its step alone, and the discriminator reads only rollout
+    feature rows, so an epoch is a per-example sequence of steps bit for
+    bit, and a call over E epochs is E chained one-epoch calls bit for bit.
+    The (epochs, active, 3) stats hold one row per epoch and active
+    example, in order: its mean reward, the discriminator's loss before
+    its step and its KL, each of the state it acted on.  The list holds
+    each epoch's eval_accuracy under the policy it leaves.
     """
     n, a = cfg.n_rollouts, len(slot_at)
+    epochs = len(uniforms)
     covered = np.sort(np.concatenate([np.arange(0)] + [p for _, _, p, _ in groups]))
     fits = (
-        uniforms.shape == picks.shape == (a, n) and slot_at.shape == (a, 1) and weighted.shape == (a,)
+        uniforms.shape == picks.shape == (epochs, a, n) and slot_at.shape == (a, 1) and weighted.shape == (a,)
         and [p.shape for p in probs] == [logits.shape for logits in stacks]
     )
     if not (fits and np.array_equal(covered, np.arange(a))) or a and (
-        min(slot_at.min(), picks.min()) < 0 or picks.max() >= len(pool_rows)
+        slot_at.min() < 0 or picks.size and (picks.min() < 0 or picks.max() >= len(pool_rows))
         or max(slot_at[pos].max() + stacks[g].shape[1] for g, _, pos, _ in groups) > len(slot_rows)
     ):
         raise ValueError(f"rl_step inputs do not fit {a} active examples and their row stacks")
-    rollouts = np.empty(uniforms.shape, dtype=np.intp)
-    stats = np.empty((len(uniforms), 3))  # mean reward, disc loss, KL
-    policies = []
-    for g, sel, pos, ref in groups:
-        p = probs[g][sel]
-        rollouts[pos] = _invert_rows(checked_cdf(p), uniforms[pos])
-        stats[pos, 2], kl_grad = kl_gradient_logits(p, ref)
-        policies.append((p, kl_grad))
+    pair_w = np.where(weighted[:, None], pool_rows[:, QUALITY_COL].take(picks), 1.0)
+    # per group: its rows' rollout uniforms and each row's first flat index
+    # into the (size, m) policy-gradient counts
+    laid = [(uniforms[:, pos], np.arange(len(pos))[:, None] * stacks[g].shape[1]) for g, _, pos, _ in groups]
+    stats = np.empty((epochs, a, 3))  # mean reward, disc loss, KL
+    accs = []
+    for epoch in range(epochs):
+        rollouts = np.empty((a, n), dtype=np.intp)
+        policies = []
+        for (g, sel, pos, ref), (u, _) in zip(groups, laid):
+            p = probs[g][sel]
+            rollouts[pos] = _invert_rows(checked_cdf(p), u[epoch])
+            stats[epoch, pos, 2], kl_grad = kl_gradient_logits(p, ref)
+            policies.append((p, kl_grad))
 
-    # each rollout's slot row, gathered once for the discriminator and the
-    # reward, and each matched teacher row; take(), not fancy indexing: the
-    # same rows at a fraction of the call cost
-    roll_feats = slot_rows.take(slot_at + rollouts, 0)
-    teacher_feats = pool_rows.take(picks, 0)
-    pair_w = np.where(weighted[:, None], teacher_feats[..., QUALITY_COL], 1.0)
-    disc, raw_scores, stats[:, 1] = chain_update(disc, teacher_feats, roll_feats, pair_w, cfg.lr_disc)
-
-    for (g, sel, pos, _), (p, kl_grad) in zip(groups, policies):
-        size, m = p.shape
-        row, roll = np.arange(size)[:, None], rollouts[pos]
-        terms = roll_feats[pos]
-        rewards = composite_reward(
-            cfg.weights, _sigmoid(raw_scores[pos]),
-            terms[..., OUTER_COL], terms[..., TASK_COL], terms[..., QUALITY_COL],
+        # each rollout's slot row, gathered once for the discriminator and
+        # the reward, and each matched teacher row; take(), not fancy
+        # indexing: the same rows at a fraction of the call cost
+        roll_feats = slot_rows.take(slot_at + rollouts, 0)
+        teacher_feats = pool_rows.take(picks[epoch], 0)
+        disc, raw_scores, stats[epoch, :, 1] = chain_update(
+            disc, teacher_feats, roll_feats, pair_w[epoch], cfg.lr_disc
         )
-        mean = rewards.sum(axis=1) / n
+        rewards = composite_reward(
+            cfg.weights, _sigmoid(raw_scores),
+            roll_feats[..., OUTER_COL], roll_feats[..., TASK_COL], roll_feats[..., QUALITY_COL],
+        )
+        mean = stats[epoch, :, 0] = rewards.sum(axis=1) / n
         adv = rewards - mean[:, None]
-        counts = np.bincount((row * m + roll).ravel(), weights=adv.ravel(), minlength=size * m)
-        pg = counts.reshape(size, m) / n - p * (adv.sum(axis=1, keepdims=True) / n)
-        stacks[g][sel] += cfg.lr_student * (pg - cfg.gamma * kl_grad)
-        stats[pos, 0] = mean
-    return disc, stats
+
+        for (g, sel, pos, _), (_, offsets), (p, kl_grad) in zip(groups, laid, policies):
+            size, m = p.shape
+            adv_g = adv[pos]
+            counts = np.bincount((offsets + rollouts[pos]).ravel(), weights=adv_g.ravel(), minlength=size * m)
+            pg = counts.reshape(size, m) / n - p * (adv_g.sum(axis=1, keepdims=True) / n)
+            stacks[g][sel] += cfg.lr_student * (pg - cfg.gamma * kl_grad)
+        probs, accuracy = _policy(stacks, acc)
+        accs.append(accuracy)
+    return disc, stats, accs
 
 
 def metrics_to_csv(metrics: np.ndarray, sft_epochs: int) -> str:
@@ -505,11 +531,13 @@ def expected_scores(groups: list[tuple], temperature: float = 1.0, top_p: float 
 
     Each group takes one row-wise nucleus and one stacked (1, m) @ (m, 1)
     product, which give the per-example values bit for bit.  At the
-    default temperature and top_p the nucleus is probs itself.
+    default temperature and top_p the nucleus is probs itself, so no
+    nucleus is taken.
     """
     out = np.empty(sum(len(rows) for _, rows, _ in groups))
+    plain = temperature == 1.0 and top_p == 1.0
     for probs, rows, q in groups:
-        p = nucleus(probs, temperature, top_p)
+        p = probs if plain else nucleus(probs, temperature, top_p)
         out[rows] = (p[:, None, :] @ q[:, :, None])[:, 0, 0]
     return out
 
@@ -726,17 +754,11 @@ class Plan:
         slots = np.array([sft_targets.get(ex.id, -1) for ex in examples])
         taught = [(g, sel, slots[rows]) for g, sel, rows in _pick(self.layout, slots >= 0)]
 
-        def policy() -> tuple[list[np.ndarray], float | None]:
-            """Each stack's row-wise softmax, which the accuracy and the
-            next epoch read, and the accuracy under it."""
-            probs = [softmax(logits) for logits in stacks]
-            return probs, eval_accuracy([(probs[g][sel], pos, q) for g, sel, pos, q in self.acc])
-
         log = []  # per epoch: mean reward, disc loss, KL, accuracy; None is empty
-        probs, acc = policy()
+        probs, acc = _policy(stacks, self.acc)
         for _ in range(cfg.epochs_stage1):
             _sft_epoch(taught, stacks, probs, cfg.lr_student)
-            probs, acc = policy()
+            probs, acc = _policy(stacks, self.acc)
             log.append((None, None, None, acc))
 
         ref = {k: logits.copy() for k, logits in student.items()}
@@ -754,15 +776,13 @@ class Plan:
         groups, u, picks, slot_at, weighted = rl_inputs(
             self.layout, probs, active, matches, uniforms, self.starts, self.closed, cfg
         )
-        for epoch in range(epochs):
-            disc, stats = rl_step(
-                groups, stacks, probs, disc, cfg, u[epoch], picks[epoch], slot_at, weighted,
-                self.slot_rows, pool_rows,
-            )
-            probs, acc = policy()
-            # cumsum adds the rows one after another, in step order
-            means = (stats.cumsum(axis=0)[-1] / len(stats)).tolist() if len(stats) else [None] * 3
-            log.append((*means, acc))
+        disc, stats, accs = rl_step(
+            groups, stacks, probs, disc, cfg, u, picks, slot_at, weighted, self.slot_rows, pool_rows, self.acc
+        )
+        # cumsum adds each epoch's rows one after another, in step order
+        means = (stats.cumsum(axis=1)[:, -1] / len(at)).tolist() if len(at) else [[None] * 3] * epochs
+        log += [(*m, accuracy) for m, accuracy in zip(means, accs)]
+        acc = accs[-1] if accs else acc
 
         # an example with nothing to match sits out every RL epoch
         skipped_rl = tuple(sorted(ex.id for ex, on in zip(examples, active.tolist()) if not on))

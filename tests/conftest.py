@@ -76,11 +76,12 @@ def stack_student(examples, student):
 
 
 def rl_epoch_on(student, ref_probs, disc, examples, cfg, uniforms, matches, slot_rows, pool_rows):
-    """train.rl_step over per-example inputs, laid out by train.rl_inputs
-    as Plan.run lays them out: logits and reference probabilities by id,
-    each example's rollout uniforms and its matched pool rows (None: nothing
-    to match), its build_caches rows stacked in slot_rows and its (K, dim)
-    pool rows stacked in pool_rows."""
+    """train.rl_step over one epoch of per-example inputs, laid out by
+    train.rl_inputs as Plan.run lays them out: logits and reference
+    probabilities by id, each example's rollout uniforms and its matched
+    pool rows (None: nothing to match), its build_caches rows stacked in
+    slot_rows and its (K, dim) pool rows stacked in pool_rows.  Returns the
+    discriminator and the epoch's (active, 3) stats."""
     layout, stacks = stack_student(examples, student)
     refs = [np.array([ref_probs[examples[i].id] for i in rows]) for rows in layout]
     starts = np.cumsum([0] + [len(ex.answer_space) for ex in examples])[:-1]
@@ -93,9 +94,10 @@ def rl_epoch_on(student, ref_probs, disc, examples, cfg, uniforms, matches, slot
         replace(cfg, k=k, epochs_stage2=1),
     )
     probs = [softmax(logits) for logits in stacks]
-    return rl_step(
-        groups, stacks, probs, disc, cfg, u[0], picks[0], slot_at, weighted, slot_rows, pool_rows.reshape(-1, dim)
+    disc, stats, _ = rl_step(
+        groups, stacks, probs, disc, cfg, u, picks, slot_at, weighted, slot_rows, pool_rows.reshape(-1, dim), []
     )
+    return disc, stats[0]
 
 
 def sft_epoch_on(student, examples, targets, lr):

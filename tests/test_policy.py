@@ -111,7 +111,7 @@ def test_nucleus_fuzz_properties(rng):
 
 def kl_of(p, q):
     """The KL value of the library's one KL path."""
-    with np.errstate(divide="ignore", invalid="ignore"):  # log 0 off p's support
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 0 of a q that is 0 on p's support
         return kl_gradient_logits(p, q)[0]
 
 
@@ -135,6 +135,20 @@ def test_kl_edge_cases(rng):
         assert kl_of(p, q) == pytest.approx(kl_oracle(p, q), rel=1e-12)
         assert kl_of(p, q) >= 0.0
         assert kl_of(p, q) == kl_divergence(p, q)  # the scalar oracle, bit for bit
+
+
+def test_kl_of_a_reference_zero_only_off_the_support_takes_no_log_of_zero():
+    # a finite case: under the suite's filterwarnings = error, a log of q's
+    # zero would raise
+    for p, q in (([1.0, 0.0], [1.0, 0.0]), ([0.5, 0.0, 0.5], [0.25, 0.0, 0.75])):
+        p, q = np.array(p), np.array(q)
+        kl, grad = kl_gradient_logits(p, q)
+        assert kl == kl_divergence(p, q) < math.inf
+        assert np.isfinite(grad).all() and grad[p == 0.0].tolist() == [0.0]
+    p, q = np.array([[1.0, 0.0], [0.5, 0.5]]), np.array([[1.0, 0.0], [0.25, 0.75]])
+    kl, grad = kl_gradient_logits(p, q)
+    assert kl.tolist() == [kl_divergence(p[0], q[0]), kl_divergence(p[1], q[1])]
+    assert np.isfinite(grad).all()
 
 
 def test_kl_gradient_matches_finite_differences(rng):

@@ -19,6 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import mskd.train
 import oracles
 from conftest import mk_mcq, mk_open, mk_temporal, rl_epoch_on
 from oracles import kl_divergence, loop_apply_gradient
@@ -41,6 +42,7 @@ from mskd.train import (
     build_caches,
     make_pools,
     pool_features,
+    rl_step,
     run_pipeline,
     select_sft_targets,
     stream_table,
@@ -368,3 +370,96 @@ def test_cell_on_partly_used_stacks_matches_the_per_example_oracles(matching, hi
         assert not any(np.shares_memory(art.ref[ex.id], logits) for logits in art.student.values()), ex.id
     assert not np.array_equal(art.student["tg-4"], art.ref["tg-4"])
     assert art.student["tg-1"].tobytes() == np.zeros(7).tobytes()  # neither taught nor stepped
+
+
+# --- a cell's Stage 2 in one call ---------------------------------------------
+
+
+def stage2_call(monkeypatch, examples, teacher, cfg):
+    """run_pipeline's one rl_step call: its arguments with the logits stacks
+    and the discriminator as they stood before it ran, the stacks it left
+    and its result."""
+    calls = []
+
+    def capture(groups, stacks, *rest):
+        before = [logits.copy() for logits in stacks]
+        out = rl_step(groups, stacks, *rest)
+        calls.append(((groups, before, *rest), [logits.copy() for logits in stacks], out))
+        return out
+
+    monkeypatch.setattr(mskd.train, "rl_step", capture)
+    run_pipeline(examples, cfg, teacher=teacher)
+    assert len(calls) == 1
+    return calls[0]
+
+
+def assert_one_call_is_chained_epochs(monkeypatch, examples, teacher, cfg):
+    """The call over cfg.epochs_stage2 epochs against one one-epoch call per
+    epoch, each from the state the last one left and the softmax of its
+    stacks: the stacks, the discriminator, the stats and each epoch's
+    accuracy, bit for bit.  Returns the call's stats."""
+    args, stacks_after, (disc, stats, accs) = stage2_call(monkeypatch, examples, teacher, cfg)
+    groups, stacks, probs, chained, cfg, u, picks, *rest = args
+    stacks = [logits.copy() for logits in stacks]
+    assert len(u) == cfg.epochs_stage2 >= 3
+    chained_stats, chained_accs = [], []
+    for epoch in range(len(u)):
+        chained, epoch_stats, epoch_accs = rl_step(
+            groups, stacks, probs, chained, cfg, u[epoch : epoch + 1], picks[epoch : epoch + 1], *rest
+        )
+        probs = [softmax(logits) for logits in stacks]
+        chained_stats.append(epoch_stats[0])
+        chained_accs += epoch_accs
+    assert [s.tobytes() for s in stacks] == [s.tobytes() for s in stacks_after]
+    assert disc_bytes(disc) == disc_bytes(chained)
+    assert stats.shape == (len(u), len(rest[0]), 3)
+    assert stats.tobytes() == np.array(chained_stats).reshape(stats.shape).tobytes()
+    assert list(map(repr, accs)) == list(map(repr, chained_accs))
+    return stats
+
+
+@pytest.mark.parametrize("arm", ["A", "B", "C", "D"])
+def test_one_rl_step_call_is_its_epochs_chained_per_arm(monkeypatch, closed, arm):
+    cfg = setting_config(arm, TrainConfig(seed=2, epochs_stage1=2, epochs_stage2=3, weights=ODD_WEIGHTS))
+    stats = assert_one_call_is_chained_epochs(monkeypatch, closed.examples, closed.teacher, cfg)
+    assert stats.shape[1] == len(closed.examples)
+
+
+def test_one_rl_step_call_is_its_epochs_chained_hidden_layer(monkeypatch, closed):
+    cfg = setting_config("D", TrainConfig(seed=5, epochs_stage1=2, epochs_stage2=4, hidden_dim=2, n_rollouts=5))
+    assert_one_call_is_chained_epochs(monkeypatch, closed.examples, closed.teacher, cfg)
+
+
+def test_one_rl_step_call_is_its_epochs_chained_with_skipped_examples(monkeypatch):
+    # 4- and 7-slot spaces and an open-ended example; every response of
+    # mcq-1 is malformed and none of tg-1's passes the filter, so both sit
+    # out Stage 2
+    seven = tuple(TemporalSegment(j / 10, (j + 3) / 10) for j in range(7))
+    examples = [
+        mk_mcq(0, gt="A"), mk_temporal(0, gt=(0.1, 0.4), space=seven), mk_mcq(1, gt="C"), mk_open(2),
+        mk_temporal(1, gt=(0.3, 0.6), space=seven), mk_mcq(2, gt="D"),
+    ]
+    teacher = SyntheticTeacher(
+        probs={ex.id: np.full(len(ex.answer_space), 1.0 / len(ex.answer_space)) for ex in examples},
+        violation_rate={ex.id: 1.0 if ex.id == "mcq-1" else 0.1 for ex in examples},
+    )
+    for matching, hidden in (("quality", 0), ("uniform", 2)):
+        cfg = TrainConfig(
+            seed=7, k=5, epochs_stage1=2, epochs_stage2=3, weights=ODD_WEIGHTS, matching=matching,
+            hidden_dim=hidden,
+        )
+        stats = assert_one_call_is_chained_epochs(monkeypatch, examples, teacher, cfg)
+        assert stats.shape[1] == len(examples) - 2
+
+
+def test_rl_step_rejects_a_misfit_in_its_last_epoch_before_the_first(monkeypatch, closed):
+    cfg = setting_config("D", TrainConfig(seed=3, epochs_stage1=2, epochs_stage2=3))
+    args, _, _ = stage2_call(monkeypatch, closed.examples, closed.teacher, cfg)
+    groups, stacks, probs, disc, cfg, u, picks, slot_at, weighted, slot_rows, pool_rows, acc = args
+    picks = picks.copy()
+    picks[-1, -1, -1] = len(pool_rows)  # past the last pool row, in the last epoch only
+    stacks_bytes, disc_before = [s.tobytes() for s in stacks], disc_bytes(disc)
+    with pytest.raises(ValueError, match=rf"^rl_step inputs do not fit {len(slot_at)} active examples"):
+        rl_step(groups, stacks, probs, disc, cfg, u, picks, slot_at, weighted, slot_rows, pool_rows, acc)
+    assert [s.tobytes() for s in stacks] == stacks_bytes
+    assert disc_bytes(disc) == disc_before

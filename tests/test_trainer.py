@@ -203,10 +203,10 @@ def test_rl_step_rejects_row_stacks_that_do_not_fit_its_examples():
         np.array([True, True]), replace(cfg, epochs_stage2=1),
     )
     flat_pools = pool_rows.reshape(-1, featurizer.dim)
-    fine = (groups, stacks, probs, args[2], cfg, u[0], picks[0], slot_at, weighted, slot_rows, flat_pools)
+    fine = (groups, stacks, probs, args[2], cfg, u, picks, slot_at, weighted, slot_rows, flat_pools, [])
     twice = [(*g[:2], np.array([0]), g[3]) for g in groups]
     for i, bad in (
-        (0, twice), (2, probs[::-1]), (2, probs[:1]), (5, u[0, :1]), (6, picks[0] - cfg.k), (7, slot_at[:1]),
+        (0, twice), (2, probs[::-1]), (2, probs[:1]), (5, u[:, :1]), (6, picks - cfg.k), (7, slot_at[:1]),
         (8, weighted[:1]),
     ):
         with pytest.raises(ValueError, match=r"^rl_step inputs do not fit"):
@@ -524,9 +524,10 @@ def test_pipeline_ref_is_a_copy_of_the_stage1_logits():
 
 def test_pipeline_rewards_and_matches_through_the_checked_functions(monkeypatch):
     # the acceptance criteria check composite_reward and sample_matches, so
-    # training must reach both: one reward call per answer-space size and
-    # epoch, one match draw for every pool of the cell
-    calls = {"composite_reward": 0, "sample_matches": 0}
+    # training must reach both: one reward call per epoch, over every active
+    # rollout, one match draw for every pool of the cell, and Stage 2 in one
+    # rl_step call
+    calls = {"composite_reward": 0, "sample_matches": 0, "rl_step": 0}
     for name in calls:
 
         def counted(*args, _name=name, _original=getattr(mskd.train, name), **kwargs):
@@ -538,7 +539,7 @@ def test_pipeline_rewards_and_matches_through_the_checked_functions(monkeypatch)
     cfg = small_cfg()
     art = run_pipeline(exs, cfg, teacher=point_mass_teacher(exs))
     assert art.skipped_rl == ()
-    assert calls == {"composite_reward": 2 * cfg.epochs_stage2, "sample_matches": 1}
+    assert calls == {"composite_reward": cfg.epochs_stage2, "sample_matches": 1, "rl_step": 1}
 
 
 def test_pipeline_requires_answer_space_and_examples():
