@@ -2,17 +2,22 @@
 
 Subcommands: analyze, ablate, sweep, adaptive, passk, train, pool build.
 Every subcommand takes --config and --out.  Those that draw at random
-(ablate, sweep, adaptive, passk, train) take --seed, which overrides any
-seed in the config file; those that write a report (analyze and the four
-harnesses) take --format.  Config files are JSON objects whose top-level
-keys are checked against the ones each command understands.  Each block
-is handed to the type it configures (TrainConfig, MetricConfig,
-RewardWeights, make_closed_benchmark, make_open_benchmark), and passk's
-top-level k_values, temperature, top_p and success_threshold to the check
-pass_at_k_eval runs, and train's examples and cached pools to run_pipeline
-(train.InputError); these reject what they do not accept, and the CLI only
-turns those errors into exit code 2.  Unreadable input files exit 2 as
-well, and so does an --out that cannot be written, before any work.
+(ablate, sweep, adaptive, passk, train) take --seed: train and passk train
+at --seed when it is given, else at the config's seed (0 by default);
+ablate, sweep and adaptive run the config's seeds or, without them, --seed
+and the 7 seeds after it (0..7 by default), and reject --seed together
+with seeds, and a train block's seed, which each cell's seed replaces.
+Those that write a report (analyze and the four harnesses) take --format.
+Config files are JSON objects whose top-level keys are checked against the
+ones each command understands.  Each block is handed to the type it
+configures (TrainConfig, MetricConfig, RewardWeights,
+make_closed_benchmark, make_open_benchmark), and passk's top-level
+k_values, temperature, top_p and success_threshold to the check
+pass_at_k_eval runs, and train's examples to train.Plan and its cached
+pools to Plan.run (train.InputError); these reject what they do not
+accept, and the CLI only turns those errors into exit code 2.  Unreadable
+input files exit 2 as well, and so does an --out that cannot be written,
+before any work.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 degenerate data.
 Exit 3 comes only from DegenerateDataError: analyze without teacher rows,
@@ -55,7 +60,7 @@ from mskd.harness import (
 from mskd.metrics import MetricConfig, _is_finite, _is_int
 from mskd.pool import apply_filter, build_pool, read_pool_cache, write_pool_cache
 from mskd.rewards import RewardWeights
-from mskd.train import InputError, TrainConfig, _passk_settings, pass_at_k_eval, run_pipeline
+from mskd.train import InputError, Plan, TrainConfig, _passk_settings, pass_at_k_eval, run_pipeline
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -152,16 +157,23 @@ def _format_for(args) -> str:
     return "json" if str(args.out).endswith(".json") else "csv"
 
 
-def _seeds_from(cfg: dict, base_seed: int, what: str) -> tuple[int, ...]:
-    """The config's seeds, which _check_seeds accepts, else base_seed and
-    the seeds after it; what names the run in _check_seeds' message."""
+def _seeds_from(cfg: dict, base_seed: int | None, what: str) -> tuple[int, ...]:
+    """The config's seeds, which _check_seeds accepts, else base_seed (0 if
+    None) and the seeds after it; what names the run in _check_seeds'
+    message.  Each cell runs at one of these seeds, so --seed with seeds, or
+    a train block's seed, is a ConfigError."""
+    if "seed" in cfg.get("train", {}):
+        raise ConfigError(f"train.seed: each {what} cell runs at one of its seeds; give seeds or --seed")
     if "seeds" in cfg:
+        if base_seed is not None:
+            raise ConfigError(f"--seed and the config's seeds both set the {what} seeds; give one")
         seeds = _list_field(cfg, "seeds", None, lambda s: _is_int(s) and s >= 0, "integers >= 0")
         try:
             _check_seeds(seeds, what)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         return seeds
+    base_seed = base_seed or 0
     if base_seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {base_seed}")
     return tuple(base_seed + i for i in range(_DEFAULT_SEEDS))
@@ -236,11 +248,15 @@ def cmd_train(args) -> int:
         examples = read_examples(args.examples)
         if not examples:
             raise DegenerateDataError("examples file is empty")
+        try:  # the examples rule first, so its errors name the examples file
+            plan = Plan(examples, tc.metric)
+        except InputError as exc:
+            raise ConfigError(f"{args.examples}: {exc}") from exc
         cache = {p.example_id: p for p in read_pool_cache(args.pool_cache)}
-        # a cache may hold pools of other examples; run_pipeline takes one per example
+        # a cache may hold pools of other examples; Plan.run takes one per example
         pools = {ex.id: cache[ex.id] for ex in examples if ex.id in cache}
         try:
-            artifacts = run_pipeline(examples, tc, pools=pools)
+            artifacts = plan.run(tc, pools)
         except InputError as exc:
             raise ConfigError(f"pool cache: {exc}") from exc
     else:
@@ -348,7 +364,7 @@ def _add_common(
 ) -> None:
     p.add_argument("--config", default=None, help="JSON config file")
     if seeded:
-        p.add_argument("--seed", type=int, default=0, help="base seed (overrides config)")
+        p.add_argument("--seed", type=int, default=None, help="the cell's seed, or a harness's first of 8")
     p.add_argument("--out", required=True, help=out_help)
     if report:
         p.add_argument("--format", choices=("csv", "json"), default=None, help="report format")

@@ -53,13 +53,16 @@ class Featurizer:
         """The (len(responses), dim) feature rows of a sequence of
         ParsedResponses, with the quality column at 0; slots holds each
         response's position in its own example's answer space
-        (SupervisionExample.slot_of of its payload), None if absent."""
+        (SupervisionExample.slot_of of its payload), None if absent; a slot
+        beyond the one-hot raises ValueError."""
         f = np.zeros((len(responses), self.dim))
         f[:, OUTER_COL] = [r.outer_valid for r in responses]
         f[:, TASK_COL] = [r.task_valid for r in responses]
         f[:, 2] = np.minimum([len(r.raw) for r in responses], _LEN_SCALE) / _LEN_SCALE
         for row, slot in enumerate(slots):
-            if slot is not None and slot < self.space_size:
+            if slot is not None:
+                if slot >= self.space_size:
+                    raise ValueError(f"slot {slot} is beyond the featurizer's one-hot of width {self.space_size}")
                 f[row, 4 + slot] = 1.0
         return f
 

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from mskd.analysis import QUANTILES, STATS, VarianceReport
-from mskd.metrics import MetricConfig, _check_numbers, _is_finite, quality_score
+from mskd.metrics import DEFAULT_METRICS, MetricConfig, _check_numbers, _is_finite
 from mskd.policy import score_groups
 from mskd.pool import MatchingDistribution, TeacherPool
 from mskd.synthetic import BisectionPaths, SyntheticTeacher, calibrate_concentration, retention_probability
@@ -139,8 +139,8 @@ def make_closed_benchmark(
 ) -> Benchmark:
     """Mixed MCQ + segment-localization benchmark with a calibrated teacher.
 
-    A slot's score is the quality_score, under the default metric, of the
-    slot rendered and parsed (train.slot_parses), as build_caches scores it.
+    A slot's score is its train.slot_parses quality under the default
+    metric, the one slot scoring that build_caches and pass@k read too.
     Per-question target quality is mu0 + spread * z_i (clipped); when
     retention_target is set, mu0 is bisected so the exact probability that
     a teacher sample clears retention_tau equals the target, otherwise
@@ -193,10 +193,7 @@ def make_closed_benchmark(
         )
         examples.append(ex)
         violations[ex.id] = violation_temporal
-    slot_scores = {
-        ex.id: np.array([quality_score(r, ex) for r in responses])
-        for ex, responses in zip(examples, slot_parses(examples))
-    }
+    slot_scores = {ex.id: q.copy() for ex, (_, q) in zip(examples, slot_parses(examples, DEFAULT_METRICS))}
     z = rng.standard_normal(len(examples))
     groups = _calibration_paths(examples, slot_scores, temperature, top_p)
     rates = np.array([violations[ex.id] for ex in examples])

@@ -258,12 +258,20 @@ class TrainConfig:
             raise ValueError(f"matching must be 'quality' or 'uniform', got {self.matching!r}")
 
 
-def slot_parses(examples: list[SupervisionExample]) -> list[tuple[ParsedResponse, ...]]:
-    """Each example's answer-space slots, rendered and parsed, once per
-    distinct (task, answer_space); equal payloads render alike but for signed
-    zeros, so the rendering is part of the key."""
+def slot_parses(
+    examples: list[SupervisionExample], metric: MetricConfig
+) -> list[tuple[tuple[ParsedResponse, ...], np.ndarray | None]]:
+    """Each example's answer-space slots, rendered and parsed, with their
+    quality_score under metric (None on an open-ended example): the one
+    place that scores slots, for build_caches, the closed benchmark and
+    pass@k.  Slots are parsed once per distinct (task, answer_space); equal
+    payloads render alike but for signed zeros, so the rendering is part of
+    the key.  They are scored once per parsed slot set and truth of one
+    rendering (so never 0.0 and -0.0 alike).  Examples share the tuples and
+    the read-only quality arrays."""
     renders: dict[int, tuple[str, ...]] = {}
     parsed: dict[tuple, tuple[ParsedResponse, ...]] = {}
+    scored: dict[tuple, np.ndarray] = {}
     out = []
     for ex in examples:
         if ex.answer_space is None:
@@ -275,7 +283,14 @@ def slot_parses(examples: list[SupervisionExample]) -> list[tuple[ParsedResponse
         responses = parsed.get(key)
         if responses is None:
             responses = parsed[key] = tuple(parse_response(raw, ex.task) for raw in raws)
-        out.append(responses)
+        qualities = None
+        if ex.task.is_closed:
+            truth = (id(responses), ex.ground_truth, render_payload(ex.ground_truth))
+            qualities = scored.get(truth)
+            if qualities is None:
+                qualities = scored[truth] = np.array([quality_score(r, ex, metric) for r in responses])
+                qualities.flags.writeable = False
+        out.append((responses, qualities))
     return out
 
 
@@ -285,25 +300,20 @@ def build_caches(
     cfg: MetricConfig = DEFAULT_METRICS,
 ) -> dict[str, np.ndarray]:
     """Each example's (slots, dim) feature rows, every answer-space slot
-    scored and featurized once.  A row is its slot's one record: columns 0,
-    1 and 3 are its reward terms, the outer and task format flags and the
-    content, the gated quality on a closed-ended task and 0 on an open-ended
-    one.  Examples that share slot_parses share all but column 3, and with
-    an equal truth of one rendering (so never 0.0 and -0.0) column 3 too."""
+    featurized once per slot_parses parse.  A row is its slot's one record:
+    columns 0, 1 and 3 are its reward terms, the outer and task format flags
+    and the content, its slot_parses quality under cfg on a closed-ended
+    task and 0 on an open-ended one."""
     shared: dict[int, np.ndarray] = {}
-    scored: dict[tuple, list[float]] = {}
     caches: dict[str, np.ndarray] = {}
-    for ex, responses in zip(examples, slot_parses(examples)):
+    for ex, (responses, qualities) in zip(examples, slot_parses(examples, cfg)):
         base = shared.get(id(responses))
         if base is None:
             slots = [ex.slot_of(r.payload) for r in responses]
             base = shared[id(responses)] = featurizer.featurize_all(responses, slots)
         caches[ex.id] = feats = base.copy()
-        if ex.task.is_closed:
-            key = (id(responses), ex.ground_truth, render_payload(ex.ground_truth))
-            if key not in scored:
-                scored[key] = [quality_score(r, ex, cfg) for r in responses]
-            feats[:, QUALITY_COL] = scored[key]
+        if qualities is not None:
+            feats[:, QUALITY_COL] = qualities
     return caches
 
 
@@ -844,18 +854,19 @@ def pass_at_k_eval(
 ) -> list[tuple[int, float]]:
     """Expected fraction of examples solved by at least one of k samples.
 
-    A sample succeeds when its slot metric reaches the task's threshold
-    (1.0 = exact match).  With f the nucleus mass on an example's failing
-    slots, k independent samples all fail with probability f**k, so each
-    rate is the exact mean(1 - f**k), non-decreasing in k.  The student
+    A sample succeeds when its slot's quality (slot_parses, under
+    metric_cfg) reaches the task's threshold (1.0 = exact match).  With f
+    the nucleus mass on an example's failing slots, k independent samples
+    all fail with probability f**k, so each rate is the exact
+    mean(1 - f**k), non-decreasing in k.  The student
     holds each example's finite logits, one per answer-space slot.
     """
     ks, thr = _passk_settings(k_values, temperature, top_p, success_threshold)
     if not examples:
         raise ValueError("pass@k needs at least one example")
     misses = []
-    for ex, responses in zip(examples, slot_parses(examples)):
-        if not ex.task.is_closed:
+    for ex, (_, qualities) in zip(examples, slot_parses(examples, metric_cfg)):
+        if qualities is None:
             raise ValueError(f"example {ex.id}: pass@k needs a closed-ended success check")
         if ex.id not in student:
             raise ValueError(f"example {ex.id}: the student has no logits for it")
@@ -867,7 +878,7 @@ def pass_at_k_eval(
         if not np.isfinite(logits).all():
             raise ValueError(f"example {ex.id}: student logits must be finite, got {logits.tolist()}")
         t = thr.get(ex.task, 1.0) if isinstance(thr, dict) else thr
-        misses.append(np.array([quality_score(r, ex, metric_cfg) < t for r in responses], dtype=float))
+        misses.append((qualities < t).astype(float))
     # at most 1, so an example with no successful slot scores exactly 0
     f = np.minimum(expected_scores(policy_groups(student, score_groups(examples, misses)), temperature, top_p), 1.0)
     return [(k, float(np.mean(1.0 - f**k))) for k in ks]

@@ -519,7 +519,7 @@ def test_train_example_without_answer_space_is_config_error(ocr_corpus, tmp_path
     )
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: pool cache: example ocr-0: training needs an enumerated answer_space")
+    assert err.startswith(f"config error: {ex_path}: example ocr-0: training needs an enumerated answer_space")
     assert "Traceback" not in err
     assert not (tmp_path / "run").exists()
 
@@ -540,7 +540,7 @@ def test_train_example_with_an_empty_answer_space_is_config_error(tmp_path, caps
     )
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: pool cache: example open-0: training needs an enumerated answer_space")
+    assert err.startswith(f"config error: {paths[0]}: example open-0: training needs an enumerated answer_space")
     assert "Traceback" not in err
     assert not (tmp_path / "run").exists()
 
@@ -787,6 +787,45 @@ def test_sweep_and_adaptive_repeated_seed_is_config_error(tmp_path, capsys, monk
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: duplicate {what} seeds [0]\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "passk"])
+def test_train_and_passk_take_the_config_seed_unless_seed_is_given(tmp_path, command):
+    # --seed's default of 0 replaced the config's seed, so seed 7 and seed 0 wrote the same bytes
+    def run(name, block, *flags):
+        train = command == "train"
+        payload = dict(block if train else {"train": block}, benchmark=TINY_BENCH)
+        cfg, out = write_cfg(tmp_path, f"{name}.json", payload), tmp_path / (name if train else f"{name}.csv")
+        assert main([command, "--config", cfg, "--out", str(out), *flags]) == 0
+        return [f.read_bytes() for f in sorted(out.iterdir())] if out.is_dir() else out.read_bytes()
+
+    config_seed = run("config7", dict(TINY_TRAIN, seed=7))
+    assert config_seed == run("flag7", TINY_TRAIN, "--seed", "7") != run("none", TINY_TRAIN)
+    assert run("override", dict(TINY_TRAIN, seed=7), "--seed", "0") == run("zero", dict(TINY_TRAIN, seed=0))
+
+
+@pytest.mark.parametrize("command,what", [("ablate", "ablation"), ("sweep", "sweep"), ("adaptive", "adaptive")])
+def test_harness_seed_given_twice_is_config_error(tmp_path, capsys, monkeypatch, command, what):
+    # the config's seeds silently won over --seed, and each cell's seed over the train block's
+    no_training(monkeypatch)
+    out = tmp_path / "o.csv"
+    cases = {
+        ("--seed", "5"): ({"train": TINY_TRAIN, "seeds": [0, 1]},
+                          f"--seed and the config's seeds both set the {what} seeds; give one"),
+        (): ({"train": dict(TINY_TRAIN, seed=3)},
+             f"train.seed: each {what} cell runs at one of its seeds; give seeds or --seed"),
+    }
+    for flags, (payload, message) in cases.items():
+        cfg = write_cfg(tmp_path, "c.json", dict(payload, benchmark=TINY_BENCH))
+        assert main([command, "--config", cfg, *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_harness_seeds_are_seed_and_the_seven_after_it():
+    # neither --seed nor seeds gives 0..7, as before
+    assert mskd.cli._seeds_from({}, None, "ablation") == tuple(range(8))
+    assert mskd.cli._seeds_from({"train": {}}, 3, "sweep") == tuple(range(3, 11))
 
 
 def test_ablate_unknown_setting_is_config_error(tmp_path):

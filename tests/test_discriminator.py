@@ -97,6 +97,12 @@ def test_featurizer_invalid_response_is_mostly_zero():
     assert vec[4:].sum() == 0.0
 
 
+def test_featurizer_rejects_a_slot_beyond_its_one_hot():
+    # a 4-slot MCQ's truth slot D had no one-hot in a width-3 featurizer, a row in no slot
+    with pytest.raises(ValueError, match="slot 3 is beyond the featurizer's one-hot of width 3"):
+        build_caches([mk_mcq(gt="D")], Featurizer(3))
+
+
 def test_featurize_open_ended_has_zero_quality_feature():
     ex = mk_open()
     feats = build_caches([ex], Featurizer(4))[ex.id]

@@ -95,6 +95,22 @@ def test_closed_benchmark_slot_scores_are_the_plans_quality_column(kw):
     assert all(a.flags.owndata for a in arrays) and len({id(a) for a in arrays}) == len(arrays)
 
 
+def test_benchmark_and_pass_at_k_score_slots_as_often_as_the_plan(monkeypatch):
+    # the benchmark and pass@k each scored every slot again (2,280 calls each),
+    # where the plan's one pass scores each parsed slot set once per truth (951)
+    calls, real = [], mskd.train.quality_score
+    for module in (mskd.train, harness):
+        monkeypatch.setattr(module, "quality_score", lambda *a: calls.append(1) or real(*a), raising=False)
+    bench = make_closed_benchmark()
+    marks = [0, len(calls)]
+    Plan(bench.examples, DEFAULT_METRICS)
+    marks.append(len(calls))
+    student = {ex.id: np.zeros(len(ex.answer_space)) for ex in bench.examples}
+    mskd.train.pass_at_k_eval(student, bench.examples, [1, 4])
+    marks.append(len(calls))
+    assert np.diff(marks).tolist() == [951] * 3  # the build, the plan, pass@k
+
+
 def test_closed_benchmark_retention_calibration():
     bench = make_closed_benchmark(
         n_mcq=4, n_temporal=8, seed=0, retention_target=0.7, retention_tau=0.3

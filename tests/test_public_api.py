@@ -244,6 +244,25 @@ def test_task_metrics_are_used_only_through_quality_score():
     assert uses == []
 
 
+def test_slots_are_scored_in_one_place():
+    # the closed benchmark and pass@k each scored every slot in a loop of
+    # their own; slot_parses is the one pass that build_caches shares with them
+    package = Path(mskd.__file__).parent
+    users = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            name = child.id if isinstance(child, ast.Name) else child.attr if isinstance(child, ast.Attribute) else None
+            if name == "quality_score":
+                users.add(where)
+            scoped = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{where}.{child.name}" if scoped else where)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert users == {"train.slot_parses", "pool.build_pool", "analysis.analyze_variance"}
+
+
 def test_score_groups_has_one_home():
     # the trainer, the teacher's stacks and the variance report group rows by
     # length through the one function, so stack g of each holds the same examples

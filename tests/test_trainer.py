@@ -1044,7 +1044,7 @@ def test_a_default_cell_sets_up_in_whole_cell_passes(monkeypatch):
     monkeypatch.setattr(mskd.train, "sample_matches", sample_matches_counted)
     monkeypatch.setattr(np.random, "SeedSequence", CountedSeedSequence)
     art = run_pipeline(bench.examples, TrainConfig(), teacher=bench.teacher)
-    spaces = len({id(parsed) for parsed in slot_parses(bench.examples)})
+    spaces = len({id(parsed) for parsed, _ in slot_parses(bench.examples, TrainConfig().metric)})
     assert (len(bench.examples), spaces) == (60, 2) and art.skipped_rl != tuple(ex.id for ex in bench.examples)
     assert calls == {"featurize_all": spaces + 1, "sample_matches": 1}
     assert sequences == [([0, 3],)]
@@ -1349,15 +1349,21 @@ def test_build_caches_scores_a_space_once_per_rendered_truth(monkeypatch):
 @pytest.mark.parametrize("space_size", [5, 7])
 def test_slot_table_matches_per_example_oracle(space_size):
     exs = _slot_table_examples()
-    parses = slot_parses(exs)
+    metric = MetricConfig(ocr_mode="edit")
+    parses = [parsed for parsed, _ in slot_parses(exs, metric)]
     assert len({id(p) for p in parses}) == 10  # one parse per distinct (task, space, rendering)
     assert parses[0] is parses[1] and parses[4] is parses[5] and parses[13] is parses[14]
     assert parses[12] is not parses[13]
     featurizer = Featurizer(space_size)
-    metric = MetricConfig(ocr_mode="edit")
+    # a slot beyond the one-hot raises; the spaces that fit are compared
+    fits = [(ex, parsed) for ex, parsed in zip(exs, parses) if len(ex.answer_space) <= space_size]
+    if len(fits) < len(exs):
+        with pytest.raises(ValueError, match=f"beyond the featurizer's one-hot of width {space_size}"):
+            build_caches(exs, featurizer, metric)
+    exs = [ex for ex, _ in fits]
     got, want = build_caches(exs, featurizer, metric), oracles.build_caches(exs, featurizer, metric)
     assert list(got) == list(want)
-    for ex, parsed in zip(exs, parses):
+    for ex, parsed in fits:
         g, w = got[ex.id], want[ex.id]
         assert [repr(r) for r in parsed] == [repr(r) for r in oracles.score_answer_space(ex, metric)[0]]
         assert (g.shape, g.dtype, g.tobytes()) == (w.shape, w.dtype, w.tobytes()), ex.id
@@ -1368,7 +1374,7 @@ def test_slot_table_matches_per_example_oracle(space_size):
     assert got["ex-10"][:, 0].tolist() == [1.0, 1.0, 1.0, 0.0, 1.0]
     assert got["ex-10"][0, 5] == 1.0 and 0.0 < got["ex-11"][0, 3] < 1.0
     assert got["ex-12"][0, 2] != got["ex-13"][0, 2]
-    for ex, parsed in zip(exs, parses):
+    for ex, parsed in fits:
         assert featurizer.featurize_all(parsed, [ex.slot_of(r.payload) for r in parsed]).tobytes() == (
             np.stack([oracles.featurize(featurizer, r, ex, 0.0) for r in parsed]).tobytes()
         )
