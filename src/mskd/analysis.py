@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from mskd.corpus import ResponseRow
+from mskd.corpus import ResponseRow, teacher_samples
 from mskd.metrics import DEFAULT_METRICS, MetricConfig, quality_score
 from mskd.policy import score_groups
 from mskd.synthetic import corrupt_envelope
@@ -79,21 +79,20 @@ def analyze_variance(
 ) -> VarianceReport:
     """Recompute quality per response and aggregate the three statistics.
 
-    Only teacher rows participate.  Within-question spread needs at least
-    two valid samples for a question; questions below that do not
-    contribute, and the statistic is None when no question qualifies.
+    Only teacher rows participate, under corpus.teacher_samples' rules.
+    Within-question spread needs at least two valid samples for a question;
+    questions below that do not contribute, and the statistic is None when
+    no question qualifies.  Sums run in row order (per task and question).
     """
     by_id = {ex.id: ex for ex in examples}
     rows = [r for r in corpus if r.source == "teacher"]
     if not rows:
         raise ValueError("corpus has no teacher responses")
+    teacher_samples(examples, rows)
 
     per_task_rows: dict[TaskType, list[ResponseRow]] = {}
     for row in rows:
-        ex = by_id.get(row.example_id)
-        if ex is None:
-            raise ValueError(f"response references unknown example {row.example_id}")
-        per_task_rows.setdefault(ex.task, []).append(row)
+        per_task_rows.setdefault(by_id[row.example_id].task, []).append(row)
 
     per_task: dict[TaskType, TaskVariance] = {}
     total_bad = 0

@@ -40,6 +40,7 @@ from mskd.corpus import (
     CorpusError,
     read_examples,
     read_responses,
+    teacher_samples,
 )
 from mskd.harness import (
     ABLATION_LABELS,
@@ -205,25 +206,13 @@ def cmd_pool_build(args) -> int:
     metric = _metric_only_config(args.config)
     examples = read_examples(args.examples)
     rows = read_responses(args.responses)
-    ids = {ex.id for ex in examples}
-    by_example: dict[str, dict[int, str]] = {}
-    for row in rows:
-        if row.source != "teacher":
-            continue
-        if row.example_id not in ids:
-            raise ConfigError(f"{args.responses}: teacher response references unknown example {row.example_id}")
-        samples = by_example.setdefault(row.example_id, {})
-        if row.sample_index in samples:
-            raise ConfigError(
-                f"{args.responses}: example {row.example_id} has two teacher rows "
-                f"with sample_index {row.sample_index}"
-            )
-        samples[row.sample_index] = row.text
+    try:
+        by_example = teacher_samples(examples, rows)
+    except ValueError as exc:
+        raise ConfigError(f"{args.responses}: {exc}") from exc
     pools = []
-    for ex in examples:
-        samples = by_example.get(ex.id, {})
-        if not samples:
-            continue
+    for ex in [ex for ex in examples if ex.id in by_example]:
+        samples = by_example[ex.id]
         if len(samples) < args.k:
             raise ConfigError(f"example {ex.id}: {len(samples)} teacher responses, --k is {args.k}")
         raws = [samples[i] for i in sorted(samples)[: args.k]]

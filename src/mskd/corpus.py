@@ -5,7 +5,8 @@ Responses: {"example_id", "source": "teacher"|"student", "sample_index", "text"}
 
 Ids, questions, sources and texts are JSON strings; option_count and
 sample_index are JSON integers and payload numbers finite JSON numbers
-(true and false are neither).  No two example records share an id.
+(true and false are neither).  No two example records share an id, and a
+teacher row names an example and a sample_index new to it (teacher_samples).
 
 Ground-truth / answer-space values are written in the natural shape of the
 task (a two-list for segments, four-list for boxes, a letter, "yes"/"no",
@@ -188,6 +189,24 @@ def read_examples(path: str | Path) -> list[SupervisionExample]:
         if first != lineno:
             raise CorpusError(f"{path}:{lineno}: duplicate example id {ex.id!r} (first on line {first})")
         out.append(ex)
+    return out
+
+
+def teacher_samples(examples: list[SupervisionExample], rows: Iterable[ResponseRow]) -> dict[str, dict[int, str]]:
+    """Teacher rows' texts by example id (first-row order), keyed by sample_index
+    in row order; a teacher row naming no example of examples, or repeating its
+    example's sample_index, raises ValueError."""
+    ids = {ex.id for ex in examples}
+    out: dict[str, dict[int, str]] = {}
+    for row in rows:
+        if row.source != "teacher":
+            continue
+        if row.example_id not in ids:
+            raise ValueError(f"teacher response references unknown example {row.example_id}")
+        samples = out.setdefault(row.example_id, {})
+        if row.sample_index in samples:
+            raise ValueError(f"example {row.example_id} has two teacher rows with sample_index {row.sample_index}")
+        samples[row.sample_index] = row.text
     return out
 
 

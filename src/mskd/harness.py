@@ -28,7 +28,7 @@ import numpy as np
 
 from mskd.analysis import QUANTILES, STATS, VarianceReport
 from mskd.metrics import DEFAULT_METRICS, MetricConfig, _check_numbers, _is_finite
-from mskd.policy import score_groups
+from mskd.policy import _check_nucleus, score_groups
 from mskd.pool import MatchingDistribution, TeacherPool
 from mskd.synthetic import BisectionPaths, SyntheticTeacher, calibrate_concentration, retention_probability
 from mskd.tasks import (
@@ -72,16 +72,16 @@ def _check_benchmark_args(
     ``counts`` (example counts) and ``ints`` must be integers >= 0, and the
     counts not all zero; ``finite`` must be finite numbers and ``rates``
     finite numbers in [0, 1].  The teacher's temperature and top_p must be
-    settings nucleus accepts.
+    finite numbers that nucleus accepts (policy._check_nucleus).
     """
     whole = (*counts, *ints)
     _check_numbers(
         {**counts, **ints, **finite, **rates, "temperature": temperature, "top_p": top_p},
         ints=whole,
         least=dict.fromkeys(whole, 0),
-        positive=("temperature",),
         rates=tuple(rates),
     )
+    _check_nucleus(temperature, top_p)
     if sum(counts.values()) == 0:
         raise ValueError(f"benchmark is empty: {counts}")
 
@@ -98,15 +98,13 @@ def _calibration_paths(
     return [(rows, BisectionPaths(scores, temperature, top_p)) for _, rows, scores in groups]
 
 
-def _calibrate(
-    groups: list[tuple[list[int], BisectionPaths]], targets: np.ndarray, temperature: float, top_p: float
-) -> None:
+def _calibrate(groups: list[tuple[list[int], BisectionPaths]], targets: np.ndarray) -> None:
     """Calibrate every answer-space group to its rows' targets (one mean
-    quality per example, in example order) in one batch that resumes from
-    the paths its record holds from the previous call; the record then
+    quality per example, in example order) at its record's settings, in one
+    batch that resumes from the paths of the previous call; the record then
     holds each row's concentration and probs (paths.conc, paths.probs)."""
     for rows, paths in groups:
-        calibrate_concentration(paths.scores, targets[rows], temperature, top_p, paths=paths)
+        calibrate_concentration(paths.scores, targets[rows], *paths.settings, paths=paths)
 
 
 def _teacher(
@@ -200,7 +198,7 @@ def make_closed_benchmark(
 
     def build_at(mu0: float) -> tuple[np.ndarray, float]:  # calibrated at mu0: the targets, their exact retention
         mus = np.clip(mu0 + spread * z, 0.05, 0.98)
-        _calibrate(groups, mus, temperature, top_p)
+        _calibrate(groups, mus)
         vals = np.empty(len(examples))
         for rows, paths in groups:
             vals[rows] = retention_probability(paths.scores, paths.probs, retention_tau, rates[rows])
@@ -264,7 +262,7 @@ def make_open_benchmark(
         violations[ex.id] = violation
         mu_list.append(np.clip(mu_center + spread * rng.standard_normal(), 0.15, 0.9))
     groups = _calibration_paths(examples, slot_scores, temperature, top_p)
-    _calibrate(groups, np.array(mu_list), temperature, top_p)
+    _calibrate(groups, np.array(mu_list))
     meta = {"seed": seed, "spread": spread, "space_size": space_size}
     return Benchmark(examples, _teacher(examples, groups, violations), slot_scores, meta)
 

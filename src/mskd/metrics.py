@@ -54,8 +54,7 @@ def _check_numbers(
 
     The names in ints must be integers and every other value a finite
     number (numpy scalars pass, bools do not); a name in least must be at
-    least its bound, those in positive > 0, those in rates in [0, 1], and a
-    top_p in (0, 1], the settings nucleus accepts.
+    least its bound, those in positive > 0 and those in rates in [0, 1].
     """
     for name in ints:
         if not _is_int(values[name]):
@@ -72,8 +71,6 @@ def _check_numbers(
     for name in rates:
         if not 0.0 <= values[name] <= 1.0:
             raise ValueError(f"{name} must be in [0,1], got {values[name]}")
-    if "top_p" in values and not 0.0 < values["top_p"] <= 1.0:
-        raise ValueError(f"top_p must be in (0,1], got {values['top_p']}")
 
 
 @dataclass(frozen=True, slots=True)

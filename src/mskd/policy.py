@@ -37,17 +37,22 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return np.divide(e, np.add.reduce(e, axis=-1, keepdims=True), out=e)
 
 
-def nucleus(probs: np.ndarray, temperature: float = 1.0, top_p: float = 1.0) -> np.ndarray:
-    """Temperature then top-p truncation of a categorical distribution.
-
-    Works over the last axis and keeps the input's shape, so a 2-D input
-    is a stack of distributions; temperature must be finite and > 0.  Tied
-    probabilities at the nucleus boundary are kept in stable index order.
-    """
+def _check_nucleus(temperature: float, top_p: float) -> None:
+    """nucleus's settings rule: temperature finite and > 0, top_p in (0, 1]."""
     if not 0.0 < temperature < math.inf:
         raise ValueError(f"temperature must be a finite number > 0, got {temperature!r}")
     if not 0.0 < top_p <= 1.0:
         raise ValueError(f"top_p must be in (0,1], got {top_p}")
+
+
+def nucleus(probs: np.ndarray, temperature: float = 1.0, top_p: float = 1.0) -> np.ndarray:
+    """Temperature then top-p truncation of a categorical distribution.
+
+    Works over the last axis and keeps the input's shape, so a 2-D input
+    is a stack of distributions; _check_nucleus checks the settings.  Tied
+    probabilities at the nucleus boundary are kept in stable index order.
+    """
+    _check_nucleus(temperature, top_p)
     p = np.asarray(probs, dtype=float)
     rows = p.reshape(n := math.prod(p.shape[:-1]), m := p.shape[-1])
     return _nucleus_rows(rows, temperature, top_p, m * np.arange(n)[:, None], np.arange(m)).reshape(p.shape)

@@ -38,8 +38,9 @@ one set of examples, the slot rows as one (total_slots, dim) matrix with
 each example's first row, the stacks' layout and the accuracy's slot
 qualities under one metric, and each (seed, k)'s unfiltered pools.  Pool streams do
 not depend on tau or matching, so cells share a draw, and the filter at
-cfg.tau is applied only where a cell trains (Plan.run).  run_pipeline is a
-fresh plan's cell.
+cfg.tau is applied only where a cell trains (Plan.run, the one door for
+given pools, SFT targets and match overrides); run_pipeline is a fresh
+plan's default cell.
 
 Quality-aware matching (TrainConfig.matching = "quality", ablation arm D) is
 one step with two effects: on a closed-ended example a rollout is paired
@@ -70,7 +71,7 @@ from mskd.discriminator import (
     save_params,
 )
 from mskd.metrics import DEFAULT_METRICS, MetricConfig, _check_numbers, _is_finite, _is_int, quality_score
-from mskd.policy import _invert_rows, checked_cdf, kl_gradient_logits, nucleus, score_groups, softmax
+from mskd.policy import _check_nucleus, _invert_rows, checked_cdf, kl_gradient_logits, nucleus, score_groups, softmax
 from mskd.pool import (
     MatchingDistribution,
     TeacherPool,
@@ -603,11 +604,11 @@ def make_pools(stacks: TeacherStacks, cfg: TrainConfig) -> dict[str, TeacherPool
 
 
 class InputError(ValueError):
-    """What the rule of run_pipeline's inputs (_check_examples, _check_ids, _check_inputs) rejects."""
+    """What _check_examples (once per plan) and _check_inputs (per cell) reject."""
 
 
 def _check_ids(name: str, given: dict, examples: list[SupervisionExample], every: bool = False) -> None:
-    """The rule of run_pipeline's id-keyed inputs: every key of given names
+    """The rule of Plan.run's id-keyed inputs: every key of given names
     an example, and with every set each example has a key; else InputError
     naming the ids."""
     missing = [ex.id for ex in examples if ex.id not in given] if every else []
@@ -619,8 +620,8 @@ def _check_ids(name: str, given: dict, examples: list[SupervisionExample], every
 
 
 def _check_examples(examples: list[SupervisionExample]) -> None:
-    """The examples rule of _check_inputs and Plan: non-empty, every
-    id once (pools, caches and logits are keyed by id) and each with a
+    """The examples rule of Plan, run once per plan: non-empty, every id
+    once (pools, caches and logits are keyed by id) and each with a
     non-empty answer space; else InputError naming the example."""
     if not examples:
         raise InputError("no examples to train on")
@@ -634,22 +635,16 @@ def _check_examples(examples: list[SupervisionExample]) -> None:
 
 
 def _check_inputs(
-    examples: list[SupervisionExample],
-    cfg: TrainConfig,
-    pools: dict[str, TeacherPool] | None = None,
-    sft_targets: dict[str, int] | None = None,
-    match_overrides: dict[str, MatchingDistribution] | None = None,
+    examples: list[SupervisionExample], cfg: TrainConfig, pools: dict[str, TeacherPool] | None,
+    sft_targets: dict[str, int] | None, match_overrides: dict[str, MatchingDistribution] | None,
 ) -> None:
-    """What Plan.run accepts besides its teacher (which Plan.teacher_stacks
-    checks, once per plan, where no pools are given): examples, non-empty,
-    of distinct ids and each with a non-empty answer space; pools None, or
-    one pool per example and no other, of its task and the pool of the
-    example it is keyed by, with cfg.k responses and filtered at no tau
+    """What a cell adds to its plan's checked examples and teacher: pools
+    None, or one pool per example and no other, of its task and the pool of
+    the example it is keyed by, with cfg.k responses and filtered at no tau
     above cfg.tau (a quality the filter zeroed cannot be restored); and,
     keyed by example ids, SFT targets that are int slots of their answer
     space (a bool is not one) and distributions of cfg.k probabilities, one
     per pool response.  Anything else raises InputError naming the input."""
-    _check_examples(examples)
     if pools is not None:
         _check_ids("pools", pools, examples, every=True)
         for ex in examples:
@@ -805,17 +800,13 @@ class Plan:
 
 
 def run_pipeline(
-    examples: list[SupervisionExample],
-    cfg: TrainConfig,
-    teacher: SyntheticTeacher | None = None,
-    pools: dict[str, TeacherPool] | None = None,
-    sft_targets: dict[str, int] | None = None,
-    match_overrides: dict[str, MatchingDistribution] | None = None,
+    examples: list[SupervisionExample], cfg: TrainConfig, teacher: SyntheticTeacher | None = None
 ) -> TrainedArtifacts:
-    """Plan.run of a fresh plan of examples under cfg.metric: pools passed
-    in (e.g. loaded from a cache file) or drawn from teacher.  The plan
-    checks the examples before it builds a row, Plan.run all inputs first."""
-    return Plan(examples, cfg.metric, teacher).run(cfg, pools, sft_targets, match_overrides)
+    """The default cell of a fresh plan of examples under cfg.metric: pools
+    drawn from teacher, SFT targets selected and matching computed as
+    Plan.run does.  Given pools, SFT targets or match overrides enter a
+    cell only through Plan.run."""
+    return Plan(examples, cfg.metric, teacher).run(cfg)
 
 
 def _passk_settings(
@@ -828,7 +819,8 @@ def _passk_settings(
         isinstance(k_values, (list, tuple)) and k_values and all(_is_int(k) and k >= 1 for k in k_values)
     ):
         raise ValueError(f"k_values must be a non-empty list of integers >= 1, got {k_values!r}")
-    _check_numbers({"temperature": temperature, "top_p": top_p}, positive=("temperature",))
+    _check_numbers({"temperature": temperature, "top_p": top_p})
+    _check_nucleus(temperature, top_p)
     per_task = isinstance(success_threshold, dict)
     if not all(map(_is_finite, success_threshold.values() if per_task else (success_threshold,))):
         raise ValueError(

@@ -351,7 +351,9 @@ def featurize(
     f[2] = min(len(resp.raw), _LEN_SCALE) / _LEN_SCALE
     f[3] = quality
     slot = ex.slot_of(resp.payload)
-    if slot is not None and slot < featurizer.space_size:
+    if slot is not None:
+        if slot >= featurizer.space_size:
+            raise ValueError(f"slot {slot} is beyond the featurizer's one-hot of width {featurizer.space_size}")
         f[4 + slot] = 1.0
     return f
 

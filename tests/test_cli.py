@@ -188,6 +188,24 @@ def test_pool_build_teacher_row_of_an_unknown_example_is_config_error(corpus, tm
                  "--out", str(tmp_path / "r.csv")]) == 2
 
 
+def test_analyze_rejects_a_repeated_teacher_sample(corpus, tmp_path, capsys):
+    # analyze counted a second row of one (example, sample_index) as a fourth
+    # sample and exited 0, where pool build exits 2
+    ex_path, resp_path = corpus
+    with open(resp_path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(
+            {"example_id": "mcq-0", "source": "teacher", "sample_index": 0, "text": "<answer>B</answer>"}
+        ) + "\n")
+    out = tmp_path / "r.csv"
+    argv = ["analyze", "--examples", str(ex_path), "--responses", str(resp_path), "--out", str(out)]
+    assert main(argv) == 2
+    problem = "example mcq-0 has two teacher rows with sample_index 0"
+    assert capsys.readouterr().err == f"config error: corpus inconsistent: {problem}\n"
+    assert not out.exists()
+    assert pool_build(corpus, tmp_path / "pools.jsonl", "--k", "3") == 2
+    assert capsys.readouterr().err == f"config error: {resp_path}: {problem}\n"
+
+
 def test_analyze_teacher_rows_without_examples_is_config_error(corpus, tmp_path, capsys):
     # an empty examples file exited 3 with "no teacher responses to analyze",
     # though the responses file has teacher rows; pool build exits 2 on it
@@ -195,7 +213,7 @@ def test_analyze_teacher_rows_without_examples_is_config_error(corpus, tmp_path,
     ex_path, out = tmp_path / "none.jsonl", tmp_path / "r.csv"
     write_examples([], ex_path)
     assert main(["analyze", "--examples", str(ex_path), "--responses", str(resp_path), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "config error: corpus inconsistent: response references unknown example mcq-0\n"
+    assert capsys.readouterr().err == "config error: corpus inconsistent: teacher response references unknown example mcq-0\n"
     assert not out.exists()
     assert pool_build((ex_path, resp_path), tmp_path / "pools.jsonl", "--k", "3") == 2
 
@@ -1121,7 +1139,7 @@ def test_bad_report_out_exits_two_before_any_work(corpus, tmp_path, capsys, monk
 
 
 def test_train_pool_cache_checks_its_inputs_once(corpus, tmp_path, monkeypatch):
-    # the CLI hands the examples and pools to run_pipeline, whose cell states the one check
+    # the CLI hands the examples and pools to Plan.run, whose cell states the one check
     ex_path, resp_path = corpus
     cache = tmp_path / "pools.jsonl"
     assert main(

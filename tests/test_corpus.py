@@ -16,6 +16,7 @@ from mskd.corpus import (
     payload_to_json,
     read_examples,
     read_responses,
+    teacher_samples,
     write_examples,
     write_responses,
 )
@@ -281,3 +282,21 @@ def test_json_lines_matches_json_loads_per_line(tmp_path, line):
     path.write_bytes(('{"first": 1}\n' + line).encode())
     got, want = _scanned(path), _loads_each_line(path)
     assert repr(got) == repr(want)
+
+
+def test_teacher_samples_group_by_first_row_and_keep_row_order():
+    # analyze and pool build share this grouping and its two rules
+    exs = [mk_mcq(0), mk_mcq(1)]
+    rows = [
+        ResponseRow("mcq-1", "teacher", 2, "a"),
+        ResponseRow("mcq-0", "student", 2, "s"),
+        ResponseRow("mcq-0", "teacher", 1, "b"),
+        ResponseRow("mcq-1", "teacher", 0, "c"),
+        ResponseRow("zzz", "student", 0, "d"),
+    ]
+    got = teacher_samples(exs, rows)
+    assert [(k, list(v.items())) for k, v in got.items()] == [("mcq-1", [(2, "a"), (0, "c")]), ("mcq-0", [(1, "b")])]
+    with pytest.raises(ValueError, match="^teacher response references unknown example zzz$"):
+        teacher_samples(exs, [*rows, ResponseRow("zzz", "teacher", 0, "d")])
+    with pytest.raises(ValueError, match="^example mcq-1 has two teacher rows with sample_index 2$"):
+        teacher_samples(exs, [*rows, ResponseRow("mcq-1", "teacher", 2, "e")])

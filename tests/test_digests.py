@@ -21,7 +21,7 @@ from mskd.harness import (
     setting_config,
 )
 from mskd.synthetic import teacher_stacks
-from mskd.train import TrainConfig, make_pools, pass_at_k_eval, run_pipeline
+from mskd.train import Plan, TrainConfig, make_pools, pass_at_k_eval, run_pipeline
 
 ARTIFACTS = ("metrics.csv", "disc.json", "student.json")
 
@@ -124,7 +124,7 @@ def test_open_proxy_override_digests(tmp_path):
         {"dists": {k: list(d.probs) for k, d in dists.items()}, "targets": targets},
         sort_keys=True,
     )
-    art = run_pipeline(bench.examples, cfg, pools=pools, sft_targets=targets, match_overrides=dists)
+    art = Plan(bench.examples, cfg.metric).run(cfg, pools, sft_targets=targets, match_overrides=dists)
     got = {"overrides": sha(overrides.encode()), **artifact_digests(art, tmp_path)}
     assert got == OPEN_PROXY
 

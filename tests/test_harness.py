@@ -218,6 +218,15 @@ def test_ablation_b_equals_c_when_filter_disabled():
     assert by["B"].accuracies == by["C"].accuracies  # exact per-seed ties
 
 
+def test_a_plan_checks_its_examples_once(monkeypatch):
+    # every cell ran the examples rule again: 5 runs for 2 settings x 2 seeds
+    calls = []
+    real = mskd.train._check_examples
+    monkeypatch.setattr(mskd.train, "_check_examples", lambda exs: calls.append(len(exs)) or real(exs))
+    run_ablation(tiny_cfg(), settings=("A", "D"), seeds=(0, 1), benchmark=tiny_bench())
+    assert calls == [6]
+
+
 def no_training(monkeypatch):
     """Fail on a benchmark or a plan built: the harnesses train every cell
     through one Plan per benchmark, so nothing trains before either."""

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import kl_divergence
+from mskd.harness import make_closed_benchmark
 from mskd.policy import (
     _invert_rows,
     checked_cdf,
@@ -15,6 +16,7 @@ from mskd.policy import (
     nucleus,
     softmax,
 )
+from mskd.train import _passk_settings
 
 
 def kl_oracle(p, q):
@@ -75,6 +77,24 @@ def test_nucleus_validation():
         nucleus(p, top_p=0.0)
     with pytest.raises(ValueError):
         nucleus(p, top_p=1.2)
+
+
+@pytest.mark.parametrize("setting, value", [("temperature", 0.0), ("top_p", 0.0), ("top_p", 1.5)])
+def test_nucleus_settings_have_one_rule(setting, value):
+    # a benchmark's temperature 0 read "must be positive", nucleus's "must be a finite number > 0"
+    settings = {"temperature": 1.0, "top_p": 0.9, setting: value}
+    entries = {
+        "nucleus": lambda: nucleus(np.array([0.5, 0.5]), **settings),
+        "benchmark": lambda: make_closed_benchmark(n_mcq=1, n_temporal=0, **settings),
+        "pass@k": lambda: _passk_settings([1], success_threshold=1.0, **settings),
+    }
+    messages = {}
+    for name, call in entries.items():
+        with pytest.raises(ValueError) as info:
+            call()
+        messages[name] = str(info.value)
+    assert messages == dict.fromkeys(entries, messages["nucleus"])
+    assert messages["nucleus"].startswith(f"{setting} must be")
 
 
 @pytest.mark.parametrize("temperature", [math.nan, math.inf])

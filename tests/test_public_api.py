@@ -269,3 +269,22 @@ def test_score_groups_has_one_home():
     assert mskd.train.score_groups is mskd.policy.score_groups
     for module in (mskd.synthetic, mskd.analysis, mskd.harness):
         assert module.score_groups is mskd.policy.score_groups, module.__name__
+
+
+def test_a_cell_has_one_door():
+    # run_pipeline took pools, sft_targets and match_overrides as well, a
+    # second door into a cell beside Plan.run
+    assert list(inspect.signature(mskd.run_pipeline).parameters) == ["examples", "cfg", "teacher"]
+    package = Path(mskd.__file__).parent
+    owners = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.arg) and child.arg in ("sft_targets", "match_overrides"):
+                owners.add(where)
+            scoped = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{where}.{child.name}" if scoped else where)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert owners == {"train.Plan.run", "train._check_inputs"}

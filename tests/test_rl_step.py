@@ -38,6 +38,7 @@ from mskd.synthetic import SyntheticTeacher, teacher_stacks
 from mskd.tasks import TemporalSegment
 from mskd.train import (
     _S_ROLL,
+    Plan,
     TrainConfig,
     build_caches,
     make_pools,
@@ -356,7 +357,7 @@ def test_cell_on_partly_used_stacks_matches_the_per_example_oracles(matching, hi
     assert [ex.id for ex in examples if ex.id not in targets] == ["tg-1"]
     del targets["mcq-3"]
 
-    art = run_pipeline(examples, cfg, teacher=teacher, sft_targets=targets)
+    art = Plan(examples, cfg.metric, teacher).run(cfg, sft_targets=targets)
     student, ref, disc, log = oracle_cell(examples, teacher, cfg, targets)
     assert (art.skipped_sft, art.skipped_rl) == (("tg-1", "mcq-3"), ("tg-1",))
     assert art.metrics.tobytes() == log.tobytes()

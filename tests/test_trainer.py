@@ -68,6 +68,12 @@ def small_cfg(**kw):
     return TrainConfig(**base)
 
 
+def plan_cell(examples, cfg, teacher=None, **given):
+    """A fresh plan's cell with given pools, SFT targets or match overrides,
+    which enter a cell only through Plan.run."""
+    return Plan(examples, cfg.metric, teacher).run(cfg, **given)
+
+
 def uniform_student(examples):
     """The zero logits run_pipeline starts from."""
     return {ex.id: np.zeros(len(ex.answer_space)) for ex in examples}
@@ -256,7 +262,7 @@ def test_run_pipeline_rejects_pools_that_miss_or_name_no_example(monkeypatch):
     )
     for given, message in cases:
         with pytest.raises(ValueError, match=f"^{message}$"):
-            run_pipeline(exs, small_cfg(k=2), pools=given)
+            plan_cell(exs, small_cfg(k=2), pools=given)
 
 
 def test_run_pipeline_rejects_a_pool_of_another_example(monkeypatch):
@@ -265,7 +271,7 @@ def test_run_pipeline_rejects_a_pool_of_another_example(monkeypatch):
     exs = [mk_mcq(0, gt="B"), mk_mcq(1, gt="C")]
     pool = build_pool(exs[1], ["<answer>C</answer>", "<answer>C</answer>"])
     with pytest.raises(ValueError, match=r"^pools\['mcq-0'\] is the pool of example 'mcq-1'$"):
-        run_pipeline(exs[:1], small_cfg(k=2), pools={"mcq-0": pool})
+        plan_cell(exs[:1], small_cfg(k=2), pools={"mcq-0": pool})
 
 
 def test_run_pipeline_rejects_a_pool_of_another_task(monkeypatch):
@@ -275,7 +281,7 @@ def test_run_pipeline_rejects_a_pool_of_another_task(monkeypatch):
     ex = mk_mcq(0, gt="B")
     pool = build_pool(mk_open(0), ["<answer>B</answer>", "<answer>C</answer>"])
     with pytest.raises(ValueError, match=r"^pools\['mcq-0'\] is for task open_ended, not multiple_choice$"):
-        run_pipeline([ex], small_cfg(k=2), pools={ex.id: pool})
+        plan_cell([ex], small_cfg(k=2), pools={ex.id: pool})
 
 
 def test_run_pipeline_rejects_a_pool_of_another_k(monkeypatch):
@@ -283,7 +289,7 @@ def test_run_pipeline_rejects_a_pool_of_another_k(monkeypatch):
     monkeypatch.setattr(mskd.train, "_sft_epoch", _training_forbidden)
     ex, pool, _ = _override_case()
     with pytest.raises(ValueError, match=r"^pools\['mcq-0'\] has 4 responses, train config k is 2$"):
-        run_pipeline([ex], small_cfg(k=2), pools={ex.id: pool})
+        plan_cell([ex], small_cfg(k=2), pools={ex.id: pool})
 
 
 def test_run_pipeline_rejects_a_pool_filtered_above_tau(monkeypatch):
@@ -291,10 +297,10 @@ def test_run_pipeline_rejects_a_pool_filtered_above_tau(monkeypatch):
     # tau 0.3 would see another pool than a 0.3 filter leaves; at or below
     # the config's tau the pool is accepted
     ex, pool, cfg = _override_case()
-    run_pipeline([ex], replace(cfg, tau=0.3), pools={ex.id: apply_filter(pool, 0.3)})
+    plan_cell([ex], replace(cfg, tau=0.3), pools={ex.id: apply_filter(pool, 0.3)})
     monkeypatch.setattr(mskd.train, "_sft_epoch", _training_forbidden)
     with pytest.raises(ValueError, match=r"^pools\['mcq-0'\] filtered at tau 0.9, above the train config tau 0.3; "):
-        run_pipeline([ex], replace(cfg, tau=0.3), pools={ex.id: apply_filter(pool, 0.9)})
+        plan_cell([ex], replace(cfg, tau=0.3), pools={ex.id: apply_filter(pool, 0.9)})
 
 
 def test_run_pipeline_rejects_a_teacher_that_lacks_an_example(monkeypatch):
@@ -373,7 +379,7 @@ def test_bad_override_or_target_fails_before_any_pool_is_drawn(monkeypatch):
     )
     for given, message in cases:
         with pytest.raises(ValueError, match=f"^{message}"):
-            run_pipeline([ex], cfg, teacher=teacher, **given)
+            plan_cell([ex], cfg, teacher=teacher, **given)
 
 
 def test_run_pipeline_checks_its_inputs_once(monkeypatch):
@@ -410,8 +416,8 @@ def test_skipped_sft_lists_the_examples_without_a_target_selected_or_given():
     pools = {ex.id: build_pool(ex, ["garbage", "also garbage"]) for ex in exs}
     pools["mcq-0"] = build_pool(exs[1], ["<answer>B</answer>", "<answer>A</answer>"])
     cfg = small_cfg(k=2, epochs_stage2=0)
-    assert run_pipeline(exs, cfg, pools=pools).skipped_sft == ("mcq-2", "mcq-1")
-    assert run_pipeline(exs, cfg, pools=pools, sft_targets={"mcq-1": 0}).skipped_sft == ("mcq-2", "mcq-0")
+    assert plan_cell(exs, cfg, pools=pools).skipped_sft == ("mcq-2", "mcq-1")
+    assert plan_cell(exs, cfg, pools=pools, sft_targets={"mcq-1": 0}).skipped_sft == ("mcq-2", "mcq-0")
 
 
 def test_skipped_rl_lists_examples_without_matches_when_stage2_runs():
@@ -421,12 +427,12 @@ def test_skipped_rl_lists_examples_without_matches_when_stage2_runs():
     pools = {ex.id: build_pool(ex, ["garbage", "also garbage"]) for ex in exs}
     pools["mcq-0"] = build_pool(exs[1], ["<answer>B</answer>", "<answer>A</answer>"])
     for matching in ("quality", "uniform"):
-        art = run_pipeline(exs, small_cfg(k=2, matching=matching), pools=pools)
+        art = plan_cell(exs, small_cfg(k=2, matching=matching), pools=pools)
         assert art.skipped_rl == ("mcq-1", "mcq-2")
         for k in art.skipped_rl:
             assert art.student[k].tobytes() == art.ref[k].tobytes()
         assert not np.array_equal(art.student["mcq-0"], art.ref["mcq-0"])
-        art = run_pipeline(exs, small_cfg(k=2, matching=matching, epochs_stage2=0), pools=pools)
+        art = plan_cell(exs, small_cfg(k=2, matching=matching, epochs_stage2=0), pools=pools)
         assert art.skipped_rl == ()
 
 
@@ -902,7 +908,7 @@ def test_make_pools_draws_unfiltered_pools_that_the_cell_filters(tmp_path):
     for arm in "ABCD":
         cfg = setting_config(arm, small_cfg(tau=0.5))
         pools = make_pools(teacher_stacks(bench.teacher, bench.examples), cfg)
-        got = saved(run_pipeline(bench.examples, cfg, pools=pools), tmp_path / "pools")
+        got = saved(plan_cell(bench.examples, cfg, pools=pools), tmp_path / "pools")
         assert got == saved(run_pipeline(bench.examples, cfg, teacher=bench.teacher), tmp_path / "teacher"), arm
 
 
@@ -1002,7 +1008,7 @@ def test_a_cell_draws_its_matches_in_one_pass_overrides_included(monkeypatch):
         "mcq-0": MatchingDistribution((0.0, 0.5, 0.0, 0.5)),
         "tg-2": MatchingDistribution((0.0, 0.0, 1.0, 0.0)),
     }
-    run_pipeline(exs, cfg, teacher=point_mass_teacher(exs), match_overrides=overrides)
+    plan_cell(exs, cfg, teacher=point_mass_teacher(exs), match_overrides=overrides)
     (dists, u), = seen
     assert len(dists) == len(exs) and u.shape == (len(exs), cfg.epochs_stage2, cfg.n_rollouts)
     assert dists[0] is overrides["mcq-0"] and dists[2] is overrides["tg-2"]
@@ -1204,8 +1210,8 @@ def test_match_override_changes_pairs_only():
     pool = build_pool(ex, raws)
     cfg = small_cfg(epochs_stage1=0, epochs_stage2=1)
     override = matching_distribution(pool, "uniform")
-    a = run_pipeline([ex], cfg, pools={ex.id: pool})
-    b = run_pipeline([ex], cfg, pools={ex.id: pool}, match_overrides={ex.id: override})
+    a = plan_cell([ex], cfg, pools={ex.id: pool})
+    b = plan_cell([ex], cfg, pools={ex.id: pool}, match_overrides={ex.id: override})
     # rollout stream is shared, so rewards and KL agree even if pairs differ
     assert a.metrics[-1, 0] == b.metrics[-1, 0]  # mean reward
     assert a.metrics[-1, 2] == b.metrics[-1, 2]  # KL
@@ -1222,11 +1228,11 @@ def test_bad_match_override_is_rejected():
         bad = object.__new__(MatchingDistribution)
         object.__setattr__(bad, "probs", probs)
         with pytest.raises(ValueError, match=message):
-            run_pipeline([ex], cfg, pools={ex.id: pool}, match_overrides={ex.id: bad})
+            plan_cell([ex], cfg, pools={ex.id: pool}, match_overrides={ex.id: bad})
     # an override keyed by an id that names no example would be dropped unseen
     good = matching_distribution(pool, "uniform")
     with pytest.raises(ValueError, match=r"match_overrides name no example: \['mcq-9'\]"):
-        run_pipeline([ex], cfg, pools={ex.id: pool}, match_overrides={ex.id: good, "mcq-9": good})
+        plan_cell([ex], cfg, pools={ex.id: pool}, match_overrides={ex.id: good, "mcq-9": good})
 
 
 def _training_forbidden(*args, **kwargs):
@@ -1244,7 +1250,7 @@ def test_sft_target_naming_no_example_is_rejected(monkeypatch):
     monkeypatch.setattr(mskd.train, "_sft_epoch", _training_forbidden)
     ex, pool, cfg = _override_case()
     with pytest.raises(ValueError, match=r"sft_targets name no example: \['mcq-9'\]"):
-        run_pipeline([ex], cfg, pools={ex.id: pool}, sft_targets={ex.id: 1, "mcq-9": 0})
+        plan_cell([ex], cfg, pools={ex.id: pool}, sft_targets={ex.id: 1, "mcq-9": 0})
 
 
 @pytest.mark.parametrize("slot", [-1, 4, 10])
@@ -1253,7 +1259,7 @@ def test_sft_target_outside_the_answer_space_is_rejected(monkeypatch, slot):
     monkeypatch.setattr(mskd.train, "_sft_epoch", _training_forbidden)
     ex, pool, cfg = _override_case()
     with pytest.raises(ValueError, match=r"sft_targets\['mcq-0'\] must be an int slot in \[0, 4\)"):
-        run_pipeline([ex], cfg, pools={ex.id: pool}, sft_targets={ex.id: slot})
+        plan_cell([ex], cfg, pools={ex.id: pool}, sft_targets={ex.id: slot})
 
 
 @pytest.mark.parametrize("slot", [True, False, 1.0, np.float64(2.0), "1", None])
@@ -1262,13 +1268,13 @@ def test_sft_target_that_is_not_an_int_is_rejected(monkeypatch, slot):
     monkeypatch.setattr(mskd.train, "_sft_epoch", _training_forbidden)
     ex, pool, cfg = _override_case()
     with pytest.raises(ValueError, match="sft_targets"):
-        run_pipeline([ex], cfg, pools={ex.id: pool}, sft_targets={ex.id: slot})
+        plan_cell([ex], cfg, pools={ex.id: pool}, sft_targets={ex.id: slot})
 
 
 def test_sft_targets_accept_numpy_integer_slots():
     ex, pool, cfg = _override_case()
-    a = run_pipeline([ex], cfg, pools={ex.id: pool}, sft_targets={ex.id: 1})
-    b = run_pipeline([ex], cfg, pools={ex.id: pool}, sft_targets={ex.id: np.int64(1)})
+    a = plan_cell([ex], cfg, pools={ex.id: pool}, sft_targets={ex.id: 1})
+    b = plan_cell([ex], cfg, pools={ex.id: pool}, sft_targets={ex.id: np.int64(1)})
     assert a.student[ex.id].tobytes() == b.student[ex.id].tobytes()
 
 
@@ -1280,7 +1286,7 @@ def test_match_override_of_the_wrong_length_is_rejected(monkeypatch, length):
     ex, pool, cfg = _override_case()
     bad = MatchingDistribution(tuple([1.0 / length] * length))
     with pytest.raises(ValueError, match=rf"match_overrides\['mcq-0'\] has {length} probabilities for a pool of 4"):
-        run_pipeline([ex], cfg, pools={ex.id: pool}, match_overrides={ex.id: bad})
+        plan_cell([ex], cfg, pools={ex.id: pool}, match_overrides={ex.id: bad})
 
 
 def _slot_table_examples():
@@ -1358,8 +1364,9 @@ def test_slot_table_matches_per_example_oracle(space_size):
     # a slot beyond the one-hot raises; the spaces that fit are compared
     fits = [(ex, parsed) for ex, parsed in zip(exs, parses) if len(ex.answer_space) <= space_size]
     if len(fits) < len(exs):
-        with pytest.raises(ValueError, match=f"beyond the featurizer's one-hot of width {space_size}"):
-            build_caches(exs, featurizer, metric)
+        for build in (build_caches, oracles.build_caches):
+            with pytest.raises(ValueError, match=f"beyond the featurizer's one-hot of width {space_size}"):
+                build(exs, featurizer, metric)
     exs = [ex for ex, _ in fits]
     got, want = build_caches(exs, featurizer, metric), oracles.build_caches(exs, featurizer, metric)
     assert list(got) == list(want)
