@@ -18,7 +18,7 @@ import numpy as np
 
 from mskd.metrics import _is_finite
 from mskd.policy import _invert_rows, _nucleus_rows, checked_cdf, nucleus, score_groups, softmax
-from mskd.tasks import SupervisionExample, render_payload
+from mskd.tasks import SupervisionExample
 
 # Calibration bisects concentration on [CONC_LO, CONC_HI] for at most
 # BISECT_STEPS steps; a row whose root is 0 can use the whole budget.
@@ -250,8 +250,11 @@ def retention_probability(
 
 
 def corrupt_envelope(raw: str) -> str:
-    """Break the outer format deterministically (drop the closing tag)."""
-    return raw.replace("</answer>", "")
+    """Break the outer format deterministically: drop the closing tag until
+    none is left (one pass could join a new one, as in "</ans</answer>wer>")."""
+    while "</answer>" in raw:
+        raw = raw.replace("</answer>", "")
+    return raw
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,13 +304,14 @@ def teacher_stacks(teacher: SyntheticTeacher, examples: list[SupervisionExample]
     return TeacherStacks(examples, groups, rates)
 
 
-def sample_teacher_pool(stacks: TeacherStacks, k: int, uniforms: np.ndarray) -> list[list[str]]:
-    """Draw k responses per example of stacks: example i renders the slots
-    that uniforms[i, :k] draw from its probs, exactly as Generator.choice
-    maps them, and breaks the envelope of response j when uniforms[i, k + j]
-    falls below its violation rate.  With uniforms[i] = rng.random(2 * k)
-    these are the draws rng.choice(size, k, p=probs) and rng.random(k) < rate
-    give.  uniforms must be (len(stacks.examples), 2 * k)."""
+def sample_teacher_pool(stacks: TeacherStacks, k: int, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Draw k responses per example of stacks, as (examples, k) slot indices
+    and corruption flags: example i draws the slots that uniforms[i, :k]
+    pick from its probs, exactly as Generator.choice maps them, and response
+    j's envelope is broken (corrupt_envelope of its slot's rendering) when
+    uniforms[i, k + j] falls below its violation rate.  With uniforms[i] =
+    rng.random(2 * k) these are the draws rng.choice(size, k, p=probs) and
+    rng.random(k) < rate give.  uniforms must be (len(stacks.examples), 2 * k)."""
     examples = stacks.examples
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -317,9 +321,4 @@ def sample_teacher_pool(stacks: TeacherStacks, k: int, uniforms: np.ndarray) -> 
     slots = np.empty((len(examples), k), dtype=np.intp)
     for rows, cdf in stacks.groups:
         slots[rows] = _invert_rows(cdf, u[rows, :k])
-    corrupt = u[:, k:] < stacks.rates[:, None]
-    pools = []
-    for ex, row, bad in zip(examples, slots.tolist(), corrupt.tolist()):
-        raws = [render_payload(ex.answer_space[j]) for j in row]
-        pools.append([corrupt_envelope(raw) if b else raw for raw, b in zip(raws, bad)])
-    return pools
+    return slots, u[:, k:] < stacks.rates[:, None]

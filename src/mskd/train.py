@@ -34,13 +34,14 @@ logits stacks with their taught, active and closed rows, the stacks'
 reference policy, the pools' feature rows as one (examples * K, dim)
 matrix (one pool_features call) and every epoch's matched rows of it as
 one array (one sample_matches call); per Plan, shared by every cell on
-one set of examples, the slot rows as one (total_slots, dim) matrix with
-each example's first row, the stacks' layout and the accuracy's slot
-qualities under one metric, and each (seed, k)'s unfiltered pools.  Pool streams do
-not depend on tau or matching, so cells share a draw, and the filter at
-cfg.tau is applied only where a cell trains (Plan.run, the one door for
-given pools, SFT targets and match overrides); run_pipeline is a fresh
-plan's default cell.
+one set of examples, one slot_parses pass under one metric, which gives
+the slot rows as one (total_slots, dim) matrix with each example's first
+row, the stacks' layout, the accuracy's slot qualities and the parse and
+quality of every drawn slot of each (seed, k)'s unfiltered pools (only a
+corrupted draw is parsed again).  Pool streams do not depend on tau or
+matching, so cells share a draw, and the filter at cfg.tau is applied
+only where a cell trains (Plan.run, the one door for given pools, SFT
+targets and match overrides); run_pipeline is a fresh plan's default cell.
 
 Quality-aware matching (TrainConfig.matching = "quality", ablation arm D) is
 one step with two effects: on a closed-ended example a rollout is paired
@@ -76,13 +77,12 @@ from mskd.pool import (
     MatchingDistribution,
     TeacherPool,
     apply_filter,
-    build_pool,
     matching_distribution,
     sample_matches,
     select_sft_target,
 )
 from mskd.rewards import DEFAULT_WEIGHTS, InvalidWeightsError, RewardWeights, composite_reward
-from mskd.synthetic import SyntheticTeacher, TeacherStacks, sample_teacher_pool, teacher_stacks
+from mskd.synthetic import SyntheticTeacher, TeacherStacks, corrupt_envelope, sample_teacher_pool, teacher_stacks
 from mskd.tasks import ParsedResponse, SupervisionExample, TaskType, parse_response, render_payload
 
 # Stream tags: one per independent purpose so that config knobs that should
@@ -296,18 +296,16 @@ def slot_parses(
 
 
 def build_caches(
-    examples: list[SupervisionExample],
-    featurizer: Featurizer,
-    cfg: MetricConfig = DEFAULT_METRICS,
+    examples: list[SupervisionExample], featurizer: Featurizer, parses: list[tuple]
 ) -> dict[str, np.ndarray]:
-    """Each example's (slots, dim) feature rows, every answer-space slot
-    featurized once per slot_parses parse.  A row is its slot's one record:
-    columns 0, 1 and 3 are its reward terms, the outer and task format flags
-    and the content, its slot_parses quality under cfg on a closed-ended
-    task and 0 on an open-ended one."""
+    """Each example's (slots, dim) feature rows, featurized once per parsed
+    slot set of parses (the examples' slot_parses).  A row is its slot's one
+    record: columns 0, 1 and 3 are its reward terms, the outer and task
+    format flags and the content, its slot quality on a closed-ended task
+    and 0 on an open-ended one."""
     shared: dict[int, np.ndarray] = {}
     caches: dict[str, np.ndarray] = {}
-    for ex, (responses, qualities) in zip(examples, slot_parses(examples, cfg)):
+    for ex, (responses, qualities) in zip(examples, parses, strict=True):
         base = shared.get(id(responses))
         if base is None:
             slots = [ex.slot_of(r.payload) for r in responses]
@@ -591,16 +589,24 @@ class TrainedArtifacts:
         )
 
 
-def make_pools(stacks: TeacherStacks, cfg: TrainConfig) -> dict[str, TeacherPool]:
+def make_pools(stacks: TeacherStacks, parses: list[tuple], cfg: TrainConfig) -> dict[str, TeacherPool]:
     """Sample one unfiltered teacher pool per example of stacks (a
-    teacher's teacher_stacks), scored under cfg.metric; cfg.tau plays no
-    part (Plan.run filters).  Example i's pool reads the first 2 * cfg.k
-    doubles of the stream SeedSequence([cfg.seed, _S_POOL, i]), all
-    examples' in one uniform_table of their seed_states."""
+    teacher's teacher_stacks; cfg.tau plays no part, Plan.run filters).
+    Example i's pool reads the first 2 * cfg.k doubles of the stream
+    SeedSequence([cfg.seed, _S_POOL, i]), all examples' in one uniform_table
+    of their seed_states.  A drawn slot is its parses entry (the examples'
+    slot_parses under cfg.metric), a corrupted one the parse of its broken
+    rendering at quality 0.0: build_pool's pool of the rendered draws."""
     examples = stacks.examples
     states = seed_states(cfg.seed, _S_POOL, np.arange(len(examples)))
-    raws = sample_teacher_pool(stacks, cfg.k, uniform_table(states, 2 * cfg.k))
-    return {ex.id: build_pool(ex, r, cfg.metric) for ex, r in zip(examples, raws)}
+    slots, corrupt = sample_teacher_pool(stacks, cfg.k, uniform_table(states, 2 * cfg.k))
+    pools = {}
+    for ex, (responses, qualities), row, bad in zip(examples, parses, slots, corrupt.tolist(), strict=True):
+        drawn = tuple(parse_response(corrupt_envelope(responses[j].raw), ex.task) if b else responses[j]
+                      for j, b in zip(row.tolist(), bad))
+        scores = None if qualities is None else tuple(0.0 if b else q for q, b in zip(qualities[row].tolist(), bad))
+        pools[ex.id] = TeacherPool(ex.id, ex.task, drawn, scores)
+    return pools
 
 
 class InputError(ValueError):
@@ -674,17 +680,17 @@ def _check_inputs(
 
 
 class Plan:
-    """What every training cell on examples shares: the featurizer, the
-    build_caches rows under metric, the student's layout and each (seed,
-    k)'s make_pools draw and the teacher's stacks it draws from, made on
-    first use.  Examples that _check_examples rejects raise InputError
-    before anything is built, a cell under another metric ValueError.  The
-    slot rows are one (total_slots, dim) matrix, slot_rows, in example
-    order, example i's from row starts[i].  The layout holds each
-    answer-space size's example indices in score_groups order, one logits
-    stack per size; acc holds, per stack with a closed-ended example, its
-    closed rows, their positions among the closed-ended examples and their
-    slot qualities."""
+    """What every training cell on examples shares: the featurizer, one
+    slot_parses pass under metric (parses), the build_caches rows and each
+    (seed, k)'s make_pools draw that read it, the student's layout and the
+    teacher's stacks the draws read, made on first use.  Examples that
+    _check_examples rejects raise InputError before anything is built, a
+    cell under another metric ValueError.  The slot rows are one
+    (total_slots, dim) matrix, slot_rows, in example order, example i's
+    from row starts[i].  The layout holds each answer-space size's example
+    indices in score_groups order, one logits stack per size; acc holds,
+    per stack with a closed-ended example, its closed rows, their positions
+    among the closed-ended examples and their slot qualities."""
 
     def __init__(
         self, examples: list[SupervisionExample], metric: MetricConfig, teacher: SyntheticTeacher | None = None
@@ -692,7 +698,8 @@ class Plan:
         _check_examples(examples)
         self.examples, self.metric, self.teacher = examples, metric, teacher
         self.featurizer = Featurizer(max(len(ex.answer_space) for ex in examples))
-        caches = build_caches(examples, self.featurizer, metric)
+        self.parses = slot_parses(examples, metric)
+        caches = build_caches(examples, self.featurizer, self.parses)
         self.slot_rows = np.concatenate(list(caches.values()))
         self.starts = np.cumsum([0] + [len(rows) for rows in caches.values()])[:-1]  # each example's first slot row
         quality = score_groups(examples, [caches[ex.id][:, QUALITY_COL] for ex in examples])
@@ -721,7 +728,7 @@ class Plan:
         self._check_metric(cfg)
         key = (cfg.seed, cfg.k)
         if key not in self._pools:
-            self._pools[key] = make_pools(self.teacher_stacks(), cfg)
+            self._pools[key] = make_pools(self.teacher_stacks(), self.parses, cfg)
         return self._pools[key]
 
     def run(
@@ -799,9 +806,7 @@ class Plan:
         )
 
 
-def run_pipeline(
-    examples: list[SupervisionExample], cfg: TrainConfig, teacher: SyntheticTeacher | None = None
-) -> TrainedArtifacts:
+def run_pipeline(examples: list[SupervisionExample], cfg: TrainConfig, teacher: SyntheticTeacher) -> TrainedArtifacts:
     """The default cell of a fresh plan of examples under cfg.metric: pools
     drawn from teacher, SFT targets selected and matching computed as
     Plan.run does.  Given pools, SFT targets or match overrides enter a
@@ -815,9 +820,9 @@ def _passk_settings(
     """pass@k's sorted distinct k values and its threshold, one float or
     floats keyed by TaskType (a task name is accepted as a key); a bad
     setting raises ValueError naming it."""
-    if not (
-        isinstance(k_values, (list, tuple)) and k_values and all(_is_int(k) and k >= 1 for k in k_values)
-    ):
+    if not (isinstance(k_values, (list, tuple)) and k_values and all(
+        _is_int(k) and _is_finite(k) and k >= 1 for k in k_values  # a k too large for a float overflows f**k
+    )):
         raise ValueError(f"k_values must be a non-empty list of integers >= 1, got {k_values!r}")
     _check_numbers({"temperature": temperature, "top_p": top_p})
     _check_nucleus(temperature, top_p)

@@ -14,10 +14,12 @@ like it gives each example's (slots, dim) feature matrix.
 train.pool_features featurizes every pool of a cell in one call and then
 takes the cached slot rows; pool_features below is the per-pool, per-row
 form it replaced, copied verbatim.
-train.make_pools draws every example's pool from one uniform table and
+train.make_pools draws every example's pool from one uniform table,
 synthetic.sample_teacher_pool inverts one stacked CDF per answer-space
-size; make_pools, sample_teacher_pool and categorical_draw below are the
-per-example loop they replaced, one generator per example, copied verbatim
+size, and a drawn slot takes its parse and quality from the plan's
+slot_parses; make_pools, sample_teacher_pool and categorical_draw below are
+the per-example loop they replaced, one generator per example, rendering
+every draw and building its pool with pool.build_pool, copied verbatim
 (renamed loop_*).
 tasks.parse_response checks the envelope with two partitions and hands the
 answer to a per-task parser table, and analysis.analyze_variance reduces

@@ -52,7 +52,7 @@ from mskd.tasks import (
 )
 from mskd.train import (
     TrainConfig, build_caches, pool_features, run_pipeline, pass_at_k_eval,
-    stream_table, uniform_table,
+    slot_parses, stream_table, uniform_table,
 )
 
 SEEDS20 = tuple(range(20))
@@ -340,7 +340,8 @@ def test_criterion_04_composite_reward_exactness():
             invalid = rng.random() < 0.3
             space[_invalid_payload(base.task, rng) if invalid else _fuzz_payload(base.task, rng)] = None
         examples.append(replace(base, id=f"{base.id}-{j}", answer_space=tuple(space)))
-    caches = build_caches(examples, Featurizer(max(len(ex.answer_space) for ex in examples)), MetricConfig())
+    featurizer = Featurizer(max(len(ex.answer_space) for ex in examples))
+    caches = build_caches(examples, featurizer, slot_parses(examples, MetricConfig()))
     worst = 0.0
     slots = task_invalid = 0
     for ex in examples:
@@ -456,7 +457,7 @@ def test_criterion_06_policy_update_and_kl():
     )
     pool = build_pool(ex, [render_payload(Binary(True)), render_payload(Binary(False))])
     featurizer = Featurizer(2)
-    cache = build_caches([ex], featurizer)[ex.id]
+    cache = build_caches([ex], featurizer, slot_parses([ex], MetricConfig()))[ex.id]
     pool_feats = pool_features([pool], [ex], cache, [0], featurizer)
     match_dist = matching_distribution(pool, cfg.matching)
     disc = init_params(featurizer.dim, 0, seed=0)

@@ -922,11 +922,13 @@ def no_training(monkeypatch):
         {"top_p": True},
         {"k_values": [2.0]},
         {"k_values": []},
+        {"k_values": [1, 10**400]},
         {"success_threshold": float("nan")},
         {"success_threshold": {"ocr": "x"}},
     ],
     ids=["temperature_zero", "temperature_nan", "top_p_zero", "top_p_above_one", "top_p_bool",
-         "k_values_float", "k_values_empty", "success_threshold_nan", "success_threshold_string"],
+         "k_values_float", "k_values_empty", "k_values_beyond_a_float", "success_threshold_nan",
+         "success_threshold_string"],
 )
 def test_passk_bad_setting_exits_two_before_training(tmp_path, capsys, monkeypatch, settings):
     no_training(monkeypatch)

@@ -21,7 +21,7 @@ from mskd.harness import (
     setting_config,
 )
 from mskd.synthetic import teacher_stacks
-from mskd.train import Plan, TrainConfig, make_pools, pass_at_k_eval, run_pipeline
+from mskd.train import Plan, TrainConfig, make_pools, pass_at_k_eval, run_pipeline, slot_parses
 
 ARTIFACTS = ("metrics.csv", "disc.json", "student.json")
 
@@ -116,7 +116,7 @@ def test_closed_arm_d_multi_word_seed_digests(closed, tmp_path):
 def test_open_proxy_override_digests(tmp_path):
     bench = make_open_benchmark(n_examples=4, space_size=6)
     cfg = TrainConfig(seed=5, k=6, epochs_stage1=6, epochs_stage2=10)
-    pools = make_pools(teacher_stacks(bench.teacher, bench.examples), cfg)
+    pools = make_pools(teacher_stacks(bench.teacher, bench.examples), slot_parses(bench.examples, cfg.metric), cfg)
     prng = np.random.default_rng(np.random.SeedSequence([5, 23]))
     proxies = {ex.id: misleading_proxy(bench.slot_scores[ex.id], prng, 0.85, 0.05) for ex in bench.examples}
     dists, targets = proxy_overrides(bench.examples, pools, proxies)

@@ -25,9 +25,9 @@ from mskd.discriminator import (
     save_params,
     score_batch,
 )
-from mskd.metrics import quality_score
+from mskd.metrics import MetricConfig, quality_score
 from mskd.tasks import OptionLetter, parse_response
-from mskd.train import build_caches
+from mskd.train import build_caches, slot_parses
 
 
 def _flatten(p: DiscriminatorParams) -> np.ndarray:
@@ -83,7 +83,7 @@ def test_featurizer_layout():
     one_hot = vec[4:]
     assert one_hot.sum() == 1.0 and one_hot[1] == 1.0  # slot B
     # build_caches writes each slot's quality into it; slot B's row is r's
-    feats = build_caches([ex], f)[ex.id]
+    feats = build_caches([ex], f, slot_parses([ex], MetricConfig()))[ex.id]
     assert feats[:, 3].tolist() == [0.0, quality_score(r, ex), 0.0, 0.0] == [0.0, 1.0, 0.0, 0.0]
     assert np.delete(feats[1], 3).tolist() == np.delete(vec, 3).tolist()
 
@@ -100,12 +100,12 @@ def test_featurizer_invalid_response_is_mostly_zero():
 def test_featurizer_rejects_a_slot_beyond_its_one_hot():
     # a 4-slot MCQ's truth slot D had no one-hot in a width-3 featurizer, a row in no slot
     with pytest.raises(ValueError, match="slot 3 is beyond the featurizer's one-hot of width 3"):
-        build_caches([mk_mcq(gt="D")], Featurizer(3))
+        build_caches([mk_mcq(gt="D")], Featurizer(3), slot_parses([mk_mcq(gt="D")], MetricConfig()))
 
 
 def test_featurize_open_ended_has_zero_quality_feature():
     ex = mk_open()
-    feats = build_caches([ex], Featurizer(4))[ex.id]
+    feats = build_caches([ex], Featurizer(4), slot_parses([ex], MetricConfig()))[ex.id]
     assert np.all(feats[:, 3] == 0.0)
     assert np.array_equal(feats[:, 4:], np.eye(4))
 

@@ -549,7 +549,7 @@ def test_a_harness_call_builds_one_plan_and_draws_each_seed_and_k_once(monkeypat
 
     def recording(record, original):
         def wrapper(*args):
-            record.append(args[-1])  # the metric or the train config
+            record.append(args[-1])  # the slot parses or the train config
             return original(*args)
 
         return wrapper

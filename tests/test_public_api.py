@@ -10,6 +10,8 @@ import importlib
 import inspect
 from pathlib import Path
 
+import pytest
+
 import mskd
 import mskd.analysis
 import mskd.cli
@@ -288,3 +290,31 @@ def test_a_cell_has_one_door():
     for path in sorted(package.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     assert owners == {"train.Plan.run", "train._check_inputs"}
+
+
+def test_run_pipeline_requires_a_teacher(monkeypatch):
+    # a call without a teacher fails before any plan is built
+    assert inspect.signature(mskd.run_pipeline).parameters["teacher"].default is inspect.Parameter.empty
+
+    def no_plan(*args):
+        raise AssertionError("built a plan without a teacher")
+
+    monkeypatch.setattr(mskd.train, "build_caches", no_plan)
+    with pytest.raises(TypeError, match="teacher"):
+        mskd.run_pipeline([], mskd.TrainConfig())
+
+
+def _names(module) -> set[str]:
+    """Every name and attribute a module's source mentions."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    return {
+        getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+        for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+    }
+
+
+def test_a_drawn_pool_reads_the_plans_slot_parses():
+    # the teacher draws slots, not text, and the trainer builds a drawn pool
+    # from the plan's slot_parses: build_pool is the corpus path alone
+    assert "build_pool" not in _names(mskd.train)
+    assert "render_payload" not in _names(mskd.synthetic)

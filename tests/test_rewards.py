@@ -12,7 +12,7 @@ import pytest
 from conftest import mk_mcq, mk_open
 from oracles import composite_reward as oracle_reward
 from mskd.discriminator import Featurizer, _sigmoid as sigmoid
-from mskd.metrics import quality_score
+from mskd.metrics import MetricConfig, quality_score
 from mskd.rewards import (
     DEFAULT_WEIGHTS,
     InvalidWeightsError,
@@ -20,7 +20,7 @@ from mskd.rewards import (
     composite_reward,
 )
 from mskd.tasks import SupervisionExample, TaskType, Text, parse_response, render_payload
-from mskd.train import build_caches
+from mskd.train import build_caches, slot_parses
 
 
 def test_default_weights():
@@ -45,7 +45,7 @@ def test_format_terms_are_the_parsed_flags():
     space = (Text("stop"), Text(""), Text("x</answer>y"))
     ex = SupervisionExample(id="ocr-0", task=TaskType.OCR, question="read it", ground_truth=Text("stop"),
                             answer_space=space)
-    feats = build_caches([ex], Featurizer(3))[ex.id]
+    feats = build_caches([ex], Featurizer(3), slot_parses([ex], MetricConfig()))[ex.id]
     assert feats[:, :2].tolist() == [[1.0, 1.0], [1.0, 0.0], [0.0, 0.0]]
     parsed = [parse_response(render_payload(p), ex.task) for p in space]
     assert feats[:, :2].tolist() == [[r.outer_valid, r.task_valid] for r in parsed]
@@ -54,7 +54,8 @@ def test_format_terms_are_the_parsed_flags():
 def test_content_is_gated_quality_closed_and_zero_open():
     # the trainer's content term is build_caches' per-slot quality
     ex = mk_mcq(gt="B")
-    caches = build_caches([ex, mk_open()], Featurizer(4))
+    exs = [ex, mk_open()]
+    caches = build_caches(exs, Featurizer(4), slot_parses(exs, MetricConfig()))
     assert caches[ex.id][:, 3].tolist() == [0.0, 1.0, 0.0, 0.0]
     assert caches[mk_open().id][:, 3].tolist() == [0.0] * 4
     only_content = RewardWeights(0.0, 0.0, 0.0, 1.0)

@@ -43,6 +43,7 @@ from mskd.train import (
     TrainConfig,
     build_caches,
     pool_features,
+    slot_parses,
     stream_table,
     uniform_table,
 )
@@ -80,7 +81,7 @@ def step_inputs(ex, cfg, seed):
     """The example's slot rows, its pool inputs (every slot once, matched
     uniformly) and a non-uniform student and reference with no zero mass."""
     featurizer = Featurizer(len(ex.answer_space))
-    feats = build_caches([ex], featurizer, cfg.metric)[ex.id]
+    feats = build_caches([ex], featurizer, slot_parses([ex], cfg.metric))[ex.id]
     pool = build_pool(ex, [render_payload(p) for p in ex.answer_space], cfg.metric)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
     logits, ref_logits = rng.normal(0.0, 1.0, (2, len(ex.answer_space)))

@@ -46,6 +46,7 @@ from mskd.train import (
     rl_step,
     run_pipeline,
     select_sft_targets,
+    slot_parses,
     stream_table,
     uniform_table,
 )
@@ -183,10 +184,10 @@ def run_both(bench, cfg, epochs=2):
     epoch in one rl_step call; compare after each epoch."""
     examples = bench.examples
     # the pools a cell trains on: drawn, then filtered at cfg.tau
-    drawn = make_pools(teacher_stacks(bench.teacher, examples), cfg)
+    drawn = make_pools(teacher_stacks(bench.teacher, examples), slot_parses(examples, cfg.metric), cfg)
     pools = {k: apply_filter(pool, cfg.tau) for k, pool in drawn.items()}
     featurizer = Featurizer(max(len(ex.answer_space) for ex in examples))
-    caches = build_caches(examples, featurizer, cfg.metric)
+    caches = build_caches(examples, featurizer, slot_parses(examples, cfg.metric))
     feats = {ex.id: pool_features([pools[ex.id]], [ex], caches[ex.id], [0], featurizer) for ex in examples}
     dists = {ex.id: matching_distribution(pools[ex.id], cfg.matching) for ex in examples}
     student, ref, disc = start_state(examples, cfg, featurizer)
@@ -265,7 +266,8 @@ def test_rl_step_matches_oracle_with_invalid_slots():
     )
     bench = SimpleNamespace(examples=examples, teacher=teacher)
     cfg = TrainConfig(seed=6, tau=0.0, weights=ODD_WEIGHTS)
-    assert build_caches(examples, Featurizer(4))[examples[0].id][:, 1].tolist() == [0.0, 1.0, 1.0, 0.0]
+    rows = build_caches(examples, Featurizer(4), slot_parses(examples, cfg.metric))[examples[0].id]
+    assert rows[:, 1].tolist() == [0.0, 1.0, 1.0, 0.0]
     run_both(bench, cfg)
     run_both(bench, replace(cfg, matching="uniform"))
 
@@ -298,7 +300,8 @@ def oracle_cell(examples, teacher, cfg, targets):
     Stage-1 logits, the discriminator and the (epochs, 4) log."""
     from test_trainer import _oracle_eval_accuracy
 
-    pools = {k: apply_filter(pool, cfg.tau) for k, pool in make_pools(teacher_stacks(teacher, examples), cfg).items()}
+    drawn = make_pools(teacher_stacks(teacher, examples), slot_parses(examples, cfg.metric), cfg)
+    pools = {k: apply_filter(pool, cfg.tau) for k, pool in drawn.items()}
     featurizer = Featurizer(max(len(ex.answer_space) for ex in examples))
     caches = oracles.build_caches(examples, featurizer, cfg.metric)
     feats = {ex.id: oracles.pool_features(pools[ex.id], ex, caches[ex.id], featurizer) for ex in examples}
@@ -352,7 +355,8 @@ def test_cell_on_partly_used_stacks_matches_the_per_example_oracles(matching, hi
         seed=4, k=5, n_rollouts=6, epochs_stage1=3, epochs_stage2=4, weights=ODD_WEIGHTS,
         matching=matching, hidden_dim=hidden,
     )
-    pools = {k: apply_filter(pool, cfg.tau) for k, pool in make_pools(teacher_stacks(teacher, examples), cfg).items()}
+    drawn = make_pools(teacher_stacks(teacher, examples), slot_parses(examples, cfg.metric), cfg)
+    pools = {k: apply_filter(pool, cfg.tau) for k, pool in drawn.items()}
     targets = select_sft_targets(examples, pools, cfg.seed)
     assert [ex.id for ex in examples if ex.id not in targets] == ["tg-1"]
     del targets["mcq-3"]

@@ -22,7 +22,7 @@ from mskd.synthetic import (
     sampling_probs,
     teacher_stacks,
 )
-from mskd.tasks import parse_response
+from mskd.tasks import TaskType, Text, parse_response, render_payload
 
 
 def test_sampling_probs_is_distribution(rng):
@@ -101,6 +101,20 @@ def test_corrupt_envelope_breaks_outer_format():
     assert not parsed.outer_valid and not parsed.task_valid
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.text(max_size=30) | st.lists(
+        st.sampled_from(["<answer>", "</answer>", "</ans", "wer>", "<", ">", "/", "a", "</think>"]), max_size=8
+    ).map("".join),
+    st.sampled_from(list(TaskType)),
+)
+@example(render_payload(Text("ab</ans</answer>wer>")), TaskType.OCR)  # one pass joined a new closing tag
+@example("</an</answer>swer>", TaskType.OCR)
+def test_corrupt_envelope_breaks_every_envelope(raw, task):
+    # a corrupted draw scores 0.0 because its envelope never parses
+    assert not parse_response(corrupt_envelope(raw), task).outer_valid
+
+
 def _teacher_for(ex, probs, violation):
     return SyntheticTeacher(
         probs={ex.id: np.asarray(probs, dtype=float)},
@@ -109,8 +123,11 @@ def _teacher_for(ex, probs, violation):
 
 
 def _draw(teacher, ex, k, rng):
-    """ex's pool of k responses from rng's first 2 * k doubles."""
-    return sample_teacher_pool(teacher_stacks(teacher, [ex]), k, rng.random((1, 2 * k)))[0]
+    """ex's pool of k responses from rng's first 2 * k doubles: each drawn
+    slot rendered, its envelope broken where the draw corrupts it."""
+    slots, corrupt = sample_teacher_pool(teacher_stacks(teacher, [ex]), k, rng.random((1, 2 * k)))
+    raws = [render_payload(ex.answer_space[j]) for j in slots[0].tolist()]
+    return [corrupt_envelope(raw) if bad else raw for raw, bad in zip(raws, corrupt[0].tolist())]
 
 
 def test_sample_teacher_pool_deterministic():

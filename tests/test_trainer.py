@@ -8,6 +8,7 @@ import pytest
 from conftest import mk_binary, mk_mcq, mk_open, mk_temporal, rl_epoch_on, sft_epoch_on
 import mskd.discriminator
 import mskd.policy
+import mskd.pool
 import mskd.train
 import oracles
 from oracles import sampled_pass_at_k
@@ -90,7 +91,7 @@ def rl_epoch(student, disc, ex, pool, cfg):
     once and the uniforms above; the reference policy is the student's."""
     u = uniforms(cfg)
     featurizer = Featurizer(len(ex.answer_space))
-    cache = build_caches([ex], featurizer, cfg.metric)[ex.id]
+    cache = build_caches([ex], featurizer, slot_parses([ex], cfg.metric))[ex.id]
     dist = matching_distribution(pool, cfg.matching)
     match = None if dist is None else sample_matches([dist], u[None, 1])[0]
     return rl_epoch_on(
@@ -109,7 +110,7 @@ def test_sft_stage_descends_to_target():
     exs = [mk_mcq(0, gt="C")]
     teacher = point_mass_teacher(exs)
     cfg = small_cfg(epochs_stage1=1)
-    pools = make_pools(teacher_stacks(teacher, exs), cfg)
+    pools = make_pools(teacher_stacks(teacher, exs), slot_parses(exs, cfg.metric), cfg)
     student = uniform_student(exs)
     targets = select_sft_targets(exs, pools, cfg.seed)
     probs_at_target = [softmax(student[exs[0].id])[2]]
@@ -138,7 +139,7 @@ def test_select_sft_targets_draws_a_stream_for_open_pools_only(monkeypatch):
     teacher = point_mass_teacher(exs[::2])
     teacher.probs.update({ex.id: np.full(len(ex.answer_space), 1.0 / len(ex.answer_space)) for ex in exs[1::2]})
     teacher.violation_rate.update({ex.id: 0.0 for ex in exs[1::2]})
-    pools = make_pools(teacher_stacks(teacher, exs), small_cfg(k=4))
+    pools = make_pools(teacher_stacks(teacher, exs), slot_parses(exs, MetricConfig()), small_cfg(k=4))
     streams = []
     real = mskd.train._stream
     monkeypatch.setattr(mskd.train, "_stream", lambda *key: streams.append(key) or real(*key))
@@ -163,7 +164,7 @@ def test_rl_step_leaves_an_example_without_matches_untouched():
     # neither the discriminator nor any student row may move
     exs = [ex, mk_temporal(1), mk_binary(2)]
     featurizer = Featurizer(max(len(e.answer_space) for e in exs))
-    caches = build_caches(exs, featurizer, cfg.metric)
+    caches = build_caches(exs, featurizer, slot_parses(exs, cfg.metric))
     rng = np.random.default_rng(3)
     student = {e.id: rng.normal(0.0, 1.0, len(e.answer_space)) for e in exs}
     before = {k: logits.copy() for k, logits in student.items()}
@@ -187,7 +188,7 @@ def test_rl_step_rejects_row_stacks_that_do_not_fit_its_examples():
     exs = [mk_mcq(0), mk_binary(1)]
     cfg = small_cfg()
     featurizer = Featurizer(4)
-    slot_rows = np.concatenate(list(build_caches(exs, featurizer, cfg.metric).values()))
+    slot_rows = np.concatenate(list(build_caches(exs, featurizer, slot_parses(exs, cfg.metric)).values()))
     pool_rows = np.zeros((2, cfg.k, featurizer.dim))
     student = uniform_student(exs)
     # both examples are stepped; every rollout takes slot 0, every match the last pool row
@@ -396,7 +397,7 @@ def test_input_errors_are_value_errors():
     # mskd train maps InputError alone to exit 2; library callers still catch ValueError
     assert issubclass(mskd.train.InputError, ValueError)
     with pytest.raises(mskd.train.InputError, match="^no examples to train on$"):
-        run_pipeline([], small_cfg())
+        Plan([], small_cfg().metric)
 
 
 def test_run_pipeline_rejects_an_empty_answer_space(monkeypatch):
@@ -555,7 +556,7 @@ def test_pipeline_requires_answer_space_and_examples():
     with pytest.raises(ValueError, match="answer_space"):
         run_pipeline([ex], small_cfg(), teacher=point_mass_teacher([mk_mcq(0)]))
     with pytest.raises(ValueError, match="teacher"):
-        run_pipeline([mk_mcq(0)], small_cfg())
+        Plan([mk_mcq(0)], small_cfg().metric).run(small_cfg())
 
 
 def test_pipeline_rerun_is_bit_identical():
@@ -615,14 +616,14 @@ def closed_groups(examples, quality):
 
 def test_eval_accuracy_none_for_open_only():
     exs = [mk_open(0, n_slots=2), mk_open(1, n_slots=7), mk_open(2)]
-    quality = slot_quality(build_caches(exs, Featurizer(7)))
+    quality = slot_quality(build_caches(exs, Featurizer(7), slot_parses(exs, MetricConfig())))
     assert eval_accuracy(policy_groups(uniform_student(exs), closed_groups(exs, quality))) is None
     assert _oracle_eval_accuracy(uniform_student(exs), exs, quality) is None
 
 
 def test_eval_accuracy_expected_metric():
     ex = mk_mcq(0, gt="B")
-    groups = closed_groups([ex], slot_quality(build_caches([ex], Featurizer(4))))
+    groups = closed_groups([ex], slot_quality(build_caches([ex], Featurizer(4), slot_parses([ex], MetricConfig()))))
     peaked = {ex.id: np.array([0.0, 50.0, 0.0, 0.0])}
     assert eval_accuracy(policy_groups(peaked, groups)) == pytest.approx(1.0, abs=1e-12)
     assert eval_accuracy(policy_groups(uniform_student([ex]), groups)) == pytest.approx(0.25)
@@ -668,7 +669,7 @@ def test_batched_expected_scores_match_per_example_loops(seed):
     exs = _mixed_examples()
     student = {ex.id: rng.normal(0.0, 2.0, len(ex.answer_space)) for ex in exs}
     student[exs[3].id][2] = -1000.0  # a slot whose mass underflows to 0
-    quality = slot_quality(build_caches(exs, Featurizer(7)))
+    quality = slot_quality(build_caches(exs, Featurizer(7), slot_parses(exs, MetricConfig())))
     got = eval_accuracy(policy_groups(student, closed_groups(exs, quality)))
     assert got == _oracle_eval_accuracy(student, exs, quality)
     # graded scores on every slot, so each term of every product counts
@@ -704,7 +705,7 @@ def test_pool_features_shape_and_reuse():
     ex = mk_mcq(0, gt="B")
     pool = build_pool(ex, ["<answer>B</answer>", "<answer>A</answer>", "junk"])
     featurizer = Featurizer(4)
-    cache = build_caches([ex], featurizer)[ex.id]
+    cache = build_caches([ex], featurizer, slot_parses([ex], MetricConfig()))[ex.id]
     feats = pool_features([pool], [ex], cache, [0], featurizer)
     assert feats.shape == (3, featurizer.dim)
     np.testing.assert_array_equal(feats[0], cache[1])  # the same row as slot B's
@@ -718,9 +719,10 @@ def test_pool_features_match_the_slot_row_oracle_on_synthetic_pools():
     open_b = make_open_benchmark(n_examples=4, space_size=5, violation=0.3)
     invalid = 0
     for bench in (closed, open_b):
-        pools = make_pools(teacher_stacks(bench.teacher, bench.examples), TrainConfig(k=8, tau=0.5))
+        parses = slot_parses(bench.examples, MetricConfig())
+        pools = make_pools(teacher_stacks(bench.teacher, bench.examples), parses, TrainConfig(k=8, tau=0.5))
         featurizer = Featurizer(max(len(ex.answer_space) for ex in bench.examples))
-        caches = build_caches(bench.examples, featurizer)
+        caches = build_caches(bench.examples, featurizer, parses)
         for ex in bench.examples:
             pool = apply_filter(pools[ex.id], 0.5)
             got = pool_features([pool], [ex], caches[ex.id], [0], featurizer)
@@ -749,7 +751,7 @@ def test_pool_features_match_the_slot_row_oracle_on_corpus_texts():
     for ex, raws in cases:
         pool = apply_filter(build_pool(ex, raws), 0.5)
         featurizer = Featurizer(len(ex.answer_space))
-        cache = build_caches([ex], featurizer)[ex.id]
+        cache = build_caches([ex], featurizer, slot_parses([ex], MetricConfig()))[ex.id]
         got = pool_features([pool], [ex], cache, [0], featurizer)
         want = oracles.pool_features(pool, ex, cache, featurizer)
         assert (got.shape, got.tobytes()) == (want.shape, want.tobytes()), ex.id
@@ -769,7 +771,7 @@ def test_pool_features_carry_the_filtered_pool_quality():
     pool = apply_filter(build_pool(ex, raws), 0.5)
     assert pool.qualities[0] == 0.0 and ex.slot_of(pool.responses[0].payload) == 0
     featurizer = Featurizer(len(ex.answer_space))
-    cache = build_caches([ex], featurizer)[ex.id]
+    cache = build_caches([ex], featurizer, slot_parses([ex], MetricConfig()))[ex.id]
     assert cache[0, 3] > 0.0  # the unfiltered slot quality
     before = cache.copy()
     feats = pool_features([pool], [ex], cache, [0], featurizer)
@@ -900,14 +902,14 @@ def test_make_pools_draws_unfiltered_pools_that_the_cell_filters(tmp_path):
     # qualities, and training on its pools equals training from the teacher
     ex = mk_temporal(0)
     teacher = SyntheticTeacher(probs={ex.id: np.full(4, 0.25)}, violation_rate={ex.id: 0.0})
-    pool = make_pools(teacher_stacks(teacher, [ex]), small_cfg(k=8, tau=0.5))[ex.id]
+    pool = make_pools(teacher_stacks(teacher, [ex]), slot_parses([ex], MetricConfig()), small_cfg(k=8, tau=0.5))[ex.id]
     assert pool.tau_applied is None
     assert pool.qualities == build_pool(ex, [r.raw for r in pool.responses]).qualities
     assert any(0.0 < q < 0.5 for q in pool.qualities)  # a quality the filter would zero
     bench = make_closed_benchmark(n_mcq=2, n_temporal=3, retention_target=None)
     for arm in "ABCD":
         cfg = setting_config(arm, small_cfg(tau=0.5))
-        pools = make_pools(teacher_stacks(bench.teacher, bench.examples), cfg)
+        pools = make_pools(teacher_stacks(bench.teacher, bench.examples), slot_parses(bench.examples, cfg.metric), cfg)
         got = saved(plan_cell(bench.examples, cfg, pools=pools), tmp_path / "pools")
         assert got == saved(run_pipeline(bench.examples, cfg, teacher=bench.teacher), tmp_path / "teacher"), arm
 
@@ -917,18 +919,35 @@ def test_make_pools_is_the_per_example_loop(k):
     # one uniform table and one stacked draw per answer-space size give each
     # example's pool as its own generator did, field for field and with its
     # qualities bit for bit: 4- and 55-slot closed spaces, open spaces,
-    # violation rates 0 and 1, and seeds of one, two and three words
+    # violation rates 0, 0.5 and 1, and seeds of one, two and three words;
+    # the slot-table spaces (spatial, OCR, numerical, reversed segments,
+    # task-invalid slots) under two metrics, and an OCR slot whose
+    # envelope one pass of tag removal would have repaired
     closed = make_closed_benchmark(n_mcq=3, n_temporal=4, retention_target=None, violation_temporal=0.3)
     rates = dict(closed.teacher.violation_rate, **{"mcq-0": 0.0, "mcq-1": 1.0, "tg-0": 1.0, "tg-1": 0.0})
     closed = replace(closed, teacher=replace(closed.teacher, violation_rate=rates))
     open_b = make_open_benchmark(n_examples=3, space_size=5, violation=0.3)
     assert {len(ex.answer_space) for ex in closed.examples} == {4, 55}
+    mended = SupervisionExample(
+        id="ex-15", task=TaskType.OCR, question="q", ground_truth=Text("abc"),
+        answer_space=(Text("ab</ans</answer>wer>"), Text("abc")),
+    )
+    exs = _slot_table_examples() + [mended]
+    probs = {ex.id: np.full(len(ex.answer_space), 1 / len(ex.answer_space)) for ex in exs}
+    # ex-15 always draws its first slot, always corrupted
+    probs["ex-15"] = np.array([1.0, 0.0])
+    table = SyntheticTeacher(probs, {ex.id: 1.0 if ex.id == "ex-15" else 0.5 for ex in exs})
+    cases = [
+        (closed.examples, closed.teacher, MetricConfig()), (open_b.examples, open_b.teacher, MetricConfig()),
+        (exs, table, MetricConfig()), (exs, table, MetricConfig(ocr_mode="exact")),
+    ]
     broken = 0
-    for bench in (closed, open_b):
+    for examples, teacher, metric in cases:
+        parses = slot_parses(examples, metric)
         for seed in (0, 9, 2**32, 2**40 + 3, 2**64 + 5):
-            cfg = TrainConfig(k=k, seed=seed)
-            got = make_pools(teacher_stacks(bench.teacher, bench.examples), cfg)
-            want = oracles.loop_make_pools(bench.examples, bench.teacher, cfg)
+            cfg = TrainConfig(k=k, seed=seed, metric=metric)
+            got = make_pools(teacher_stacks(teacher, examples), parses, cfg)
+            want = oracles.loop_make_pools(examples, teacher, cfg)
             assert list(got) == list(want)
             for key, pool in want.items():
                 assert got[key] == pool, (seed, key)
@@ -936,8 +955,35 @@ def test_make_pools_is_the_per_example_loop(k):
                     np.array(pool.qualities, dtype=float).tobytes()
                 ), (seed, key)
                 broken += sum(not r.outer_valid for r in pool.responses)
+            if examples is exs:  # a corrupted draw never parses, so it scores 0
+                assert got["ex-15"].qualities == (0.0,) * k
     # a rate of 1 breaks every envelope of its pool, so some responses are broken
     assert broken >= 2 * 5 * k
+
+
+def test_a_drawn_pool_parses_only_its_corrupted_draws(monkeypatch):
+    # a drawn slot is its slot_parses parse and quality: only a corrupted
+    # draw's text is parsed, and nothing is scored
+    bench, cfg = make_closed_benchmark(), TrainConfig()
+    stacks, parses = teacher_stacks(bench.teacher, bench.examples), slot_parses(bench.examples, cfg.metric)
+    calls = {"parse_response": 0, "quality_score": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        for module in (mskd.train, mskd.pool):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    drawn, draw = [], mskd.train.sample_teacher_pool
+    monkeypatch.setattr(mskd.train, "sample_teacher_pool", lambda *args: drawn.append(draw(*args)) or drawn[-1])
+    make_pools(stacks, parses, cfg)
+    corrupted = int(drawn[0][1].sum())
+    assert 0 < corrupted < len(bench.examples) * cfg.k
+    assert calls == {"parse_response": corrupted, "quality_score": 0}
 
 
 def test_pool_features_of_a_cell_are_the_per_pool_oracle():
@@ -960,7 +1006,7 @@ def test_pool_features_of_a_cell_are_the_per_pool_oracle():
     }
     pools = [apply_filter(build_pool(ex, raws[ex.id]), 0.5) for ex in exs]
     featurizer = Featurizer(max(len(ex.answer_space) for ex in exs))
-    caches = build_caches(exs, featurizer)
+    caches = build_caches(exs, featurizer, slot_parses(exs, MetricConfig()))
     slot_rows = np.concatenate(list(caches.values()))
     starts = np.cumsum([0] + [len(ex.answer_space) for ex in exs])[:-1]
     got = pool_features(pools, exs, slot_rows, starts, featurizer)
@@ -1067,7 +1113,7 @@ def test_one_plan_across_arms_and_taus_equals_fresh_runs(tmp_path):
                 want = saved(run_pipeline(bench.examples, cfg, teacher=bench.teacher), tmp_path / "fresh")
                 assert got == want, (seed, tau, arm)
     # no cell wrote into the shared slot rows, example i's from row starts[i]
-    fresh = build_caches(bench.examples, plan.featurizer, plan.metric)
+    fresh = build_caches(bench.examples, plan.featurizer, slot_parses(bench.examples, plan.metric))
     assert list(fresh) == [ex.id for ex in bench.examples]
     assert plan.starts.tolist() == np.cumsum([0] + [len(rows) for rows in fresh.values()])[:-1].tolist()
     assert plan.slot_rows.tobytes() == np.concatenate(list(fresh.values())).tobytes()
@@ -1345,7 +1391,7 @@ def test_build_caches_scores_a_space_once_per_rendered_truth(monkeypatch):
     real = mskd.train.quality_score
     monkeypatch.setattr(mskd.train, "quality_score", lambda r, ex, cfg: scored.append(ex.id) or real(r, ex, cfg))
     featurizer, metric = Featurizer(7), MetricConfig(eps_rel=0.1)
-    got = build_caches(exs, featurizer, metric)
+    got = build_caches(exs, featurizer, slot_parses(exs, metric))
     assert scored == ["mcq-0"] * 4 + ["mcq-2"] * 4 + ["tg-3"] * 7 + ["tg-5"] * 7 + ["num-6"] * 2 + ["num-7"] * 2
     want = oracles.build_caches(exs, featurizer, metric)
     for ex in exs:
@@ -1364,11 +1410,13 @@ def test_slot_table_matches_per_example_oracle(space_size):
     # a slot beyond the one-hot raises; the spaces that fit are compared
     fits = [(ex, parsed) for ex, parsed in zip(exs, parses) if len(ex.answer_space) <= space_size]
     if len(fits) < len(exs):
-        for build in (build_caches, oracles.build_caches):
+        builds = (lambda: build_caches(exs, featurizer, slot_parses(exs, metric)),
+                  lambda: oracles.build_caches(exs, featurizer, metric))
+        for build in builds:
             with pytest.raises(ValueError, match=f"beyond the featurizer's one-hot of width {space_size}"):
-                build(exs, featurizer, metric)
+                build()
     exs = [ex for ex, _ in fits]
-    got, want = build_caches(exs, featurizer, metric), oracles.build_caches(exs, featurizer, metric)
+    got, want = build_caches(exs, featurizer, slot_parses(exs, metric)), oracles.build_caches(exs, featurizer, metric)
     assert list(got) == list(want)
     for ex, parsed in fits:
         g, w = got[ex.id], want[ex.id]
