@@ -122,22 +122,34 @@ def _invert_rows(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (cdf[:, None, :] <= u[:, :, None]).sum(-1)
 
 
-def kl_gradient_logits(p: np.ndarray, q: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
+def log_probs(q: np.ndarray) -> np.ndarray:
+    """log q, elementwise, with -inf where q is 0 (or below), taken without
+    a log-of-zero warning: the reference form kl_gradient_logits reads."""
+    pos = q > 0.0
+    out = np.log(np.where(pos, q, 1.0))
+    out[~pos] = -np.inf
+    return out
+
+
+def kl_gradient_logits(p: np.ndarray, log_q: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
     """KL(p || q) and its exact gradient w.r.t. the logits behind p, over the
-    last axis: a 2-D input gives one KL per row, a 1-D input one scalar.
+    last axis, from p and log_q = log_probs(q), which a caller with a frozen
+    q takes once: a 2-D input gives one KL per row, a 1-D input one scalar.
 
     With p = softmax(theta): d KL / d theta_j = p_j ((log p_j - log q_j) - KL).
-    KL is summed over the support of p only (0 log 0 = 0) and is inf when q
-    is 0 somewhere on that support; each log is taken once, on that support,
-    so a q that is 0 only off it is a finite case without a warning.
+    KL is summed over the support of p only (0 log 0 = 0), so it is inf
+    when q is 0 somewhere on that support (log_q -inf there) and finite
+    when q is 0 only off it; log p is taken on that support alone.
     """
     pos = p > 0.0
-    diff = np.where(pos, np.log(np.where(pos, p, 1.0)) - np.log(np.where(pos, q, 1.0)), 0.0)
+    whole = pos.all()
+    diff = np.log(p) - log_q if whole else np.where(pos, np.log(np.where(pos, p, 1.0)) - log_q, 0.0)
     terms = p * diff
     kl = terms.sum(axis=-1, keepdims=True)
-    # a row with an exact zero in p sums over its support alone: the zeros
-    # would move numpy's pairwise grouping of the sum, and with it the bits
-    for row in map(tuple, np.argwhere(~pos.all(axis=-1))):
-        kl[row] = terms[row][pos[row]].sum()
-    kl[(pos & (q <= 0.0)).any(axis=-1)] = math.inf
+    if not whole:
+        # a row with an exact zero in p sums over its support alone: the
+        # zeros would move numpy's pairwise grouping of the sum, and with it
+        # the bits
+        for row in map(tuple, np.argwhere(~pos.all(axis=-1))):
+            kl[row] = terms[row][pos[row]].sum()
     return kl[..., 0][()], p * (diff - kl)

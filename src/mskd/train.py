@@ -32,9 +32,11 @@ are drawn alike, every example's stream in one seed_states and
 uniform_table pass.  All else a step reads is taken once: per cell, the
 logits stacks with their taught, active and closed rows, the stacks'
 reference policy, the pools' feature rows as one (examples * K, dim)
-matrix (one pool_features call) and every epoch's matched rows of it as
-one array (one sample_matches call); per Plan, shared by every cell on
-one set of examples, one slot_parses pass under one metric, which gives
+matrix (one pool_features call), every epoch's matched rows of it as one
+array (one sample_matches call) and the reference's logs (rl_step, once
+per call); per Plan, shared by every cell on one set of examples, one
+slot_parses pass under one metric (made once per example set, so a
+benchmark build's pass serves its plans), which gives
 the slot rows as one (total_slots, dim) matrix with each example's first
 row, the stacks' layout, the accuracy's slot qualities and the parse and
 quality of every drawn slot of each (seed, k)'s unfiltered pools (only a
@@ -72,7 +74,9 @@ from mskd.discriminator import (
     save_params,
 )
 from mskd.metrics import DEFAULT_METRICS, MetricConfig, _check_numbers, _is_finite, _is_int, quality_score
-from mskd.policy import _check_nucleus, _invert_rows, checked_cdf, kl_gradient_logits, nucleus, score_groups, softmax
+from mskd.policy import (
+    _check_nucleus, _invert_rows, checked_cdf, kl_gradient_logits, log_probs, nucleus, score_groups, softmax,
+)
 from mskd.pool import (
     MatchingDistribution,
     TeacherPool,
@@ -259,6 +263,10 @@ class TrainConfig:
             raise ValueError(f"matching must be 'quality' or 'uniform', got {self.matching!r}")
 
 
+# slot_parses' last pass, its one memo entry: key -> (the examples, the pass)
+_last_parses: dict[tuple, tuple[tuple[SupervisionExample, ...], list[tuple]]] = {}
+
+
 def slot_parses(
     examples: list[SupervisionExample], metric: MetricConfig
 ) -> list[tuple[tuple[ParsedResponse, ...], np.ndarray | None]]:
@@ -269,7 +277,18 @@ def slot_parses(
     payloads render alike but for signed zeros, so the rendering is part of
     the key.  They are scored once per parsed slot set and truth of one
     rendering (so never 0.0 and -0.0 alike).  Examples share the tuples and
-    the read-only quality arrays."""
+    the read-only quality arrays.
+
+    The last pass is remembered, keyed by metric and the examples' object
+    ids in order, and holds those examples, so no id is reused while it
+    lives: a call on the same example objects under an equal metric (a
+    benchmark's build, then every plan and pass@k on its examples) gets a
+    new list of the same tuples and arrays without parsing or scoring.
+    Examples and metrics are frozen, so the remembered pass cannot go stale."""
+    last = (metric, tuple(map(id, examples)))
+    hit = _last_parses.get(last)
+    if hit is not None:
+        return list(hit[1])
     renders: dict[int, tuple[str, ...]] = {}
     parsed: dict[tuple, tuple[ParsedResponse, ...]] = {}
     scored: dict[tuple, np.ndarray] = {}
@@ -292,7 +311,9 @@ def slot_parses(
                 qualities = scored[truth] = np.array([quality_score(r, ex, metric) for r in responses])
                 qualities.flags.writeable = False
         out.append((responses, qualities))
-    return out
+    _last_parses.clear()
+    _last_parses[last] = (tuple(examples), out)
+    return list(out)
 
 
 def build_caches(
@@ -417,7 +438,8 @@ def rl_step(
     example) rather than 1.  Inputs that do not fit one another raise
     ValueError before any epoch runs: a short stack would gather another
     example's rows.  The check, every epoch's pair weights and each
-    group's flat row offsets are taken once per call.
+    group's flat row offsets and reference logs (log_probs, which
+    kl_gradient_logits reads) are taken once per call.
 
     Order within an epoch: every rollout is drawn from the epoch-start
     policy; the rollout rows and the matched teacher rows of the epoch are
@@ -448,18 +470,21 @@ def rl_step(
     ):
         raise ValueError(f"rl_step inputs do not fit {a} active examples and their row stacks")
     pair_w = np.where(weighted[:, None], pool_rows[:, QUALITY_COL].take(picks), 1.0)
-    # per group: its rows' rollout uniforms and each row's first flat index
-    # into the (size, m) policy-gradient counts
-    laid = [(uniforms[:, pos], np.arange(len(pos))[:, None] * stacks[g].shape[1]) for g, _, pos, _ in groups]
+    # per group: its rows' rollout uniforms, each row's first flat index
+    # into the (size, m) policy-gradient counts and its reference's logs
+    laid = [
+        (uniforms[:, pos], np.arange(len(pos))[:, None] * stacks[g].shape[1], log_probs(ref))
+        for g, _, pos, ref in groups
+    ]
     stats = np.empty((epochs, a, 3))  # mean reward, disc loss, KL
     accs = []
     for epoch in range(epochs):
         rollouts = np.empty((a, n), dtype=np.intp)
         policies = []
-        for (g, sel, pos, ref), (u, _) in zip(groups, laid):
+        for (g, sel, pos, _), (u, _, log_ref) in zip(groups, laid):
             p = probs[g][sel]
             rollouts[pos] = _invert_rows(checked_cdf(p), u[epoch])
-            stats[epoch, pos, 2], kl_grad = kl_gradient_logits(p, ref)
+            stats[epoch, pos, 2], kl_grad = kl_gradient_logits(p, log_ref)
             policies.append((p, kl_grad))
 
         # each rollout's slot row, gathered once for the discriminator and
@@ -477,7 +502,7 @@ def rl_step(
         mean = stats[epoch, :, 0] = rewards.sum(axis=1) / n
         adv = rewards - mean[:, None]
 
-        for (g, sel, pos, _), (_, offsets), (p, kl_grad) in zip(groups, laid, policies):
+        for (g, sel, pos, _), (_, offsets, _), (p, kl_grad) in zip(groups, laid, policies):
             size, m = p.shape
             adv_g = adv[pos]
             counts = np.bincount((offsets + rollouts[pos]).ravel(), weights=adv_g.ravel(), minlength=size * m)
@@ -681,7 +706,9 @@ def _check_inputs(
 
 class Plan:
     """What every training cell on examples shares: the featurizer, one
-    slot_parses pass under metric (parses), the build_caches rows and each
+    slot_parses pass under metric (parses; the pass a benchmark build or an
+    earlier plan made, when it was the last pass and on these same example
+    objects), the build_caches rows and each
     (seed, k)'s make_pools draw that read it, the student's layout and the
     teacher's stacks the draws read, made on first use.  Examples that
     _check_examples rejects raise InputError before anything is built, a

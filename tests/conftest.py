@@ -13,6 +13,7 @@ from mskd.tasks import (
     Text,
     option_letters,
 )
+import mskd.train
 from mskd.train import _pick, _sft_epoch, rl_inputs, rl_step, score_groups
 
 
@@ -112,3 +113,11 @@ def sft_epoch_on(student, examples, targets, lr):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(autouse=True)
+def _no_remembered_slot_parses():
+    """Each test starts with slot_parses' memo empty, so a test that patches
+    quality_score or parse_response is never served a pass that an earlier
+    test made, whatever the order."""
+    mskd.train._last_parses.clear()

@@ -5,7 +5,9 @@ form (discriminator.score_batch, _linear_grad and _hidden_grad under
 chain_update, and policy.kl_gradient_logits).  The one-pair and one-distribution forms below
 are what those paths are checked against: the finite-difference gradient
 checks differentiate pairwise_loss, and the rl_step oracle takes its KL
-from kl_divergence.  train.pass_at_k_eval computes pass@k in closed form;
+from kl_divergence.  policy.kl_gradient_logits reads the reference as
+logs that rl_step takes once per call; kl_gradient_logits below is the
+form it replaced, which took them from q on every call, copied verbatim.  train.pass_at_k_eval computes pass@k in closed form;
 sampled_pass_at_k is the Monte-Carlo estimate it is checked against.
 train.build_caches parses each distinct answer space once and featurizes it
 with array writes; build_caches below is the per-example, per-slot form it
@@ -134,6 +136,27 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     if np.any(q[mask] <= 0.0):
         return float("inf")
     return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
+
+
+def kl_gradient_logits(p: np.ndarray, q: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
+    """KL(p || q) and its exact gradient w.r.t. the logits behind p, over the
+    last axis: a 2-D input gives one KL per row, a 1-D input one scalar.
+
+    With p = softmax(theta): d KL / d theta_j = p_j ((log p_j - log q_j) - KL).
+    KL is summed over the support of p only (0 log 0 = 0) and is inf when q
+    is 0 somewhere on that support; each log is taken once, on that support,
+    so a q that is 0 only off it is a finite case without a warning.
+    """
+    pos = p > 0.0
+    diff = np.where(pos, np.log(np.where(pos, p, 1.0)) - np.log(np.where(pos, q, 1.0)), 0.0)
+    terms = p * diff
+    kl = terms.sum(axis=-1, keepdims=True)
+    # a row with an exact zero in p sums over its support alone: the zeros
+    # would move numpy's pairwise grouping of the sum, and with it the bits
+    for row in map(tuple, np.argwhere(~pos.all(axis=-1))):
+        kl[row] = terms[row][pos[row]].sum()
+    kl[(pos & (q <= 0.0)).any(axis=-1)] = math.inf
+    return kl[..., 0][()], p * (diff - kl)
 
 
 def composite_reward(

@@ -95,20 +95,29 @@ def test_closed_benchmark_slot_scores_are_the_plans_quality_column(kw):
     assert all(a.flags.owndata for a in arrays) and len({id(a) for a in arrays}) == len(arrays)
 
 
-def test_benchmark_and_pass_at_k_score_slots_as_often_as_the_plan(monkeypatch):
-    # the benchmark and pass@k each scored every slot again (2,280 calls each),
-    # where the plan's one pass scores each parsed slot set once per truth (951)
-    calls, real = [], mskd.train.quality_score
+def test_a_benchmarks_slots_are_scored_once_for_its_plans_and_pass_at_k(monkeypatch):
+    # the build's slot_parses pass parses each distinct answer space's slots
+    # once (59 parses) and scores each parsed slot set once per truth (951
+    # calls); a plan, pass@k and a run_pipeline cell on its examples reuse
+    # that pass, and the cell parses only its corrupted draws
+    parsed, scored = [], []
+    real_parse, real_score = mskd.train.parse_response, mskd.train.quality_score
+    monkeypatch.setattr(mskd.train, "parse_response", lambda *a: parsed.append(1) or real_parse(*a))
     for module in (mskd.train, harness):
-        monkeypatch.setattr(module, "quality_score", lambda *a: calls.append(1) or real(*a), raising=False)
+        monkeypatch.setattr(module, "quality_score", lambda *a: scored.append(1) or real_score(*a), raising=False)
+    marks = [(0, 0)]
     bench = make_closed_benchmark()
-    marks = [0, len(calls)]
-    Plan(bench.examples, DEFAULT_METRICS)
-    marks.append(len(calls))
+    marks.append((len(parsed), len(scored)))
+    Plan(bench.examples, DEFAULT_METRICS, bench.teacher)
+    marks.append((len(parsed), len(scored)))
     student = {ex.id: np.zeros(len(ex.answer_space)) for ex in bench.examples}
     mskd.train.pass_at_k_eval(student, bench.examples, [1, 4])
-    marks.append(len(calls))
-    assert np.diff(marks).tolist() == [951] * 3  # the build, the plan, pass@k
+    marks.append((len(parsed), len(scored)))
+    mskd.train.run_pipeline(bench.examples, TrainConfig(epochs_stage1=1, epochs_stage2=1), teacher=bench.teacher)
+    marks.append((len(parsed), len(scored)))
+    parses, scores = np.diff(marks, axis=0).T.tolist()  # the build, the plan, pass@k, the cell
+    assert scores == [951, 0, 0, 0]
+    assert parses[:3] == [59, 0, 0] and parses[3] < 240  # 240: the cell's drawn responses
 
 
 def test_closed_benchmark_retention_calibration():

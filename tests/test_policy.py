@@ -1,18 +1,21 @@
 """Categorical policy: softmax/nucleus sampling and exact KL machinery."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import kl_divergence
 from mskd.harness import make_closed_benchmark
 from mskd.policy import (
     _invert_rows,
     checked_cdf,
     kl_gradient_logits,
+    log_probs,
     nucleus,
     softmax,
 )
@@ -131,8 +134,8 @@ def test_nucleus_fuzz_properties(rng):
 
 def kl_of(p, q):
     """The KL value of the library's one KL path."""
-    with np.errstate(divide="ignore", invalid="ignore"):  # log 0 of a q that is 0 on p's support
-        return kl_gradient_logits(p, q)[0]
+    with np.errstate(invalid="ignore"):  # inf - inf in the gradient of an infinite KL
+        return kl_gradient_logits(p, log_probs(q))[0]
 
 
 def test_kl_known_value():
@@ -162,11 +165,11 @@ def test_kl_of_a_reference_zero_only_off_the_support_takes_no_log_of_zero():
     # zero would raise
     for p, q in (([1.0, 0.0], [1.0, 0.0]), ([0.5, 0.0, 0.5], [0.25, 0.0, 0.75])):
         p, q = np.array(p), np.array(q)
-        kl, grad = kl_gradient_logits(p, q)
+        kl, grad = kl_gradient_logits(p, log_probs(q))
         assert kl == kl_divergence(p, q) < math.inf
         assert np.isfinite(grad).all() and grad[p == 0.0].tolist() == [0.0]
     p, q = np.array([[1.0, 0.0], [0.5, 0.5]]), np.array([[1.0, 0.0], [0.25, 0.75]])
-    kl, grad = kl_gradient_logits(p, q)
+    kl, grad = kl_gradient_logits(p, log_probs(q))
     assert kl.tolist() == [kl_divergence(p[0], q[0]), kl_divergence(p[1], q[1])]
     assert np.isfinite(grad).all()
 
@@ -176,7 +179,7 @@ def test_kl_gradient_matches_finite_differences(rng):
         n = int(rng.integers(2, 7))
         theta = rng.normal(0, 1.5, n)
         q = softmax(rng.normal(0, 1.5, n))
-        kl, grad = kl_gradient_logits(softmax(theta), q)
+        kl, grad = kl_gradient_logits(softmax(theta), log_probs(q))
         assert kl == pytest.approx(kl_oracle(softmax(theta), q), rel=1e-12)
         eps = 1e-6
         for j in range(n):
@@ -262,14 +265,49 @@ def _zero_rows():
 @example(_zero_rows())
 def test_rowwise_kl_gradient_is_the_one_row_form(pq):
     p, q = pq
-    with np.errstate(divide="ignore", invalid="ignore"):  # log 0, inf - inf
-        kl, grad = kl_gradient_logits(p, q)
+    log_q = log_probs(q)
+    with np.errstate(invalid="ignore"):  # inf - inf in the gradient of an infinite KL
+        kl, grad = kl_gradient_logits(p, log_q)
         for r in range(len(p)):
-            one_kl, one_grad = kl_gradient_logits(p[r], q[r])
+            one_kl, one_grad = kl_gradient_logits(p[r], log_q[r])
             # the masked, exactly summed KL of the scalar oracle
             assert repr(float(kl[r])) == repr(float(one_kl)) == repr(kl_divergence(p[r], q[r]))
             assert grad[r].tobytes() == one_grad.tobytes()
     assert kl.shape == (len(p),) and grad.shape == p.shape
+
+
+def _assert_kl_is_the_per_call_log_form(p, q):
+    """kl_gradient_logits on log_probs(q) against the oracle's form, which
+    takes the logs of q in the call: the KL by repr, the gradient by bytes."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # the oracle's log 0; inf - inf
+        want_kl, want_grad = oracles.kl_gradient_logits(p, q)
+    with np.errstate(invalid="ignore"):  # inf - inf in the gradient of an infinite KL
+        kl, grad = kl_gradient_logits(p, log_probs(q))
+    assert np.shape(kl) == np.shape(want_kl) and type(kl) is type(want_kl)
+    assert [repr(float(v)) for v in np.ravel(kl)] == [repr(float(v)) for v in np.ravel(want_kl)]
+    assert grad.dtype == want_grad.dtype and grad.shape == want_grad.shape
+    assert grad.tobytes() == want_grad.tobytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_stacked_rows())
+@example(_zero_rows())
+# zeros of p off its support, where q is 0 too, and q's zero on p's support
+@example((np.array([[0.5, 0.0, 0.5], [1.0, 0.0, 0.0]]), np.array([[0.25, 0.0, 0.75], [0.0, 0.5, 0.5]])))
+def test_kl_on_reference_logs_is_the_per_call_log_form(pq):
+    p, q = pq
+    _assert_kl_is_the_per_call_log_form(p, q)  # 2-D
+    for r in range(len(p)):
+        _assert_kl_is_the_per_call_log_form(p[r], q[r])  # 1-D
+
+
+def test_reference_logs_of_zeros_warn_nothing():
+    # the suite turns every warning into an error; check it here too
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = log_probs(np.array([[0.0, 1.0, 0.0], [0.25, 0.0, 0.75]]))
+    assert got[0].tolist() == [-math.inf, 0.0, -math.inf]
+    assert got[1].tolist() == [math.log(0.25), -math.inf, math.log(0.75)]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

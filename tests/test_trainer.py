@@ -46,7 +46,7 @@ from mskd.train import (
     stream_table,
     uniform_table,
 )
-from mskd.policy import kl_gradient_logits, nucleus, softmax
+from mskd.policy import kl_gradient_logits, log_probs, nucleus, softmax
 
 
 def point_mass_teacher(examples, slot=None, violation=0.0):
@@ -102,8 +102,8 @@ def rl_epoch(student, disc, ex, pool, cfg):
 
 def test_kl_penalty_is_policy_kl():
     logits = np.array([1.0, 0.0, 0.0, 0.0])
-    assert kl_gradient_logits(softmax(logits), softmax(logits.copy()))[0] == 0.0
-    assert kl_gradient_logits(softmax(logits), softmax(np.zeros(4)))[0] > 0.0
+    assert kl_gradient_logits(softmax(logits), log_probs(softmax(logits.copy())))[0] == 0.0
+    assert kl_gradient_logits(softmax(logits), log_probs(softmax(np.zeros(4))))[0] > 0.0
 
 
 def test_sft_stage_descends_to_target():
@@ -1433,3 +1433,61 @@ def test_slot_table_matches_per_example_oracle(space_size):
         assert featurizer.featurize_all(parsed, [ex.slot_of(r.payload) for r in parsed]).tobytes() == (
             np.stack([oracles.featurize(featurizer, r, ex, 0.0) for r in parsed]).tobytes()
         )
+
+
+def _pass_bytes(parses):
+    """A slot_parses pass as comparable values: each slot's parse by repr
+    and the quality array's dtype and bytes (None when open-ended)."""
+    return [
+        (tuple(repr(r) for r in responses), None if q is None else (q.dtype.str, q.tobytes()))
+        for responses, q in parses
+    ]
+
+
+def _fresh_pass(examples, metric):
+    mskd.train._last_parses.clear()
+    return slot_parses(examples, metric)
+
+
+def test_slot_parses_serves_its_last_pass_only_to_the_same_examples_and_metric(monkeypatch):
+    scored, real = [], mskd.train.quality_score
+    monkeypatch.setattr(mskd.train, "quality_score", lambda *a: scored.append(1) or real(*a))
+    exs, metric = _slot_table_examples(), MetricConfig()
+    first = slot_parses(exs, metric)
+    n = len(scored)
+    hit = slot_parses(exs, MetricConfig())  # an equal metric, the same example objects
+    assert len(scored) == n and hit is not first
+    assert all(a is b for pair, same in zip(first, hit) for a, b in zip(pair, same))
+    assert all(q is None or not q.flags.writeable for _, q in hit)
+    # equal examples that are other objects, another order, another metric:
+    # each is a new pass, bit for bit a fresh one
+    calls = [
+        ([replace(ex) for ex in exs], metric),
+        (exs[::-1], metric),
+        (exs, MetricConfig(eps_rel=0.2, ocr_mode="exact")),
+    ]
+    for examples, m in calls:
+        before = len(scored)
+        got = slot_parses(examples, m)
+        assert len(scored) > before
+        assert _pass_bytes(got) == _pass_bytes(_fresh_pass(examples, m))
+    assert _pass_bytes(slot_parses(exs, metric)) == _pass_bytes(first)
+
+
+def test_slot_parses_memo_holds_one_pass_that_callers_cannot_change(monkeypatch):
+    scored, real = [], mskd.train.quality_score
+    monkeypatch.setattr(mskd.train, "quality_score", lambda *a: scored.append(1) or real(*a))
+    exs, metric = _slot_table_examples(), MetricConfig()
+    want = _pass_bytes(slot_parses(exs, metric))
+    full = len(scored)
+    got = slot_parses(exs, metric)
+    got[0] = got[1]
+    del got[2:]
+    assert _pass_bytes(slot_parses(exs, metric)) == want
+    # a second example set evicts the first
+    slot_parses(exs[:3], metric)
+    assert len(mskd.train._last_parses) == 1
+    before = len(scored)
+    slot_parses(exs, metric)
+    assert len(scored) - before == full
+    assert _pass_bytes(slot_parses(exs, metric)) == want
