@@ -192,12 +192,13 @@ def make_closed_benchmark(
         examples.append(ex)
         violations[ex.id] = violation_temporal
     slot_scores = {ex.id: q.copy() for ex, (_, q) in zip(examples, slot_parses(examples, DEFAULT_METRICS))}
-    z = rng.standard_normal(len(examples))
+    with np.errstate(over="ignore"):  # an infinite offset clips to 0.05 or 0.98
+        offsets = spread * rng.standard_normal(len(examples))
     groups = _calibration_paths(examples, slot_scores, temperature, top_p)
     rates = np.array([violations[ex.id] for ex in examples])
 
     def build_at(mu0: float) -> tuple[np.ndarray, float]:  # calibrated at mu0: the targets, their exact retention
-        mus = np.clip(mu0 + spread * z, 0.05, 0.98)
+        mus = np.clip(mu0 + offsets, 0.05, 0.98)
         _calibrate(groups, mus)
         vals = np.empty(len(examples))
         for rows, paths in groups:

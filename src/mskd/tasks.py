@@ -331,7 +331,7 @@ def parse_response(raw: str, task: TaskType) -> ParsedResponse:
     return ParsedResponse(raw, True, True, payload)
 
 
-def render_payload(payload: AnswerPayload, think: str | None = None) -> str:
+def render_payload(payload: AnswerPayload) -> str:
     """Emit the canonical grammar for a payload.
 
     parse_response(render_payload(p), task) recovers p exactly: floats are
@@ -354,7 +354,4 @@ def render_payload(payload: AnswerPayload, think: str | None = None) -> str:
         inner = payload.value
     else:
         raise TypeError(f"not an answer payload: {payload!r}")
-    answer = f"<answer>{inner}</answer>"
-    if think is None:
-        return answer
-    return f"<think>{think}</think>\n{answer}"
+    return f"<answer>{inner}</answer>"

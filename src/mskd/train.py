@@ -7,10 +7,11 @@ a teacher response drawn from the matching distribution, reward the
 rollouts (discriminator + format + content), apply a policy-gradient update
 with a group-mean advantage baseline and an exact KL pull toward the frozen
 Stage-1 policy, then descend the discriminator's pairwise loss on the
-matched pairs.  rl_step runs all of a cell's Stage-2 epochs in one call:
-it checks its inputs and weights every epoch's pairs once, before the first
-epoch.  Within an epoch only the discriminator moves from step to step, so
-the student half of every step is batched across the epoch's examples (the
+matched pairs.  rl_step runs all of a cell's Stage-2 epochs in one call,
+on the plan's layout and the cell's per-example arrays: it checks its
+inputs and weights every epoch's pairs once, before the first epoch.
+Within an epoch only the discriminator moves from step to step, so the
+student half of every step is batched across the epoch's examples (the
 rewards and advantages in one pass over all its rollouts), each epoch's
 rollout and teacher rows are gathered in one take each, and the
 discriminator's steps are one chain (discriminator.chain_update) that keeps
@@ -405,41 +406,43 @@ def _policy(stacks: list[np.ndarray], acc: list[tuple]) -> tuple[list[np.ndarray
 
 
 def rl_step(
-    groups: list[tuple],
+    layout: list[np.ndarray],
+    refs: list[np.ndarray],
     stacks: list[np.ndarray],
     probs: list[np.ndarray],
     disc: DiscriminatorParams,
     cfg: TrainConfig,
+    active: np.ndarray,
+    matches: np.ndarray,
     uniforms: np.ndarray,
-    picks: np.ndarray,
-    slot_at: np.ndarray,
-    weighted: np.ndarray,
+    starts: np.ndarray,
+    closed: np.ndarray,
     slot_rows: np.ndarray,
     pool_rows: np.ndarray,
     acc: list[tuple],
 ) -> tuple[DiscriminatorParams, np.ndarray, list[float | None]]:
     """A cell's Stage 2: epochs of adversarial distillation over the active
-    examples, the ones with matches, on the layout rl_inputs builds for
-    Plan.run; one epoch per row of uniforms.
+    examples, the ones with matches, on Plan.run's layout; one epoch per
+    row of uniforms.
 
-    stacks are the student's logits stacks, which every epoch updates in
-    place, and probs their row-wise softmax, the first epoch's policy.
-    groups hold, per answer-space size with an active example, its stack's
-    index, its active rows (_pick's selector), their positions among the
-    active examples and their frozen reference probabilities; acc the
-    accuracy's rows (Plan.acc).  Per epoch and active example, in order:
-    uniforms (epochs, active, n) holds its n_rollouts rollout uniforms,
-    which it inverts as Generator.choice would, and picks the rows of
-    pool_rows (the pools' pool_features rows, stacked) its rollouts are
-    paired with; per active example, slot_at (active, 1) holds its first
+    layout holds each stack's example indices (Plan.layout); stacks are the
+    student's logits stacks, which every epoch updates in place, probs
+    their row-wise softmax, the first epoch's policy, refs the frozen
+    reference probabilities, row for row; acc the accuracy's rows
+    (Plan.acc).  Per example: active whether it has matches, uniforms
+    (epochs, examples, 2, n) its n_rollouts rollout uniforms per epoch at
+    [:, i, 0], which it inverts as Generator.choice would, starts its first
     row of slot_rows (the build_caches rows under cfg.metric, stacked) and
-    weighted whether a pair's weight in the discriminator's loss is the
-    quality column of its teacher row (quality matching on a closed-ended
-    example) rather than 1.  Inputs that do not fit one another raise
-    ValueError before any epoch runs: a short stack would gather another
-    example's rows.  The check, every epoch's pair weights and each
-    group's flat row offsets and reference logs (log_probs, which
-    kl_gradient_logits reads) are taken once per call.
+    closed whether it is closed-ended, so that under quality matching a
+    pair's weight in the discriminator's loss is the quality column of its
+    teacher row rather than 1.  matches (active, epochs, n) holds each
+    active example's rows of its cfg.k-row pool, which sits at rows
+    i * cfg.k of pool_rows (the pools' pool_features rows, stacked).
+    Inputs that do not fit one another raise ValueError before any epoch
+    runs: a short stack would gather another example's rows.  The check,
+    every epoch's pair weights and each group's rollout uniforms, flat row
+    offsets and reference logs (log_probs, which kl_gradient_logits reads)
+    are taken once per call.
 
     Order within an epoch: every rollout is drawn from the epoch-start
     policy; the rollout rows and the matched teacher rows of the epoch are
@@ -457,31 +460,38 @@ def rl_step(
     its step and its KL, each of the state it acted on.  The list holds
     each epoch's eval_accuracy under the policy it leaves.
     """
-    n, a = cfg.n_rollouts, len(slot_at)
-    epochs = len(uniforms)
-    covered = np.sort(np.concatenate([np.arange(0)] + [p for _, _, p, _ in groups]))
+    n, epochs, total = cfg.n_rollouts, len(uniforms), len(active)
+    at, rank = np.flatnonzero(active), np.cumsum(active) - 1
+    a = len(at)
     fits = (
-        uniforms.shape == picks.shape == (epochs, a, n) and slot_at.shape == (a, 1) and weighted.shape == (a,)
-        and [p.shape for p in probs] == [logits.shape for logits in stacks]
+        uniforms.ndim == 4 and uniforms.shape[1] == len(starts) == len(closed) == total and uniforms.shape[3] == n
+        and matches.shape == (a, epochs, n) and len(pool_rows) == total * cfg.k
+        and [len(rows) for rows in layout] == [len(logits) for logits in stacks]
+        and [p.shape for p in probs] == [r.shape for r in refs] == [logits.shape for logits in stacks]
     )
-    if not (fits and np.array_equal(covered, np.arange(a))) or a and (
-        slot_at.min() < 0 or picks.size and (picks.min() < 0 or picks.max() >= len(pool_rows))
-        or max(slot_at[pos].max() + stacks[g].shape[1] for g, _, pos, _ in groups) > len(slot_rows)
+    if not (fits and np.array_equal(np.sort(np.concatenate([np.arange(0)] + layout)), np.arange(total))) or (
+        (starts < 0).any() or ((matches < 0) | (matches >= cfg.k)).any()
+        or any((starts[rows] + logits.shape[1] > len(slot_rows)).any() for rows, logits in zip(layout, stacks))
     ):
         raise ValueError(f"rl_step inputs do not fit {a} active examples and their row stacks")
-    pair_w = np.where(weighted[:, None], pool_rows[:, QUALITY_COL].take(picks), 1.0)
-    # per group: its rows' rollout uniforms, each row's first flat index
-    # into the (size, m) policy-gradient counts and its reference's logs
-    laid = [
-        (uniforms[:, pos], np.arange(len(pos))[:, None] * stacks[g].shape[1], log_probs(ref))
-        for g, _, pos, ref in groups
+    slot_at = starts[at, None]
+    picks = (matches + (at * cfg.k)[:, None, None]).swapaxes(0, 1)
+    pair_w = np.where(closed[at, None] & (cfg.matching == "quality"), pool_rows[:, QUALITY_COL].take(picks), 1.0)
+    # per group with an active example: its stack's index, its active rows
+    # (_pick's selector), their positions among the active examples, their
+    # rollout uniforms, each row's first flat index into the (size, m)
+    # policy-gradient counts and their reference's logs
+    groups = [
+        (g, sel, rank[rows], uniforms[:, rows, 0], np.arange(len(rows))[:, None] * stacks[g].shape[1],
+         log_probs(refs[g][sel]))
+        for g, sel, rows in _pick(layout, active)
     ]
     stats = np.empty((epochs, a, 3))  # mean reward, disc loss, KL
     accs = []
     for epoch in range(epochs):
         rollouts = np.empty((a, n), dtype=np.intp)
         policies = []
-        for (g, sel, pos, _), (u, _, log_ref) in zip(groups, laid):
+        for g, sel, pos, u, _, log_ref in groups:
             p = probs[g][sel]
             rollouts[pos] = _invert_rows(checked_cdf(p), u[epoch])
             stats[epoch, pos, 2], kl_grad = kl_gradient_logits(p, log_ref)
@@ -502,7 +512,7 @@ def rl_step(
         mean = stats[epoch, :, 0] = rewards.sum(axis=1) / n
         adv = rewards - mean[:, None]
 
-        for (g, sel, pos, _), (_, offsets, _), (p, kl_grad) in zip(groups, laid, policies):
+        for (g, sel, pos, _, offsets, _), (p, kl_grad) in zip(groups, policies):
             size, m = p.shape
             adv_g = adv[pos]
             counts = np.bincount((offsets + rollouts[pos]).ravel(), weights=adv_g.ravel(), minlength=size * m)
@@ -534,22 +544,6 @@ def _pick(layout: list[np.ndarray], on: np.ndarray) -> list[tuple]:
         if mask.any():
             out.append((g, slice(None) if mask.all() else np.flatnonzero(mask), rows[mask]))
     return out
-
-
-def rl_inputs(
-    layout: list, refs: list, active: np.ndarray, matches: np.ndarray, uniforms: np.ndarray, starts: np.ndarray,
-    closed: np.ndarray, cfg: TrainConfig,
-) -> tuple[list[tuple], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """rl_step's groups, uniforms and picks (epochs, active, n), slot_at and
-    weighted for a cell: layout holds each stack's example indices, refs
-    the stacks' reference policy; per example, active whether it has
-    matches, uniforms[:, i, 0] its rollout uniforms, starts its first slot
-    row and closed its kind; matches holds each active example's (epochs,
-    n) rows of its cfg.k-row pool."""
-    at, pos = np.flatnonzero(active), np.cumsum(active) - 1
-    groups = [(g, sel, pos[rows], refs[g][sel]) for g, sel, rows in _pick(layout, active)]
-    picks = (matches + (at * cfg.k)[:, None, None]).swapaxes(0, 1)
-    return groups, uniforms[:, at, 0], picks, starts[at, None], closed[at] & (cfg.matching == "quality")
 
 
 def policy_groups(student: dict[str, np.ndarray], groups: list[tuple]) -> list[tuple]:
@@ -586,13 +580,12 @@ def eval_accuracy(groups: list[tuple]) -> float | None:
 
 @dataclass
 class TrainedArtifacts:
-    """A run's result; student and ref map each example id to its logits,
-    the trained ones (rows of the cell's stacks) and Stage-1 copies.
-    metrics is the (epochs, 4) log metrics_to_csv writes, NaN where a cell
-    is empty; its first sft_epochs rows are Stage 1's."""
+    """A run's result; student maps each example id to its trained logits,
+    a row of the cell's stacks.  metrics is the (epochs, 4) log
+    metrics_to_csv writes, NaN where a cell is empty; its first sft_epochs
+    rows are Stage 1's."""
 
     student: dict[str, np.ndarray]
-    ref: dict[str, np.ndarray]
     disc: DiscriminatorParams
     metrics: np.ndarray
     sft_epochs: int
@@ -800,7 +793,6 @@ class Plan:
             probs, acc = _policy(stacks, self.acc)
             log.append((None, None, None, acc))
 
-        ref = {k: logits.copy() for k, logits in student.items()}
         disc = init_params(featurizer.dim, cfg.hidden_dim, seed=np.random.SeedSequence([cfg.seed, _S_DISC]))
         # every epoch's matched pool rows, drawn in one pass before training
         overrides = match_overrides or {}
@@ -812,11 +804,9 @@ class Plan:
         at = np.flatnonzero(active)
         matches = sample_matches([dists[i] for i in at], uniforms[:, at, 1].swapaxes(0, 1))
         # the frozen reference policy is the Stage-1 result's softmax
-        groups, u, picks, slot_at, weighted = rl_inputs(
-            self.layout, probs, active, matches, uniforms, self.starts, self.closed, cfg
-        )
         disc, stats, accs = rl_step(
-            groups, stacks, probs, disc, cfg, u, picks, slot_at, weighted, self.slot_rows, pool_rows, self.acc
+            self.layout, probs, stacks, probs, disc, cfg, active, matches, uniforms, self.starts, self.closed,
+            self.slot_rows, pool_rows, self.acc,
         )
         # cumsum adds each epoch's rows one after another, in step order
         means = (stats.cumsum(axis=1)[:, -1] / len(at)).tolist() if len(at) else [[None] * 3] * epochs
@@ -826,7 +816,7 @@ class Plan:
         # an example with nothing to match sits out every RL epoch
         skipped_rl = tuple(sorted(ex.id for ex, on in zip(examples, active.tolist()) if not on))
         return TrainedArtifacts(
-            student=student, ref=ref, disc=disc,
+            student=student, disc=disc,
             metrics=np.array(log, dtype=float).reshape(-1, 4),  # None reads NaN
             sft_epochs=cfg.epochs_stage1, final_accuracy=acc,
             skipped_sft=skipped_sft, skipped_rl=skipped_rl if epochs else (),

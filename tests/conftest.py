@@ -14,7 +14,7 @@ from mskd.tasks import (
     option_letters,
 )
 import mskd.train
-from mskd.train import _pick, _sft_epoch, rl_inputs, rl_step, score_groups
+from mskd.train import _pick, _sft_epoch, rl_step, score_groups
 
 
 def mk_mcq(idx=0, gt="B", n_options=4):
@@ -77,12 +77,12 @@ def stack_student(examples, student):
 
 
 def rl_epoch_on(student, ref_probs, disc, examples, cfg, uniforms, matches, slot_rows, pool_rows):
-    """train.rl_step over one epoch of per-example inputs, laid out by
-    train.rl_inputs as Plan.run lays them out: logits and reference
-    probabilities by id, each example's rollout uniforms and its matched
-    pool rows (None: nothing to match), its build_caches rows stacked in
-    slot_rows and its (K, dim) pool rows stacked in pool_rows.  Returns the
-    discriminator and the epoch's (active, 3) stats."""
+    """train.rl_step over one epoch of per-example inputs, laid out as
+    Plan.run lays them out: logits and reference probabilities by id, each
+    example's rollout uniforms and its matched pool rows (None: nothing to
+    match), its build_caches rows stacked in slot_rows and its (K, dim)
+    pool rows stacked in pool_rows.  Returns the discriminator and the
+    epoch's (active, 3) stats."""
     layout, stacks = stack_student(examples, student)
     refs = [np.array([ref_probs[examples[i].id] for i in rows]) for rows in layout]
     starts = np.cumsum([0] + [len(ex.answer_space) for ex in examples])[:-1]
@@ -90,13 +90,10 @@ def rl_epoch_on(student, ref_probs, disc, examples, cfg, uniforms, matches, slot
     _, k, dim = pool_rows.shape
     active = np.array([m is not None for m in matches], dtype=bool)
     one_epoch = np.array([m for m in matches if m is not None], dtype=np.intp).reshape(-1, 1, cfg.n_rollouts)
-    groups, u, picks, slot_at, weighted = rl_inputs(
-        layout, refs, active, one_epoch, np.asarray(uniforms)[None, :, None], starts, closed,
-        replace(cfg, k=k, epochs_stage2=1),
-    )
     probs = [softmax(logits) for logits in stacks]
     disc, stats, _ = rl_step(
-        groups, stacks, probs, disc, cfg, u, picks, slot_at, weighted, slot_rows, pool_rows.reshape(-1, dim), []
+        layout, refs, stacks, probs, disc, replace(cfg, k=k), active, one_epoch, np.asarray(uniforms)[None, :, None],
+        starts, closed, slot_rows, pool_rows.reshape(-1, dim), [],
     )
     return disc, stats[0]
 

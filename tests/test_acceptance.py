@@ -227,10 +227,9 @@ def test_criterion_02_validity_gate():
     invalid_seen = 0
     for i in range(10_000):
         ex = examples[i % len(examples)]
-        raw = render_payload(
-            _fuzz_payload(ex.task, rng),
-            think="because" if rng.random() < 0.3 else None,
-        )
+        raw = render_payload(_fuzz_payload(ex.task, rng))
+        if rng.random() < 0.3:
+            raw = f"<think>because</think>\n{raw}"
         if rng.random() < 0.5:
             raw = corruptions[int(rng.integers(len(corruptions)))](raw)
         parsed = parse_response(raw, ex.task)
@@ -493,16 +492,16 @@ def test_criterion_06_policy_update_and_kl():
     }
     teacher = SyntheticTeacher(probs=probs, violation_rate={e.id: 0.0 for e in exs})
     gammas = (0.0, 0.01, 0.1, 1.0)
+    cfgs = [TrainConfig(k=4, n_rollouts=8, tau=0.0, epochs_stage1=6, epochs_stage2=20, seed=s) for s in range(10)]
+    # Stage 1 does not read gamma: one Stage-1 cell per seed is every
+    # gamma's reference
+    refs = [run_pipeline(exs, replace(cfg_s, epochs_stage2=0), teacher=teacher).student for cfg_s in cfgs]
     kl_means = []
     for g in gammas:
         vals = []
-        for s in range(10):
-            cfg_g = TrainConfig(
-                k=4, n_rollouts=8, tau=0.0, gamma=g,
-                epochs_stage1=6, epochs_stage2=20, seed=s,
-            )
-            art = run_pipeline(exs, cfg_g, teacher=teacher)
-            vals.append(np.mean([kl_divergence(softmax(art.student[e.id]), softmax(art.ref[e.id])) for e in exs]))
+        for cfg_s, ref in zip(cfgs, refs):
+            art = run_pipeline(exs, replace(cfg_s, gamma=g), teacher=teacher)
+            vals.append(np.mean([kl_divergence(softmax(art.student[e.id]), softmax(ref[e.id])) for e in exs]))
         kl_means.append(float(np.mean(vals)))
     monotone = all(b <= a + 1e-12 for a, b in zip(kl_means, kl_means[1:]))
     elapsed = time.perf_counter() - t0

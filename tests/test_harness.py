@@ -69,6 +69,17 @@ def test_closed_benchmark_is_deterministic():
     )
 
 
+def test_closed_benchmark_clips_a_target_whose_offset_overflows():
+    # spread * z is inf for a large finite spread: the target clips to a
+    # bound, as it does for 1e300, with no overflow warning (the suite
+    # turns warnings into errors)
+    for target in (None, 0.72):
+        huge, large = (make_closed_benchmark(spread=s, retention_target=target) for s in (1e308, 1e300))
+        assert huge.meta["realized_mu_std"] == large.meta["realized_mu_std"] > 0.0
+        for ex in huge.examples:
+            assert huge.teacher.probs[ex.id].tobytes() == large.teacher.probs[ex.id].tobytes(), ex.id
+
+
 def test_closed_benchmark_slot_scores_peak_at_truth():
     bench = tiny_bench()
     for ex in bench.examples:

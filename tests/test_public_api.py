@@ -150,10 +150,12 @@ def test_single_path_removals_stay_out_of_the_package():
         mskd.policy: ("StudentPolicy", "init_student", "categorical_draw"),
         # rl_step leaves an example with no matches untouched, a slot's
         # build_caches feature row is its one record, the student is its
-        # logits, a pair's weight is its teacher row's quality column, and
-        # Plan.run calls matching_distribution itself
+        # logits, a pair's weight is its teacher row's quality column,
+        # Plan.run calls matching_distribution itself, and rl_step takes the
+        # plan's layout and lays out its own inputs
         mskd.train: (
-            "SkippedExample", "ExampleCache", "StudentPolicy", "init_student", "pair_weights", "matching_for"
+            "SkippedExample", "ExampleCache", "StudentPolicy", "init_student", "pair_weights", "matching_for",
+            "rl_inputs",
         ),
         # the open-ended accuracy is eval_accuracy over the latent ratings,
         # and the closed benchmark's temporal space is one module constant
@@ -162,7 +164,7 @@ def test_single_path_removals_stay_out_of_the_package():
         # case, and _linear_grad and _hidden_grad each scorer's one pair
         # loss gradient
         mskd.discriminator: ("apply_gradient", "_batch_loss_and_grad", "_pair_grad"),
-        # rl_step's inputs come only from Plan.run's layout (train.rl_inputs)
+        # rl_step's inputs are Plan.run's layout and per-example arrays
         mskd: ("rl_step",),
     }
     for owner, names in gone.items():
@@ -172,7 +174,8 @@ def test_single_path_removals_stay_out_of_the_package():
         # temperature and top_p are pass@k settings, and matching="quality"
         # weights the discriminator pairs too
         mskd.train.TrainConfig: ("baseline", "temperature", "top_p", "disc_weighting"),
-        mskd.train.TrainedArtifacts: ("pools",),
+        # a cell with no Stage-2 epochs gives the Stage-1 logits
+        mskd.train.TrainedArtifacts: ("pools", "ref"),
         # run_ablation wrote it, and nothing read it
         mskd.harness.AblationResult: ("seeds",),
         mskd.harness.Benchmark: ("mu_targets",),
@@ -184,6 +187,8 @@ def test_single_path_removals_stay_out_of_the_package():
         have = {f.name for f in dataclasses.fields(cls)}
         assert [n for n in names if n in have] == [], cls.__name__
     assert "keep_students" not in inspect.signature(mskd.run_ablation).parameters
+    # a rendered answer's think prefix is the caller's to write
+    assert "think" not in inspect.signature(mskd.render_payload).parameters
     # every corpus and pool-cache file error is a CorpusError
     assert "error" not in inspect.signature(mskd.corpus._json_lines).parameters
     # each pool's feature rows carry its pair weights

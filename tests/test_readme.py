@@ -1,10 +1,13 @@
-"""The README's library quickstart runs as written, and its command table
-names what the parser defines."""
+"""The README's library quickstart runs as written, its command table
+names what the parser defines, and the package names it cites exist."""
 
 import argparse
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
+import mskd
 from mskd.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -48,3 +51,24 @@ def test_readme_command_table_matches_the_parser():
         for name in re.findall(r"`([a-z ]+)`", names)
     }
     assert len(table) == 7 and table == parser_flags(build_parser())
+
+
+def test_readme_names_only_what_the_package_has():
+    # every backticked <module>.<name>, mskd. prefix optional, of an mskd
+    # submodule resolves by getattr; a file name such as metrics.csv or
+    # synthetic.py names no attribute
+    modules = {m.name for m in pkgutil.iter_modules(mskd.__path__)}
+    text = README.read_text(encoding="utf-8")
+    cited = [
+        (module, name)
+        for module, name in re.findall(r"`(?:mskd\.)?([a-z_]+)\.([A-Za-z_][\w.]*)`", text)
+        if module in modules and name not in ("csv", "py", "json", "jsonl")
+    ]
+    gone, missing = object(), []
+    for module, name in cited:
+        owner = importlib.import_module(f"mskd.{module}")
+        for part in name.split("."):
+            owner = getattr(owner, part, gone)
+        if owner is gone:
+            missing.append(f"{module}.{name}")
+    assert len(cited) > 30 and missing == []

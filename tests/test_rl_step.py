@@ -361,19 +361,18 @@ def test_cell_on_partly_used_stacks_matches_the_per_example_oracles(matching, hi
     assert [ex.id for ex in examples if ex.id not in targets] == ["tg-1"]
     del targets["mcq-3"]
 
-    art = Plan(examples, cfg.metric, teacher).run(cfg, sft_targets=targets)
+    plan = Plan(examples, cfg.metric, teacher)
+    art, stage1 = plan.run(cfg, sft_targets=targets), plan.run(replace(cfg, epochs_stage2=0), sft_targets=targets)
     student, ref, disc, log = oracle_cell(examples, teacher, cfg, targets)
     assert (art.skipped_sft, art.skipped_rl) == (("tg-1", "mcq-3"), ("tg-1",))
     assert art.metrics.tobytes() == log.tobytes()
     assert disc_bytes(art.disc) == disc_bytes(disc)
     assert repr(art.final_accuracy) == repr(float(log[-1, 3]))
-    assert list(art.student) == list(art.ref) == [ex.id for ex in examples]
+    assert list(art.student) == list(stage1.student) == [ex.id for ex in examples]
     for ex in examples:
         assert art.student[ex.id].tobytes() == student[ex.id].tobytes(), ex.id
-        assert art.ref[ex.id].tobytes() == ref[ex.id].tobytes(), ex.id
-        # the Stage-1 logits are copies, not views of the trained stacks
-        assert not any(np.shares_memory(art.ref[ex.id], logits) for logits in art.student.values()), ex.id
-    assert not np.array_equal(art.student["tg-4"], art.ref["tg-4"])
+        assert stage1.student[ex.id].tobytes() == ref[ex.id].tobytes(), ex.id
+    assert not np.array_equal(art.student["tg-4"], stage1.student["tg-4"])
     assert art.student["tg-1"].tobytes() == np.zeros(7).tobytes()  # neither taught nor stepped
 
 
@@ -386,10 +385,10 @@ def stage2_call(monkeypatch, examples, teacher, cfg):
     and its result."""
     calls = []
 
-    def capture(groups, stacks, *rest):
+    def capture(layout, refs, stacks, *rest):
         before = [logits.copy() for logits in stacks]
-        out = rl_step(groups, stacks, *rest)
-        calls.append(((groups, before, *rest), [logits.copy() for logits in stacks], out))
+        out = rl_step(layout, refs, stacks, *rest)
+        calls.append(((layout, refs, before, *rest), [logits.copy() for logits in stacks], out))
         return out
 
     monkeypatch.setattr(mskd.train, "rl_step", capture)
@@ -404,20 +403,21 @@ def assert_one_call_is_chained_epochs(monkeypatch, examples, teacher, cfg):
     stacks: the stacks, the discriminator, the stats and each epoch's
     accuracy, bit for bit.  Returns the call's stats."""
     args, stacks_after, (disc, stats, accs) = stage2_call(monkeypatch, examples, teacher, cfg)
-    groups, stacks, probs, chained, cfg, u, picks, *rest = args
+    layout, refs, stacks, probs, chained, cfg, active, matches, u, *rest = args
     stacks = [logits.copy() for logits in stacks]
     assert len(u) == cfg.epochs_stage2 >= 3
     chained_stats, chained_accs = [], []
     for epoch in range(len(u)):
         chained, epoch_stats, epoch_accs = rl_step(
-            groups, stacks, probs, chained, cfg, u[epoch : epoch + 1], picks[epoch : epoch + 1], *rest
+            layout, refs, stacks, probs, chained, cfg, active, matches[:, epoch : epoch + 1], u[epoch : epoch + 1],
+            *rest,
         )
         probs = [softmax(logits) for logits in stacks]
         chained_stats.append(epoch_stats[0])
         chained_accs += epoch_accs
     assert [s.tobytes() for s in stacks] == [s.tobytes() for s in stacks_after]
     assert disc_bytes(disc) == disc_bytes(chained)
-    assert stats.shape == (len(u), len(rest[0]), 3)
+    assert stats.shape == (len(u), active.sum(), 3)
     assert stats.tobytes() == np.array(chained_stats).reshape(stats.shape).tobytes()
     assert list(map(repr, accs)) == list(map(repr, chained_accs))
     return stats
@@ -460,11 +460,12 @@ def test_one_rl_step_call_is_its_epochs_chained_with_skipped_examples(monkeypatc
 def test_rl_step_rejects_a_misfit_in_its_last_epoch_before_the_first(monkeypatch, closed):
     cfg = setting_config("D", TrainConfig(seed=3, epochs_stage1=2, epochs_stage2=3))
     args, _, _ = stage2_call(monkeypatch, closed.examples, closed.teacher, cfg)
-    groups, stacks, probs, disc, cfg, u, picks, slot_at, weighted, slot_rows, pool_rows, acc = args
-    picks = picks.copy()
-    picks[-1, -1, -1] = len(pool_rows)  # past the last pool row, in the last epoch only
+    layout, refs, stacks, probs, disc, cfg, active, matches, *rest = args
+    matches = matches.copy()
+    assert active[-1]
+    matches[-1, -1, -1] = cfg.k  # past the last pool row, in the last epoch only
     stacks_bytes, disc_before = [s.tobytes() for s in stacks], disc_bytes(disc)
-    with pytest.raises(ValueError, match=rf"^rl_step inputs do not fit {len(slot_at)} active examples"):
-        rl_step(groups, stacks, probs, disc, cfg, u, picks, slot_at, weighted, slot_rows, pool_rows, acc)
+    with pytest.raises(ValueError, match=rf"^rl_step inputs do not fit {active.sum()} active examples"):
+        rl_step(layout, refs, stacks, probs, disc, cfg, active, matches, *rest)
     assert [s.tobytes() for s in stacks] == stacks_bytes
     assert disc_bytes(disc) == disc_before

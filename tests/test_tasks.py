@@ -195,8 +195,9 @@ def test_render_parse_round_trip_fuzz(rng):
     for i in range(2000):
         task = tasks[int(rng.integers(len(tasks)))]
         payload = _rand_payload(rng, task)
-        think = None if rng.random() < 0.5 else f"thought {i}"
-        raw = render_payload(payload, think=think)
+        raw = render_payload(payload)
+        if rng.random() >= 0.5:
+            raw = f"<think>thought {i}</think>\n{raw}"
         r = parse_response(raw, task)
         assert r.outer_valid and r.task_valid
         assert r.payload == payload

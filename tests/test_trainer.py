@@ -37,7 +37,6 @@ from mskd.train import (
     pass_at_k_eval,
     policy_groups,
     pool_features,
-    rl_inputs,
     rl_step,
     run_pipeline,
     score_groups,
@@ -202,19 +201,15 @@ def test_rl_step_rejects_row_stacks_that_do_not_fit_its_examples():
             assert not logits.any(), k
     rl_epoch_on(*args, slot_rows, pool_rows)
 
-    # inputs that disagree with one another, built as Plan.run builds them
+    # inputs that disagree with one another, laid out as Plan.run lays them out
     layout, stacks = [np.array([0]), np.array([1])], [np.zeros((1, 4)), np.zeros((1, 2))]
     probs = [softmax(s) for s in stacks]
-    groups, u, picks, slot_at, weighted = rl_inputs(
-        layout, probs, np.array([True, True]), np.array(matches)[:, None], args[5][None, :, None], np.array([0, 4]),
-        np.array([True, True]), replace(cfg, epochs_stage2=1),
-    )
-    flat_pools = pool_rows.reshape(-1, featurizer.dim)
-    fine = (groups, stacks, probs, args[2], cfg, u, picks, slot_at, weighted, slot_rows, flat_pools, [])
-    twice = [(*g[:2], np.array([0]), g[3]) for g in groups]
+    u, picks, on = args[5][None, :, None], np.array(matches)[:, None], np.array([True, True])
+    fine = (layout, probs, stacks, probs, args[2], cfg, on, picks, u, np.array([0, 4]), on, slot_rows,
+            pool_rows.reshape(-1, featurizer.dim), [])
     for i, bad in (
-        (0, twice), (2, probs[::-1]), (2, probs[:1]), (5, u[:, :1]), (6, picks - cfg.k), (7, slot_at[:1]),
-        (8, weighted[:1]),
+        (0, [np.array([0]), np.array([0])]), (1, probs[::-1]), (3, probs[::-1]), (3, probs[:1]), (8, u[:, :1]),
+        (7, picks - cfg.k), (9, np.array([0])), (10, on[:1]),
     ):
         with pytest.raises(ValueError, match=r"^rl_step inputs do not fit"):
             rl_step(*fine[:i], bad, *fine[i + 1 :])
@@ -428,13 +423,13 @@ def test_skipped_rl_lists_examples_without_matches_when_stage2_runs():
     pools = {ex.id: build_pool(ex, ["garbage", "also garbage"]) for ex in exs}
     pools["mcq-0"] = build_pool(exs[1], ["<answer>B</answer>", "<answer>A</answer>"])
     for matching in ("quality", "uniform"):
+        stage1 = plan_cell(exs, small_cfg(k=2, matching=matching, epochs_stage2=0), pools=pools)
+        assert stage1.skipped_rl == ()
         art = plan_cell(exs, small_cfg(k=2, matching=matching), pools=pools)
         assert art.skipped_rl == ("mcq-1", "mcq-2")
         for k in art.skipped_rl:
-            assert art.student[k].tobytes() == art.ref[k].tobytes()
-        assert not np.array_equal(art.student["mcq-0"], art.ref["mcq-0"])
-        art = plan_cell(exs, small_cfg(k=2, matching=matching, epochs_stage2=0), pools=pools)
-        assert art.skipped_rl == ()
+            assert art.student[k].tobytes() == stage1.student[k].tobytes()
+        assert not np.array_equal(art.student["mcq-0"], stage1.student["mcq-0"])
 
 
 def test_pair_weights_are_the_teacher_rows_quality_under_quality_matching(monkeypatch):
@@ -498,35 +493,40 @@ def test_pipeline_improves_accuracy_over_uniform():
     assert art.metrics.shape == (4 + 6, 4) and art.sft_epochs == 4
 
 
-def test_pipeline_stage2_zero_keeps_ref_equal_to_student():
-    exs = [mk_mcq(0, gt="A"), mk_binary(1)]
-    art = run_pipeline(exs, small_cfg(epochs_stage2=0), teacher=point_mass_teacher(exs))
-    for ex in exs:
-        np.testing.assert_array_equal(art.student[ex.id], art.ref[ex.id])
-
-
 def test_pipeline_starts_from_uniform_logits():
     # the student is its logits: zeros over each answer space before Stage 1
     exs = [mk_mcq(0), mk_binary(1), mk_temporal(2)]
     art = run_pipeline(exs, small_cfg(epochs_stage1=0, epochs_stage2=0), teacher=point_mass_teacher(exs))
-    assert list(art.student) == list(art.ref) == [ex.id for ex in exs]
+    assert list(art.student) == [ex.id for ex in exs]
     for ex in exs:
         assert art.student[ex.id].tolist() == [0.0] * len(ex.answer_space)
         np.testing.assert_allclose(softmax(art.student[ex.id]), 1.0 / len(ex.answer_space))
 
 
-def test_pipeline_ref_is_a_copy_of_the_stage1_logits():
-    # Stage 2 updates the student's arrays in place; the reference keeps
-    # the Stage-1 values
+def test_pipeline_stage2_pulls_toward_the_stage1_policy(monkeypatch):
+    # Stage 2 updates the student's stacks in place; the reference it pulls
+    # toward is the Stage-1 policy, a cell with no Stage-2 epochs, and
+    # stays so through every epoch
     exs = [mk_mcq(0, gt="A"), mk_binary(1)]
     teacher = point_mass_teacher(exs)
     stage1 = run_pipeline(exs, small_cfg(epochs_stage2=0), teacher=teacher)
+    seen = []
+
+    def capture(layout, refs, *rest):
+        before = [r.tobytes() for r in refs]
+        out = rl_step(layout, refs, *rest)
+        seen.append((layout, refs, before))
+        return out
+
+    monkeypatch.setattr(mskd.train, "rl_step", capture)
     art = run_pipeline(exs, small_cfg(), teacher=teacher)
+    [(layout, refs, before)] = seen
+    assert [r.tobytes() for r in refs] == before
+    for rows, ref in zip(layout, refs):
+        for i, row in zip(rows.tolist(), ref):
+            assert row.tobytes() == softmax(stage1.student[exs[i].id]).tobytes(), exs[i].id
     for ex in exs:
-        assert art.ref[ex.id].tobytes() == stage1.student[ex.id].tobytes()
-        assert not np.array_equal(art.student[ex.id], art.ref[ex.id])
-        art.student[ex.id][0] = 5.0
-        assert art.ref[ex.id].tobytes() == stage1.student[ex.id].tobytes()
+        assert not np.array_equal(art.student[ex.id], stage1.student[ex.id])
 
 
 def test_pipeline_rewards_and_matches_through_the_checked_functions(monkeypatch):
