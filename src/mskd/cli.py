@@ -10,14 +10,14 @@ with seeds, and a train block's seed, which each cell's seed replaces.
 Those that write a report (analyze and the four harnesses) take --format.
 Config files are JSON objects whose top-level keys are checked against the
 ones each command understands.  Each block is handed to the type it
-configures (TrainConfig, MetricConfig, RewardWeights,
-make_closed_benchmark, make_open_benchmark), and passk's top-level
-k_values, temperature, top_p and success_threshold to the check
-pass_at_k_eval runs, and train's examples to train.Plan and its cached
-pools to Plan.run (train.InputError); these reject what they do not
-accept, and the CLI only turns those errors into exit code 2.  Unreadable
-input files exit 2 as well, and so does an --out that cannot be written,
-before any work.
+configures (TrainConfig, MetricConfig, RewardWeights, make_closed_benchmark,
+make_open_benchmark), each sweep k_grid and tau_grid entry to TrainConfig
+as k or tau, passk's top-level k_values, temperature, top_p and
+success_threshold to the check pass_at_k_eval runs, and train's examples
+to train.Plan and its cached pools to Plan.run (train.InputError); these
+reject what they do not accept, and the CLI only turns those errors into
+exit code 2.  Unreadable input files exit 2 as well, and so does an --out
+that cannot be written, before any work.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 degenerate data.
 Exit 3 comes only from DegenerateDataError: analyze without teacher rows,
@@ -32,7 +32,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
+from functools import partial
 from pathlib import Path
 
 from mskd.analysis import analyze_variance
@@ -286,13 +287,13 @@ def cmd_sweep(args) -> int:
     cfg = _load_config(args.config, frozenset({"train", "seeds", "k_grid", "tau_grid", "benchmark"}))
     tc = _train_config(cfg.get("train", {}), None)
     seeds = _seeds_from(cfg, args.seed, "sweep")
-    k_grid = _list_field(cfg, "k_grid", (2, 4, 8), lambda k: _is_int(k) and k >= 1, "integers >= 1")
-    taus = _list_field(
-        cfg, "tau_grid", (0.0, 0.2, 0.3, 0.5), lambda t: _is_finite(t) and 0 <= t <= 1, "numbers in [0, 1]"
-    )
-    tau_grid = tuple(float(t) for t in taus)
+    grids = {}
+    for name, default in (("k", (2, 4, 8)), ("tau", (0.0, 0.2, 0.3, 0.5))):
+        grids[name] = _list_field(cfg, f"{name}_grid", default, _is_finite, "numbers")
+        for value in grids[name]:  # each entry under TrainConfig's rule for its field
+            _build(partial(replace, tc), {name: value}, f"{name}_grid")
     bench = _build(make_closed_benchmark, cfg.get("benchmark", {}), "benchmark config")
-    result = run_sensitivity(tc, k_grid, tau_grid, seeds, bench)
+    result = run_sensitivity(tc, grids["k"], tuple(map(float, grids["tau"])), seeds, bench)
     emit_report(list(sensitivity_tables(result)), _format_for(args), args.out)
     for cell in result.tau_table:
         print(f"tau={cell.value}: mean_acc={cell.mean_acc:.4f} retention={cell.retention:.4f}")

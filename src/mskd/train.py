@@ -35,16 +35,17 @@ logits stacks with their taught, active and closed rows, the stacks'
 reference policy, the pools' feature rows as one (examples * K, dim)
 matrix (one pool_features call), every epoch's matched rows of it as one
 array (one sample_matches call) and the reference's logs (rl_step, once
-per call); per Plan, shared by every cell on one set of examples, one
+per call); per Plan, shared by every cell on one set of examples, the
+teacher's sampling stacks, checked when the plan is built, and one
 slot_parses pass under one metric (made once per example set, so a
-benchmark build's pass serves its plans), which gives
-the slot rows as one (total_slots, dim) matrix with each example's first
-row, the stacks' layout, the accuracy's slot qualities and the parse and
-quality of every drawn slot of each (seed, k)'s unfiltered pools (only a
-corrupted draw is parsed again).  Pool streams do not depend on tau or
-matching, so cells share a draw, and the filter at cfg.tau is applied
-only where a cell trains (Plan.run, the one door for given pools, SFT
-targets and match overrides); run_pipeline is a fresh plan's default cell.
+benchmark build's pass serves its plans), which gives the slot rows as
+one (total_slots, dim) matrix with each example's first row, the stacks'
+layout, the accuracy's slot qualities and the parse and quality of every
+drawn slot of each (seed, k)'s unfiltered pools (only a corrupted draw is
+parsed again).  Pool streams do not depend on tau or matching, so cells
+share a draw, and the filter at cfg.tau is applied only where a cell
+trains (Plan.run, the one door for given pools, SFT targets and match
+overrides); run_pipeline is a fresh plan's default cell.
 
 Quality-aware matching (TrainConfig.matching = "quality", ablation arm D) is
 one step with two effects: on a closed-ended example a rollout is paired
@@ -93,6 +94,8 @@ from mskd.tasks import ParsedResponse, SupervisionExample, TaskType, parse_respo
 # Stream tags: one per independent purpose so that config knobs that should
 # not perturb unrelated draws (tau, matching mode) never do.
 _S_POOL, _S_SFT, _S_DISC, _S_ROLL = 1, 2, 3, 4
+# numpy's largest array dimension, the bound of every TrainConfig size
+_MAX_SIZE = np.iinfo(np.intp).max
 
 
 def _stream(seed: int, *tags: int) -> np.random.Generator:
@@ -256,6 +259,9 @@ class TrainConfig:
             positive=("lr_student", "lr_disc"),
             rates=("tau",),
         )
+        for name in ints[1:]:  # the sizes
+            if (size := getattr(self, name)) > _MAX_SIZE:
+                raise ValueError(f"{name} must be <= {_MAX_SIZE}, numpy's largest dimension, got {size}")
         if not isinstance(self.weights, RewardWeights):
             raise InvalidWeightsError(f"weights must be RewardWeights, got {type(self.weights).__name__}")
         if not isinstance(self.metric, MetricConfig):
@@ -608,9 +614,9 @@ class TrainedArtifacts:
 
 
 def make_pools(stacks: TeacherStacks, parses: list[tuple], cfg: TrainConfig) -> dict[str, TeacherPool]:
-    """Sample one unfiltered teacher pool per example of stacks (a
-    teacher's teacher_stacks; cfg.tau plays no part, Plan.run filters).
-    Example i's pool reads the first 2 * cfg.k doubles of the stream
+    """Sample one unfiltered teacher pool per example of stacks (a teacher's
+    teacher_stacks, a plan's Plan.sampling; cfg.tau plays no part, Plan.run
+    filters).  Example i's pool reads the first 2 * cfg.k doubles of the stream
     SeedSequence([cfg.seed, _S_POOL, i]), all examples' in one uniform_table
     of their seed_states.  A drawn slot is its parses entry (the examples'
     slot_parses under cfg.metric), a corrupted one the parse of its broken
@@ -698,14 +704,15 @@ def _check_inputs(
 
 
 class Plan:
-    """What every training cell on examples shares: the featurizer, one
+    """What every training cell on examples shares: the teacher's checked
+    sampling stacks (teacher_stacks; None without a teacher), one
     slot_parses pass under metric (parses; the pass a benchmark build or an
     earlier plan made, when it was the last pass and on these same example
-    objects), the build_caches rows and each
-    (seed, k)'s make_pools draw that read it, the student's layout and the
-    teacher's stacks the draws read, made on first use.  Examples that
-    _check_examples rejects raise InputError before anything is built, a
-    cell under another metric ValueError.  The slot rows are one
+    objects), the featurizer, the build_caches rows, the student's layout
+    and each (seed, k)'s make_pools draw, the one thing made on first use.
+    Examples that _check_examples rejects raise InputError, and a teacher
+    that teacher_stacks rejects ValueError, before any row is built; a
+    cell under another metric raises ValueError.  The slot rows are one
     (total_slots, dim) matrix, slot_rows, in example order, example i's
     from row starts[i].  The layout holds each answer-space size's example
     indices in score_groups order, one logits stack per size; acc holds,
@@ -716,7 +723,8 @@ class Plan:
         self, examples: list[SupervisionExample], metric: MetricConfig, teacher: SyntheticTeacher | None = None
     ) -> None:
         _check_examples(examples)
-        self.examples, self.metric, self.teacher = examples, metric, teacher
+        self.sampling = None if teacher is None else teacher_stacks(teacher, examples)
+        self.examples, self.metric = examples, metric
         self.featurizer = Featurizer(max(len(ex.answer_space) for ex in examples))
         self.parses = slot_parses(examples, metric)
         caches = build_caches(examples, self.featurizer, self.parses)
@@ -727,28 +735,20 @@ class Plan:
         self.closed = np.array([ex.task.is_closed for ex in examples])
         rank = np.cumsum(self.closed) - 1
         self.acc = [(g, sel, rank[rows], quality[g][2][sel]) for g, sel, rows in _pick(self.layout, self.closed)]
-        self._stacks: TeacherStacks | None = None
         self._pools: dict[tuple[int, int], dict[str, TeacherPool]] = {}
 
     def _check_metric(self, cfg: TrainConfig) -> None:
         if cfg.metric != self.metric:
             raise ValueError(f"train config metric {cfg.metric} is not the plan's metric {self.metric}")
 
-    def teacher_stacks(self) -> TeacherStacks:
-        """The plan teacher's teacher_stacks for its examples, checked and
-        built once; without a teacher, ValueError."""
-        if self._stacks is None:
-            if self.teacher is None:
-                raise ValueError("need either a teacher or prebuilt pools")
-            self._stacks = teacher_stacks(self.teacher, self.examples)
-        return self._stacks
-
     def pools(self, cfg: TrainConfig) -> dict[str, TeacherPool]:
-        """make_pools for (cfg.seed, cfg.k), drawn once."""
+        """make_pools for (cfg.seed, cfg.k), drawn once; ValueError without a teacher."""
         self._check_metric(cfg)
         key = (cfg.seed, cfg.k)
         if key not in self._pools:
-            self._pools[key] = make_pools(self.teacher_stacks(), self.parses, cfg)
+            if self.sampling is None:
+                raise ValueError("need either a teacher or prebuilt pools")
+            self._pools[key] = make_pools(self.sampling, self.parses, cfg)
         return self._pools[key]
 
     def run(
@@ -757,9 +757,8 @@ class Plan:
     ) -> TrainedArtifacts:
         """One cell, Stage 1 then Stage 2, reproducible per (cfg, seed).
 
-        The inputs are checked first, before any pool is drawn: the
-        teacher (Plan.teacher_stacks) where no pools are given, then
-        _check_inputs.  pools (the plan's draw by default) are filtered at
+        _check_inputs checks what the cell adds before any pool is drawn;
+        pools (the plan's draw by default, Plan.pools) are filtered at
         cfg.tau here.  sft_targets (example id -> slot) and match_overrides
         (example id -> a distribution over its pool) replace the selected
         targets and those examples' matching.  The reference policy is
@@ -768,8 +767,6 @@ class Plan:
         when Stage 2 runs."""
         self._check_metric(cfg)
         examples, featurizer = self.examples, self.featurizer
-        if pools is None:
-            self.teacher_stacks()
         _check_inputs(examples, cfg, pools, sft_targets, match_overrides)
         drawn = self.pools(cfg) if pools is None else pools
         pools = {ex.id: apply_filter(drawn[ex.id], cfg.tau) for ex in examples}

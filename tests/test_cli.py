@@ -1000,11 +1000,17 @@ BAD_HARNESS_FIELDS = {
     "ablate_settings_string": ("ablate", {"settings": "AD"}),
     "ablate_seeds_above_the_exact_test_cap": ("ablate", {"seeds": list(range(41))}),
     "adaptive_mislead_string": ("adaptive", {"mislead": "x"}),
+    # a size past numpy's largest dimension, under TrainConfig's one rule
+    "sweep_k_grid_past_numpys_dimension_limit": ("sweep", {"k_grid": [2**63]}),
+    "ablate_train_n_rollouts_past_numpys_dimension_limit": ("ablate", {"train": dict(TINY_TRAIN, n_rollouts=2**63)}),
+    "passk_train_hidden_dim_past_numpys_dimension_limit": ("passk", {"train": dict(TINY_TRAIN, hidden_dim=2**63)}),
+    "adaptive_train_k_past_numpys_dimension_limit": ("adaptive", {"train": dict(TINY_TRAIN, k=2**63)}),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_HARNESS_FIELDS))
-def test_harness_bad_config_field_is_config_error(tmp_path, capsys, case):
+def test_harness_bad_config_field_is_config_error(tmp_path, capsys, monkeypatch, case):
+    no_training(monkeypatch)
     command, fields = BAD_HARNESS_FIELDS[case]
     base = {"train": TINY_TRAIN, "benchmark": TINY_BENCH}
     if command != "passk":
@@ -1030,6 +1036,10 @@ BAD_TRAIN_FIELDS = {
     "metric_not_an_object": ({"metric": "edit"}, "metric"),
     "weights_bool": ({"weights": [True, 0, 0, 0]}, "alpha"),
     "weights_short": ({"weights": [0.5, 0.5]}, "weights"),
+    # past numpy's largest dimension: a numpy traceback, a silent run without
+    # Stage 2, or (epochs_stage1) a run that never ends
+    **{f"{name}_past_numpys_dimension_limit": ({name: 2**63}, name)
+       for name in ("k", "n_rollouts", "epochs_stage1", "epochs_stage2", "hidden_dim")},
 }
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import mk_mcq
 import mskd
 import mskd.analysis
 import mskd.cli
@@ -134,6 +135,8 @@ def test_single_path_removals_stay_out_of_the_package():
         mskd.tasks: ("TaskFamily", "validate_outer", "validate_task_format"),
         mskd.tasks.TaskType: ("family",),
         mskd.train.TrainedArtifacts: ("write_metrics",),
+        # a plan checks and stacks its teacher when it is built
+        mskd.train.Plan: ("teacher_stacks",),
         # pool_features featurizes every pool of a cell in one featurize_all call, and
         # pass_at_k_eval's settings check serves mskd passk too
         mskd.discriminator.Featurizer: ("featurize",),
@@ -169,6 +172,8 @@ def test_single_path_removals_stay_out_of_the_package():
     }
     for owner, names in gone.items():
         assert [n for n in names if hasattr(owner, n)] == [], owner.__name__
+    # and keeps its stacks (Plan.sampling), not the teacher
+    assert not hasattr(mskd.train.Plan([mk_mcq(0)], mskd.MetricConfig()), "teacher")
     # fields no caller read, and knobs with one value in use
     dead_fields = {
         # temperature and top_p are pass@k settings, and matching="quality"

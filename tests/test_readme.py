@@ -2,9 +2,13 @@
 names what the parser defines, and the package names it cites exist."""
 
 import argparse
+import ast
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 import re
+import textwrap
 from pathlib import Path
 
 import mskd
@@ -53,22 +57,50 @@ def test_readme_command_table_matches_the_parser():
     assert len(table) == 7 and table == parser_flags(build_parser())
 
 
+def instance_attributes(cls: type) -> set[str]:
+    """cls's dataclass fields, or the self.<name> its own __init__ assigns."""
+    if dataclasses.is_dataclass(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+    if "__init__" not in vars(cls):
+        return set()
+    tree = ast.parse(textwrap.dedent(inspect.getsource(cls.__init__)))
+    return {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name) and node.value.id == "self"
+    }
+
+
+def resolves(owner, dotted: str) -> bool:
+    """Each part of dotted is an attribute of the one before it, from owner;
+    the last may instead be an instance attribute of a class."""
+    *parts, last = dotted.split(".")
+    for part in parts:
+        if not hasattr(owner, part):
+            return False
+        owner = getattr(owner, part)
+    return hasattr(owner, last) or (inspect.isclass(owner) and last in instance_attributes(owner))
+
+
 def test_readme_names_only_what_the_package_has():
     # every backticked <module>.<name>, mskd. prefix optional, of an mskd
-    # submodule resolves by getattr; a file name such as metrics.csv or
-    # synthetic.py names no attribute
-    modules = {m.name for m in pkgutil.iter_modules(mskd.__path__)}
+    # submodule, and every <Class>.<name> of a class defined in one,
+    # resolves; a file name such as metrics.csv or BENCHMARK.json, or a
+    # numpy name such as Generator.choice, names neither
+    modules = {m.name: importlib.import_module(f"mskd.{m.name}") for m in pkgutil.iter_modules(mskd.__path__)}
+    classes = {
+        name: obj for module in modules.values() for name, obj in vars(module).items()
+        if inspect.isclass(obj) and obj.__module__ == module.__name__
+    }
     text = README.read_text(encoding="utf-8")
     cited = [
-        (module, name)
+        (modules[module], f"{module}.{name}", name)
         for module, name in re.findall(r"`(?:mskd\.)?([a-z_]+)\.([A-Za-z_][\w.]*)`", text)
         if module in modules and name not in ("csv", "py", "json", "jsonl")
     ]
-    gone, missing = object(), []
-    for module, name in cited:
-        owner = importlib.import_module(f"mskd.{module}")
-        for part in name.split("."):
-            owner = getattr(owner, part, gone)
-        if owner is gone:
-            missing.append(f"{module}.{name}")
-    assert len(cited) > 30 and missing == []
+    of_classes = [
+        (classes[cls], f"{cls}.{name}", name)
+        for cls, name in re.findall(r"`([A-Z]\w*)\.([A-Za-z_][\w.]*)`", text) if cls in classes
+    ]
+    missing = [cite for owner, cite, name in cited + of_classes if not resolves(owner, name)]
+    assert len(cited) > 30 and len(of_classes) > 3 and missing == []

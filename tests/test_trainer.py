@@ -1132,6 +1132,26 @@ def test_a_plan_checks_and_stacks_its_teacher_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_plan_checks_its_teacher_before_it_builds_a_row(monkeypatch):
+    # a teacher that lacks an example or has a bad probs row raises from
+    # Plan(...), before the slot pass or the feature rows are made
+    calls = []
+    for name in ("slot_parses", "build_caches"):
+        real = getattr(mskd.train, name)
+        monkeypatch.setattr(mskd.train, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    exs = [mk_mcq(0), mk_temporal(1)]
+    teacher = point_mass_teacher(exs)
+    cases = (
+        (replace(teacher, probs={"mcq-0": teacher.probs["mcq-0"]}), r"teacher\.probs miss examples: \['tg-1'\]"),
+        (replace(teacher, probs=dict(teacher.probs, **{"mcq-0": np.array([0.5, 0.6, 0.0, 0.0])})),
+         r"teacher\.probs\['mcq-0'\]: probabilities do not sum to 1"),
+    )
+    for bad, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}"):
+            Plan(exs, MetricConfig(), bad)
+    assert calls == []
+
+
 def test_teacher_stacks_hold_the_plans_layout():
     # the teacher's stacks and the student's come from one score_groups
     # grouping, so stack g of each holds the same examples in the same order
@@ -1142,7 +1162,7 @@ def test_teacher_stacks_hold_the_plans_layout():
     for exs, teacher in ((bench.examples, bench.teacher), (mixed, point_mass_teacher(mixed, slot=0))):
         plan = Plan(exs, MetricConfig(), teacher)
         layout = [rows.tolist() for rows in plan.layout]
-        assert [rows.tolist() for rows, _ in plan.teacher_stacks().groups] == layout
+        assert [rows.tolist() for rows, _ in plan.sampling.groups] == layout
     assert layout == [[0, 2], [1], [3]]
 
 
