@@ -14,10 +14,11 @@ configures (TrainConfig, MetricConfig, RewardWeights, make_closed_benchmark,
 make_open_benchmark), each sweep k_grid and tau_grid entry to TrainConfig
 as k or tau, passk's top-level k_values, temperature, top_p and
 success_threshold to the check pass_at_k_eval runs, and train's examples
-to train.Plan and its cached pools to Plan.run (train.InputError); these
-reject what they do not accept, and the CLI only turns those errors into
-exit code 2.  Unreadable input files exit 2 as well, and so does an --out
-that cannot be written, before any work.
+to train.Plan and its cached pools to Plan.run (train.InputError, which
+Plan.run also raises for a cell whose tables numpy cannot lay out or
+memory cannot hold); these reject what they do not accept, and the CLI
+only turns those errors into exit code 2.  Unreadable input files exit 2
+as well, and so does an --out that cannot be written, before any work.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 degenerate data.
 Exit 3 comes only from DegenerateDataError: analyze without teacher rows,
@@ -426,7 +427,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_out(args)
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, InputError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (CorpusError, OSError, UnicodeDecodeError) as exc:

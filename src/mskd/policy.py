@@ -91,7 +91,7 @@ def checked_cdf(p: np.ndarray | Sequence[float]) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.ndim == 0:
         raise ValueError("p must be at least 1-dimensional")
-    total = p.sum(axis=-1)
+    total = np.add.reduce(p, -1)
     # NaN fails both tests, so a clean input skips the per-row loop
     if not ((p >= 0.0).all(axis=-1) & (abs(total - 1.0) <= _SUM_ATOL)).all():
         for row, row_total in zip(p.reshape(-1, p.shape[-1]), total.reshape(-1)):
@@ -145,11 +145,11 @@ def kl_gradient_logits(p: np.ndarray, log_q: np.ndarray) -> tuple[float | np.nda
     whole = pos.all()
     diff = np.log(p) - log_q if whole else np.where(pos, np.log(np.where(pos, p, 1.0)) - log_q, 0.0)
     terms = p * diff
-    kl = terms.sum(axis=-1, keepdims=True)
+    kl = np.add.reduce(terms, -1, keepdims=True)
     if not whole:
         # a row with an exact zero in p sums over its support alone: the
         # zeros would move numpy's pairwise grouping of the sum, and with it
         # the bits
         for row in map(tuple, np.argwhere(~pos.all(axis=-1))):
-            kl[row] = terms[row][pos[row]].sum()
+            kl[row] = np.add.reduce(terms[row][pos[row]])
     return kl[..., 0][()], p * (diff - kl)

@@ -484,11 +484,11 @@ def rl_step(
     picks = (matches + (at * cfg.k)[:, None, None]).swapaxes(0, 1)
     pair_w = np.where(closed[at, None] & (cfg.matching == "quality"), pool_rows[:, QUALITY_COL].take(picks), 1.0)
     # per group with an active example: its stack's index, its active rows
-    # (_pick's selector), their positions among the active examples, their
-    # rollout uniforms, each row's first flat index into the (size, m)
-    # policy-gradient counts and their reference's logs
+    # (_pick's selector), their positions among the active examples (as
+    # _span gives them), their rollout uniforms, each row's first flat index
+    # into the (size, m) policy-gradient counts and their reference's logs
     groups = [
-        (g, sel, rank[rows], uniforms[:, rows, 0], np.arange(len(rows))[:, None] * stacks[g].shape[1],
+        (g, sel, _span(rank[rows]), uniforms[:, rows, 0], np.arange(len(rows))[:, None] * stacks[g].shape[1],
          log_probs(refs[g][sel]))
         for g, sel, rows in _pick(layout, active)
     ]
@@ -515,14 +515,14 @@ def rl_step(
             cfg.weights, _sigmoid(raw_scores),
             roll_feats[..., OUTER_COL], roll_feats[..., TASK_COL], roll_feats[..., QUALITY_COL],
         )
-        mean = stats[epoch, :, 0] = rewards.sum(axis=1) / n
+        mean = stats[epoch, :, 0] = np.add.reduce(rewards, 1) / n
         adv = rewards - mean[:, None]
 
         for (g, sel, pos, _, offsets, _), (p, kl_grad) in zip(groups, policies):
             size, m = p.shape
             adv_g = adv[pos]
             counts = np.bincount((offsets + rollouts[pos]).ravel(), weights=adv_g.ravel(), minlength=size * m)
-            pg = counts.reshape(size, m) / n - p * (adv_g.sum(axis=1, keepdims=True) / n)
+            pg = counts.reshape(size, m) / n - p * (np.add.reduce(adv_g, 1, keepdims=True) / n)
             stacks[g][sel] += cfg.lr_student * (pg - cfg.gamma * kl_grad)
         probs, accuracy = _policy(stacks, acc)
         accs.append(accuracy)
@@ -550,6 +550,13 @@ def _pick(layout: list[np.ndarray], on: np.ndarray) -> list[tuple]:
         if mask.any():
             out.append((g, slice(None) if mask.all() else np.flatnonzero(mask), rows[mask]))
     return out
+
+
+def _span(idx: np.ndarray) -> slice | np.ndarray:
+    """A non-empty increasing index array as the slice it covers when it
+    has no gap, so that indexing with it makes a view; else idx itself."""
+    start, stop = int(idx[0]), int(idx[-1]) + 1
+    return slice(start, stop) if stop - start == len(idx) else idx
 
 
 def policy_groups(student: dict[str, np.ndarray], groups: list[tuple]) -> list[tuple]:
@@ -580,8 +587,12 @@ def eval_accuracy(groups: list[tuple]) -> float | None:
     """Mean expected slot score under the policy, None when groups is
     empty: groups (expected_scores') hold the closed-ended examples' slot
     qualities in training, and the latent ratings in the harness's
-    open-ended check."""
-    return float(np.mean(expected_scores(groups))) if groups else None
+    open-ended check.  The mean is np.mean's own arithmetic without its
+    wrapper: one add.reduce, then one division by the count."""
+    if not groups:
+        return None
+    scores = expected_scores(groups)
+    return float(np.add.reduce(scores) / len(scores))
 
 
 @dataclass
@@ -634,7 +645,8 @@ def make_pools(stacks: TeacherStacks, parses: list[tuple], cfg: TrainConfig) -> 
 
 
 class InputError(ValueError):
-    """What _check_examples (once per plan) and _check_inputs (per cell) reject."""
+    """What _check_examples (once per plan) and _check_inputs (per cell)
+    reject, and a cell whose tables memory cannot hold (Plan.run)."""
 
 
 def _check_ids(name: str, given: dict, examples: list[SupervisionExample], every: bool = False) -> None:
@@ -664,17 +676,38 @@ def _check_examples(examples: list[SupervisionExample]) -> None:
         seen.add(ex.id)
 
 
+def _cell_tables(cfg: TrainConfig, examples: int, dim: int) -> list[tuple[str, tuple[int, ...]]]:
+    """The largest float64 tables a cell of examples lays out, each with
+    the TrainConfig sizes that set its shape: every pool's draws, the pools'
+    feature rows (dim wide), Stage 2's rollout and matching uniforms, the
+    metrics log and the discriminator's hidden layer."""
+    return [
+        ("k", (examples, 2 * cfg.k)),
+        ("k", (examples * cfg.k, dim)),
+        ("epochs_stage2 and n_rollouts", (cfg.epochs_stage2, examples, 2, cfg.n_rollouts)),
+        ("epochs_stage1 and epochs_stage2", (cfg.epochs_stage1 + cfg.epochs_stage2, 4)),
+        ("hidden_dim", (cfg.hidden_dim, dim)),
+    ]
+
+
 def _check_inputs(
-    examples: list[SupervisionExample], cfg: TrainConfig, pools: dict[str, TeacherPool] | None,
+    examples: list[SupervisionExample], cfg: TrainConfig, dim: int, pools: dict[str, TeacherPool] | None,
     sft_targets: dict[str, int] | None, match_overrides: dict[str, MatchingDistribution] | None,
 ) -> None:
-    """What a cell adds to its plan's checked examples and teacher: pools
-    None, or one pool per example and no other, of its task and the pool of
-    the example it is keyed by, with cfg.k responses and filtered at no tau
-    above cfg.tau (a quality the filter zeroed cannot be restored); and,
-    keyed by example ids, SFT targets that are int slots of their answer
-    space (a bool is not one) and distributions of cfg.k probabilities, one
-    per pool response.  Anything else raises InputError naming the input."""
+    """What a cell adds to its plan's checked examples and teacher: sizes
+    whose tables (_cell_tables, dim the featurizer's width) numpy can lay
+    out; pools None, or one pool per example and no other, of its task and
+    the pool of the example it is keyed by, with cfg.k responses and
+    filtered at no tau above cfg.tau (a quality the filter zeroed cannot be
+    restored); and, keyed by example ids, SFT targets that are int slots of
+    their answer space (a bool is not one) and distributions of cfg.k
+    probabilities, one per pool response.  Anything else raises InputError
+    naming the input."""
+    for sizes, shape in _cell_tables(cfg, len(examples), dim):
+        if 8 * math.prod(shape) > _MAX_SIZE:
+            raise InputError(
+                f"train config {sizes} too large: a cell's {shape} float64 table is past numpy's largest array"
+            )
     if pools is not None:
         _check_ids("pools", pools, examples, every=True)
         for ex in examples:
@@ -764,15 +797,26 @@ class Plan:
         targets and those examples' matching.  The reference policy is
         frozen at the Stage-1 result.  skipped_sft lists the examples
         without a target, skipped_rl those whose pools have nothing to match
-        when Stage 2 runs."""
+        when Stage 2 runs.  Sizes whose tables cannot be allocated raise
+        InputError naming the sizes of the largest one."""
         self._check_metric(cfg)
         examples, featurizer = self.examples, self.featurizer
-        _check_inputs(examples, cfg, pools, sft_targets, match_overrides)
-        drawn = self.pools(cfg) if pools is None else pools
-        pools = {ex.id: apply_filter(drawn[ex.id], cfg.tau) for ex in examples}
-        pool_rows = pool_features([pools[ex.id] for ex in examples], examples, self.slot_rows, self.starts, featurizer)
+        _check_inputs(examples, cfg, featurizer.dim, pools, sft_targets, match_overrides)
         epochs, n = cfg.epochs_stage2, cfg.n_rollouts
-        uniforms = uniform_table(stream_table(cfg.seed, np.arange(epochs)[:, None], np.arange(len(examples))), n)
+        try:  # the cell's tables (_cell_tables)
+            drawn = self.pools(cfg) if pools is None else pools
+            pools = {ex.id: apply_filter(drawn[ex.id], cfg.tau) for ex in examples}
+            pool_rows = pool_features(
+                [pools[ex.id] for ex in examples], examples, self.slot_rows, self.starts, featurizer
+            )
+            uniforms = uniform_table(stream_table(cfg.seed, np.arange(epochs)[:, None], np.arange(len(examples))), n)
+            disc = init_params(featurizer.dim, cfg.hidden_dim, seed=np.random.SeedSequence([cfg.seed, _S_DISC]))
+        except MemoryError as exc:
+            sizes, shape = max(_cell_tables(cfg, len(examples), featurizer.dim), key=lambda t: math.prod(t[1]))
+            raise InputError(
+                f"train config {sizes} too large: memory ran out laying out a cell whose largest table is "
+                f"{shape} float64"
+            ) from exc
 
         # the student: one logits stack per answer-space size, its rows by id
         stacks = [np.zeros((len(rows), len(examples[rows[0]].answer_space))) for rows in self.layout]
@@ -790,7 +834,6 @@ class Plan:
             probs, acc = _policy(stacks, self.acc)
             log.append((None, None, None, acc))
 
-        disc = init_params(featurizer.dim, cfg.hidden_dim, seed=np.random.SeedSequence([cfg.seed, _S_DISC]))
         # every epoch's matched pool rows, drawn in one pass before training
         overrides = match_overrides or {}
         dists = [

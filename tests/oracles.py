@@ -51,6 +51,11 @@ train._sft_epoch reads one row-wise softmax per answer-space size;
 disc_chain and sft_epoch below are the per-example loops they replaced,
 disc_chain over verbatim copies of score_batch, _batch_loss_and_grad,
 batch_update and apply_gradient as they were then (renamed loop_*).
+policy.checked_cdf, policy.kl_gradient_logits and train.eval_accuracy call
+np.add.reduce where they called numpy's Python reduction wrappers
+(ndarray.sum and np.mean), which run the same C loop;
+wrapped_checked_cdf, wrapped_kl_gradient_logits and wrapped_eval_accuracy
+below are those forms, copied verbatim (renamed wrapped_*).
 A student is its logits, a dict from example id to one array per answer
 space, as TrainedArtifacts.student holds them.
 """
@@ -59,6 +64,7 @@ import itertools
 import math
 import re
 import string
+from collections.abc import Sequence
 from fractions import Fraction
 
 import numpy as np
@@ -75,7 +81,7 @@ from mskd.metrics import (
     spatial_iou,
     temporal_iou,
 )
-from mskd.policy import checked_cdf, nucleus, softmax
+from mskd.policy import _SUM_ATOL, checked_cdf, nucleus, softmax
 from mskd.pool import TeacherPool, build_pool
 from mskd.rewards import RewardWeights
 from mskd.tasks import (
@@ -95,7 +101,7 @@ from mskd.tasks import (
     render_payload,
 )
 from mskd.synthetic import SyntheticTeacher, corrupt_envelope
-from mskd.train import _S_POOL, TrainConfig, _stream
+from mskd.train import _S_POOL, TrainConfig, _stream, expected_scores
 
 # the stamp grammar the temporal parser once matched with a regex
 TIMESTAMP_RE = re.compile(r"<t>(.*?)</t>", flags=re.S)
@@ -334,6 +340,62 @@ def disc_chain(
         scores[pos] = loop_score_batch(params, student_feats)
         params, losses[pos] = loop_batch_update(params, teacher_feats, student_feats, q, lr)
     return params, scores, losses
+
+
+def wrapped_checked_cdf(p: np.ndarray | Sequence[float]) -> np.ndarray:
+    """The normalised CDF that ``Generator.choice`` draws a float64 vector p
+    from, after the same checks; ``cdf.searchsorted(u, side="right")`` maps
+    uniforms u to the indices choice would give for them.  Works over the
+    last axis: each row of a 2-D input is checked and normalised on its own,
+    and the first bad row raises."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim == 0:
+        raise ValueError("p must be at least 1-dimensional")
+    total = p.sum(axis=-1)
+    # NaN fails both tests, so a clean input skips the per-row loop
+    if not ((p >= 0.0).all(axis=-1) & (abs(total - 1.0) <= _SUM_ATOL)).all():
+        for row, row_total in zip(p.reshape(-1, p.shape[-1]), total.reshape(-1)):
+            if math.isnan(row_total):
+                raise ValueError("probabilities contain NaN")
+            if (row < 0.0).any():
+                raise ValueError("probabilities are not non-negative")
+            if abs(row_total - 1.0) > _SUM_ATOL:
+                raise ValueError(f"probabilities do not sum to 1 (sum {float(row_total)!r})")
+    cdf = p.cumsum(axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf
+
+
+def wrapped_kl_gradient_logits(p: np.ndarray, log_q: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
+    """KL(p || q) and its exact gradient w.r.t. the logits behind p, over the
+    last axis, from p and log_q = log_probs(q), which a caller with a frozen
+    q takes once: a 2-D input gives one KL per row, a 1-D input one scalar.
+
+    With p = softmax(theta): d KL / d theta_j = p_j ((log p_j - log q_j) - KL).
+    KL is summed over the support of p only (0 log 0 = 0), so it is inf
+    when q is 0 somewhere on that support (log_q -inf there) and finite
+    when q is 0 only off it; log p is taken on that support alone.
+    """
+    pos = p > 0.0
+    whole = pos.all()
+    diff = np.log(p) - log_q if whole else np.where(pos, np.log(np.where(pos, p, 1.0)) - log_q, 0.0)
+    terms = p * diff
+    kl = terms.sum(axis=-1, keepdims=True)
+    if not whole:
+        # a row with an exact zero in p sums over its support alone: the
+        # zeros would move numpy's pairwise grouping of the sum, and with it
+        # the bits
+        for row in map(tuple, np.argwhere(~pos.all(axis=-1))):
+            kl[row] = terms[row][pos[row]].sum()
+    return kl[..., 0][()], p * (diff - kl)
+
+
+def wrapped_eval_accuracy(groups: list[tuple]) -> float | None:
+    """Mean expected slot score under the policy, None when groups is
+    empty: groups (expected_scores') hold the closed-ended examples' slot
+    qualities in training, and the latent ratings in the harness's
+    open-ended check."""
+    return float(np.mean(expected_scores(groups))) if groups else None
 
 
 def sft_epoch(

@@ -1022,6 +1022,31 @@ def test_harness_bad_config_field_is_config_error(tmp_path, capsys, monkeypatch,
     assert "Traceback" not in err
 
 
+# (subcommand, config fields over a tiny valid config) whose cells numpy
+# cannot lay out: the cell's size check or its first allocation stops it,
+# after the benchmark is built (setting A would train at k = 1)
+TOO_LARGE_CELLS = {
+    "ablate_train_k_past_numpys_largest_array": ("ablate", {"train": dict(TINY_TRAIN, k=2**62), "settings": ["D"]}),
+    "ablate_train_k_past_what_memory_holds": ("ablate", {"train": dict(TINY_TRAIN, k=2**40), "settings": ["B"]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TOO_LARGE_CELLS))
+def test_harness_cell_numpy_cannot_lay_out_is_config_error(tmp_path, capsys, monkeypatch, case):
+    def past_layout(*args, **kwargs):
+        raise AssertionError("a cell got past laying out its tables")
+
+    monkeypatch.setattr("mskd.train.select_sft_targets", past_layout)
+    command, fields = TOO_LARGE_CELLS[case]
+    cfg = write_cfg(tmp_path, "c.json", dict({"benchmark": TINY_BENCH, "seeds": [0, 1]}, **fields))
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: train config k too large: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # train config fields that each type rejects, with the name the error must carry
 BAD_TRAIN_FIELDS = {
     "gamma_nan": ({"gamma": float("nan")}, "gamma"),
@@ -1040,6 +1065,10 @@ BAD_TRAIN_FIELDS = {
     # Stage 2, or (epochs_stage1) a run that never ends
     **{f"{name}_past_numpys_dimension_limit": ({name: 2**63}, name)
        for name in ("k", "n_rollouts", "epochs_stage1", "epochs_stage2", "hidden_dim")},
+    # a cell's pool draws past numpy's largest array, then past what memory
+    # holds: a numpy traceback from the cell's first table either way
+    "k_past_numpys_largest_array": ({"k": 2**62}, "k"),
+    "k_past_what_memory_holds": ({"k": 2**40}, "k"),
 }
 
 

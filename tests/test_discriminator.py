@@ -247,6 +247,69 @@ def test_chain_is_the_per_example_loop_bit_for_bit(chain):
     assert got_losses.tobytes() == want_losses.tobytes()
 
 
+def _laid_out(a: np.ndarray, layout: str) -> np.ndarray:
+    """a's values in C order, in Fortran order, or as a view that steps over
+    every other element of a larger array along each axis."""
+    if layout == "F":
+        return np.asfortranarray(a)
+    if layout == "strided":
+        big = np.full(tuple(2 * size for size in a.shape), np.nan)
+        big[tuple(slice(None, None, 2) for _ in a.shape)] = a
+        return big[tuple(slice(None, None, 2) for _ in a.shape)]
+    return a.copy()
+
+
+@st.composite
+def _linear_chains(draw):
+    """A linear scorer and an epoch of m >= 0 batches of n >= 1 pairs of
+    dim >= 1 columns, with pair weights that may all be zero, and a layout
+    for each of teacher, student and pair weights."""
+    m, n, dim = draw(st.integers(0, 5)), draw(st.integers(1, 9)), draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = float(rng.choice([1.0, 10.0, 30.0]))  # init_params draws at scale 0.1
+    params = DiscriminatorParams(scale * init_params(dim, seed=int(rng.integers(2**32))).weights)
+    rows = rng.choice([0.0, 1.0, 0.25, 0.6180339887], size=(2, m, n, dim), p=[0.5, 0.3, 0.1, 0.1])
+    pair_w = rng.choice([0.0, 1.0, 0.37, 0.9], size=(m, n))
+    if draw(st.booleans()):
+        pair_w[:] = 0.0
+    layouts = draw(st.tuples(*[st.sampled_from(["C", "F", "strided"])] * 3))
+    return params, rows[0], rows[1], pair_w, draw(st.sampled_from([0.3, 0.05, 1.7])), layouts
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_linear_chains())
+def test_linear_chain_is_the_loop_on_c_rows_in_any_layout(chain):
+    # chain_update lays its inputs out C-contiguous before the chain, so its
+    # bits are the per-example loop's on the C rows the trainer passes, in
+    # whatever layout they come; Fortran-order stacks once gave other bits
+    params, teacher, student, pair_w, lr, layouts = chain
+    laid = [_laid_out(a, layout) for a, layout in zip((teacher, student, pair_w), layouts)]
+    got_params, got_scores, got_losses = chain_update(params, *laid, lr)
+    want_params, want_scores, want_losses = oracles.disc_chain(params, teacher, student, pair_w, lr)
+    assert got_params.weights.tobytes() == want_params.weights.tobytes()
+    assert got_scores.tobytes() == want_scores.tobytes()
+    assert got_losses.tobytes() == want_losses.tobytes()
+
+
+def test_linear_margins_are_matmul_on_the_chains_row_views():
+    # _linear_grad takes its margins with ndarray.dot, the row-major gemv
+    # that np.matmul runs on the C-contiguous rows of chain_update's d; a
+    # change of BLAS path fails here.  Zeros compare by value: a 1 x 1 dot
+    # gives -0.0 where matmul gives 0.0, and tanh and logaddexp, which read
+    # the margins, map both alike.
+    rng = np.random.default_rng(7)
+    for n in range(1, 10):
+        for dim in (*range(1, 40), 55, 59, 64, 100, 130):
+            w = rng.normal(0.0, float(rng.choice([0.1, 1.0, 3.0])), dim)
+            teacher, student = rng.choice([0.0, 1.0, 0.25, 0.6180339887], size=(2, 3, n, dim))
+            d = student - teacher
+            for d_i in d:
+                assert d_i.flags.c_contiguous
+                z = np.empty(n)
+                _linear_grad(w, d_i, np.ones(n), z, _linear_scratch(n, dim))
+                assert (z + 0.0).tobytes() == (np.matmul(d_i, w) + 0.0).tobytes(), (n, dim)
+
+
 @pytest.mark.parametrize("hidden", [0, 3])
 def test_chain_writes_no_input_and_returns_its_own_arrays(hidden):
     params, teacher, student, pair_w, lr = _benchmark_chain(hidden)

@@ -320,6 +320,32 @@ def test_rowwise_checked_cdf_is_the_one_row_form(pq):
         assert cdf[r].tobytes() == checked_cdf(p[r]).tobytes()
 
 
+def _wide_rows():
+    """Rows of 300 slots, past numpy's 128-term pairwise block, with exact
+    zeros of p mid-row and at the ends."""
+    logits = np.random.default_rng(44).normal(0.0, 2.0, (2, 3, 300))
+    logits[0, 0, [0, 150, 299]] = logits[0, 2, 7] = -1000.0
+    return softmax(logits[0]), softmax(logits[1])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_stacked_rows())
+@example(_zero_rows())
+@example(_wide_rows())
+def test_reductions_are_their_wrapped_forms_bit_for_bit(pq):
+    # checked_cdf and kl_gradient_logits call np.add.reduce where they called
+    # ndarray.sum, which runs the same C loop: each equals its old form
+    p, q = pq
+    log_q = log_probs(q)
+    for rows_p, rows_log_q in [(p, log_q), *zip(p, log_q)]:  # 2-D, then each row
+        assert checked_cdf(rows_p).tobytes() == oracles.wrapped_checked_cdf(rows_p).tobytes()
+        with np.errstate(invalid="ignore"):  # inf - inf in the gradient of an infinite KL
+            kl, grad = kl_gradient_logits(rows_p, rows_log_q)
+            want_kl, want_grad = oracles.wrapped_kl_gradient_logits(rows_p, rows_log_q)
+        assert type(kl) is type(want_kl) and np.asarray(kl).tobytes() == np.asarray(want_kl).tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
+
+
 @pytest.mark.parametrize(
     "bad",
     [[0.5, np.nan, 0.5, 0.0], [0.6, -0.1, 0.5, 0.0], [0.5, 0.6, 0.0, 0.0], [np.inf, -np.inf, 0.5, 0.5]],

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import mk_binary, mk_mcq, mk_open, mk_temporal, rl_epoch_on, sft_epoch_on
 import mskd.discriminator
@@ -629,6 +631,41 @@ def test_eval_accuracy_expected_metric():
     assert eval_accuracy(policy_groups(uniform_student([ex]), groups)) == pytest.approx(0.25)
 
 
+@st.composite
+def _accuracy_groups(draw):
+    """expected_scores' groups: 1-4 answer-space sizes, each a softmax
+    stack of 1-40 rows at rows of one shuffled range, with slot scores that
+    mix exact zeros and ones with fractions."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = draw(st.lists(st.integers(1, 40), min_size=1, max_size=4))
+    order, groups = rng.permutation(sum(counts)), []
+    for count, at in zip(counts, np.cumsum([0] + counts)):
+        size = draw(st.sampled_from([1, 2, 4, 7, 55]))
+        scores = rng.choice([0.0, 1.0, 0.5, 0.1, 0.6180339887], size=(count, size))
+        groups.append((softmax(rng.normal(0.0, 3.0, (count, size))), order[at : at + count], scores))
+    return groups
+
+
+def _many_rows():
+    """300 examples in two stacks, past numpy's 128-term pairwise block."""
+    rng = np.random.default_rng(44)
+    order = rng.permutation(300)
+    return [
+        (softmax(rng.normal(0.0, 3.0, (count, 4))), order[at : at + count], rng.random((count, 4)))
+        for count, at in ((130, 0), (170, 130))
+    ]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_accuracy_groups())
+@example(_many_rows())
+@example([])
+def test_eval_accuracy_is_its_mean_form_bit_for_bit(groups):
+    # eval_accuracy divides np.add.reduce by the count, np.mean's own steps
+    got, want = eval_accuracy(groups), oracles.wrapped_eval_accuracy(groups)
+    assert type(got) is type(want) and repr(got) == repr(want)
+
+
 # The per-example loops eval_accuracy and the harness's open-ended accuracy
 # ran before they were batched by answer-space size, kept as the oracles of
 # the batched path; a student is its logits.
@@ -1150,6 +1187,28 @@ def test_a_plan_checks_its_teacher_before_it_builds_a_row(monkeypatch):
         with pytest.raises(ValueError, match=f"^{message}"):
             Plan(exs, MetricConfig(), bad)
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "sizes, named, table",
+    [
+        (dict(k=2**62), "k", (2, 2**63)),  # each example's 2k pool draws
+        (dict(k=2**57), "k", (2**58, 8)),  # the pools' feature rows
+        (dict(n_rollouts=2**61), "epochs_stage2 and n_rollouts", (6, 2, 2, 2**61)),
+        (dict(epochs_stage1=2**61), "epochs_stage1 and epochs_stage2", (2**61 + 6, 4)),
+        (dict(hidden_dim=2**60), "hidden_dim", (2**60, 8)),
+    ],
+)
+def test_a_cell_checks_its_tables_fit_numpy_before_it_draws(monkeypatch, sizes, named, table):
+    # each table of _cell_tables past numpy's largest array raises InputError
+    # naming its sizes before any pool is drawn; numpy raised ValueError from
+    # within the cell, or (epochs_stage1) ran an endless Stage 1
+    monkeypatch.setattr(mskd.train, "make_pools", lambda *a: pytest.fail("drew a pool"))
+    exs = [mk_mcq(0), mk_mcq(1)]
+    message = f"train config {named} too large: a cell's {table} float64 table is past numpy's largest array"
+    with pytest.raises(mskd.train.InputError) as raised:
+        Plan(exs, MetricConfig(), point_mass_teacher(exs)).run(small_cfg(**sizes))
+    assert str(raised.value) == message
 
 
 def test_teacher_stacks_hold_the_plans_layout():
